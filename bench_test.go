@@ -589,48 +589,36 @@ func timedShardedRun(spd *scenario.ShardedPath, d time.Duration) (critical, seri
 }
 
 // BenchmarkShardedRun runs one campus topology partitioned over 1/2/4/8
-// shards under each placement strategy. events/sec is the measured
+// shards, static (the contiguous round-robin split) and dynamic (the
+// barrier-time rebalancer on top, at the aggressive config the
+// campus-sharded experiment table uses). events/sec is the measured
 // single-core throughput (window protocol overhead included);
 // cp-events/sec divides by the critical path instead — the projected
-// throughput with one core per shard. The weighted variants feed an
-// LPT placement from a full-horizon profiler pre-pass (roams make
-// per-cell event rates nonstationary, so a prefix mis-ranks cells);
-// dynamic adds the barrier-time rebalancer on top at the aggressive
-// config the campus-sharded experiment table uses.
+// throughput with one core per shard.
 func BenchmarkShardedRun(b *testing.B) {
 	dur := 2 * time.Second
 	ccfg := scenario.CampusConfig{
 		APs: 16, Stations: 160, Roams: 16,
 		Duration: dur, Solution: scenario.SolutionZhuge,
 	}
-	weights, err := scenario.ProfileWeights(scenario.Campus(1, ccfg), scenario.CampusCutDelay, dur, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
 	rcfg := shard.RebalanceConfig{Ratio: 1.05, Patience: 2, Cooldown: 8, HalfLife: 8}
-	variants := []struct {
-		name      string
-		placement scenario.Placement
-		rebalance bool
-	}{
-		{"roundrobin", nil, false},
-		{"weighted", &scenario.WeightedPlacement{Weights: weights}, false},
-		{"dynamic", &scenario.WeightedPlacement{Weights: weights}, true},
-	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, v := range variants {
-			if shards == 1 && v.name != "roundrobin" {
+		for _, rebalance := range []bool{false, true} {
+			if rebalance && shards == 1 {
 				continue
 			}
-			b.Run(fmt.Sprintf("shards-%d/%s", shards, v.name), func(b *testing.B) {
+			name := "roundrobin"
+			if rebalance {
+				name = "dynamic"
+			}
+			b.Run(fmt.Sprintf("shards-%d/%s", shards, name), func(b *testing.B) {
 				var events uint64
 				var critical, serial time.Duration
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					spd, err := scenario.BuildSharded(scenario.Campus(1, ccfg), scenario.ShardedOptions{
 						Shards: shards, CutDelay: scenario.CampusCutDelay,
-						Placement: v.placement,
-						Rebalance: v.rebalance, RebalanceConfig: rcfg,
+						Rebalance: rebalance, RebalanceConfig: rcfg,
 					})
 					if err != nil {
 						b.Fatal(err)

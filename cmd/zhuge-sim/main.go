@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/experiments"
+	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/shard"
@@ -58,8 +59,6 @@ func main() {
 		handoverPol = flag.String("handover-policy", "migrate", "per-flow Zhuge state across a roam: migrate|reset")
 		campus      = flag.Int("campus", 0, "run the sharded campus workload with this many APs (10 stations each); prints the determinism fingerprint; uses -shards, -j, -dur, -seed")
 		shards      = flag.Int("shards", 1, "with -campus: partition the topology over this many shard simulators")
-		placement   = flag.String("placement", "roundrobin", "with -campus: cell-to-shard placement: roundrobin|weighted (weighted packs by profiled load: -profile-in, or an in-process pre-pass)")
-		profileIn   = flag.String("profile-in", "", "with -placement weighted: read per-cell weights from this load-profile JSON instead of running a pre-pass")
 		rebalance   = flag.Bool("rebalance", false, "with -campus: migrate cells between shards at barriers when load imbalance persists (outputs stay byte-identical)")
 		expID       = flag.String("exp", "", "run an experiment table by ID instead ('handover' = ext-handover); uses -seed, -scale, -j")
 		scale       = flag.Float64("scale", 1.0, "with -exp: duration scale factor")
@@ -68,7 +67,7 @@ func main() {
 		metricsOut  = flag.String("metrics", "", "write a metrics + prediction-error + control-loop JSON report to this file")
 		seriesOut   = flag.String("series-out", "", "write virtual-time telemetry series to this file (.csv = CSV, else JSONL; see OBSERVABILITY.md)")
 		seriesEvery = flag.Duration("series-every", 100*time.Millisecond, "virtual-time sampling interval for -series-out")
-		profileOut  = flag.String("profile-out", "", "with -campus: write the per-cell load profile (JSON) to this file; use -shards 0 for exact per-cell rows")
+		profileOut  = flag.String("profile-out", "", "with -campus: write the per-cell load profile (JSON) to this file")
 		statsAddr   = flag.String("stats", "", "serve the live stats plane (registry snapshots, series windows, shard load) on this HTTP address (e.g. localhost:8377)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
@@ -90,8 +89,7 @@ func main() {
 	if *campus > 0 {
 		runCampus(campusRun{
 			aps: *campus, shards: *shards, workers: *workers, seed: *seed, dur: *dur,
-			placement: *placement, profileIn: *profileIn, rebalance: *rebalance,
-			profileOut: *profileOut, seriesOut: *seriesOut, statsAddr: *statsAddr,
+			rebalance: *rebalance, profileOut: *profileOut, seriesOut: *seriesOut, statsAddr: *statsAddr,
 		})
 		return
 	}
@@ -171,51 +169,44 @@ func main() {
 	fmt.Printf("trace=%s proto=%s solution=%s qdisc=%s dur=%v seed=%d aps=%d\n\n",
 		tr.Name, *proto, *solution, *qdisc, *dur, *seed, *aps)
 
-	if *proto == "quic" {
+	switch *proto {
+	case "quic":
 		f := p.AddQUICVideoFlow(scenario.TCPFlowConfig{CCA: *ccaName})
 		p.Run(*dur)
-		fmt.Printf("network RTT:   %s\n", f.Metrics.RTT)
-		fmt.Printf("frame delay:   %s\n", f.FrameDelay)
-		fmt.Printf("P(rtt>200ms):     %.3f%%\n", 100*f.Metrics.RTT.FractionAbove(200*time.Millisecond))
-		fmt.Printf("P(fdelay>400ms):  %.3f%%\n", 100*f.FrameDelay.FractionAbove(400*time.Millisecond))
-		fmt.Printf("P(fps<10):        %.3f%%\n", 100*f.FrameRateSeries(*dur).FractionBelow(10))
-		fmt.Printf("frames sent/dropped: %d/%d  lost=%d  pto=%d\n",
+		printSummary(f.Metrics, f.FrameDelay, f.FrameRateSeries(*dur).FractionBelow(10), *dur,
+			"frames sent/dropped: %d/%d  lost=%d  pto=%d\n",
 			f.FramesSent, f.FramesDropped, f.Sender.LostPackets(), f.Sender.Timeouts())
-		fmt.Printf("goodput: %.2f Mbps\n", f.Metrics.DeliveredBytes*8/dur.Seconds()/1e6)
-		return
-	}
-
-	if *proto == "tcp" {
+	case "tcp":
 		f := p.AddTCPVideoFlow(scenario.TCPFlowConfig{CCA: *ccaName})
 		p.Run(*dur)
-		fmt.Printf("network RTT:   %s\n", f.Metrics.RTT)
-		fmt.Printf("frame delay:   %s\n", f.FrameDelay)
-		fmt.Printf("P(rtt>200ms):     %.3f%%\n", 100*f.Metrics.RTT.FractionAbove(200*time.Millisecond))
-		fmt.Printf("P(fdelay>400ms):  %.3f%%\n", 100*f.FrameDelay.FractionAbove(400*time.Millisecond))
-		fmt.Printf("P(fps<10):        %.3f%%\n", 100*f.FrameRateSeries(*dur).FractionBelow(10))
-		fmt.Printf("frames sent/dropped: %d/%d  retransmits=%d  timeouts=%d\n",
+		printSummary(f.Metrics, f.FrameDelay, f.FrameRateSeries(*dur).FractionBelow(10), *dur,
+			"frames sent/dropped: %d/%d  retransmits=%d  timeouts=%d\n",
 			f.FramesSent, f.FramesDropped, f.Sender.Retransmits(), f.Sender.Timeouts())
-		fmt.Printf("goodput: %.2f Mbps\n", f.Metrics.DeliveredBytes*8/dur.Seconds()/1e6)
-		return
+	default:
+		rtpCCA := ""
+		if *ccaName == "nada" {
+			rtpCCA = "nada"
+		}
+		// With roams scheduled, the sender must infer losses from feedback
+		// gaps (reset-on-handover discards fortunes silently otherwise).
+		f := p.AddRTPFlow(scenario.RTPFlowConfig{CCA: rtpCCA, GapLoss: len(roams) > 0})
+		p.Run(*dur)
+		printSummary(f.Metrics, f.Decoder.FrameDelay, f.Decoder.LowFrameRateRatio(*dur, 10), *dur,
+			"frames decoded/skipped: %d/%d  retransmits=%d\nfinal rate: %.2f Mbps\n",
+			f.Decoder.Decoded, f.Decoder.Skipped, f.Sender.Retransmits(), f.Sender.Controller().Rate()/1e6)
 	}
+}
 
-	rtpCCA := ""
-	if *ccaName == "nada" {
-		rtpCCA = "nada"
-	}
-	// With roams scheduled, the sender must infer losses from feedback
-	// gaps (reset-on-handover discards fortunes silently otherwise).
-	f := p.AddRTPFlow(scenario.RTPFlowConfig{CCA: rtpCCA, GapLoss: len(roams) > 0})
-	p.Run(*dur)
-	fmt.Printf("network RTT:   %s\n", f.Metrics.RTT)
-	fmt.Printf("frame delay:   %s\n", f.Decoder.FrameDelay)
-	fmt.Printf("P(rtt>200ms):     %.3f%%\n", 100*f.Metrics.RTT.FractionAbove(200*time.Millisecond))
-	fmt.Printf("P(fdelay>400ms):  %.3f%%\n", 100*f.Decoder.FrameDelay.FractionAbove(400*time.Millisecond))
-	fmt.Printf("P(fps<10):        %.3f%%\n", 100*f.Decoder.LowFrameRateRatio(*dur, 10))
-	fmt.Printf("frames decoded/skipped: %d/%d  retransmits=%d\n",
-		f.Decoder.Decoded, f.Decoder.Skipped, f.Sender.Retransmits())
-	fmt.Printf("final rate: %.2f Mbps\n", f.Sender.Controller().Rate()/1e6)
-	fmt.Printf("goodput: %.2f Mbps\n", f.Metrics.DeliveredBytes*8/dur.Seconds()/1e6)
+// printSummary prints one flow's result block. Every protocol prints the
+// same lines except the counters in the middle, which arrive as a format.
+func printSummary(m *scenario.FlowMetrics, frameDelay *metrics.Histogram, lowFPS float64, dur time.Duration, counters string, args ...any) {
+	fmt.Printf("network RTT:   %s\n", m.RTT)
+	fmt.Printf("frame delay:   %s\n", frameDelay)
+	fmt.Printf("P(rtt>200ms):     %.3f%%\n", 100*m.RTT.FractionAbove(200*time.Millisecond))
+	fmt.Printf("P(fdelay>400ms):  %.3f%%\n", 100*frameDelay.FractionAbove(400*time.Millisecond))
+	fmt.Printf("P(fps<10):        %.3f%%\n", 100*lowFPS)
+	fmt.Printf(counters, args...)
+	fmt.Printf("goodput: %.2f Mbps\n", m.DeliveredBytes*8/dur.Seconds()/1e6)
 }
 
 // campusRun bundles the -campus mode's flags.
@@ -223,7 +214,6 @@ type campusRun struct {
 	aps, shards, workers             int
 	seed                             int64
 	dur                              time.Duration
-	placement, profileIn             string
 	rebalance                        bool
 	profileOut, seriesOut, statsAddr string
 }
@@ -233,7 +223,7 @@ type campusRun struct {
 // stdout. The fingerprint covers every flow's RTT distribution, frame
 // counts, delivered bytes and the cluster's event total, so CI proves the
 // shard-count-invariance contract by diffing the stdout of two invocations
-// (`-shards 1` vs `-shards 8 -placement weighted -rebalance`) byte for
+// (`-shards 1` vs `-shards 8 -rebalance`) byte for
 // byte; the human-facing summary goes to stderr to keep stdout diff-clean.
 func runCampus(r campusRun) {
 	aps, shards, workers, seed, dur := r.aps, r.shards, r.workers, r.seed, r.dur
@@ -241,25 +231,11 @@ func runCampus(r campusRun) {
 		APs: aps, Stations: 10 * aps, Roams: aps,
 		Duration: dur, Solution: scenario.SolutionZhuge,
 	}
-	opt := scenario.ShardedOptions{
+	spd, err := scenario.BuildSharded(scenario.Campus(seed, cfg), scenario.ShardedOptions{
 		Shards:    shards,
 		CutDelay:  scenario.CampusCutDelay,
 		Rebalance: r.rebalance,
-	}
-	switch r.placement {
-	case "", "roundrobin":
-	case "weighted":
-		weights, err := campusWeights(r, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
-			os.Exit(2)
-		}
-		opt.Placement = scenario.WeightedPlacement{Weights: weights}
-	default:
-		fmt.Fprintf(os.Stderr, "zhuge-sim: bad -placement %q (want roundrobin|weighted)\n", r.placement)
-		os.Exit(2)
-	}
-	spd, err := scenario.BuildSharded(scenario.Campus(seed, cfg), opt)
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
 		os.Exit(2)
@@ -280,8 +256,8 @@ func runCampus(r campusRun) {
 		spd.Run(dur, workers)
 	}
 	wall := time.Since(start)
-	fmt.Fprintf(os.Stderr, "campus aps=%d stations=%d shards=%d placement=%s workers=%d dur=%v seed=%d\n",
-		aps, 10*aps, len(spd.Cluster.Shards()), spd.Placement, workers, dur, seed)
+	fmt.Fprintf(os.Stderr, "campus aps=%d stations=%d shards=%d workers=%d dur=%v seed=%d\n",
+		aps, 10*aps, len(spd.Cluster.Shards()), workers, dur, seed)
 	look, _ := spd.Cluster.Lookahead()
 	fmt.Fprintf(os.Stderr, "events=%d windows=%d lookahead=%v wall=%v (%.0f events/sec)\n",
 		spd.Cluster.Fired(), spd.Cluster.Windows(), look,
@@ -296,40 +272,6 @@ func runCampus(r campusRun) {
 		pf.finish(fmt.Sprintf("campus-%dap", aps), r.profileOut, r.seriesOut)
 	}
 	fmt.Print(spd.Fingerprint())
-}
-
-// campusWeights resolves the weighted placement's per-cell weights: from
-// the -profile-in JSON when given, else from an in-process events-only
-// pre-pass over the full requested horizon. The full horizon matters:
-// stations roam between cells, so per-cell event rates are nonstationary
-// and weights from a short prefix pile late-heavy cells onto one shard,
-// placing worse than round-robin. The pre-pass costs about one serial run;
-// commit its output with -profile-out and reuse it via -profile-in to skip
-// that cost on later runs.
-func campusWeights(r campusRun, cfg scenario.CampusConfig) (map[string]uint64, error) {
-	if r.profileIn != "" {
-		f, err := os.Open(r.profileIn)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		lp, err := scenario.ReadLoadProfile(f)
-		if err != nil {
-			return nil, fmt.Errorf("profile-in %s: %v", r.profileIn, err)
-		}
-		fmt.Fprintf(os.Stderr, "placement weights from %s (%s, %d cells, heaviest/lightest %.2f)\n",
-			r.profileIn, lp.Workload, len(lp.Cells), lp.MaxMinEventRatio)
-		return lp.Weights(), nil
-	}
-	pre := r.dur
-	t0 := time.Now()
-	w, err := scenario.ProfileWeights(scenario.Campus(r.seed, cfg), scenario.CampusCutDelay, pre, r.workers)
-	if err != nil {
-		return nil, fmt.Errorf("placement pre-pass: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "placement weights from %v pre-pass over %d cells (wall %v)\n",
-		pre, len(w), time.Since(t0).Round(time.Millisecond))
-	return w, nil
 }
 
 // shardProfile bundles the campus run's load profiler with its optional

@@ -12,15 +12,14 @@ import (
 
 // CampusSharded runs the flagship campus workload — many APs, each serving
 // a block of RTP video stations, with roamers crossing cell boundaries —
-// once per (shard count, placement) combination, and tabulates per-run
+// once per shard count, static and rebalanced, and tabulates per-run
 // aggregates. One topology is partitioned over 1, 2 and 4 shard simulators
-// synchronized through the conservative window protocol, first with the
-// contiguous count-balanced split, then with profile-guided LPT packing
-// (weights from a deterministic events-only pre-pass) and the dynamic
-// barrier-time rebalancer; every metric column (and the fingerprint over
-// all per-flow outputs) must be byte-identical across ALL rows. The golden
-// fingerprint pins that contract: any grouping or migration leak shows up
-// as rows that no longer match each other.
+// synchronized through the conservative window protocol, first left on the
+// contiguous count-balanced split, then with the dynamic barrier-time
+// rebalancer migrating cells off it; every metric column (and the
+// fingerprint over all per-flow outputs) must be byte-identical across ALL
+// rows. The golden fingerprint pins that contract: any grouping or
+// migration leak shows up as rows that no longer match each other.
 //
 // Scale shrinks the topology with the duration (4 APs / 40 stations at the
 // golden Scale 0.02; 100 APs / 1000 stations at full scale), keeping the
@@ -43,8 +42,8 @@ func CampusSharded(cfg Config) *Table {
 
 	t := &Table{
 		ID:    "campus-sharded",
-		Title: fmt.Sprintf("Campus workload (%d APs, %d stations): shard-count and placement invariance", aps, 10*aps),
-		Header: []string{"shards", "placement", "cells", "windows", "events",
+		Title: fmt.Sprintf("Campus workload (%d APs, %d stations): shard-count and migration invariance", aps, 10*aps),
+		Header: []string{"shards", "balancing", "cells", "windows", "events",
 			"decoded", "skipped", "delivered(MB)", "fingerprint"},
 	}
 
@@ -52,37 +51,19 @@ func CampusSharded(cfg Config) *Table {
 	if cfg.Shards > 0 {
 		counts = []int{cfg.Shards}
 	}
-	// Exact per-cell weights for the LPT rows, from an events-only pre-pass
-	// over the full horizon (roams make per-cell rates nonstationary, so a
-	// prefix mis-ranks cells): a pure function of (Seed, Scale), so the
-	// placement — and with it every golden row — is deterministic.
-	weights, err := scenario.ProfileWeights(scenario.Campus(cfg.Seed, ccfg), scenario.CampusCutDelay, dur, cfg.Workers)
-	if err != nil {
-		panic(fmt.Sprintf("campus-sharded: pre-pass: %v", err))
-	}
 	// Aggressive hysteresis so the dynamic rows actually migrate within the
 	// golden-scale horizon; the defaults are tuned for long runs.
 	rcfg := shard.RebalanceConfig{Ratio: 1.05, Patience: 2, Cooldown: 8, HalfLife: 8}
 
-	type variant struct {
-		placement scenario.Placement
-		rebalance bool
-	}
-	variants := []variant{
-		{nil, false},
-		{scenario.WeightedPlacement{Weights: weights}, false},
-		{scenario.WeightedPlacement{Weights: weights}, true},
-	}
 	for _, shards := range counts {
-		for _, v := range variants {
-			if shards == 1 && (v.placement != nil || v.rebalance) {
-				continue // one shard: every placement is the same placement
+		for _, rebalance := range []bool{false, true} {
+			if shards == 1 && rebalance {
+				continue // one shard: nowhere to migrate to
 			}
 			spd, err := scenario.BuildSharded(scenario.Campus(cfg.Seed, ccfg), scenario.ShardedOptions{
 				Shards:          shards,
-				Placement:       v.placement,
 				CutDelay:        scenario.CampusCutDelay,
-				Rebalance:       v.rebalance,
+				Rebalance:       rebalance,
 				RebalanceConfig: rcfg,
 			})
 			if err != nil {
@@ -106,9 +87,9 @@ func CampusSharded(cfg Config) *Table {
 					delivered += bf.RTP.Metrics.DeliveredBytes
 				}
 			}
-			label := spd.Placement
-			if spd.Rebalancer != nil {
-				label = fmt.Sprintf("%s+dynamic(%d)", spd.Placement, spd.Rebalancer.Migrations())
+			label := "static"
+			if rebalance {
+				label = fmt.Sprintf("dynamic(%d)", spd.Rebalancer.Migrations())
 			}
 			sum := sha256.Sum256([]byte(spd.Fingerprint()))
 			t.Rows = append(t.Rows, []string{

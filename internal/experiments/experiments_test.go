@@ -240,3 +240,23 @@ func TestFig13CCDFMonotone(t *testing.T) {
 		t.Errorf("curve groups = %d, want 12", len(lastVal))
 	}
 }
+
+// TestCampusShardedMigrates keeps the campus-sharded invariance rows from
+// going vacuous: at golden scale every row must agree on every metric
+// column, and the 2-shard dynamic row must have migrated at least one cell
+// (migration is the only thing that moves a cell off the contiguous split).
+func TestCampusShardedMigrates(t *testing.T) {
+	tab := CampusSharded(Config{Seed: 1, Scale: 0.02})
+	migrated, want := false, strings.Join(tab.Rows[0][2:], " ")
+	for _, r := range tab.Rows {
+		if got := strings.Join(r[2:], " "); got != want {
+			t.Errorf("row %s/%s = %s, want %s", r[0], r[1], got, want)
+		}
+		if r[0] == "2" && strings.HasPrefix(r[1], "dynamic(") && r[1] != "dynamic(0)" {
+			migrated = true
+		}
+	}
+	if !migrated {
+		t.Errorf("no 2-shard dynamic(N>0) row in:\n%s", tab.String())
+	}
+}

@@ -47,11 +47,13 @@ type Config struct {
 	FeedbackEvery time.Duration
 }
 
-// Stats is a snapshot of relay counters.
+// Stats is a snapshot of relay counters. MediaOut and FeedbackRelayed are
+// bumped before the socket write (and taken back if it fails), so a peer
+// that has received a packet always finds it counted.
 type Stats struct {
 	MediaIn         int
 	MediaOut        int
-	Dropped         int
+	Dropped         int // queue overflow, or the write to the client failed
 	FeedbackBuilt   int
 	ClientTWCCDrops int
 	FeedbackRelayed int
@@ -235,6 +237,9 @@ func (r *Relay) drainLoop() {
 		p := r.q.Dequeue(r.now())
 		if p != nil {
 			r.ft.OnDequeue(r.now(), p)
+			// Counted before the write: whoever reads the packet off the
+			// client socket must already see it in Stats.
+			r.stats.MediaOut++
 		}
 		r.mu.Unlock()
 		if p == nil {
@@ -246,9 +251,10 @@ func (r *Relay) drainLoop() {
 			}
 		}
 		data := p.Payload.([]byte)
-		if _, err := r.mediaConn.WriteToUDP(data, r.client); err == nil {
+		if _, err := r.mediaConn.WriteToUDP(data, r.client); err != nil {
 			r.mu.Lock()
-			r.stats.MediaOut++
+			r.stats.MediaOut--
+			r.stats.Dropped++
 			r.mu.Unlock()
 		}
 		rate := r.rateAt(r.now())
@@ -281,9 +287,13 @@ func (r *Relay) feedbackLoop() {
 				continue
 			}
 		}
-		if _, err := r.fbConn.WriteToUDP(buf[:n], r.server); err == nil {
+		// Counted before the write, like MediaOut in drainLoop.
+		r.mu.Lock()
+		r.stats.FeedbackRelayed++
+		r.mu.Unlock()
+		if _, err := r.fbConn.WriteToUDP(buf[:n], r.server); err != nil {
 			r.mu.Lock()
-			r.stats.FeedbackRelayed++
+			r.stats.FeedbackRelayed--
 			r.mu.Unlock()
 		}
 	}

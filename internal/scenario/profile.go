@@ -8,27 +8,22 @@ import (
 	"github.com/zhuge-project/zhuge/internal/shard"
 )
 
-// CellLoad is one cell's (or shard's) measured weight in a sharded run.
+// CellLoad is one cell's measured weight in a sharded run.
 // Events is deterministic (simulator event counts); ComputeNS/StallNS are
 // wall-clock and only present when the profiling run injected a clock.
 type CellLoad struct {
-	// Cell is the cell label (the AP name) when the profiling run used one
-	// shard per cell; otherwise the shard name covering several cells.
-	Cell string `json:"cell"`
-	// Cells lists the member cell labels when Cell names a multi-cell
-	// shard.
-	Cells     []string `json:"cells,omitempty"`
-	Events    uint64   `json:"events"`
-	Share     float64  `json:"share"` // fraction of total events
-	ComputeNS int64    `json:"compute_ns,omitempty"`
-	StallNS   int64    `json:"stall_ns,omitempty"`
+	// Cell is the cell label (the AP name).
+	Cell      string  `json:"cell"`
+	Events    uint64  `json:"events"`
+	Share     float64 `json:"share"` // fraction of total events
+	ComputeNS int64   `json:"compute_ns,omitempty"`
+	StallNS   int64   `json:"stall_ns,omitempty"`
 }
 
 // LoadProfile is the per-cell weight profile a sharded profiling run dumps
-// (`zhuge-sim -campus N -profile-out f.json`). The Cells rows are exactly
-// the weights a load-balanced BuildSharded grouping needs: run with one
-// shard per cell (`-shards 0`) so every row is a single cell, then feed
-// Weights() to the partitioner.
+// (`zhuge-sim -campus N -profile-out f.json`): an instrument for seeing
+// where the events go, one exact row per cell at any shard count. Nothing
+// reads it back — placement is topo.Partition plus the Rebalancer.
 type LoadProfile struct {
 	Workload   string     `json:"workload"`
 	Shards     int        `json:"shards"`
@@ -37,28 +32,10 @@ type LoadProfile struct {
 	SerialNS   int64      `json:"serial_ns,omitempty"`
 	CriticalNS int64      `json:"critical_path_ns,omitempty"`
 	Cells      []CellLoad `json:"cells"`
-	// MaxMinEventRatio is heaviest/lightest row by events — the load
-	// imbalance that bounds critical-path speedup no matter how many
-	// workers run the windows.
+	// MaxMinEventRatio is heaviest/lightest row by events over the whole
+	// run. It is not what caps parallel speedup: per-window skew is (see
+	// OBSERVABILITY.md).
 	MaxMinEventRatio float64 `json:"heaviest_to_lightest"`
-}
-
-// Weights returns cell label -> event weight, the input shape for
-// WeightedPlacement. Multi-cell rows (from profiles written before exact
-// per-cell attribution, or hand-edited ones) attribute the shard's events
-// to each member cell evenly.
-func (lp *LoadProfile) Weights() map[string]uint64 {
-	w := make(map[string]uint64, len(lp.Cells))
-	for _, c := range lp.Cells {
-		if len(c.Cells) == 0 {
-			w[c.Cell] = c.Events
-			continue
-		}
-		for _, m := range c.Cells {
-			w[m] = c.Events / uint64(len(c.Cells))
-		}
-	}
-	return w
 }
 
 // WriteJSON writes the profile as one indented JSON document.
@@ -66,17 +43,6 @@ func (lp *LoadProfile) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(lp)
-}
-
-// ReadLoadProfile parses a profile previously written with WriteJSON — the
-// `zhuge-sim -profile-in` path that feeds a committed profile straight into
-// WeightedPlacement without a pre-pass.
-func ReadLoadProfile(r io.Reader) (*LoadProfile, error) {
-	var lp LoadProfile
-	if err := json.NewDecoder(r).Decode(&lp); err != nil {
-		return nil, err
-	}
-	return &lp, nil
 }
 
 // RunProfiled is Run with load attribution: p observes every window. Build
@@ -88,37 +54,6 @@ func (spd *ShardedPath) RunProfiled(d time.Duration, workers int, p *shard.Profi
 		p.AttachRebalancer(spd.Rebalancer)
 	}
 	spd.Cluster.RunProfiled(d, workers, p)
-}
-
-// ProfileWeights runs the profile-guided placement pre-pass: build sp at
-// one shard per cell, advance it to d, and return every cell's exact event
-// count keyed by label. The profile is events-only (no clock), so the
-// weights are a pure function of (sp, d) — the same Spec profiled anywhere
-// yields the same placement. Profile the horizon you intend to run: campus
-// per-cell event rates are NOT stationary — stations roam between cells, so
-// a cell idle in the first quarter can carry a tenth of the full-run load —
-// and weights from a short prefix produce placements worse than round-robin.
-// The pre-pass runs one shard per cell with no clock, so even the full
-// horizon costs roughly one serial run.
-//
-// sp is consumed (BuildSharded mutates AP names in place); pass a freshly
-// generated Spec, not one you intend to build again.
-func ProfileWeights(sp Spec, cutDelay, d time.Duration, workers int) (map[string]uint64, error) {
-	spd, err := BuildSharded(sp, ShardedOptions{Shards: 0, CutDelay: cutDelay})
-	if err != nil {
-		return nil, err
-	}
-	p := spd.NewProfiler()
-	spd.RunProfiled(d, workers, p)
-	w := make(map[string]uint64, len(spd.Cells))
-	for i, ev := range p.CellEvents() {
-		label := spd.Cells[i].Label
-		if label == "" {
-			label = "cell0"
-		}
-		w[label] = ev
-	}
-	return w, nil
 }
 
 // NewProfiler returns a load profiler bound to the path's cluster.

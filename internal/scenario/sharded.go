@@ -12,56 +12,6 @@ import (
 	"github.com/zhuge-project/zhuge/internal/topo"
 )
 
-// Placement decides which shard each cell of a sharded build lands on.
-// Implementations must be pure functions of their inputs (plus any weights
-// they were constructed with): the byte-identity gate rebuilds topologies
-// expecting identical decompositions, and CI diffs runs across placements.
-// Placement only affects wall-clock speed, never outputs — see the package
-// shard doc for the invisibility argument.
-type Placement interface {
-	// Name identifies the strategy in tables and CLI flags.
-	Name() string
-	// Assign maps cell i (named cells[i]) to a shard in [0, k); k arrives
-	// pre-clamped to [1, len(cells)]. Every shard index up to the maximum
-	// returned must be used (the builder materialises max+1 shards).
-	Assign(cells []string, k int) []int
-}
-
-// PlacementRoundRobin is the historical default: topo.Partition's
-// count-balanced contiguous split. Neighbouring APs — the likeliest
-// handover partners — share a shard, minimising cut traffic, but per-cell
-// load skew lands unmitigated on whichever shard drew the busy block.
-type PlacementRoundRobin struct{}
-
-// Name implements Placement.
-func (PlacementRoundRobin) Name() string { return "roundrobin" }
-
-// Assign implements Placement.
-func (PlacementRoundRobin) Assign(cells []string, k int) []int {
-	return topo.Partition(len(cells), k)
-}
-
-// WeightedPlacement packs cells onto shards by measured load with
-// topo.PartitionLPT: heaviest cell first, each onto the lightest shard.
-// Weights come from a profiling pre-pass (ProfileWeights) or a committed
-// LoadProfile (Weights()); cells missing from the map weigh 1, so a stale
-// profile degrades toward count-balancing instead of failing.
-type WeightedPlacement struct {
-	Weights map[string]uint64
-}
-
-// Name implements Placement.
-func (WeightedPlacement) Name() string { return "weighted" }
-
-// Assign implements Placement.
-func (wp WeightedPlacement) Assign(cells []string, k int) []int {
-	w := make([]uint64, len(cells))
-	for i, name := range cells {
-		w[i] = wp.Weights[name]
-	}
-	return topo.PartitionLPT(w, cells, k)
-}
-
 // ShardedOptions configures BuildSharded.
 type ShardedOptions struct {
 	// Shards is the number of parallel event heaps the topology's cells
@@ -70,14 +20,10 @@ type ShardedOptions struct {
 	// are byte-identical for every value.
 	Shards int
 
-	// Placement picks the cell-to-shard grouping; nil means
-	// PlacementRoundRobin, the count-balanced contiguous split.
-	Placement Placement
-
 	// Rebalance enables the dynamic rebalancer: per-window cell loads are
 	// watched during the run and whole cells migrate between shards at
 	// barriers when the imbalance exceeds RebalanceConfig's hysteresis.
-	// Like Placement it can only change wall-clock speed, never outputs.
+	// Like Shards it can only change wall-clock speed, never outputs.
 	Rebalance bool
 
 	// RebalanceConfig tunes the rebalancer; the zero value means defaults.
@@ -131,9 +77,6 @@ type ShardedPath struct {
 	Opts    ShardedOptions
 	Cluster *shard.Cluster
 	Cells   []*ShardedCell
-
-	// Placement names the strategy that produced the grouping.
-	Placement string
 
 	// Rebalancer is non-nil when Opts.Rebalance was set; after a run its
 	// Moves() record the cell migrations executed.
@@ -216,43 +159,17 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 	// event order is a function of the cell alone, so the grouping stays
 	// invisible in every per-cell output.
 	k := opt.Shards
-	if k <= 0 {
-		// One shard per cell, as documented — the shape the load-profiling
-		// pre-pass needs for exact per-cell weights. (The partitioners
-		// would otherwise clamp k < 1 to a single shard.)
-		k = n
+	if k <= 0 || k > n {
+		k = n // one shard per cell, as ShardedOptions.Shards documents
 	}
-	if k > n {
-		k = n
-	}
-	pl := opt.Placement
-	if pl == nil {
-		pl = PlacementRoundRobin{}
-	}
-	cellNames := make([]string, n)
-	for i := range sp.APs {
-		cellNames[i] = sp.APs[i].Name
-	}
-	assign := pl.Assign(cellNames, k)
-	if len(assign) != n {
-		panic(fmt.Sprintf("scenario: placement %q assigned %d of %d cells", pl.Name(), len(assign), n))
-	}
-	shardCount := 0
-	for i, g := range assign {
-		if g < 0 || g >= k {
-			panic(fmt.Sprintf("scenario: placement %q put cell %d on shard %d (k=%d)", pl.Name(), i, g, k))
-		}
-		if g+1 > shardCount {
-			shardCount = g + 1
-		}
-	}
+	assign := topo.Partition(n, k)
 	cluster := shard.NewCluster()
-	shards := make([]*shard.Shard, shardCount)
+	shards := make([]*shard.Shard, k)
 	for gi := range shards {
 		shards[gi] = cluster.AddShard(fmt.Sprintf("shard%d", gi))
 	}
 	spd := &ShardedPath{
-		Spec: sp, Opts: opt, Cluster: cluster, Placement: pl.Name(),
+		Spec: sp, Opts: opt, Cluster: cluster,
 		byAP:  make(map[string]*ShardedCell, n),
 		edges: make(map[[2]int]*shard.Edge),
 		home:  make(map[string]*ShardedCell),

@@ -7,9 +7,9 @@
 // clock) and shares no mutable state with any other cell. A shard is a
 // parallel execution slot — the set of cells one worker advances during a
 // window — and residency is pure scheduling: it decides which core runs a
-// cell's events, never what those events do. That split is what makes both
-// profile-guided placement and barrier-time migration safe: moving a cell
-// between shards moves a pointer, not state.
+// cell's events, never what those events do. That split is what makes
+// barrier-time migration safe: moving a cell between shards moves a
+// pointer, not state.
 //
 // Cells are joined only by Edges — explicit links with a positive minimum
 // delay, mirroring the topology graph's Wire nodes, whose delay is the

@@ -12,9 +12,8 @@ import (
 // how long it computed, and how long it sat idle at barriers waiting for
 // the window's straggler. StallNS is the per-window sum of (slowest shard's
 // compute − own compute): the straggler itself stalls zero, and a large
-// spread is exactly the load imbalance that makes critical-path scaling
-// sub-linear (BENCH_shard.json's 3.5× at 8 shards under count-balanced
-// placement).
+// spread is exactly the per-window skew that makes critical-path scaling
+// sub-linear (BENCH_shard.json's ~4× at 8 shards).
 type ShardLoad struct {
 	Shard     string `json:"shard"`
 	Events    uint64 `json:"events"`
@@ -166,8 +165,7 @@ func (p *Profiler) Loads() []ShardLoad { return p.loads }
 
 // CellEvents returns the exact cumulative event count of every cell, in
 // cluster cell registration order. Unlike Loads it is independent of both
-// grouping and migration, which makes it the canonical weight input for
-// profile-guided placement at any shard count.
+// grouping and migration: the rows of scenario.LoadProfile.
 func (p *Profiler) CellEvents() []uint64 { return p.cellEvents }
 
 // Windows returns how many windows the profiler observed.

@@ -1,10 +1,5 @@
 package topo
 
-import (
-	"fmt"
-	"sort"
-)
-
 // Partition assigns n cells to k contiguous, balanced groups: assign[i] is
 // the group of cell i, groups are numbered 0..k-1 in cell order, and group
 // sizes differ by at most one. Contiguity is deliberate — neighbouring
@@ -33,105 +28,4 @@ func Partition(n, k int) []int {
 		assign[i] = i * k / n
 	}
 	return assign
-}
-
-// PartitionLPT assigns n weighted cells to k groups by longest-processing-
-// time greedy bin-packing: cells are taken heaviest first and each lands on
-// the currently lightest group. LPT is the classic 4/3-approximation for
-// makespan — here the makespan is the slowest shard's per-window compute,
-// the critical path that bounds parallel speedup — and it beats the
-// count-balanced contiguous split whenever per-cell load is skewed (the
-// committed campus profile spreads 1.8× between heaviest and lightest AP).
-//
-// Unlike Partition the groups are generally non-contiguous; consumers must
-// not assume cell ranges. The assignment is a pure function of (weights,
-// keys, k): cells sort by weight descending with ties broken by key
-// ascending, and equal group loads break toward the lowest group index, so
-// the same profile always yields the same placement — the determinism the
-// byte-identity gate and the committed-profile tests rely on.
-//
-// keys must parallel weights (one per cell, unique); zero weights are
-// lifted to 1 so an idle cell still lands somewhere definite. k is clamped
-// to [1, n].
-func PartitionLPT(weights []uint64, keys []string, k int) []int {
-	n := len(weights)
-	if n == 0 {
-		return nil
-	}
-	if len(keys) != n {
-		panic(fmt.Sprintf("topo: PartitionLPT got %d weights but %d keys", n, len(keys)))
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	w := func(i int) uint64 {
-		if weights[i] == 0 {
-			return 1
-		}
-		return weights[i]
-	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if w(i) != w(j) {
-			return w(i) > w(j)
-		}
-		return keys[i] < keys[j]
-	})
-	assign := make([]int, n)
-	load := make([]uint64, k)
-	for _, i := range order {
-		g := 0
-		for j := 1; j < k; j++ {
-			if load[j] < load[g] {
-				g = j
-			}
-		}
-		assign[i] = g
-		load[g] += w(i)
-	}
-	return assign
-}
-
-// CutEdges returns the directed cell-pair edges that cross the given
-// partition, in input order. A sharded build uses it to report how much of
-// the topology's edge set actually pays cross-shard synchronisation under
-// a particular grouping; edges inside one shard still defer to the barrier
-// (that is what keeps shard count invisible), but they never traverse an
-// inbox ring under contention.
-func CutEdges(assign []int, edges [][2]int) [][2]int {
-	var cut [][2]int
-	for _, e := range edges {
-		if assign[e[0]] != assign[e[1]] {
-			cut = append(cut, e)
-		}
-	}
-	return cut
-}
-
-// Groups inverts a Partition assignment into per-group cell lists, in
-// group order. It panics on a non-contiguous or non-monotonic assignment —
-// Partition never produces one, and the sharded builder depends on group g
-// owning a contiguous cell range.
-func Groups(assign []int) [][]int {
-	if len(assign) == 0 {
-		return nil
-	}
-	k := assign[len(assign)-1] + 1
-	groups := make([][]int, k)
-	prev := 0
-	for i, g := range assign {
-		if g < prev || g > prev+1 || g >= k {
-			panic(fmt.Sprintf("topo: non-contiguous partition assignment at cell %d: %v", i, assign))
-		}
-		groups[g] = append(groups[g], i)
-		prev = g
-	}
-	return groups
 }

@@ -9,25 +9,22 @@ func TestPartitionBalanceAndContiguity(t *testing.T) {
 			if len(assign) != n {
 				t.Fatalf("Partition(%d,%d): %d assignments", n, k, len(assign))
 			}
-			groups := Groups(assign)
-			want := k
-			if want > n {
-				want = n
-			}
-			if len(groups) != want {
-				t.Fatalf("Partition(%d,%d): %d groups, want %d", n, k, len(groups), want)
-			}
-			min, max := n, 0
-			for _, g := range groups {
-				if len(g) < min {
-					min = len(g)
+			want := min(k, n)
+			sizes := make([]int, want)
+			prev := 0
+			for i, g := range assign {
+				if g < prev || g > prev+1 || g >= want {
+					t.Fatalf("Partition(%d,%d): non-contiguous at cell %d: %v", n, k, i, assign)
 				}
-				if len(g) > max {
-					max = len(g)
-				}
+				sizes[g]++
+				prev = g
 			}
-			if max-min > 1 {
-				t.Fatalf("Partition(%d,%d): group sizes %d..%d unbalanced", n, k, min, max)
+			lo, hi := n, 0
+			for _, s := range sizes {
+				lo, hi = min(lo, s), max(hi, s)
+			}
+			if lo == 0 || hi-lo > 1 {
+				t.Fatalf("Partition(%d,%d): group sizes %d..%d, want all %d groups used and balanced", n, k, lo, hi, want)
 			}
 		}
 	}
@@ -40,102 +37,7 @@ func TestPartitionClampsAndEmpty(t *testing.T) {
 	if got := Partition(3, 0); len(got) != 3 || got[0] != 0 || got[2] != 0 {
 		t.Fatalf("Partition(3,0) = %v, want all zero", got)
 	}
-	assign := Partition(3, 8)
-	if g := Groups(assign); len(g) != 3 {
-		t.Fatalf("Partition(3,8) yields %d groups, want 3 (one per cell)", len(g))
+	if got := Partition(3, 8); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("Partition(3,8) = %v, want one group per cell", got)
 	}
-}
-
-func TestCutEdges(t *testing.T) {
-	assign := Partition(6, 2) // cells 0-2 on shard 0, 3-5 on shard 1
-	edges := [][2]int{{0, 1}, {2, 3}, {3, 2}, {4, 5}, {0, 5}}
-	cut := CutEdges(assign, edges)
-	want := [][2]int{{2, 3}, {3, 2}, {0, 5}}
-	if len(cut) != len(want) {
-		t.Fatalf("cut = %v, want %v", cut, want)
-	}
-	for i := range want {
-		if cut[i] != want[i] {
-			t.Fatalf("cut = %v, want %v", cut, want)
-		}
-	}
-}
-
-func TestPartitionLPTBalancesSkewedWeights(t *testing.T) {
-	// Weights 8,7,6,5,4,3,2,1 over 2 groups: LPT yields loads 18/18; the
-	// contiguous count-balanced split would yield 26/10.
-	weights := []uint64{8, 7, 6, 5, 4, 3, 2, 1}
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	assign := PartitionLPT(weights, keys, 2)
-	var load [2]uint64
-	for i, g := range assign {
-		if g < 0 || g > 1 {
-			t.Fatalf("assign[%d] = %d out of range", i, g)
-		}
-		load[g] += weights[i]
-	}
-	if load[0] != 18 || load[1] != 18 {
-		t.Fatalf("LPT loads %v, want perfectly level 18/18", load)
-	}
-	var contig [2]uint64
-	for i, g := range Partition(len(weights), 2) {
-		contig[g] += weights[i]
-	}
-	if max(contig[0], contig[1]) <= max(load[0], load[1]) {
-		t.Fatalf("contiguous split (%v) not worse than LPT (%v) on skewed weights — test premise broken", contig, load)
-	}
-}
-
-func TestPartitionLPTDeterministic(t *testing.T) {
-	// All-equal weights: placement is decided purely by key order, so the
-	// result must be identical run to run and independent of input index.
-	weights := []uint64{5, 5, 5, 5, 5, 5}
-	keys := []string{"ap003", "ap001", "ap005", "ap000", "ap004", "ap002"}
-	first := PartitionLPT(weights, keys, 3)
-	for r := 0; r < 10; r++ {
-		if got := PartitionLPT(weights, keys, 3); !slicesEqualInt(got, first) {
-			t.Fatalf("run %d: %v != %v", r, got, first)
-		}
-	}
-	// Keys sort ap000..ap005; heaviest-first with equal weights follows key
-	// order, cycling groups 0,1,2,0,1,2.
-	wantByKey := map[string]int{"ap000": 0, "ap001": 1, "ap002": 2, "ap003": 0, "ap004": 1, "ap005": 2}
-	for i, k := range keys {
-		if first[i] != wantByKey[k] {
-			t.Fatalf("cell %q assigned %d, want %d (full: %v)", k, first[i], wantByKey[k], first)
-		}
-	}
-}
-
-func TestPartitionLPTZeroWeightsAndClamp(t *testing.T) {
-	if got := PartitionLPT(nil, nil, 4); got != nil {
-		t.Fatalf("empty input gave %v, want nil", got)
-	}
-	// Zero weights lift to 1: every cell still gets a definite group and
-	// the groups stay count-balanced.
-	assign := PartitionLPT([]uint64{0, 0, 0, 0}, []string{"a", "b", "c", "d"}, 2)
-	var count [2]int
-	for _, g := range assign {
-		count[g]++
-	}
-	if count[0] != 2 || count[1] != 2 {
-		t.Fatalf("zero-weight cells packed %v, want 2/2", count)
-	}
-	// k > n clamps: each cell alone.
-	assign = PartitionLPT([]uint64{3, 1}, []string{"a", "b"}, 9)
-	if assign[0] == assign[1] {
-		t.Fatalf("k clamp failed: %v", assign)
-	}
-}
-
-func slicesEqualInt(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
