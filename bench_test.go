@@ -150,14 +150,14 @@ func BenchmarkFig14DropRTP(b *testing.B) {
 	})
 }
 
-func BenchmarkFig15DropTCP(b *testing.B)       { runExperiment(b, "fig15", nil) }
-func BenchmarkFig16Competition(b *testing.B)   { runExperiment(b, "fig16", nil) }
-func BenchmarkFig17Interference(b *testing.B)  { runExperiment(b, "fig17", nil) }
-func BenchmarkFig18Testbed(b *testing.B)       { runExperiment(b, "fig18", nil) }
-func BenchmarkFig19Prediction(b *testing.B)    { runExperiment(b, "fig19", nil) }
-func BenchmarkFig20Fairness(b *testing.B)      { runExperiment(b, "fig20", nil) }
-func BenchmarkFig22FrameRates(b *testing.B)    { runExperiment(b, "fig22", nil) }
-func BenchmarkTable3ABCTraces(b *testing.B)    { runExperiment(b, "table3", nil) }
+func BenchmarkFig15DropTCP(b *testing.B)      { runExperiment(b, "fig15", nil) }
+func BenchmarkFig16Competition(b *testing.B)  { runExperiment(b, "fig16", nil) }
+func BenchmarkFig17Interference(b *testing.B) { runExperiment(b, "fig17", nil) }
+func BenchmarkFig18Testbed(b *testing.B)      { runExperiment(b, "fig18", nil) }
+func BenchmarkFig19Prediction(b *testing.B)   { runExperiment(b, "fig19", nil) }
+func BenchmarkFig20Fairness(b *testing.B)     { runExperiment(b, "fig20", nil) }
+func BenchmarkFig22FrameRates(b *testing.B)   { runExperiment(b, "fig22", nil) }
+func BenchmarkTable3ABCTraces(b *testing.B)   { runExperiment(b, "table3", nil) }
 
 func BenchmarkAblationEstimators(b *testing.B) { runExperiment(b, "ablation-estimators", nil) }
 func BenchmarkAblationFeedback(b *testing.B)   { runExperiment(b, "ablation-feedback", nil) }

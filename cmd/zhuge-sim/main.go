@@ -279,8 +279,8 @@ func runCampus(r campusRun) {
 // to stderr or files — stdout stays byte-diff-clean for the CI shard
 // invariance gate.
 type shardProfile struct {
-	spd   *scenario.ShardedPath
-	p     *shard.Profiler
+	spd     *scenario.ShardedPath
+	p       *shard.Profiler
 	set     *obs.SeriesSet
 	stats   *obs.StatsServer
 	start   time.Time

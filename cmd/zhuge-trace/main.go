@@ -36,10 +36,10 @@ var generators = map[string]func() trace.GenParams{
 
 func main() {
 	var (
-		gen   = flag.String("gen", "", "trace to generate (see -list)")
-		dur   = flag.Duration("dur", 10*time.Minute, "trace duration")
-		seed  = flag.Int64("seed", 1, "random seed")
-		out   = flag.String("o", "", "output file (default stdout)")
+		gen    = flag.String("gen", "", "trace to generate (see -list)")
+		dur    = flag.Duration("dur", 10*time.Minute, "trace duration")
+		seed   = flag.Int64("seed", 1, "random seed")
+		out    = flag.String("o", "", "output file (default stdout)")
 		stats  = flag.String("stats", "", "print ABW statistics for a CSV trace")
 		series = flag.String("series", "", "convert a telemetry series JSONL file (zhuge-sim -series-out) to Chrome counter events")
 		list   = flag.Bool("list", false, "list generator names")

@@ -13,11 +13,11 @@ import (
 // report, as reconstructed by the sender: when it was sent, when the
 // receiver reports it arrived (zero when lost), and its size.
 type FeedbackSample struct {
-	Seq     uint16
-	SendAt  sim.Time
-	Arrived bool
+	Seq      uint16
+	SendAt   sim.Time
+	Arrived  bool
 	ArriveAt time.Duration // receiver clock; only deltas are meaningful
-	Size    int
+	Size     int
 }
 
 // Rate is the interface between the RTP transport and a rate-based
@@ -38,9 +38,9 @@ type Rate interface {
 // (the delay-based controller) and a loss-based controller; the target rate
 // is the minimum of the two.
 type GCC struct {
-	rate     float64
-	minRate  float64
-	maxRate  float64
+	rate    float64
+	minRate float64
+	maxRate float64
 
 	// Delay-based controller.
 	trend        trendline
@@ -59,8 +59,8 @@ type GCC struct {
 	totalWin *metrics.SlidingSum
 
 	// Group tracking across feedback batches.
-	havePrev  bool
-	prevSend  sim.Time
+	havePrev   bool
+	prevSend   sim.Time
 	prevArrive time.Duration
 
 	lastFeedback  sim.Time
@@ -80,14 +80,14 @@ const (
 
 // GCC tuning constants, following the WebRTC implementation.
 const (
-	gccBeta           = 0.85
-	gccThresholdInit  = 12.5 // ms
-	gccThresholdMin   = 6.0
-	gccThresholdMax   = 600.0
-	gccKUp            = 0.01
-	gccKDown          = 0.00018
-	gccTrendGain      = 4.0
-	gccMaxDeltas      = 60
+	gccBeta            = 0.85
+	gccThresholdInit   = 12.5 // ms
+	gccThresholdMin    = 6.0
+	gccThresholdMax    = 600.0
+	gccKUp             = 0.01
+	gccKDown           = 0.00018
+	gccTrendGain       = 4.0
+	gccMaxDeltas       = 60
 	gccOveruseDebounce = 2 // consecutive overuse estimates before reacting
 )
 

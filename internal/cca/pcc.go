@@ -24,14 +24,14 @@ type PCC struct {
 	lastUtil float64
 
 	// probe-pair state
-	phase    int // 0: probe up, 1: probe down
-	miRate   float64
-	miStart  sim.Time
-	miEnd    sim.Time
-	miAcked  float64 // bytes
-	miLosses int
+	phase                 int // 0: probe up, 1: probe down
+	miRate                float64
+	miStart               sim.Time
+	miEnd                 sim.Time
+	miAcked               float64 // bytes
+	miLosses              int
 	miFirstRTT, miLastRTT time.Duration
-	utilUp   float64
+	utilUp                float64
 
 	stepCount int
 }
@@ -39,11 +39,11 @@ type PCC struct {
 // Vivace utility parameters (NSDI'18 defaults, rates in Mbps inside the
 // utility function).
 const (
-	pccExponent  = 0.9
-	pccRTTCoef   = 900.0
-	pccLossCoef  = 11.35
-	pccEpsilon   = 0.05
-	pccMinStep   = 0.01 // Mbps
+	pccExponent = 0.9
+	pccRTTCoef  = 900.0
+	pccLossCoef = 11.35
+	pccEpsilon  = 0.05
+	pccMinStep  = 0.01 // Mbps
 )
 
 // NewPCC returns a PCC Vivace controller starting at startRate.
@@ -164,7 +164,7 @@ func (p *PCC) finishMI(now sim.Time) {
 	// Both probes done: gradient step.
 	utilDown := u
 	grad := (p.utilUp - utilDown) / (2 * pccEpsilon * p.rate / 1e6) // per Mbps
-	step := 0.05 * grad // conversion rate theta
+	step := 0.05 * grad                                             // conversion rate theta
 	maxStep := 0.1 * p.rate / 1e6
 	if step > maxStep {
 		step = maxStep

@@ -242,7 +242,7 @@ func TestSeriesFractions(t *testing.T) {
 
 func TestSeriesDurationAbove(t *testing.T) {
 	var s Series
-	s.Add(0, 1)                // above from 0
+	s.Add(0, 1)                    // above from 0
 	s.Add(100*time.Millisecond, 0) // below from 100ms
 	s.Add(300*time.Millisecond, 1) // above from 300ms
 	got := s.DurationAbove(0.5, 0, 500*time.Millisecond)
@@ -273,7 +273,7 @@ func TestSeriesLastAbove(t *testing.T) {
 func TestPerSecondCounts(t *testing.T) {
 	events := []time.Duration{
 		100 * time.Millisecond, 900 * time.Millisecond, // second 0
-		1500 * time.Millisecond, // second 1
+		1500 * time.Millisecond,                                                   // second 1
 		2100 * time.Millisecond, 2200 * time.Millisecond, 2300 * time.Millisecond, // second 2
 	}
 	counts := PerSecondCounts(events, 3*time.Second)

@@ -83,10 +83,10 @@ func (w *WindowedMax) Get(now time.Duration) (float64, bool) {
 // sliding window. Rate() divides by the window, which is how the Fortune
 // Teller measures avg(txRate) and how senders measure delivery rate.
 type SlidingSum struct {
-	window   time.Duration
-	samples  []timedValue
-	sum      float64
-	firstAt  time.Duration
+	window    time.Duration
+	samples   []timedValue
+	sum       float64
+	firstAt   time.Duration
 	haveFirst bool
 }
 

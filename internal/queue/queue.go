@@ -58,8 +58,8 @@ type fifoCore struct {
 	frontSince sim.Time
 }
 
-func (f *fifoCore) len() int   { return len(f.pkts) - f.head }
-func (f *fifoCore) size() int  { return f.bytes }
+func (f *fifoCore) len() int    { return len(f.pkts) - f.head }
+func (f *fifoCore) size() int   { return f.bytes }
 func (f *fifoCore) empty() bool { return f.len() == 0 }
 
 func (f *fifoCore) push(now sim.Time, p *netem.Packet) {

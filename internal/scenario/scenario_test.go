@@ -170,4 +170,3 @@ func TestInterferersDegradePerformance(t *testing.T) {
 		t.Errorf("40 interferers should inflate tail: quiet=%.4f noisy=%.4f", quiet, noisy)
 	}
 }
-

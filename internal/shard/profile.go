@@ -55,10 +55,10 @@ type Profiler struct {
 
 	c          *Cluster
 	loads      []ShardLoad
-	cellFired  []uint64 // per cell (cluster order): cumulative Fired at last barrier
-	cellEvents []uint64 // per cell: total events attributed so far
-	cellDelta  []uint64 // scratch: this window's per-cell events
-	shardDelta []uint64 // scratch: this window's per-shard events
+	cellFired  []uint64        // per cell (cluster order): cumulative Fired at last barrier
+	cellEvents []uint64        // per cell: total events attributed so far
+	cellDelta  []uint64        // scratch: this window's per-cell events
+	shardDelta []uint64        // scratch: this window's per-shard events
 	compute    []time.Duration // scratch: this window's per-shard compute
 	windows    uint64
 	serial     time.Duration // sum over windows of sum of shard compute

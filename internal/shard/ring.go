@@ -10,8 +10,8 @@ import (
 // Parcel is one cross-cell hand-off in flight: a packet, the virtual time
 // it arrives, and the receiver it is delivered to on the destination shard.
 type Parcel struct {
-	P  *netem.Packet
-	At sim.Time
+	P   *netem.Packet
+	At  sim.Time
 	Dst netem.Receiver
 }
 

@@ -40,9 +40,9 @@ type dataPacket struct {
 // ackFrame is the payload of an ACK packet: the largest received packet
 // number and ranges of received packet numbers below it.
 type ackFrame struct {
-	Largest  uint64
-	Ranges   []ackRange // descending, including the range holding Largest
-	LargestAt sim.Time  // receive time of Largest (ack-delay accounting)
+	Largest   uint64
+	Ranges    []ackRange // descending, including the range holding Largest
+	LargestAt sim.Time   // receive time of Largest (ack-delay accounting)
 }
 
 type ackRange struct {
@@ -63,7 +63,7 @@ type Sender struct {
 	// retransmission queue of stream chunks declared lost
 	retxQueue []streamChunk
 
-	inflight map[uint64]dataPacket
+	inflight      map[uint64]dataPacket
 	inflightBytes int
 
 	largestAcked uint64

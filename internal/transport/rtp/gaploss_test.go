@@ -15,8 +15,8 @@ type captureCC struct {
 	batches [][]cca.FeedbackSample
 }
 
-func (c *captureCC) Name() string    { return "capture" }
-func (c *captureCC) Rate() float64   { return 1e6 }
+func (c *captureCC) Name() string  { return "capture" }
+func (c *captureCC) Rate() float64 { return 1e6 }
 func (c *captureCC) OnFeedback(_ sim.Time, samples []cca.FeedbackSample) {
 	c.batches = append(c.batches, append([]cca.FeedbackSample(nil), samples...))
 }

@@ -33,14 +33,14 @@ const feedbackOverhead = 28
 // fields are implied by the payload; Zhuge's in-band updater reads only
 // TWCCSeq, mirroring its header-only visibility under SRTP (§5.3).
 type Payload struct {
-	SSRC      uint32
-	RTPSeq    uint16
-	TWCCSeq   uint16
-	FrameID   uint64
-	FrameIdx  int
-	FrameTot  int
-	Key       bool
-	Captured  sim.Time
+	SSRC       uint32
+	RTPSeq     uint16
+	TWCCSeq    uint16
+	FrameID    uint64
+	FrameIdx   int
+	FrameTot   int
+	Key        bool
+	Captured   sim.Time
 	Retransmit bool
 
 	// refs counts the owners of a pooled payload: the wire packet carrying

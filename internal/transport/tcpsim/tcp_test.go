@@ -217,12 +217,12 @@ func TestAckClockRespectsWindow(t *testing.T) {
 
 type fixedCwnd struct{ w int }
 
-func (f *fixedCwnd) Name() string                  { return "fixed" }
-func (f *fixedCwnd) OnAck(cca.AckEvent)            {}
-func (f *fixedCwnd) OnLoss(sim.Time)               {}
-func (f *fixedCwnd) OnRTO(sim.Time)                {}
-func (f *fixedCwnd) CWND() int                     { return f.w }
-func (f *fixedCwnd) PacingRate(sim.Time) float64   { return 0 }
+func (f *fixedCwnd) Name() string                { return "fixed" }
+func (f *fixedCwnd) OnAck(cca.AckEvent)          {}
+func (f *fixedCwnd) OnLoss(sim.Time)             {}
+func (f *fixedCwnd) OnRTO(sim.Time)              {}
+func (f *fixedCwnd) CWND() int                   { return f.w }
+func (f *fixedCwnd) PacingRate(sim.Time) float64 { return 0 }
 
 // TestPropertyReliableUnderRandomLoss: whatever random loss pattern the
 // path applies (up to ~15%), every byte is eventually delivered in order.

@@ -184,7 +184,7 @@ func (d *Decoder) decode(now sim.Time, f Frame) {
 	d.nextID = f.ID + 1
 	d.Decoded++
 	d.FrameDelay.Add(now - f.CapturedAt)
-	d.FrameDelaySeries.Add(now, float64((now-f.CapturedAt).Milliseconds()))
+	d.FrameDelaySeries.Add(now, float64((now - f.CapturedAt).Milliseconds()))
 	d.decodeTimes = append(d.decodeTimes, now)
 }
 

@@ -64,7 +64,7 @@ func TestChannelFairnessUnderSaturation(t *testing.T) {
 		s.After(0, tick)
 	}
 	feed(a, 0)
-	feed(b, 1 << 32)
+	feed(b, 1<<32)
 	s.RunUntil(2 * time.Second)
 	na, nb := len(da.pkts), len(db.pkts)
 	if na == 0 || nb == 0 {
