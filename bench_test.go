@@ -15,11 +15,13 @@ package zhuge
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/cca"
 	"github.com/zhuge-project/zhuge/internal/core"
 	"github.com/zhuge-project/zhuge/internal/experiments"
 	"github.com/zhuge-project/zhuge/internal/netem"
@@ -31,6 +33,7 @@ import (
 	"github.com/zhuge-project/zhuge/internal/shard"
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
+	"github.com/zhuge-project/zhuge/internal/transport/quicsim"
 )
 
 // benchCfg is the reduced scale used by figure benches.
@@ -518,6 +521,41 @@ func BenchmarkObsDisabledInstruments(b *testing.B) {
 		lt.OnReact(sim.Time(i), flow)
 		lt.OnAir(sim.Time(i), flow)
 		ss.Sample(sim.Time(i), nil)
+	}
+}
+
+// BenchmarkQUICTransfer is quicsim's cost per packet at two flow lengths: one
+// lossless bulk transfer over a pair of links, cubic never held back by a
+// queue. ns/pkt at 8000 packets over ns/pkt at 2000 is the scaling gate CI
+// applies (linear bookkeeping reads 1.0; walking every ACK range from packet
+// 0 read 4.1): a ratio inside one process, so the speed of the host cancels.
+func BenchmarkQUICTransfer(b *testing.B) {
+	for _, pkts := range []int{2000, 8000} {
+		b.Run(fmt.Sprintf("pkts-%d", pkts), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := sim.New(1)
+				fwd := netem.NewLink(s, 100e6, 20*time.Millisecond, nil)
+				rev := netem.NewLink(s, 100e6, 20*time.Millisecond, nil)
+				flow := netem.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 443, DstPort: 50000, Proto: 17}
+				snd := quicsim.NewSender(s, flow, cca.NewCubic(), fwd)
+				rcv := quicsim.NewReceiver(s, flow.Reverse(), rev)
+				fwd.SetDst(rcv)
+				rev.SetDst(snd)
+				snd.Write(pkts * cca.MSS)
+				s.RunUntil(time.Minute)
+				if rcv.Delivered() != uint64(pkts*cca.MSS) || snd.LostPackets() != 0 {
+					b.Fatalf("delivered %d of %d bytes, %d packets lost", rcv.Delivered(), pkts*cca.MSS, snd.LostPackets())
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N * pkts)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pkt")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/pkt")
+		})
 	}
 }
 

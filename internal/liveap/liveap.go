@@ -7,6 +7,13 @@
 // feedback in in-band mode: recording transport-wide sequence numbers from
 // real RTP header bytes, constructing real TWCC RTCP packets, and absorbing
 // the client's own TWCC.
+//
+// The relay serves one media flow. The first SSRC seen on a packet carrying a
+// transport-wide sequence number is the flow it predicts and builds feedback
+// for; such packets from any other SSRC are forwarded through the same queue
+// but never recorded or predicted for - two senders' sequence spaces
+// interleaved in one feedback message would be wrong for both - and are
+// counted in Stats.OtherSSRC.
 package liveap
 
 import (
@@ -57,6 +64,9 @@ type Stats struct {
 	FeedbackBuilt   int
 	ClientTWCCDrops int
 	FeedbackRelayed int
+	// OtherSSRC counts media with a transport-wide sequence number from an
+	// SSRC other than the first one seen: forwarded, left out of feedback.
+	OtherSSRC int
 }
 
 // Relay is a running live AP.
@@ -73,7 +83,8 @@ type Relay struct {
 	ft      *core.FortuneTeller
 	start   time.Time
 	records []packet.TWCCArrival
-	ssrc    uint32
+	ssrc    uint32 // of the one flow served, latched from its first packet
+	latched bool
 	fbCount uint8
 	stats   Stats
 
@@ -195,15 +206,19 @@ func (r *Relay) mediaLoop() {
 		if r.cfg.Zhuge && !packet.IsRTCP(data) {
 			var hdr packet.RTPHeader
 			if _, err := hdr.Unmarshal(data); err == nil && hdr.HasTWCC {
+				if !r.latched {
+					r.ssrc, r.latched = hdr.SSRC, true
+				}
 				// UDP may reorder; TWCC records must stay in ascending
 				// (wrap-aware) sequence order, so late arrivals are
 				// skipped (they will be reported lost, and recovered by
 				// the endpoints' own loss machinery).
 				inOrder := len(r.records) == 0 ||
 					int16(hdr.TWCCSeq-r.records[len(r.records)-1].Seq) > 0
-				if inOrder {
+				if hdr.SSRC != r.ssrc {
+					r.stats.OtherSSRC++
+				} else if inOrder {
 					pred := r.ft.Predict(now, flowKey)
-					r.ssrc = hdr.SSRC
 					// Faithful per-packet prediction, matching the
 					// simulator's in-band updater (see internal/core).
 					r.records = append(r.records, packet.TWCCArrival{Seq: hdr.TWCCSeq, At: now + pred.Total})

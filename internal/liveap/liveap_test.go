@@ -42,7 +42,12 @@ func startRelay(t *testing.T, zhuge bool, rate float64) (*Relay, *net.UDPConn, *
 
 func sendRTP(t *testing.T, from *net.UDPConn, to *net.UDPAddr, twccSeq uint16, size int) {
 	t.Helper()
-	hdr := packet.RTPHeader{PayloadType: 96, Seq: twccSeq, SSRC: 0x1234, HasTWCC: true, TWCCSeq: twccSeq}
+	sendRTPFrom(t, 0x1234, from, to, twccSeq, size)
+}
+
+func sendRTPFrom(t *testing.T, ssrc uint32, from *net.UDPConn, to *net.UDPAddr, twccSeq uint16, size int) {
+	t.Helper()
+	hdr := packet.RTPHeader{PayloadType: 96, Seq: twccSeq, SSRC: ssrc, HasTWCC: true, TWCCSeq: twccSeq}
 	wire := hdr.Marshal(nil, make([]byte, size))
 	if _, err := from.WriteToUDP(wire, to); err != nil {
 		t.Fatal(err)
@@ -99,6 +104,51 @@ func TestZhugeRelayBuildsTWCC(t *testing.T) {
 	}
 	if fb.BaseSeq < 100 || fb.BaseSeq > 119 {
 		t.Errorf("base seq %d outside sent range", fb.BaseSeq)
+	}
+}
+
+// TestSecondSSRCForwardedNotRecorded pins the single-flow limit: a second
+// sender's media crosses the relay, but the feedback the AP builds covers the
+// first SSRC's sequence numbers only.
+func TestSecondSSRCForwardedNotRecorded(t *testing.T) {
+	r, serverSock, clientSock := startRelay(t, true, 10e6)
+	const each = 15
+	for i := 0; i < each; i++ {
+		sendRTPFrom(t, 0x1234, serverSock, r.MediaAddr(), uint16(100+i), 300)
+		sendRTPFrom(t, 0xbeef, serverSock, r.MediaAddr(), uint16(5000+i), 300)
+		time.Sleep(time.Millisecond)
+	}
+	clientSock.SetReadDeadline(time.Now().Add(2 * time.Second))
+	buf := make([]byte, 2048)
+	for got := 0; got < 2*each; got++ {
+		if _, err := clientSock.Read(buf); err != nil {
+			t.Fatalf("client received %d of %d packets: %v", got, 2*each, err)
+		}
+	}
+	if st := r.Stats(); st.OtherSSRC != each || st.MediaOut != 2*each {
+		t.Errorf("stats %+v, want %d from the other SSRC and %d forwarded", st, each, 2*each)
+	}
+	// Every message built while both were sending, until the first flow's
+	// last packet has been reported.
+	serverSock.SetReadDeadline(time.Now().Add(2 * time.Second))
+	for covered := false; !covered; {
+		n, err := serverSock.Read(buf)
+		if err != nil {
+			t.Fatalf("feedback never reached sequence %d: %v", 100+each-1, err)
+		}
+		fb, err := packet.UnmarshalTWCC(buf[:n])
+		if err != nil {
+			t.Fatalf("AP feedback not TWCC: %v", err)
+		}
+		if fb.MediaSSRC != 0x1234 {
+			t.Errorf("feedback for SSRC %#x, want 0x1234", fb.MediaSSRC)
+		}
+		for _, a := range fb.Arrivals() {
+			if a.Seq < 100 || a.Seq >= 100+each {
+				t.Fatalf("feedback reports sequence %d, outside the first flow's 100..%d", a.Seq, 100+each-1)
+			}
+			covered = covered || a.Seq == 100+each-1
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package quicsim
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -225,6 +229,39 @@ func TestPropertyRangeSetMatchesBrute(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+	// The shapes the in-place add splices differently, as {lo, length-1}.
+	for name, ops := range map[string][][2]uint8{
+		"bridges four, abutting both ends": {{0, 0}, {4, 0}, {8, 0}, {12, 0}, {1, 10}},
+		"bridges three, overlapping":       {{0, 2}, {6, 2}, {12, 2}, {20, 2}, {2, 11}},
+		"abuts both neighbours":            {{0, 1}, {4, 1}, {2, 1}},
+		"inserts at the front":             {{10, 2}, {20, 2}, {0, 2}},
+		"inserts between, touching none":   {{0, 0}, {10, 0}, {5, 0}},
+		"exact duplicates":                 {{5, 3}, {9, 0}, {5, 3}, {9, 0}, {5, 3}},
+		"inside an existing range":         {{0, 15}, {3, 2}},
+		"swallows everything":              {{2, 0}, {5, 0}, {8, 0}, {0, 15}},
+	} {
+		if !f(ops) {
+			t.Errorf("%s: %v diverges from the brute-force set", name, ops)
+		}
+	}
+}
+
+// TestRangeSetExtendAllocatesNothing pins the common case: a packet arriving
+// in order extends the last range where it lies.
+func TestRangeSetExtendAllocatesNothing(t *testing.T) {
+	rs := newRangeSet()
+	rs.add(0, 10)
+	rs.add(20, 30)
+	next := uint64(30)
+	if allocs := testing.AllocsPerRun(100, func() {
+		rs.add(next, next+1)
+		next++
+	}); allocs != 0 {
+		t.Errorf("extending the last range allocates %v times", allocs)
+	}
+	if len(rs.ranges) != 2 || rs.ranges[1] != (ackRange{20, next - 1}) {
+		t.Errorf("ranges %v, want the last one extended to %d", rs.ranges, next-1)
+	}
 }
 
 func TestDescendingRangesBounded(t *testing.T) {
@@ -271,4 +308,289 @@ func TestPropertyReliableUnderRandomLoss(t *testing.T) {
 				seed, rcv.Delivered(), total, snd.LostPackets(), snd.Timeouts())
 		}
 	}
+}
+
+// refBook is the sender's bookkeeping as it was before the send window, kept
+// as the reference the window is checked against: every packet in flight in a
+// map keyed by packet number, every packet number of every ACK range looked
+// up, losses collected in map order and then sorted.
+type refBook struct {
+	inflight      map[uint64]dataPacket
+	inflightBytes int
+	largestAcked  uint64
+	haveAcked     bool
+	rtt           Sender // for updateRTT and srtt, which the window left alone
+	acked         rangeSet
+}
+
+// ackOutcome is what one ACK did to the bookkeeping.
+type ackOutcome struct {
+	acked, lost   []uint64 // acked sorted (its order shows nowhere); lost as declared
+	ackedBytes    int
+	rtt           time.Duration
+	inflightBytes int
+}
+
+func (b *refBook) declareLost(pn uint64) {
+	b.inflightBytes -= b.inflight[pn].Len
+	delete(b.inflight, pn)
+}
+
+// receive returns false for an ACK that acknowledges nothing new.
+func (b *refBook) receive(ack ackFrame, now sim.Time) (out ackOutcome, ok bool) {
+	var largestNewlyAcked *dataPacket
+	for _, r := range ack.Ranges {
+		for pn := r.Lo; pn <= r.Hi; pn++ {
+			dp, ok := b.inflight[pn]
+			if !ok {
+				continue
+			}
+			delete(b.inflight, pn)
+			b.inflightBytes -= dp.Len
+			out.ackedBytes += dp.Len
+			out.acked = append(out.acked, pn)
+			b.acked.add(dp.Offset, dp.Offset+uint64(dp.Len))
+			if largestNewlyAcked == nil || dp.PktNum > largestNewlyAcked.PktNum {
+				cp := dp
+				largestNewlyAcked = &cp
+			}
+		}
+	}
+	if len(out.acked) == 0 {
+		return out, false
+	}
+	slices.Sort(out.acked)
+	if ack.Largest > b.largestAcked || !b.haveAcked {
+		b.largestAcked, b.haveAcked = ack.Largest, true
+	}
+	if largestNewlyAcked.PktNum == ack.Largest {
+		out.rtt = now - largestNewlyAcked.SentAt
+		b.rtt.updateRTT(out.rtt)
+	}
+	lossDelay := time.Duration(timeThresholdN * float64(max64(b.rtt.srtt, out.rtt)))
+	if lossDelay <= 0 {
+		lossDelay = 200 * time.Millisecond
+	}
+	for pn, dp := range b.inflight {
+		if pn+packetThreshold <= b.largestAcked || (dp.SentAt+lossDelay < now && pn < b.largestAcked) {
+			out.lost = append(out.lost, pn)
+		}
+	}
+	slices.Sort(out.lost)
+	for _, pn := range out.lost {
+		b.declareLost(pn)
+	}
+	out.inflightBytes = b.inflightBytes
+	return out, true
+}
+
+// pto declares the oldest packet in flight lost, found by scanning the map.
+func (b *refBook) pto() {
+	if len(b.inflight) == 0 {
+		return
+	}
+	oldest := uint64(1<<63 - 1)
+	for pn := range b.inflight {
+		if pn < oldest {
+			oldest = pn
+		}
+	}
+	b.declareLost(oldest)
+}
+
+// openCC never limits the sender and records what the sender tells it.
+type openCC struct {
+	onRTO  func()
+	acks   []cca.AckEvent
+	losses int
+}
+
+func (c *openCC) Name() string                { return "open" }
+func (c *openCC) OnAck(ev cca.AckEvent)       { c.acks = append(c.acks, ev) }
+func (c *openCC) OnLoss(sim.Time)             { c.losses++ }
+func (c *openCC) OnRTO(sim.Time)              { c.onRTO() }
+func (c *openCC) CWND() int                   { return 1 << 30 }
+func (c *openCC) PacingRate(sim.Time) float64 { return 0 }
+
+// liveSet returns the packets the window holds in flight, checking the
+// window's invariants on the way.
+func liveSet(t *testing.T, snd *Sender) map[uint64]dataPacket {
+	t.Helper()
+	if snd.base+uint64(len(snd.window)) != snd.nextPktNum {
+		t.Fatalf("window [%d,+%d) does not end at the next packet number %d", snd.base, len(snd.window), snd.nextPktNum)
+	}
+	if len(snd.window) > 0 && !snd.window[0].live {
+		t.Fatalf("window front %d is resolved but not trimmed", snd.base)
+	}
+	live := map[uint64]dataPacket{}
+	for i, sp := range snd.window {
+		if sp.PktNum != snd.base+uint64(i) {
+			t.Fatalf("window[%d] holds packet %d, base %d", i, sp.PktNum, snd.base)
+		}
+		if sp.live {
+			live[sp.PktNum] = sp.dataPacket
+		}
+	}
+	return live
+}
+
+// TestWindowMatchesMapBookkeeping drives the send window and refBook with one
+// seeded packet and ACK stream - random loss, reordering both ways, duplicated
+// and long-stale ACKs, a receiver with far more than 32 gaps so that low
+// ranges fall off the frame, and a blackout that forces PTOs - and requires
+// the same packets in flight after every event and the same outcome of every
+// ACK.
+func TestWindowMatchesMapBookkeeping(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		s := sim.New(seed)
+		rng := rand.New(rand.NewSource(seed))
+		ref := &refBook{inflight: map[uint64]dataPacket{}}
+		cc := &openCC{onRTO: ref.pto}
+
+		var snd *Sender
+		var sent []dataPacket  // every data packet, in sending order
+		var rcvd rangeSet      // the receiver's packet numbers
+		var largest uint64     // and the largest of them
+		var history []ackFrame // every ACK frame built, for stale replays
+		var stale, truncated, duplicated, overtaken int
+		var lastRTT time.Duration
+		var lastPrefix uint64
+
+		deliverAck := func(ack ackFrame) {
+			before := liveSet(t, snd)
+			if d := inFlightDiff(before, ref.inflight); d != "" {
+				t.Fatalf("seed %d at %v: %s", seed, s.Now(), d)
+			}
+			if ack.Ranges[0].Hi < snd.base {
+				stale++
+			}
+			if ack.Largest < snd.largestAcked {
+				overtaken++
+			}
+			nSent, nAcks, nLosses := len(sent), len(cc.acks), cc.losses
+			lastRTT = 0
+			want, processed := ref.receive(ack, s.Now())
+			snd.Receive(&netem.Packet{Kind: netem.KindAck, Payload: ack})
+			after := liveSet(t, snd)
+			if !processed {
+				if len(sent) != nSent || len(cc.acks) != nAcks || inFlightDiff(after, before) != "" {
+					t.Fatalf("seed %d at %v: an ACK of nothing new had an effect", seed, s.Now())
+				}
+				return
+			}
+			if len(cc.acks) != nAcks+1 {
+				t.Fatalf("seed %d at %v: %d OnAck calls for one ACK of new data", seed, s.Now(), len(cc.acks)-nAcks)
+			}
+			// Every Write was sent in full when it was made and openCC never
+			// holds the sender back, so what an ACK releases is exactly the
+			// retransmissions, one per loss in the order declared.
+			byOffset := map[uint64]uint64{}
+			for pn, dp := range before {
+				byOffset[dp.Offset] = pn
+			}
+			got := ackOutcome{ackedBytes: cc.acks[nAcks].AckedBytes, rtt: lastRTT, inflightBytes: snd.InFlight()}
+			for _, dp := range sent[nSent:] {
+				got.lost = append(got.lost, byOffset[dp.Offset])
+				got.inflightBytes -= dp.Len // sent after the losses were taken out
+			}
+			for pn := range before {
+				if _, still := after[pn]; !still && !slices.Contains(got.lost, pn) {
+					got.acked = append(got.acked, pn)
+				}
+			}
+			slices.Sort(got.acked)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d at %v: ACK %+v\n got %+v\nwant %+v", seed, s.Now(), ack, got, want)
+			}
+			if ev := cc.acks[nAcks]; ev.RTT != want.rtt || ev.InFlight != want.inflightBytes {
+				t.Fatalf("seed %d at %v: controller saw %+v, want rtt %v in flight %d", seed, s.Now(), ev, want.rtt, want.inflightBytes)
+			}
+			if lossEvents := cc.losses - nLosses; lossEvents > 1 || (lossEvents == 1) != (len(want.lost) > 0) {
+				t.Fatalf("seed %d at %v: %d loss events for %d losses", seed, s.Now(), lossEvents, len(want.lost))
+			}
+			if lastPrefix != ref.acked.contiguous() || snd.Acked() != lastPrefix {
+				t.Fatalf("seed %d at %v: acknowledged prefix %d (OnAcked %d), reference %d", seed, s.Now(), snd.Acked(), lastPrefix, ref.acked.contiguous())
+			}
+		}
+
+		// One way takes 10 ms and up to 1.5 ms of jitter against 1 ms between
+		// packets, so neighbours swap now and then; one packet in thirty is
+		// held up to 25 ms longer and arrives behind dozens. Reordering every
+		// packet past the packet threshold would only measure how fast
+		// spurious retransmissions breed.
+		delay := func() time.Duration {
+			d := 10*time.Millisecond + time.Duration(rng.Int63n(int64(1500*time.Microsecond)))
+			if rng.Intn(30) == 0 {
+				d += time.Duration(rng.Int63n(int64(25 * time.Millisecond)))
+			}
+			return d
+		}
+		// The application pauses from 2 s to 4 s and the path drops everything
+		// from just before the pause to 3 s: nothing re-arms the PTO, and the
+		// first probes are lost too.
+		blackout := func() bool { return s.Now() > 1950*time.Millisecond && s.Now() < 3*time.Second }
+		wire := netem.ReceiverFunc(func(p *netem.Packet) {
+			dp := p.Payload.(dataPacket)
+			sent = append(sent, dp)
+			ref.inflight[dp.PktNum] = dp
+			ref.inflightBytes += dp.Len
+			if blackout() || rng.Float64() < 0.08 {
+				return
+			}
+			s.After(delay(), func() {
+				rcvd.add(dp.PktNum, dp.PktNum+1)
+				largest = max(largest, dp.PktNum)
+				if len(rcvd.ranges) > 32 {
+					truncated++
+				}
+				ack := ackFrame{Largest: largest, Ranges: rcvd.descendingRanges(32)}
+				history = append(history, ack)
+				copies := 1
+				if rng.Float64() < 0.1 {
+					copies = 2
+					duplicated++
+				}
+				if rng.Float64() < 0.05 {
+					ack = history[rng.Intn(len(history))]
+				}
+				for ; copies > 0; copies-- {
+					s.After(delay(), func() { deliverAck(ack) })
+				}
+			})
+		})
+		snd = NewSender(s, testFlow, cc, wire)
+		snd.OnRTT = func(_ sim.Time, rtt time.Duration) { lastRTT = rtt }
+		snd.OnAcked = func(_ sim.Time, upTo uint64) { lastPrefix = upTo }
+		for i := 0; i < 4000; i++ {
+			at := time.Duration(i) * time.Millisecond
+			if at >= 2*time.Second {
+				at += 2 * time.Second
+			}
+			s.At(at, func() { snd.Write(1 + rng.Intn(cca.MSS)) })
+		}
+		s.RunUntil(30 * time.Second)
+
+		if d := inFlightDiff(liveSet(t, snd), ref.inflight); d != "" || snd.InFlight() != ref.inflightBytes {
+			t.Fatalf("seed %d at the end: %s; %d bytes in flight, reference %d", seed, d, snd.InFlight(), ref.inflightBytes)
+		}
+		if snd.Timeouts() == 0 || snd.LostPackets() < 100 || snd.Acked() != snd.appEnd || stale == 0 || truncated == 0 || duplicated == 0 || overtaken == 0 {
+			t.Errorf("seed %d: stream too tame or not delivered: %d PTOs, %d lost, %d stale ACKs, %d truncated frames, %d duplicated, %d overtaken",
+				seed, snd.Timeouts(), snd.LostPackets(), stale, truncated, duplicated, overtaken)
+		}
+	}
+}
+
+// inFlightDiff names one packet the two sets disagree on, or returns "".
+func inFlightDiff(window, reference map[uint64]dataPacket) string {
+	for pn, dp := range window {
+		if reference[pn] != dp {
+			return fmt.Sprintf("packet %d in flight in the window as %+v, in the reference as %+v", pn, dp, reference[pn])
+		}
+	}
+	for pn, dp := range reference {
+		if _, ok := window[pn]; !ok {
+			return fmt.Sprintf("packet %d in flight in the reference as %+v, not in the window", pn, dp)
+		}
+	}
+	return ""
 }
