@@ -30,7 +30,6 @@ import (
 	"github.com/zhuge-project/zhuge/internal/parallel"
 	"github.com/zhuge-project/zhuge/internal/queue"
 	"github.com/zhuge-project/zhuge/internal/scenario"
-	"github.com/zhuge-project/zhuge/internal/shard"
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
 	"github.com/zhuge-project/zhuge/internal/transport/quicsim"
@@ -330,7 +329,8 @@ func (h *benchHeap) Pop() any {
 // a contiguous array while container/heap dereferences a boxed timer per
 // comparison. flat4 drives the real Simulator; containerheap drives the
 // replaced implementation under the identical workload. Both must run
-// allocation-free; BENCH_sched.json records the measured pair.
+// allocation-free; the recorded number is sim.drill_ns_per_event
+// (benchmark/README.md).
 func BenchmarkEventCore(b *testing.B) {
 	const standing = 8192
 	// Mixed offsets with repeats: ties in virtual time are common, matching
@@ -467,7 +467,8 @@ func BenchmarkSelectiveEstimation(b *testing.B) {
 // fast path — every instrument is a nil pointer and every hot-path guard is
 // one nil check) and fully enabled (tracer + registry + prediction-error
 // accounting). The disabled variant must stay within noise of the seed
-// datapath; BENCH_obs.json records the measured pair.
+// datapath; the recorded ratio is obs.enabled_overhead_ratio
+// (benchmark/README.md).
 func BenchmarkObsDatapath(b *testing.B) {
 	run := func(b *testing.B, mk func() *obs.Obs) {
 		b.ReportAllocs()
@@ -580,8 +581,7 @@ func BenchmarkExtHandover(b *testing.B) {
 
 // BenchmarkChaosMatrix runs the golden chaos subset (every solution under
 // one representative fault per disturbance shape, stabilise→inject→recover
-// each) once per iteration and reports matrix throughput in cells/sec —
-// the BENCH_chaos.json figure.
+// each) once per iteration and reports matrix throughput in cells/sec.
 func BenchmarkChaosMatrix(b *testing.B) {
 	var rows int
 	for i := 0; i < b.N; i++ {
@@ -589,93 +589,4 @@ func BenchmarkChaosMatrix(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "cells/sec")
 	b.ReportMetric(float64(rows), "cells")
-}
-
-// --- Sharded parallel DES: campus workload across shard counts -----------
-
-// timedShardedRun drives the cluster with a timing executor: per window it
-// measures each shard's compute and accumulates both the serial sum and the
-// critical path (the slowest shard per window — the wall-clock an N-core
-// machine would see, since shards within a window have no ordering edges).
-// Shards run sequentially here, so the measurement is honest on any core
-// count and BENCH_shard.json documents which methodology produced it.
-func timedShardedRun(spd *scenario.ShardedPath, d time.Duration) (critical, serial time.Duration) {
-	do := func(n int, fn func(i int)) {
-		var max time.Duration
-		for i := 0; i < n; i++ {
-			t0 := time.Now()
-			fn(i)
-			el := time.Since(t0)
-			serial += el
-			if el > max {
-				max = el
-			}
-		}
-		critical += max
-	}
-	if spd.Rebalancer != nil {
-		// The rebalancer feeds off the profiler's barrier hook; an
-		// events-only profiler (nil Clock) keeps the migration schedule
-		// deterministic while this executor times the windows outside it.
-		p := spd.NewProfiler()
-		p.AttachRebalancer(spd.Rebalancer)
-		spd.Cluster.RunWith(sim.Time(d), p.Wrap(do))
-		return critical, serial
-	}
-	spd.Cluster.RunWith(sim.Time(d), do)
-	return critical, serial
-}
-
-// BenchmarkShardedRun runs one campus topology partitioned over 1/2/4/8
-// shards, static (the contiguous round-robin split) and dynamic (the
-// barrier-time rebalancer on top, at the aggressive config the
-// campus-sharded experiment table uses). events/sec is the measured
-// single-core throughput (window protocol overhead included);
-// cp-events/sec divides by the critical path instead — the projected
-// throughput with one core per shard.
-func BenchmarkShardedRun(b *testing.B) {
-	dur := 2 * time.Second
-	ccfg := scenario.CampusConfig{
-		APs: 16, Stations: 160, Roams: 16,
-		Duration: dur, Solution: scenario.SolutionZhuge,
-	}
-	rcfg := shard.RebalanceConfig{Ratio: 1.05, Patience: 2, Cooldown: 8, HalfLife: 8}
-	for _, shards := range []int{1, 2, 4, 8} {
-		for _, rebalance := range []bool{false, true} {
-			if rebalance && shards == 1 {
-				continue
-			}
-			name := "roundrobin"
-			if rebalance {
-				name = "dynamic"
-			}
-			b.Run(fmt.Sprintf("shards-%d/%s", shards, name), func(b *testing.B) {
-				var events uint64
-				var critical, serial time.Duration
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					spd, err := scenario.BuildSharded(scenario.Campus(1, ccfg), scenario.ShardedOptions{
-						Shards: shards, CutDelay: scenario.CampusCutDelay,
-						Rebalance: rebalance, RebalanceConfig: rcfg,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					crit, ser := timedShardedRun(spd, dur)
-					critical += crit
-					serial += ser
-					events += spd.Cluster.Fired()
-				}
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-				if critical > 0 {
-					b.ReportMetric(float64(events)/critical.Seconds(), "cp-events/sec")
-					// serial/critical within the same run: the speedup this
-					// partition achieves with one core per shard, immune to
-					// cross-run baseline noise.
-					b.ReportMetric(serial.Seconds()/critical.Seconds(), "par-speedup")
-				}
-			})
-		}
-	}
 }

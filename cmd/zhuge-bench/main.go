@@ -125,7 +125,7 @@ func main() {
 }
 
 // runMatrix executes the chaos scenario matrix (optionally filtered) and
-// reports cells/sec — the BENCH_chaos.json throughput figure.
+// reports cells/sec.
 func runMatrix(cfg experiments.Config, filter, format, outDir string) {
 	start := time.Now()
 	table := experiments.MatrixTable(cfg, filter)

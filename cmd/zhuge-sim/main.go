@@ -113,41 +113,27 @@ func main() {
 		os.Exit(2)
 	}
 
-	var p *scenario.Path
-	var tr *trace.Trace
-	if *aps > 1 {
-		sp := scenario.Spec{Seed: *seed, Obs: o, Handovers: roams}
-		for i := 0; i < *aps; i++ {
-			// Each AP gets an independent realisation of the requested
-			// trace profile (generated traces vary with the seed; constant
-			// and file traces repeat).
-			atr, terr := resolveTrace(*traceName, *dur, *seed+int64(i))
-			if terr != nil {
-				fmt.Fprintln(os.Stderr, "zhuge-sim:", terr)
-				os.Exit(2)
-			}
-			sp.APs = append(sp.APs, scenario.APSpec{
-				Name: fmt.Sprintf("ap%d", i), Trace: atr,
-				Qdisc: *qdisc, Interferers: *interferers, Solution: sol,
-			})
-		}
-		p = sp.Build()
-		tr = sp.APs[0].Trace
-	} else {
-		if len(roams) > 0 {
-			fmt.Fprintln(os.Stderr, "zhuge-sim: -handover-at needs -aps > 1")
+	if len(roams) > 0 && *aps <= 1 {
+		fmt.Fprintln(os.Stderr, "zhuge-sim: -handover-at needs -aps > 1")
+		os.Exit(2)
+	}
+	sp := scenario.Spec{Seed: *seed, Obs: o, Handovers: roams}
+	for i := 0; i < max(*aps, 1); i++ {
+		// Each AP gets an independent realisation of the requested trace
+		// profile (generated traces vary with the seed; constant and file
+		// traces repeat).
+		atr, terr := resolveTrace(*traceName, *dur, *seed+int64(i))
+		if terr != nil {
+			fmt.Fprintln(os.Stderr, "zhuge-sim:", terr)
 			os.Exit(2)
 		}
-		tr, err = resolveTrace(*traceName, *dur, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
-			os.Exit(2)
-		}
-		p = scenario.NewPath(scenario.Options{
-			Seed: *seed, Trace: tr, Solution: sol, Qdisc: *qdisc, Interferers: *interferers,
-			Obs: o,
+		sp.APs = append(sp.APs, scenario.APSpec{
+			Name: fmt.Sprintf("ap%d", i), Trace: atr,
+			Qdisc: *qdisc, Interferers: *interferers, Solution: sol,
 		})
 	}
+	p := sp.Build()
+	tr := sp.APs[0].Trace
 	for i := 0; i < *bulk; i++ {
 		p.AddBulkFlow(0, 0)
 	}

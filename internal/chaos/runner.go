@@ -72,27 +72,13 @@ func RunPhased(rc RunConfig) Result {
 	armPhaseObs(p, rc.Obs, ph)
 	p.Run(ph.End())
 
-	m := measuredMetrics(p)
+	// The measured flow is the first declared one; storm flows follow it.
+	m := p.Flows[0].Metrics()
 	return Result{
 		Recovery: MeasureRecovery(&m.RateSeries, ph),
 		PostP99:  WindowQuantile(&m.RTTSeries, ph.InjectEnd(), ph.End(), 0.99),
 		RTTTail:  m.RTT.FractionAbove(200 * time.Millisecond),
 	}
-}
-
-// measuredMetrics returns the measured flow's metrics (the first declared
-// flow; storm flows come after it).
-func measuredMetrics(p *scenario.Path) *scenario.FlowMetrics {
-	bf := p.Flows[0]
-	switch {
-	case bf.RTP != nil:
-		return bf.RTP.Metrics
-	case bf.TCP != nil:
-		return bf.TCP.Metrics
-	case bf.QUIC != nil:
-		return bf.QUIC.Metrics
-	}
-	panic("chaos: measured flow has no metrics")
 }
 
 // armPhaseObs exports phase boundaries to the obs registry: a gauge with

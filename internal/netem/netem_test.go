@@ -105,3 +105,38 @@ func TestLinkIdleGapResetsSerialisation(t *testing.T) {
 func TestSinkDiscards(t *testing.T) {
 	Sink.Receive(&Packet{Size: 1}) // must not panic
 }
+
+// countHop counts the packets routed to it.
+type countHop struct{ n int }
+
+func (c *countHop) Receive(*Packet) { c.n++ }
+
+// TestRouterRouteAndUnroute covers the routing table handover rewrites at
+// run time: exact-match routes win, everything else takes the default, and
+// an unrouted flow falls back to it.
+func TestRouterRouteAndUnroute(t *testing.T) {
+	flowA := FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 20, Proto: 17}
+	flowB := FlowKey{SrcIP: 1, DstIP: 3, SrcPort: 10, DstPort: 21, Proto: 17}
+	var def, special countHop
+	r := NewRouter(nil)
+	r.SetDefault(&def)
+	r.Route(flowA, &special)
+
+	r.Receive(&Packet{Flow: flowA})
+	r.Receive(&Packet{Flow: flowB})
+	if special.n != 1 || def.n != 1 {
+		t.Fatalf("routed=%d default=%d, want 1/1", special.n, def.n)
+	}
+	if r.NextHop(flowA) != Receiver(&special) || r.Routes() != 1 {
+		t.Error("NextHop of a routed flow is not its route")
+	}
+
+	r.Unroute(flowA)
+	r.Receive(&Packet{Flow: flowA})
+	if def.n != 2 {
+		t.Errorf("unrouted flow did not fall back to default (default=%d)", def.n)
+	}
+	if r.NextHop(flowA) != Receiver(&def) || r.Routes() != 0 {
+		t.Error("NextHop after Unroute is not the default")
+	}
+}

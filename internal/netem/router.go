@@ -5,7 +5,7 @@ package netem
 // topologies used to inline: the routing table is first-class state that
 // scenario builders populate while wiring and rewrite at runtime — station
 // roaming re-points a flow's next hop mid-simulation without touching the
-// rest of the graph.
+// rest of the topology.
 //
 // Lookups are O(1) map reads on the datapath; the table is only mutated
 // from wiring code and scheduled handover events, never concurrently with

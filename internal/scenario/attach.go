@@ -8,8 +8,8 @@ import (
 )
 
 // attachmentFor builds the topo.Attachment installing the AP's declared
-// solution. The attachment runs when the AP's wan port is wired; it
-// records the constructed solution instance on the PathAP.
+// solution. The attachment runs inside topo.AP.Attach; it records the
+// constructed solution instance on the PathAP.
 func (p *Path) attachmentFor(pa *PathAP, solLabel string) topo.Attachment {
 	switch pa.Spec.Solution {
 	case SolutionZhuge:

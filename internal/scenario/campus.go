@@ -111,23 +111,19 @@ func (spd *ShardedPath) Fingerprint() string {
 	for _, c := range spd.Cells {
 		for _, bf := range c.Path.Flows {
 			fmt.Fprintf(&b, "cell=%s flow=%s", c.Label, bf.Spec.Kind)
-			var m *FlowMetrics
 			switch {
 			case bf.RTP != nil:
-				m = bf.RTP.Metrics
 				fmt.Fprintf(&b, " key=%s decoded=%d skipped=%d",
 					bf.RTP.Flow, bf.RTP.Decoder.Decoded, bf.RTP.Decoder.Skipped)
 			case bf.TCP != nil:
-				m = bf.TCP.Metrics
 				fmt.Fprintf(&b, " key=%s sent=%d dropped=%d",
 					bf.TCP.Flow, bf.TCP.FramesSent, bf.TCP.FramesDropped)
 			case bf.QUIC != nil:
-				m = bf.QUIC.Metrics
 				fmt.Fprintf(&b, " key=%s", bf.QUIC.Flow)
 			case bf.Bulk != nil:
 				fmt.Fprintf(&b, " key=%s acked=%d", bf.Bulk.Flow, bf.Bulk.Sender.Acked())
 			}
-			if m != nil {
+			if m := bf.Metrics(); m != nil {
 				fmt.Fprintf(&b, " rtt_n=%d rtt_mean=%d rtt_p50=%d rtt_p99=%d rtt_max=%d delivered=%.0f",
 					m.RTT.Count(), int64(m.RTT.Mean()), int64(m.RTT.Quantile(0.50)),
 					int64(m.RTT.Quantile(0.99)), int64(m.RTT.Max()), m.DeliveredBytes)

@@ -193,13 +193,32 @@ func (c TCPFlowConfig) withDefaults() TCPFlowConfig {
 	return c
 }
 
-// TCPVideoFlow is an RTC stream over TCP (the cloud-gaming/low-latency
-// streaming style of Table 2): encoder frames are written into a TCP byte
-// stream; the application adapts the encoder bitrate to the delivery rate
-// and drops frames when the transport backlog exceeds one second of video.
-type TCPVideoFlow struct {
+// streamTransport is what the stream-video application needs from a
+// reliable transport's sender: hand it bytes, ask how many were
+// acknowledged. tcpsim.Sender and quicsim.Sender both satisfy it.
+type streamTransport interface {
+	Write(n int)
+	Acked() uint64
+}
+
+// streamHooks are the client-side callbacks the application hands a
+// transport's receiver.
+type streamHooks struct {
+	// OnDeliver decodes frames as the in-order stream prefix advances.
+	OnDeliver func(now sim.Time, upTo uint64)
+	// OnAck is non-nil only when the control-loop recorder is on and the
+	// loop closes at the client (no AP-side solution serves the flow).
+	OnAck func(now sim.Time)
+}
+
+// streamVideo is the application layer of an RTC stream over a reliable
+// transport (the cloud-gaming/low-latency streaming style of Table 2),
+// shared by TCPVideoFlow and QUICVideoFlow: encoder frames are written
+// into a byte stream; the application adapts the encoder bitrate to the
+// delivery rate and drops frames when the transport backlog exceeds one
+// second of video.
+type streamVideo struct {
 	Flow    netem.FlowKey
-	Sender  *tcpsim.Sender
 	Metrics *FlowMetrics
 
 	// frame accounting
@@ -209,22 +228,34 @@ type TCPVideoFlow struct {
 	FrameDelaySeries metrics.Series // (delivery time, delay ms)
 	completions      []time.Duration
 
-	frames []tcpFrame
+	frames []streamFrame
 }
 
-type tcpFrame struct {
+type streamFrame struct {
 	end      uint64 // stream offset one past the frame's last byte
 	captured sim.Time
 }
 
 // FrameRateSeries returns the per-second delivered frame rate.
-func (f *TCPVideoFlow) FrameRateSeries(total time.Duration) *metrics.Series {
+func (f *streamVideo) FrameRateSeries(total time.Duration) *metrics.Series {
 	counts := metrics.PerSecondCounts(f.completions, total)
 	s := &metrics.Series{}
 	for i, c := range counts {
 		s.Add(time.Duration(i)*time.Second, float64(c))
 	}
 	return s
+}
+
+// delivered is the receiver's OnDeliver hook: in-order delivery reaching
+// a frame boundary decodes the frame.
+func (f *streamVideo) delivered(now sim.Time, upTo uint64) {
+	for len(f.frames) > 0 && f.frames[0].end <= upTo {
+		fr := f.frames[0]
+		f.frames = f.frames[1:]
+		f.FrameDelay.Add(now - fr.captured)
+		f.FrameDelaySeries.Add(now, float64((now - fr.captured).Milliseconds()))
+		f.completions = append(f.completions, now)
+	}
 }
 
 // newTCPController builds the controller named in the config.
@@ -241,69 +272,50 @@ func newTCPController(name string) cca.TCP {
 	}
 }
 
-// AddTCPVideoFlow attaches a TCP video stream. With SolutionZhuge the flow
-// is optimised in out-of-band mode; with SolutionFastAck its ACKs are
-// counterfeited by the AP.
-func (p *Path) AddTCPVideoFlow(cfg TCPFlowConfig) *TCPVideoFlow {
-	cfg = cfg.withDefaults()
+// addStreamVideo attaches a video stream over a reliable transport. dial
+// builds the transport's two endpoints for the allocated flow key, installs
+// the hooks on its receiver, registers both ends and returns the sender.
+// With SolutionZhuge the flow is optimised out-of-band; with
+// SolutionFastAck a TCP flow's ACKs are counterfeited by the AP (FastAck
+// reads TCP sequence numbers, so a QUIC flow passes it untouched).
+func (p *Path) addStreamVideo(cfg TCPFlowConfig, proto uint8, dial func(netem.FlowKey, streamHooks) streamTransport) *streamVideo {
 	flow := p.NewFlowKey()
-	flow.Proto = 6
+	flow.Proto = proto
 	st := p.station(cfg.Station)
 	pa := p.apOf(st)
 	m := newFlowMetrics()
-	f := &TCPVideoFlow{
-		Flow:       flow,
-		Metrics:    m,
-		FrameDelay: metrics.NewHistogram(),
-	}
+	f := &streamVideo{Flow: flow, Metrics: m, FrameDelay: metrics.NewHistogram()}
 
-	cc := newTCPController(cfg.CCA)
-	snd := tcpsim.NewSender(p.S, flow, cc, p.ServerOut())
-	rcv := tcpsim.NewReceiver(p.S, flow.Reverse(), p.ClientOut())
-	p.RegisterClient(flow, rcv)
-	p.RegisterServer(flow, snd)
-	f.Sender = snd
-
-	if !cfg.Unoptimized {
-		switch pa.Spec.Solution {
-		case SolutionZhuge:
-			pa.Zhuge.Optimize(flow, core.ModeOutOfBand)
-		case SolutionFastAck:
-			pa.FastAck.Optimize(flow)
-		}
-	}
-	p.bindFlow(flow, st)
-
-	// Frame completion at the client: in-order delivery reaching a frame
-	// boundary decodes the frame.
-	rcv.OnDeliver = func(now sim.Time, upTo uint64) {
-		for len(f.frames) > 0 && f.frames[0].end <= upTo {
-			fr := f.frames[0]
-			f.frames = f.frames[1:]
-			f.FrameDelay.Add(now - fr.captured)
-			f.FrameDelaySeries.Add(now, float64((now - fr.captured).Milliseconds()))
-			f.completions = append(f.completions, now)
-		}
-	}
-	enc := video.NewEncoder(p.S, video.EncoderConfig{FPS: cfg.FPS, StartBitrate: cfg.StartRate},
-		p.S.NewRand("enc"+flow.String()))
+	zhuge := !cfg.Unoptimized && pa.Spec.Solution == SolutionZhuge
+	fastAck := !cfg.Unoptimized && pa.Spec.Solution == SolutionFastAck && proto == 6
+	hooks := streamHooks{OnDeliver: f.delivered}
 	lt := p.Spec.Obs.ControlLoop()
-	if lt != nil && (cfg.Unoptimized ||
-		(pa.Spec.Solution != SolutionZhuge && pa.Spec.Solution != SolutionFastAck)) {
-		// Baseline TCP closes the control loop at the client: each ACK
+	if lt != nil && !zhuge && !fastAck {
+		// A baseline stream closes the control loop at the client: each ACK
 		// departure is both observation and feedback instant. Zhuge
 		// (out-of-band) and FastAck move the feedback origin to the AP and
 		// tap the recorder there instead.
-		rcv.OnAck = func(now sim.Time) {
+		hooks.OnAck = func(now sim.Time) {
 			lt.OnObserve(now, flow)
 			lt.OnFeedbackOut(now, flow)
 		}
 	}
+	snd := dial(flow, hooks)
+
+	if zhuge {
+		pa.Zhuge.Optimize(flow, core.ModeOutOfBand)
+	} else if fastAck {
+		pa.FastAck.Optimize(flow)
+	}
+	p.bindFlow(flow, st)
+
+	enc := video.NewEncoder(p.S, video.EncoderConfig{FPS: cfg.FPS, StartBitrate: cfg.StartRate},
+		p.S.NewRand("enc"+flow.String()))
 	var streamEnd uint64
 	var lastAcked uint64
 	var lastRateUpdate sim.Time
 	enc.OnFrame = func(fr video.Frame) {
-		// The adaptation loop of TCP-based RTC services: probe the
+		// The adaptation loop of stream-based RTC services: probe the
 		// bitrate up while the transport keeps pace (un-acked backlog
 		// under ~100ms of video), follow 0.85x the measured delivery
 		// rate when it falls behind. Because the congestion window only
@@ -347,9 +359,9 @@ func (p *Path) AddTCPVideoFlow(cfg TCPFlowConfig) *TCPVideoFlow {
 		}
 		f.FramesSent++
 		streamEnd += uint64(fr.Size)
-		f.frames = append(f.frames, tcpFrame{end: streamEnd, captured: fr.CapturedAt})
+		f.frames = append(f.frames, streamFrame{end: streamEnd, captured: fr.CapturedAt})
 		if lt != nil {
-			lt.OnAir(p.S.Now(), flow)
+			lt.OnAir(now, flow)
 		}
 		snd.Write(fr.Size)
 	}
@@ -366,6 +378,32 @@ func (p *Path) AddTCPVideoFlow(cfg TCPFlowConfig) *TCPVideoFlow {
 	})
 
 	p.S.Schedule(cfg.StartAt, enc.Start)
+	return f
+}
+
+// TCPVideoFlow is an RTC stream over TCP: the shared stream-video
+// application (its Metrics, frame counters and FrameRateSeries are
+// promoted) over a tcpsim sender.
+type TCPVideoFlow struct {
+	*streamVideo
+	Sender *tcpsim.Sender
+}
+
+// AddTCPVideoFlow attaches a TCP video stream. The CCA field accepts
+// "copa" (default), "cubic", "bbr" or "abc". With SolutionZhuge the flow
+// is optimised in out-of-band mode; with SolutionFastAck its ACKs are
+// counterfeited by the AP.
+func (p *Path) AddTCPVideoFlow(cfg TCPFlowConfig) *TCPVideoFlow {
+	cfg = cfg.withDefaults()
+	f := &TCPVideoFlow{}
+	f.streamVideo = p.addStreamVideo(cfg, 6, func(flow netem.FlowKey, h streamHooks) streamTransport {
+		f.Sender = tcpsim.NewSender(p.S, flow, newTCPController(cfg.CCA), p.ServerOut())
+		rcv := tcpsim.NewReceiver(p.S, flow.Reverse(), p.ClientOut())
+		rcv.OnDeliver, rcv.OnAck = h.OnDeliver, h.OnAck
+		p.RegisterClient(flow, rcv)
+		p.RegisterServer(flow, f.Sender)
+		return f.Sender
+	})
 	return f
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/netem"
+	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/trace"
 )
 
@@ -187,4 +188,28 @@ func TestQUICZhugeReducesTail(t *testing.T) {
 		t.Errorf("P(RTT>200ms): quic+zhuge %.4f >= quic %.4f", zhuge, plain)
 	}
 	t.Logf("QUIC: plain=%.4f zhuge=%.4f", plain, zhuge)
+}
+
+// TestQUICFlowRecordsControlLoop pins that a QUIC stream is fully lit in
+// the control-loop recorder, like a TCP one: the encoder adaptation is the
+// sender reaction and the next frame written is the new rate on air, so
+// react->air segments must appear with Zhuge (feedback originates at the
+// AP) and without (the loop closes at the client's ACK departures, which
+// needs quicsim.Receiver's OnAck hook).
+func TestQUICFlowRecordsControlLoop(t *testing.T) {
+	for _, sol := range []Solution{SolutionNone, SolutionZhuge} {
+		o := obs.New(obs.Options{Loop: true})
+		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol, Obs: o})
+		p.AddQUICVideoFlow(TCPFlowConfig{CCA: "copa"})
+		p.Run(15 * time.Second)
+		lt := o.ControlLoop()
+		if matched, _ := lt.Matched(); matched == 0 {
+			t.Errorf("%v: no sender reaction joined a departed feedback", sol)
+		}
+		for _, seg := range []obs.LoopSegment{obs.SegObserveToFeedback, obs.SegReactToAir, obs.SegObserveToAir} {
+			if lt.Segment(seg).Count() == 0 {
+				t.Errorf("%v: no %v segments recorded", sol, seg)
+			}
+		}
+	}
 }

@@ -1,43 +1,18 @@
 package scenario
 
 import (
-	"time"
-
 	"github.com/zhuge-project/zhuge/internal/cca"
-	"github.com/zhuge-project/zhuge/internal/core"
-	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/netem"
-	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/transport/quicsim"
-	"github.com/zhuge-project/zhuge/internal/video"
 )
 
 // QUICVideoFlow is an RTC stream over QUIC (§6's scalability case): the
 // transport is end-to-end encrypted, so the AP sees nothing but the
 // 5-tuple and packet direction — exactly what the out-of-band Feedback
-// Updater needs. The application layer mirrors TCPVideoFlow.
+// Updater needs. The application layer is TCPVideoFlow's, shared.
 type QUICVideoFlow struct {
-	Flow    netem.FlowKey
-	Sender  *quicsim.Sender
-	Metrics *FlowMetrics
-
-	FramesSent       int
-	FramesDropped    int
-	FrameDelay       *metrics.Histogram
-	FrameDelaySeries metrics.Series
-	completions      []time.Duration
-
-	frames []tcpFrame
-}
-
-// FrameRateSeries returns the per-second delivered frame rate.
-func (f *QUICVideoFlow) FrameRateSeries(total time.Duration) *metrics.Series {
-	counts := metrics.PerSecondCounts(f.completions, total)
-	s := &metrics.Series{}
-	for i, c := range counts {
-		s.Add(time.Duration(i)*time.Second, float64(c))
-	}
-	return s
+	*streamVideo
+	Sender *quicsim.Sender
 }
 
 // AddQUICVideoFlow attaches a QUIC video stream. The CCA field accepts
@@ -46,94 +21,20 @@ func (f *QUICVideoFlow) FrameRateSeries(total time.Duration) *metrics.Series {
 // inspects the (notionally encrypted) payload.
 func (p *Path) AddQUICVideoFlow(cfg TCPFlowConfig) *QUICVideoFlow {
 	cfg = cfg.withDefaults()
-	flow := p.NewFlowKey()
-	flow.Proto = 17
-	st := p.station(cfg.Station)
-	pa := p.apOf(st)
-	m := newFlowMetrics()
-	f := &QUICVideoFlow{
-		Flow:       flow,
-		Metrics:    m,
-		FrameDelay: metrics.NewHistogram(),
-	}
-
-	var cc cca.TCP
-	if cfg.CCA == "pcc" {
-		cc = cca.NewPCC(cfg.StartRate, cfg.MinRate, 2*cfg.MaxRate)
-	} else {
-		cc = newTCPController(cfg.CCA)
-	}
-	snd := quicsim.NewSender(p.S, flow, cc, p.ServerOut())
-	rcv := quicsim.NewReceiver(p.S, flow.Reverse(), p.ClientOut())
-	p.RegisterClient(flow, rcv)
-	p.RegisterServer(flow, snd)
-	f.Sender = snd
-
-	if !cfg.Unoptimized && pa.Spec.Solution == SolutionZhuge {
-		pa.Zhuge.Optimize(flow, core.ModeOutOfBand)
-	}
-	p.bindFlow(flow, st)
-
-	rcv.OnDeliver = func(now sim.Time, upTo uint64) {
-		for len(f.frames) > 0 && f.frames[0].end <= upTo {
-			fr := f.frames[0]
-			f.frames = f.frames[1:]
-			f.FrameDelay.Add(now - fr.captured)
-			f.FrameDelaySeries.Add(now, float64((now - fr.captured).Milliseconds()))
-			f.completions = append(f.completions, now)
+	f := &QUICVideoFlow{}
+	f.streamVideo = p.addStreamVideo(cfg, 17, func(flow netem.FlowKey, h streamHooks) streamTransport {
+		var cc cca.TCP
+		if cfg.CCA == "pcc" {
+			cc = cca.NewPCC(cfg.StartRate, cfg.MinRate, 2*cfg.MaxRate)
+		} else {
+			cc = newTCPController(cfg.CCA)
 		}
-	}
-
-	enc := video.NewEncoder(p.S, video.EncoderConfig{FPS: cfg.FPS, StartBitrate: cfg.StartRate},
-		p.S.NewRand("enc"+flow.String()))
-	var streamEnd uint64
-	var lastAcked uint64
-	var lastRateUpdate sim.Time
-	enc.OnFrame = func(fr video.Frame) {
-		now := p.S.Now()
-		acked := snd.Acked()
-		backlog := streamEnd - acked
-		if now > lastRateUpdate+500*time.Millisecond && now > time.Second {
-			elapsed := (now - lastRateUpdate).Seconds()
-			ackRate := float64(acked-lastAcked) * 8 / elapsed
-			var target float64
-			if float64(backlog) < 0.1*enc.Target()/8 {
-				target = enc.Target() * 1.08
-			} else {
-				target = 0.85 * ackRate
-			}
-			if target < cfg.MinRate {
-				target = cfg.MinRate
-			}
-			if target > cfg.MaxRate {
-				target = cfg.MaxRate
-			}
-			enc.SetTargetBitrate(target)
-			m.RateSeries.Add(now, target)
-			lastAcked = acked
-			lastRateUpdate = now
-		}
-		if float64(backlog) > enc.Target()/8 {
-			f.FramesDropped++
-			return
-		}
-		f.FramesSent++
-		streamEnd += uint64(fr.Size)
-		f.frames = append(f.frames, tcpFrame{end: streamEnd, captured: fr.CapturedAt})
-		snd.Write(fr.Size)
-	}
-
-	p.AddDeliveryTap(func(pkt *netem.Packet) {
-		if pkt.Flow != flow || pkt.Kind != netem.KindData {
-			return
-		}
-		now := p.S.Now()
-		rtt := now - pkt.SentAt + p.FlowReturnBase(flow)
-		m.RTT.Add(rtt)
-		m.RTTSeries.Add(now, float64(rtt.Milliseconds()))
-		m.DeliveredBytes += float64(pkt.Size)
+		f.Sender = quicsim.NewSender(p.S, flow, cc, p.ServerOut())
+		rcv := quicsim.NewReceiver(p.S, flow.Reverse(), p.ClientOut())
+		rcv.OnDeliver, rcv.OnAck = h.OnDeliver, h.OnAck
+		p.RegisterClient(flow, rcv)
+		p.RegisterServer(flow, f.Sender)
+		return f.Sender
 	})
-
-	p.S.Schedule(cfg.StartAt, enc.Start)
 	return f
 }

@@ -2,11 +2,11 @@
 // examples: server(s) — WAN — access point(s) (optionally running Zhuge,
 // ABC or FastAck) — wireless downlink — client(s), with the uplink
 // returning over a contended wireless hop and each AP's Ethernet uplink.
-// Paths are built on the internal/topo graph, either declaratively from a
-// Spec (multi-AP, stations, scheduled handovers) or through the classic
-// single-AP NewPath options. Flow factories attach RTP/GCC video calls,
-// TCP video streams and bulk-transfer competitors, and collect the
-// paper's metrics.
+// Paths are wired directly from internal/topo assemblies and plain netem
+// links and routers, either declaratively from a Spec (multi-AP, stations,
+// scheduled handovers) or through the classic single-AP NewPath options.
+// Flow factories attach RTP/GCC video calls, TCP and QUIC video streams
+// and bulk-transfer competitors, and collect the paper's metrics.
 package scenario
 
 import (
@@ -96,9 +96,6 @@ type Path struct {
 	Opts Options // the first AP's configuration (single-AP compatibility)
 	Spec Spec
 
-	// G is the underlying topology graph.
-	G *topo.Graph
-
 	// APs lists every access point of the path; the fields below expose
 	// the first one, the surface single-AP experiments use.
 	APs      []*PathAP
@@ -115,9 +112,9 @@ type Path struct {
 
 	clientDemux *topo.Demux
 	serverDemux *topo.Demux
-	wanDown     *topo.Wire       // server -> AP WAN segment
-	wanRouter   *topo.RouterNode // behind wanDown: flow -> AP/station entry
-	clientOut   *topo.RouterNode // client uplink -> associated AP's radio
+	wanDown     *netem.Link   // server -> AP WAN segment
+	wanRouter   *netem.Router // behind wanDown: flow -> AP/station entry
+	clientOut   *netem.Router // client uplink -> associated AP's radio
 
 	stations    map[string]*topo.Station
 	defaultSta  *topo.Station
@@ -144,14 +141,13 @@ func NewPath(o Options) *Path {
 func (p *Path) AddStation(flows ...netem.FlowKey) *wireless.Link {
 	p.stationN++
 	label := fmt.Sprintf("station%d", p.stationN)
-	st := topo.NewStation(p.G, topo.StationConfig{
+	st := topo.NewStation(p.S, topo.StationConfig{
 		Name:     label,
 		OwnQueue: true,
 		QueueCap: p.Opts.QueueCap,
 		Label:    label,
 		Obs:      p.Spec.Obs,
 	}, p.APs[0].Topo, p.clientDemux)
-	p.G.Add(st)
 	p.stations[label] = st
 	for _, f := range flows {
 		p.RouteToStation(f, st.Link())
@@ -218,14 +214,14 @@ func (p *Path) apOf(st *topo.Station) *PathAP {
 }
 
 // ServerOut returns the receiver a server writes downlink packets into.
-func (p *Path) ServerOut() netem.Receiver { return p.wanDown.Link() }
+func (p *Path) ServerOut() netem.Receiver { return p.wanDown }
 
 // WANDownLink exposes the server→AP WAN segment's wired link; the chaos
 // latency-spike injector adds extra delay there.
-func (p *Path) WANDownLink() *netem.Link { return p.wanDown.Link() }
+func (p *Path) WANDownLink() *netem.Link { return p.wanDown }
 
 // ClientOut returns the receiver a client writes uplink packets into.
-func (p *Path) ClientOut() netem.Receiver { return p.clientOut.Router() }
+func (p *Path) ClientOut() netem.Receiver { return p.clientOut }
 
 // ReturnBase estimates the stable reverse-path latency through the first
 // AP, used to turn one-way data delays into network RTTs for metrics: the
@@ -237,7 +233,7 @@ func (p *Path) ReturnBase() time.Duration {
 }
 
 func (p *Path) apReturnBase(pa *PathAP) time.Duration {
-	return pa.WANUp.Link().Delay() + pa.Topo.Downlink.Config().MaxAggAirtime/2
+	return pa.WANUp.Delay() + pa.Topo.Downlink.Config().MaxAggAirtime/2
 }
 
 // FlowReturnBase is ReturnBase through the AP currently serving the

@@ -95,27 +95,11 @@ type ShardedPath struct {
 // lookahead; structural mistakes (unknown APs or stations, missing traces)
 // panic exactly like Build.
 func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
-	if len(sp.APs) == 0 {
-		panic("scenario: Spec needs at least one AP")
-	}
-	for i := range sp.APs {
-		if sp.APs[i].Trace == nil {
-			panic(fmt.Sprintf("scenario: AP %d has no Trace", i))
-		}
-		if sp.APs[i].Name == "" {
-			sp.APs[i].Name = fmt.Sprintf("ap%d", i)
-		}
-	}
-	if sp.WANRTT == 0 {
-		sp.WANRTT = sp.APs[0].Trace.BaseRTT
-	}
+	sp = sp.normalized()
 	n := len(sp.APs)
 
 	cellOfAP := make(map[string]int, n)
 	for i := range sp.APs {
-		if _, dup := cellOfAP[sp.APs[i].Name]; dup {
-			panic(fmt.Sprintf("scenario: duplicate AP %q", sp.APs[i].Name))
-		}
 		cellOfAP[sp.APs[i].Name] = i
 	}
 
@@ -333,8 +317,8 @@ func (spd *ShardedPath) handover(h HandoverSpec) {
 		out := spd.edges[[2]int{home.Index, to.Index}]
 		back := spd.edges[[2]int{to.Index, home.Index}]
 		for _, flow := range st.Flows() {
-			home.Path.wanRouter.Route(flow, edgeSender{out, toPA.Topo.In("wan")})
-			home.Path.clientOut.Route(flow.Reverse(), edgeSender{out, toPA.Topo.In("air")})
+			home.Path.wanRouter.Route(flow, edgeSender{out, toPA.Topo.DownIn})
+			home.Path.clientOut.Route(flow.Reverse(), edgeSender{out, toPA.Topo.Uplink})
 			to.Path.clientDemux.Register(flow, demuxForward{back, home.Path.clientDemux})
 			to.Path.serverDemux.Register(flow, demuxForward{back, home.Path.serverDemux})
 		}

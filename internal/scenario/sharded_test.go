@@ -266,3 +266,26 @@ func TestRebalanceScheduleDeterministic(t *testing.T) {
 		t.Fatalf("migration schedules differ across worker counts:\n1 worker:  %+v\n4 workers: %+v", m1, m4)
 	}
 }
+
+// TestDuplicateAPNamePanics pins the one name check both builders share:
+// two APs with one name are a build-time bug in Build and in BuildSharded
+// (an explicit name colliding with a defaulted "ap<index>" included).
+func TestDuplicateAPNamePanics(t *testing.T) {
+	tr := trace.Constant("c20", 20e6, time.Second)
+	for _, names := range [][2]string{{"x", "x"}, {"ap1", ""}} {
+		sp := Spec{Seed: 1, APs: []APSpec{{Name: names[0], Trace: tr}, {Name: names[1], Trace: tr}}}
+		for builder, build := range map[string]func(){
+			"Build":        func() { sp.Build() },
+			"BuildSharded": func() { BuildSharded(sp, ShardedOptions{CutDelay: time.Millisecond}) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "duplicate AP") {
+						t.Errorf("%s with AP names %q: recovered %v, want a duplicate-AP panic", builder, names, r)
+					}
+				}()
+				build()
+			}()
+		}
+	}
+}

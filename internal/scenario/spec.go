@@ -102,8 +102,8 @@ type HandoverSpec struct {
 
 // Spec declares a complete scenario: APs, the stations attached to them,
 // the flows they carry, and any scheduled roams. Build assembles it into
-// a runnable Path on the topology graph. A single-AP Spec reproduces the
-// classic NewPath wiring byte-identically.
+// a runnable Path. A single-AP Spec reproduces the classic NewPath wiring
+// byte-identically.
 type Spec struct {
 	Seed   int64
 	WANRTT time.Duration // server<->AP round trip; default APs[0].Trace.BaseRTT
@@ -137,44 +137,58 @@ type Spec struct {
 const DefaultStation = "sta0"
 
 // PathAP bundles one access point of a built path: its declaration, the
-// graph assembly, the AP's wired uplink, and whichever solution instance
+// radio assembly, the AP's wired uplink, and whichever solution instance
 // runs on it.
 type PathAP struct {
 	Spec  APSpec
 	Topo  *topo.AP
-	WANUp *topo.Wire
+	WANUp *netem.Link
 
 	Zhuge   *core.AP
 	FastAck *baseline.FastAck
 	ABC     *baseline.ABCRouter
 }
 
-// Build assembles the Spec into a runnable Path.
-func (sp Spec) Build() *Path {
+// normalized checks the AP list and fills the defaults Build and
+// BuildSharded share: every AP needs a trace, unnamed APs become
+// "ap<index>", names must be unique, and WANRTT defaults to the first
+// trace's base RTT. Mistakes are build-time bugs and panic.
+func (sp Spec) normalized() Spec {
 	if len(sp.APs) == 0 {
 		panic("scenario: Spec needs at least one AP")
 	}
+	seen := make(map[string]bool, len(sp.APs))
 	for i := range sp.APs {
-		if sp.APs[i].Trace == nil {
+		ap := &sp.APs[i]
+		if ap.Trace == nil {
 			panic(fmt.Sprintf("scenario: AP %d has no Trace", i))
 		}
-		if sp.APs[i].Name == "" {
-			sp.APs[i].Name = fmt.Sprintf("ap%d", i)
+		if ap.Name == "" {
+			ap.Name = fmt.Sprintf("ap%d", i)
 		}
+		if seen[ap.Name] {
+			panic(fmt.Sprintf("scenario: duplicate AP %q", ap.Name))
+		}
+		seen[ap.Name] = true
 	}
 	if sp.WANRTT == 0 {
 		sp.WANRTT = sp.APs[0].Trace.BaseRTT
 	}
+	return sp
+}
 
+// Build assembles the Spec into a runnable Path, wiring plain values in
+// build order: demuxes, then each AP with its wired uplink and solution,
+// then the WAN segment and the two routers, then stations and flows.
+func (sp Spec) Build() *Path {
+	sp = sp.normalized()
 	s := sp.Sim
 	if s == nil {
 		s = sim.New(sp.Seed)
 	}
-	g := topo.NewGraph(s)
 	p := &Path{
 		S:           s,
 		Spec:        sp,
-		G:           g,
 		stations:    make(map[string]*topo.Station),
 		byTopo:      make(map[*topo.AP]*PathAP),
 		flowStation: make(map[netem.FlowKey]*topo.Station),
@@ -184,10 +198,8 @@ func (sp Spec) Build() *Path {
 	// Shared terminal demuxes: every AP and station link delivers into the
 	// same client demux (so delivery taps observe all air deliveries), and
 	// every AP's wired uplink ends at the same server demux.
-	p.clientDemux = topo.NewDemux("clients", false)
-	p.serverDemux = topo.NewDemux("servers", true)
-	g.Add(p.clientDemux)
-	g.Add(p.serverDemux)
+	p.clientDemux = topo.NewDemux(false)
+	p.serverDemux = topo.NewDemux(true)
 
 	for i := range sp.APs {
 		p.buildAP(i, sp.APs[i])
@@ -196,22 +208,16 @@ func (sp Spec) Build() *Path {
 	// Server -> AP WAN segment feeding the downlink router: flows bound to
 	// secondary stations or secondary APs are routed there; everything
 	// else takes the first AP's entry (through its solution, if any).
-	p.wanRouter = topo.NewRouterNode("wan-router")
-	g.Add(p.wanRouter)
-	p.wanDown = topo.NewWire(g, "wan-down", wanRate, sp.WANRTT/2)
-	g.Add(p.wanDown)
-	g.Connect("wan-down", "out", "wan-router", "in")
-	g.Connect("wan-router", "default", sp.APs[0].Name, "wan")
+	first := p.APs[0].Topo
+	p.wanRouter = netem.NewRouter(first.DownIn)
+	p.wanDown = netem.NewLink(s, wanRate, sp.WANRTT/2, p.wanRouter)
 
 	// Client -> AP uplink router: a station's uplink packets enter the
 	// radio of the AP it is currently associated with.
-	p.clientOut = topo.NewRouterNode("client-out")
-	g.Add(p.clientOut)
-	g.Connect("client-out", "default", sp.APs[0].Name, "air")
+	p.clientOut = netem.NewRouter(first.Uplink)
 
 	// The implicit primary station shares the first AP's queue.
-	p.defaultSta = topo.NewStation(g, topo.StationConfig{Name: DefaultStation}, p.APs[0].Topo, p.clientDemux)
-	g.Add(p.defaultSta)
+	p.defaultSta = topo.NewStation(s, topo.StationConfig{Name: DefaultStation}, first, p.clientDemux)
 	p.stations[DefaultStation] = p.defaultSta
 
 	for _, ss := range sp.Stations {
@@ -249,7 +255,6 @@ const wanRate = 200e6
 
 // buildAP assembles one AP: channel, radio links, wired uplink, solution.
 func (p *Path) buildAP(i int, as APSpec) {
-	g := p.G
 	// The first AP keeps the bare labels of the original single-AP wiring
 	// so its RNG streams and observability prefixes are unchanged; later
 	// APs get name-prefixed ones. Inside a sharded decomposition every AP
@@ -277,7 +282,7 @@ func (p *Path) buildAP(i int, as APSpec) {
 		as.FTConfig.MaxDeqInterval = time.Second
 	}
 	tr := as.Trace
-	a := topo.NewAP(g, topo.APConfig{
+	a := topo.NewAP(p.S, topo.APConfig{
 		Name:        as.Name,
 		Channel:     wireless.NewChannel(),
 		Rate:        func(at sim.Time) float64 { return tr.RateAt(at) },
@@ -289,16 +294,12 @@ func (p *Path) buildAP(i int, as APSpec) {
 		DownLabel:   downLabel,
 		UpLabel:     upLabel,
 	}, p.clientDemux)
-	g.Add(a)
 
+	// The AP's Ethernet uplink ends at the shared server demux; the
+	// solution interposes between it and the radio links.
 	pa := &PathAP{Spec: as, Topo: a}
-	wanUpName := as.Name + ".wan-up"
-	pa.WANUp = topo.NewWire(g, wanUpName, wanRate, p.Spec.WANRTT/2)
-	g.Add(pa.WANUp)
-	g.Connect(wanUpName, "out", "servers", "in")
-
-	a.SetAttachment(p.attachmentFor(pa, solLabel))
-	g.Connect(as.Name, "wan", wanUpName, "in")
+	pa.WANUp = netem.NewLink(p.S, wanRate, p.Spec.WANRTT/2, p.serverDemux)
+	a.Attach(p.attachmentFor(pa, solLabel), pa.WANUp)
 
 	p.APs = append(p.APs, pa)
 	p.byTopo[a] = pa
@@ -317,14 +318,13 @@ func (p *Path) buildStation(ss StationSpec) {
 	if p.Spec.CellLabel != "" {
 		label = p.Spec.CellLabel + "." + ss.Name
 	}
-	st := topo.NewStation(p.G, topo.StationConfig{
+	st := topo.NewStation(p.S, topo.StationConfig{
 		Name:     ss.Name,
 		OwnQueue: ss.OwnQueue,
 		QueueCap: ss.QueueCap,
 		Label:    label,
 		Obs:      p.Spec.Obs,
 	}, ap.Topo, p.clientDemux)
-	p.G.Add(st)
 	p.stations[ss.Name] = st
 }
 
@@ -364,6 +364,20 @@ type BuiltFlow struct {
 	TCP  *TCPVideoFlow
 	QUIC *QUICVideoFlow
 	Bulk *BulkFlow
+}
+
+// Metrics returns the flow's measurements whatever its kind; nil for
+// bulk flows, which are competitors and carry none.
+func (bf *BuiltFlow) Metrics() *FlowMetrics {
+	switch {
+	case bf.RTP != nil:
+		return bf.RTP.Metrics
+	case bf.TCP != nil:
+		return bf.TCP.Metrics
+	case bf.QUIC != nil:
+		return bf.QUIC.Metrics
+	}
+	return nil
 }
 
 // apByName resolves an AP, "" meaning the first.

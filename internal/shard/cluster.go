@@ -121,7 +121,7 @@ func NewCluster() *Cluster {
 }
 
 // AddShard registers a parallel execution slot. Duplicate names are a
-// build-time bug and panic, matching the topology graph's convention.
+// build-time bug and panic, matching scenario.Spec's convention for APs.
 func (c *Cluster) AddShard(name string) *Shard {
 	if c.byName[name] {
 		panic(fmt.Sprintf("shard: duplicate shard %q", name))
@@ -245,8 +245,8 @@ func (c *Cluster) Run(end sim.Time, workers int) {
 }
 
 // RunWith is Run with a caller-supplied barrier executor: do(n, fn) must
-// run fn(0..n-1) to completion before returning. Benchmarks inject a
-// timing executor here to measure per-shard window cost.
+// run fn(0..n-1) to completion before returning. The profiler wraps the
+// executor here to measure per-shard window cost.
 func (c *Cluster) RunWith(end sim.Time, do func(n int, fn func(i int))) {
 	sort.Slice(c.edges, func(i, j int) bool { return c.edges[i].name < c.edges[j].name })
 	sort.Slice(c.actions, func(i, j int) bool {

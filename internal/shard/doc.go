@@ -12,7 +12,7 @@
 // pointer, not state.
 //
 // Cells are joined only by Edges — explicit links with a positive minimum
-// delay, mirroring the topology graph's Wire nodes, whose delay is the
+// delay, mirroring a topology's wired netem.Links, whose delay is the
 // lookahead that makes conservative synchronisation possible: a packet
 // sent at time t cannot arrive before t+delay, so while the global minimum
 // next-event time is m, every shard may safely execute events strictly

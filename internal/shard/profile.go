@@ -13,7 +13,7 @@ import (
 // the window's straggler. StallNS is the per-window sum of (slowest shard's
 // compute − own compute): the straggler itself stalls zero, and a large
 // spread is exactly the per-window skew that makes critical-path scaling
-// sub-linear (BENCH_shard.json's ~4× at 8 shards).
+// sub-linear (shard.par_ceiling in benchmark/README.md).
 type ShardLoad struct {
 	Shard     string `json:"shard"`
 	Events    uint64 `json:"events"`

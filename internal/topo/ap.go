@@ -83,8 +83,7 @@ type Attachment interface {
 // network. Its delivery side is a shared Demux so taps observe every air
 // delivery regardless of which AP or station link carried it.
 type AP struct {
-	name string
-	Cfg  APConfig
+	Cfg APConfig
 
 	Qdisc    queue.Qdisc
 	Downlink *wireless.Link
@@ -92,23 +91,17 @@ type AP struct {
 	Delivery *Demux
 
 	// DownIn is the WAN-side datapath entry (through the attachment, if
-	// any). Set by Attach.
+	// any). Set by Attach; nil until then.
 	DownIn netem.Receiver
-	// WANOut is the next hop toward the servers. Set by Attach.
-	WANOut netem.Receiver
-
-	att      Attachment
-	attached bool
 }
 
-// NewAP assembles the queue and both radio links. The downlink delivers
-// into the shared demux; the uplink's destination is fixed later by
-// Attach (directly or through ConnectOut("wan", ...)).
-func NewAP(g *Graph, cfg APConfig, delivery *Demux) *AP {
+// NewAP assembles the queue and both radio links on s. The downlink
+// delivers into the shared demux; the uplink's destination is fixed later
+// by Attach. Uplink is the entry for client transmissions.
+func NewAP(s *sim.Simulator, cfg APConfig, delivery *Demux) *AP {
 	cfg = cfg.withDefaults()
-	s := g.Sim()
 	q := NewQdisc(cfg.Qdisc, cfg.QueueCap)
-	a := &AP{name: cfg.Name, Cfg: cfg, Qdisc: q, Delivery: delivery}
+	a := &AP{Cfg: cfg, Qdisc: q, Delivery: delivery}
 	a.Downlink = wireless.NewLink(s, wireless.Config{
 		Channel:     cfg.Channel,
 		Rate:        cfg.Rate,
@@ -129,62 +122,19 @@ func NewAP(g *Graph, cfg APConfig, delivery *Demux) *AP {
 	return a
 }
 
-// SetAttachment picks the solution installed when the AP's wan port is
-// wired. May be nil (pass-through AP).
-func (a *AP) SetAttachment(att Attachment) { a.att = att }
-
 // Attach wires the AP into the network: wanOut is the next hop toward the
-// servers. The attachment (if any) interposes on both directions; Attach
-// may run once per AP.
+// servers. The attachment (nil for a pass-through AP) interposes on both
+// directions; Attach may run once per AP.
 func (a *AP) Attach(att Attachment, wanOut netem.Receiver) {
-	if a.attached {
-		panic(fmt.Sprintf("topo: AP %q attached twice", a.name))
+	if a.DownIn != nil {
+		panic(fmt.Sprintf("topo: AP %q attached twice", a.Cfg.Name))
 	}
-	a.attached = true
-	a.att = att
-	a.WANOut = wanOut
 	downIn, upIn := netem.Receiver(a.Downlink), wanOut
 	if att != nil {
 		downIn, upIn = att.Attach(a, wanOut)
 	}
 	a.DownIn = downIn
 	a.Uplink.SetDst(upIn)
-}
-
-// NodeName implements Node.
-func (a *AP) NodeName() string { return a.name }
-
-// Ports implements Node: "wan" In (packets from the wired side), "air" In
-// (client transmissions into the uplink radio), "wan" Out (toward the
-// servers; wiring it triggers Attach with the configured attachment).
-func (a *AP) Ports() []PortSpec {
-	return []PortSpec{
-		{Name: "wan", Dir: In},
-		{Name: "air", Dir: In},
-		{Name: "wan", Dir: Out},
-	}
-}
-
-// In implements Node.
-func (a *AP) In(port string) netem.Receiver {
-	switch port {
-	case "wan":
-		if a.DownIn == nil {
-			panic(fmt.Sprintf("topo: AP %q wan entry read before Attach", a.name))
-		}
-		return a.DownIn
-	case "air":
-		return a.Uplink
-	}
-	panic(badPort(a.name, port))
-}
-
-// ConnectOut implements Node.
-func (a *AP) ConnectOut(port string, dst netem.Receiver) {
-	if port != "wan" {
-		panic(badPort(a.name, port))
-	}
-	a.Attach(a.att, dst)
 }
 
 // StationConfig configures a wireless station attached to an AP.
@@ -210,7 +160,6 @@ type StationConfig struct {
 // follows the new AP's trace; in-flight aggregates complete on the old
 // reservation.
 type Station struct {
-	name string
 	ap   *AP
 	link *wireless.Link
 
@@ -219,13 +168,12 @@ type Station struct {
 
 // NewStation attaches a station to an AP. Own-queue stations deliver into
 // the same shared demux as the AP downlink.
-func NewStation(g *Graph, cfg StationConfig, ap *AP, delivery *Demux) *Station {
-	st := &Station{name: cfg.Name, ap: ap}
+func NewStation(s *sim.Simulator, cfg StationConfig, ap *AP, delivery *Demux) *Station {
+	st := &Station{ap: ap}
 	if cfg.OwnQueue {
 		if cfg.Label == "" {
 			panic(fmt.Sprintf("topo: station %q has OwnQueue but no Label", cfg.Name))
 		}
-		s := g.Sim()
 		st.link = wireless.NewLink(s, wireless.Config{
 			Channel: ap.Cfg.Channel,
 			// Delegate to the current association so the PHY rate follows
@@ -238,25 +186,6 @@ func NewStation(g *Graph, cfg StationConfig, ap *AP, delivery *Demux) *Station {
 	}
 	return st
 }
-
-// NodeName implements Node.
-func (st *Station) NodeName() string { return st.name }
-
-// Ports implements Node: one In port, the AP-side entry for downlink
-// packets bound to this station.
-func (st *Station) Ports() []PortSpec { return []PortSpec{{Name: "in", Dir: In}} }
-
-// In implements Node.
-func (st *Station) In(port string) netem.Receiver {
-	if port != "in" {
-		panic(badPort(st.name, port))
-	}
-	return st.DownIn()
-}
-
-// ConnectOut implements Node; a station's link delivers into the demux
-// fixed at construction.
-func (st *Station) ConnectOut(port string, _ netem.Receiver) { panic(badPort(st.name, port)) }
 
 // AP returns the current association.
 func (st *Station) AP() *AP { return st.ap }

@@ -1,14 +1,11 @@
-// Package topo models simulated network topologies as a composable graph:
-// first-class nodes (delivery demuxes, wired links, routers, access-point
-// assemblies, stations) connected through typed ports. The scenario
-// package builds every experiment path on this graph; multi-AP layouts and
-// station handover fall out of re-pointing routes instead of rebuilding
-// hard-wired closures.
-//
-// A Node exposes named ports: an In port is a packet entry (a
-// netem.Receiver); an Out port is a connection point wired to some other
-// node's In port. Wiring happens once at build time — the datapath itself
-// remains direct Receiver calls with no per-packet graph overhead.
+// Package topo holds the pieces of a simulated topology that hide
+// something: the delivery Demux (the one owner of pooled-packet release),
+// the access-point assembly (queue + both radio links + the Attachment
+// seam a solution plugs into), the Station association that handover
+// re-points, the cell-to-shard Partition, and NewQdisc. Wired segments and
+// routers are plain netem.Link and netem.Router values; the scenario
+// package wires everything together directly, in build order, and the
+// datapath is direct Receiver calls.
 //
 // The package is deliberately solution-agnostic: it knows how to assemble
 // the AP's queue and radio links, but the mechanism under test (Zhuge,
@@ -16,101 +13,50 @@
 // interface, keeping topo free of dependencies on core and baseline.
 package topo
 
-import (
-	"fmt"
+import "github.com/zhuge-project/zhuge/internal/netem"
 
-	"github.com/zhuge-project/zhuge/internal/netem"
-	"github.com/zhuge-project/zhuge/internal/sim"
-)
+// Demux is a terminal delivery point: where a packet's simulated life
+// ends and an endpoint's logic runs. It fans packets out to registered
+// receivers by flow key (optionally reversed, for server-side demuxing of
+// uplink traffic), runs delivery taps first, and Releases every packet
+// afterwards — endpoints copy what they need; the pooled packet never
+// escapes delivery.
+//
+// One Demux instance serves any number of upstream links: the AP downlink
+// and every secondary station deliver into the same client demux, so taps
+// (metrics, FastAck) observe all air deliveries uniformly.
+type Demux struct {
+	reverse bool
+	dst     map[netem.FlowKey]netem.Receiver
+	taps    []func(p *netem.Packet)
+}
 
-// Direction says which way packets cross a port.
-type Direction int
+// NewDemux builds a delivery demux. With reverse set, packets are looked
+// up under Flow.Reverse() — the server-side convention, where receivers
+// register under their downlink flow but consume uplink packets.
+func NewDemux(reverse bool) *Demux {
+	return &Demux{reverse: reverse, dst: make(map[netem.FlowKey]netem.Receiver)}
+}
 
-// Port directions.
-const (
-	// In ports accept packets; In(name) returns their Receiver.
-	In Direction = iota
-	// Out ports emit packets; ConnectOut(name, dst) wires them.
-	Out
-)
+// Register binds the receiver for a flow. Registration keys are always
+// the downlink flow; a reverse demux translates on receive.
+func (d *Demux) Register(flow netem.FlowKey, r netem.Receiver) { d.dst[flow] = r }
 
-// String names the direction for port listings and error messages.
-func (d Direction) String() string {
-	if d == In {
-		return "in"
+// AddTap registers a function invoked on every packet before delivery.
+// Taps added after wiring still see all later packets.
+func (d *Demux) AddTap(tap func(p *netem.Packet)) { d.taps = append(d.taps, tap) }
+
+// Receive implements netem.Receiver: run taps, deliver, Release.
+func (d *Demux) Receive(p *netem.Packet) {
+	for _, tap := range d.taps {
+		tap(p)
 	}
-	return "out"
-}
-
-// PortSpec describes one port of a node.
-type PortSpec struct {
-	Name string
-	Dir  Direction
-}
-
-// Node is a named element of a topology graph.
-type Node interface {
-	// NodeName identifies the node within its graph (unique).
-	NodeName() string
-	// Ports lists the node's ports.
-	Ports() []PortSpec
-	// In returns the packet entry for an In port. Panics on unknown or
-	// Out ports — port names are build-time constants, not runtime input.
-	In(port string) netem.Receiver
-	// ConnectOut wires an Out port to a destination receiver.
-	ConnectOut(port string, dst netem.Receiver)
-}
-
-// Graph holds a topology's nodes. Nodes are kept in insertion order so
-// every iteration — construction, teardown, debugging dumps — is
-// deterministic regardless of names.
-type Graph struct {
-	s     *sim.Simulator
-	nodes []Node
-	index map[string]Node
-}
-
-// NewGraph starts an empty topology over the given simulator.
-func NewGraph(s *sim.Simulator) *Graph {
-	return &Graph{s: s, index: make(map[string]Node)}
-}
-
-// Sim returns the simulator the graph's nodes schedule on.
-func (g *Graph) Sim() *sim.Simulator { return g.s }
-
-// Add registers a node. Names must be unique; duplicates are a build-time
-// bug and panic.
-func (g *Graph) Add(n Node) {
-	name := n.NodeName()
-	if _, dup := g.index[name]; dup {
-		panic(fmt.Sprintf("topo: duplicate node %q", name))
+	key := p.Flow
+	if d.reverse {
+		key = key.Reverse()
 	}
-	g.nodes = append(g.nodes, n)
-	g.index[name] = n
-}
-
-// Node looks a node up by name, or nil if absent.
-func (g *Graph) Node(name string) Node { return g.index[name] }
-
-// Nodes returns the nodes in insertion order. The slice is shared; treat
-// it as read-only.
-func (g *Graph) Nodes() []Node { return g.nodes }
-
-// Connect wires from:fromPort -> to:toPort. Both nodes must already be in
-// the graph; unknown names panic (wiring is build-time configuration).
-func (g *Graph) Connect(from, fromPort, to, toPort string) {
-	src := g.index[from]
-	if src == nil {
-		panic(fmt.Sprintf("topo: connect from unknown node %q", from))
+	if dst, ok := d.dst[key]; ok {
+		dst.Receive(p)
 	}
-	dst := g.index[to]
-	if dst == nil {
-		panic(fmt.Sprintf("topo: connect to unknown node %q", to))
-	}
-	src.ConnectOut(fromPort, dst.In(toPort))
-}
-
-// badPort reports a port misuse uniformly across node implementations.
-func badPort(node, port string) string {
-	return fmt.Sprintf("topo: node %q has no port %q", node, port)
+	p.Release()
 }

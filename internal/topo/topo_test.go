@@ -2,7 +2,6 @@ package topo
 
 import (
 	"testing"
-	"time"
 
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/sim"
@@ -14,7 +13,7 @@ var (
 	flowB = netem.FlowKey{SrcIP: 1, DstIP: 3, SrcPort: 10, DstPort: 21, Proto: 17}
 )
 
-// capture counts the packets a node delivers to it.
+// capture counts the packets delivered to it.
 type capture struct{ n int }
 
 func (c *capture) Receive(*netem.Packet) { c.n++ }
@@ -27,47 +26,8 @@ func pkt(flow netem.FlowKey) *netem.Packet {
 	return p
 }
 
-func TestGraphDuplicateNodePanics(t *testing.T) {
-	g := NewGraph(sim.New(1))
-	g.Add(NewRouterNode("r"))
-	defer func() {
-		if recover() == nil {
-			t.Error("adding a duplicate node name did not panic")
-		}
-	}()
-	g.Add(NewRouterNode("r"))
-}
-
-func TestGraphConnectUnknownPortPanics(t *testing.T) {
-	g := NewGraph(sim.New(1))
-	g.Add(NewWire(g, "w", 1e9, time.Millisecond))
-	g.Add(NewRouterNode("r"))
-	defer func() {
-		if recover() == nil {
-			t.Error("connecting to a nonexistent port did not panic")
-		}
-	}()
-	g.Connect("w", "out", "r", "nonsense")
-}
-
-func TestGraphConnectWiresDatapath(t *testing.T) {
-	s := sim.New(1)
-	g := NewGraph(s)
-	g.Add(NewWire(g, "w", 1e9, time.Millisecond))
-	g.Add(NewRouterNode("r"))
-	g.Connect("w", "out", "r", "in")
-	var c capture
-	g.Node("r").(*RouterNode).Route(flowA, &c)
-
-	g.Node("w").In("in").Receive(pkt(flowA))
-	s.RunUntil(10 * time.Millisecond)
-	if c.n != 1 {
-		t.Errorf("packet did not traverse wire->router: delivered %d", c.n)
-	}
-}
-
 func TestDemuxRoutesAndReleases(t *testing.T) {
-	d := NewDemux("deliver", false)
+	d := NewDemux(false)
 	var a, b capture
 	d.Register(flowA, &a)
 	d.Register(flowB, &b)
@@ -89,34 +49,12 @@ func TestDemuxRoutesAndReleases(t *testing.T) {
 }
 
 func TestReverseDemuxTranslatesKeys(t *testing.T) {
-	d := NewDemux("server", true)
+	d := NewDemux(true)
 	var c capture
 	d.Register(flowA, &c) // registered under the downlink key...
 	d.Receive(pkt(flowA.Reverse()))
 	if c.n != 1 {
 		t.Error("reverse demux did not translate the uplink key to its registration")
-	}
-}
-
-func TestRouterNodeRouteAndUnroute(t *testing.T) {
-	n := NewRouterNode("r")
-	var def, special capture
-	n.ConnectOut("default", &def)
-	n.Route(flowA, &special)
-
-	n.In("in").Receive(pkt(flowA))
-	n.In("in").Receive(pkt(flowB))
-	if special.n != 1 || def.n != 1 {
-		t.Fatalf("routed=%d default=%d, want 1/1", special.n, def.n)
-	}
-
-	n.Unroute(flowA)
-	n.In("in").Receive(pkt(flowA))
-	if def.n != 2 {
-		t.Errorf("unrouted flow did not fall back to default (default=%d)", def.n)
-	}
-	if n.NextHop(flowA) != netem.Receiver(&def) {
-		t.Error("NextHop after Unroute is not the default")
 	}
 }
 
@@ -126,21 +64,16 @@ func TestRouterNodeRouteAndUnroute(t *testing.T) {
 // station's own link (shared-queue stations instead follow the AP).
 func TestStationAssociateMovesChannelAndRate(t *testing.T) {
 	s := sim.New(1)
-	g := NewGraph(s)
-	delivery := NewDemux("deliver", false)
+	delivery := NewDemux(false)
 	ch0, ch1 := wireless.NewChannel(), wireless.NewChannel()
-	ap0 := NewAP(g, APConfig{Name: "ap0", Channel: ch0,
+	ap0 := NewAP(s, APConfig{Name: "ap0", Channel: ch0,
 		Rate: func(sim.Time) float64 { return 30e6 }}, delivery)
-	ap1 := NewAP(g, APConfig{Name: "ap1", Channel: ch1,
+	ap1 := NewAP(s, APConfig{Name: "ap1", Channel: ch1,
 		Rate:      func(sim.Time) float64 { return 60e6 },
 		DownLabel: "ap1.downlink", UpLabel: "ap1.uplink"}, delivery)
-	g.Add(ap0)
-	g.Add(ap1)
 
-	shared := NewStation(g, StationConfig{Name: "shared"}, ap0, delivery)
-	owned := NewStation(g, StationConfig{Name: "owned", OwnQueue: true, Label: "owned"}, ap0, delivery)
-	g.Add(shared)
-	g.Add(owned)
+	shared := NewStation(s, StationConfig{Name: "shared"}, ap0, delivery)
+	owned := NewStation(s, StationConfig{Name: "owned", OwnQueue: true, Label: "owned"}, ap0, delivery)
 
 	if owned.Link() == nil {
 		t.Fatal("own-queue station has no dedicated link")

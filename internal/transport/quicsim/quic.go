@@ -412,6 +412,11 @@ type Receiver struct {
 
 	// OnDeliver fires as the contiguous in-order stream prefix advances.
 	OnDeliver func(now sim.Time, upTo uint64)
+
+	// OnAck, if set, fires at every ACK departure — the client end of the
+	// baseline control loop, where observation and feedback coincide (every
+	// arrival is acknowledged immediately). Same hook as tcpsim.Receiver's.
+	OnAck func(now sim.Time)
 }
 
 // NewReceiver builds a receiver whose ACKs travel into out with ackFlow.
@@ -443,6 +448,9 @@ func (r *Receiver) Receive(p *netem.Packet) {
 		r.OnDeliver(now, after)
 	}
 	// Acknowledge immediately (RTC tuning: no ack delay).
+	if r.OnAck != nil {
+		r.OnAck(now)
+	}
 	ack := netem.NewPacket()
 	*ack = netem.Packet{
 		Flow:    r.flow,
