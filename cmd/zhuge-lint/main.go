@@ -5,62 +5,36 @@
 //
 // Usage:
 //
-//	go run ./cmd/zhuge-lint [-c analyzer[,analyzer]] [-json] [-sarif file] [packages]
+//	go run ./cmd/zhuge-lint [-sarif file] [packages]
 //
 // With no packages it lints ./... . Exit status: 0 clean, 1 findings,
 // 2 usage or load error. Suppress individual findings with
 // //lint:ignore <analyzer> <reason> on or above the offending line; a
 // suppression that no longer matches anything is itself reported (as the
-// pseudo-analyzer "suppression") when the full suite runs.
+// pseudo-analyzer "suppression").
 //
-// -json replaces the human-readable output with a JSON array; -sarif FILE
-// additionally writes a SARIF 2.1.0 log for CI annotation (written even
-// when there are findings, so the upload step always has a file).
+// -sarif FILE additionally writes a SARIF 2.1.0 log for CI annotation
+// (written even when there are findings, so the upload step always has a
+// file).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/zhuge-project/zhuge/internal/analysis"
 )
 
 func main() {
-	var (
-		checks    = flag.String("c", "", "comma-separated analyzer subset to run (default: all)")
-		list      = flag.Bool("list", false, "list available analyzers and exit")
-		jsonOut   = flag.Bool("json", false, "emit findings as JSON on stdout instead of text")
-		sarifPath = flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	)
+	sarifPath := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: zhuge-lint [-c analyzer[,analyzer]] [-json] [-sarif file] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: zhuge-lint [-sarif file] [packages]\n\nAnalyzers:\n")
 		for _, a := range analysis.Analyzers {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range analysis.Analyzers {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	suite := analysis.Analyzers
-	if *checks != "" {
-		suite = nil
-		for _, name := range strings.Split(*checks, ",") {
-			a := analysis.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "zhuge-lint: unknown analyzer %q\n", name)
-				os.Exit(2)
-			}
-			suite = append(suite, a)
-		}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -78,11 +52,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// RunSuite (vs per-analyzer Run) also audits //lint:ignore comments:
+	// RunAll (vs per-analyzer Run) also audits //lint:ignore comments:
 	// a stale suppression is a finding like any other.
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunSuite(pkg, suite)
+		diags, err := analysis.RunAll(pkg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "zhuge-lint: %v\n", err)
 			os.Exit(2)
@@ -96,7 +70,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "zhuge-lint: %v\n", err)
 			os.Exit(2)
 		}
-		werr := analysis.WriteSARIF(f, cwd, suite, all)
+		werr := analysis.WriteSARIF(f, cwd, all)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -106,15 +80,8 @@ func main() {
 		}
 	}
 
-	if *jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, cwd, all); err != nil {
-			fmt.Fprintf(os.Stderr, "zhuge-lint: writing JSON: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range all {
-			fmt.Println(d.String())
-		}
+	for _, d := range all {
+		fmt.Println(d.String())
 	}
 	if len(all) > 0 {
 		fmt.Fprintf(os.Stderr, "zhuge-lint: %d finding(s)\n", len(all))

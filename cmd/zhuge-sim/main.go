@@ -30,6 +30,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,7 +48,7 @@ func main() {
 	var (
 		traceName   = flag.String("trace", "w1", "trace: w1|w2|c1|c2|c3|ethernet|abc|dropK|constN|file.csv")
 		proto       = flag.String("proto", "rtp", "protocol: rtp|tcp|quic")
-		ccaName     = flag.String("cca", "copa", "congestion control: copa|cubic|bbr|abc (tcp), +pcc (quic), gcc|nada (rtp)")
+		ccaName     = flag.String("cca", "", "congestion control: copa|cubic|bbr|abc (tcp), +pcc (quic), gcc|nada (rtp); default copa, gcc for rtp")
 		solution    = flag.String("solution", "none", "AP solution: none|zhuge|fastack|abc")
 		qdisc       = flag.String("qdisc", "fifo", "queue discipline: fifo|codel|fqcodel")
 		dur         = flag.Duration("dur", 2*time.Minute, "simulated duration")
@@ -72,6 +73,10 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if err := checkFlags(*proto, *ccaName, *solution, *qdisc, *aps); err != nil {
+		fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
+		os.Exit(2)
+	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -94,11 +99,6 @@ func main() {
 		return
 	}
 
-	sol := map[string]scenario.Solution{
-		"none": scenario.SolutionNone, "zhuge": scenario.SolutionZhuge,
-		"fastack": scenario.SolutionFastAck, "abc": scenario.SolutionABC,
-	}[*solution]
-
 	o := obs.New(obs.Options{
 		Trace:   *traceOut != "",
 		Metrics: *metricsOut != "" || *seriesOut != "" || *statsAddr != "",
@@ -118,7 +118,7 @@ func main() {
 		os.Exit(2)
 	}
 	sp := scenario.Spec{Seed: *seed, Obs: o, Handovers: roams}
-	for i := 0; i < max(*aps, 1); i++ {
+	for i := 0; i < *aps; i++ {
 		// Each AP gets an independent realisation of the requested trace
 		// profile (generated traces vary with the seed; constant and file
 		// traces repeat).
@@ -129,7 +129,7 @@ func main() {
 		}
 		sp.APs = append(sp.APs, scenario.APSpec{
 			Name: fmt.Sprintf("ap%d", i), Trace: atr,
-			Qdisc: *qdisc, Interferers: *interferers, Solution: sol,
+			Qdisc: *qdisc, Interferers: *interferers, Solution: solutions[*solution],
 		})
 	}
 	p := sp.Build()
@@ -168,19 +168,53 @@ func main() {
 		printSummary(f.Metrics, f.FrameDelay, f.FrameRateSeries(*dur).FractionBelow(10), *dur,
 			"frames sent/dropped: %d/%d  retransmits=%d  timeouts=%d\n",
 			f.FramesSent, f.FramesDropped, f.Sender.Retransmits(), f.Sender.Timeouts())
-	default:
-		rtpCCA := ""
-		if *ccaName == "nada" {
-			rtpCCA = "nada"
-		}
+	case "rtp":
 		// With roams scheduled, the sender must infer losses from feedback
 		// gaps (reset-on-handover discards fortunes silently otherwise).
-		f := p.AddRTPFlow(scenario.RTPFlowConfig{CCA: rtpCCA, GapLoss: len(roams) > 0})
+		f := p.AddRTPFlow(scenario.RTPFlowConfig{CCA: *ccaName, GapLoss: len(roams) > 0})
 		p.Run(*dur)
 		printSummary(f.Metrics, f.Decoder.FrameDelay, f.Decoder.LowFrameRateRatio(*dur, 10), *dur,
 			"frames decoded/skipped: %d/%d  retransmits=%d\nfinal rate: %.2f Mbps\n",
 			f.Decoder.Decoded, f.Decoder.Skipped, f.Sender.Retransmits(), f.Sender.Controller().Rate()/1e6)
 	}
+}
+
+// The values the enumerated flags accept. -cca depends on -proto, and ""
+// (the flag's default) means the protocol's own default controller.
+var (
+	solutions = map[string]scenario.Solution{
+		"none": scenario.SolutionNone, "zhuge": scenario.SolutionZhuge,
+		"fastack": scenario.SolutionFastAck, "abc": scenario.SolutionABC,
+	}
+	qdiscs = []string{"fifo", "codel", "fqcodel"}
+	ccas   = map[string][]string{
+		"rtp":  {"gcc", "nada"},
+		"tcp":  {"copa", "cubic", "bbr", "abc"},
+		"quic": {"copa", "cubic", "bbr", "abc", "pcc"},
+	}
+)
+
+// checkFlags rejects the values the builders below would otherwise panic
+// on (-qdisc, -aps 0 with roams) or silently replace with a default
+// (-solution, -proto, -cca). The error names the flag and what it accepts.
+func checkFlags(proto, ccaName, solution, qdisc string, aps int) error {
+	if aps < 1 {
+		return fmt.Errorf("bad -aps %d (want at least 1)", aps)
+	}
+	if _, ok := solutions[solution]; !ok {
+		return fmt.Errorf("bad -solution %q (want none|zhuge|fastack|abc)", solution)
+	}
+	if !slices.Contains(qdiscs, qdisc) {
+		return fmt.Errorf("bad -qdisc %q (want %s)", qdisc, strings.Join(qdiscs, "|"))
+	}
+	accepted, ok := ccas[proto]
+	if !ok {
+		return fmt.Errorf("bad -proto %q (want rtp|tcp|quic)", proto)
+	}
+	if ccaName != "" && !slices.Contains(accepted, ccaName) {
+		return fmt.Errorf("bad -cca %q for -proto %s (want %s)", ccaName, proto, strings.Join(accepted, "|"))
+	}
+	return nil
 }
 
 // printSummary prints one flow's result block. Every protocol prints the

@@ -13,11 +13,10 @@
 //
 // Since PR 8 the framework also carries an interprocedural dataflow layer
 // (dataflow.go): a static call graph over every loaded package with
-// per-function summaries computed bottom-up over SCCs. The older analyzers
-// consult it to see through function boundaries; the shard-concurrency
-// analyzers are built directly on its reachability queries. See LINTING.md
-// ("The dataflow layer") for what the summaries capture and their known
-// imprecision.
+// per-function summaries computed bottom-up over SCCs. maporder, poolsafe
+// and detshare consult it to see through function boundaries. See
+// LINTING.md ("The dataflow layer") for what the summaries capture and
+// their known imprecision.
 //
 // The analyzers and the invariants they protect:
 //
@@ -38,12 +37,6 @@
 //   - obsguard: expensive observability hooks (Tracer.Record and friends)
 //     on struct fields must be dominated by a nil check on that field,
 //     preserving the pinned 0-alloc disabled path.
-//   - shardown: single-producer/single-consumer discipline for the shard
-//     layer's edge rings — pushes only through (*Edge).Send from window
-//     context, drains only from the barrier executor's Cluster methods.
-//   - barriermut: state spanning more than one shard may only be mutated
-//     from barrier context (Cluster.At callbacks), never from in-window
-//     code.
 //   - detshare: no mutable state shared across cells in deterministic
 //     packages — global writes outside init, goroutine spawns, and
 //     closures that cross a goroutine boundary while writing captures.
@@ -52,6 +45,11 @@
 //
 //	//lint:ignore detclock <reason>         (this or the next line)
 //	//lint:file-ignore detclock <reason>    (whole file)
+//
+// The shard layer's ownership protocol (who may produce onto an edge ring,
+// what may run inside a window) is not checked here: it is asserted at
+// runtime against one predicate in internal/shard — see LINTING.md's
+// verdict table for the two analyzers that used to police it.
 //
 // Run it with: go run ./cmd/zhuge-lint ./...
 package analysis
@@ -91,9 +89,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Prog is the whole-program dataflow view (call graph + summaries)
-	// built over every package of the same Load. Nil when the package was
-	// constructed without one; analyzers must degrade to their
-	// intraprocedural behavior in that case.
+	// built over every package of the same Load.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -127,19 +123,7 @@ var Analyzers = []*Analyzer{
 	MapOrder,
 	PoolSafe,
 	ObsGuard,
-	ShardOwn,
-	BarrierMut,
 	DetShare,
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // Run applies one analyzer to one loaded package and returns its findings
@@ -149,7 +133,7 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	diags = applySuppressions(diags, collectSuppressions(pkg), nil)
+	diags = applySuppressions(diags, collectSuppressions(pkg), map[*suppressComment]bool{})
 	sortDiags(diags)
 	return diags, nil
 }
@@ -172,42 +156,26 @@ func runRaw(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// RunSuite applies a set of analyzers to one package and audits the
-// package's //lint:ignore / //lint:file-ignore comments against the
-// combined findings. A suppression is *stale* when every analyzer it names
-// either does not exist or was part of this run and suppressed nothing;
-// stale suppressions are reported as diagnostics under the pseudo-analyzer
-// name "suppression" (they rot the allowlists — an ignore comment that no
-// longer fires is a license for the next real violation to hide under).
-// Suppressions naming an analyzer that exists but was not in this run are
-// left alone: a partial run cannot judge them.
-func RunSuite(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
+// RunAll applies the whole suite to one package and audits the package's
+// //lint:ignore / //lint:file-ignore comments against the combined
+// findings. A suppression that suppressed nothing is *stale* and is
+// reported as a diagnostic under the pseudo-analyzer name "suppression"
+// (stale ones rot the allowlists — an ignore comment that no longer fires
+// is a license for the next real violation to hide under).
+func RunAll(pkg *Package) ([]Diagnostic, error) {
 	var raw []Diagnostic
-	ran := map[string]bool{}
-	for _, a := range suite {
+	for _, a := range Analyzers {
 		d, err := runRaw(a, pkg)
 		if err != nil {
 			return nil, err
 		}
 		raw = append(raw, d...)
-		ran[a.Name] = true
 	}
 	sups := collectSuppressions(pkg)
-	used := map[*suppressComment]map[string]bool{}
+	used := map[*suppressComment]bool{}
 	diags := applySuppressions(raw, sups, used)
 	for _, s := range sups {
-		stale := len(s.names) > 0
-		for _, name := range s.names {
-			if used[s][name] {
-				stale = false
-				break
-			}
-			if ByName(name) != nil && !ran[name] {
-				stale = false // not judgeable in this run
-				break
-			}
-		}
-		if stale {
+		if !used[s] {
 			diags = append(diags, Diagnostic{
 				Pos:      s.pos,
 				Analyzer: "suppression",
@@ -219,12 +187,6 @@ func RunSuite(pkg *Package, suite []*Analyzer) ([]Diagnostic, error) {
 	}
 	sortDiags(diags)
 	return diags, nil
-}
-
-// RunAll applies the whole suite to one package, including the stale-
-// suppression audit.
-func RunAll(pkg *Package) ([]Diagnostic, error) {
-	return RunSuite(pkg, Analyzers)
 }
 
 func sortDiags(diags []Diagnostic) {
@@ -368,21 +330,12 @@ func collectSuppressions(pkg *Package) []*suppressComment {
 // applySuppressions drops diagnostics covered by the given suppression
 // comments. A //lint:ignore comment covers the line it sits on and the
 // line below it (the staticcheck convention: the comment precedes the
-// flagged statement); //lint:file-ignore covers its whole file. When used
-// is non-nil, every (comment, analyzer) pair that suppressed at least one
-// diagnostic is recorded in it — the stale-suppression audit's input.
-func applySuppressions(diags []Diagnostic, sups []*suppressComment, used map[*suppressComment]map[string]bool) []Diagnostic {
+// flagged statement); //lint:file-ignore covers its whole file. Every
+// comment that suppressed at least one diagnostic is recorded in used — the
+// stale-suppression audit's input.
+func applySuppressions(diags []Diagnostic, sups []*suppressComment, used map[*suppressComment]bool) []Diagnostic {
 	if len(diags) == 0 || len(sups) == 0 {
 		return diags
-	}
-	markUsed := func(s *suppressComment, analyzer string) {
-		if used == nil {
-			return
-		}
-		if used[s] == nil {
-			used[s] = map[string]bool{}
-		}
-		used[s][analyzer] = true
 	}
 	covers := func(s *suppressComment, d Diagnostic) bool {
 		if s.pos.Filename != d.Pos.Filename {
@@ -403,7 +356,7 @@ func applySuppressions(diags []Diagnostic, sups []*suppressComment, used map[*su
 		suppressed := false
 		for _, s := range sups {
 			if covers(s, d) {
-				markUsed(s, d.Analyzer)
+				used[s] = true
 				suppressed = true
 				// Keep scanning: another comment covering the same
 				// diagnostic is also legitimately "used".

@@ -63,21 +63,6 @@ func TestObsGuard(t *testing.T) {
 	)
 }
 
-func TestShardOwn(t *testing.T) {
-	analysistest.Run(t, moduleRoot(t), analysis.ShardOwn,
-		// The mini protocol package (ring confinement, goroutine sends)...
-		"./internal/analysis/testdata/src/shardown/shard",
-		// ...and barrier reachability against the real shard/sim packages.
-		"./internal/analysis/testdata/src/shardown/scenario",
-	)
-}
-
-func TestBarrierMut(t *testing.T) {
-	analysistest.Run(t, moduleRoot(t), analysis.BarrierMut,
-		"./internal/analysis/testdata/src/barriermut/scenario",
-	)
-}
-
 func TestDetShare(t *testing.T) {
 	analysistest.Run(t, moduleRoot(t), analysis.DetShare,
 		"./internal/analysis/testdata/src/detshare/scenario",
@@ -91,14 +76,12 @@ func TestDetShare(t *testing.T) {
 func TestAnalyzersAreLive(t *testing.T) {
 	root := moduleRoot(t)
 	fixtures := map[string]string{
-		"detclock":   "./internal/analysis/testdata/src/detclock/sim",
-		"detrand":    "./internal/analysis/testdata/src/detrand/wireless",
-		"maporder":   "./internal/analysis/testdata/src/maporder/trace",
-		"poolsafe":   "./internal/analysis/testdata/src/poolsafe/pool",
-		"obsguard":   "./internal/analysis/testdata/src/obsguard/guard",
-		"shardown":   "./internal/analysis/testdata/src/shardown/shard",
-		"barriermut": "./internal/analysis/testdata/src/barriermut/scenario",
-		"detshare":   "./internal/analysis/testdata/src/detshare/scenario",
+		"detclock": "./internal/analysis/testdata/src/detclock/sim",
+		"detrand":  "./internal/analysis/testdata/src/detrand/wireless",
+		"maporder": "./internal/analysis/testdata/src/maporder/trace",
+		"poolsafe": "./internal/analysis/testdata/src/poolsafe/pool",
+		"obsguard": "./internal/analysis/testdata/src/obsguard/guard",
+		"detshare": "./internal/analysis/testdata/src/detshare/scenario",
 	}
 	if len(fixtures) != len(analysis.Analyzers) {
 		t.Fatalf("fixture map covers %d analyzers, suite has %d", len(fixtures), len(analysis.Analyzers))

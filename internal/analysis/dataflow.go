@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -12,8 +11,8 @@ import (
 // computed bottom-up over strongly connected components. The intraprocedural
 // analyzers from PR 3 stop at function boundaries — a Release that happens
 // in a callee, a map-ordered iteration laundered through a helper, a
-// simulator captured by a closure that runs on another shard's goroutine
-// are all invisible to them. The summaries make those facts visible at the
+// closure handed to a helper that runs it on another goroutine are all
+// invisible to them. The summaries make those facts visible at the
 // call site without analyzing the callee's body again.
 //
 // Design constraints, in order:
@@ -29,14 +28,10 @@ import (
 //  3. Summaries only cover the facts the analyzers consume. They are not a
 //     general escape analysis; add fields as new analyzers need them.
 //
-// Function literals are first-class nodes: a closure registered as a
-// barrier action (Cluster.At) or scheduled on the virtual clock
-// (Simulator.Schedule) is exactly the code whose calling context the
-// shard-concurrency analyzers reason about. Each literal records its
-// lexical encloser, and each node records which of its nested literals are
-// handed to the simulator's scheduling API — those run in *window* context
-// regardless of where they were created, so barrier-context reachability
-// must not descend into them.
+// Function literals are first-class nodes, each recording its lexical
+// encloser: a literal runs in (at most) its encloser's context, which is
+// what lets detshare see that a closure built inside init-only code is
+// itself init-only.
 
 // A FuncNode is one function in the program call graph: a declared
 // function or method (Obj non-nil) or a function literal (Lit non-nil).
@@ -60,41 +55,8 @@ type FuncNode struct {
 	// (nested literal bodies belong to their own nodes).
 	Callees []*FuncNode
 
-	// Lits are the function literals lexically nested directly in this
-	// node's body.
-	Lits []*FuncNode
-
-	recvObj       types.Object
-	paramObjs     []types.Object
-	scheduledLits map[*FuncNode]bool // nested lits passed to Simulator scheduling
-}
-
-// Name renders the node for diagnostics and tests: "pkgpath.Func",
-// "pkgpath.(Type).Method", or "pkgpath.func@line" for literals.
-func (n *FuncNode) Name() string {
-	if n.Obj != nil {
-		if recv := n.recvName(); recv != "" {
-			return fmt.Sprintf("%s.(%s).%s", n.Pkg.Path, recv, n.Obj.Name())
-		}
-		return fmt.Sprintf("%s.%s", n.Pkg.Path, n.Obj.Name())
-	}
-	pos := n.Pkg.Fset.Position(n.Lit.Pos())
-	return fmt.Sprintf("%s.func@%d", n.Pkg.Path, pos.Line)
-}
-
-func (n *FuncNode) recvName() string {
-	sig, ok := n.Obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
+	recvObj   types.Object
+	paramObjs []types.Object
 }
 
 // A Summary records what one function does to its parameters and its
@@ -126,16 +88,13 @@ type Summary struct {
 	// receiver that is not function-local — directly or via a resolved
 	// callee. Inside a range-over-map this leaks iteration order.
 	EmitsOutput bool
-
-	// SpawnsGoroutine: contains a go statement, directly or transitively.
-	SpawnsGoroutine bool
 }
 
 func (s *Summary) equal(o *Summary) bool {
 	if o == nil {
 		return false
 	}
-	if s.RecvReleases != o.RecvReleases || s.EmitsOutput != o.EmitsOutput || s.SpawnsGoroutine != o.SpawnsGoroutine {
+	if s.RecvReleases != o.RecvReleases || s.EmitsOutput != o.EmitsOutput {
 		return false
 	}
 	eq := func(a, b []bool) bool {
@@ -156,8 +115,6 @@ func (s *Summary) equal(o *Summary) bool {
 // static call graph between them, and the computed summaries. Load builds
 // one Program per invocation and points every Package at it.
 type Program struct {
-	Pkgs []*Package
-
 	nodes  []*FuncNode
 	byObj  map[*types.Func]*FuncNode
 	bySym  map[string]*FuncNode // pkgpath.[Recv.]Name — see symKey
@@ -167,15 +124,8 @@ type Program struct {
 	summaries map[*FuncNode]*Summary
 	sccs      [][]*FuncNode // bottom-up (callees before callers)
 
-	callers map[*FuncNode][]*FuncNode
-
-	windowRoots  []*FuncNode
-	barrierRoots []*FuncNode
-
-	windowReach  map[*FuncNode]bool
-	barrierReach map[*FuncNode]bool
+	callers      map[*FuncNode][]*FuncNode
 	initOnlyMemo map[*FuncNode]int // 0 unknown, 1 in progress, 2 yes, 3 no
-	spanMemo     map[types.Type]int
 }
 
 // NewProgram builds the call graph and computes every summary. It is safe
@@ -183,7 +133,6 @@ type Program struct {
 // packages outside the set simply stay unresolved.
 func NewProgram(pkgs []*Package) *Program {
 	p := &Program{
-		Pkgs:         pkgs,
 		byObj:        map[*types.Func]*FuncNode{},
 		bySym:        map[string]*FuncNode{},
 		byDecl:       map[*ast.FuncDecl]*FuncNode{},
@@ -191,7 +140,6 @@ func NewProgram(pkgs []*Package) *Program {
 		summaries:    map[*FuncNode]*Summary{},
 		callers:      map[*FuncNode][]*FuncNode{},
 		initOnlyMemo: map[*FuncNode]int{},
-		spanMemo:     map[types.Type]int{},
 	}
 	for _, pkg := range pkgs {
 		p.collectNodes(pkg)
@@ -232,6 +180,14 @@ func symKey(fn *types.Func) string {
 	return key + fn.Name()
 }
 
+func derefNamed(t types.Type) (*types.Named, bool) {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return named, ok
+}
+
 // nodeFor resolves a function object to its in-program node, falling back
 // from object identity to the symbol key for cross-package references
 // (the importer materializes its own objects from export data).
@@ -245,46 +201,13 @@ func (p *Program) nodeFor(fn *types.Func) *FuncNode {
 	return nil
 }
 
-// NodeOf returns the node for a declared function object, or nil when the
-// function's body is outside the loaded program (export-data-only deps).
-func (p *Program) NodeOf(fn *types.Func) *FuncNode {
-	if p == nil || fn == nil {
-		return nil
-	}
-	return p.nodeFor(fn)
+// CalleeSummary returns the computed summary of the function a call
+// statically resolves to, or nil for unknown: the call does not resolve, or
+// the callee's body is outside this program.
+func (p *Program) CalleeSummary(info *types.Info, call *ast.CallExpr) *Summary {
+	_, cn := p.resolveCall(info, call)
+	return p.summaries[cn]
 }
-
-// SummaryOf returns the computed summary for a node, or nil for unknown
-// (nil node, or a node outside this program).
-func (p *Program) SummaryOf(n *FuncNode) *Summary {
-	if p == nil || n == nil {
-		return nil
-	}
-	return p.summaries[n]
-}
-
-// FuncNamed finds a declared function node by package path and name
-// ("Helper" or "Type.Method"). Test hook.
-func (p *Program) FuncNamed(pkgPath, name string) *FuncNode {
-	recv, fn := "", name
-	if i := strings.IndexByte(name, '.'); i >= 0 {
-		recv, fn = name[:i], name[i+1:]
-	}
-	for _, n := range p.nodes {
-		if n.Obj == nil || n.Pkg.Path != pkgPath || n.Obj.Name() != fn {
-			continue
-		}
-		if n.recvName() == recv {
-			return n
-		}
-	}
-	return nil
-}
-
-// SCCs returns the strongly connected components of the call graph in
-// bottom-up order (every resolved callee's component no later than its
-// caller's). Test hook for the ordering and fixpoint guarantees.
-func (p *Program) SCCs() [][]*FuncNode { return p.sccs }
 
 // ---- node collection ------------------------------------------------------
 
@@ -315,9 +238,6 @@ func (p *Program) collectNodes(pkg *Package) {
 				Encloser: parent, InitContext: initCtx,
 			})
 			node.paramObjs = fieldObjs(pkg, lit.Type.Params)
-			if parent != nil {
-				parent.Lits = append(parent.Lits, node)
-			}
 			attachLits(node, lit.Body, initCtx)
 			return false
 		})
@@ -390,12 +310,11 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// ResolveCall is StaticCallee plus the in-program node for the resolved
+// resolveCall is StaticCallee plus the in-program node for the resolved
 // function — nil node when its body was not loaded (export-data-only
-// dependency) or the call is an immediately invoked literal (which has a
-// node but no *types.Func). Exported so analyzers share one resolution
-// semantics with the summary engine.
-func (p *Program) ResolveCall(info *types.Info, call *ast.CallExpr) (*types.Func, *FuncNode) {
+// dependency); an immediately invoked literal has a node but no
+// *types.Func.
+func (p *Program) resolveCall(info *types.Info, call *ast.CallExpr) (*types.Func, *FuncNode) {
 	if lit, ok := unparen(call.Fun).(*ast.FuncLit); ok {
 		return nil, p.byLit[lit]
 	}
@@ -404,24 +323,6 @@ func (p *Program) ResolveCall(info *types.Info, call *ast.CallExpr) (*types.Func
 		return nil, nil
 	}
 	return fn, p.nodeFor(fn)
-}
-
-// argNode resolves a call argument that is itself a function — a literal
-// or a named function/method value — to its node.
-func (p *Program) argNode(info *types.Info, e ast.Expr) *FuncNode {
-	switch a := unparen(e).(type) {
-	case *ast.FuncLit:
-		return p.byLit[a]
-	case *ast.Ident:
-		if fn, ok := info.Uses[a].(*types.Func); ok {
-			return p.nodeFor(fn)
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[a.Sel].(*types.Func); ok {
-			return p.nodeFor(fn)
-		}
-	}
-	return nil
 }
 
 func unparen(e ast.Expr) ast.Expr {
@@ -445,86 +346,16 @@ func inspectOwn(n *FuncNode, fn func(ast.Node) bool) {
 	})
 }
 
-// simScheduleMethods are the (*sim.Simulator) entry points whose function
-// argument runs in window context on that simulator's executor.
-var simScheduleMethods = map[string]bool{
-	"At": true, "After": true, "Schedule": true, "ScheduleAfter": true,
-}
-
+// scanCalls records the statically resolved callees of a node's own body.
 func (p *Program) scanCalls(n *FuncNode) {
-	n.scheduledLits = map[*FuncNode]bool{}
 	inspectOwn(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn, cn := p.ResolveCall(n.Pkg.Info, call)
-		if cn != nil {
-			n.Callees = append(n.Callees, cn)
-		}
-		if fn == nil {
-			return true
-		}
-		switch {
-		case funcIsMethodOn(fn, "sim", "Simulator") && simScheduleMethods[fn.Name()]:
-			// The callback argument is the last one for At/After/
-			// Schedule/ScheduleAfter alike.
-			if len(call.Args) > 0 {
-				if an := p.argNode(n.Pkg.Info, call.Args[len(call.Args)-1]); an != nil {
-					p.windowRoots = append(p.windowRoots, an)
-					if an.Lit != nil {
-						n.scheduledLits[an] = true
-					}
-				}
-			}
-		case funcIsMethodOn(fn, "shard", "Cluster") && fn.Name() == "At":
-			if len(call.Args) == 2 {
-				if an := p.argNode(n.Pkg.Info, call.Args[1]); an != nil {
-					p.barrierRoots = append(p.barrierRoots, an)
-				}
+		if call, ok := m.(*ast.CallExpr); ok {
+			if _, cn := p.resolveCall(n.Pkg.Info, call); cn != nil {
+				n.Callees = append(n.Callees, cn)
 			}
 		}
 		return true
 	})
-	// Datapath Receive handlers run in window context by construction:
-	// they are invoked by links, queues and demuxes while a shard's
-	// simulator executes a window.
-	if n.Decl != nil && n.Decl.Recv != nil && n.Decl.Name.Name == "Receive" &&
-		len(n.paramObjs) == 1 && n.paramObjs[0] != nil {
-		if typeIsNamedPtr(n.paramObjs[0].Type(), "netem", "Packet") {
-			p.windowRoots = append(p.windowRoots, n)
-		}
-	}
-}
-
-// funcIsMethodOn reports whether fn is a method whose receiver (after
-// deref) is the named type in a package with the given name. Matching is
-// by package *name*, not path, so fixtures under testdata mimic real
-// packages — the same convention pooledTypes uses.
-func funcIsMethodOn(fn *types.Func, pkgName, typeName string) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return typeIsNamedPtr(sig.Recv().Type(), pkgName, typeName) ||
-		typeIsNamed(sig.Recv().Type(), pkgName, typeName)
-}
-
-func typeIsNamedPtr(t types.Type, pkgName, typeName string) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return typeIsNamed(ptr.Elem(), pkgName, typeName)
-}
-
-func typeIsNamed(t types.Type, pkgName, typeName string) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Name() == pkgName && obj.Name() == typeName
 }
 
 // ---- SCCs (Tarjan) --------------------------------------------------------
@@ -643,7 +474,6 @@ func (p *Program) computeSummary(n *FuncNode) *Summary {
 	inspectOwn(n, func(m ast.Node) bool {
 		switch st := m.(type) {
 		case *ast.GoStmt:
-			s.SpawnsGoroutine = true
 			// Anything of ours referenced under the go statement —
 			// including captures inside a spawned literal — crosses the
 			// goroutine boundary.
@@ -659,7 +489,7 @@ func (p *Program) computeSummary(n *FuncNode) *Summary {
 			})
 			return true
 		case *ast.CallExpr:
-			fn, cn := p.ResolveCall(n.Pkg.Info, st)
+			fn, cn := p.resolveCall(n.Pkg.Info, st)
 			// Direct facts.
 			if fn != nil && fn.Name() == "Release" && len(st.Args) == 0 {
 				if sel, ok := unparen(st.Fun).(*ast.SelectorExpr); ok {
@@ -685,9 +515,6 @@ func (p *Program) computeSummary(n *FuncNode) *Summary {
 			}
 			if cs.EmitsOutput {
 				s.EmitsOutput = true
-			}
-			if cs.SpawnsGoroutine {
-				s.SpawnsGoroutine = true
 			}
 			if cn != nil && cs.RecvReleases {
 				if sel, ok := unparen(st.Fun).(*ast.SelectorExpr); ok {
@@ -777,51 +604,7 @@ func emitsDirectly(n *FuncNode, call *ast.CallExpr) bool {
 	return false
 }
 
-// ---- reachability ---------------------------------------------------------
-
-// WindowReachable returns the set of nodes that can execute in window
-// context: closures and function values handed to the simulator's
-// scheduling API, datapath Receive handlers, and everything they
-// transitively call through resolved edges (including lexically nested
-// literals, which run no later than their encloser's context).
-func (p *Program) WindowReachable() map[*FuncNode]bool {
-	if p.windowReach == nil {
-		p.windowReach = p.closure(p.windowRoots, false)
-	}
-	return p.windowReach
-}
-
-// BarrierReachable returns the set of nodes that can execute in barrier
-// context: Cluster.At callbacks and everything they transitively call —
-// except literals those callbacks hand to the simulator's scheduling API,
-// which run later, in window context.
-func (p *Program) BarrierReachable() map[*FuncNode]bool {
-	if p.barrierReach == nil {
-		p.barrierReach = p.closure(p.barrierRoots, true)
-	}
-	return p.barrierReach
-}
-
-func (p *Program) closure(roots []*FuncNode, skipScheduledLits bool) map[*FuncNode]bool {
-	seen := map[*FuncNode]bool{}
-	stack := append([]*FuncNode(nil), roots...)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == nil || seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, n.Callees...)
-		for _, l := range n.Lits {
-			if skipScheduledLits && n.scheduledLits[l] {
-				continue
-			}
-			stack = append(stack, l)
-		}
-	}
-	return seen
-}
+// ---- init-only code --------------------------------------------------------
 
 // InitOnly reports whether a node can only ever run during package
 // initialization: func init bodies, package-level var initializers, their
@@ -830,9 +613,6 @@ func (p *Program) closure(roots []*FuncNode, skipScheduledLits bool) map[*FuncNo
 // never init-only (interface dispatch and external callers are invisible
 // to the static graph). Cycles resolve conservatively to false.
 func (p *Program) InitOnly(n *FuncNode) bool {
-	if p == nil || n == nil {
-		return false
-	}
 	switch p.initOnlyMemo[n] {
 	case 1: // in progress: a call cycle — conservative
 		return false
@@ -873,124 +653,4 @@ func (p *Program) initOnly(n *FuncNode) bool {
 		}
 	}
 	return true
-}
-
-// ---- spanning types (barriermut) ------------------------------------------
-
-// shardReach classifies how far a type can reach into the shard layer.
-const (
-	reachNone    = iota
-	reachShard   // holds (a pointer to) one Shard or Edge
-	reachCluster // holds a Cluster, or a collection of shard-reaching values
-)
-
-// SpansShards reports whether a named struct type (outside package shard
-// itself) can reach state on more than one shard: it holds a Cluster, a
-// collection whose elements reach shards, or two or more distinct
-// shard-reaching fields. Such "spanning" types are exactly the ones whose
-// mutating methods must be confined to barrier context — in-window code on
-// one shard touching them races every other shard.
-func (p *Program) SpansShards(t types.Type) bool {
-	named, ok := derefNamed(t)
-	if !ok {
-		return false
-	}
-	if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Name() == "shard" {
-		return false // the protocol's own types; shardown governs them
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	reaching := 0
-	for i := 0; i < st.NumFields(); i++ {
-		switch p.fieldReach(st.Field(i).Type(), 0) {
-		case reachCluster:
-			return true
-		case reachShard:
-			reaching++
-		}
-	}
-	return reaching >= 2
-}
-
-func derefNamed(t types.Type) (*types.Named, bool) {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return named, ok
-}
-
-// fieldReach computes a type's shard reach with bounded depth and
-// memoization; cycles and deep nests resolve to reachNone (conservative
-// for the analyzer's no-false-positives direction).
-func (p *Program) fieldReach(t types.Type, depth int) int {
-	if depth > 6 {
-		return reachNone
-	}
-	if r, ok := p.spanMemo[t]; ok {
-		return r
-	}
-	p.spanMemo[t] = reachNone // cycle guard
-	r := p.fieldReachUncached(t, depth)
-	p.spanMemo[t] = r
-	return r
-}
-
-func (p *Program) fieldReachUncached(t types.Type, depth int) int {
-	switch x := t.(type) {
-	case *types.Pointer:
-		return p.fieldReach(x.Elem(), depth+1)
-	case *types.Slice:
-		if p.fieldReach(x.Elem(), depth+1) != reachNone {
-			return reachCluster // a collection of shard-reaching values spans
-		}
-		return reachNone
-	case *types.Array:
-		if p.fieldReach(x.Elem(), depth+1) != reachNone {
-			return reachCluster
-		}
-		return reachNone
-	case *types.Map:
-		if p.fieldReach(x.Elem(), depth+1) != reachNone || p.fieldReach(x.Key(), depth+1) != reachNone {
-			return reachCluster
-		}
-		return reachNone
-	case *types.Chan:
-		if p.fieldReach(x.Elem(), depth+1) != reachNone {
-			return reachCluster
-		}
-		return reachNone
-	case *types.Named:
-		obj := x.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Name() == "shard" {
-			switch obj.Name() {
-			case "Cluster":
-				return reachCluster
-			case "Shard", "Edge", "Cell":
-				return reachShard
-			}
-		}
-		if st, ok := x.Underlying().(*types.Struct); ok {
-			best := reachNone
-			count := 0
-			for i := 0; i < st.NumFields(); i++ {
-				switch p.fieldReach(st.Field(i).Type(), depth+1) {
-				case reachCluster:
-					return reachCluster
-				case reachShard:
-					count++
-					best = reachShard
-				}
-			}
-			if count >= 2 {
-				return reachCluster
-			}
-			return best
-		}
-		return reachNone
-	default:
-		return reachNone
-	}
 }

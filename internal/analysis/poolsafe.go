@@ -37,10 +37,9 @@ import (
 // prove it: passing a pooled pointer to a callee whose summary says the
 // corresponding parameter (or receiver) may be released marks the local as
 // released at the call site, so `sink(p); p.Size` is caught even when the
-// Release lives two calls deep or in another package. Without a Program
-// (nil Pass.Prog) the analyzer degrades to its original intraprocedural
-// behavior; calls that do not resolve statically still transfer ownership
-// invisibly and remain the runtime golden tests' backstop.
+// Release lives two calls deep or in another package. Calls that do not
+// resolve statically still transfer ownership invisibly and remain the
+// runtime golden tests' backstop.
 var PoolSafe = &Analyzer{
 	Name: "poolsafe",
 	Doc: "detect use-after-Release and double-Release of pooled values " +
@@ -175,9 +174,9 @@ func (ps *poolState) clearAssigned(lhs []ast.Expr, rel map[types.Object]token.Po
 // expression tree: a pooled identifier passed where the callee's summary
 // says "may release" is marked released at the call position, exactly as
 // if the Release were inline. Closure subtrees are skipped (they run at an
-// unknowable time); no-op without a Program.
+// unknowable time).
 func (ps *poolState) applyCallEffects(n ast.Node, rel map[types.Object]token.Pos) {
-	if n == nil || ps.pass.Prog == nil {
+	if n == nil {
 		return
 	}
 	info := ps.pass.TypesInfo
@@ -201,8 +200,7 @@ func (ps *poolState) applyCallEffects(n ast.Node, rel map[types.Object]token.Pos
 		if !ok {
 			return true
 		}
-		_, cn := ps.pass.Prog.ResolveCall(info, call)
-		cs := ps.pass.Prog.SummaryOf(cn)
+		cs := ps.pass.Prog.CalleeSummary(info, call)
 		if cs == nil {
 			return true
 		}

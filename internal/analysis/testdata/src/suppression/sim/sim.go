@@ -1,8 +1,7 @@
 // Package sim is the stale-suppression-audit fixture: one suppression that
 // genuinely covers a finding (kept silent), one that names a live analyzer
-// but covers nothing (stale), one naming an analyzer that does not exist
-// (always stale), and one naming an analyzer the partial-suite test leaves
-// out of the run (judgeable only by the full suite).
+// but covers nothing (stale), and one naming an analyzer that does not exist
+// (always stale).
 package sim
 
 import "time"
@@ -24,11 +23,4 @@ func staleKnown() int {
 func staleUnknown() int {
 	//lint:ignore nosuchcheck fixture: unknown analyzer names are always stale
 	return 7
-}
-
-// notJudgeablePartially: detrand exists but suppresses nothing here; a run
-// that includes detrand reports it stale, a detclock-only run must not.
-func notJudgeablePartially() int {
-	//lint:ignore detrand fixture: judgeable only when detrand actually runs
-	return 1
 }

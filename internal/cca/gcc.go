@@ -1,7 +1,6 @@
 package cca
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -347,10 +346,4 @@ func (t *trendline) modifiedTrend() float64 {
 		n = gccMaxDeltas
 	}
 	return t.slope() * float64(n) * gccTrendGain
-}
-
-// DebugString exposes internal estimator state for diagnostics.
-func (g *GCC) DebugString() string {
-	states := map[gccState]string{gccIncrease: "increase", gccHold: "hold", gccDecrease: "decrease"}
-	return fmt.Sprintf("state=%s modTrend=%.2f thresh=%.1f rr=%.0f", states[g.state], g.trend.modifiedTrend(), g.threshold, g.receivedRate())
 }

@@ -30,9 +30,8 @@ type NADA struct {
 	lostWin  *metrics.SlidingSum
 	totalWin *metrics.SlidingSum
 
-	lastArrive  time.Duration
-	haveArrive  bool
-	rttEstimate time.Duration
+	lastArrive time.Duration
+	haveArrive bool
 }
 
 // RFC 8698 default parameters (§6.3), times in their RFC units.
@@ -46,6 +45,7 @@ const (
 	nadaGammaMax = 0.5   // max ramp-up step
 	nadaDLoss    = 100.0 // ms, delay-equivalent penalty per unit loss ratio
 	nadaQEps     = 2.0   // ms, queuing threshold for "no congestion"
+	nadaRampRTT  = 50.0  // ms, RTT assumed by the ramp-up bound (no RTCP RTT is fed)
 )
 
 // NewNADA returns a NADA controller starting at startRate bits per second.
@@ -130,11 +130,7 @@ func (n *NADA) OnFeedback(now sim.Time, samples []FeedbackSample) {
 		// Accelerated ramp-up (§4.3): jump toward a multiple of the
 		// received rate bounded by how much standing queue the jump
 		// could create.
-		rttMS := 50.0
-		if n.rttEstimate > 0 {
-			rttMS = n.rttEstimate.Seconds() * 1000
-		}
-		gamma := math.Min(nadaGammaMax, nadaQBound/(rttMS+deltaMS))
+		gamma := math.Min(nadaGammaMax, nadaQBound/(nadaRampRTT+deltaMS))
 		if target := (1 + gamma) * rRecv; target > n.rate {
 			n.rate = target
 		}
@@ -154,10 +150,6 @@ func (n *NADA) OnFeedback(now sim.Time, samples []FeedbackSample) {
 		n.rate = n.maxRate
 	}
 }
-
-// SetRTTEstimate informs the ramp-up bound; the RTP sender feeds it from
-// RTCP round-trip measurements when available.
-func (n *NADA) SetRTTEstimate(rtt time.Duration) { n.rttEstimate = rtt }
 
 var _ Rate = (*NADA)(nil)
 var _ Rate = (*GCC)(nil)

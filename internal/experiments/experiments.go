@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -273,14 +272,4 @@ func runCells(cfg Config, t *Table, n int, cell func(i int, o *obs.Obs) [][]stri
 			fmt.Printf("warning: obs record %s cell %d: %v\n", t.ID, i, err)
 		}
 	}
-}
-
-// sortedKeys returns map keys in sorted order for deterministic tables.
-func sortedKeys[K ~string, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

@@ -92,13 +92,6 @@ func (f *fifoCore) pop(now sim.Time) *netem.Packet {
 	return p
 }
 
-func (f *fifoCore) peek() *netem.Packet {
-	if f.empty() {
-		return nil
-	}
-	return f.pkts[f.head]
-}
-
 // FIFO is a tail-drop FIFO queue bounded in bytes.
 type FIFO struct {
 	core  fifoCore

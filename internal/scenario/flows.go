@@ -24,17 +24,13 @@ type FlowMetrics struct {
 	RTTSeries metrics.Series
 	// RateSeries records (time, target rate bps) of the sender's CCA.
 	RateSeries metrics.Series
-	// GoodputSeries records (time, delivered application bits) samples.
+	// DeliveredBytes is the total application payload delivered to the
+	// client; goodput is this over the run's duration.
 	DeliveredBytes float64
 }
 
 func newFlowMetrics() *FlowMetrics {
 	return &FlowMetrics{RTT: metrics.NewHistogram()}
-}
-
-// TailRatios summarises the headline tail metrics of Figures 11/12.
-func (m *FlowMetrics) TailRatios() (rttOver200 float64) {
-	return m.RTT.FractionAbove(200 * time.Millisecond)
 }
 
 // RTPFlowConfig parameterises an RTP video flow.

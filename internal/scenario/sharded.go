@@ -291,7 +291,12 @@ func (spd *ShardedPath) MergedSnapshot() (obs.Snapshot, error) {
 //
 // Zhuge per-flow state migrates (or resets) between the serving APs per
 // the declared policy, exactly as in the single-simulator Handover.
+//
+// It rewires two cells and the path's own roam state at once, so it is
+// barrier-only: invoked from an event on some cell's simulator it panics
+// instead of racing the other cell's executor.
 func (spd *ShardedPath) handover(h HandoverSpec) {
+	spd.Cluster.BarrierOnly("ShardedPath.handover")
 	sta := h.Station
 	if sta == "" {
 		sta = DefaultStation

@@ -169,6 +169,30 @@ func TestCrossShardHandover(t *testing.T) {
 	}
 }
 
+// TestRoamFromAnEventPanics pins the barrier-only rule for the one
+// function that rewires two cells at once: a roam invoked from an event on
+// a cell's simulator — the mistake of scheduling it with Schedule instead
+// of Cluster.At — is a named panic at any worker count, not a divergence
+// some other test may or may not notice.
+func TestRoamFromAnEventPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		spd, err := BuildSharded(Campus(1, testCampus()), ShardedOptions{Shards: 2, CutDelay: CampusCutDelay})
+		if err != nil {
+			t.Fatal(err)
+		}
+		roam := spd.Spec.Handovers[0]
+		spd.Cells[0].Path.S.Schedule(time.Millisecond, func() { spd.handover(roam) })
+		var got string
+		func() {
+			defer func() { got = fmt.Sprint(recover()) }()
+			spd.Run(10*time.Millisecond, workers)
+		}()
+		if want := "shard: ShardedPath.handover while a window is executing"; !strings.Contains(got, want) {
+			t.Errorf("%d workers: recovered %q, want a panic containing %q", workers, got, want)
+		}
+	}
+}
+
 // TestZeroLookaheadRejected pins the build-time error for a cut with no
 // delay: the cluster cannot grant any parallel window from it.
 func TestZeroLookaheadRejected(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 // is byte-identical wherever it runs.
 type Cell struct {
 	name string
+	c    *Cluster
 	s    *sim.Simulator
 	sh   *Shard // current residence; changes only between windows
 }
@@ -27,8 +28,14 @@ type Cell struct {
 func (cl *Cell) Name() string { return cl.name }
 
 // Sim returns the cell-local simulator. Build the cell's topology on it;
-// do not call Run/RunUntil yourself — the cluster owns the clock.
-func (cl *Cell) Sim() *sim.Simulator { return cl.s }
+// do not call Run/RunUntil yourself — the cluster owns the clock. It is a
+// build-time and barrier-time accessor: in-window code already runs on its
+// own cell's simulator, and reaching for another cell's mid-window mutates
+// state a different executor owns.
+func (cl *Cell) Sim() *sim.Simulator {
+	cl.c.BarrierOnly("Cell.Sim")
+	return cl.s
+}
 
 // Shard returns the shard the cell currently resides on.
 func (cl *Cell) Shard() *Shard { return cl.sh }
@@ -75,6 +82,10 @@ func (e *Edge) Delay() time.Duration { return e.delay }
 // destination cell at the source cell's now plus the edge delay. The
 // caller gives up ownership of p — the packet must not be touched or
 // Released after Send; the destination's delivery path releases it.
+//
+// Send is in-window only: the inbox ring's single producer is the source
+// cell's event stream, so a Send from a barrier action or from build code
+// panics (see ring.push).
 func (e *Edge) Send(p *netem.Packet, dst netem.Receiver) {
 	e.inbox.push(Parcel{P: p, At: e.src.s.Now() + e.delay, Dst: dst})
 }
@@ -103,12 +114,28 @@ type Cluster struct {
 	nextAct int
 	windows uint64
 
-	// active counts shard executors currently inside a window. Migrate
-	// asserts it is zero: ownership transfer is legal only at barriers,
-	// when no shard goroutine is running. (The shardown/barriermut
-	// analyzers prove the same property statically; this is the runtime
-	// backstop.)
+	// active counts shard executors currently inside a window; nonzero
+	// means "a window is executing". It is the one predicate the whole
+	// ownership protocol is asserted against: the control plane (AddShard,
+	// AddCell, Connect, At, Migrate, RunWith, Cell.Sim) and the ring's
+	// consumer side panic while it is nonzero, the ring's producer side
+	// (Edge.Send) panics while it is zero. An executing event always sees
+	// its own executor's increment and a barrier action always sees zero,
+	// so every violation is the same panic at any worker count.
 	active atomic.Int32
+}
+
+// BarrierOnly panics, naming op, when a window is executing. Build code
+// and barrier actions run with every shard executor parked and may touch
+// state on any shard; in-window code runs concurrently with the other
+// shards and may not. Every control-plane entry point below calls it, and
+// so does code outside this package that mutates state spanning several
+// cells (a roam in scenario.ShardedPath).
+func (c *Cluster) BarrierOnly(op string) {
+	if c.active.Load() != 0 {
+		panic(fmt.Sprintf("shard: %s while a window is executing: cluster wiring, barrier registration, "+
+			"migration and cross-cell mutation are build-time or barrier-only (Cluster.At)", op))
+	}
 }
 
 // NewCluster returns an empty cluster.
@@ -123,6 +150,7 @@ func NewCluster() *Cluster {
 // AddShard registers a parallel execution slot. Duplicate names are a
 // build-time bug and panic, matching scenario.Spec's convention for APs.
 func (c *Cluster) AddShard(name string) *Shard {
+	c.BarrierOnly("AddShard")
 	if c.byName[name] {
 		panic(fmt.Sprintf("shard: duplicate shard %q", name))
 	}
@@ -137,6 +165,7 @@ func (c *Cluster) AddShard(name string) *Shard {
 // ordered by registration; that order — never residency — is what
 // deterministic consumers (the profiler, the load profile) key off.
 func (c *Cluster) AddCell(name string, s *sim.Simulator, on *Shard) *Cell {
+	c.BarrierOnly("AddCell")
 	if c.cellSet[name] {
 		panic(fmt.Sprintf("shard: duplicate cell %q", name))
 	}
@@ -144,7 +173,7 @@ func (c *Cluster) AddCell(name string, s *sim.Simulator, on *Shard) *Cell {
 		panic(fmt.Sprintf("shard: cell %q needs a home shard", name))
 	}
 	c.cellSet[name] = true
-	cl := &Cell{name: name, s: s, sh: on}
+	cl := &Cell{name: name, c: c, s: s, sh: on}
 	c.cells = append(c.cells, cl)
 	on.cells = append(on.cells, cl)
 	return cl
@@ -162,6 +191,7 @@ func (c *Cluster) Cells() []*Cell { return c.cells }
 // no window wider than a single event could ever be granted. Model such
 // couplings inside one cell instead.
 func (c *Cluster) Connect(name string, from, to *Cell, delay time.Duration) (*Edge, error) {
+	c.BarrierOnly("Connect")
 	if delay <= 0 {
 		return nil, fmt.Errorf(
 			"shard: edge %q (%s -> %s) has delay %v: cut edges need a positive delay, "+
@@ -172,7 +202,7 @@ func (c *Cluster) Connect(name string, from, to *Cell, delay time.Duration) (*Ed
 		panic(fmt.Sprintf("shard: duplicate edge %q", name))
 	}
 	c.edgeSet[name] = true
-	e := &Edge{name: name, delay: delay, src: from, dst: to}
+	e := &Edge{name: name, delay: delay, src: from, dst: to, inbox: ring{active: &c.active}}
 	c.edges = append(c.edges, e)
 	if len(c.edges) == 1 || delay < c.look {
 		c.look = delay
@@ -190,9 +220,7 @@ func (c *Cluster) Connect(name string, from, to *Cell, delay time.Duration) (*Ed
 // the transfer is a pointer move and outputs cannot observe it — residency
 // only decides which core runs the cell's (unchanged) event stream.
 func (c *Cluster) Migrate(cell *Cell, to *Shard) {
-	if c.active.Load() != 0 {
-		panic(fmt.Sprintf("shard: Migrate(%q) while a window is executing: cell migration is barrier-only", cell.name))
-	}
+	c.BarrierOnly("Migrate")
 	from := cell.sh
 	if from == to {
 		return
@@ -220,6 +248,7 @@ func (c *Cluster) Lookahead() (time.Duration, bool) {
 // state across shards (a cross-shard handover migrates flow state here,
 // and Migrate re-homes whole cells here). Register actions before Run.
 func (c *Cluster) At(t sim.Time, fn func()) {
+	c.BarrierOnly("At")
 	c.actions = append(c.actions, action{at: t, seq: len(c.actions), fn: fn})
 }
 
@@ -248,6 +277,7 @@ func (c *Cluster) Run(end sim.Time, workers int) {
 // run fn(0..n-1) to completion before returning. The profiler wraps the
 // executor here to measure per-shard window cost.
 func (c *Cluster) RunWith(end sim.Time, do func(n int, fn func(i int))) {
+	c.BarrierOnly("Run")
 	sort.Slice(c.edges, func(i, j int) bool { return c.edges[i].name < c.edges[j].name })
 	sort.Slice(c.actions, func(i, j int) bool {
 		a, b := c.actions[i], c.actions[j]

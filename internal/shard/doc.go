@@ -51,7 +51,13 @@
 // drives migration from the Profiler's per-window load measurements —
 // observe the imbalance at a barrier, react in that same barrier — and
 // because placement is invisible, even a wall-clock-driven migration
-// schedule cannot perturb outputs. The shardown and barriermut analyzers
-// (internal/analysis) enforce the barrier-only discipline statically;
-// Cluster.Migrate's executor check enforces it at runtime.
+// schedule cannot perturb outputs.
+//
+// Every rule above is asserted at runtime against one predicate — a window
+// is executing (Cluster.active != 0): Edge.Send panics outside a window;
+// draining a ring, Cluster.AddShard/AddCell/Connect/At/Migrate/Run* and
+// Cell.Sim panic inside one (Cluster.BarrierOnly, which code outside this
+// package calls before mutating state that spans cells). An executing event
+// always sees a window and a barrier action never does, so a violation is
+// the same panic at any worker count.
 package shard

@@ -33,14 +33,25 @@ const ringCap = 256
 // replace the slice; the barrier's happens-before edge publishes the new
 // header to the consumer before the next drain. Capacity stays a power of
 // two so position i lives at buf[i % len(buf)] before and after growth.
+//
+// Both sides assert the context they depend on against the cluster's
+// window predicate (active: shard executors inside a window): push panics
+// when no window is executing, drain when one is — whatever calls them.
+// That is the *when* of the single-producer/single-consumer rule; *which*
+// cell's events produce onto an edge is fixed at Connect and not checked.
 type ring struct {
-	buf  []Parcel      // power-of-two length; nil until first push
-	head atomic.Uint64 // next slot to pop (consumer-owned)
-	tail atomic.Uint64 // next slot to push (producer-owned)
+	active *atomic.Int32 // the owning Cluster's executor count
+	buf    []Parcel      // power-of-two length; nil until first push
+	head   atomic.Uint64 // next slot to pop (consumer-owned)
+	tail   atomic.Uint64 // next slot to push (producer-owned)
 }
 
 // push enqueues a parcel, growing the buffer when full. Producer side only.
 func (r *ring) push(p Parcel) {
+	if r.active.Load() == 0 {
+		panic("shard: Edge.Send outside a window: a cut edge's ring has one producer, its source cell's " +
+			"in-window events; a barrier action (Cluster.At) or build code must schedule the send on the cell's simulator instead")
+	}
 	t := r.tail.Load()
 	if n := uint64(len(r.buf)); t-r.head.Load() == n {
 		r.grow()
@@ -69,6 +80,9 @@ func (r *ring) grow() {
 // drain pops every queued parcel in FIFO order into fn. Consumer side
 // only, at a barrier.
 func (r *ring) drain(fn func(Parcel)) {
+	if r.active.Load() != 0 {
+		panic("shard: edge ring drained while a window is executing: its one consumer is the coordinator, between windows")
+	}
 	h, t := r.head.Load(), r.tail.Load()
 	for ; h < t; h++ {
 		i := h % uint64(len(r.buf))
@@ -76,9 +90,4 @@ func (r *ring) drain(fn func(Parcel)) {
 		r.buf[i] = Parcel{}
 	}
 	r.head.Store(h)
-}
-
-// pending reports how many parcels are queued. Consumer side only.
-func (r *ring) pending() int {
-	return int(r.tail.Load() - r.head.Load())
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,15 +11,27 @@ import (
 	"github.com/zhuge-project/zhuge/internal/sim"
 )
 
+// testRing returns a ring with a window counter of its own, standing in
+// for a cluster: window(true) before pushing, window(false) before draining.
+func testRing() (r *ring, window func(bool)) {
+	active := new(atomic.Int32)
+	return &ring{active: active}, func(on bool) {
+		if on {
+			active.Store(1)
+		} else {
+			active.Store(0)
+		}
+	}
+}
+
 func TestRingFIFOAndGrowth(t *testing.T) {
-	var r ring
+	r, window := testRing()
 	const n = 4*ringCap + 100 // force several geometric growth steps
+	window(true)
 	for i := 0; i < n; i++ {
 		r.push(Parcel{At: sim.Time(i)})
 	}
-	if got := r.pending(); got != n {
-		t.Fatalf("pending = %d, want %d", got, n)
-	}
+	window(false)
 	if len(r.buf) < n || len(r.buf)&(len(r.buf)-1) != 0 {
 		t.Fatalf("buf grew to %d, want a power of two >= %d", len(r.buf), n)
 	}
@@ -32,31 +45,33 @@ func TestRingFIFOAndGrowth(t *testing.T) {
 			t.Fatalf("parcel %d has At %d: FIFO order broken across growth", i, at)
 		}
 	}
-	if r.pending() != 0 {
-		t.Fatal("drain did not reset the ring")
-	}
-	// The ring must be reusable after a drain, at its grown capacity.
+	// The ring must be empty and reusable after a drain, at its grown
+	// capacity.
+	window(true)
 	r.push(Parcel{At: 42})
-	r.drain(func(p Parcel) {
-		if p.At != 42 {
-			t.Fatalf("post-drain parcel At = %d, want 42", p.At)
-		}
-	})
+	window(false)
+	var again []sim.Time
+	r.drain(func(p Parcel) { again = append(again, p.At) })
+	if len(again) != 1 || again[0] != 42 {
+		t.Fatalf("post-drain ring yielded %v, want [42]", again)
+	}
 }
 
 // TestRingGrowthMidstream grows while head is far from zero, so the
 // re-laying in grow has to translate wrapped positions correctly.
 func TestRingGrowthMidstream(t *testing.T) {
-	var r ring
+	r, window := testRing()
 	next := 0
 	popped := 0
 	push := func(n int) {
+		window(true)
 		for i := 0; i < n; i++ {
 			r.push(Parcel{At: sim.Time(next)})
 			next++
 		}
 	}
 	drainAll := func() {
+		window(false)
 		r.drain(func(p Parcel) {
 			if p.At != sim.Time(popped) {
 				t.Fatalf("popped At %d, want %d", p.At, popped)
@@ -114,22 +129,25 @@ func TestZeroLookaheadRejected(t *testing.T) {
 }
 
 // exchange builds two single-cell shards ping-ponging packets over a pair
-// of edges and returns the delivery log. Used both for protocol checks and
-// for the worker-count determinism gate.
+// of edges and returns the delivery log — b's lines, then a's: each cell
+// logs to its own slice, because the two run concurrently and a shared one
+// would be exactly the cross-cell state the protocol forbids. Used both for
+// protocol checks and for the worker-count determinism gate.
 func exchange(t *testing.T, workers int) []string {
 	t.Helper()
 	c, a, b, ab, ba := cellPair(t)
+	simA, simB := a.Sim(), b.Sim() // Cell.Sim is not an in-window accessor
 
-	var log []string
+	var logA, logB []string
 	// b echoes every arrival straight back; a records the round trip.
 	bIn := netem.ReceiverFunc(func(p *netem.Packet) {
-		log = append(log, fmt.Sprintf("b got seq %d at %v", p.Seq, b.Sim().Now()))
+		logB = append(logB, fmt.Sprintf("b got seq %d at %v", p.Seq, simB.Now()))
 		echo := netem.NewPacket()
 		echo.Seq = p.Seq
 		p.Release()
 		var aIn netem.Receiver
 		aIn = netem.ReceiverFunc(func(q *netem.Packet) {
-			log = append(log, fmt.Sprintf("a got seq %d at %v", q.Seq, a.Sim().Now()))
+			logA = append(logA, fmt.Sprintf("a got seq %d at %v", q.Seq, simA.Now()))
 			q.Release()
 		})
 		ba.Send(echo, aIn)
@@ -145,10 +163,10 @@ func exchange(t *testing.T, workers int) []string {
 	}
 	// A barrier action at 7ms observing both clocks in lockstep.
 	c.At(7*time.Millisecond, func() {
-		log = append(log, fmt.Sprintf("action at a=%v b=%v", a.Sim().Now(), b.Sim().Now()))
+		logA = append(logA, fmt.Sprintf("action at a=%v b=%v", a.Sim().Now(), b.Sim().Now()))
 	})
 	// An event exactly at the horizon must still fire (RunUntil semantics).
-	a.Sim().Schedule(30*time.Millisecond, func() { log = append(log, "horizon event") })
+	a.Sim().Schedule(30*time.Millisecond, func() { logA = append(logA, "horizon event") })
 
 	c.Run(30*time.Millisecond, workers)
 	if c.Windows() == 0 {
@@ -157,7 +175,7 @@ func exchange(t *testing.T, workers int) []string {
 	if c.Fired() == 0 {
 		t.Fatal("no events fired")
 	}
-	return log
+	return append(logB, logA...)
 }
 
 func TestClusterProtocol(t *testing.T) {
@@ -248,9 +266,10 @@ func TestEdgeBurstBeyondInitialCap(t *testing.T) {
 func TestMigrateMovesCellAtBarrier(t *testing.T) {
 	run := func(migrate bool) ([]string, uint64) {
 		c, a, b, ab, _ := cellPair(t)
+		simB := b.Sim()
 		var log []string
 		bIn := netem.ReceiverFunc(func(p *netem.Packet) {
-			log = append(log, fmt.Sprintf("b got %d at %v", p.Seq, b.Sim().Now()))
+			log = append(log, fmt.Sprintf("b got %d at %v", p.Seq, simB.Now()))
 			p.Release()
 		})
 		for i := 0; i < 10; i++ {
@@ -302,6 +321,64 @@ func TestMigrateUpdatesResidency(t *testing.T) {
 	}
 }
 
+// TestProtocolRulesPanic pins the ownership protocol's runtime gate, one
+// row per rule (Migrate has its own test below): each violation is a named
+// panic, the same at one worker and at several, because an executing event
+// always sees a window and a barrier action never does.
+func TestProtocolRulesPanic(t *testing.T) {
+	sink := netem.ReceiverFunc(func(p *netem.Packet) { p.Release() })
+	rules := []struct {
+		name      string
+		atBarrier bool // violate from a Cluster.At action; otherwise from a scheduled event
+		violate   func(c *Cluster, a, b *Cell, ab *Edge)
+		want      string
+	}{
+		{"Edge.Send from a barrier action", true,
+			func(c *Cluster, a, b *Cell, ab *Edge) { ab.Send(netem.NewPacket(), sink) },
+			"Edge.Send outside a window"},
+		{"Cluster.At in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { c.At(5*time.Millisecond, func() {}) },
+			"shard: At while a window is executing"},
+		{"Cluster.Connect in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { c.Connect("late", a, b, time.Millisecond) },
+			"shard: Connect while a window is executing"},
+		{"Cluster.AddCell in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { c.AddCell("late", sim.New(3), c.Shards()[0]) },
+			"shard: AddCell while a window is executing"},
+		{"Cluster.AddShard in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { c.AddShard("late") },
+			"shard: AddShard while a window is executing"},
+		{"Cluster.Run in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { c.Run(time.Second, 1) },
+			"shard: Run while a window is executing"},
+		{"Cell.Sim in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { b.Sim() },
+			"shard: Cell.Sim while a window is executing"},
+		{"ring drained in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { ab.inbox.drain(func(Parcel) {}) },
+			"edge ring drained while a window is executing"},
+	}
+	for _, r := range rules {
+		for _, workers := range []int{1, 4} {
+			c, a, b, ab, _ := cellPair(t)
+			violate := func() { r.violate(c, a, b, ab) }
+			if r.atBarrier {
+				c.At(time.Millisecond, violate)
+			} else {
+				a.Sim().Schedule(time.Millisecond, violate)
+			}
+			var got string
+			func() {
+				defer func() { got = fmt.Sprint(recover()) }()
+				c.Run(10*time.Millisecond, workers)
+			}()
+			if !strings.Contains(got, r.want) {
+				t.Errorf("%s, %d workers: recovered %q, want a panic containing %q", r.name, workers, got, r.want)
+			}
+		}
+	}
+}
+
 func TestMigrateInWindowPanics(t *testing.T) {
 	c, a, _, _, _ := cellPair(t)
 	sb := c.Shards()[1]
@@ -311,7 +388,7 @@ func TestMigrateInWindowPanics(t *testing.T) {
 		}
 	}()
 	// A scheduled event runs inside a window: migrating there must trip
-	// the runtime backstop (the shardown analyzer is the static gate).
+	// Cluster.BarrierOnly.
 	a.Sim().Schedule(time.Millisecond, func() { c.Migrate(a, sb) })
 	c.Run(10*time.Millisecond, 1)
 }

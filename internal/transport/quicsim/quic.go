@@ -129,9 +129,6 @@ func NewSender(s *sim.Simulator, flow netem.FlowKey, cc cca.TCP, out netem.Recei
 	return t
 }
 
-// CC returns the congestion controller.
-func (t *Sender) CC() cca.TCP { return t.cc }
-
 // LostPackets returns the count of packets declared lost.
 func (t *Sender) LostPackets() int { return t.lostPackets }
 

@@ -153,7 +153,6 @@ type Sender struct {
 	flushSeq uint16
 	flushing bool
 
-	sentPackets int
 	retransmits int
 }
 
@@ -174,9 +173,6 @@ func NewSender(s *sim.Simulator, flow netem.FlowKey, ssrc uint32, cc cca.Rate, o
 
 // Controller returns the sender's rate controller.
 func (snd *Sender) Controller() cca.Rate { return snd.cc }
-
-// SentPackets returns the cumulative count of media packets sent.
-func (snd *Sender) SentPackets() int { return snd.sentPackets }
 
 // Retransmits returns the cumulative retransmission count.
 func (snd *Sender) Retransmits() int { return snd.retransmits }
@@ -305,7 +301,6 @@ func (snd *Sender) sendHead() {
 	snd.twccSeq++
 	p.SentAt = sendAt
 	p.Seq = uint64(pl.TWCCSeq)
-	snd.sentPackets++
 	if snd.OnSend != nil {
 		snd.OnSend(sendAt)
 	}

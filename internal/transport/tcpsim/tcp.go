@@ -77,9 +77,6 @@ func NewSender(s *sim.Simulator, flow netem.FlowKey, cc cca.TCP, out netem.Recei
 	return &Sender{s: s, cc: cc, out: out, flow: flow, rto: time.Second}
 }
 
-// CC returns the congestion controller (for experiment inspection).
-func (t *Sender) CC() cca.TCP { return t.cc }
-
 // Retransmits returns the cumulative retransmission count.
 func (t *Sender) Retransmits() int { return t.retransmits }
 

@@ -38,9 +38,6 @@ type Channel struct {
 // NewChannel returns an idle shared channel.
 func NewChannel() *Channel { return &Channel{} }
 
-// FreeAt returns when the channel next becomes idle.
-func (c *Channel) FreeAt() sim.Time { return c.freeAt }
-
 // reserve books the medium for [start, start+airtime) where start is the
 // earliest instant >= now the channel is free.
 func (c *Channel) reserve(now sim.Time, airtime time.Duration) (start sim.Time) {
@@ -172,8 +169,7 @@ type Link struct {
 	lost     int
 
 	// stats
-	delivered     int
-	deliveredBits float64
+	delivered int
 
 	// observability (all nil when cfg.Obs is nil; hot paths guard on o)
 	o              *obs.Obs
@@ -363,9 +359,6 @@ func (l *Link) SetInterferers(n int) { l.cfg.Interferers = n }
 // Delivered returns the count of packets delivered over the air.
 func (l *Link) Delivered() int { return l.delivered }
 
-// DeliveredBits returns the total payload bits delivered, for goodput.
-func (l *Link) DeliveredBits() float64 { return l.deliveredBits }
-
 // CurrentRate returns the effective link rate at virtual time t.
 func (l *Link) CurrentRate(t sim.Time) float64 {
 	r := l.cfg.Rate(t)
@@ -394,10 +387,6 @@ func (l *Link) Receive(p *netem.Packet) {
 		p.Release()
 	}
 }
-
-// Kick restarts the transmit loop; used after direct qdisc manipulation in
-// tests and by competing traffic injectors.
-func (l *Link) Kick() { l.maybeStart() }
 
 func (l *Link) maybeStart() {
 	if l.busy || l.q.Len() == 0 {
@@ -509,7 +498,6 @@ func (l *Link) deliverPending() {
 			continue
 		}
 		l.delivered++
-		l.deliveredBits += float64(p.Size * 8)
 		if l.o != nil {
 			l.obsDeliver(at, p)
 		}
