@@ -495,33 +495,44 @@ func BenchmarkObsDatapath(b *testing.B) {
 	})
 }
 
+// obsOff is what a datapath component holds with observability off: a nil
+// pointer per instrument (package-level, so the nil tests are not folded).
+var obsOff struct {
+	c  *obs.Counter
+	g  *obs.Gauge
+	h  *obs.Hist
+	tr *obs.Tracer
+	pe *obs.PredErr
+	lt *obs.LoopTracker
+	ss *obs.SeriesSet
+}
+
 // BenchmarkObsDisabledInstruments isolates the per-call cost of nil
 // instruments — the exact operations the datapath executes per packet when
-// observability is off. Must report 0 B/op (also pinned as a test by
-// TestObsDisabledZeroAlloc).
+// observability is off: the cheap instruments called on nil, the costly hooks
+// behind the nil test their call sites write. Must report 0 B/op (also pinned
+// as a test by TestObsDisabledZeroAlloc).
 func BenchmarkObsDisabledInstruments(b *testing.B) {
-	var (
-		c  *obs.Counter
-		g  *obs.Gauge
-		h  *obs.Hist
-		tr *obs.Tracer
-		pe *obs.PredErr
-		lt *obs.LoopTracker
-		ss *obs.SeriesSet
-	)
+	d := &obsOff
 	flow := netem.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 9, DstPort: 9, Proto: 17}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
-		g.Set(1)
-		h.Observe(time.Millisecond)
-		tr.Record(obs.Event{At: sim.Time(i), Type: obs.EvEnqueue, Flow: flow})
-		pe.Observe(flow, time.Millisecond, time.Millisecond)
-		lt.OnObserve(sim.Time(i), flow)
-		lt.OnFeedbackOut(sim.Time(i), flow)
-		lt.OnReact(sim.Time(i), flow)
-		lt.OnAir(sim.Time(i), flow)
-		ss.Sample(sim.Time(i), nil)
+		d.c.Inc()
+		d.g.Set(1)
+		d.h.Observe(time.Millisecond)
+		if d.tr != nil {
+			d.tr.Record(obs.Event{At: sim.Time(i), Type: obs.EvEnqueue, Flow: flow})
+		}
+		if d.pe != nil {
+			d.pe.Observe(flow, time.Millisecond, time.Millisecond)
+		}
+		if d.lt != nil {
+			d.lt.OnObserve(sim.Time(i), flow)
+			d.lt.OnFeedbackOut(sim.Time(i), flow)
+			d.lt.OnReact(sim.Time(i), flow)
+			d.lt.OnAir(sim.Time(i), flow)
+		}
+		d.ss.Sample(sim.Time(i), nil)
 	}
 }
 

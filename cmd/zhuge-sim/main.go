@@ -8,7 +8,7 @@
 //	zhuge-sim -trace w2 -proto rtp -solution none -qdisc codel -interferers 20
 //	zhuge-sim -trace w1 -solution zhuge -dur 10s -trace-out run.trace.json -metrics run.metrics.json
 //	zhuge-sim -aps 2 -solution zhuge -handover-at 40s,80s -handover-policy migrate
-//	zhuge-sim -exp handover
+//	zhuge-sim -campus 16 -shards 8 -rebalance -dur 5s
 //
 // Trace names: w1 w2 c1 c2 c3 ethernet abc, dropK (e.g. drop10 = 30 Mbps
 // dropping K-fold mid-run), a CSV file path, or constN (N Mbps constant).
@@ -18,8 +18,10 @@
 // -aps builds a multi-AP topology (each AP on its own channel with an
 // independent trace realisation and its own solution instance); -handover-at
 // schedules station roams round-robin across the APs, with -handover-policy
-// picking what happens to the per-flow Zhuge state. -exp runs a full
-// experiment table by ID ("handover" is shorthand for "ext-handover").
+// picking what happens to the per-flow Zhuge state. -campus switches to the
+// sharded campus workload, which takes its own flags (-shards, -rebalance,
+// -profile-out) and none of the single-path ones. Experiment tables are
+// zhuge-bench's job: go run ./cmd/zhuge-bench -exp control-loop|ext-handover.
 package main
 
 import (
@@ -35,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/zhuge-project/zhuge/internal/experiments"
 	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
@@ -61,9 +62,7 @@ func main() {
 		campus      = flag.Int("campus", 0, "run the sharded campus workload with this many APs (10 stations each); prints the determinism fingerprint; uses -shards, -j, -dur, -seed")
 		shards      = flag.Int("shards", 1, "with -campus: partition the topology over this many shard simulators")
 		rebalance   = flag.Bool("rebalance", false, "with -campus: migrate cells between shards at barriers when load imbalance persists (outputs stay byte-identical)")
-		expID       = flag.String("exp", "", "run an experiment table by ID instead ('handover' = ext-handover); uses -seed, -scale, -j")
-		scale       = flag.Float64("scale", 1.0, "with -exp: duration scale factor")
-		workers     = flag.Int("j", runtime.NumCPU(), "with -exp: worker count for parallel cells")
+		workers     = flag.Int("j", runtime.NumCPU(), "with -campus: worker count for the shard simulators")
 		traceOut    = flag.String("trace-out", "", "write a packet-lifecycle trace to this file (.jsonl = JSONL, else Chrome trace_event for Perfetto)")
 		metricsOut  = flag.String("metrics", "", "write a metrics + prediction-error + control-loop JSON report to this file")
 		seriesOut   = flag.String("series-out", "", "write virtual-time telemetry series to this file (.csv = CSV, else JSONL; see OBSERVABILITY.md)")
@@ -73,7 +72,9 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
-	if err := checkFlags(*proto, *ccaName, *solution, *qdisc, *aps); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*proto, *ccaName, *solution, *qdisc, *aps, *campus, *seriesEvery, set); err != nil {
 		fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
 		os.Exit(2)
 	}
@@ -84,11 +85,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "zhuge-sim: pprof:", err)
 			}
 		}()
-	}
-
-	if *expID != "" {
-		runExperiment(*expID, *seed, *scale, *workers)
-		return
 	}
 
 	if *campus > 0 {
@@ -194,10 +190,38 @@ var (
 	}
 )
 
+// The flags only one of the two modes reads. Given in the other mode they
+// are refused, not ignored: -campus 4 -metrics m.json would write no file.
+var (
+	singlePathFlags = []string{
+		"proto", "cca", "solution", "qdisc", "trace", "interferers", "bulk", "aps",
+		"handover-at", "handover-policy", "trace-out", "metrics", "series-every",
+	}
+	campusFlags = []string{"shards", "rebalance", "profile-out", "j"}
+)
+
 // checkFlags rejects the values the builders below would otherwise panic
-// on (-qdisc, -aps 0 with roams) or silently replace with a default
-// (-solution, -proto, -cca). The error names the flag and what it accepts.
-func checkFlags(proto, ccaName, solution, qdisc string, aps int) error {
+// on (-qdisc, -aps 0 with roams), silently replace with a default
+// (-solution, -proto, -cca) or never read (a flag of the other mode; set
+// holds the names given on the command line). The error names the flag and
+// what it accepts or the mode it belongs to.
+func checkFlags(proto, ccaName, solution, qdisc string, aps, campus int, seriesEvery time.Duration, set map[string]bool) error {
+	if campus > 0 {
+		for _, name := range singlePathFlags {
+			if set[name] {
+				return fmt.Errorf("-%s applies to a single-path run, not to -campus", name)
+			}
+		}
+	} else {
+		for _, name := range campusFlags {
+			if set[name] {
+				return fmt.Errorf("-%s needs -campus", name)
+			}
+		}
+	}
+	if seriesEvery <= 0 {
+		return fmt.Errorf("bad -series-every %v (want a positive interval)", seriesEvery)
+	}
 	if aps < 1 {
 		return fmt.Errorf("bad -aps %d (want at least 1)", aps)
 	}
@@ -392,24 +416,6 @@ func (pf *shardProfile) close() {
 	if pf.stats != nil {
 		pf.stats.Close()
 	}
-}
-
-// runExperiment renders one experiment table, mirroring zhuge-bench for
-// the common case of poking at a single table from the scenario CLI.
-func runExperiment(id string, seed int64, scale float64, workers int) {
-	if id == "handover" {
-		id = "ext-handover"
-	}
-	e := experiments.ByID(id)
-	if e == nil {
-		fmt.Fprintf(os.Stderr, "zhuge-sim: unknown experiment %q; available:\n", id)
-		for _, x := range experiments.All() {
-			fmt.Fprintf(os.Stderr, "  %-20s %s\n", x.ID, x.Brief)
-		}
-		os.Exit(2)
-	}
-	t := e.Run(experiments.Config{Seed: seed, Scale: scale, Workers: workers})
-	fmt.Print(t.String())
 }
 
 // parseHandovers turns "-handover-at 40s,80s" into a roam schedule for the

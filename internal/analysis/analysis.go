@@ -1,5 +1,5 @@
 // Package analysis is zhuge-lint: a suite of static analyzers that enforce
-// the simulator's determinism, pool-safety and zero-alloc invariants at
+// the simulator's determinism, pool-safety and shared-state invariants at
 // compile time instead of discovering violations at runtime through golden
 // tests.
 //
@@ -34,9 +34,6 @@
 //   - poolsafe: no reads of a *netem.Packet after Release() and no double
 //     Release — pooled packets are recycled and a stale reference aliases
 //     a future packet.
-//   - obsguard: expensive observability hooks (Tracer.Record and friends)
-//     on struct fields must be dominated by a nil check on that field,
-//     preserving the pinned 0-alloc disabled path.
 //   - detshare: no mutable state shared across cells in deterministic
 //     packages — global writes outside init, goroutine spawns, and
 //     closures that cross a goroutine boundary while writing captures.
@@ -46,10 +43,13 @@
 //	//lint:ignore detclock <reason>         (this or the next line)
 //	//lint:file-ignore detclock <reason>    (whole file)
 //
-// The shard layer's ownership protocol (who may produce onto an edge ring,
-// what may run inside a window) is not checked here: it is asserted at
-// runtime against one predicate in internal/shard — see LINTING.md's
-// verdict table for the two analyzers that used to police it.
+// Two rule families are not checked here because the program enforces them
+// on itself: the shard layer's ownership protocol (who may produce onto an
+// edge ring, what may run inside a window) is asserted at runtime against
+// one predicate in internal/shard, and the costly observability hooks have
+// no nil branch, so a call site without its nil test panics in every test
+// that runs with obs off (internal/obs package comment). LINTING.md's
+// verdict table has the analyzers that used to police both.
 //
 // Run it with: go run ./cmd/zhuge-lint ./...
 package analysis
@@ -122,7 +122,6 @@ var Analyzers = []*Analyzer{
 	DetRand,
 	MapOrder,
 	PoolSafe,
-	ObsGuard,
 	DetShare,
 }
 

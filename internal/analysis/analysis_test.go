@@ -57,12 +57,6 @@ func TestPoolSafe(t *testing.T) {
 	)
 }
 
-func TestObsGuard(t *testing.T) {
-	analysistest.Run(t, moduleRoot(t), analysis.ObsGuard,
-		"./internal/analysis/testdata/src/obsguard/guard",
-	)
-}
-
 func TestDetShare(t *testing.T) {
 	analysistest.Run(t, moduleRoot(t), analysis.DetShare,
 		"./internal/analysis/testdata/src/detshare/scenario",
@@ -80,7 +74,6 @@ func TestAnalyzersAreLive(t *testing.T) {
 		"detrand":  "./internal/analysis/testdata/src/detrand/wireless",
 		"maporder": "./internal/analysis/testdata/src/maporder/trace",
 		"poolsafe": "./internal/analysis/testdata/src/poolsafe/pool",
-		"obsguard": "./internal/analysis/testdata/src/obsguard/guard",
 		"detshare": "./internal/analysis/testdata/src/detshare/scenario",
 	}
 	if len(fixtures) != len(analysis.Analyzers) {

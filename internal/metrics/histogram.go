@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -219,27 +218,4 @@ func (h *Histogram) Merge(other *Histogram) {
 	for i, c := range other.buckets {
 		h.buckets[i] += c
 	}
-}
-
-// FloatQuantile returns the q-quantile of a float sample set (exact, sorts a
-// copy). Used by the harness for small sample sets such as per-trace ratios.
-func FloatQuantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s) {
-		return s[i]
-	}
-	return s[i]*(1-frac) + s[i+1]*frac
 }

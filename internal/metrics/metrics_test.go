@@ -212,18 +212,6 @@ func TestSlidingSumMean(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if _, ok := e.Value(); ok {
-		t.Error("empty EWMA should be !ok")
-	}
-	e.Add(10)
-	e.Add(20)
-	if v, _ := e.Value(); v != 15 {
-		t.Errorf("EWMA %v, want 15", v)
-	}
-}
-
 func TestSeriesFractions(t *testing.T) {
 	var s Series
 	for i := 0; i < 10; i++ {
@@ -282,22 +270,6 @@ func TestPerSecondCounts(t *testing.T) {
 		if counts[i] != want[i] {
 			t.Errorf("second %d count %d, want %d", i, counts[i], want[i])
 		}
-	}
-}
-
-func TestFloatQuantile(t *testing.T) {
-	s := []float64{4, 1, 3, 2, 5}
-	if got := FloatQuantile(s, 0); got != 1 {
-		t.Errorf("q0 = %v, want 1", got)
-	}
-	if got := FloatQuantile(s, 1); got != 5 {
-		t.Errorf("q1 = %v, want 5", got)
-	}
-	if got := FloatQuantile(s, 0.5); got != 3 {
-		t.Errorf("q0.5 = %v, want 3", got)
-	}
-	if got := FloatQuantile(nil, 0.5); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
 	}
 }
 

@@ -157,33 +157,3 @@ func (s *SlidingSum) Mean(now time.Duration) (float64, bool) {
 	}
 	return s.sum / float64(len(s.samples)), true
 }
-
-// EWMA is an exponentially weighted moving average. The zero value with
-// alpha 0 is invalid; use NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor in (0,1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("metrics: EWMA alpha out of range")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds v into the average and returns the new value.
-func (e *EWMA) Add(v float64) float64 {
-	if !e.init {
-		e.value = v
-		e.init = true
-	} else {
-		e.value = e.alpha*v + (1-e.alpha)*e.value
-	}
-	return e.value
-}
-
-// Value returns the current average, and false if no samples were added.
-func (e *EWMA) Value() (float64, bool) { return e.value, e.init }

@@ -77,9 +77,9 @@ type loopFlow struct {
 // histograms plus a feedback-age distribution — the age-of-information of
 // the observation a sender acts on, at the moment it acts. One tracker per
 // simulation; hooks are wired through core (AP, OOB/in-band updaters) and
-// the transports. Every hook is a no-op on a nil receiver, and call sites
-// guard with a nil check (obsguard-enforced), so a disabled tracker costs
-// nothing.
+// the transports. The four On* hooks fire per packet and need a live
+// receiver — a disabled tracker is a nil pointer the call site tests first,
+// so it costs one branch; BindAgeGauge and the readers accept nil.
 type LoopTracker struct {
 	flows map[netem.FlowKey]*loopFlow
 
@@ -123,11 +123,8 @@ func (lt *LoopTracker) flow(flow netem.FlowKey) *loopFlow {
 }
 
 // OnObserve records that the AP observed flow at now (downlink packet
-// arrival feeding the Fortune Teller). Nil-safe.
+// arrival feeding the Fortune Teller). Needs a live receiver.
 func (lt *LoopTracker) OnObserve(now sim.Time, flow netem.FlowKey) {
-	if lt == nil {
-		return
-	}
 	f := lt.flow(flow)
 	f.lastObs = now
 	f.haveObs = true
@@ -136,11 +133,8 @@ func (lt *LoopTracker) OnObserve(now sim.Time, flow netem.FlowKey) {
 // OnFeedbackOut records that feedback for flow's most recent observation
 // departs the AP at dep — the in-band flush time, or the OOB release time
 // now+actualDelay (which may be in the virtual future relative to the call).
-// Nil-safe.
+// Needs a live receiver.
 func (lt *LoopTracker) OnFeedbackOut(dep sim.Time, flow netem.FlowKey) {
-	if lt == nil {
-		return
-	}
 	f := lt.flow(flow)
 	if !f.haveObs {
 		return
@@ -156,11 +150,9 @@ func (lt *LoopTracker) OnFeedbackOut(dep sim.Time, flow netem.FlowKey) {
 // OnReact records that the sender applied a new rate at now. The reaction is
 // joined to the newest feedback that had departed by then (feedback is
 // delivered in order, so anything older was either already acted on or
-// superseded by this one); older entries are discarded. Nil-safe.
+// superseded by this one); older entries are discarded. Needs a live
+// receiver.
 func (lt *LoopTracker) OnReact(now sim.Time, flow netem.FlowKey) {
-	if lt == nil {
-		return
-	}
 	f := lt.flow(flow)
 	best := -1
 	for i, fb := range f.fifo {
@@ -190,11 +182,8 @@ func (lt *LoopTracker) OnReact(now sim.Time, flow netem.FlowKey) {
 }
 
 // OnAir records that a packet left the sender at now; only the first send
-// after a reaction closes the loop. Nil-safe.
+// after a reaction closes the loop. Needs a live receiver.
 func (lt *LoopTracker) OnAir(now sim.Time, flow netem.FlowKey) {
-	if lt == nil {
-		return
-	}
 	f := lt.flows[flow]
 	if f == nil || !f.pendingAir {
 		return

@@ -4,11 +4,30 @@
 // running experiment cells never share mutable state.
 //
 // The layer is designed to cost a nil check and nothing else when disabled:
-// every component holds (possibly nil) pointers to its instruments, every
-// instrument method is a no-op on a nil receiver, and call sites that would
-// otherwise evaluate expensive arguments guard with an explicit nil test.
-// The contract is pinned by TestObsDisabledZeroAlloc and the
-// BenchmarkObsDatapath before/after pair.
+// every component holds (possibly nil) pointers to its instruments, and
+// there are two kinds of method.
+//
+// Cheap instruments are no-ops on a nil receiver, so the caller writes no
+// guard: Counter.Inc/Add, Gauge.Set, Hist.Observe, Series.Add, the Obs
+// accessors (Trace, Counter, Gauge, Hist, Errs, ControlLoop), every reader
+// and exporter, and per-flow or per-run set-up (PredErr.SetMode,
+// LoopTracker.BindAgeGauge, SeriesSet.Of, SeriesSet.Sample, StartSampler).
+// Their arguments cost nothing to evaluate.
+//
+// Per-packet hooks whose arguments cost something to build need a live
+// receiver and have no nil branch: Tracer.Record, PredErr.Observe,
+// LoopTracker.OnObserve/OnFeedbackOut/OnReact/OnAir, and
+// Registry.Counter/Gauge/Hist (a map lookup; resolve through the Obs
+// accessors when the registry may be absent). The caller tests its pointer
+// first — `if l.tr != nil { l.tr.Record(obs.Event{...}) }` — which is what
+// keeps the Event from being built on the disabled path. That guard is not
+// a convention: every test that does not ask for obs runs with these
+// pointers nil, so a call site that forgets it panics there, naming the
+// hook.
+//
+// The contract is pinned by TestHooksNeedLiveReceiver (the list above),
+// TestObsDisabledZeroAlloc and the BenchmarkObsDatapath before/after pair;
+// scenario.TestEachInstrumentAlone covers "obs on, this instrument off".
 package obs
 
 // Obs bundles the observability components for one simulation. Any field
@@ -101,23 +120,6 @@ func (o *Obs) Errs() *PredErr {
 		return nil
 	}
 	return o.PredErr
-}
-
-// TimeSeries returns the bundle's telemetry series set, nil-safely.
-func (o *Obs) TimeSeries() *SeriesSet {
-	if o == nil {
-		return nil
-	}
-	return o.Series
-}
-
-// SeriesOf resolves a named series, nil-safely: with no series set the
-// returned series is nil and its methods are no-ops.
-func (o *Obs) SeriesOf(name string) *Series {
-	if o == nil || o.Series == nil {
-		return nil
-	}
-	return o.Series.Of(name)
 }
 
 // ControlLoop returns the bundle's control-loop tracker, nil-safely.

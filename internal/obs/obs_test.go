@@ -225,61 +225,98 @@ func TestRegistryAndSnapshot(t *testing.T) {
 	}
 }
 
+// disabled is what a datapath component holds with no Obs attached: a nil
+// pointer per instrument. It is a package-level variable so the compiler
+// cannot fold the nil tests below away.
+var disabled struct {
+	o  *Obs
+	c  *Counter
+	g  *Gauge
+	h  *Hist
+	tr *Tracer
+	pe *PredErr
+	lt *LoopTracker
+	ss *SeriesSet
+	sr *Series
+}
+
 // TestObsDisabledZeroAlloc is the disabled-path contract: with no Obs
-// attached, every instrument call is a nil-check no-op that allocates
-// nothing.
-//
-// This is the runtime half of a two-part invariant. The static half is the
-// obsguard analyzer (internal/analysis/obsguard.go, run as zhuge-lint in
-// the CI lint job): it proves every expensive hook call (Tracer.Record and
-// friends) sits behind a nil check on its field, while this test and the
-// "Observability disabled-path is allocation-free" CI step prove the
-// guarded path really allocates nothing. A refactor must keep BOTH green —
-// satisfying one does not discharge the other.
+// attached the cheap instruments are called straight on their nil receivers
+// and the costly hooks sit behind the nil test the datapath writes; neither
+// allocates. The other half of the contract — an unguarded costly hook does
+// not survive the obs-off suite — is TestHooksNeedLiveReceiver.
 func TestObsDisabledZeroAlloc(t *testing.T) {
-	var (
-		o  *Obs
-		c  *Counter
-		g  *Gauge
-		h  *Hist
-		tr *Tracer
-		pe *PredErr
-		lt *LoopTracker
-		ss *SeriesSet
-		sr *Series
-	)
+	d := &disabled
 	f := testFlow(5001)
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
-		_ = c.Value()
-		g.Set(1)
-		h.Observe(time.Millisecond)
-		tr.Record(Event{At: 1, Type: EvEnqueue, Flow: f})
-		_ = tr.Len()
-		pe.Observe(f, time.Millisecond, time.Millisecond)
-		pe.SetMode(f, "oob")
-		lt.OnObserve(time.Millisecond, f)
-		lt.OnFeedbackOut(time.Millisecond, f)
-		lt.OnReact(time.Millisecond, f)
-		lt.OnAir(time.Millisecond, f)
-		_, _ = lt.Matched()
-		ss.Sample(time.Millisecond, nil)
-		_ = ss.Of("x")
-		_ = ss.Len()
-		sr.Add(time.Millisecond, 1)
-		_ = sr.Len()
-		_ = o.Trace()
-		_ = o.Counter("x")
-		_ = o.Gauge("x")
-		_ = o.Hist("x")
-		_ = o.Errs()
-		_ = o.TimeSeries()
-		_ = o.SeriesOf("x")
-		_ = o.ControlLoop()
+		d.c.Inc()
+		d.c.Add(2)
+		_ = d.c.Value()
+		d.g.Set(1)
+		d.h.Observe(time.Millisecond)
+		if d.tr != nil {
+			d.tr.Record(Event{At: 1, Type: EvEnqueue, Flow: f})
+		}
+		_ = d.tr.Len()
+		if d.pe != nil {
+			d.pe.Observe(f, time.Millisecond, time.Millisecond)
+		}
+		d.pe.SetMode(f, "oob")
+		if d.lt != nil {
+			d.lt.OnObserve(time.Millisecond, f)
+			d.lt.OnFeedbackOut(time.Millisecond, f)
+			d.lt.OnReact(time.Millisecond, f)
+			d.lt.OnAir(time.Millisecond, f)
+		}
+		_, _ = d.lt.Matched()
+		d.ss.Sample(time.Millisecond, nil)
+		_ = d.ss.Of("x")
+		_ = d.ss.Len()
+		d.sr.Add(time.Millisecond, 1)
+		_ = d.sr.Len()
+		_ = d.o.Trace()
+		_ = d.o.Counter("x")
+		_ = d.o.Gauge("x")
+		_ = d.o.Hist("x")
+		_ = d.o.Errs()
+		_ = d.o.ControlLoop()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-path allocations = %v, want 0", allocs)
+	}
+}
+
+// TestHooksNeedLiveReceiver pins the list of methods with no nil branch.
+// Because every test that does not ask for obs runs with these receivers
+// nil, an unguarded call anywhere on the datapath panics in that test; a nil
+// branch quietly re-added here would turn the panic back into a silent cost
+// on the disabled path, which nothing else would notice.
+func TestHooksNeedLiveReceiver(t *testing.T) {
+	d := &disabled
+	f := testFlow(5002)
+	hooks := []struct {
+		name string
+		call func()
+	}{
+		{"Tracer.Record", func() { d.tr.Record(Event{At: 1, Type: EvEnqueue, Flow: f}) }},
+		{"PredErr.Observe", func() { d.pe.Observe(f, time.Millisecond, time.Millisecond) }},
+		{"LoopTracker.OnObserve", func() { d.lt.OnObserve(1, f) }},
+		{"LoopTracker.OnFeedbackOut", func() { d.lt.OnFeedbackOut(1, f) }},
+		{"LoopTracker.OnReact", func() { d.lt.OnReact(1, f) }},
+		{"LoopTracker.OnAir", func() { d.lt.OnAir(1, f) }},
+		{"Registry.Counter", func() { (*Registry)(nil).Counter("x") }},
+		{"Registry.Gauge", func() { (*Registry)(nil).Gauge("x") }},
+		{"Registry.Hist", func() { (*Registry)(nil).Hist("x") }},
+	}
+	for _, h := range hooks {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s returned on a nil receiver; it must panic", h.name)
+				}
+			}()
+			h.call()
+		}()
 	}
 }
 

@@ -55,7 +55,8 @@ func NewPredErr() *PredErr {
 }
 
 // SetMode labels a flow with its feedback mode ("oob", "inband") so errors
-// aggregate per mechanism as well as per flow. Nil-safe.
+// aggregate per mechanism as well as per flow. Per-flow set-up, so nil-safe:
+// it runs with obs on and this accounter off.
 func (a *PredErr) SetMode(flow netem.FlowKey, mode string) {
 	if a == nil {
 		return
@@ -63,11 +64,10 @@ func (a *PredErr) SetMode(flow netem.FlowKey, mode string) {
 	a.mode[flow] = mode
 }
 
-// Observe records one (predicted, actual) pair for a flow. Nil-safe.
+// Observe records one (predicted, actual) pair for a flow. It needs a live
+// receiver: the per-delivery call site tests for nil before it computes the
+// latency it passes.
 func (a *PredErr) Observe(flow netem.FlowKey, predicted, actual time.Duration) {
-	if a == nil {
-		return
-	}
 	s := a.flows[flow]
 	if s == nil {
 		s = newPredErrStats()

@@ -8,9 +8,10 @@ import (
 	"github.com/zhuge-project/zhuge/internal/metrics"
 )
 
-// Counter is a monotonically increasing integer instrument. All methods are
-// no-ops on a nil receiver, so a component built without a registry pays one
-// nil check per update.
+// Counter is a monotonically increasing integer instrument. Counter, Gauge
+// and Hist are the cheap instruments: their arguments cost nothing to
+// evaluate, so every method is a no-op on a nil receiver and a component
+// built without a registry pays one nil check per update.
 type Counter struct{ v int64 }
 
 // Inc adds one.
@@ -97,12 +98,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use. Nil-safe:
-// a nil registry yields a nil (no-op) counter.
+// Counter returns the named counter, creating it on first use. Counter,
+// Gauge and Hist need a live registry; a component that may have none
+// resolves through Obs.Counter/Gauge/Hist, which hand out nil instruments.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{}
@@ -113,9 +112,6 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	g := r.gauges[name]
 	if g == nil {
 		g = &Gauge{}
@@ -126,9 +122,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Hist returns the named duration histogram, creating it on first use.
 func (r *Registry) Hist(name string) *Hist {
-	if r == nil {
-		return nil
-	}
 	h := r.hists[name]
 	if h == nil {
 		h = &Hist{h: metrics.NewHistogram()}

@@ -17,11 +17,9 @@ type SeriesPoint struct {
 	V  float64
 }
 
-// Series is a named ring buffer of virtual-time samples. Like every obs
-// instrument it is a nil-check no-op when disabled: all methods accept a nil
-// receiver, and call sites that would evaluate expensive arguments must
-// guard with an explicit nil test (enforced by the obsguard analyzer and
-// TestObsDisabledZeroAlloc).
+// Series is a named ring buffer of virtual-time samples. It is a cheap
+// instrument: every method accepts a nil receiver, so a disabled series
+// costs its caller one nil check.
 type Series struct {
 	name string
 	buf  []SeriesPoint
@@ -140,7 +138,8 @@ func (ss *SeriesSet) Names() []string {
 // Sample snapshots every counter and gauge of reg into the set, stamped at
 // now: counters as their cumulative value, gauges as their last value. The
 // series carry the instrument's name. Nil-safe on both receiver and
-// registry.
+// registry (a branch here, not a panic: Of and Series.Add accept nil, so a
+// nil set would only walk the registry for nothing).
 func (ss *SeriesSet) Sample(now sim.Time, reg *Registry) {
 	if ss == nil || reg == nil {
 		return
@@ -157,7 +156,8 @@ func (ss *SeriesSet) Sample(now sim.Time, reg *Registry) {
 // snapshots reg into ss every interval until the simulation ends. The tick
 // closure is allocated once; each rescheduling uses the simulator's
 // handle-less 0-alloc path (the same pattern as the in-band updater's
-// feedback ticker).
+// feedback ticker). With a nil set or registry (obs on, series or metrics
+// off) it schedules nothing.
 func StartSampler(s *sim.Simulator, ss *SeriesSet, reg *Registry, interval time.Duration) {
 	if s == nil || ss == nil || reg == nil || interval <= 0 {
 		return

@@ -89,9 +89,9 @@ type Event struct {
 }
 
 // Tracer records packet-lifecycle events for one simulation. It is not safe
-// for concurrent use; parallel sweeps give each cell its own tracer. A nil
-// *Tracer discards events, so components guard hot paths with a single nil
-// check.
+// for concurrent use; parallel sweeps give each cell its own tracer. A
+// disabled tracer is a nil *Tracer: the readers (Len, Events) accept it,
+// Record does not.
 type Tracer struct {
 	events []Event
 }
@@ -104,10 +104,10 @@ func NewTracer() *Tracer {
 // Record appends one event. Events must be recorded in non-decreasing
 // virtual-time order (they are, when recorded as the simulation runs); the
 // exporters rely on it for monotonic output timestamps.
+//
+// Record needs a live receiver: the caller tests its tracer for nil before
+// it builds the Event (see the package comment).
 func (t *Tracer) Record(ev Event) {
-	if t == nil {
-		return
-	}
 	t.events = append(t.events, ev)
 }
 

@@ -14,14 +14,10 @@ func TestParsersNeverPanicOnGarbage(t *testing.T) {
 		name string
 		fn   func([]byte)
 	}{
-		{"ipv4", func(b []byte) { var h IPv4Header; h.Unmarshal(b) }},
-		{"udp", func(b []byte) { var h UDPHeader; h.Unmarshal(b) }},
-		{"tcp", func(b []byte) { var h TCPHeader; h.Unmarshal(b) }},
 		{"rtp", func(b []byte) { var h RTPHeader; h.Unmarshal(b) }},
 		{"twcc", func(b []byte) { UnmarshalTWCC(b) }},
 		{"nack", func(b []byte) { UnmarshalNACK(b) }},
 		{"rr", func(b []byte) { UnmarshalReceiverReport(b) }},
-		{"sr", func(b []byte) { UnmarshalSenderReport(b) }},
 		{"kind", func(b []byte) { RTCPKind(b) }},
 		{"isrtcp", func(b []byte) { IsRTCP(b) }},
 	}
@@ -44,7 +40,7 @@ func TestParsersNeverPanicOnGarbage(t *testing.T) {
 				(&RTPHeader{PayloadType: 96, HasTWCC: true, TWCCSeq: 5}).Marshal(nil, make([]byte, 40)),
 				BuildTWCC(1, 2, 3, []TWCCArrival{{Seq: 9, At: 1e6}, {Seq: 12, At: 2e6}}).Marshal(nil),
 				(&NACK{SenderSSRC: 1, MediaSSRC: 2, Lost: []uint16{4, 5}}).Marshal(nil),
-				(&SenderReport{SSRC: 1, Reports: []ReportBlock{{SSRC: 2}}}).Marshal(nil),
+				(&ReceiverReport{SSRC: 1, Reports: []ReportBlock{{SSRC: 2}}}).Marshal(nil),
 			}
 			for i := 0; i < 2000; i++ {
 				src := valid[rng.Intn(len(valid))]
@@ -72,21 +68,14 @@ func FuzzDecoders(f *testing.F) {
 	f.Add((&RTPHeader{PayloadType: 96, HasTWCC: true, TWCCSeq: 5}).Marshal(nil, make([]byte, 40)))
 	f.Add(BuildTWCC(1, 2, 3, []TWCCArrival{{Seq: 9, At: 1e6}, {Seq: 12, At: 2e6}}).Marshal(nil))
 	f.Add((&NACK{SenderSSRC: 1, MediaSSRC: 2, Lost: []uint16{4, 5}}).Marshal(nil))
-	f.Add((&SenderReport{SSRC: 1, Reports: []ReportBlock{{SSRC: 2}}}).Marshal(nil))
-	f.Add([]byte{0x45, 0, 0, 20, 0, 0, 0, 0, 64, 17, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add((&ReceiverReport{SSRC: 1, Reports: []ReportBlock{{SSRC: 2}}}).Marshal(nil))
+	f.Add((&RTPHeader{Marker: true, PayloadType: 111, Seq: 7}).Marshal(nil, []byte{1, 2, 3}))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var ip IPv4Header
-		ip.Unmarshal(b)
-		var udp UDPHeader
-		udp.Unmarshal(b)
-		var tcp TCPHeader
-		tcp.Unmarshal(b)
 		var rtp RTPHeader
 		rtp.Unmarshal(b)
 		UnmarshalTWCC(b)
 		UnmarshalNACK(b)
 		UnmarshalReceiverReport(b)
-		UnmarshalSenderReport(b)
 		RTCPKind(b)
 		IsRTCP(b)
 	})
@@ -103,23 +92,6 @@ func TestPropertyTWCCDecodeBounded(t *testing.T) {
 		return len(fb.Packets) <= 1<<16
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestChecksumIncrementalConsistency: checksum over a buffer equals the
-// checksum computed with the pseudo-header folded in both orders.
-func TestChecksumIncrementalConsistency(t *testing.T) {
-	f := func(payload []byte, src, dst uint32) bool {
-		if len(payload) == 0 {
-			return true
-		}
-		h := UDPHeader{SrcPort: 1, DstPort: 2}
-		wire := h.Marshal(nil, src, dst, payload)
-		sum := Checksum(wire, PseudoHeaderSum(src, dst, ProtoUDP, uint16(len(wire))))
-		return sum == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

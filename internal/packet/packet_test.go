@@ -8,83 +8,6 @@ import (
 	"time"
 )
 
-func TestIPv4RoundTrip(t *testing.T) {
-	h := IPv4Header{TOS: 0x10, TotalLen: 120, ID: 77, TTL: 64, Protocol: ProtoUDP, SrcIP: 0x0a000001, DstIP: 0xc0a80102}
-	wire := h.Marshal(nil)
-	if len(wire) != IPv4HeaderLen {
-		t.Fatalf("marshal len %d, want 20", len(wire))
-	}
-	// Header checksum must validate: summing the header with its checksum
-	// in place yields 0xffff complemented to 0.
-	if got := Checksum(wire, 0); got != 0 {
-		t.Errorf("checksum over marshaled header = %#x, want 0", got)
-	}
-	var out IPv4Header
-	rest, err := out.Unmarshal(append(wire, 0xaa, 0xbb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != h {
-		t.Errorf("round trip %+v != %+v", out, h)
-	}
-	if !bytes.Equal(rest, []byte{0xaa, 0xbb}) {
-		t.Errorf("payload %x", rest)
-	}
-}
-
-func TestIPv4Truncated(t *testing.T) {
-	var h IPv4Header
-	if _, err := h.Unmarshal(make([]byte, 10)); err == nil {
-		t.Error("want error on short buffer")
-	}
-	if _, err := h.Unmarshal(make([]byte, 20)); err == nil {
-		t.Error("want error on version 0")
-	}
-}
-
-func TestUDPRoundTrip(t *testing.T) {
-	h := UDPHeader{SrcPort: 5004, DstPort: 6000}
-	payload := []byte("rtp-ish payload")
-	wire := h.Marshal(nil, 0x0a000001, 0x0a000002, payload)
-	var out UDPHeader
-	got, err := out.Unmarshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.SrcPort != 5004 || out.DstPort != 6000 {
-		t.Errorf("ports %d,%d", out.SrcPort, out.DstPort)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("payload %q, want %q", got, payload)
-	}
-	// Checksum with pseudo-header must validate.
-	sum := Checksum(wire, PseudoHeaderSum(0x0a000001, 0x0a000002, ProtoUDP, uint16(len(wire))))
-	if sum != 0 {
-		t.Errorf("UDP checksum validation = %#x, want 0", sum)
-	}
-}
-
-func TestTCPRoundTrip(t *testing.T) {
-	h := TCPHeader{SrcPort: 443, DstPort: 51000, Seq: 1e9, Ack: 2e9, Flags: TCPAck | TCPPsh, Window: 65535, Options: []byte{8, 10, 0, 0, 0, 1, 0, 0, 0, 2}}
-	payload := []byte("data")
-	wire := h.Marshal(nil, 1, 2, payload)
-	var out TCPHeader
-	got, err := out.Unmarshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.SrcPort != h.SrcPort || out.Seq != h.Seq || out.Ack != h.Ack || out.Flags != h.Flags {
-		t.Errorf("round trip mismatch: %+v", out)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("payload %q", got)
-	}
-	sum := Checksum(wire, PseudoHeaderSum(1, 2, ProtoTCP, uint16(len(wire))))
-	if sum != 0 {
-		t.Errorf("TCP checksum validation = %#x, want 0", sum)
-	}
-}
-
 func TestRTPRoundTripWithTWCC(t *testing.T) {
 	h := RTPHeader{Marker: true, PayloadType: 96, Seq: 4321, Timestamp: 90000, SSRC: 0xdeadbeef, HasTWCC: true, TWCCSeq: 999}
 	payload := bytes.Repeat([]byte{0xab}, 100)
@@ -297,18 +220,5 @@ func TestRTCPKind(t *testing.T) {
 	}
 	if pt != RTCPTypeRTPFB || fmtField != RTPFBNack {
 		t.Errorf("NACK kind = %d/%d", pt, fmtField)
-	}
-}
-
-func TestChecksumKnownVector(t *testing.T) {
-	// RFC 1071 example: 0x0001f203f4f5f6f7 -> checksum 0x220d... compute
-	// directly: sum = 0x0001+0xf203+0xf4f5+0xf6f7 = 0x2ddf0 -> 0xddf2 -> ^= 0x220d
-	b := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
-	if got := Checksum(b, 0); got != 0x220d {
-		t.Errorf("checksum = %#x, want 0x220d", got)
-	}
-	// Odd length: trailing byte padded with zero.
-	if got := Checksum([]byte{0x01}, 0); got != ^uint16(0x0100) {
-		t.Errorf("odd checksum = %#x", got)
 	}
 }

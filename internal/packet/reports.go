@@ -3,7 +3,6 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 )
 
 // ReportBlock is one RTCP reception report block (RFC 3550 §6.4.1).
@@ -79,63 +78,4 @@ func UnmarshalReceiverReport(b []byte) (*ReceiverReport, error) {
 		rr.Reports = append(rr.Reports, unmarshalReportBlock(b[8+i*reportBlockLen:]))
 	}
 	return rr, nil
-}
-
-// SenderReport is an RTCP SR (RFC 3550 §6.4.1).
-type SenderReport struct {
-	SSRC        uint32
-	NTPTime     uint64
-	RTPTime     uint32
-	PacketCount uint32
-	OctetCount  uint32
-	Reports     []ReportBlock
-}
-
-// Marshal appends the wire form of the report to b.
-func (sr *SenderReport) Marshal(b []byte) []byte {
-	words := 6 + len(sr.Reports)*reportBlockLen/4 // minus the header word
-	b = append(b, 2<<6|uint8(len(sr.Reports)), RTCPTypeSenderReport)
-	b = binary.BigEndian.AppendUint16(b, uint16(words))
-	b = binary.BigEndian.AppendUint32(b, sr.SSRC)
-	b = binary.BigEndian.AppendUint64(b, sr.NTPTime)
-	b = binary.BigEndian.AppendUint32(b, sr.RTPTime)
-	b = binary.BigEndian.AppendUint32(b, sr.PacketCount)
-	b = binary.BigEndian.AppendUint32(b, sr.OctetCount)
-	for i := range sr.Reports {
-		b = sr.Reports[i].marshal(b)
-	}
-	return b
-}
-
-// UnmarshalSenderReport parses an RTCP SR.
-func UnmarshalSenderReport(b []byte) (*SenderReport, error) {
-	if len(b) < 28 {
-		return nil, ErrTruncated
-	}
-	if b[0]>>6 != 2 || b[1] != RTCPTypeSenderReport {
-		return nil, fmt.Errorf("packet: not a sender report")
-	}
-	count := int(b[0] & 0x1f)
-	need := 28 + count*reportBlockLen
-	if len(b) < need {
-		return nil, ErrTruncated
-	}
-	sr := &SenderReport{
-		SSRC:        binary.BigEndian.Uint32(b[4:]),
-		NTPTime:     binary.BigEndian.Uint64(b[8:]),
-		RTPTime:     binary.BigEndian.Uint32(b[16:]),
-		PacketCount: binary.BigEndian.Uint32(b[20:]),
-		OctetCount:  binary.BigEndian.Uint32(b[24:]),
-	}
-	for i := 0; i < count; i++ {
-		sr.Reports = append(sr.Reports, unmarshalReportBlock(b[28+i*reportBlockLen:]))
-	}
-	return sr, nil
-}
-
-// NTPTime converts a wall-clock offset to the NTP short format used in SR.
-func NTPTime(t time.Duration) uint64 {
-	secs := uint64(t / time.Second)
-	frac := uint64(t%time.Second) << 32 / uint64(time.Second)
-	return secs<<32 | frac
 }
