@@ -5,6 +5,10 @@
 // Feedback Updater, §5) — delaying ACKs for out-of-band protocols like TCP
 // and QUIC, and rewriting TWCC feedback for in-band protocols like
 // RTP/RTCP.
+//
+// The package is single-threaded and never reads wall time: the Fortune
+// Teller takes explicit timestamps and the in-band updater a Clock, so the
+// simulator and the live relay (internal/liveap) run the same code.
 package core
 
 import (

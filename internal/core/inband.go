@@ -23,27 +23,34 @@ type RTCPCarrier interface {
 	RawRTCP() []byte
 }
 
-// APFeedback is the payload of feedback packets the in-band updater
-// constructs itself. It implements RTCPCarrier, so senders parse it exactly
-// like client-built feedback.
-type APFeedback struct {
-	Raw []byte
-}
-
-// RawRTCP implements RTCPCarrier.
-func (f APFeedback) RawRTCP() []byte { return f.Raw }
-
 // feedbackOverhead approximates IP+UDP bytes around an RTCP payload.
 const feedbackOverhead = 28
+
+// maxMisorder is RFC 3550 A.1's MAX_MISORDER: a sequence number at most this
+// far behind the last one recorded is a reordered or duplicated datagram;
+// one further behind means the sender restarted its sequence space.
+const maxMisorder = 100
+
+// Clock is all the in-band updater needs from its host: the current time and
+// a one-shot timer. *sim.Simulator is one as it stands; the live relay
+// (internal/liveap) supplies wall-clock offsets and time.AfterFunc. The
+// clock's owner serialises everything: a scheduled fn must never run
+// concurrently with another or with any InbandUpdater method. core stays
+// single-threaded and never reads wall time itself.
+type Clock interface {
+	Now() sim.Time
+	ScheduleAfter(d time.Duration, fn func())
+}
 
 // InbandUpdater implements the in-band Feedback Updater (§5.3): it records
 // each RTP data packet's TWCC sequence number with its predicted arrival
 // time, periodically constructs TWCC feedback packets itself (with
 // consistent AP-clock timestamps), and drops the client's own TWCC packets
 // while forwarding every other RTCP type (NACK, receiver reports)
-// unchanged.
+// unchanged. It is the one copy of the mechanism: the simulator's AP and the
+// live relay both run it, each on its own Clock.
 type InbandUpdater struct {
-	s        *sim.Simulator
+	s        Clock
 	uplink   netem.Receiver
 	interval time.Duration
 
@@ -63,6 +70,7 @@ type ibFlow struct {
 	ssrc     uint32
 	records  []packet.TWCCArrival
 	fbCount  uint8
+	lastSeq  uint16 // last sequence number recorded, kept across flushes; valid once started
 	started  bool
 	stopped  bool
 
@@ -73,7 +81,7 @@ type ibFlow struct {
 
 // NewInbandUpdater builds an in-band updater that injects its feedback into
 // uplink every interval (default: DefaultWindow, one frame at 25fps).
-func NewInbandUpdater(s *sim.Simulator, uplink netem.Receiver, interval time.Duration) *InbandUpdater {
+func NewInbandUpdater(s Clock, uplink netem.Receiver, interval time.Duration) *InbandUpdater {
 	if interval == 0 {
 		interval = DefaultWindow
 	}
@@ -118,6 +126,19 @@ func (u *InbandUpdater) OnDataPacket(now sim.Time, downlink netem.FlowKey, p *ne
 		u.flows[downlink] = f
 	}
 	f.ssrc = ssrc
+	if f.started {
+		// UDP may reorder (the simulator never does within a flow), and the
+		// records of one message must ascend. A late datagram is skipped: it
+		// is reported lost, also when a flush fell between it and its place,
+		// and the endpoints' own loss machinery recovers it. A restarted
+		// sender opens a new message.
+		if d := int16(seq - f.lastSeq); d <= -maxMisorder {
+			u.flush(f)
+		} else if d <= 0 {
+			return
+		}
+	}
+	f.lastSeq = seq
 	// The recorded timestamp is the packet's own faithful prediction,
 	// fluctuations included: §5.2 is explicit that sub-RTT per-packet
 	// delay patterns are signal, not noise, and a real receiver's
@@ -195,14 +216,17 @@ func (u *InbandUpdater) OnFeedbackPacket(now sim.Time, p *netem.Packet) {
 }
 
 // ibFlowState is the portable slice of an ibFlow: unflushed packet
-// fortunes, the feedback sequence counter, and the media SSRC. Migrating
-// it means packets that passed the old AP before the handover still get
-// their constructed feedback — from the new AP — instead of appearing as a
-// loss burst to the sender's congestion controller.
+// fortunes, the feedback sequence counter, the media SSRC and the reorder
+// guard's last sequence number (carried, not reset: the sequence space is
+// the sender's, not the AP's). Migrating it means packets that passed the
+// old AP before the handover still get their constructed feedback — from
+// the new AP — instead of appearing as a loss burst to the sender's
+// congestion controller.
 type ibFlowState struct {
 	ssrc    uint32
 	records []packet.TWCCArrival
 	fbCount uint8
+	lastSeq uint16
 	started bool
 }
 
@@ -218,6 +242,7 @@ func (u *InbandUpdater) exportFlow(key netem.FlowKey) *ibFlowState {
 		ssrc:    f.ssrc,
 		records: append([]packet.TWCCArrival(nil), f.records...),
 		fbCount: f.fbCount,
+		lastSeq: f.lastSeq,
 		started: f.started,
 	}
 	f.stopped = true
@@ -240,6 +265,7 @@ func (u *InbandUpdater) importFlow(key netem.FlowKey, st *ibFlowState) {
 	f.records = append(f.records, st.records...)
 	if st.started && !f.started {
 		f.started = true
+		f.lastSeq = st.lastSeq
 		u.startTicker(f)
 	}
 }

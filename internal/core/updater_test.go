@@ -142,6 +142,11 @@ type twccPayload struct {
 
 func (p twccPayload) TWCCInfo() (uint32, uint16) { return p.ssrc, p.seq }
 
+// rawRTCP is a client's uplink feedback payload.
+type rawRTCP []byte
+
+func (b rawRTCP) RawRTCP() []byte { return b }
+
 func TestInbandConstructsFeedbackFromPredictions(t *testing.T) {
 	s := sim.New(5)
 	out := &arrivalLog{s: s}
@@ -188,12 +193,114 @@ func TestInbandDropsClientTWCCForwardsNACK(t *testing.T) {
 	u := NewInbandUpdater(s, out, 40*time.Millisecond)
 	twcc := packet.BuildTWCC(1, 1, 0, []packet.TWCCArrival{{Seq: 1, At: time.Millisecond}}).Marshal(nil)
 	nack := (&packet.NACK{SenderSSRC: 1, MediaSSRC: 1, Lost: []uint16{7}}).Marshal(nil)
-	u.OnFeedbackPacket(0, &netem.Packet{Flow: dataFlow.Reverse(), Kind: netem.KindFeedback, Size: 80, Seq: 1, Payload: APFeedback{Raw: twcc}})
-	u.OnFeedbackPacket(0, &netem.Packet{Flow: dataFlow.Reverse(), Kind: netem.KindFeedback, Size: 80, Seq: 2, Payload: APFeedback{Raw: nack}})
+	u.OnFeedbackPacket(0, &netem.Packet{Flow: dataFlow.Reverse(), Kind: netem.KindFeedback, Size: 80, Seq: 1, Payload: rawRTCP(twcc)})
+	u.OnFeedbackPacket(0, &netem.Packet{Flow: dataFlow.Reverse(), Kind: netem.KindFeedback, Size: 80, Seq: 2, Payload: rawRTCP(nack)})
 	if len(out.seqs) != 1 || out.seqs[0] != 2 {
 		t.Fatalf("forwarded seqs %v, want only the NACK (2)", out.seqs)
 	}
 	if u.DroppedClientFeedback() != 1 {
 		t.Errorf("dropped %d, want 1", u.DroppedClientFeedback())
+	}
+}
+
+// fakeClock is a Clock with no simulator behind it. One slot is enough: the
+// updater keeps one timer outstanding per flow, and the test has one flow.
+type fakeClock struct {
+	now, due sim.Time
+	fn       func()
+}
+
+func (c *fakeClock) Now() sim.Time { return c.now }
+
+func (c *fakeClock) ScheduleAfter(d time.Duration, fn func()) { c.due, c.fn = c.now+d, fn }
+
+// advance moves time to t, firing what comes due on the way.
+func (c *fakeClock) advance(t sim.Time) {
+	for c.fn != nil && c.due <= t {
+		fn := c.fn
+		c.now, c.fn = c.due, nil
+		fn()
+	}
+	c.now = t
+}
+
+// TestInbandRunsOnAnyClock drives the updater the way the live relay does:
+// no simulator, just Now and ScheduleAfter. Fortunes in, one TWCC out per
+// interval that recorded any, a datagram reordered across a flush left out,
+// a restarted sender given a new message, client TWCC absorbed, NACK
+// forwarded.
+func TestInbandRunsOnAnyClock(t *testing.T) {
+	const ms = time.Millisecond
+	clk := &fakeClock{}
+	var out []*packet.TWCCFeedback
+	var other int
+	u := NewInbandUpdater(clk, netem.ReceiverFunc(func(p *netem.Packet) {
+		if fb, err := packet.UnmarshalTWCC(p.Payload.(RTCPCarrier).RawRTCP()); err == nil {
+			out = append(out, fb)
+		} else {
+			other++
+		}
+		p.Release()
+	}), 40*ms)
+	data := func(at sim.Time, seq uint16) {
+		clk.advance(at)
+		p := &netem.Packet{Flow: dataFlow, Kind: netem.KindData, Size: 1000, Payload: twccPayload{ssrc: 42, seq: seq}}
+		u.OnDataPacket(at, dataFlow, p, Prediction{Total: 10 * ms})
+	}
+	want := func(when string, n int, base uint16, statuses int) {
+		t.Helper()
+		if len(out) != n {
+			t.Fatalf("%s: %d feedback messages, want %d", when, len(out), n)
+		}
+		if fb := out[n-1]; fb.MediaSSRC != 42 || fb.BaseSeq != base || len(fb.Packets) != statuses {
+			t.Fatalf("%s: message %d is SSRC %d base %d with %d statuses, want 42/%d/%d",
+				when, n, fb.MediaSSRC, fb.BaseSeq, len(fb.Packets), base, statuses)
+		}
+	}
+
+	data(0, 1)
+	data(5*ms, 2)
+	data(10*ms, 4)
+	clk.advance(39 * ms)
+	if len(out) != 0 {
+		t.Fatalf("feedback before the interval passed: %d messages", len(out))
+	}
+	clk.advance(40 * ms)
+	want("first interval", 1, 1, 4) // 1, 2, lost 3, 4
+	if at := out[0].Arrivals()[0].At; at < 9*ms || at > 11*ms {
+		t.Errorf("first arrival reported at %v, want its fortune 0 + 10ms", at)
+	}
+
+	// 3 overtaken by 4 and by the flush: reported lost, not as the base of a
+	// message that starts before the previous one ended.
+	data(45*ms, 3)
+	data(50*ms, 5)
+	clk.advance(80 * ms)
+	want("reordered across the flush", 2, 5, 1)
+
+	clk.advance(160 * ms) // two intervals that recorded nothing
+	if len(out) != 2 {
+		t.Fatalf("idle intervals built feedback: %d messages, want 2", len(out))
+	}
+
+	// A sender that starts over closes the open message at once, so each
+	// message's sequence numbers still ascend.
+	data(165*ms, 30000)
+	data(170*ms, 6)
+	want("restart", 3, 30000, 1)
+	clk.advance(200 * ms)
+	want("after the restart", 4, 6, 1)
+	if u.Constructed() != 4 {
+		t.Errorf("Constructed() = %d, want 4", u.Constructed())
+	}
+
+	twcc := packet.BuildTWCC(1, 42, 0, []packet.TWCCArrival{{Seq: 1, At: ms}}).Marshal(nil)
+	nack := (&packet.NACK{SenderSSRC: 1, MediaSSRC: 42, Lost: []uint16{3}}).Marshal(nil)
+	for _, raw := range [][]byte{twcc, nack} {
+		u.OnFeedbackPacket(clk.Now(), &netem.Packet{Flow: dataFlow.Reverse(), Kind: netem.KindFeedback, Size: 80, Payload: rawRTCP(raw)})
+	}
+	if len(out) != 4 || other != 1 || u.DroppedClientFeedback() != 1 {
+		t.Errorf("client RTCP: %d TWCC and %d others reached the uplink, %d absorbed; want 4 (none new), 1, 1",
+			len(out), other, u.DroppedClientFeedback())
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/zhuge-project/zhuge/internal/chaos"
 	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/parallel"
@@ -186,41 +185,6 @@ func runTCP(opts scenario.Options, ccaName string, dur time.Duration) rtcResult 
 func standardTraces(cfg Config, dur time.Duration) []*trace.Trace {
 	return trace.StandardSet(dur, cfg.Seed)
 }
-
-// solutionSpec is the package-local view of one RTP comparison point; the
-// canonical list lives in internal/chaos (the matrix enumerates it too).
-type solutionSpec struct {
-	name  string
-	sol   scenario.Solution
-	qdisc string
-}
-
-// rtpSolutions are the RTP/RTCP comparison points of Figures 11/13/14/22,
-// derived from the chaos matrix's canonical solution data.
-var rtpSolutions = func() []solutionSpec {
-	out := make([]solutionSpec, 0, len(chaos.RTPSolutions))
-	for _, s := range chaos.RTPSolutions {
-		out = append(out, solutionSpec{s.Name, s.Sol, s.Qdisc})
-	}
-	return out
-}()
-
-// tcpSolutionSpec is the package-local view of one TCP comparison point.
-type tcpSolutionSpec struct {
-	name string
-	sol  scenario.Solution
-	cca  string
-}
-
-// tcpSolutions are the TCP comparison points of Figures 12/15 and Table 3,
-// derived from the chaos matrix's canonical solution data.
-var tcpSolutions = func() []tcpSolutionSpec {
-	out := make([]tcpSolutionSpec, 0, len(chaos.TCPSolutions))
-	for _, s := range chaos.TCPSolutions {
-		out = append(out, tcpSolutionSpec{s.Name, s.Sol, s.CCA})
-	}
-	return out
-}()
 
 // newRNG derives a deterministic RNG for experiment-internal randomness.
 func newRNG(cfg Config, label string) *rand.Rand {

@@ -71,9 +71,9 @@ func Fig13CCDF(cfg Config) *Table {
 	cells := rtpTraceCells(picks)
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.sol, Qdisc: c.sol.qdisc}, dur)
-		rows := curve(c.tr.Name, c.sol.name, "rtt", res.rtt)
-		return append(rows, curve(c.tr.Name, c.sol.name, "frameDelay", res.frameDelay)...)
+		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.Sol, Qdisc: c.sol.Qdisc}, dur)
+		rows := curve(c.tr.Name, c.sol.Name, "rtt", res.rtt)
+		return append(rows, curve(c.tr.Name, c.sol.Name, "frameDelay", res.frameDelay)...)
 	})
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/chaos"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 )
@@ -35,7 +36,7 @@ func ControlLoop(cfg Config) *Table {
 		Title:  "Control-loop decomposition per solution (standard trace set)",
 		Header: []string{"solution", "proto", "segment", "n", "p50", "p95", "p99"},
 	}
-	n := len(rtpSolutions) + len(tcpSolutions)
+	n := len(chaos.RTPSolutions) + len(chaos.TCPSolutions)
 	runCells(cfg, t, n, func(i int, ob *obs.Obs) [][]string {
 		// One Loop-enabled bundle per cell, shared across the cell's five
 		// sequential trace runs so the rows aggregate the whole set. The
@@ -49,16 +50,16 @@ func ControlLoop(cfg Config) *Table {
 		}
 		var name, proto string
 		for _, tr := range standardTraces(cfg, dur) {
-			if i < len(rtpSolutions) {
-				sol := rtpSolutions[i]
-				name, proto = sol.name, "rtp"
+			if i < len(chaos.RTPSolutions) {
+				sol := chaos.RTPSolutions[i]
+				name, proto = sol.Name, "rtp"
 				runRTP(scenario.Options{Seed: cfg.Seed, Trace: tr,
-					Solution: sol.sol, Qdisc: sol.qdisc, Obs: o}, dur)
+					Solution: sol.Sol, Qdisc: sol.Qdisc, Obs: o}, dur)
 			} else {
-				sol := tcpSolutions[i-len(rtpSolutions)]
-				name, proto = sol.name, "tcp"
+				sol := chaos.TCPSolutions[i-len(chaos.RTPSolutions)]
+				name, proto = sol.Name, "tcp"
 				runTCP(scenario.Options{Seed: cfg.Seed, Trace: tr,
-					Solution: sol.sol, Obs: o}, sol.cca, dur)
+					Solution: sol.Sol, Obs: o}, sol.CCA, dur)
 			}
 		}
 		stats := o.ControlLoop().Rows()

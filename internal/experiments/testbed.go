@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/chaos"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/sim"
@@ -26,43 +27,43 @@ func Fig18(cfg Config) *Table {
 
 	type scn struct {
 		name  string
-		build func(sol solutionSpec, o *obs.Obs) rtcResult
+		build func(sol chaos.SolutionSpec, o *obs.Obs) rtcResult
 	}
 	office := func() *trace.Trace {
 		return trace.Generate(trace.OfficeWiFi(), dur, newRNG(cfg, "fig18"))
 	}
 	mcsLevels := []float64{1.0, 0.7, 0.5, 0.35, 0.25}
 	scenarios := []scn{
-		{"scp", func(sol solutionSpec, o *obs.Obs) rtcResult {
+		{"scp", func(sol chaos.SolutionSpec, o *obs.Obs) rtcResult {
 			// Stable channel; an scp bulk transfer toggles every 30s.
 			p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: trace.Constant("scp", 27e6, dur),
-				Solution: sol.sol, Qdisc: sol.qdisc, WANRTT: 30 * time.Millisecond})
+				Solution: sol.Sol, Qdisc: sol.Qdisc, WANRTT: 30 * time.Millisecond})
 			f := p.AddRTPFlow(scenario.RTPFlowConfig{})
 			p.AddBulkFlow(10*time.Second, 30*time.Second)
 			p.Run(dur)
 			return rtpFlowResult(f, dur)
 		}},
-		{"mcs", func(sol solutionSpec, o *obs.Obs) rtcResult {
+		{"mcs", func(sol chaos.SolutionSpec, o *obs.Obs) rtcResult {
 			// Random MCS level per 30s period, like `iw` reconfiguration.
-			rng := newRNG(cfg, "fig18-mcs-"+sol.name)
+			rng := newRNG(cfg, "fig18-mcs-"+sol.Name)
 			levels := make([]float64, int(dur/(30*time.Second))+1)
 			for i := range levels {
 				levels[i] = mcsLevels[rng.Intn(len(mcsLevels))]
 			}
 			p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: trace.Constant("mcs", 30e6, dur),
-				Solution: sol.sol, Qdisc: sol.qdisc, WANRTT: 30 * time.Millisecond,
+				Solution: sol.Sol, Qdisc: sol.Qdisc, WANRTT: 30 * time.Millisecond,
 				MCSScale: func(at sim.Time) float64 { return levels[int(at/(30*time.Second))%len(levels)] }})
 			f := p.AddRTPFlow(scenario.RTPFlowConfig{})
 			p.Run(dur)
 			return rtpFlowResult(f, dur)
 		}},
-		{"raw", func(sol solutionSpec, o *obs.Obs) rtcResult {
+		{"raw", func(sol chaos.SolutionSpec, o *obs.Obs) rtcResult {
 			// A 5GHz office channel: the trace carries the goodput
 			// fluctuation; a handful of co-channel stations add access
 			// jitter (the paper's crowded-office testbed, not the 2.4GHz
 			// worst case of Figure 17).
 			p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: office(),
-				Solution: sol.sol, Qdisc: sol.qdisc, Interferers: 4})
+				Solution: sol.Sol, Qdisc: sol.Qdisc, Interferers: 4})
 			f := p.AddRTPFlow(scenario.RTPFlowConfig{})
 			p.Run(dur)
 			return rtpFlowResult(f, dur)
@@ -71,11 +72,11 @@ func Fig18(cfg Config) *Table {
 
 	type cell struct {
 		sc  scn
-		sol solutionSpec
+		sol chaos.SolutionSpec
 	}
 	var cells []cell
 	for _, sc := range scenarios {
-		for _, sol := range rtpSolutions {
+		for _, sol := range chaos.RTPSolutions {
 			cells = append(cells, cell{sc, sol})
 		}
 	}
@@ -83,7 +84,7 @@ func Fig18(cfg Config) *Table {
 		c := cells[i]
 		res := c.sc.build(c.sol, o)
 		return [][]string{{
-			c.sc.name, c.sol.name,
+			c.sc.name, c.sol.Name,
 			pct(res.rttTail), pct(res.frameTail),
 			fmt.Sprintf("%.2f", res.goodput/1e6),
 		}}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/chaos"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/trace"
@@ -24,8 +25,8 @@ func Fig11(cfg Config) *Table {
 	cells := rtpTraceCells(standardTraces(cfg, dur))
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.sol, Qdisc: c.sol.qdisc}, dur)
-		return [][]string{{c.tr.Name, c.sol.name, pct(res.rttTail), pct(res.frameTail)}}
+		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.Sol, Qdisc: c.sol.Qdisc}, dur)
+		return [][]string{{c.tr.Name, c.sol.Name, pct(res.rttTail), pct(res.frameTail)}}
 	})
 	return t
 }
@@ -33,13 +34,13 @@ func Fig11(cfg Config) *Table {
 // rtpTraceCell is one (trace, solution) point of the RTP sweeps.
 type rtpTraceCell struct {
 	tr  *trace.Trace
-	sol solutionSpec
+	sol chaos.SolutionSpec
 }
 
 func rtpTraceCells(traces []*trace.Trace) []rtpTraceCell {
-	cells := make([]rtpTraceCell, 0, len(traces)*len(rtpSolutions))
+	cells := make([]rtpTraceCell, 0, len(traces)*len(chaos.RTPSolutions))
 	for _, tr := range traces {
-		for _, sol := range rtpSolutions {
+		for _, sol := range chaos.RTPSolutions {
 			cells = append(cells, rtpTraceCell{tr, sol})
 		}
 	}
@@ -49,10 +50,10 @@ func rtpTraceCells(traces []*trace.Trace) []rtpTraceCell {
 // tcpTraceCell is one (trace, solution) point of the TCP sweeps.
 type tcpTraceCell struct {
 	tr  *trace.Trace
-	sol tcpSolutionSpec
+	sol chaos.SolutionSpec
 }
 
-func tcpTraceCells(traces []*trace.Trace, sols []tcpSolutionSpec) []tcpTraceCell {
+func tcpTraceCells(traces []*trace.Trace, sols []chaos.SolutionSpec) []tcpTraceCell {
 	cells := make([]tcpTraceCell, 0, len(traces)*len(sols))
 	for _, tr := range traces {
 		for _, sol := range sols {
@@ -72,11 +73,11 @@ func Fig12(cfg Config) *Table {
 		Title:  "Trace-driven TCP: tail latency and delayed-frame ratios",
 		Header: []string{"trace", "solution", "P(rtt>200ms)", "P(fdelay>400ms)"},
 	}
-	cells := tcpTraceCells(standardTraces(cfg, dur), tcpSolutions)
+	cells := tcpTraceCells(standardTraces(cfg, dur), chaos.TCPSolutions)
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.sol}, c.sol.cca, dur)
-		return [][]string{{c.tr.Name, c.sol.name, pct(res.rttTail), pct(res.frameTail)}}
+		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.Sol}, c.sol.CCA, dur)
+		return [][]string{{c.tr.Name, c.sol.Name, pct(res.rttTail), pct(res.frameTail)}}
 	})
 	return t
 }
@@ -100,9 +101,9 @@ func Fig13(cfg Config) *Table {
 	cells := rtpTraceCells(picks)
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.sol, Qdisc: c.sol.qdisc}, dur)
+		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.Sol, Qdisc: c.sol.Qdisc}, dur)
 		return [][]string{{
-			c.tr.Name, c.sol.name,
+			c.tr.Name, c.sol.Name,
 			res.rtt.Quantile(0.90).Round(time.Millisecond).String(),
 			res.rtt.Quantile(0.99).Round(time.Millisecond).String(),
 			res.rtt.Quantile(0.999).Round(time.Millisecond).String(),
@@ -126,26 +127,26 @@ func Fig22(cfg Config) *Table {
 	}
 	type cell struct {
 		tr     *trace.Trace
-		rtpSol *solutionSpec
-		tcpSol *tcpSolutionSpec
+		rtpSol *chaos.SolutionSpec
+		tcpSol *chaos.SolutionSpec
 	}
 	var cells []cell
 	for _, tr := range standardTraces(cfg, dur) {
-		for i := range rtpSolutions {
-			cells = append(cells, cell{tr: tr, rtpSol: &rtpSolutions[i]})
+		for i := range chaos.RTPSolutions {
+			cells = append(cells, cell{tr: tr, rtpSol: &chaos.RTPSolutions[i]})
 		}
-		for i := range tcpSolutions {
-			cells = append(cells, cell{tr: tr, tcpSol: &tcpSolutions[i]})
+		for i := range chaos.TCPSolutions {
+			cells = append(cells, cell{tr: tr, tcpSol: &chaos.TCPSolutions[i]})
 		}
 	}
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
 		if c.rtpSol != nil {
-			res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.rtpSol.sol, Qdisc: c.rtpSol.qdisc}, dur)
-			return [][]string{{c.tr.Name, c.rtpSol.name, pct(res.lowFPS)}}
+			res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.rtpSol.Sol, Qdisc: c.rtpSol.Qdisc}, dur)
+			return [][]string{{c.tr.Name, c.rtpSol.Name, pct(res.lowFPS)}}
 		}
-		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.tcpSol.sol}, c.tcpSol.cca, dur)
-		return [][]string{{c.tr.Name, c.tcpSol.name, pct(res.lowFPS)}}
+		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.tcpSol.Sol}, c.tcpSol.CCA, dur)
+		return [][]string{{c.tr.Name, c.tcpSol.Name, pct(res.lowFPS)}}
 	})
 	return t
 }
@@ -162,15 +163,15 @@ func Table3(cfg Config) *Table {
 		Title:  "Performance on ABC-style low-bandwidth cellular traces",
 		Header: []string{"solution", "P(rtt>200ms)", "P(fdelay>400ms)", "P(fps<10)"},
 	}
-	specs := []tcpSolutionSpec{
-		{"Copa", scenario.SolutionNone, "copa"},
-		{"ABC", scenario.SolutionABC, "abc"},
-		{"Copa+Zhuge", scenario.SolutionZhuge, "copa"},
+	specs := []chaos.SolutionSpec{
+		{Name: "Copa", Sol: scenario.SolutionNone, CCA: "copa"},
+		{Name: "ABC", Sol: scenario.SolutionABC, CCA: "abc"},
+		{Name: "Copa+Zhuge", Sol: scenario.SolutionZhuge, CCA: "copa"},
 	}
 	runCells(cfg, t, len(specs), func(i int, o *obs.Obs) [][]string {
 		sol := specs[i]
-		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: sol.sol}, sol.cca, dur)
-		return [][]string{{sol.name, pct(res.rttTail), pct(res.frameTail), pct(res.lowFPS)}}
+		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: sol.Sol}, sol.CCA, dur)
+		return [][]string{{sol.Name, pct(res.rttTail), pct(res.frameTail), pct(res.lowFPS)}}
 	})
 	return t
 }

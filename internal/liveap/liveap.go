@@ -1,19 +1,18 @@
 // Package liveap implements the userspace Zhuge AP over real UDP sockets:
 // the production-shaped counterpart of the simulator datapath, mirroring
-// the paper's OpenWrt packet-socket implementation (§7.1). It relays an
-// RTP/RTCP session between a server and a wireless client, shapes the
+// the paper's OpenWrt packet-socket implementation (§7.1). It relays
+// RTP/RTCP sessions between a server and a wireless client and shapes the
 // downlink to a configurable (optionally trace-driven) rate through a real
-// queue, runs the Fortune Teller on wall-clock offsets, and rewrites
-// feedback in in-band mode: recording transport-wide sequence numbers from
-// real RTP header bytes, constructing real TWCC RTCP packets, and absorbing
-// the client's own TWCC.
+// queue. Its Zhuge state is the simulator's own: a core.FortuneTeller fed
+// wall-clock offsets and a core.InbandUpdater that records transport-wide
+// sequence numbers from real RTP header bytes, constructs real TWCC RTCP
+// packets and absorbs the client's own TWCC. The relay is that updater's
+// core.Clock: time.Since(start), and time.AfterFunc callbacks that run under
+// the relay mutex, which also covers every other call into core.
 //
-// The relay serves one media flow. The first SSRC seen on a packet carrying a
-// transport-wide sequence number is the flow it predicts and builds feedback
-// for; such packets from any other SSRC are forwarded through the same queue
-// but never recorded or predicted for - two senders' sequence spaces
-// interleaved in one feedback message would be wrong for both - and are
-// counted in Stats.OtherSSRC.
+// Media streams are told apart by SSRC: each one carrying transport-wide
+// sequence numbers gets its own feedback stream over its own sequence space;
+// all share the one downlink queue.
 package liveap
 
 import (
@@ -26,6 +25,7 @@ import (
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/packet"
 	"github.com/zhuge-project/zhuge/internal/queue"
+	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
 )
 
@@ -54,19 +54,17 @@ type Config struct {
 	FeedbackEvery time.Duration
 }
 
-// Stats is a snapshot of relay counters. MediaOut and FeedbackRelayed are
-// bumped before the socket write (and taken back if it fails), so a peer
-// that has received a packet always finds it counted.
+// Stats is a snapshot of relay counters. A peer that has received a packet
+// always finds it counted: MediaOut is bumped before the socket write (and
+// taken back if it fails), the feedback counters under the mutex the write
+// is made under.
 type Stats struct {
 	MediaIn         int
 	MediaOut        int
 	Dropped         int // queue overflow, or the write to the client failed
-	FeedbackBuilt   int
-	ClientTWCCDrops int
+	FeedbackBuilt   int // core.InbandUpdater.Constructed
+	ClientTWCCDrops int // core.InbandUpdater.DroppedClientFeedback
 	FeedbackRelayed int
-	// OtherSSRC counts media with a transport-wide sequence number from an
-	// SSRC other than the first one seen: forwarded, left out of feedback.
-	OtherSSRC int
 }
 
 // Relay is a running live AP.
@@ -78,23 +76,42 @@ type Relay struct {
 	client    *net.UDPAddr
 	server    *net.UDPAddr
 
-	mu      sync.Mutex
-	q       *queue.FIFO
-	ft      *core.FortuneTeller
-	start   time.Time
-	records []packet.TWCCArrival
-	ssrc    uint32 // of the one flow served, latched from its first packet
-	latched bool
-	fbCount uint8
-	stats   Stats
+	start time.Time
+
+	mu    sync.Mutex // guards everything below and every call into core
+	q     *queue.FIFO
+	ft    *core.FortuneTeller
+	ib    *core.InbandUpdater // consulted only if cfg.Zhuge
+	stats Stats
 
 	kick chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
 }
 
-// flowKey is the single relayed flow's identity inside the qdisc.
-var flowKey = netem.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 5004, DstPort: 5004, Proto: packet.ProtoUDP}
+// media is a relayed downlink datagram. One that parsed as RTP with a
+// transport-wide sequence number is handed to the updater as a
+// core.TWCCCarrier.
+type media struct {
+	wire []byte
+	ssrc uint32
+	seq  uint16
+}
+
+// TWCCInfo implements core.TWCCCarrier.
+func (m *media) TWCCInfo() (uint32, uint16) { return m.ssrc, m.seq }
+
+// rtcp is a client RTCP datagram on its way to the server.
+type rtcp []byte
+
+// RawRTCP implements core.RTCPCarrier.
+func (b rtcp) RawRTCP() []byte { return b }
+
+// flowOf is a media stream's identity inside the qdisc and the updater, which
+// keys its flows by FlowKey: the SSRC stands in for the source address.
+func flowOf(ssrc uint32) netem.FlowKey {
+	return netem.FlowKey{SrcIP: ssrc, DstIP: 1, SrcPort: 5004, DstPort: 5004, Proto: packet.ProtoUDP}
+}
 
 // New creates and starts a relay.
 func New(cfg Config) (*Relay, error) {
@@ -146,14 +163,11 @@ func New(cfg Config) (*Relay, error) {
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
+	r.ib = core.NewInbandUpdater(r, netem.ReceiverFunc(r.toServer), cfg.FeedbackEvery)
 	r.wg.Add(3)
 	go r.mediaLoop()
 	go r.drainLoop()
 	go r.feedbackLoop()
-	if cfg.Zhuge {
-		r.wg.Add(1)
-		go r.twccTicker()
-	}
 	return r, nil
 }
 
@@ -167,7 +181,9 @@ func (r *Relay) FeedbackAddr() *net.UDPAddr { return r.fbConn.LocalAddr().(*net.
 func (r *Relay) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	st := r.stats
+	st.FeedbackBuilt, st.ClientTWCCDrops = r.ib.Constructed(), r.ib.DroppedClientFeedback()
+	return st
 }
 
 // Close stops the relay and releases its sockets.
@@ -178,7 +194,22 @@ func (r *Relay) Close() {
 	r.wg.Wait()
 }
 
-func (r *Relay) now() time.Duration { return time.Since(r.start) }
+// Now implements core.Clock: wall time since the relay started.
+func (r *Relay) Now() sim.Time { return time.Since(r.start) }
+
+// ScheduleAfter implements core.Clock. fn runs on a runtime timer goroutine
+// under the relay mutex, and not at all once the relay is closed.
+func (r *Relay) ScheduleAfter(d time.Duration, fn func()) {
+	time.AfterFunc(d, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		select {
+		case <-r.done:
+		default:
+			fn()
+		}
+	})
+}
 
 func (r *Relay) rateAt(now time.Duration) float64 {
 	if r.cfg.Trace != nil {
@@ -199,40 +230,30 @@ func (r *Relay) mediaLoop() {
 		data := make([]byte, n)
 		copy(data, buf[:n])
 
-		now := r.now()
-		recorded := false
-		r.mu.Lock()
-		r.stats.MediaIn++
+		m := &media{wire: data}
+		twcc := false
 		if r.cfg.Zhuge && !packet.IsRTCP(data) {
 			var hdr packet.RTPHeader
 			if _, err := hdr.Unmarshal(data); err == nil && hdr.HasTWCC {
-				if !r.latched {
-					r.ssrc, r.latched = hdr.SSRC, true
-				}
-				// UDP may reorder; TWCC records must stay in ascending
-				// (wrap-aware) sequence order, so late arrivals are
-				// skipped (they will be reported lost, and recovered by
-				// the endpoints' own loss machinery).
-				inOrder := len(r.records) == 0 ||
-					int16(hdr.TWCCSeq-r.records[len(r.records)-1].Seq) > 0
-				if hdr.SSRC != r.ssrc {
-					r.stats.OtherSSRC++
-				} else if inOrder {
-					pred := r.ft.Predict(now, flowKey)
-					// Faithful per-packet prediction, matching the
-					// simulator's in-band updater (see internal/core).
-					r.records = append(r.records, packet.TWCCArrival{Seq: hdr.TWCCSeq, At: now + pred.Total})
-					recorded = true
-				}
+				m.ssrc, m.seq, twcc = hdr.SSRC, hdr.TWCCSeq, true
 			}
 		}
-		ok := r.q.Enqueue(now, &netem.Packet{Flow: flowKey, Kind: netem.KindData, Size: n + 28, Payload: data})
+		now := r.Now()
+		p := &netem.Packet{Flow: flowOf(m.ssrc), Kind: netem.KindData, Size: n + 28, Payload: m}
+		r.mu.Lock()
+		r.stats.MediaIn++
+		var pred core.Prediction
+		if twcc {
+			pred = r.ft.Predict(now, p.Flow)
+		}
+		ok := r.q.Enqueue(now, p)
 		if !ok {
 			r.stats.Dropped++
-			// An AP-dropped packet must not be reported as received.
-			if recorded {
-				r.records = r.records[:len(r.records)-1]
-			}
+		} else if twcc {
+			// Only what the queue accepted is recorded, with the prediction
+			// taken before it went in, as core.AP does: an AP-dropped packet
+			// must not be reported as received.
+			r.ib.OnDataPacket(now, p.Flow, p, pred)
 		}
 		r.mu.Unlock()
 		if ok {
@@ -249,9 +270,9 @@ func (r *Relay) drainLoop() {
 	defer r.wg.Done()
 	for {
 		r.mu.Lock()
-		p := r.q.Dequeue(r.now())
+		p := r.q.Dequeue(r.Now())
 		if p != nil {
-			r.ft.OnDequeue(r.now(), p)
+			r.ft.OnDequeue(r.Now(), p)
 			// Counted before the write: whoever reads the packet off the
 			// client socket must already see it in Stats.
 			r.stats.MediaOut++
@@ -265,14 +286,13 @@ func (r *Relay) drainLoop() {
 				return
 			}
 		}
-		data := p.Payload.([]byte)
-		if _, err := r.mediaConn.WriteToUDP(data, r.client); err != nil {
+		if _, err := r.mediaConn.WriteToUDP(p.Payload.(*media).wire, r.client); err != nil {
 			r.mu.Lock()
 			r.stats.MediaOut--
 			r.stats.Dropped++
 			r.mu.Unlock()
 		}
-		rate := r.rateAt(r.now())
+		rate := r.rateAt(r.Now())
 		if rate > 0 {
 			airtime := time.Duration(float64(p.Size*8) / rate * float64(time.Second))
 			select {
@@ -284,7 +304,8 @@ func (r *Relay) drainLoop() {
 	}
 }
 
-// feedbackLoop relays client RTCP, absorbing TWCC in Zhuge mode.
+// feedbackLoop hands client RTCP to the updater, which absorbs TWCC and
+// sends the rest on; a plain relay sends everything on.
 func (r *Relay) feedbackLoop() {
 	defer r.wg.Done()
 	buf := make([]byte, 64<<10)
@@ -293,49 +314,25 @@ func (r *Relay) feedbackLoop() {
 		if err != nil {
 			return
 		}
-		if r.cfg.Zhuge {
-			if pt, fmtField, _, err := packet.RTCPKind(buf[:n]); err == nil &&
-				pt == packet.RTCPTypeRTPFB && fmtField == packet.RTPFBTWCC {
-				r.mu.Lock()
-				r.stats.ClientTWCCDrops++
-				r.mu.Unlock()
-				continue
-			}
-		}
-		// Counted before the write, like MediaOut in drainLoop.
+		// buf is written out or dropped before the next read reuses it.
+		p := netem.NewPacket()
+		*p = netem.Packet{Kind: netem.KindFeedback, Size: n + 28, Payload: rtcp(buf[:n])}
 		r.mu.Lock()
-		r.stats.FeedbackRelayed++
-		r.mu.Unlock()
-		if _, err := r.fbConn.WriteToUDP(buf[:n], r.server); err != nil {
-			r.mu.Lock()
-			r.stats.FeedbackRelayed--
-			r.mu.Unlock()
+		if r.cfg.Zhuge {
+			r.ib.OnFeedbackPacket(r.Now(), p)
+		} else {
+			r.toServer(p)
 		}
+		r.mu.Unlock()
 	}
 }
 
-// twccTicker constructs the AP's own TWCC feedback every interval.
-func (r *Relay) twccTicker() {
-	defer r.wg.Done()
-	tick := time.NewTicker(r.cfg.FeedbackEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-tick.C:
-		}
-		r.mu.Lock()
-		if len(r.records) == 0 {
-			r.mu.Unlock()
-			continue
-		}
-		fb := packet.BuildTWCC(r.ssrc, r.ssrc, r.fbCount, r.records)
-		r.fbCount++
-		r.records = r.records[:0]
-		r.stats.FeedbackBuilt++
-		r.mu.Unlock()
-		raw := fb.Marshal(nil)
-		r.fbConn.WriteToUDP(raw, r.server)
+// toServer is the updater's uplink: the TWCC it built and the client RTCP it
+// let through go out on the server socket. Called with the mutex held.
+func (r *Relay) toServer(p *netem.Packet) {
+	_, relayed := p.Payload.(rtcp)
+	if _, err := r.fbConn.WriteToUDP(p.Payload.(core.RTCPCarrier).RawRTCP(), r.server); err == nil && relayed {
+		r.stats.FeedbackRelayed++
 	}
+	p.Release()
 }

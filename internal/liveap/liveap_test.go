@@ -107,15 +107,18 @@ func TestZhugeRelayBuildsTWCC(t *testing.T) {
 	}
 }
 
-// TestSecondSSRCForwardedNotRecorded pins the single-flow limit: a second
-// sender's media crosses the relay, but the feedback the AP builds covers the
-// first SSRC's sequence numbers only.
-func TestSecondSSRCForwardedNotRecorded(t *testing.T) {
+// TestTwoSSRCsEachGetTheirOwnFeedback sends two senders' media through one
+// relay: both cross it, and every message the AP builds covers one SSRC's
+// sequence space only - two spaces interleaved in one message would be wrong
+// for both senders.
+func TestTwoSSRCsEachGetTheirOwnFeedback(t *testing.T) {
 	r, serverSock, clientSock := startRelay(t, true, 10e6)
 	const each = 15
+	base := map[uint32]uint16{0x1234: 100, 0xbeef: 5000}
 	for i := 0; i < each; i++ {
-		sendRTPFrom(t, 0x1234, serverSock, r.MediaAddr(), uint16(100+i), 300)
-		sendRTPFrom(t, 0xbeef, serverSock, r.MediaAddr(), uint16(5000+i), 300)
+		for ssrc, b := range base {
+			sendRTPFrom(t, ssrc, serverSock, r.MediaAddr(), b+uint16(i), 300)
+		}
 		time.Sleep(time.Millisecond)
 	}
 	clientSock.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -125,29 +128,30 @@ func TestSecondSSRCForwardedNotRecorded(t *testing.T) {
 			t.Fatalf("client received %d of %d packets: %v", got, 2*each, err)
 		}
 	}
-	if st := r.Stats(); st.OtherSSRC != each || st.MediaOut != 2*each {
-		t.Errorf("stats %+v, want %d from the other SSRC and %d forwarded", st, each, 2*each)
+	if st := r.Stats(); st.MediaOut != 2*each {
+		t.Errorf("stats %+v, want %d forwarded", st, 2*each)
 	}
-	// Every message built while both were sending, until the first flow's
-	// last packet has been reported.
+	// Every message, until both flows' last packets have been reported.
 	serverSock.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for covered := false; !covered; {
+	covered := map[uint32]int{}
+	for covered[0x1234] < each || covered[0xbeef] < each {
 		n, err := serverSock.Read(buf)
 		if err != nil {
-			t.Fatalf("feedback never reached sequence %d: %v", 100+each-1, err)
+			t.Fatalf("feedback covered %v of %d sequence numbers per SSRC: %v", covered, each, err)
 		}
 		fb, err := packet.UnmarshalTWCC(buf[:n])
 		if err != nil {
 			t.Fatalf("AP feedback not TWCC: %v", err)
 		}
-		if fb.MediaSSRC != 0x1234 {
-			t.Errorf("feedback for SSRC %#x, want 0x1234", fb.MediaSSRC)
+		b, known := base[fb.MediaSSRC]
+		if !known {
+			t.Fatalf("feedback for SSRC %#x, sent by nobody", fb.MediaSSRC)
 		}
 		for _, a := range fb.Arrivals() {
-			if a.Seq < 100 || a.Seq >= 100+each {
-				t.Fatalf("feedback reports sequence %d, outside the first flow's 100..%d", a.Seq, 100+each-1)
+			if a.Seq < b || a.Seq >= b+each {
+				t.Fatalf("feedback for SSRC %#x reports sequence %d, outside its %d..%d", fb.MediaSSRC, a.Seq, b, b+each-1)
 			}
-			covered = covered || a.Seq == 100+each-1
+			covered[fb.MediaSSRC]++
 		}
 	}
 }

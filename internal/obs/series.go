@@ -214,45 +214,6 @@ func formatSeriesValue(v float64) string {
 	return string(b)
 }
 
-// MergeSeriesSets combines per-shard sets into one. Series that exist in
-// only one input are copied; series with identical labels in several inputs
-// are merged by sorting the union of their points on (At, V). That order is
-// a property of the point multiset alone, so any grouping of the same cells
-// over shards — 1 or 8 — yields a byte-identical WriteJSONL export
-// (pinned by TestMergeSeriesGroupingInvariant).
-func MergeSeriesSets(sets ...*SeriesSet) *SeriesSet {
-	capacity := 0
-	points := make(map[string][]SeriesPoint)
-	for _, ss := range sets {
-		if ss == nil {
-			continue
-		}
-		if ss.cap > capacity {
-			capacity = ss.cap
-		}
-		for name, s := range ss.m {
-			points[name] = s.Points(points[name])
-		}
-	}
-	out := NewSeriesSet(capacity)
-	for name, pts := range points {
-		sort.Slice(pts, func(i, j int) bool {
-			if pts[i].At != pts[j].At {
-				return pts[i].At < pts[j].At
-			}
-			return pts[i].V < pts[j].V
-		})
-		s := &Series{name: name, buf: make([]SeriesPoint, len(pts))}
-		copy(s.buf, pts)
-		s.n = len(pts)
-		if s.n > out.cap {
-			out.cap = s.n
-		}
-		out.m[name] = s
-	}
-	return out
-}
-
 // ReadSeriesJSONL parses a WriteJSONL export back into a set, e.g. for
 // zhuge-trace's series→Chrome-counter conversion.
 func ReadSeriesJSONL(r io.Reader) (*SeriesSet, error) {

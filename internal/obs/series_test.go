@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -96,17 +97,21 @@ func TestSeriesJSONLRoundtrip(t *testing.T) {
 	ss.Of("b.second").Add(sim.Time(2e6), 0.5)
 	ss.Of("a.first").Add(sim.Time(1e6), 42)
 	ss.Of("a.first").Add(sim.Time(3e6), 1e9)
+	// Enough series that an export in map order cannot pass by luck.
+	for _, name := range []string{"a.k", "a.j", "a.i", "a.h", "a.g"} {
+		ss.Of(name).Add(sim.Time(1e6), 1)
+	}
 
 	var out bytes.Buffer
 	if err := ss.WriteJSONL(&out); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d lines, want 3:\n%s", len(lines), out.String())
+	if len(lines) != 8 {
+		t.Fatalf("%d lines, want 8:\n%s", len(lines), out.String())
 	}
 	// Series sorted by name, points oldest first.
-	if !strings.Contains(lines[0], `"a.first"`) || !strings.Contains(lines[2], `"b.second"`) {
+	if !sort.StringsAreSorted(lines) || !strings.Contains(lines[0], `"a.first"`) || !strings.Contains(lines[7], `"b.second"`) {
 		t.Fatalf("series not sorted by name:\n%s", out.String())
 	}
 	for _, l := range lines {

@@ -13,7 +13,6 @@
 package parallel
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -62,19 +61,8 @@ func Workers(requested int) int {
 // index, remaining unstarted cells are cancelled, and Map re-panics with a
 // *PanicError once every in-flight cell has finished.
 func Map(workers, n int, fn func(i int)) {
-	if err := MapCtx(context.Background(), workers, n, fn); err != nil {
-		// MapCtx with a background context only returns panic errors.
-		panic(err)
-	}
-}
-
-// MapCtx is Map with cooperative cancellation: when ctx is cancelled, no new
-// cells are started and MapCtx returns ctx.Err() after in-flight cells
-// drain. Cell panics are still propagated as panics (a *PanicError), because
-// a panicking cell is a bug, not a cancellation.
-func MapCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	if n <= 0 {
-		return ctx.Err()
+		return
 	}
 	workers = Workers(workers)
 	if workers > n {
@@ -82,52 +70,32 @@ func MapCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if pe := runCell(i, fn); pe != nil {
 				panic(pe)
 			}
 		}
-		return nil
+		return
 	}
 
 	var (
 		next     atomic.Int64 // next unclaimed cell
-		stopped  atomic.Bool  // set on panic or cancellation
 		panicked atomic.Pointer[PanicError]
 		wg       sync.WaitGroup
 	)
-	done := ctx.Done()
-	run := func(i int) {
-		if pe := runCell(i, fn); pe != nil {
-			stopped.Store(true)
-			// Keep the first panic; later ones lose the race and are
-			// dropped (they are almost always the same bug anyway).
-			panicked.CompareAndSwap(nil, pe)
-		}
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				if stopped.Load() {
-					return
-				}
-				if done != nil {
-					select {
-					case <-done:
-						stopped.Store(true)
-						return
-					default:
-					}
-				}
+			for panicked.Load() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				run(i)
+				// Keep the first panic; later ones lose the race and are
+				// dropped (they are almost always the same bug anyway).
+				if pe := runCell(i, fn); pe != nil {
+					panicked.CompareAndSwap(nil, pe)
+				}
 			}
 		}()
 	}
@@ -135,7 +103,6 @@ func MapCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	if pe := panicked.Load(); pe != nil {
 		panic(pe)
 	}
-	return ctx.Err()
 }
 
 // runCell invokes fn(i), converting a panic into an attributed *PanicError.

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -121,40 +120,6 @@ func TestPanicErrorUnwrap(t *testing.T) {
 			}
 		})
 	}()
-}
-
-func TestMapCtxCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	err := MapCtx(ctx, 2, 10000, func(i int) {
-		if ran.Add(1) == 5 {
-			cancel()
-		}
-		time.Sleep(100 * time.Microsecond)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := ran.Load(); n >= 10000 {
-		t.Errorf("cancellation did not stop the sweep (%d cells ran)", n)
-	}
-}
-
-func TestMapCtxSequentialCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran int
-	err := MapCtx(ctx, 1, 100, func(i int) {
-		ran++
-		if i == 3 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran != 4 {
-		t.Errorf("ran %d cells, want 4 (cancel checked before each cell)", ran)
-	}
 }
 
 func TestWorkers(t *testing.T) {

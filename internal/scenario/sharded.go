@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/netem"
-	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/shard"
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/topo"
@@ -35,13 +34,6 @@ type ShardedOptions struct {
 	// positive whenever the Spec roams stations across cells; zero or
 	// negative delays are rejected at build time.
 	CutDelay time.Duration
-
-	// Obs optionally supplies one observability bundle per cell, keyed by
-	// the cell's label (the AP name; "" for a single-cell build). A
-	// registry is bound to one simulator and must never be shared across
-	// shards, hence a factory instead of a single bundle; merge the
-	// per-cell snapshots with obs.MergeSnapshots.
-	Obs func(cell string) *obs.Obs
 }
 
 // ShardedCell is one cell of a sharded build: a complete single-AP Path —
@@ -171,9 +163,6 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 			Stations: cellStations[i],
 			Flows:    cellFlows[i],
 		}
-		if opt.Obs != nil {
-			cs.Obs = opt.Obs(label)
-		}
 		cell := &ShardedCell{
 			Index: i, Label: label, Path: cs.Build(),
 			Cell: cluster.AddCell(sp.APs[i].Name, cs.Sim, shards[assign[i]]),
@@ -262,20 +251,6 @@ func (spd *ShardedPath) Run(d time.Duration, workers int) {
 		return
 	}
 	spd.Cluster.Run(d, workers)
-}
-
-// MergedSnapshot merges every cell's metrics registry snapshot into one.
-// It fails if two cells exported the same instrument name — per-cell
-// labels are supposed to make that impossible, so a collision is a
-// labelling bug, not data to be silently summed.
-func (spd *ShardedPath) MergedSnapshot() (obs.Snapshot, error) {
-	snaps := make([]obs.Snapshot, 0, len(spd.Cells))
-	for _, c := range spd.Cells {
-		if o := c.Path.Spec.Obs; o != nil && o.Reg != nil {
-			snaps = append(snaps, o.Reg.Snapshot())
-		}
-	}
-	return obs.MergeSnapshots(snaps...)
 }
 
 // handover executes one roam at the barrier. The station keeps its home

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/shard"
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
@@ -203,34 +202,6 @@ func TestZeroLookaheadRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "lookahead") {
 		t.Fatalf("error %q does not explain the lookahead requirement", err)
-	}
-}
-
-// TestShardedObsLabelsUnique runs a sharded campus with a metrics registry
-// per cell and checks the merged snapshot: every instrument name unique
-// (merge fails loudly otherwise) and cell-prefixed.
-func TestShardedObsLabelsUnique(t *testing.T) {
-	sp := Campus(1, CampusConfig{APs: 3, Stations: 6, Roams: 2, Duration: time.Second})
-	spd, err := BuildSharded(sp, ShardedOptions{
-		Shards:   3,
-		CutDelay: CampusCutDelay,
-		Obs:      func(string) *obs.Obs { return obs.New(obs.Options{Metrics: true}) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spd.Run(time.Second, 2)
-	snap, err := spd.MergedSnapshot()
-	if err != nil {
-		t.Fatalf("per-cell labels collided: %v", err)
-	}
-	if len(snap.Counters)+len(snap.Histograms) == 0 {
-		t.Fatal("merged snapshot is empty; obs did not attach")
-	}
-	for name := range snap.Counters {
-		if !strings.HasPrefix(name, "ap0") {
-			t.Fatalf("counter %q is not cell-prefixed", name)
-		}
 	}
 }
 
