@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -33,7 +34,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -561,27 +561,12 @@ func writeObs(o *obs.Obs, traceOut, metricsOut, seriesOut string) {
 	}
 }
 
+// resolveTrace builds the -trace argument: a name internal/trace knows
+// (generators draw from this AP's seed), else a CSV file path.
 func resolveTrace(name string, dur time.Duration, seed int64) (*trace.Trace, error) {
-	gens := map[string]func() trace.GenParams{
-		"w1": trace.RestaurantWiFi, "w2": trace.OfficeWiFi, "c1": trace.IndoorMixed45G,
-		"c2": trace.City4G, "c3": trace.City5G, "ethernet": trace.Ethernet, "abc": trace.ABCCellular,
-	}
-	if mk, ok := gens[name]; ok {
-		return trace.Generate(mk(), dur, rand.New(rand.NewSource(seed))), nil
-	}
-	if k, ok := strings.CutPrefix(name, "drop"); ok {
-		f, err := strconv.ParseFloat(k, 64)
-		if err != nil || f <= 1 {
-			return nil, fmt.Errorf("bad drop factor %q", k)
-		}
-		return trace.Step(name, 30e6, 30e6/f, dur/3, dur), nil
-	}
-	if n, ok := strings.CutPrefix(name, "const"); ok {
-		mbps, err := strconv.ParseFloat(n, 64)
-		if err != nil || mbps <= 0 {
-			return nil, fmt.Errorf("bad constant rate %q", n)
-		}
-		return trace.Constant(name, mbps*1e6, dur), nil
+	tr, err := trace.Named(name, dur, rand.New(rand.NewSource(seed)))
+	if !errors.Is(err, trace.ErrUnknownName) {
+		return tr, err
 	}
 	f, err := os.Open(name)
 	if err != nil {

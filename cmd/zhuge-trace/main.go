@@ -24,16 +24,6 @@ import (
 	"github.com/zhuge-project/zhuge/internal/trace"
 )
 
-var generators = map[string]func() trace.GenParams{
-	"w1":       trace.RestaurantWiFi,
-	"w2":       trace.OfficeWiFi,
-	"c1":       trace.IndoorMixed45G,
-	"c2":       trace.City4G,
-	"c3":       trace.City5G,
-	"ethernet": trace.Ethernet,
-	"abc":      trace.ABCCellular,
-}
-
 func main() {
 	var (
 		gen    = flag.String("gen", "", "trace to generate (see -list)")
@@ -48,7 +38,7 @@ func main() {
 
 	switch {
 	case *list:
-		for name := range generators {
+		for _, name := range trace.Names() {
 			fmt.Println(name)
 		}
 	case *series != "":
@@ -88,11 +78,10 @@ func main() {
 		}
 		printStats(tr)
 	case *gen != "":
-		mk, ok := generators[*gen]
-		if !ok {
-			fatal(fmt.Errorf("unknown generator %q; use -list", *gen))
+		tr, err := trace.Named(*gen, *dur, rand.New(rand.NewSource(*seed)))
+		if err != nil {
+			fatal(fmt.Errorf("%v; use -list", err))
 		}
-		tr := trace.Generate(mk(), *dur, rand.New(rand.NewSource(*seed)))
 		w := os.Stdout
 		if *out != "" {
 			f, err := os.Create(*out)

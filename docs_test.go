@@ -106,3 +106,36 @@ func TestDocsResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestInventoryListsEveryPackage keeps DESIGN.md's system inventory in step
+// with the tree: every package directory directly under internal/ and
+// internal/transport/ must appear there as a backticked path, so adding or
+// deleting a package turns the table red instead of stale. Nested helper
+// directories (testdata, analysistest, goldengen) are covered by their
+// parents' rows.
+func TestInventoryListsEveryPackage(t *testing.T) {
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, inventory, ok := strings.Cut(string(raw), "\n## System inventory")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"## System inventory\" section")
+	}
+	inventory, _, _ = strings.Cut(inventory, "\n## ")
+	for _, parent := range []string{"internal", "internal/transport"} {
+		dirs, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			pkg := parent + "/" + d.Name()
+			if src, _ := filepath.Glob(pkg + "/*.go"); len(src) == 0 {
+				continue // not a package (internal/transport itself)
+			}
+			if !strings.Contains(inventory, "`"+pkg+"`") {
+				t.Errorf("DESIGN.md's system inventory does not list `%s`", pkg)
+			}
+		}
+	}
+}

@@ -233,7 +233,6 @@ var deterministicSegments = map[string]bool{
 	"scenario":    true,
 	"chaos":       true,
 	"shard":       true,
-	"topo":        true,
 	"baseline":    true,
 	"packet":      true,
 	"metrics":     true,

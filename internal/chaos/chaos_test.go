@@ -112,15 +112,15 @@ func TestAPRebootRoamsMeasuredStation(t *testing.T) {
 	eps := time.Millisecond
 	st := p.Station(MeasuredStation)
 	p.Run(testPhases.InjectStart() - eps)
-	if got := st.AP().Cfg.Name; got != "ap0" {
+	if got := st.AP().Spec.Name; got != "ap0" {
 		t.Fatalf("station on %q before inject", got)
 	}
 	p.Run(testPhases.InjectStart() + eps)
-	if got := st.AP().Cfg.Name; got != "ap1" {
+	if got := st.AP().Spec.Name; got != "ap1" {
 		t.Fatalf("station on %q during inject, want ap1", got)
 	}
 	p.Run(testPhases.InjectEnd() + eps)
-	if got := st.AP().Cfg.Name; got != "ap0" {
+	if got := st.AP().Spec.Name; got != "ap0" {
 		t.Fatalf("station on %q after inject, want ap0", got)
 	}
 }
@@ -132,14 +132,14 @@ func TestRoamStormMovesAllStations(t *testing.T) {
 	p.Run(testPhases.InjectStart() + eps)
 	for i := 0; i < n; i++ {
 		st := p.Station(fmt.Sprintf("storm%d", i))
-		if got := st.AP().Cfg.Name; got != "ap0" {
+		if got := st.AP().Spec.Name; got != "ap0" {
 			t.Fatalf("storm%d on %q during inject, want ap0", i, got)
 		}
 	}
 	p.Run(testPhases.InjectEnd() + eps)
 	for i := 0; i < n; i++ {
 		st := p.Station(fmt.Sprintf("storm%d", i))
-		if got := st.AP().Cfg.Name; got != "ap1" {
+		if got := st.AP().Spec.Name; got != "ap1" {
 			t.Fatalf("storm%d on %q after inject, want ap1", i, got)
 		}
 	}

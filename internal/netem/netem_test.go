@@ -106,6 +106,11 @@ func TestSinkDiscards(t *testing.T) {
 	Sink.Receive(&Packet{Size: 1}) // must not panic
 }
 
+var (
+	flowA = FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 20, Proto: 17}
+	flowB = FlowKey{SrcIP: 1, DstIP: 3, SrcPort: 10, DstPort: 21, Proto: 17}
+)
+
 // countHop counts the packets routed to it.
 type countHop struct{ n int }
 
@@ -115,8 +120,6 @@ func (c *countHop) Receive(*Packet) { c.n++ }
 // run time: exact-match routes win, everything else takes the default, and
 // an unrouted flow falls back to it.
 func TestRouterRouteAndUnroute(t *testing.T) {
-	flowA := FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 20, Proto: 17}
-	flowB := FlowKey{SrcIP: 1, DstIP: 3, SrcPort: 10, DstPort: 21, Proto: 17}
 	var def, special countHop
 	r := NewRouter(nil)
 	r.SetDefault(&def)
@@ -138,5 +141,45 @@ func TestRouterRouteAndUnroute(t *testing.T) {
 	}
 	if r.NextHop(flowA) != Receiver(&def) || r.Routes() != 0 {
 		t.Error("NextHop after Unroute is not the default")
+	}
+}
+
+func dataPacket(flow FlowKey) *Packet {
+	p := NewPacket()
+	p.Flow = flow
+	p.Kind = KindData
+	p.Size = 100
+	return p
+}
+
+func TestDemuxRoutesAndReleases(t *testing.T) {
+	d := NewDemux(false)
+	var a, b countHop
+	d.Register(flowA, &a)
+	d.Register(flowB, &b)
+	var tapped int
+	d.AddTap(func(*Packet) { tapped++ })
+
+	d.Receive(dataPacket(flowA))
+	d.Receive(dataPacket(flowA))
+	d.Receive(dataPacket(flowB))
+	// Unregistered flows are still tapped and released, just not delivered.
+	d.Receive(dataPacket(FlowKey{SrcIP: 9}))
+
+	if a.n != 2 || b.n != 1 {
+		t.Errorf("deliveries a=%d b=%d, want 2/1", a.n, b.n)
+	}
+	if tapped != 4 {
+		t.Errorf("taps saw %d packets, want all 4", tapped)
+	}
+}
+
+func TestReverseDemuxTranslatesKeys(t *testing.T) {
+	d := NewDemux(true)
+	var c countHop
+	d.Register(flowA, &c) // registered under the downlink key...
+	d.Receive(dataPacket(flowA.Reverse()))
+	if c.n != 1 {
+		t.Error("reverse demux did not translate the uplink key to its registration")
 	}
 }

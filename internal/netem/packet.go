@@ -1,7 +1,9 @@
 // Package netem provides the network-emulation primitives shared by every
-// component of the simulator: the packet model, flow identification, and
-// fixed-rate serialising links. The wireless bottleneck link lives in
-// internal/wireless; queue disciplines in internal/queue.
+// component of the simulator: the packet model and its pool, flow
+// identification, fixed-rate serialising links, the flow Router that
+// handover re-points, and the delivery Demux where pooled packets are
+// released. The wireless bottleneck link lives in internal/wireless; queue
+// disciplines in internal/queue.
 package netem
 
 import (

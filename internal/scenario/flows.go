@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/cca"
@@ -84,7 +85,7 @@ func (p *Path) AddRTPFlow(cfg RTPFlowConfig) *RTPFlow {
 	cfg = cfg.withDefaults()
 	flow := p.NewFlowKey()
 	st := p.station(cfg.Station)
-	pa := p.apOf(st)
+	pa := st.AP()
 	m := newFlowMetrics()
 
 	var rc cca.Rate
@@ -278,7 +279,7 @@ func (p *Path) addStreamVideo(cfg TCPFlowConfig, proto uint8, dial func(netem.Fl
 	flow := p.NewFlowKey()
 	flow.Proto = proto
 	st := p.station(cfg.Station)
-	pa := p.apOf(st)
+	pa := st.AP()
 	m := newFlowMetrics()
 	f := &streamVideo{Flow: flow, Metrics: m, FrameDelay: metrics.NewHistogram()}
 
@@ -430,9 +431,13 @@ func (p *Path) addBulk(startAt, period time.Duration, ownStation bool) *BulkFlow
 	flow := p.NewFlowKey()
 	flow.Proto = 6
 	if ownStation {
-		// Each station-bulk flow is its own client: it fills its own
-		// per-station queue and costs the primary station airtime.
-		p.RouteToStation(flow, p.AddStation())
+		// Each station-bulk flow is its own client on the first AP: it
+		// fills its own per-station queue and costs the primary station
+		// airtime, not queue space — how 802.11 competition behaves.
+		p.stationN++
+		first := p.APs[0]
+		st := p.newStation(fmt.Sprintf("station%d", p.stationN), first, true, first.Spec.QueueCap)
+		p.wanRouter.Route(flow, st.link)
 	}
 	snd := tcpsim.NewSender(p.S, flow, cca.NewCubic(), p.ServerOut())
 	rcv := tcpsim.NewReceiver(p.S, flow.Reverse(), p.ClientOut())

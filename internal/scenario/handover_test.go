@@ -27,6 +27,54 @@ func roamingSpec(seed int64, policy scenario.HandoverPolicy, sol scenario.Soluti
 	return sp
 }
 
+// TestStationAssociateMovesChannelAndRate pins the handover mechanics at
+// the radio layer: after Handover, an own-queue station's dedicated link
+// contends on the new AP's channel at the new AP's rate, and DownIn still
+// points at the station's own link (shared-queue stations instead follow
+// the AP).
+func TestStationAssociateMovesChannelAndRate(t *testing.T) {
+	sp := scenario.Spec{
+		Seed: 1,
+		APs: []scenario.APSpec{
+			{Name: "ap0", Trace: trace.Constant("ap0-c", 30e6, time.Second)},
+			{Name: "ap1", Trace: trace.Constant("ap1-c", 60e6, time.Second)},
+		},
+		Stations: []scenario.StationSpec{{Name: "shared"}, {Name: "owned", OwnQueue: true}},
+	}
+	p := sp.Build()
+	ap0, ap1 := p.APs[0], p.APs[1]
+	shared, owned := p.Station("shared"), p.Station("owned")
+
+	if owned.Link() == nil {
+		t.Fatal("own-queue station has no dedicated link")
+	}
+	if owned.DownIn() != netem.Receiver(owned.Link()) {
+		t.Error("own-queue DownIn is not the dedicated link")
+	}
+	if shared.DownIn() != ap0.DownIn {
+		t.Error("shared DownIn is not ap0's datapath entry")
+	}
+	if got := owned.Link().Config().Channel; got != ap0.Channel {
+		t.Fatal("dedicated link does not start on ap0's channel")
+	}
+
+	p.Handover(shared, ap1, scenario.HandoverReset)
+	p.Handover(owned, ap1, scenario.HandoverReset)
+
+	if shared.AP() != ap1 || owned.AP() != ap1 {
+		t.Error("Handover did not update the AP")
+	}
+	if shared.DownIn() != ap1.DownIn {
+		t.Error("shared DownIn did not follow the new AP")
+	}
+	if got := owned.Link().Config().Channel; got != ap1.Channel {
+		t.Error("dedicated link did not move to ap1's channel after roam")
+	}
+	if got := owned.Link().Config().Rate(0); got != 60e6 {
+		t.Errorf("dedicated link rate %g after roam, want the new AP's 60e6", got)
+	}
+}
+
 // TestHandoverNoDuplicateOrLostDelivery checks the packet-conservation
 // invariant across re-routing: every media packet is delivered to the
 // client at most once (pooled packets make a double delivery a

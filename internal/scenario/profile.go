@@ -23,7 +23,7 @@ type CellLoad struct {
 // LoadProfile is the per-cell weight profile a sharded profiling run dumps
 // (`zhuge-sim -campus N -profile-out f.json`): an instrument for seeing
 // where the events go, one exact row per cell at any shard count. Nothing
-// reads it back — placement is topo.Partition plus the Rebalancer.
+// reads it back — placement is partition plus the Rebalancer.
 type LoadProfile struct {
 	Workload   string     `json:"workload"`
 	Shards     int        `json:"shards"`

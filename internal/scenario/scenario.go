@@ -2,15 +2,16 @@
 // examples: server(s) — WAN — access point(s) (optionally running Zhuge,
 // ABC or FastAck) — wireless downlink — client(s), with the uplink
 // returning over a contended wireless hop and each AP's Ethernet uplink.
-// Paths are wired directly from internal/topo assemblies and plain netem
-// links and routers, either declaratively from a Spec (multi-AP, stations,
-// scheduled handovers) or through the classic single-AP NewPath options.
+// A PathAP is the whole access point — queue, both radio links, wired
+// uplink and the one solution in front of them — and paths are wired
+// directly from those and plain netem links, routers and demuxes, either
+// declaratively from a Spec (multi-AP, stations, scheduled handovers) or
+// through the classic single-AP NewPath options.
 // Flow factories attach RTP/GCC video calls, TCP and QUIC video streams
 // and bulk-transfer competitors, and collect the paper's metrics.
 package scenario
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/baseline"
@@ -18,7 +19,6 @@ import (
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/sim"
-	"github.com/zhuge-project/zhuge/internal/topo"
 	"github.com/zhuge-project/zhuge/internal/trace"
 	"github.com/zhuge-project/zhuge/internal/wireless"
 )
@@ -93,7 +93,6 @@ func (o Options) Spec() Spec {
 // Path is an assembled topology ready for flows.
 type Path struct {
 	S    *sim.Simulator
-	Opts Options // the first AP's configuration (single-AP compatibility)
 	Spec Spec
 
 	// APs lists every access point of the path; the fields below expose
@@ -110,16 +109,20 @@ type Path struct {
 	// order.
 	Flows []*BuiltFlow
 
-	clientDemux *topo.Demux
-	serverDemux *topo.Demux
+	clientDemux *netem.Demux
+	serverDemux *netem.Demux
 	wanDown     *netem.Link   // server -> AP WAN segment
 	wanRouter   *netem.Router // behind wanDown: flow -> AP/station entry
 	clientOut   *netem.Router // client uplink -> associated AP's radio
 
-	stations    map[string]*topo.Station
-	defaultSta  *topo.Station
-	byTopo      map[*topo.AP]*PathAP
-	flowStation map[netem.FlowKey]*topo.Station
+	stations    map[string]*Station
+	defaultSta  *Station
+	flowStation map[netem.FlowKey]*Station
+
+	// cell and labelPrefix place the path inside a sharded decomposition
+	// (see Spec.build); zero for a standalone build.
+	cell        int
+	labelPrefix string
 
 	stationN int
 	nextPort uint16
@@ -133,33 +136,6 @@ func NewPath(o Options) *Path {
 	return o.Spec().Build()
 }
 
-// AddStation attaches another wireless client (its own per-station queue
-// at the first AP) contending on the same channel, and routes the given
-// downlink flows to it. Competing traffic to other stations costs the
-// primary flow airtime, not queue space — how 802.11 competition actually
-// behaves.
-func (p *Path) AddStation(flows ...netem.FlowKey) *wireless.Link {
-	p.stationN++
-	label := fmt.Sprintf("station%d", p.stationN)
-	st := topo.NewStation(p.S, topo.StationConfig{
-		Name:     label,
-		OwnQueue: true,
-		QueueCap: p.Opts.QueueCap,
-		Label:    label,
-		Obs:      p.Spec.Obs,
-	}, p.APs[0].Topo, p.clientDemux)
-	p.stations[label] = st
-	for _, f := range flows {
-		p.RouteToStation(f, st.Link())
-	}
-	return st.Link()
-}
-
-// RouteToStation binds a downlink flow to an existing secondary station.
-func (p *Path) RouteToStation(flow netem.FlowKey, st *wireless.Link) {
-	p.wanRouter.Route(flow, st)
-}
-
 // NewFlowKey allocates a fresh downlink 5-tuple for a flow. Inside a
 // sharded decomposition the cell index lands in the third IP octet, so no
 // two cells can mint the same key (and per-flow RNG labels, which embed
@@ -167,7 +143,7 @@ func (p *Path) RouteToStation(flow netem.FlowKey, st *wireless.Link) {
 // the classic addresses.
 func (p *Path) NewFlowKey() netem.FlowKey {
 	p.nextPort++
-	off := uint32(p.Spec.Cell) << 8
+	off := uint32(p.cell) << 8
 	return netem.FlowKey{
 		SrcIP: 0x0a000001 + off, DstIP: 0xc0a80002 + off,
 		SrcPort: p.nextPort, DstPort: p.nextPort, Proto: 17,
@@ -194,23 +170,14 @@ func (p *Path) AddDeliveryTap(tap func(p *netem.Packet)) {
 // bindFlow attaches a flow to the station carrying it and routes both
 // directions there. Flows on the primary station ride the routers'
 // default routes.
-func (p *Path) bindFlow(flow netem.FlowKey, st *topo.Station) {
-	st.AddFlow(flow)
+func (p *Path) bindFlow(flow netem.FlowKey, st *Station) {
+	st.flows = append(st.flows, flow)
 	p.flowStation[flow] = st
 	if st == p.defaultSta {
 		return
 	}
 	p.wanRouter.Route(flow, st.DownIn())
 	p.clientOut.Route(flow.Reverse(), st.AP().Uplink)
-}
-
-// apOf returns the AP bundle a station is currently associated with.
-func (p *Path) apOf(st *topo.Station) *PathAP {
-	pa := p.byTopo[st.AP()]
-	if pa == nil {
-		panic("scenario: station associated with a foreign AP")
-	}
-	return pa
 }
 
 // ServerOut returns the receiver a server writes downlink packets into.
@@ -233,7 +200,7 @@ func (p *Path) ReturnBase() time.Duration {
 }
 
 func (p *Path) apReturnBase(pa *PathAP) time.Duration {
-	return pa.WANUp.Delay() + pa.Topo.Downlink.Config().MaxAggAirtime/2
+	return pa.WANUp.Delay() + pa.Downlink.Config().MaxAggAirtime/2
 }
 
 // FlowReturnBase is ReturnBase through the AP currently serving the
@@ -241,7 +208,7 @@ func (p *Path) apReturnBase(pa *PathAP) time.Duration {
 // wired uplink.
 func (p *Path) FlowReturnBase(flow netem.FlowKey) time.Duration {
 	if st, ok := p.flowStation[flow]; ok {
-		return p.apReturnBase(p.apOf(st))
+		return p.apReturnBase(st.AP())
 	}
 	return p.ReturnBase()
 }

@@ -7,8 +7,6 @@ import (
 
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/shard"
-	"github.com/zhuge-project/zhuge/internal/sim"
-	"github.com/zhuge-project/zhuge/internal/topo"
 )
 
 // ShardedOptions configures BuildSharded.
@@ -81,12 +79,16 @@ type ShardedPath struct {
 }
 
 // BuildSharded decomposes the Spec into per-AP cells, groups them onto
-// shards with topo.Partition, wires the cut edges every declared roam
-// needs, and registers the roams as barrier actions. It returns an error
-// when the Spec needs cross-cell edges but the cut delay grants no
-// lookahead; structural mistakes (unknown APs or stations, missing traces)
-// panic exactly like Build.
+// shards with partition, wires the cut edges every declared roam needs,
+// and registers the roams as barrier actions. It returns an error when the
+// Spec needs cross-cell edges but the cut delay grants no lookahead, or
+// carries an observability bundle (an obs.Obs is single-threaded and cannot
+// be shared by cells on different shards); structural mistakes (unknown APs
+// or stations, missing traces) panic exactly like Build.
 func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
+	if sp.Obs != nil {
+		return nil, fmt.Errorf("scenario: BuildSharded does not support Spec.Obs: one bundle cannot be shared by cells on different shards")
+	}
 	sp = sp.normalized()
 	n := len(sp.APs)
 
@@ -138,7 +140,7 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 	if k <= 0 || k > n {
 		k = n // one shard per cell, as ShardedOptions.Shards documents
 	}
-	assign := topo.Partition(n, k)
+	assign := partition(n, k)
 	cluster := shard.NewCluster()
 	shards := make([]*shard.Shard, k)
 	for gi := range shards {
@@ -156,16 +158,15 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 		if n > 1 {
 			label = sp.APs[i].Name
 		}
-		cs := Spec{
+		path := Spec{
 			Seed: sp.Seed, WANRTT: sp.WANRTT,
-			Sim: sim.New(sp.Seed), Cell: i, CellLabel: label,
 			APs:      []APSpec{sp.APs[i]},
 			Stations: cellStations[i],
 			Flows:    cellFlows[i],
-		}
+		}.build(i, label)
 		cell := &ShardedCell{
-			Index: i, Label: label, Path: cs.Build(),
-			Cell: cluster.AddCell(sp.APs[i].Name, cs.Sim, shards[assign[i]]),
+			Index: i, Label: label, Path: path,
+			Cell: cluster.AddCell(sp.APs[i].Name, path.S, shards[assign[i]]),
 		}
 		spd.Cells = append(spd.Cells, cell)
 		spd.byAP[sp.APs[i].Name] = cell
@@ -265,7 +266,11 @@ func (spd *ShardedPath) Run(d time.Duration, workers int) {
 //     stragglers, which still drain home — nothing is lost by a roam.
 //
 // Zhuge per-flow state migrates (or resets) between the serving APs per
-// the declared policy, exactly as in the single-simulator Handover.
+// the declared policy, and the home path's routers are re-pointed, through
+// the same moveFlowState and reroute the single-simulator Handover uses;
+// the trombone only hands reroute cut-edge senders and adds the two demux
+// forwards. Why the two roams stay two: DESIGN.md "Two roams, one boundary
+// each".
 //
 // It rewires two cells and the path's own roam state at once, so it is
 // barrier-only: invoked from an event on some cell's simulator it panics
@@ -281,24 +286,15 @@ func (spd *ShardedPath) handover(h HandoverSpec) {
 		return
 	}
 	fromPA, toPA := cur.Path.APs[0], to.Path.APs[0]
-	if fromPA.FastAck != nil || toPA.FastAck != nil {
-		panic("scenario: handover between FastAck APs is not supported")
-	}
 	st := home.Path.Station(sta)
-	for _, flow := range st.Flows() {
-		moveFlowState(fromPA, toPA, flow, h.Policy)
-	}
+	moveFlowState(st, fromPA, toPA, h.Policy)
 	if to == home {
-		for _, flow := range st.Flows() {
-			home.Path.wanRouter.Route(flow, st.DownIn())
-			home.Path.clientOut.Route(flow.Reverse(), toPA.Topo.Uplink)
-		}
+		home.Path.reroute(st, st.DownIn(), toPA.Uplink)
 	} else {
 		out := spd.edges[[2]int{home.Index, to.Index}]
 		back := spd.edges[[2]int{to.Index, home.Index}]
-		for _, flow := range st.Flows() {
-			home.Path.wanRouter.Route(flow, edgeSender{out, toPA.Topo.DownIn})
-			home.Path.clientOut.Route(flow.Reverse(), edgeSender{out, toPA.Topo.Uplink})
+		home.Path.reroute(st, edgeSender{out, toPA.DownIn}, edgeSender{out, toPA.Uplink})
+		for _, flow := range st.flows {
 			to.Path.clientDemux.Register(flow, demuxForward{back, home.Path.clientDemux})
 			to.Path.serverDemux.Register(flow, demuxForward{back, home.Path.serverDemux})
 		}
@@ -333,4 +329,34 @@ func (f demuxForward) Receive(p *netem.Packet) {
 	*cp = *p
 	p.Payload = nil
 	f.e.Send(cp, f.home)
+}
+
+// partition assigns n cells to k contiguous, balanced groups: assign[i] is
+// the group of cell i, groups are numbered 0..k-1 in cell order, and group
+// sizes differ by at most one. Contiguity is deliberate — neighbouring
+// cells (adjacent APs, the likeliest handover partners) land on the same
+// shard, so a balanced contiguous split minimises cut edges for the
+// roaming patterns the scenarios generate without needing a general graph
+// partitioner. k is clamped to [1, n].
+//
+// The assignment is a pure function of (n, k): the sharded determinism
+// gate relies on the decomposition being identical for every worker count
+// and across runs.
+func partition(n, k int) []int {
+	if n <= 0 {
+		return nil
+	}
+	if k < 1 {
+		k = 1
+	}
+	if k > n {
+		k = n
+	}
+	assign := make([]int, n)
+	for i := range assign {
+		// Cell i goes to group floor(i*k/n): each group gets n/k cells,
+		// the remainder spread one-per-group from the front.
+		assign[i] = i * k / n
+	}
+	return assign
 }

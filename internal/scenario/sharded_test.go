@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/shard"
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
@@ -111,7 +112,11 @@ func flowsFingerprint(p *Path) string {
 
 // TestCrossShardHandover pins the trombone: a station roams to an AP on
 // another shard mid-run and back, and its flow keeps delivering the whole
-// time — through the visited AP's queue and radio while roamed.
+// time — through the visited AP's queue and radio while roamed. The roamer
+// is an own-queue station, so the test also pins the documented difference
+// from the in-simulator roam (DESIGN.md "Two roams, one boundary each"):
+// across cells its dedicated link does not follow it — it stands still
+// while the visited cell's main downlink carries the flow.
 func TestCrossShardHandover(t *testing.T) {
 	mk := func() Spec {
 		dur := 3 * time.Second
@@ -131,15 +136,38 @@ func TestCrossShardHandover(t *testing.T) {
 			},
 		}
 	}
-	run := func(shards, workers int) *ShardedPath {
+	// delivered samples the two radio links a roam could use: mid-visit
+	// (stragglers queued at the roam have long drained), at the return,
+	// and at the end of the run.
+	type delivered struct{ own, visited int }
+	run := func(shards, workers int) (*ShardedPath, [3]delivered) {
 		spd, err := BuildSharded(mk(), ShardedOptions{Shards: shards, CutDelay: CampusCutDelay})
 		if err != nil {
 			t.Fatal(err)
 		}
+		own := spd.Cell("east").Path.Station("roamer").Link()
+		visited := spd.Cell("west").Path.Downlink
+		var at [3]delivered
+		for i, when := range []time.Duration{1500 * time.Millisecond, 2 * time.Second} {
+			spd.Cluster.At(when, func() { at[i] = delivered{own.Delivered(), visited.Delivered()} })
+		}
 		spd.Run(3*time.Second, workers)
-		return spd
+		at[2] = delivered{own.Delivered(), visited.Delivered()}
+		return spd, at
 	}
-	spd := run(2, 2)
+	spd, at := run(2, 2)
+	if at[0].own == 0 || at[1].own != at[0].own {
+		t.Errorf("roamer's own link delivered %d mid-visit and %d at the return; it must carry the flow at home and stand still while roamed",
+			at[0].own, at[1].own)
+	}
+	if at[1].visited <= at[0].visited {
+		t.Errorf("visited cell's main downlink delivered %d -> %d during the visit; the trombone must go through its shared queue",
+			at[0].visited, at[1].visited)
+	}
+	if at[2].own <= at[1].own {
+		t.Errorf("roamer's own link delivered %d at the return and %d at the end; it must resume after the return",
+			at[1].own, at[2].own)
+	}
 	rtp := spd.Cell("east").Path.Flows[0].RTP
 	if rtp == nil {
 		t.Fatal("roamer's flow not built in its home cell")
@@ -163,7 +191,8 @@ func TestCrossShardHandover(t *testing.T) {
 		t.Fatal("no frames decoded across the roam")
 	}
 	// And the boundary crossing must not depend on the grouping.
-	if a, b := run(1, 1).Fingerprint(), spd.Fingerprint(); a != b {
+	one, _ := run(1, 1)
+	if a, b := one.Fingerprint(), spd.Fingerprint(); a != b {
 		t.Fatalf("cross-shard handover diverges between shard counts:\n--- 1 shard\n%s\n--- 2 shards\n%s", a, b)
 	}
 }
@@ -202,6 +231,22 @@ func TestZeroLookaheadRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "lookahead") {
 		t.Fatalf("error %q does not explain the lookahead requirement", err)
+	}
+}
+
+// TestShardedObsRejected pins the other build-time error: an obs.Obs is
+// single-threaded, so a Spec carrying one cannot be decomposed into cells
+// on different shards, and dropping it silently would lose the caller's
+// instruments.
+func TestShardedObsRejected(t *testing.T) {
+	sp := Campus(1, testCampus())
+	sp.Obs = obs.New(obs.Options{Metrics: true})
+	_, err := BuildSharded(sp, ShardedOptions{Shards: 2, CutDelay: CampusCutDelay})
+	if err == nil {
+		t.Fatal("BuildSharded accepted a Spec with Obs set")
+	}
+	if !strings.Contains(err.Error(), "Spec.Obs") {
+		t.Fatalf("error %q does not name Spec.Obs", err)
 	}
 }
 
@@ -282,5 +327,45 @@ func TestDuplicateAPNamePanics(t *testing.T) {
 				build()
 			}()
 		}
+	}
+}
+
+func TestPartitionBalanceAndContiguity(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for k := 1; k <= 12; k++ {
+			assign := partition(n, k)
+			if len(assign) != n {
+				t.Fatalf("partition(%d,%d): %d assignments", n, k, len(assign))
+			}
+			want := min(k, n)
+			sizes := make([]int, want)
+			prev := 0
+			for i, g := range assign {
+				if g < prev || g > prev+1 || g >= want {
+					t.Fatalf("partition(%d,%d): non-contiguous at cell %d: %v", n, k, i, assign)
+				}
+				sizes[g]++
+				prev = g
+			}
+			lo, hi := n, 0
+			for _, s := range sizes {
+				lo, hi = min(lo, s), max(hi, s)
+			}
+			if lo == 0 || hi-lo > 1 {
+				t.Fatalf("partition(%d,%d): group sizes %d..%d, want all %d groups used and balanced", n, k, lo, hi, want)
+			}
+		}
+	}
+}
+
+func TestPartitionClampsAndEmpty(t *testing.T) {
+	if got := partition(0, 4); got != nil {
+		t.Fatalf("partition(0,4) = %v, want nil", got)
+	}
+	if got := partition(3, 0); len(got) != 3 || got[0] != 0 || got[2] != 0 {
+		t.Fatalf("partition(3,0) = %v, want all zero", got)
+	}
+	if got := partition(3, 8); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("partition(3,8) = %v, want one group per cell", got)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"github.com/zhuge-project/zhuge/internal/core"
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/obs"
+	"github.com/zhuge-project/zhuge/internal/queue"
 	"github.com/zhuge-project/zhuge/internal/sim"
-	"github.com/zhuge-project/zhuge/internal/topo"
 	"github.com/zhuge-project/zhuge/internal/trace"
 	"github.com/zhuge-project/zhuge/internal/wireless"
 )
@@ -112,20 +112,6 @@ type Spec struct {
 	// Nil keeps the datapath on its zero-overhead fast path.
 	Obs *obs.Obs
 
-	// Sim optionally supplies the simulator to build on: sharded runs
-	// place several cells onto one shard-local clock. Nil creates a fresh
-	// simulator from Seed — the classic single-run behaviour.
-	Sim *sim.Simulator
-
-	// Cell and CellLabel place this Spec inside a sharded decomposition
-	// (see BuildSharded). Cell offsets the flow 5-tuples so every cell
-	// allocates disjoint keys; a non-empty CellLabel makes all RNG and
-	// observability labels cell-unique, including the first AP's (which
-	// otherwise keeps the bare single-AP labels). Both must be zero for a
-	// standalone build, keeping the classic wiring byte-identical.
-	Cell      int
-	CellLabel string
-
 	APs       []APSpec
 	Stations  []StationSpec
 	Flows     []FlowSpec
@@ -136,13 +122,22 @@ type Spec struct {
 // path has on its first AP.
 const DefaultStation = "sta0"
 
-// PathAP bundles one access point of a built path: its declaration, the
-// radio assembly, the AP's wired uplink, and whichever solution instance
-// runs on it.
+// PathAP is one access point of a built path: its declaration, its radio
+// channel, the queue feeding the trace-driven wireless downlink, the
+// contended wireless uplink, its wired uplink to the servers, and
+// whichever one solution runs in front of them.
 type PathAP struct {
-	Spec  APSpec
-	Topo  *topo.AP
-	WANUp *netem.Link
+	Spec APSpec
+
+	Channel  *wireless.Channel
+	Qdisc    queue.Qdisc
+	Downlink *wireless.Link
+	Uplink   *wireless.Link // entry for client transmissions
+	WANUp    *netem.Link
+
+	// DownIn is the WAN-side datapath entry: the downlink, or the
+	// solution interposed in front of it.
+	DownIn netem.Receiver
 
 	Zhuge   *core.AP
 	FastAck *baseline.FastAck
@@ -180,26 +175,34 @@ func (sp Spec) normalized() Spec {
 // Build assembles the Spec into a runnable Path, wiring plain values in
 // build order: demuxes, then each AP with its wired uplink and solution,
 // then the WAN segment and the two routers, then stations and flows.
-func (sp Spec) Build() *Path {
+func (sp Spec) Build() *Path { return sp.build(0, "") }
+
+// build is Build placed inside a sharded decomposition (see BuildSharded).
+// cell offsets the flow 5-tuples so every cell allocates disjoint keys; a
+// non-empty cellLabel makes all RNG and observability labels cell-unique,
+// including the first AP's (which otherwise keeps the bare single-AP
+// labels). A standalone build passes (0, ""), keeping the classic wiring
+// byte-identical.
+func (sp Spec) build(cell int, cellLabel string) *Path {
 	sp = sp.normalized()
-	s := sp.Sim
-	if s == nil {
-		s = sim.New(sp.Seed)
-	}
+	s := sim.New(sp.Seed)
 	p := &Path{
 		S:           s,
 		Spec:        sp,
-		stations:    make(map[string]*topo.Station),
-		byTopo:      make(map[*topo.AP]*PathAP),
-		flowStation: make(map[netem.FlowKey]*topo.Station),
+		cell:        cell,
+		stations:    make(map[string]*Station),
+		flowStation: make(map[netem.FlowKey]*Station),
 		nextPort:    5000,
+	}
+	if cellLabel != "" {
+		p.labelPrefix = cellLabel + "."
 	}
 
 	// Shared terminal demuxes: every AP and station link delivers into the
 	// same client demux (so delivery taps observe all air deliveries), and
 	// every AP's wired uplink ends at the same server demux.
-	p.clientDemux = topo.NewDemux(false)
-	p.serverDemux = topo.NewDemux(true)
+	p.clientDemux = netem.NewDemux(false)
+	p.serverDemux = netem.NewDemux(true)
 
 	for i := range sp.APs {
 		p.buildAP(i, sp.APs[i])
@@ -208,7 +211,7 @@ func (sp Spec) Build() *Path {
 	// Server -> AP WAN segment feeding the downlink router: flows bound to
 	// secondary stations or secondary APs are routed there; everything
 	// else takes the first AP's entry (through its solution, if any).
-	first := p.APs[0].Topo
+	first := p.APs[0]
 	p.wanRouter = netem.NewRouter(first.DownIn)
 	p.wanDown = netem.NewLink(s, wanRate, sp.WANRTT/2, p.wanRouter)
 
@@ -217,29 +220,26 @@ func (sp Spec) Build() *Path {
 	p.clientOut = netem.NewRouter(first.Uplink)
 
 	// The implicit primary station shares the first AP's queue.
-	p.defaultSta = topo.NewStation(s, topo.StationConfig{Name: DefaultStation}, first, p.clientDemux)
-	p.stations[DefaultStation] = p.defaultSta
+	p.defaultSta = p.newStation(DefaultStation, first, false, 0)
 
 	for _, ss := range sp.Stations {
-		p.buildStation(ss)
+		if ss.Name == "" {
+			panic("scenario: StationSpec needs a Name")
+		}
+		if _, dup := p.stations[ss.Name]; dup {
+			panic(fmt.Sprintf("scenario: duplicate station %q", ss.Name))
+		}
+		p.newStation(ss.Name, p.apByName(ss.AP), ss.OwnQueue, ss.QueueCap)
 	}
 
 	// Compatibility view: the first AP is the Path's classic single-AP
 	// surface.
-	pa := p.APs[0]
-	p.Downlink = pa.Topo.Downlink
-	p.Uplink = pa.Topo.Uplink
-	p.Channel = pa.Topo.Cfg.Channel
-	p.AP = pa.Zhuge
-	p.FastAck = pa.FastAck
-	p.ABC = pa.ABC
-	p.Opts = Options{
-		Seed: sp.Seed, Trace: pa.Spec.Trace, WANRTT: sp.WANRTT,
-		Qdisc: pa.Spec.Qdisc, QueueCap: pa.Spec.QueueCap,
-		Interferers: pa.Spec.Interferers, Solution: pa.Spec.Solution,
-		FTConfig: pa.Spec.FTConfig, OOB: pa.Spec.OOB,
-		MCSScale: pa.Spec.MCSScale, Obs: sp.Obs,
-	}
+	p.Downlink = first.Downlink
+	p.Uplink = first.Uplink
+	p.Channel = first.Channel
+	p.AP = first.Zhuge
+	p.FastAck = first.FastAck
+	p.ABC = first.ABC
 
 	for _, fs := range sp.Flows {
 		p.buildFlow(fs)
@@ -253,23 +253,35 @@ func (sp Spec) Build() *Path {
 // wanRate is the wired-segment rate (bits/s): effectively uncongested.
 const wanRate = 200e6
 
-// buildAP assembles one AP: channel, radio links, wired uplink, solution.
+// newQdisc builds the AP queuing discipline by name: "" or "fifo",
+// "codel", "fqcodel". Unknown names are a build-time configuration bug
+// and panic.
+func newQdisc(kind string, queueCap int) queue.Qdisc {
+	switch kind {
+	case "", "fifo":
+		return queue.NewFIFO(queueCap)
+	case "codel":
+		return queue.NewCoDel(queueCap)
+	case "fqcodel":
+		return queue.NewFQCoDel(0, queueCap)
+	default:
+		panic(fmt.Sprintf("scenario: unknown qdisc %q", kind))
+	}
+}
+
+// buildAP assembles one AP: channel, queue, radio links, wired uplink and
+// the solution in front of them.
 func (p *Path) buildAP(i int, as APSpec) {
 	// The first AP keeps the bare labels of the original single-AP wiring
-	// so its RNG streams and observability prefixes are unchanged; later
-	// APs get name-prefixed ones. Inside a sharded decomposition every AP
-	// is labelled, and cell-prefixed, so no two cells' streams or metric
-	// names can collide no matter how generically their APs are named.
-	downLabel, upLabel, solLabel := "downlink", "uplink", "zhuge"
-	if p.Spec.CellLabel != "" {
-		prefix := p.Spec.CellLabel + "." + as.Name
-		downLabel = prefix + ".downlink"
-		upLabel = prefix + ".uplink"
-		solLabel = prefix + ".zhuge"
-	} else if i > 0 {
-		downLabel = as.Name + ".downlink"
-		upLabel = as.Name + ".uplink"
-		solLabel = as.Name + ".zhuge"
+	// ("downlink", "uplink", "zhuge") so its RNG streams and observability
+	// prefixes are unchanged; later APs get name-prefixed ones. Inside a
+	// sharded decomposition every AP is labelled, and cell-prefixed, so no
+	// two cells' streams or metric names can collide no matter how
+	// generically their APs are named.
+	sharded := p.labelPrefix != ""
+	prefix := ""
+	if sharded || i > 0 {
+		prefix = p.labelPrefix + as.Name + "."
 	}
 	// Multi-AP topologies can leave an AP idle while the traffic lives
 	// elsewhere; the Fortune Teller must not read that idle period as a
@@ -278,54 +290,63 @@ func (p *Path) buildAP(i int, as APSpec) {
 	// original scenarios remain bit-exact).
 	// A sharded cell's AP can also idle while its stations roam elsewhere,
 	// so the same cap applies whenever the Spec is part of a decomposition.
-	if (len(p.Spec.APs) > 1 || p.Spec.CellLabel != "") && as.FTConfig.MaxDeqInterval == 0 {
+	if (len(p.Spec.APs) > 1 || sharded) && as.FTConfig.MaxDeqInterval == 0 {
 		as.FTConfig.MaxDeqInterval = time.Second
 	}
 	tr := as.Trace
-	a := topo.NewAP(p.S, topo.APConfig{
-		Name:        as.Name,
-		Channel:     wireless.NewChannel(),
-		Rate:        func(at sim.Time) float64 { return tr.RateAt(at) },
+	rate := func(at sim.Time) float64 { return tr.RateAt(at) }
+	pa := &PathAP{
+		Spec:    as,
+		Channel: wireless.NewChannel(),
+		Qdisc:   newQdisc(as.Qdisc, as.QueueCap),
+	}
+	pa.Downlink = wireless.NewLink(p.S, wireless.Config{
+		Channel:     pa.Channel,
+		Rate:        rate,
 		MCSScale:    as.MCSScale,
 		Interferers: as.Interferers,
-		Qdisc:       as.Qdisc,
-		QueueCap:    as.QueueCap,
 		Obs:         p.Spec.Obs,
-		DownLabel:   downLabel,
-		UpLabel:     upLabel,
-	}, p.clientDemux)
+		ObsLabel:    prefix + "downlink",
+	}, pa.Qdisc, p.clientDemux, p.S.NewRand(prefix+"downlink"))
+	// Uplink: clients contend to reach the AP. Feedback traffic is light,
+	// so a small FIFO suffices and its queue rarely builds. No channel:
+	// uplink contention is modeled per-AP, not against the downlink.
+	pa.Uplink = wireless.NewLink(p.S, wireless.Config{
+		Rate:        rate,
+		Interferers: as.Interferers,
+		Obs:         p.Spec.Obs,
+		ObsLabel:    prefix + "uplink",
+	}, queue.NewFIFO(0), nil, p.S.NewRand(prefix+"uplink"))
 
 	// The AP's Ethernet uplink ends at the shared server demux; the
-	// solution interposes between it and the radio links.
-	pa := &PathAP{Spec: as, Topo: a}
+	// solution interposes between it and the radio links, and a plain AP
+	// passes both directions straight through.
 	pa.WANUp = netem.NewLink(p.S, wanRate, p.Spec.WANRTT/2, p.serverDemux)
-	a.Attach(p.attachmentFor(pa, solLabel), pa.WANUp)
+	pa.DownIn = pa.Downlink
+	up := netem.Receiver(pa.WANUp)
+	switch as.Solution {
+	case SolutionZhuge:
+		// Fortune Teller + Feedback Updater on both directions.
+		pa.Zhuge = core.NewAP(p.S, pa.Downlink, pa.WANUp, p.S.NewRand(prefix+"zhuge"), as.FTConfig)
+		pa.Zhuge.OOB().SetOptions(as.OOB)
+		pa.Zhuge.SetObs(p.Spec.Obs)
+		pa.DownIn, up = pa.Zhuge.DownlinkIn(), pa.Zhuge.UplinkIn()
+	case SolutionFastAck:
+		// Counterfeits TCP ACKs at 802.11 delivery: taps the shared
+		// delivery demux and interposes only on the uplink.
+		pa.FastAck = baseline.NewFastAck(p.S, pa.WANUp)
+		pa.FastAck.Loop = p.Spec.Obs.ControlLoop()
+		p.clientDemux.AddTap(pa.FastAck.OnDelivered)
+		up = pa.FastAck.UplinkIn()
+	case SolutionABC:
+		// Marks accelerate/brake on the downlink queue; the datapath
+		// itself passes through.
+		pa.ABC = baseline.NewABCRouter(p.S, pa.Qdisc)
+		pa.Downlink.AddObserver(pa.ABC)
+	}
+	pa.Uplink.SetDst(up)
 
 	p.APs = append(p.APs, pa)
-	p.byTopo[a] = pa
-}
-
-// buildStation adds a declared station.
-func (p *Path) buildStation(ss StationSpec) {
-	if ss.Name == "" {
-		panic("scenario: StationSpec needs a Name")
-	}
-	if _, dup := p.stations[ss.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate station %q", ss.Name))
-	}
-	ap := p.apByName(ss.AP)
-	label := ss.Name
-	if p.Spec.CellLabel != "" {
-		label = p.Spec.CellLabel + "." + ss.Name
-	}
-	st := topo.NewStation(p.S, topo.StationConfig{
-		Name:     ss.Name,
-		OwnQueue: ss.OwnQueue,
-		QueueCap: ss.QueueCap,
-		Label:    label,
-		Obs:      p.Spec.Obs,
-	}, ap.Topo, p.clientDemux)
-	p.stations[ss.Name] = st
 }
 
 // buildFlow attaches a declared flow and records its handle.
@@ -394,7 +415,7 @@ func (p *Path) apByName(name string) *PathAP {
 }
 
 // station resolves a station name, "" meaning the primary station.
-func (p *Path) station(name string) *topo.Station {
+func (p *Path) station(name string) *Station {
 	if name == "" {
 		return p.defaultSta
 	}
@@ -406,4 +427,4 @@ func (p *Path) station(name string) *topo.Station {
 }
 
 // Station exposes a built station by name (tests, handover scheduling).
-func (p *Path) Station(name string) *topo.Station { return p.station(name) }
+func (p *Path) Station(name string) *Station { return p.station(name) }

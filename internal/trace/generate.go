@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/sim"
@@ -187,4 +191,59 @@ func StandardSet(dur time.Duration, seed int64) []*Trace {
 		traces[i] = Generate(p, dur, sim.LabeledRand(seed, "trace/"+p.Name))
 	}
 	return traces
+}
+
+// generators is the one table of generator names the CLIs accept, in the
+// order Names lists them.
+var generators = []struct {
+	name   string
+	params func() GenParams
+}{
+	{"abc", ABCCellular},
+	{"c1", IndoorMixed45G},
+	{"c2", City4G},
+	{"c3", City5G},
+	{"ethernet", Ethernet},
+	{"w1", RestaurantWiFi},
+	{"w2", OfficeWiFi},
+}
+
+// Names lists the generator names Named accepts, sorted.
+func Names() []string {
+	names := make([]string, len(generators))
+	for i, g := range generators {
+		names[i] = g.name
+	}
+	return names
+}
+
+// ErrUnknownName is what Named's error wraps when the name is none of its
+// forms, so a caller can go on to try the name as something else (a file).
+var ErrUnknownName = errors.New("unknown trace")
+
+// Named builds a trace from its command-line name: a generator name (see
+// Names) drawn from the caller's rng, dropK (30 Mbps dropping K-fold, K > 1,
+// a third of the way in) or constN (N Mbps constant, N > 0). Only the
+// generators read rng.
+func Named(name string, dur time.Duration, rng *rand.Rand) (*Trace, error) {
+	for _, g := range generators {
+		if g.name == name {
+			return Generate(g.params(), dur, rng), nil
+		}
+	}
+	if k, ok := strings.CutPrefix(name, "drop"); ok {
+		f, err := strconv.ParseFloat(k, 64)
+		if err != nil || f <= 1 {
+			return nil, fmt.Errorf("bad drop factor %q", k)
+		}
+		return Step(name, 30e6, 30e6/f, dur/3, dur), nil
+	}
+	if n, ok := strings.CutPrefix(name, "const"); ok {
+		mbps, err := strconv.ParseFloat(n, 64)
+		if err != nil || mbps <= 0 {
+			return nil, fmt.Errorf("bad constant rate %q", n)
+		}
+		return Constant(name, mbps*1e6, dur), nil
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownName, name)
 }

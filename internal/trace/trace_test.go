@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -226,5 +229,54 @@ func TestPropertyWindowAveragesWithinRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNamed covers the one trace-name table both CLIs resolve through:
+// every generator name builds its generator's trace from the caller's rng,
+// dropK and constN parse, malformed parameters are rejected, and an unknown
+// name is reported as such (zhuge-sim then tries it as a file).
+func TestNamed(t *testing.T) {
+	dur := 10 * time.Second
+	want := map[string]func() GenParams{
+		"w1": RestaurantWiFi, "w2": OfficeWiFi, "c1": IndoorMixed45G, "c2": City4G,
+		"c3": City5G, "ethernet": Ethernet, "abc": ABCCellular,
+	}
+	names := Names()
+	if len(names) != len(want) || !sort.StringsAreSorted(names) {
+		t.Fatalf("Names() = %v, want the %d generator names, sorted", names, len(want))
+	}
+	for _, name := range names {
+		mk, ok := want[name]
+		if !ok {
+			t.Errorf("Names() lists %q, which is no generator", name)
+			continue
+		}
+		got, err := Named(name, dur, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Errorf("Named(%q): %v", name, err)
+			continue
+		}
+		ref := Generate(mk(), dur, rand.New(rand.NewSource(5)))
+		if got.Name != ref.Name || !reflect.DeepEqual(got.Samples, ref.Samples) {
+			t.Errorf("Named(%q) is not Generate(%s) on the caller's rng", name, ref.Name)
+		}
+	}
+
+	if tr, err := Named("drop10", dur, nil); err != nil || tr.RateAt(0) != 30e6 || tr.RateAt(dur/2) != 3e6 {
+		t.Errorf("Named(drop10) = %v, %v; want 30 Mbps stepping down to 3 Mbps", tr, err)
+	}
+	if tr, err := Named("const2.5", dur, nil); err != nil || tr.RateAt(dur/2) != 2.5e6 {
+		t.Errorf("Named(const2.5) = %v, %v; want a constant 2.5 Mbps", tr, err)
+	}
+	for _, bad := range []string{"drop1", "dropx", "drop", "const0", "const-3", "constx"} {
+		if tr, err := Named(bad, dur, nil); err == nil || errors.Is(err, ErrUnknownName) {
+			t.Errorf("Named(%q) = %v, %v; want a bad-parameter error", bad, tr, err)
+		}
+	}
+	for _, unknown := range []string{"w3", "", "traces/w1.csv"} {
+		if _, err := Named(unknown, dur, nil); !errors.Is(err, ErrUnknownName) {
+			t.Errorf("Named(%q) error = %v, want ErrUnknownName", unknown, err)
+		}
 	}
 }
