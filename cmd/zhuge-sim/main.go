@@ -37,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/shard"
@@ -74,7 +73,16 @@ func main() {
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := checkFlags(*proto, *ccaName, *solution, *qdisc, *aps, *campus, *seriesEvery, set); err != nil {
+	err := checkFlags(*proto, *ccaName, *solution, *qdisc, *aps, *campus, *dur, *seriesEvery, set)
+	var sp scenario.Spec
+	if err == nil && *campus == 0 {
+		sp, err = singlePathSpec(pathFlags{
+			trace: *traceName, proto: *proto, cca: *ccaName, solution: *solution, qdisc: *qdisc,
+			dur: *dur, seed: *seed, interferers: *interferers, bulk: *bulk, aps: *aps,
+			handoverAt: *handoverAt, handoverPolicy: *handoverPol,
+		})
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
 		os.Exit(2)
 	}
@@ -103,36 +111,8 @@ func main() {
 		Loop:    *metricsOut != "" || *statsAddr != "",
 	})
 
-	roams, err := parseHandovers(*handoverAt, *handoverPol, *aps)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "zhuge-sim:", err)
-		os.Exit(2)
-	}
-
-	if len(roams) > 0 && *aps <= 1 {
-		fmt.Fprintln(os.Stderr, "zhuge-sim: -handover-at needs -aps > 1")
-		os.Exit(2)
-	}
-	sp := scenario.Spec{Seed: *seed, Obs: o, Handovers: roams}
-	for i := 0; i < *aps; i++ {
-		// Each AP gets an independent realisation of the requested trace
-		// profile (generated traces vary with the seed; constant and file
-		// traces repeat).
-		atr, terr := resolveTrace(*traceName, *dur, *seed+int64(i))
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, "zhuge-sim:", terr)
-			os.Exit(2)
-		}
-		sp.APs = append(sp.APs, scenario.APSpec{
-			Name: fmt.Sprintf("ap%d", i), Trace: atr,
-			Qdisc: *qdisc, Interferers: *interferers, Solution: solutions[*solution],
-		})
-	}
+	sp.Obs = o
 	p := sp.Build()
-	tr := sp.APs[0].Trace
-	for i := 0; i < *bulk; i++ {
-		p.AddBulkFlow(0, 0)
-	}
 	if o != nil {
 		obs.StartSampler(p.S, o.Series, o.Reg, *seriesEvery)
 	}
@@ -149,30 +129,9 @@ func main() {
 	defer writeObs(o, *traceOut, *metricsOut, *seriesOut)
 
 	fmt.Printf("trace=%s proto=%s solution=%s qdisc=%s dur=%v seed=%d aps=%d\n\n",
-		tr.Name, *proto, *solution, *qdisc, *dur, *seed, *aps)
-
-	switch *proto {
-	case "quic":
-		f := p.AddQUICVideoFlow(scenario.TCPFlowConfig{CCA: *ccaName})
-		p.Run(*dur)
-		printSummary(f.Metrics, f.FrameDelay, f.FrameRateSeries(*dur).FractionBelow(10), *dur,
-			"frames sent/dropped: %d/%d  lost=%d  pto=%d\n",
-			f.FramesSent, f.FramesDropped, f.Sender.LostPackets(), f.Sender.Timeouts())
-	case "tcp":
-		f := p.AddTCPVideoFlow(scenario.TCPFlowConfig{CCA: *ccaName})
-		p.Run(*dur)
-		printSummary(f.Metrics, f.FrameDelay, f.FrameRateSeries(*dur).FractionBelow(10), *dur,
-			"frames sent/dropped: %d/%d  retransmits=%d  timeouts=%d\n",
-			f.FramesSent, f.FramesDropped, f.Sender.Retransmits(), f.Sender.Timeouts())
-	case "rtp":
-		// With roams scheduled, the sender must infer losses from feedback
-		// gaps (reset-on-handover discards fortunes silently otherwise).
-		f := p.AddRTPFlow(scenario.RTPFlowConfig{CCA: *ccaName, GapLoss: len(roams) > 0})
-		p.Run(*dur)
-		printSummary(f.Metrics, f.Decoder.FrameDelay, f.Decoder.LowFrameRateRatio(*dur, 10), *dur,
-			"frames decoded/skipped: %d/%d  retransmits=%d\nfinal rate: %.2f Mbps\n",
-			f.Decoder.Decoded, f.Decoder.Skipped, f.Sender.Retransmits(), f.Sender.Controller().Rate()/1e6)
-	}
+		sp.APs[0].Trace.Name, *proto, *solution, *qdisc, *dur, *seed, *aps)
+	p.Run(*dur)
+	printSummary(p.Flows[*bulk], *dur)
 }
 
 // The values the enumerated flags accept. -cca depends on -proto, and ""
@@ -202,10 +161,17 @@ var (
 
 // checkFlags rejects the values the builders below would otherwise panic
 // on (-qdisc, -aps 0 with roams), silently replace with a default
-// (-solution, -proto, -cca) or never read (a flag of the other mode; set
-// holds the names given on the command line). The error names the flag and
-// what it accepts or the mode it belongs to.
-func checkFlags(proto, ccaName, solution, qdisc string, aps, campus int, seriesEvery time.Duration, set map[string]bool) error {
+// (-solution, -proto, -cca, a negative -campus), divide by (-dur 0s) or
+// never read (a flag of the other mode; set holds the names given on the
+// command line). The error names the flag and what it accepts or the mode it
+// belongs to. What only the single-path mode reads is singlePathSpec's.
+func checkFlags(proto, ccaName, solution, qdisc string, aps, campus int, dur, seriesEvery time.Duration, set map[string]bool) error {
+	if campus < 0 {
+		return fmt.Errorf("bad -campus %d (want a positive AP count)", campus)
+	}
+	if dur <= 0 {
+		return fmt.Errorf("bad -dur %v (want a positive duration)", dur)
+	}
 	if campus > 0 {
 		for _, name := range singlePathFlags {
 			if set[name] {
@@ -241,15 +207,107 @@ func checkFlags(proto, ccaName, solution, qdisc string, aps, campus int, seriesE
 	return nil
 }
 
-// printSummary prints one flow's result block. Every protocol prints the
-// same lines except the counters in the middle, which arrive as a format.
-func printSummary(m *scenario.FlowMetrics, frameDelay *metrics.Histogram, lowFPS float64, dur time.Duration, counters string, args ...any) {
+// pathFlags are the parsed flags the single-path mode builds its scenario
+// from, already through checkFlags.
+type pathFlags struct {
+	trace, proto, cca, solution, qdisc string
+	dur                                time.Duration
+	seed                               int64
+	interferers, bulk, aps             int
+	handoverAt, handoverPolicy         string
+}
+
+// singlePathSpec declares the single-path run: one AP per -aps, each with an
+// independent realisation of the trace profile (generators draw from seed+i;
+// constant and file traces repeat), the -bulk competitors and then the
+// measured flow, and the -handover-at roams of the default station,
+// round-robin across ap1..apN-1 and back. It refuses what the run would
+// ignore or panic on.
+func singlePathSpec(f pathFlags) (scenario.Spec, error) {
+	sp := scenario.Spec{Seed: f.seed}
+	if f.interferers < 0 {
+		return sp, fmt.Errorf("bad -interferers %d (want 0 or more)", f.interferers)
+	}
+	if f.bulk < 0 {
+		return sp, fmt.Errorf("bad -bulk %d (want 0 or more)", f.bulk)
+	}
+	var pol scenario.HandoverPolicy
+	switch f.handoverPolicy {
+	case "migrate":
+		pol = scenario.HandoverMigrate
+	case "reset":
+		pol = scenario.HandoverReset
+	default:
+		return sp, fmt.Errorf("bad -handover-policy %q (want migrate|reset)", f.handoverPolicy)
+	}
+	if f.handoverAt != "" {
+		if f.aps <= 1 {
+			return sp, errors.New("-handover-at needs -aps > 1")
+		}
+		if f.solution == "fastack" {
+			// FastAck taps the shared delivery demux; Path.Handover panics.
+			return sp, errors.New("-handover-at does not work with -solution fastack (FastAck APs cannot hand a flow over)")
+		}
+		for i, part := range strings.Split(f.handoverAt, ",") {
+			at, err := time.ParseDuration(strings.TrimSpace(part))
+			if err != nil {
+				return sp, fmt.Errorf("bad -handover-at entry %q: %v", part, err)
+			}
+			if at < 0 || at >= f.dur {
+				return sp, fmt.Errorf("bad -handover-at entry %q (want a time in [0s, -dur %v))", part, f.dur)
+			}
+			sp.Handovers = append(sp.Handovers, scenario.HandoverSpec{
+				Station: scenario.DefaultStation,
+				To:      fmt.Sprintf("ap%d", (i+1)%f.aps),
+				At:      at,
+				Policy:  pol,
+			})
+		}
+	}
+	for i := 0; i < f.aps; i++ {
+		tr, err := resolveTrace(f.trace, f.dur, f.seed+int64(i))
+		if err != nil {
+			return sp, err
+		}
+		sp.APs = append(sp.APs, scenario.APSpec{
+			Name: fmt.Sprintf("ap%d", i), Trace: tr,
+			Qdisc: f.qdisc, Interferers: f.interferers, Solution: solutions[f.solution],
+		})
+	}
+	for i := 0; i < f.bulk; i++ {
+		sp.Flows = append(sp.Flows, scenario.FlowSpec{Kind: "bulk"})
+	}
+	// With roams scheduled, the RTP sender must infer losses from feedback
+	// gaps (reset-on-handover discards fortunes silently otherwise).
+	sp.Flows = append(sp.Flows, scenario.FlowSpec{
+		Kind: f.proto, CCA: f.cca, GapLoss: f.proto == "rtp" && len(sp.Handovers) > 0,
+	})
+	return sp, nil
+}
+
+// printSummary prints the measured flow's result block. Every protocol
+// prints the same lines except its transport's own counters in the middle.
+func printSummary(f *scenario.BuiltFlow, dur time.Duration) {
+	m := f.Metrics()
 	fmt.Printf("network RTT:   %s\n", m.RTT)
-	fmt.Printf("frame delay:   %s\n", frameDelay)
+	fmt.Printf("frame delay:   %s\n", m.FrameDelay)
 	fmt.Printf("P(rtt>200ms):     %.3f%%\n", 100*m.RTT.FractionAbove(200*time.Millisecond))
-	fmt.Printf("P(fdelay>400ms):  %.3f%%\n", 100*frameDelay.FractionAbove(400*time.Millisecond))
-	fmt.Printf("P(fps<10):        %.3f%%\n", 100*lowFPS)
-	fmt.Printf(counters, args...)
+	fmt.Printf("P(fdelay>400ms):  %.3f%%\n", 100*m.FrameDelay.FractionAbove(400*time.Millisecond))
+	fmt.Printf("P(fps<10):        %.3f%%\n", 100*m.LowFrameRateRatio(dur, 10))
+	switch {
+	case f.RTP != nil:
+		r := f.RTP
+		fmt.Printf("frames decoded/skipped: %d/%d  retransmits=%d\nfinal rate: %.2f Mbps\n",
+			r.Decoder.Decoded, r.Decoder.Skipped, r.Sender.Retransmits(), r.Sender.Controller().Rate()/1e6)
+	case f.TCP != nil:
+		t := f.TCP
+		fmt.Printf("frames sent/dropped: %d/%d  retransmits=%d  timeouts=%d\n",
+			t.FramesSent, t.FramesDropped, t.Sender.Retransmits(), t.Sender.Timeouts())
+	case f.QUIC != nil:
+		q := f.QUIC
+		fmt.Printf("frames sent/dropped: %d/%d  lost=%d  pto=%d\n",
+			q.FramesSent, q.FramesDropped, q.Sender.LostPackets(), q.Sender.Timeouts())
+	}
 	fmt.Printf("goodput: %.2f Mbps\n", m.DeliveredBytes*8/dur.Seconds()/1e6)
 }
 
@@ -416,37 +474,6 @@ func (pf *shardProfile) close() {
 	if pf.stats != nil {
 		pf.stats.Close()
 	}
-}
-
-// parseHandovers turns "-handover-at 40s,80s" into a roam schedule for the
-// default station, round-robin across ap1..apN-1 and back.
-func parseHandovers(spec, policy string, aps int) ([]scenario.HandoverSpec, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var pol scenario.HandoverPolicy
-	switch policy {
-	case "migrate":
-		pol = scenario.HandoverMigrate
-	case "reset":
-		pol = scenario.HandoverReset
-	default:
-		return nil, fmt.Errorf("bad -handover-policy %q (want migrate|reset)", policy)
-	}
-	var hs []scenario.HandoverSpec
-	for i, part := range strings.Split(spec, ",") {
-		at, err := time.ParseDuration(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -handover-at entry %q: %v", part, err)
-		}
-		hs = append(hs, scenario.HandoverSpec{
-			Station: scenario.DefaultStation,
-			To:      fmt.Sprintf("ap%d", (i+1)%aps),
-			At:      at,
-			Policy:  pol,
-		})
-	}
-	return hs, nil
 }
 
 // startLiveStats publishes the bundle's registry snapshot, control-loop

@@ -55,7 +55,7 @@ func main() {
 		if recovery > 0 {
 			rec = (recovery - fadeAt).Round(100 * time.Millisecond).String()
 		}
-		late := flow.FrameDelay.FractionAbove(150 * time.Millisecond)
+		late := flow.Metrics.FrameDelay.FractionAbove(150 * time.Millisecond)
 		fmt.Printf("%-14s %12v %11.2f%% %14s %11.2f%% %9d\n",
 			cfg.name,
 			flow.Metrics.RTT.Quantile(0.99).Round(time.Millisecond),

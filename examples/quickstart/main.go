@@ -24,7 +24,7 @@ func main() {
 		flow := p.AddRTPFlow(scenario.RTPFlowConfig{})
 		p.Run(dur)
 		return flow.Metrics.RTT.FractionAbove(200 * time.Millisecond),
-			flow.Decoder.FrameDelay.FractionAbove(400 * time.Millisecond),
+			flow.Metrics.FrameDelay.FractionAbove(400 * time.Millisecond),
 			flow.Metrics.RTT.Quantile(0.99)
 	}
 

@@ -52,8 +52,8 @@ func main() {
 			m.RTT.Quantile(0.99).Round(time.Millisecond),
 			m.RTT.Quantile(0.999).Round(time.Millisecond),
 			100*m.RTT.FractionAbove(200*time.Millisecond),
-			100*d.FrameDelay.FractionAbove(400*time.Millisecond),
-			100*d.LowFrameRateRatio(dur, 10),
+			100*m.FrameDelay.FractionAbove(400*time.Millisecond),
+			100*m.LowFrameRateRatio(dur, 10),
 			d.Decoded)
 	}
 

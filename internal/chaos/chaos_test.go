@@ -49,15 +49,15 @@ func TestStepLossFiresOnSchedule(t *testing.T) {
 	p := buildCell(t, RTPSolutions[0], Fault{Family: "loss", Param: 0.5})
 	eps := time.Millisecond
 	p.Run(testPhases.InjectStart() - eps)
-	if got := p.Downlink.LossProb(); got != 0 {
+	if got := p.APs[0].Downlink.LossProb(); got != 0 {
 		t.Fatalf("loss armed before inject: %v", got)
 	}
 	p.Run(testPhases.InjectStart() + eps)
-	if got := p.Downlink.LossProb(); got != 0.5 {
+	if got := p.APs[0].Downlink.LossProb(); got != 0.5 {
 		t.Fatalf("loss not armed during inject: %v", got)
 	}
 	p.Run(testPhases.InjectEnd() + eps)
-	if got := p.Downlink.LossProb(); got != 0 {
+	if got := p.APs[0].Downlink.LossProb(); got != 0 {
 		t.Fatalf("loss not cleared after inject: %v", got)
 	}
 }
@@ -85,20 +85,20 @@ func TestInterfererBurstFiresOnSchedule(t *testing.T) {
 	p := buildCell(t, RTPSolutions[0], Fault{Family: "burst", Param: 40})
 	eps := time.Millisecond
 	p.Run(testPhases.InjectStart() + eps)
-	if got := p.Downlink.Config().Interferers; got != 40 {
+	if got := p.APs[0].Downlink.Config().Interferers; got != 40 {
 		t.Fatalf("burst not armed: %d interferers", got)
 	}
 	p.Run(testPhases.InjectEnd() + eps)
-	if got := p.Downlink.Config().Interferers; got != 0 {
+	if got := p.APs[0].Downlink.Config().Interferers; got != 0 {
 		t.Fatalf("burst not cleared: %d interferers", got)
 	}
 }
 
 func TestRateCollapseWindow(t *testing.T) {
 	p := buildCell(t, RTPSolutions[0], Fault{Family: "collapse", Param: 16})
-	base := p.Downlink.CurrentRate(testPhases.InjectStart() - time.Millisecond)
-	mid := p.Downlink.CurrentRate(testPhases.InjectStart() + testPhases.Inject/2)
-	after := p.Downlink.CurrentRate(testPhases.InjectEnd() + time.Millisecond)
+	base := p.APs[0].Downlink.CurrentRate(testPhases.InjectStart() - time.Millisecond)
+	mid := p.APs[0].Downlink.CurrentRate(testPhases.InjectStart() + testPhases.Inject/2)
+	after := p.APs[0].Downlink.CurrentRate(testPhases.InjectEnd() + time.Millisecond)
 	if base != BaseRate || after != BaseRate {
 		t.Fatalf("rate outside window: base=%v after=%v", base, after)
 	}

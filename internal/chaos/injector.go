@@ -38,7 +38,7 @@ func (i StepLoss) Prepare(*scenario.Spec, Phases) {}
 // of the link are untouched.
 func (i StepLoss) Arm(p *scenario.Path, ph Phases) {
 	rng := p.S.NewRand("chaos.loss")
-	dl := p.Downlink
+	dl := p.APs[0].Downlink
 	p.S.Schedule(ph.InjectStart(), func() { dl.SetLoss(i.Frac, rng) })
 	p.S.Schedule(ph.InjectEnd(), func() { dl.SetLoss(0, nil) })
 }
@@ -83,7 +83,7 @@ func (i InterfererBurst) Prepare(*scenario.Spec, Phases) {}
 
 // Arm implements Injector.
 func (i InterfererBurst) Arm(p *scenario.Path, ph Phases) {
-	dl := p.Downlink
+	dl := p.APs[0].Downlink
 	base := dl.Config().Interferers
 	p.S.Schedule(ph.InjectStart(), func() { dl.SetInterferers(base + i.N) })
 	p.S.Schedule(ph.InjectEnd(), func() { dl.SetInterferers(base) })

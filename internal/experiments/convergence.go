@@ -83,23 +83,25 @@ func Fig4(cfg Config) *Table {
 		res := runDrop(cfg, o, c.cca, c.qdisc, scenario.SolutionNone, c.k)
 		return [][]string{{
 			c.cca, c.qdisc, fmt.Sprintf("%.0fx", c.k),
-			secs(degradationAfter(res.rttSeries, 200, dropWarmup)),
-			secs(degradationAfter(res.rateSeries, 1.2*dropBase/c.k, dropWarmup)),
+			secs(degradationAfter(&res.RTTSeries, 200, dropWarmup)),
+			secs(degradationAfter(&res.RateSeries, 1.2*dropBase/c.k, dropWarmup)),
 		}}
 	})
 	return t
 }
 
 // runDrop runs one bandwidth-drop microbenchmark: warm up at 30 Mbps, drop
-// to 30/k at dropWarmup, observe for dropTail.
-func runDrop(cfg Config, o *obs.Obs, ccaName, qdisc string, sol scenario.Solution, k float64) rtcResult {
+// to 30/k at dropWarmup, observe for dropTail. "gcc" names the RTP flow,
+// every other CCA a TCP one.
+func runDrop(cfg Config, o *obs.Obs, ccaName, qdisc string, sol scenario.Solution, k float64) result {
 	total := dropWarmup + cfg.dur(dropTail, 10*time.Second)
 	tr := trace.Step(fmt.Sprintf("drop%.0f", k), dropBase, dropBase/k, dropWarmup, total)
 	opts := scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Qdisc: qdisc, Solution: sol, WANRTT: 50 * time.Millisecond}
+	transport := "tcp"
 	if ccaName == "gcc" {
-		return runRTP(opts, total)
+		transport = "rtp"
 	}
-	return runTCP(opts, ccaName, total)
+	return run(opts, transport, ccaName, total)
 }
 
 // Fig7 reproduces the estimator illustration: how qLong and qShort react in

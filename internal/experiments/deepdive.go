@@ -166,20 +166,11 @@ func Fig20(cfg Config) *Table {
 		b := c.b
 		tr := trace.Constant("fair", capacity, dur)
 		p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: b.sol, WANRTT: 40 * time.Millisecond})
-		var g1, g2 float64
-		if c.proto == "rtp" {
-			f1 := p.AddRTPFlow(scenario.RTPFlowConfig{Unoptimized: b.f1Un})
-			f2 := p.AddRTPFlow(scenario.RTPFlowConfig{Unoptimized: b.f2Un})
-			p.Run(dur)
-			g1 = f1.Metrics.DeliveredBytes * 8 / dur.Seconds()
-			g2 = f2.Metrics.DeliveredBytes * 8 / dur.Seconds()
-		} else {
-			f1 := p.AddTCPVideoFlow(scenario.TCPFlowConfig{Unoptimized: b.f1Un})
-			f2 := p.AddTCPVideoFlow(scenario.TCPFlowConfig{Unoptimized: b.f2Un})
-			p.Run(dur)
-			g1 = f1.Metrics.DeliveredBytes * 8 / dur.Seconds()
-			g2 = f2.Metrics.DeliveredBytes * 8 / dur.Seconds()
-		}
+		f1 := p.AddFlow(scenario.FlowSpec{Kind: c.proto, Unoptimized: b.f1Un}).Metrics()
+		f2 := p.AddFlow(scenario.FlowSpec{Kind: c.proto, Unoptimized: b.f2Un}).Metrics()
+		p.Run(dur)
+		g1 := result{f1, dur}.goodput()
+		g2 := result{f2, dur}.goodput()
 		diff := g1 - g2
 		if diff < 0 {
 			diff = -diff
@@ -224,12 +215,12 @@ func AblationEstimators(cfg Config) *Table {
 		v := variants[i]
 		samples := collectPredictions(cfg, tr, dur, v.ft)
 		p50, p90, _ := absErrQuantiles(samples)
-		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: v.ft}, dur)
+		res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: v.ft}, "rtp", "", dur)
 		return [][]string{{
 			v.name,
 			p50.Round(10 * time.Microsecond).String(),
 			p90.Round(10 * time.Microsecond).String(),
-			pct(res.rttTail),
+			pct(res.rttTail()),
 		}}
 	})
 	return t

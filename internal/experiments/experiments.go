@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/zhuge-project/zhuge/internal/metrics"
+	"github.com/zhuge-project/zhuge/internal/chaos"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/parallel"
 	"github.com/zhuge-project/zhuge/internal/scenario"
@@ -125,59 +125,31 @@ const (
 	lowFPS         = 10.0
 )
 
-// rtcResult carries the three headline metrics of one run.
-type rtcResult struct {
-	rttTail   float64 // P(networkRTT > 200ms)
-	frameTail float64 // P(frameDelay > 400ms)
-	lowFPS    float64 // P(per-second frame rate < 10)
-
-	rtt         *metrics.Histogram
-	frameDelay  *metrics.Histogram
-	rttSeries   *metrics.Series
-	frameSeries *metrics.Series // (decode time, frame delay ms)
-	fpsSeries   *metrics.Series // (second, frames decoded)
-	rateSeries  *metrics.Series
-	goodput     float64 // delivered bits per second
+// result is one measured flow after a run of dur: the flow's own record
+// plus the paper's three headline metrics (§7.2) read off it.
+type result struct {
+	*scenario.FlowMetrics
+	dur time.Duration
 }
 
-// runRTP runs one RTP/GCC flow over the path options for dur.
-func runRTP(opts scenario.Options, dur time.Duration) rtcResult {
+func (r result) rttTail() float64   { return r.RTT.FractionAbove(rttThreshold) }
+func (r result) frameTail() float64 { return r.FrameDelay.FractionAbove(frameThreshold) }
+func (r result) lowFPS() float64    { return r.LowFrameRateRatio(r.dur, lowFPS) }
+func (r result) goodput() float64   { return r.DeliveredBytes * 8 / r.dur.Seconds() } // bits/s
+
+// run runs one flow of the named transport and CCA ("" = the transport's
+// default) over the path options for dur.
+func run(opts scenario.Options, transport, ccaName string, dur time.Duration) result {
 	p := scenario.NewPath(opts)
-	f := p.AddRTPFlow(scenario.RTPFlowConfig{})
+	f := p.AddFlow(scenario.FlowSpec{Kind: transport, CCA: ccaName})
 	p.Run(dur)
-	fps := f.Decoder.FrameRateSeries(dur)
-	return rtcResult{
-		rttTail:     f.Metrics.RTT.FractionAbove(rttThreshold),
-		frameTail:   f.Decoder.FrameDelay.FractionAbove(frameThreshold),
-		lowFPS:      f.Decoder.LowFrameRateRatio(dur, lowFPS),
-		rtt:         f.Metrics.RTT,
-		frameDelay:  f.Decoder.FrameDelay,
-		rttSeries:   &f.Metrics.RTTSeries,
-		frameSeries: &f.Decoder.FrameDelaySeries,
-		fpsSeries:   fps,
-		rateSeries:  &f.Metrics.RateSeries,
-		goodput:     f.Metrics.DeliveredBytes * 8 / dur.Seconds(),
-	}
+	return result{f.Metrics(), dur}
 }
 
-// runTCP runs one TCP video flow with the named CCA for dur.
-func runTCP(opts scenario.Options, ccaName string, dur time.Duration) rtcResult {
-	p := scenario.NewPath(opts)
-	f := p.AddTCPVideoFlow(scenario.TCPFlowConfig{CCA: ccaName})
-	p.Run(dur)
-	fps := f.FrameRateSeries(dur)
-	return rtcResult{
-		rttTail:     f.Metrics.RTT.FractionAbove(rttThreshold),
-		frameTail:   f.FrameDelay.FractionAbove(frameThreshold),
-		lowFPS:      fps.FractionBelow(lowFPS),
-		rtt:         f.Metrics.RTT,
-		frameDelay:  f.FrameDelay,
-		rttSeries:   &f.Metrics.RTTSeries,
-		frameSeries: &f.FrameDelaySeries,
-		fpsSeries:   fps,
-		rateSeries:  &f.Metrics.RateSeries,
-		goodput:     f.Metrics.DeliveredBytes * 8 / dur.Seconds(),
-	}
+// runSolution runs one comparison point of the evaluation on tr.
+func runSolution(cfg Config, o *obs.Obs, tr *trace.Trace, sol chaos.SolutionSpec, dur time.Duration) result {
+	return run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: sol.Sol, Qdisc: sol.Qdisc},
+		sol.Transport, sol.CCA, dur)
 }
 
 // standardTraces generates the five evaluation traces at the configured

@@ -6,9 +6,9 @@ import (
 	"strings"
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/chaos"
 	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
-	"github.com/zhuge-project/zhuge/internal/scenario"
 )
 
 // WriteCSV renders the table as plot-ready CSV.
@@ -68,12 +68,12 @@ func Fig13CCDF(cfg Config) *Table {
 		}
 		return rows
 	}
-	cells := rtpTraceCells(picks)
+	cells := traceCells(picks, chaos.RTPSolutions)
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.Sol, Qdisc: c.sol.Qdisc}, dur)
-		rows := curve(c.tr.Name, c.sol.Name, "rtt", res.rtt)
-		return append(rows, curve(c.tr.Name, c.sol.Name, "frameDelay", res.frameDelay)...)
+		res := runSolution(cfg, o, c.tr, c.sol, dur)
+		rows := curve(c.tr.Name, c.sol.Name, "rtt", res.RTT)
+		return append(rows, curve(c.tr.Name, c.sol.Name, "frameDelay", res.FrameDelay)...)
 	})
 	return t
 }

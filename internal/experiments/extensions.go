@@ -40,14 +40,10 @@ func ExtQUIC(cfg Config) *Table {
 	}
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol})
-		f := p.AddQUICVideoFlow(scenario.TCPFlowConfig{CCA: c.cca})
-		p.Run(dur)
+		res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol}, "quic", c.cca, dur)
 		return [][]string{{
 			c.tr.Name, c.cca, c.sol.String(),
-			pct(f.Metrics.RTT.FractionAbove(rttThreshold)),
-			pct(f.FrameDelay.FractionAbove(frameThreshold)),
-			pct(f.FrameRateSeries(dur).FractionBelow(lowFPS)),
+			pct(res.rttTail()), pct(res.frameTail()), pct(res.lowFPS()),
 		}}
 	})
 	return t
@@ -77,14 +73,11 @@ func ExtNADA(cfg Config) *Table {
 	}
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol})
-		f := p.AddRTPFlow(scenario.RTPFlowConfig{CCA: "nada"})
-		p.Run(dur)
+		res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol}, "rtp", "nada", dur)
 		return [][]string{{
 			c.tr.Name, c.sol.String(),
-			pct(f.Metrics.RTT.FractionAbove(rttThreshold)),
-			pct(f.Decoder.FrameDelay.FractionAbove(frameThreshold)),
-			fmt.Sprintf("%.2f", f.Metrics.DeliveredBytes*8/dur.Seconds()/1e6),
+			pct(res.rttTail()), pct(res.frameTail()),
+			fmt.Sprintf("%.2f", res.goodput()/1e6),
 		}}
 	})
 	return t

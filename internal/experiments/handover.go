@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/chaos"
-	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/trace"
@@ -74,22 +73,12 @@ func ExtHandover(cfg Config) *Table {
 			})
 		}
 		p := sp.Build()
-		var m *scenario.FlowMetrics
-		var frameDelay *metrics.Histogram
-		if c.proto == "rtp" {
-			f := p.AddRTPFlow(scenario.RTPFlowConfig{Station: "roamer", GapLoss: true})
-			m = f.Metrics
-			frameDelay = f.Decoder.FrameDelay
-		} else {
-			f := p.AddTCPVideoFlow(scenario.TCPFlowConfig{Station: "roamer"})
-			m = f.Metrics
-			frameDelay = f.FrameDelay
-		}
+		f := p.AddFlow(scenario.FlowSpec{Kind: c.proto, Station: "roamer", GapLoss: c.proto == "rtp"})
 		p.Run(dur)
+		m := result{f.Metrics(), dur}
 		return [][]string{{
 			c.proto, c.sol.String(), c.policy,
-			pct(m.RTT.FractionAbove(rttThreshold)),
-			pct(frameDelay.FractionAbove(frameThreshold)),
+			pct(m.rttTail()), pct(m.frameTail()),
 			// The dip-then-recross machinery lives in internal/chaos now;
 			// the phased fault matrix reuses it for every fault family.
 			secs(chaos.MeanRecross(&m.RateSeries, roams, dur)),

@@ -6,7 +6,6 @@ import (
 
 	"github.com/zhuge-project/zhuge/internal/chaos"
 	"github.com/zhuge-project/zhuge/internal/obs"
-	"github.com/zhuge-project/zhuge/internal/scenario"
 )
 
 // loopDur renders a decomposition quantile with the same 10µs rounding the
@@ -36,8 +35,8 @@ func ControlLoop(cfg Config) *Table {
 		Title:  "Control-loop decomposition per solution (standard trace set)",
 		Header: []string{"solution", "proto", "segment", "n", "p50", "p95", "p99"},
 	}
-	n := len(chaos.RTPSolutions) + len(chaos.TCPSolutions)
-	runCells(cfg, t, n, func(i int, ob *obs.Obs) [][]string {
+	sols := chaos.Solutions()
+	runCells(cfg, t, len(sols), func(i int, ob *obs.Obs) [][]string {
 		// One Loop-enabled bundle per cell, shared across the cell's five
 		// sequential trace runs so the rows aggregate the whole set. The
 		// sweep-provided bundle (when metrics export is on) gains a
@@ -48,24 +47,14 @@ func ControlLoop(cfg Config) *Table {
 		} else if o.Loop == nil {
 			o.Loop = obs.NewLoopTracker()
 		}
-		var name, proto string
+		sol := sols[i]
 		for _, tr := range standardTraces(cfg, dur) {
-			if i < len(chaos.RTPSolutions) {
-				sol := chaos.RTPSolutions[i]
-				name, proto = sol.Name, "rtp"
-				runRTP(scenario.Options{Seed: cfg.Seed, Trace: tr,
-					Solution: sol.Sol, Qdisc: sol.Qdisc, Obs: o}, dur)
-			} else {
-				sol := chaos.TCPSolutions[i-len(chaos.RTPSolutions)]
-				name, proto = sol.Name, "tcp"
-				runTCP(scenario.Options{Seed: cfg.Seed, Trace: tr,
-					Solution: sol.Sol, Obs: o}, sol.CCA, dur)
-			}
+			runSolution(cfg, o, tr, sol, dur)
 		}
 		stats := o.ControlLoop().Rows()
 		rows := make([][]string, 0, len(stats))
 		for _, r := range stats {
-			rows = append(rows, []string{name, proto, r.Segment,
+			rows = append(rows, []string{sol.Name, sol.Transport, r.Segment,
 				fmt.Sprintf("%d", r.N), loopDur(r.P50), loopDur(r.P95), loopDur(r.P99)})
 		}
 		return rows

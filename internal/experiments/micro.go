@@ -78,17 +78,12 @@ func abwDropRow(cfg Config, o *obs.Obs, c chaos.Cell) []string {
 	tr := trace.Step(fmt.Sprintf("drop%.0f", k), dropBase, dropBase/k, dropWarmup, total)
 	opts := scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: c.Sol.Sol,
 		Qdisc: c.Sol.Qdisc, WANRTT: 50 * time.Millisecond}
-	var res rtcResult
-	if c.Sol.Transport == "tcp" {
-		res = runTCP(opts, c.Sol.CCA, total)
-	} else {
-		res = runRTP(opts, total)
-	}
+	res := run(opts, c.Sol.Transport, c.Sol.CCA, total)
 	return []string{
 		c.Sol.Name, fmt.Sprintf("%.0fx", k),
-		secs(degradationAfter(res.rttSeries, 200, dropWarmup)),
-		secs(degradationAfter(res.frameSeries, 400, dropWarmup)),
-		secs(degradationBelowAfter(res.fpsSeries, lowFPS, dropWarmup)),
+		secs(degradationAfter(&res.RTTSeries, 200, dropWarmup)),
+		secs(degradationAfter(&res.FrameDelaySeries, 400, dropWarmup)),
+		secs(degradationBelowAfter(res.FrameRateSeries(total), lowFPS, dropWarmup)),
 	}
 }
 
@@ -133,11 +128,11 @@ func competitionRow(cfg Config, o *obs.Obs, c chaos.Cell) []string {
 func interferenceRow(cfg Config, o *obs.Obs, c chaos.Cell) []string {
 	dur := cfg.dur(120*time.Second, 20*time.Second)
 	tr := trace.Constant("intf", 30e6, dur)
-	res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: c.Sol.Sol, Qdisc: c.Sol.Qdisc,
-		Interferers: int(c.Fault.Param), WANRTT: 50 * time.Millisecond}, dur)
+	res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: c.Sol.Sol, Qdisc: c.Sol.Qdisc,
+		Interferers: int(c.Fault.Param), WANRTT: 50 * time.Millisecond}, c.Sol.Transport, c.Sol.CCA, dur)
 	return []string{
 		c.Sol.Name, fmt.Sprintf("%d", int(c.Fault.Param)),
-		pct(res.rttTail), pct(res.frameTail), pct(res.lowFPS),
+		pct(res.rttTail()), pct(res.frameTail()), pct(res.lowFPS()),
 	}
 }
 

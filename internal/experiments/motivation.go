@@ -35,16 +35,16 @@ func Fig2(cfg Config) *Table {
 	runCells(cfg, t, len(accesses), func(i int, o *obs.Obs) [][]string {
 		a := accesses[i]
 		tr := trace.Generate(a.gen, dur, newRNG(cfg, "fig2-"+a.name))
-		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr}, dur)
+		res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr}, "rtp", "", dur)
 		return [][]string{{
 			a.name,
-			res.rtt.Quantile(0.5).Round(time.Millisecond).String(),
-			res.rtt.Quantile(0.99).Round(time.Millisecond).String(),
-			pct(res.rttTail),
-			res.frameDelay.Quantile(0.5).Round(time.Millisecond).String(),
-			res.frameDelay.Quantile(0.99).Round(time.Millisecond).String(),
-			pct(res.frameTail),
-			pct(res.lowFPS),
+			res.RTT.Quantile(0.5).Round(time.Millisecond).String(),
+			res.RTT.Quantile(0.99).Round(time.Millisecond).String(),
+			pct(res.rttTail()),
+			res.FrameDelay.Quantile(0.5).Round(time.Millisecond).String(),
+			res.FrameDelay.Quantile(0.99).Round(time.Millisecond).String(),
+			pct(res.frameTail()),
+			pct(res.lowFPS()),
 		}}
 	})
 	return t
@@ -69,8 +69,8 @@ func Fig3a(cfg Config) *Table {
 		p.Run(at)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2fs", at.Seconds()),
-			fmt.Sprintf("%.1f", float64(p.Downlink.Queue().Bytes())/1000),
-			fmt.Sprintf("%d", p.Downlink.Queue().Len()),
+			fmt.Sprintf("%.1f", float64(p.APs[0].Downlink.Queue().Bytes())/1000),
+			fmt.Sprintf("%d", p.APs[0].Downlink.Queue().Len()),
 		})
 	}
 	return t

@@ -27,46 +27,41 @@ func Fig18(cfg Config) *Table {
 
 	type scn struct {
 		name  string
-		build func(sol chaos.SolutionSpec, o *obs.Obs) rtcResult
+		build func(sol chaos.SolutionSpec, o *obs.Obs) result
 	}
 	office := func() *trace.Trace {
 		return trace.Generate(trace.OfficeWiFi(), dur, newRNG(cfg, "fig18"))
 	}
 	mcsLevels := []float64{1.0, 0.7, 0.5, 0.35, 0.25}
 	scenarios := []scn{
-		{"scp", func(sol chaos.SolutionSpec, o *obs.Obs) rtcResult {
+		{"scp", func(sol chaos.SolutionSpec, o *obs.Obs) result {
 			// Stable channel; an scp bulk transfer toggles every 30s.
 			p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: trace.Constant("scp", 27e6, dur),
 				Solution: sol.Sol, Qdisc: sol.Qdisc, WANRTT: 30 * time.Millisecond})
 			f := p.AddRTPFlow(scenario.RTPFlowConfig{})
 			p.AddBulkFlow(10*time.Second, 30*time.Second)
 			p.Run(dur)
-			return rtpFlowResult(f, dur)
+			return result{f.Metrics, dur}
 		}},
-		{"mcs", func(sol chaos.SolutionSpec, o *obs.Obs) rtcResult {
+		{"mcs", func(sol chaos.SolutionSpec, o *obs.Obs) result {
 			// Random MCS level per 30s period, like `iw` reconfiguration.
 			rng := newRNG(cfg, "fig18-mcs-"+sol.Name)
 			levels := make([]float64, int(dur/(30*time.Second))+1)
 			for i := range levels {
 				levels[i] = mcsLevels[rng.Intn(len(mcsLevels))]
 			}
-			p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: trace.Constant("mcs", 30e6, dur),
+			return run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: trace.Constant("mcs", 30e6, dur),
 				Solution: sol.Sol, Qdisc: sol.Qdisc, WANRTT: 30 * time.Millisecond,
-				MCSScale: func(at sim.Time) float64 { return levels[int(at/(30*time.Second))%len(levels)] }})
-			f := p.AddRTPFlow(scenario.RTPFlowConfig{})
-			p.Run(dur)
-			return rtpFlowResult(f, dur)
+				MCSScale: func(at sim.Time) float64 { return levels[int(at/(30*time.Second))%len(levels)] }},
+				"rtp", "", dur)
 		}},
-		{"raw", func(sol chaos.SolutionSpec, o *obs.Obs) rtcResult {
+		{"raw", func(sol chaos.SolutionSpec, o *obs.Obs) result {
 			// A 5GHz office channel: the trace carries the goodput
 			// fluctuation; a handful of co-channel stations add access
 			// jitter (the paper's crowded-office testbed, not the 2.4GHz
 			// worst case of Figure 17).
-			p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: office(),
-				Solution: sol.Sol, Qdisc: sol.Qdisc, Interferers: 4})
-			f := p.AddRTPFlow(scenario.RTPFlowConfig{})
-			p.Run(dur)
-			return rtpFlowResult(f, dur)
+			return run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: office(),
+				Solution: sol.Sol, Qdisc: sol.Qdisc, Interferers: 4}, "rtp", "", dur)
 		}},
 	}
 
@@ -85,25 +80,9 @@ func Fig18(cfg Config) *Table {
 		res := c.sc.build(c.sol, o)
 		return [][]string{{
 			c.sc.name, c.sol.Name,
-			pct(res.rttTail), pct(res.frameTail),
-			fmt.Sprintf("%.2f", res.goodput/1e6),
+			pct(res.rttTail()), pct(res.frameTail()),
+			fmt.Sprintf("%.2f", res.goodput()/1e6),
 		}}
 	})
 	return t
-}
-
-// rtpFlowResult extracts an rtcResult from an already-run RTP flow.
-func rtpFlowResult(f *scenario.RTPFlow, dur time.Duration) rtcResult {
-	return rtcResult{
-		rttTail:     f.Metrics.RTT.FractionAbove(rttThreshold),
-		frameTail:   f.Decoder.FrameDelay.FractionAbove(frameThreshold),
-		lowFPS:      f.Decoder.LowFrameRateRatio(dur, lowFPS),
-		rtt:         f.Metrics.RTT,
-		frameDelay:  f.Decoder.FrameDelay,
-		rttSeries:   &f.Metrics.RTTSeries,
-		frameSeries: &f.Decoder.FrameDelaySeries,
-		fpsSeries:   f.Decoder.FrameRateSeries(dur),
-		rateSeries:  &f.Metrics.RateSeries,
-		goodput:     f.Metrics.DeliveredBytes * 8 / dur.Seconds(),
-	}
 }

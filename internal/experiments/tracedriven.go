@@ -22,42 +22,27 @@ func Fig11(cfg Config) *Table {
 		Title:  "Trace-driven RTP/RTCP: tail latency and delayed-frame ratios",
 		Header: []string{"trace", "solution", "P(rtt>200ms)", "P(fdelay>400ms)"},
 	}
-	cells := rtpTraceCells(standardTraces(cfg, dur))
+	cells := traceCells(standardTraces(cfg, dur), chaos.RTPSolutions)
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.Sol, Qdisc: c.sol.Qdisc}, dur)
-		return [][]string{{c.tr.Name, c.sol.Name, pct(res.rttTail), pct(res.frameTail)}}
+		res := runSolution(cfg, o, c.tr, c.sol, dur)
+		return [][]string{{c.tr.Name, c.sol.Name, pct(res.rttTail()), pct(res.frameTail())}}
 	})
 	return t
 }
 
-// rtpTraceCell is one (trace, solution) point of the RTP sweeps.
-type rtpTraceCell struct {
+// traceCell is one (trace, solution) point of the trace-driven sweeps.
+type traceCell struct {
 	tr  *trace.Trace
 	sol chaos.SolutionSpec
 }
 
-func rtpTraceCells(traces []*trace.Trace) []rtpTraceCell {
-	cells := make([]rtpTraceCell, 0, len(traces)*len(chaos.RTPSolutions))
-	for _, tr := range traces {
-		for _, sol := range chaos.RTPSolutions {
-			cells = append(cells, rtpTraceCell{tr, sol})
-		}
-	}
-	return cells
-}
-
-// tcpTraceCell is one (trace, solution) point of the TCP sweeps.
-type tcpTraceCell struct {
-	tr  *trace.Trace
-	sol chaos.SolutionSpec
-}
-
-func tcpTraceCells(traces []*trace.Trace, sols []chaos.SolutionSpec) []tcpTraceCell {
-	cells := make([]tcpTraceCell, 0, len(traces)*len(sols))
+// traceCells enumerates the sweep, traces outer, solutions inner.
+func traceCells(traces []*trace.Trace, sols []chaos.SolutionSpec) []traceCell {
+	cells := make([]traceCell, 0, len(traces)*len(sols))
 	for _, tr := range traces {
 		for _, sol := range sols {
-			cells = append(cells, tcpTraceCell{tr, sol})
+			cells = append(cells, traceCell{tr, sol})
 		}
 	}
 	return cells
@@ -73,11 +58,11 @@ func Fig12(cfg Config) *Table {
 		Title:  "Trace-driven TCP: tail latency and delayed-frame ratios",
 		Header: []string{"trace", "solution", "P(rtt>200ms)", "P(fdelay>400ms)"},
 	}
-	cells := tcpTraceCells(standardTraces(cfg, dur), chaos.TCPSolutions)
+	cells := traceCells(standardTraces(cfg, dur), chaos.TCPSolutions)
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.Sol}, c.sol.CCA, dur)
-		return [][]string{{c.tr.Name, c.sol.Name, pct(res.rttTail), pct(res.frameTail)}}
+		res := runSolution(cfg, o, c.tr, c.sol, dur)
+		return [][]string{{c.tr.Name, c.sol.Name, pct(res.rttTail()), pct(res.frameTail())}}
 	})
 	return t
 }
@@ -98,18 +83,18 @@ func Fig13(cfg Config) *Table {
 		Header: []string{"trace", "solution", "rtt.p90", "rtt.p99", "rtt.p999",
 			"fdelay.p90", "fdelay.p99", "P(fps<10)"},
 	}
-	cells := rtpTraceCells(picks)
+	cells := traceCells(picks, chaos.RTPSolutions)
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol.Sol, Qdisc: c.sol.Qdisc}, dur)
+		res := runSolution(cfg, o, c.tr, c.sol, dur)
 		return [][]string{{
 			c.tr.Name, c.sol.Name,
-			res.rtt.Quantile(0.90).Round(time.Millisecond).String(),
-			res.rtt.Quantile(0.99).Round(time.Millisecond).String(),
-			res.rtt.Quantile(0.999).Round(time.Millisecond).String(),
-			res.frameDelay.Quantile(0.90).Round(time.Millisecond).String(),
-			res.frameDelay.Quantile(0.99).Round(time.Millisecond).String(),
-			pct(res.lowFPS),
+			res.RTT.Quantile(0.90).Round(time.Millisecond).String(),
+			res.RTT.Quantile(0.99).Round(time.Millisecond).String(),
+			res.RTT.Quantile(0.999).Round(time.Millisecond).String(),
+			res.FrameDelay.Quantile(0.90).Round(time.Millisecond).String(),
+			res.FrameDelay.Quantile(0.99).Round(time.Millisecond).String(),
+			pct(res.lowFPS()),
 		}}
 	})
 	return t
@@ -125,28 +110,10 @@ func Fig22(cfg Config) *Table {
 		Title:  "Low frame-rate ratios over the five traces",
 		Header: []string{"trace", "solution", "P(fps<10)"},
 	}
-	type cell struct {
-		tr     *trace.Trace
-		rtpSol *chaos.SolutionSpec
-		tcpSol *chaos.SolutionSpec
-	}
-	var cells []cell
-	for _, tr := range standardTraces(cfg, dur) {
-		for i := range chaos.RTPSolutions {
-			cells = append(cells, cell{tr: tr, rtpSol: &chaos.RTPSolutions[i]})
-		}
-		for i := range chaos.TCPSolutions {
-			cells = append(cells, cell{tr: tr, tcpSol: &chaos.TCPSolutions[i]})
-		}
-	}
+	cells := traceCells(standardTraces(cfg, dur), chaos.Solutions())
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		if c.rtpSol != nil {
-			res := runRTP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.rtpSol.Sol, Qdisc: c.rtpSol.Qdisc}, dur)
-			return [][]string{{c.tr.Name, c.rtpSol.Name, pct(res.lowFPS)}}
-		}
-		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.tcpSol.Sol}, c.tcpSol.CCA, dur)
-		return [][]string{{c.tr.Name, c.tcpSol.Name, pct(res.lowFPS)}}
+		return [][]string{{c.tr.Name, c.sol.Name, pct(runSolution(cfg, o, c.tr, c.sol, dur).lowFPS())}}
 	})
 	return t
 }
@@ -164,14 +131,14 @@ func Table3(cfg Config) *Table {
 		Header: []string{"solution", "P(rtt>200ms)", "P(fdelay>400ms)", "P(fps<10)"},
 	}
 	specs := []chaos.SolutionSpec{
-		{Name: "Copa", Sol: scenario.SolutionNone, CCA: "copa"},
-		{Name: "ABC", Sol: scenario.SolutionABC, CCA: "abc"},
-		{Name: "Copa+Zhuge", Sol: scenario.SolutionZhuge, CCA: "copa"},
+		{Name: "Copa", Transport: "tcp", Sol: scenario.SolutionNone, CCA: "copa"},
+		{Name: "ABC", Transport: "tcp", Sol: scenario.SolutionABC, CCA: "abc"},
+		{Name: "Copa+Zhuge", Transport: "tcp", Sol: scenario.SolutionZhuge, CCA: "copa"},
 	}
 	runCells(cfg, t, len(specs), func(i int, o *obs.Obs) [][]string {
 		sol := specs[i]
-		res := runTCP(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: sol.Sol}, sol.CCA, dur)
-		return [][]string{{sol.Name, pct(res.rttTail), pct(res.frameTail), pct(res.lowFPS)}}
+		res := runSolution(cfg, o, tr, sol, dur)
+		return [][]string{{sol.Name, pct(res.rttTail()), pct(res.frameTail()), pct(res.lowFPS())}}
 	})
 	return t
 }

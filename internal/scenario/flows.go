@@ -14,8 +14,12 @@ import (
 	"github.com/zhuge-project/zhuge/internal/video"
 )
 
-// FlowMetrics aggregates the paper's per-flow measurements.
+// FlowMetrics is the one record of a measured flow, whatever its
+// transport: the application half (the embedded FrameStats — frame delay,
+// per-second frame rate) and the network half below.
 type FlowMetrics struct {
+	*video.FrameStats
+
 	// RTT is the per-data-packet network RTT: the measured one-way
 	// downlink delay plus the stable return path. Identical definition
 	// for every solution, so Zhuge's deliberate ACK delays cannot skew
@@ -30,8 +34,22 @@ type FlowMetrics struct {
 	DeliveredBytes float64
 }
 
-func newFlowMetrics() *FlowMetrics {
-	return &FlowMetrics{RTT: metrics.NewHistogram()}
+// measure starts a flow's record: frames is the recorder its application
+// feeds, and a delivery tap fills the network half from every data packet
+// of the flow delivered over the air.
+func (p *Path) measure(flow netem.FlowKey, frames *video.FrameStats) *FlowMetrics {
+	m := &FlowMetrics{FrameStats: frames, RTT: metrics.NewHistogram()}
+	p.AddDeliveryTap(func(pkt *netem.Packet) {
+		if pkt.Flow != flow || pkt.Kind != netem.KindData {
+			return
+		}
+		now := p.S.Now()
+		rtt := now - pkt.SentAt + p.FlowReturnBase(flow)
+		m.RTT.Add(rtt)
+		m.RTTSeries.Add(now, float64(rtt.Milliseconds()))
+		m.DeliveredBytes += float64(pkt.Size)
+	})
+	return m
 }
 
 // RTPFlowConfig parameterises an RTP video flow.
@@ -86,17 +104,20 @@ func (p *Path) AddRTPFlow(cfg RTPFlowConfig) *RTPFlow {
 	flow := p.NewFlowKey()
 	st := p.station(cfg.Station)
 	pa := st.AP()
-	m := newFlowMetrics()
 
 	var rc cca.Rate
-	if cfg.CCA == "nada" {
-		rc = cca.NewNADA(cfg.StartRate, cfg.MinRate, cfg.MaxRate)
-	} else {
+	switch cfg.CCA {
+	case "", "gcc":
 		rc = cca.NewGCC(cfg.StartRate, cfg.MinRate, cfg.MaxRate)
+	case "nada":
+		rc = cca.NewNADA(cfg.StartRate, cfg.MinRate, cfg.MaxRate)
+	default:
+		panic(fmt.Sprintf("scenario: unknown CCA %q for rtp", cfg.CCA))
 	}
 	snd := rtp.NewSender(p.S, flow, uint32(flow.SrcPort), rc, p.ServerOut())
 	snd.GapLoss = cfg.GapLoss
 	dec := video.NewDecoder()
+	m := p.measure(flow, dec.FrameStats)
 	rcv := rtp.NewReceiver(p.S, flow.Reverse(), uint32(flow.SrcPort), dec, p.ClientOut())
 	p.RegisterClient(flow, rcv)
 	p.RegisterServer(flow, snd)
@@ -136,17 +157,6 @@ func (p *Path) AddRTPFlow(cfg RTPFlowConfig) *RTPFlow {
 		)
 	}
 	p.bindFlow(flow, st)
-
-	p.AddDeliveryTap(func(pkt *netem.Packet) {
-		if pkt.Flow != flow || pkt.Kind != netem.KindData {
-			return
-		}
-		now := p.S.Now()
-		rtt := now - pkt.SentAt + p.FlowReturnBase(flow)
-		m.RTT.Add(rtt)
-		m.RTTSeries.Add(now, float64(rtt.Milliseconds()))
-		m.DeliveredBytes += float64(pkt.Size)
-	})
 
 	p.S.Schedule(cfg.StartAt, func() {
 		enc.Start()
@@ -219,11 +229,8 @@ type streamVideo struct {
 	Metrics *FlowMetrics
 
 	// frame accounting
-	FramesSent       int
-	FramesDropped    int
-	FrameDelay       *metrics.Histogram
-	FrameDelaySeries metrics.Series // (delivery time, delay ms)
-	completions      []time.Duration
+	FramesSent    int
+	FramesDropped int
 
 	frames []streamFrame
 }
@@ -233,31 +240,23 @@ type streamFrame struct {
 	captured sim.Time
 }
 
-// FrameRateSeries returns the per-second delivered frame rate.
-func (f *streamVideo) FrameRateSeries(total time.Duration) *metrics.Series {
-	counts := metrics.PerSecondCounts(f.completions, total)
-	s := &metrics.Series{}
-	for i, c := range counts {
-		s.Add(time.Duration(i)*time.Second, float64(c))
-	}
-	return s
-}
-
 // delivered is the receiver's OnDeliver hook: in-order delivery reaching
 // a frame boundary decodes the frame.
 func (f *streamVideo) delivered(now sim.Time, upTo uint64) {
 	for len(f.frames) > 0 && f.frames[0].end <= upTo {
 		fr := f.frames[0]
 		f.frames = f.frames[1:]
-		f.FrameDelay.Add(now - fr.captured)
-		f.FrameDelaySeries.Add(now, float64((now - fr.captured).Milliseconds()))
-		f.completions = append(f.completions, now)
+		f.Metrics.AddFrame(now, fr.captured)
 	}
 }
 
-// newTCPController builds the controller named in the config.
-func newTCPController(name string) cca.TCP {
+// newTCPController builds the window controller a stream flow of the given
+// kind names. An unknown name is a build-time configuration bug and panics
+// rather than measuring the default under the wrong label.
+func newTCPController(name, kind string) cca.TCP {
 	switch name {
+	case "copa":
+		return cca.NewCopa()
 	case "cubic":
 		return cca.NewCubic()
 	case "bbr":
@@ -265,7 +264,7 @@ func newTCPController(name string) cca.TCP {
 	case "abc":
 		return cca.NewABCSender()
 	default:
-		return cca.NewCopa()
+		panic(fmt.Sprintf("scenario: unknown CCA %q for %s", name, kind))
 	}
 }
 
@@ -280,8 +279,8 @@ func (p *Path) addStreamVideo(cfg TCPFlowConfig, proto uint8, dial func(netem.Fl
 	flow.Proto = proto
 	st := p.station(cfg.Station)
 	pa := st.AP()
-	m := newFlowMetrics()
-	f := &streamVideo{Flow: flow, Metrics: m, FrameDelay: metrics.NewHistogram()}
+	m := p.measure(flow, video.NewFrameStats())
+	f := &streamVideo{Flow: flow, Metrics: m}
 
 	zhuge := !cfg.Unoptimized && pa.Spec.Solution == SolutionZhuge
 	fastAck := !cfg.Unoptimized && pa.Spec.Solution == SolutionFastAck && proto == 6
@@ -363,24 +362,13 @@ func (p *Path) addStreamVideo(cfg TCPFlowConfig, proto uint8, dial func(netem.Fl
 		snd.Write(fr.Size)
 	}
 
-	p.AddDeliveryTap(func(pkt *netem.Packet) {
-		if pkt.Flow != flow || pkt.Kind != netem.KindData {
-			return
-		}
-		now := p.S.Now()
-		rtt := now - pkt.SentAt + p.FlowReturnBase(flow)
-		m.RTT.Add(rtt)
-		m.RTTSeries.Add(now, float64(rtt.Milliseconds()))
-		m.DeliveredBytes += float64(pkt.Size)
-	})
-
 	p.S.Schedule(cfg.StartAt, enc.Start)
 	return f
 }
 
 // TCPVideoFlow is an RTC stream over TCP: the shared stream-video
-// application (its Metrics, frame counters and FrameRateSeries are
-// promoted) over a tcpsim sender.
+// application (its Metrics and frame counters are promoted) over a tcpsim
+// sender.
 type TCPVideoFlow struct {
 	*streamVideo
 	Sender *tcpsim.Sender
@@ -394,7 +382,7 @@ func (p *Path) AddTCPVideoFlow(cfg TCPFlowConfig) *TCPVideoFlow {
 	cfg = cfg.withDefaults()
 	f := &TCPVideoFlow{}
 	f.streamVideo = p.addStreamVideo(cfg, 6, func(flow netem.FlowKey, h streamHooks) streamTransport {
-		f.Sender = tcpsim.NewSender(p.S, flow, newTCPController(cfg.CCA), p.ServerOut())
+		f.Sender = tcpsim.NewSender(p.S, flow, newTCPController(cfg.CCA, "tcp"), p.ServerOut())
 		rcv := tcpsim.NewReceiver(p.S, flow.Reverse(), p.ClientOut())
 		rcv.OnDeliver, rcv.OnAck = h.OnDeliver, h.OnAck
 		p.RegisterClient(flow, rcv)

@@ -165,8 +165,8 @@ func TestQUICFlowRuns(t *testing.T) {
 		p := NewPath(Options{Seed: 13, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: cfg.sol})
 		f := p.AddQUICVideoFlow(TCPFlowConfig{CCA: cfg.cca})
 		p.Run(10 * time.Second)
-		if f.FrameDelay.Count() < 180 {
-			t.Errorf("%v/%s delivered only %d frames over QUIC", cfg.sol, cfg.cca, f.FrameDelay.Count())
+		if f.Metrics.FrameDelay.Count() < 180 {
+			t.Errorf("%v/%s delivered only %d frames over QUIC", cfg.sol, cfg.cca, f.Metrics.FrameDelay.Count())
 		}
 	}
 }

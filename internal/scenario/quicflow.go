@@ -27,7 +27,7 @@ func (p *Path) AddQUICVideoFlow(cfg TCPFlowConfig) *QUICVideoFlow {
 		if cfg.CCA == "pcc" {
 			cc = cca.NewPCC(cfg.StartRate, cfg.MinRate, 2*cfg.MaxRate)
 		} else {
-			cc = newTCPController(cfg.CCA)
+			cc = newTCPController(cfg.CCA, "quic")
 		}
 		f.Sender = quicsim.NewSender(p.S, flow, cc, p.ServerOut())
 		rcv := quicsim.NewReceiver(p.S, flow.Reverse(), p.ClientOut())

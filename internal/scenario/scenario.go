@@ -7,20 +7,22 @@
 // directly from those and plain netem links, routers and demuxes, either
 // declaratively from a Spec (multi-AP, stations, scheduled handovers) or
 // through the classic single-AP NewPath options.
-// Flow factories attach RTP/GCC video calls, TCP and QUIC video streams
-// and bulk-transfer competitors, and collect the paper's metrics.
+// Path.AddFlow attaches a flow by kind name — RTP/GCC video calls, TCP and
+// QUIC video streams, bulk-transfer competitors; the typed Add…Flow
+// factories are what it calls — and every measured flow yields one
+// FlowMetrics record carrying both halves of the paper's metrics: the
+// application's frame delay and frame rate (video.FrameStats) and the
+// network RTT, rate and goodput series.
 package scenario
 
 import (
 	"time"
 
-	"github.com/zhuge-project/zhuge/internal/baseline"
 	"github.com/zhuge-project/zhuge/internal/core"
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
-	"github.com/zhuge-project/zhuge/internal/wireless"
 )
 
 // Solution selects the AP-side mechanism under test.
@@ -95,18 +97,14 @@ type Path struct {
 	S    *sim.Simulator
 	Spec Spec
 
-	// APs lists every access point of the path; the fields below expose
-	// the first one, the surface single-AP experiments use.
-	APs      []*PathAP
-	Downlink *wireless.Link
-	Uplink   *wireless.Link
-	AP       *core.AP
-	FastAck  *baseline.FastAck
-	ABC      *baseline.ABCRouter
-	Channel  *wireless.Channel
+	// APs lists every access point of the path; AP is the first one's
+	// Zhuge instance (nil under any other solution), the handle single-AP
+	// experiments read.
+	APs []*PathAP
+	AP  *core.AP
 
-	// Flows holds the handles of Spec-declared flows, in declaration
-	// order.
+	// Flows holds the handles of the flows AddFlow built — Spec.Flows
+	// first, in declaration order.
 	Flows []*BuiltFlow
 
 	clientDemux *netem.Demux

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,8 +43,8 @@ func TestTCPVideoFlowRunsOverPath(t *testing.T) {
 	p := NewPath(Options{Seed: 1, Trace: trace.Constant("c30", 30e6, 10*time.Second)})
 	f := p.AddTCPVideoFlow(TCPFlowConfig{CCA: "copa"})
 	p.Run(10 * time.Second)
-	if f.FrameDelay.Count() < 200 {
-		t.Fatalf("delivered %d frames over 10s, want ~250", f.FrameDelay.Count())
+	if f.Metrics.FrameDelay.Count() < 200 {
+		t.Fatalf("delivered %d frames over 10s, want ~250", f.Metrics.FrameDelay.Count())
 	}
 	if med := f.Metrics.RTT.Quantile(0.5); med > 120*time.Millisecond {
 		t.Errorf("median RTT %v on a clean path", med)
@@ -97,13 +99,13 @@ func TestABCAndFastAckRun(t *testing.T) {
 		p := NewPath(Options{Seed: 7, Trace: trace.Constant("c20", 20e6, 8*time.Second), Solution: tc.sol})
 		f := p.AddTCPVideoFlow(TCPFlowConfig{CCA: tc.cca})
 		p.Run(8 * time.Second)
-		if f.FrameDelay.Count() < 100 {
-			t.Errorf("%v/%s delivered only %d frames", tc.sol, tc.cca, f.FrameDelay.Count())
+		if f.Metrics.FrameDelay.Count() < 100 {
+			t.Errorf("%v/%s delivered only %d frames", tc.sol, tc.cca, f.Metrics.FrameDelay.Count())
 		}
-		if tc.sol == SolutionABC && (p.ABC.Accelerates() == 0 || p.ABC.Brakes() == 0) {
-			t.Errorf("ABC marks: accel=%d brake=%d, want both nonzero", p.ABC.Accelerates(), p.ABC.Brakes())
+		if tc.sol == SolutionABC && (p.APs[0].ABC.Accelerates() == 0 || p.APs[0].ABC.Brakes() == 0) {
+			t.Errorf("ABC marks: accel=%d brake=%d, want both nonzero", p.APs[0].ABC.Accelerates(), p.APs[0].ABC.Brakes())
 		}
-		if tc.sol == SolutionFastAck && p.FastAck.Synthesized() == 0 {
+		if tc.sol == SolutionFastAck && p.APs[0].FastAck.Synthesized() == 0 {
 			t.Error("FastAck synthesized no ACKs")
 		}
 	}
@@ -168,5 +170,96 @@ func TestInterferersDegradePerformance(t *testing.T) {
 	noisy := run(40)
 	if noisy <= quiet {
 		t.Errorf("40 interferers should inflate tail: quiet=%.4f noisy=%.4f", quiet, noisy)
+	}
+}
+
+// TestAddFlowOneRecordPerKind builds one flow of every kind on one path and
+// checks that each measured flow's record carries both halves: the frame
+// recorder agrees with the transport's own frame counters and the frame-rate
+// ratio is the series' own. The bulk competitor carries no record.
+func TestAddFlowOneRecordPerKind(t *testing.T) {
+	const dur = 8 * time.Second
+	p := NewPath(Options{Seed: 3, Trace: trace.Constant("c40", 40e6, dur), Solution: SolutionZhuge})
+	var built []*BuiltFlow
+	for _, kind := range []string{"rtp", "tcp", "quic", "bulk"} {
+		built = append(built, p.AddFlow(FlowSpec{Kind: kind}))
+	}
+	p.Run(dur)
+
+	if len(p.Flows) != len(built) {
+		t.Fatalf("p.Flows holds %d handles, want %d", len(p.Flows), len(built))
+	}
+	for i, bf := range built {
+		if p.Flows[i] != bf {
+			t.Errorf("p.Flows[%d] is not the handle AddFlow returned for %q", i, bf.Spec.Kind)
+		}
+	}
+	rtpF, tcpF, quicF, bulk := built[0], built[1], built[2], built[3]
+	if rtpF.RTP == nil || tcpF.TCP == nil || quicF.QUIC == nil || bulk.Bulk == nil {
+		t.Fatalf("kind fields not set per kind: %+v %+v %+v %+v", rtpF, tcpF, quicF, bulk)
+	}
+	if bulk.Metrics() != nil {
+		t.Error("the bulk flow carries a FlowMetrics; it is a competitor and should not")
+	}
+
+	if got, want := rtpF.Metrics().FrameDelay.Count(), uint64(rtpF.RTP.Decoder.Decoded); got != want || want < 150 {
+		t.Errorf("rtp: %d frame delays recorded, decoder decoded %d (want equal, ~200)", got, want)
+	}
+	// A stream frame counts once its last byte is delivered in order; at
+	// most a second of video (the application's drop threshold) is in flight.
+	for _, s := range []struct {
+		kind string
+		sent int
+		m    *FlowMetrics
+	}{
+		{"tcp", tcpF.TCP.FramesSent, tcpF.Metrics()},
+		{"quic", quicF.QUIC.FramesSent, quicF.Metrics()},
+	} {
+		got := int(s.m.FrameDelay.Count())
+		if got > s.sent || got < s.sent-25 || got < 50 {
+			t.Errorf("%s: %d frame delays recorded for %d frames sent", s.kind, got, s.sent)
+		}
+	}
+	for _, bf := range built[:3] {
+		m := bf.Metrics()
+		if m.RTT.Count() == 0 || m.DeliveredBytes == 0 {
+			t.Errorf("%s: network half empty (rtt n=%d, bytes=%.0f)", bf.Spec.Kind, m.RTT.Count(), m.DeliveredBytes)
+		}
+		if got, want := m.LowFrameRateRatio(dur, 10), m.FrameRateSeries(dur).FractionBelow(10); got != want {
+			t.Errorf("%s: LowFrameRateRatio %v != FrameRateSeries.FractionBelow %v", bf.Spec.Kind, got, want)
+		}
+	}
+}
+
+// TestUnknownCCAPanics pins the per-kind controller names: "" is the kind's
+// default, and a name the kind does not know panics instead of measuring the
+// default under the wrong label.
+func TestUnknownCCAPanics(t *testing.T) {
+	accepted := map[string][]string{
+		"rtp":  {"", "gcc", "nada"},
+		"tcp":  {"", "copa", "cubic", "bbr", "abc"},
+		"quic": {"", "copa", "cubic", "bbr", "abc", "pcc"},
+	}
+	names := []string{"", "gcc", "nada", "copa", "cubic", "bbr", "abc", "pcc", "coppa"}
+	for kind, ok := range accepted {
+		for _, name := range names {
+			want := ""
+			if !slices.Contains(ok, name) {
+				want = fmt.Sprintf("scenario: unknown CCA %q for %s", name, kind)
+			}
+			got := func() (msg string) {
+				defer func() {
+					if r := recover(); r != nil {
+						msg = fmt.Sprint(r)
+					}
+				}()
+				p := NewPath(Options{Seed: 1, Trace: trace.Constant("c20", 20e6, time.Second)})
+				p.AddFlow(FlowSpec{Kind: kind, CCA: name})
+				return ""
+			}()
+			if got != want {
+				t.Errorf("AddFlow{%s, CCA %q}: panic %q, want %q", kind, name, got, want)
+			}
+		}
 	}
 }

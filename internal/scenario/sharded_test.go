@@ -146,7 +146,7 @@ func TestCrossShardHandover(t *testing.T) {
 			t.Fatal(err)
 		}
 		own := spd.Cell("east").Path.Station("roamer").Link()
-		visited := spd.Cell("west").Path.Downlink
+		visited := spd.Cell("west").Path.APs[0].Downlink
 		var at [3]delivered
 		for i, when := range []time.Duration{1500 * time.Millisecond, 2 * time.Second} {
 			spd.Cluster.At(when, func() { at[i] = delivered{own.Delivered(), visited.Delivered()} })

@@ -232,17 +232,10 @@ func (sp Spec) build(cell int, cellLabel string) *Path {
 		p.newStation(ss.Name, p.apByName(ss.AP), ss.OwnQueue, ss.QueueCap)
 	}
 
-	// Compatibility view: the first AP is the Path's classic single-AP
-	// surface.
-	p.Downlink = first.Downlink
-	p.Uplink = first.Uplink
-	p.Channel = first.Channel
 	p.AP = first.Zhuge
-	p.FastAck = first.FastAck
-	p.ABC = first.ABC
 
 	for _, fs := range sp.Flows {
-		p.buildFlow(fs)
+		p.AddFlow(fs)
 	}
 	for _, h := range sp.Handovers {
 		p.ScheduleHandover(h.Station, h.To, h.At, h.Policy)
@@ -349,8 +342,10 @@ func (p *Path) buildAP(i int, as APSpec) {
 	p.APs = append(p.APs, pa)
 }
 
-// buildFlow attaches a declared flow and records its handle.
-func (p *Path) buildFlow(fs FlowSpec) {
+// AddFlow attaches a flow by kind name — the one factory behind Spec.Flows,
+// also callable on a built path — records its handle in p.Flows and returns
+// it. An unknown kind or CCA name is a configuration bug and panics.
+func (p *Path) AddFlow(fs FlowSpec) *BuiltFlow {
 	bf := &BuiltFlow{Spec: fs}
 	switch fs.Kind {
 	case "rtp":
@@ -374,9 +369,10 @@ func (p *Path) buildFlow(fs FlowSpec) {
 		panic(fmt.Sprintf("scenario: unknown flow kind %q", fs.Kind))
 	}
 	p.Flows = append(p.Flows, bf)
+	return bf
 }
 
-// BuiltFlow is the handle of one Spec-declared flow; exactly one of the
+// BuiltFlow is the handle of one AddFlow-built flow; exactly one of the
 // kind fields is set.
 type BuiltFlow struct {
 	Spec FlowSpec

@@ -1,8 +1,10 @@
 // Package video models the RTC application layer: a rate-adaptive frame
-// encoder and a decoder that enforces the reference chain. It produces the
-// paper's application metrics — frame delay (encode-to-decode, Figure 2/11)
-// and per-second frame rate (Figure 22) — without modelling pixels: only
-// frame sizes, timing and decodability matter to the transport.
+// encoder, a decoder that enforces the reference chain, and FrameStats, the
+// one recorder of the paper's application metrics — frame delay
+// (encode-to-display, Figure 2/11) and per-second frame rate (Figure 22) —
+// for every transport: the RTP Decoder and the stream-video application of
+// internal/scenario both feed it. No pixels are modelled: only frame sizes,
+// timing and decodability matter to the transport.
 package video
 
 import (
@@ -117,20 +119,56 @@ func (e *Encoder) emit() {
 	}
 }
 
-// Decoder enforces the reference chain: a frame decodes when it is complete
-// and either it continues the chain (previous frame decoded) or it is a key
-// frame, which resets the chain (frames skipped over are lost). It records
-// the application metrics.
-type Decoder struct {
-	nextID      uint64
-	complete    map[uint64]Frame
-	decodeTimes []sim.Time
-
-	// FrameDelay records encode-to-decode delay per decoded frame.
+// FrameStats records one flow's application metrics: a frame counts when
+// the client can display it, whatever transport carried it.
+type FrameStats struct {
+	// FrameDelay records capture-to-display delay per displayed frame.
 	FrameDelay *metrics.Histogram
-	// FrameDelaySeries records (decode time, delay in ms) per frame, for
+	// FrameDelaySeries records (display time, delay in ms) per frame, for
 	// degradation-duration analysis.
 	FrameDelaySeries metrics.Series
+
+	displayed []sim.Time
+}
+
+// NewFrameStats returns an empty recorder.
+func NewFrameStats() *FrameStats {
+	return &FrameStats{FrameDelay: metrics.NewHistogram()}
+}
+
+// AddFrame records a frame captured at captured becoming displayable at now.
+func (fs *FrameStats) AddFrame(now, captured sim.Time) {
+	fs.FrameDelay.Add(now - captured)
+	fs.FrameDelaySeries.Add(now, float64((now - captured).Milliseconds()))
+	fs.displayed = append(fs.displayed, now)
+}
+
+// FrameRateSeries returns the per-second displayed frame rate over [0, total).
+func (fs *FrameStats) FrameRateSeries(total time.Duration) *metrics.Series {
+	counts := metrics.PerSecondCounts(fs.displayed, total)
+	s := &metrics.Series{}
+	for i, c := range counts {
+		s.Add(time.Duration(i)*time.Second, float64(c))
+	}
+	return s
+}
+
+// LowFrameRateRatio returns the fraction of seconds with fewer than
+// threshold displayed frames (the paper uses 10 fps).
+func (fs *FrameStats) LowFrameRateRatio(total time.Duration, threshold float64) float64 {
+	return fs.FrameRateSeries(total).FractionBelow(threshold)
+}
+
+// Decoder enforces the reference chain: a frame decodes when it is complete
+// and either it continues the chain (previous frame decoded) or it is a key
+// frame, which resets the chain (frames skipped over are lost). Every
+// decoded frame goes into the embedded FrameStats.
+type Decoder struct {
+	*FrameStats
+
+	nextID   uint64
+	complete map[uint64]Frame
+
 	// Decoded counts frames decoded; Skipped counts frames abandoned by a
 	// key-frame chain reset.
 	Decoded int
@@ -139,10 +177,7 @@ type Decoder struct {
 
 // NewDecoder returns an empty decoder.
 func NewDecoder() *Decoder {
-	return &Decoder{
-		complete:   make(map[uint64]Frame),
-		FrameDelay: metrics.NewHistogram(),
-	}
+	return &Decoder{FrameStats: NewFrameStats(), complete: make(map[uint64]Frame)}
 }
 
 // OnFrameComplete notifies the decoder that all packets of f have arrived.
@@ -183,23 +218,5 @@ func (d *Decoder) decode(now sim.Time, f Frame) {
 	delete(d.complete, f.ID)
 	d.nextID = f.ID + 1
 	d.Decoded++
-	d.FrameDelay.Add(now - f.CapturedAt)
-	d.FrameDelaySeries.Add(now, float64((now - f.CapturedAt).Milliseconds()))
-	d.decodeTimes = append(d.decodeTimes, now)
-}
-
-// FrameRateSeries returns the per-second decoded frame rate over [0, total).
-func (d *Decoder) FrameRateSeries(total time.Duration) *metrics.Series {
-	counts := metrics.PerSecondCounts(d.decodeTimes, total)
-	s := &metrics.Series{}
-	for i, c := range counts {
-		s.Add(time.Duration(i)*time.Second, float64(c))
-	}
-	return s
-}
-
-// LowFrameRateRatio returns the fraction of seconds with fewer than
-// threshold decoded frames (the paper uses 10 fps).
-func (d *Decoder) LowFrameRateRatio(total time.Duration, threshold float64) float64 {
-	return d.FrameRateSeries(total).FractionBelow(threshold)
+	d.AddFrame(now, f.CapturedAt)
 }

@@ -128,19 +128,31 @@ func TestDecoderKeyFrameResetsChain(t *testing.T) {
 	}
 }
 
+// TestFrameRateSeries feeds the one recorder both ways — through the
+// Decoder's reference chain and bare, as the stream-video application does
+// — and wants the same per-second frame rate from each.
 func TestFrameRateSeries(t *testing.T) {
 	d := NewDecoder()
-	// 24 fps for 2 seconds, then 5 fps for 1 second.
+	bare := NewFrameStats()
 	id := uint64(0)
-	for i := 0; i < 48; i++ {
-		d.OnFrameComplete(sim.Time(i)*sim.Time(time.Second/24), Frame{ID: id, Key: id == 0})
+	feed := func(at sim.Time) {
+		d.OnFrameComplete(at, Frame{ID: id, Key: id == 0})
+		bare.AddFrame(at, 0)
 		id++
+	}
+	// 24 fps for 2 seconds, then 5 fps for 1 second.
+	for i := 0; i < 48; i++ {
+		feed(sim.Time(i) * sim.Time(time.Second/24))
 	}
 	for i := 0; i < 5; i++ {
-		d.OnFrameComplete(2*time.Second+sim.Time(i)*sim.Time(200*time.Millisecond), Frame{ID: id, Key: false})
-		id++
+		feed(2*time.Second + sim.Time(i)*sim.Time(200*time.Millisecond))
 	}
-	if got := d.LowFrameRateRatio(3*time.Second, 10); got < 0.3 || got > 0.4 {
-		t.Errorf("low-fps ratio %.2f, want 1/3", got)
+	for name, fs := range map[string]*FrameStats{"decoder": d.FrameStats, "bare": bare} {
+		if got := fs.LowFrameRateRatio(3*time.Second, 10); got < 0.3 || got > 0.4 {
+			t.Errorf("%s: low-fps ratio %.2f, want 1/3", name, got)
+		}
+		if n := fs.FrameDelay.Count(); n != 53 {
+			t.Errorf("%s: %d frame delays recorded, want 53", name, n)
+		}
 	}
 }
