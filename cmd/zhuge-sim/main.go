@@ -13,14 +13,15 @@
 // Trace names: w1 w2 c1 c2 c3 ethernet abc, dropK (e.g. drop10 = 30 Mbps
 // dropping K-fold mid-run), a CSV file path, or constN (N Mbps constant).
 // (-trace names the bandwidth trace; -trace-out writes the packet-lifecycle
-// trace — open the .json form in chrome://tracing or Perfetto.)
+// trace and -series-out the telemetry series — open the .json form of either
+// in chrome://tracing or Perfetto, or name the file .jsonl for JSON lines.)
 //
 // -aps builds a multi-AP topology (each AP on its own channel with an
 // independent trace realisation and its own solution instance); -handover-at
 // schedules station roams round-robin across the APs, with -handover-policy
 // picking what happens to the per-flow Zhuge state. -campus switches to the
 // sharded campus workload, which takes its own flags (-shards, -rebalance,
-// -profile-out) and none of the single-path ones. Experiment tables are
+// -profile-out, -stats) and none of the single-path ones. Experiment tables are
 // zhuge-bench's job: go run ./cmd/zhuge-bench -exp control-loop|ext-handover.
 package main
 
@@ -64,16 +65,16 @@ func main() {
 		workers     = flag.Int("j", runtime.NumCPU(), "with -campus: worker count for the shard simulators")
 		traceOut    = flag.String("trace-out", "", "write a packet-lifecycle trace to this file (.jsonl = JSONL, else Chrome trace_event for Perfetto)")
 		metricsOut  = flag.String("metrics", "", "write a metrics + prediction-error + control-loop JSON report to this file")
-		seriesOut   = flag.String("series-out", "", "write virtual-time telemetry series to this file (.csv = CSV, else JSONL; see OBSERVABILITY.md)")
+		seriesOut   = flag.String("series-out", "", "write virtual-time telemetry series to this file (.jsonl = JSONL, else Chrome counter tracks for Perfetto; see OBSERVABILITY.md)")
 		seriesEvery = flag.Duration("series-every", 100*time.Millisecond, "virtual-time sampling interval for -series-out")
 		profileOut  = flag.String("profile-out", "", "with -campus: write the per-cell load profile (JSON) to this file")
-		statsAddr   = flag.String("stats", "", "serve the live stats plane (registry snapshots, series windows, shard load) on this HTTP address (e.g. localhost:8377)")
+		statsAddr   = flag.String("stats", "", "with -campus: serve the live stats plane (shard load, run progress) on this HTTP address (e.g. localhost:8377)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	err := checkFlags(*proto, *ccaName, *solution, *qdisc, *aps, *campus, *dur, *seriesEvery, set)
+	err := checkFlags(*proto, *ccaName, *solution, *qdisc, *seriesOut, *aps, *campus, *dur, *seriesEvery, set)
 	var sp scenario.Spec
 	if err == nil && *campus == 0 {
 		sp, err = singlePathSpec(pathFlags{
@@ -105,26 +106,16 @@ func main() {
 
 	o := obs.New(obs.Options{
 		Trace:   *traceOut != "",
-		Metrics: *metricsOut != "" || *seriesOut != "" || *statsAddr != "",
+		Metrics: *metricsOut != "" || *seriesOut != "",
 		PredErr: *metricsOut != "",
-		Series:  *seriesOut != "" || *statsAddr != "",
-		Loop:    *metricsOut != "" || *statsAddr != "",
+		Series:  *seriesOut != "",
+		Loop:    *metricsOut != "",
 	})
 
 	sp.Obs = o
 	p := sp.Build()
 	if o != nil {
 		obs.StartSampler(p.S, o.Series, o.Reg, *seriesEvery)
-	}
-	if *statsAddr != "" {
-		stats, serr := obs.NewStatsServer(*statsAddr)
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, "zhuge-sim: stats:", serr)
-			os.Exit(2)
-		}
-		defer stats.Close()
-		fmt.Fprintf(os.Stderr, "zhuge-sim: live stats on http://%s/\n", stats.Addr())
-		startLiveStats(p, o, stats)
 	}
 	defer writeObs(o, *traceOut, *metricsOut, *seriesOut)
 
@@ -156,16 +147,17 @@ var (
 		"proto", "cca", "solution", "qdisc", "trace", "interferers", "bulk", "aps",
 		"handover-at", "handover-policy", "trace-out", "metrics", "series-every",
 	}
-	campusFlags = []string{"shards", "rebalance", "profile-out", "j"}
+	campusFlags = []string{"shards", "rebalance", "profile-out", "j", "stats"}
 )
 
 // checkFlags rejects the values the builders below would otherwise panic
 // on (-qdisc, -aps 0 with roams), silently replace with a default
-// (-solution, -proto, -cca, a negative -campus), divide by (-dur 0s) or
-// never read (a flag of the other mode; set holds the names given on the
-// command line). The error names the flag and what it accepts or the mode it
-// belongs to. What only the single-path mode reads is singlePathSpec's.
-func checkFlags(proto, ccaName, solution, qdisc string, aps, campus int, dur, seriesEvery time.Duration, set map[string]bool) error {
+// (-solution, -proto, -cca, a negative -campus), divide by (-dur 0s), write
+// in a format the file name does not say (-series-out x.csv) or never read
+// (a flag of the other mode; set holds the names given on the command line).
+// The error names the flag and what it accepts or the mode it belongs to.
+// What only the single-path mode reads is singlePathSpec's.
+func checkFlags(proto, ccaName, solution, qdisc, seriesOut string, aps, campus int, dur, seriesEvery time.Duration, set map[string]bool) error {
 	if campus < 0 {
 		return fmt.Errorf("bad -campus %d (want a positive AP count)", campus)
 	}
@@ -187,6 +179,11 @@ func checkFlags(proto, ccaName, solution, qdisc string, aps, campus int, dur, se
 	}
 	if seriesEvery <= 0 {
 		return fmt.Errorf("bad -series-every %v (want a positive interval)", seriesEvery)
+	}
+	if strings.HasSuffix(seriesOut, ".csv") {
+		// A name that promises CSV would get a Chrome trace_event file;
+		// refusing is the smaller surprise.
+		return fmt.Errorf("bad -series-out %q (writes .jsonl as JSON lines, any other name as Chrome trace_event JSON; there is no CSV form)", seriesOut)
 	}
 	if aps < 1 {
 		return fmt.Errorf("bad -aps %d (want at least 1)", aps)
@@ -397,7 +394,7 @@ func newShardProfile(spd *scenario.ShardedPath, wallClock, series bool, statsAdd
 		pf.p.Clock = func() time.Duration { return time.Since(pf.start) }
 	}
 	if series {
-		pf.set = obs.NewSeriesSet(0)
+		pf.set = obs.NewSeriesSet()
 		pf.p.Series = pf.set
 	}
 	if statsAddr != "" {
@@ -462,7 +459,7 @@ func (pf *shardProfile) finish(workload, profileOut, seriesOut string) {
 		fmt.Fprintf(os.Stderr, "load profile written to %s\n", profileOut)
 	}
 	if seriesOut != "" {
-		if err := writeSeriesFile(pf.set, seriesOut); err != nil {
+		if err := obs.WriteTraceFile(seriesOut, nil, pf.set); err != nil {
 			fmt.Fprintln(os.Stderr, "zhuge-sim: series-out:", err)
 			os.Exit(1)
 		}
@@ -474,71 +471,6 @@ func (pf *shardProfile) close() {
 	if pf.stats != nil {
 		pf.stats.Close()
 	}
-}
-
-// startLiveStats publishes the bundle's registry snapshot, control-loop
-// decomposition and series windows to the stats plane on a periodic
-// virtual-time tick. The tick runs on the simulation goroutine; Publish
-// copies into the server under its lock, so HTTP readers never touch live
-// simulator state.
-func startLiveStats(p *scenario.Path, o *obs.Obs, stats *obs.StatsServer) {
-	if o == nil {
-		return
-	}
-	const every = 500 * time.Millisecond
-	publish := func() {
-		if o.Reg != nil {
-			stats.Publish("metrics", o.Reg.Snapshot())
-		}
-		if lt := o.ControlLoop(); lt != nil {
-			stats.Publish("loop", lt.Rows())
-		}
-		if o.Series != nil {
-			stats.Publish("series", seriesWindows(o.Series, 100))
-		}
-	}
-	var tick func()
-	tick = func() {
-		publish()
-		p.S.ScheduleAfter(every, tick)
-	}
-	p.S.ScheduleAfter(every, tick)
-}
-
-// seriesWindows renders the freshest n points of every series as
-// name -> [[t_ns, value], ...] for the stats plane.
-func seriesWindows(set *obs.SeriesSet, n int) map[string][][2]float64 {
-	out := make(map[string][][2]float64, set.Len())
-	var scratch []obs.SeriesPoint
-	for _, name := range set.Names() {
-		scratch = set.Of(name).Points(scratch[:0])
-		if len(scratch) > n {
-			scratch = scratch[len(scratch)-n:]
-		}
-		w := make([][2]float64, len(scratch))
-		for i, pt := range scratch {
-			w[i] = [2]float64{float64(pt.At), pt.V}
-		}
-		out[name] = w
-	}
-	return out
-}
-
-// writeSeriesFile exports a series set as CSV (for .csv paths) or JSONL.
-func writeSeriesFile(set *obs.SeriesSet, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".csv") {
-		err = set.WriteCSV(f)
-	} else {
-		err = set.WriteJSONL(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // writeObs flushes the observability outputs after the run: the packet
@@ -559,14 +491,14 @@ func writeObs(o *obs.Obs, traceOut, metricsOut, seriesOut string) {
 		}
 	}
 	if seriesOut != "" {
-		if err := writeSeriesFile(o.Series, seriesOut); err != nil {
+		if err := obs.WriteTraceFile(seriesOut, nil, o.Series); err != nil {
 			fmt.Fprintln(os.Stderr, "zhuge-sim: series-out:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("telemetry series written to %s\n", seriesOut)
 	}
 	if traceOut != "" {
-		if err := o.Trace().WriteTraceFile(traceOut); err != nil {
+		if err := obs.WriteTraceFile(traceOut, o.Tracer, nil); err != nil {
 			fmt.Fprintln(os.Stderr, "zhuge-sim: trace-out:", err)
 			os.Exit(1)
 		}

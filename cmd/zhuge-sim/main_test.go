@@ -44,12 +44,13 @@ func TestCheckFlags(t *testing.T) {
 
 		// The flags both modes read pass in either.
 		{"rtp", "", "none", "fifo", 1, 4, ms, "campus shards rebalance profile-out j dur seed series-out stats pprof", ""},
-		{"rtp", "", "none", "fifo", 1, 0, ms, "dur seed series-out series-every stats pprof trace-out metrics", ""},
+		{"rtp", "", "none", "fifo", 1, 0, ms, "dur seed series-out series-every pprof trace-out metrics", ""},
 		// The sampling interval must tick.
 		{"rtp", "", "none", "fifo", 1, 0, 0, "series-out series-every", "bad -series-every 0s (want a positive interval)"},
 		{"rtp", "", "none", "fifo", 1, 0, -ms, "series-every", "bad -series-every -100ms"},
 	}
-	// A flag of the other mode is refused, whichever it is.
+	// A flag of the other mode is refused, whichever it is (-stats among
+	// them: a single-path run ends before anyone could read the plane).
 	for _, name := range singlePathFlags {
 		cases = append(cases, c{"rtp", "", "none", "fifo", 1, 4, ms, "campus " + name,
 			"-" + name + " applies to a single-path run, not to -campus"})
@@ -62,7 +63,22 @@ func TestCheckFlags(t *testing.T) {
 		for _, name := range strings.Fields(c.set) {
 			set[name] = true
 		}
-		checkErr(t, c, checkFlags(c.proto, c.cca, c.solution, c.qdisc, c.aps, c.campus, time.Minute, c.every, set), c.want)
+		checkErr(t, c, checkFlags(c.proto, c.cca, c.solution, c.qdisc, "", c.aps, c.campus, time.Minute, c.every, set), c.want)
+	}
+	// -series-out writes two forms, chosen by name like -trace-out; the .csv
+	// name that once chose a third is refused in either mode.
+	for _, c := range []struct {
+		seriesOut string
+		campus    int
+		want      string
+	}{
+		{"s.jsonl", 0, ""},
+		{"s.json", 4, ""},
+		{"csv", 0, ""},
+		{"s.csv", 0, `bad -series-out "s.csv" (writes .jsonl as JSON lines, any other name as Chrome trace_event JSON`},
+		{"out/s.csv", 4, `bad -series-out "out/s.csv"`},
+	} {
+		checkErr(t, c, checkFlags("rtp", "", "none", "fifo", c.seriesOut, 1, c.campus, time.Minute, ms, nil), c.want)
 	}
 	// Both modes read -dur and divide by it; a negative -campus is not "off".
 	for _, c := range []struct {
@@ -76,7 +92,7 @@ func TestCheckFlags(t *testing.T) {
 		{4, -5 * time.Second, "bad -dur -5s"},
 		{-1, time.Second, "bad -campus -1 (want a positive AP count)"},
 	} {
-		checkErr(t, c, checkFlags("rtp", "", "none", "fifo", 1, c.campus, c.dur, ms, nil), c.want)
+		checkErr(t, c, checkFlags("rtp", "", "none", "fifo", "", 1, c.campus, c.dur, ms, nil), c.want)
 	}
 }
 

@@ -4,13 +4,10 @@
 //
 //	zhuge-trace -gen w1 -dur 10m -seed 3 -o w1.csv
 //	zhuge-trace -stats w1.csv
-//	zhuge-trace -series run.jsonl -o run.trace.json
 //	zhuge-trace -list
 //
 // Generated traces are CSV ("seconds,bps") and load back with -stats or
-// into the simulator via internal/trace.Load. -series converts telemetry
-// series exported by zhuge-sim -series-out into a Chrome trace_event file
-// of counter ("ph":"C") events, viewable in chrome://tracing or Perfetto.
+// into the simulator via internal/trace.Load (zhuge-sim -trace file.csv).
 package main
 
 import (
@@ -20,19 +17,17 @@ import (
 	"os"
 	"time"
 
-	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/trace"
 )
 
 func main() {
 	var (
-		gen    = flag.String("gen", "", "trace to generate (see -list)")
-		dur    = flag.Duration("dur", 10*time.Minute, "trace duration")
-		seed   = flag.Int64("seed", 1, "random seed")
-		out    = flag.String("o", "", "output file (default stdout)")
-		stats  = flag.String("stats", "", "print ABW statistics for a CSV trace")
-		series = flag.String("series", "", "convert a telemetry series JSONL file (zhuge-sim -series-out) to Chrome counter events")
-		list   = flag.Bool("list", false, "list generator names")
+		gen   = flag.String("gen", "", "trace to generate (see -list)")
+		dur   = flag.Duration("dur", 10*time.Minute, "trace duration")
+		seed  = flag.Int64("seed", 1, "random seed")
+		out   = flag.String("o", "", "output file (default stdout)")
+		stats = flag.String("stats", "", "print ABW statistics for a CSV trace")
+		list  = flag.Bool("list", false, "list generator names")
 	)
 	flag.Parse()
 
@@ -40,31 +35,6 @@ func main() {
 	case *list:
 		for _, name := range trace.Names() {
 			fmt.Println(name)
-		}
-	case *series != "":
-		f, err := os.Open(*series)
-		if err != nil {
-			fatal(err)
-		}
-		set, err := obs.ReadSeriesJSONL(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		w := os.Stdout
-		if *out != "" {
-			g, err := os.Create(*out)
-			if err != nil {
-				fatal(err)
-			}
-			defer g.Close()
-			w = g
-		}
-		if err := set.WriteChromeCounters(w); err != nil {
-			fatal(err)
-		}
-		if *out != "" {
-			fmt.Printf("wrote %s: %d series as Chrome counter tracks\n", *out, set.Len())
 		}
 	case *stats != "":
 		f, err := os.Open(*stats)

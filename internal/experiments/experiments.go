@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -205,7 +206,7 @@ func runCells(cfg Config, t *Table, n int, cell func(i int, o *obs.Obs) [][]stri
 	}
 	for i := range bundles {
 		if err := cfg.Obs.Record(t.ID, i, bundles[i], elapsed[i]); err != nil {
-			fmt.Printf("warning: obs record %s cell %d: %v\n", t.ID, i, err)
+			fmt.Fprintf(os.Stderr, "warning: obs record %s cell %d: %v\n", t.ID, i, err)
 		}
 	}
 }

@@ -144,3 +144,38 @@ func TestObsPredErrReported(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordFailureGoesToStderr pins where runCells reports a cell whose
+// trace file cannot be written: on stderr, never on stdout, which is the
+// table zhuge-bench is streaming.
+func TestRecordFailureGoesToStderr(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "not-a-dir")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	capture := func(name string, std **os.File) func() string {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := *std
+		*std = f
+		return func() string {
+			*std = orig
+			f.Close()
+			b, _ := os.ReadFile(f.Name())
+			return string(b)
+		}
+	}
+	stdout, stderr := capture("stdout", &os.Stdout), capture("stderr", &os.Stderr)
+	cfg := Config{Seed: 1, Scale: 1, Workers: 1, Obs: obs.NewSweep(filepath.Join(blocker, "traces"))}
+	runCells(cfg, &Table{ID: "boom"}, 1, func(int, *obs.Obs) [][]string { return nil })
+	out, errOut := stdout(), stderr()
+	if out != "" {
+		t.Errorf("stdout got %q, want nothing", out)
+	}
+	if !bytes.Contains([]byte(errOut), []byte("warning: obs record boom cell 0:")) {
+		t.Errorf("stderr got %q, want the record warning", errOut)
+	}
+}

@@ -79,14 +79,14 @@ type loopFlow struct {
 // simulation; hooks are wired through core (AP, OOB/in-band updaters) and
 // the transports. The four On* hooks fire per packet and need a live
 // receiver — a disabled tracker is a nil pointer the call site tests first,
-// so it costs one branch; BindAgeGauge and the readers accept nil.
+// so it costs one branch; the readers accept nil.
 type LoopTracker struct {
 	flows map[netem.FlowKey]*loopFlow
 
 	seg [numLoopSegments]*metrics.Histogram
 	age *metrics.Histogram // feedback age at reaction time
 
-	ageGauge *Gauge // optional live "latest age" gauge (ms)
+	ageGauge *Gauge // "latest age" gauge (ms); New binds it when the registry is on
 
 	matched   uint64 // reactions joined to a departed feedback
 	unmatched uint64 // reactions with no candidate feedback
@@ -102,15 +102,6 @@ func NewLoopTracker() *LoopTracker {
 		lt.seg[i] = metrics.NewHistogram()
 	}
 	return lt
-}
-
-// BindAgeGauge publishes the most recent feedback age (milliseconds) to g on
-// every matched reaction. Nil-safe on both sides.
-func (lt *LoopTracker) BindAgeGauge(g *Gauge) {
-	if lt == nil {
-		return
-	}
-	lt.ageGauge = g
 }
 
 func (lt *LoopTracker) flow(flow netem.FlowKey) *loopFlow {
@@ -208,14 +199,6 @@ func (lt *LoopTracker) Segment(s LoopSegment) *metrics.Histogram {
 		return nil
 	}
 	return lt.seg[s]
-}
-
-// Age exposes the feedback-age histogram; nil on a nil receiver.
-func (lt *LoopTracker) Age() *metrics.Histogram {
-	if lt == nil {
-		return nil
-	}
-	return lt.age
 }
 
 // LoopStat is one exported decomposition row.

@@ -43,7 +43,7 @@ func TestLoopTrackerDecomposition(t *testing.T) {
 	near(t, "feedback->react", lt.Segment(SegFeedbackToReact).Quantile(0.5), 3*time.Millisecond)
 	near(t, "react->air", lt.Segment(SegReactToAir).Quantile(0.5), 2*time.Millisecond)
 	near(t, "observe->air", lt.Segment(SegObserveToAir).Quantile(0.5), 10*time.Millisecond)
-	near(t, "feedback age", lt.Age().Quantile(0.5), 8*time.Millisecond)
+	near(t, "feedback age", lt.age.Quantile(0.5), 8*time.Millisecond)
 
 	// Only the FIRST send after a reaction closes the loop.
 	lt.OnAir(ms(25), f)
@@ -73,7 +73,7 @@ func TestLoopTrackerJoinsNewestDepartedFeedback(t *testing.T) {
 		t.Fatalf("matched=%d unmatched=%d, want 1/0", m, u)
 	}
 	near(t, "feedback->react", lt.Segment(SegFeedbackToReact).Quantile(0.5), time.Millisecond)
-	near(t, "feedback age", lt.Age().Quantile(0.5), 4*time.Millisecond)
+	near(t, "feedback age", lt.age.Quantile(0.5), 4*time.Millisecond)
 
 	// The older entry was discarded with the match; the future one remains
 	// and is matched once virtual time reaches its departure.
@@ -128,9 +128,9 @@ func TestLoopTrackerFeedbackRingBounded(t *testing.T) {
 }
 
 func TestLoopTrackerAgeGauge(t *testing.T) {
-	lt := NewLoopTracker()
-	g := NewRegistry().Gauge("loop.age_ms")
-	lt.BindAgeGauge(g)
+	// New binds the gauge when the bundle has both a tracker and a registry.
+	o := New(Options{Metrics: true, Loop: true})
+	lt, g := o.Loop, o.Gauge("loop.feedback_age_ms")
 	f := loopTestFlow()
 	ms := func(n int64) sim.Time { return sim.Time(n) * sim.Time(time.Millisecond) }
 	lt.OnObserve(ms(2), f)

@@ -11,7 +11,7 @@
 // guard: Counter.Inc/Add, Gauge.Set, Hist.Observe, Series.Add, the Obs
 // accessors (Trace, Counter, Gauge, Hist, Errs, ControlLoop), every reader
 // and exporter, and per-flow or per-run set-up (PredErr.SetMode,
-// LoopTracker.BindAgeGauge, SeriesSet.Of, SeriesSet.Sample, StartSampler).
+// SeriesSet.Of, SeriesSet.Sample, StartSampler).
 // Their arguments cost nothing to evaluate.
 //
 // Per-packet hooks whose arguments cost something to build need a live
@@ -49,8 +49,6 @@ type Options struct {
 	PredErr bool // prediction-vs-actual accounting
 	Series  bool // virtual-time telemetry series (sampled via StartSampler)
 	Loop    bool // control-loop decomposition spans
-
-	SeriesCap int // per-series ring size; 0 = DefaultSeriesCap
 }
 
 // New returns an Obs with the selected components enabled, or nil when none
@@ -61,21 +59,21 @@ func New(o Options) *Obs {
 	}
 	b := &Obs{}
 	if o.Trace {
-		b.Tracer = NewTracer()
+		b.Tracer = newTracer()
 	}
 	if o.Metrics {
-		b.Reg = NewRegistry()
+		b.Reg = newRegistry()
 	}
 	if o.PredErr {
-		b.PredErr = NewPredErr()
+		b.PredErr = newPredErr()
 	}
 	if o.Series {
-		b.Series = NewSeriesSet(o.SeriesCap)
+		b.Series = NewSeriesSet()
 	}
 	if o.Loop {
 		b.Loop = NewLoopTracker()
 		if b.Reg != nil {
-			b.Loop.BindAgeGauge(b.Reg.Gauge("loop.feedback_age_ms"))
+			b.Loop.ageGauge = b.Reg.Gauge("loop.feedback_age_ms")
 		}
 	}
 	return b

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,7 @@ func testFlow(port uint16) netem.FlowKey {
 }
 
 func sampleTracer() *Tracer {
-	tr := NewTracer()
+	tr := newTracer()
 	f1, f2 := testFlow(5001), testFlow(5002)
 	tr.Record(Event{At: 1 * sim.Time(time.Millisecond), Type: EvArrive, Flow: f1, Seq: 1, Size: 1200})
 	tr.Record(Event{At: 1 * sim.Time(time.Millisecond), Type: EvPredict, Flow: f1, A: int64(4 * time.Millisecond)})
@@ -80,87 +81,131 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChromeTraceRoundTrip pins that the Chrome export is valid JSON in the
-// trace_event object format with monotonically non-decreasing timestamps —
-// the properties chrome://tracing and Perfetto need to load it.
+// sampleSeries is two counter tracks, three samples, inside sampleTracer's
+// time span.
+func sampleSeries() *SeriesSet {
+	ss := NewSeriesSet()
+	ss.Of("queue").Add(sim.Time(1e6), 4)
+	ss.Of("queue").Add(sim.Time(2e6), 6)
+	ss.Of("rate").Add(sim.Time(1e6), 5e6)
+	return ss
+}
+
+// TestChromeTraceRoundTrip pins that the one viewer writer emits valid JSON
+// in the trace_event object format with non-decreasing timestamps per track
+// — the properties chrome://tracing and Perfetto need to load it — for a
+// tracer and a series set together and for each with the other side nil.
 func TestChromeTraceRoundTrip(t *testing.T) {
-	tr := sampleTracer()
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
-	}
-	var doc struct {
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-		TraceEvents     []struct {
-			Ph   string  `json:"ph"`
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			TS   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			PID  int     `json:"pid"`
-			TID  int     `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace not valid JSON: %v", err)
-	}
-	if doc.DisplayTimeUnit != "ms" {
-		t.Errorf("displayTimeUnit = %q", doc.DisplayTimeUnit)
-	}
-	meta, spans, instants := 0, 0, 0
-	last := -1.0
-	for _, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "M":
-			meta++
-			continue
-		case "X":
-			spans++
-		case "i":
-			instants++
-		default:
-			t.Errorf("unexpected phase %q", ev.Ph)
+	tr, ss := sampleTracer(), sampleSeries()
+	for _, tc := range []struct {
+		name string
+		tr   *Tracer
+		ss   *SeriesSet
+		// process_name, plus one thread_name per flow (two in the sample).
+		meta, spans, instants, counters int
+	}{
+		{"both", tr, ss, 4, 1, tr.Len() - 1, 3},
+		{"tracer only", tr, nil, 3, 1, tr.Len() - 1, 0},
+		{"series only", nil, ss, 1, 0, 0, 3},
+	} {
+		var buf bytes.Buffer
+		if err := WriteChrome(&buf, tc.tr, tc.ss); err != nil {
+			t.Fatalf("%s: WriteChrome: %v", tc.name, err)
 		}
-		if ev.TS < last {
-			t.Errorf("timestamps not monotonic: %f after %f", ev.TS, last)
+		var doc struct {
+			DisplayTimeUnit string `json:"displayTimeUnit"`
+			TraceEvents     []struct {
+				Ph   string         `json:"ph"`
+				Name string         `json:"name"`
+				Cat  string         `json:"cat"`
+				TS   float64        `json:"ts"`
+				Dur  float64        `json:"dur"`
+				PID  int            `json:"pid"`
+				TID  int            `json:"tid"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
 		}
-		last = ev.TS
-		if ev.PID != 1 || ev.TID < 1 {
-			t.Errorf("event %q missing pid/tid: %+v", ev.Name, ev)
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("%s: not one valid JSON document: %v\n%s", tc.name, err, buf.String())
 		}
-	}
-	// process_name + one thread_name per flow (two flows in the sample).
-	if meta != 3 {
-		t.Errorf("metadata events = %d, want 3", meta)
-	}
-	if spans != 1 {
-		t.Errorf("airtime spans = %d, want 1", spans)
-	}
-	if instants != tr.Len()-1 {
-		t.Errorf("instants = %d, want %d", instants, tr.Len()-1)
+		if doc.DisplayTimeUnit != "ms" {
+			t.Errorf("%s: displayTimeUnit = %q", tc.name, doc.DisplayTimeUnit)
+		}
+		count := map[string]int{}
+		last := map[string]float64{} // per track: a flow's thread or a counter's name
+		for _, ev := range doc.TraceEvents {
+			count[ev.Ph]++
+			track := fmt.Sprintf("%d/%d/", ev.PID, ev.TID)
+			switch ev.Ph {
+			case "M":
+				continue
+			case "X", "i":
+				if ev.PID != 1 || ev.TID < 1 {
+					t.Errorf("%s: event %q missing pid/tid: %+v", tc.name, ev.Name, ev)
+				}
+			case "C":
+				track += ev.Name
+				if _, ok := ev.Args["value"].(float64); !ok || ev.PID != 2 {
+					t.Errorf("%s: counter event %+v: want a numeric value on the telemetry process", tc.name, ev)
+				}
+				// Microseconds in trace_event format: 1e6 ns -> 1000 µs.
+				if ev.Name == "queue" && ev.Args["value"] == 4.0 && ev.TS != 1000 {
+					t.Errorf("%s: first queue sample at %v µs, want 1000", tc.name, ev.TS)
+				}
+			default:
+				t.Errorf("%s: unexpected phase %q", tc.name, ev.Ph)
+			}
+			if ev.TS < last[track] {
+				t.Errorf("%s: track %s timestamps not monotonic: %f after %f", tc.name, track, ev.TS, last[track])
+			}
+			last[track] = ev.TS
+		}
+		if count["M"] != tc.meta || count["X"] != tc.spans || count["i"] != tc.instants || count["C"] != tc.counters {
+			t.Errorf("%s: events by phase %v, want M=%d X=%d i=%d C=%d",
+				tc.name, count, tc.meta, tc.spans, tc.instants, tc.counters)
+		}
 	}
 }
 
+// TestWriteTraceFileFormats covers the one by-extension way to a file, for
+// both kinds of content: ".jsonl" is JSON lines, anything else one Chrome
+// trace_event document.
 func TestWriteTraceFileFormats(t *testing.T) {
-	tr := sampleTracer()
 	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		tr     *Tracer
+		ss     *SeriesSet
+		prefix string // of the .jsonl form
+	}{
+		{"trace", sampleTracer(), nil, `{"t":`},
+		{"series", nil, sampleSeries(), `{"series":`},
+	} {
+		jl := filepath.Join(dir, tc.name+".jsonl")
+		if err := WriteTraceFile(jl, tc.tr, tc.ss); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := os.ReadFile(jl)
+		if !bytes.HasPrefix(b, []byte(tc.prefix)) || json.Valid(b) {
+			t.Errorf("%s: .jsonl file is not JSONL: %.40s", tc.name, b)
+		}
+		for _, l := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
+			if !json.Valid(l) {
+				t.Errorf("%s: .jsonl line is not JSON: %s", tc.name, l)
+			}
+		}
 
-	jl := filepath.Join(dir, "t.jsonl")
-	if err := tr.WriteTraceFile(jl); err != nil {
-		t.Fatal(err)
+		cj := filepath.Join(dir, tc.name+".trace.json")
+		if err := WriteTraceFile(cj, tc.tr, tc.ss); err != nil {
+			t.Fatal(err)
+		}
+		b, _ = os.ReadFile(cj)
+		if !json.Valid(b) || !bytes.Contains(b, []byte(`"traceEvents"`)) {
+			t.Errorf("%s: .trace.json file is not a Chrome trace_event document", tc.name)
+		}
 	}
-	b, _ := os.ReadFile(jl)
-	if !bytes.HasPrefix(b, []byte(`{"t":`)) {
-		t.Errorf(".jsonl file is not JSONL: %.40s", b)
-	}
-
-	cj := filepath.Join(dir, "t.trace.json")
-	if err := tr.WriteTraceFile(cj); err != nil {
-		t.Fatal(err)
-	}
-	b, _ = os.ReadFile(cj)
-	if !json.Valid(b) {
-		t.Error(".trace.json file is not valid JSON")
+	if err := WriteTraceFile(filepath.Join(dir, "missing", "t.json"), sampleTracer(), nil); err == nil {
+		t.Error("a path that cannot be created returned no error")
 	}
 }
 

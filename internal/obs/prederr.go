@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -45,8 +46,8 @@ func (s *predErrStats) observe(predicted, actual time.Duration) {
 	s.abs.Add(err)
 }
 
-// NewPredErr returns an empty accounter.
-func NewPredErr() *PredErr {
+// newPredErr returns an empty accounter.
+func newPredErr() *PredErr {
 	return &PredErr{
 		flows: make(map[netem.FlowKey]*predErrStats),
 		modes: make(map[string]*predErrStats),
@@ -142,7 +143,7 @@ func (a *PredErr) Rows() []PredErrStat {
 	for m := range a.modes {
 		modes = append(modes, m)
 	}
-	sortStrings(modes)
+	sort.Strings(modes)
 	for _, m := range modes {
 		r := a.modes[m].row()
 		r.Mode = m
@@ -178,14 +179,4 @@ func (a *PredErr) Table() string {
 			overPct)
 	}
 	return b.String()
-}
-
-// sortStrings is a tiny insertion sort; mode sets have at most a handful of
-// entries and this avoids an import for one call.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -70,15 +70,6 @@ func (h *Hist) Observe(d time.Duration) {
 	h.h.Add(d)
 }
 
-// Histogram exposes the underlying streaming histogram; nil on a nil
-// receiver.
-func (h *Hist) Histogram() *metrics.Histogram {
-	if h == nil {
-		return nil
-	}
-	return h.h
-}
-
 // Registry names and owns a simulation's instruments. Resolving an
 // instrument is done once at component construction; updates then touch the
 // instrument directly, never the maps. Not safe for concurrent use — one
@@ -89,8 +80,8 @@ type Registry struct {
 	hists    map[string]*Hist
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
@@ -183,32 +174,28 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// MetricsReport is the top-level JSON document WriteMetricsJSON emits: the
-// registry snapshot plus the prediction-error and control-loop tables.
+// MetricsReport is the one snapshot record of a bundle: the registry
+// snapshot plus the prediction-error and control-loop tables. It is the
+// document WriteMetricsJSON emits and the body of every SweepCell.
 type MetricsReport struct {
 	Metrics Snapshot      `json:"metrics"`
 	PredErr []PredErrStat `json:"prediction_error,omitempty"`
 	Loop    []LoopStat    `json:"control_loop,omitempty"`
 }
 
-// WriteMetricsJSON writes the bundle's registry snapshot, prediction-error
-// rows and control-loop decomposition as one indented JSON document.
-func (o *Obs) WriteMetricsJSON(w io.Writer) error {
-	rep := MetricsReport{Metrics: o.regOrNil().Snapshot()}
-	if pe := o.Errs(); pe != nil {
-		rep.PredErr = pe.Rows()
+// Report snapshots the bundle. Nil-safe on the bundle and on each
+// instrument: an absent one leaves its section empty.
+func (o *Obs) Report() MetricsReport {
+	var reg *Registry
+	if o != nil {
+		reg = o.Reg
 	}
-	if lt := o.ControlLoop(); lt != nil {
-		rep.Loop = lt.Rows()
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return MetricsReport{Metrics: reg.Snapshot(), PredErr: o.Errs().Rows(), Loop: o.ControlLoop().Rows()}
 }
 
-func (o *Obs) regOrNil() *Registry {
-	if o == nil {
-		return nil
-	}
-	return o.Reg
+// WriteMetricsJSON writes the bundle's Report as one indented JSON document.
+func (o *Obs) WriteMetricsJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(o.Report())
 }

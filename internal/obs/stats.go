@@ -57,7 +57,8 @@ func (s *StatsServer) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Publish marshals v and installs it as page name. Safe to call from the
+// Publish marshals v and installs it as page name (a caller that already
+// holds JSON bytes passes a json.RawMessage). Safe to call from the
 // single-threaded publisher while HTTP readers are active. No-op on a nil
 // receiver.
 func (s *StatsServer) Publish(name string, v any) error {
@@ -68,19 +69,10 @@ func (s *StatsServer) Publish(name string, v any) error {
 	if err != nil {
 		return err
 	}
-	s.PublishRaw(name, b)
-	return nil
-}
-
-// PublishRaw installs pre-marshalled JSON as page name. The byte slice is
-// owned by the server after the call. No-op on a nil receiver.
-func (s *StatsServer) PublishRaw(name string, b []byte) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.pages[name] = b
 	s.mu.Unlock()
+	return nil
 }
 
 // Close stops the listener. No-op on a nil receiver.

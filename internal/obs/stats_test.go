@@ -36,7 +36,13 @@ func TestStatsServerServesPages(t *testing.T) {
 	if err := s.Publish("relay", map[string]int{"forwarded": 42}); err != nil {
 		t.Fatal(err)
 	}
-	s.PublishRaw("raw", []byte(`{"x":1}`))
+	// A caller that already holds JSON bytes publishes them as they are.
+	if err := s.Publish("raw", json.RawMessage(`{"x":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, body := statsGet(t, base+"/api/raw"); string(body) != `{"x":1}` {
+		t.Fatalf("/api/raw body %q, want the published bytes", body)
+	}
 
 	code, body := statsGet(t, base+"/api/relay")
 	if code != 200 {
@@ -87,7 +93,6 @@ func TestStatsServerNilSafe(t *testing.T) {
 	if err := s.Publish("x", 1); err != nil {
 		t.Fatal(err)
 	}
-	s.PublishRaw("x", nil)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

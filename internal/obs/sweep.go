@@ -28,12 +28,11 @@ type Sweep struct {
 
 // SweepCell is one finished cell's observability record.
 type SweepCell struct {
-	Experiment string        `json:"experiment"`
-	Cell       int           `json:"cell"`
-	ElapsedMS  float64       `json:"elapsed_ms"`
-	Metrics    Snapshot      `json:"metrics"`
-	PredErr    []PredErrStat `json:"prediction_error,omitempty"`
-	TraceFile  string        `json:"trace_file,omitempty"`
+	Experiment string  `json:"experiment"`
+	Cell       int     `json:"cell"`
+	ElapsedMS  float64 `json:"elapsed_ms"`
+	MetricsReport
+	TraceFile string `json:"trace_file,omitempty"`
 }
 
 // NewSweep returns a sweep collector; traceDir optionally enables per-cell
@@ -48,11 +47,7 @@ func (s *Sweep) NewCell() *Obs {
 	if s == nil {
 		return nil
 	}
-	o := &Obs{Reg: NewRegistry(), PredErr: NewPredErr()}
-	if s.TraceDir != "" {
-		o.Tracer = NewTracer()
-	}
-	return o
+	return New(Options{Metrics: true, PredErr: true, Trace: s.TraceDir != ""})
 }
 
 // Record stores a finished cell's snapshot and writes its trace file, if
@@ -62,17 +57,16 @@ func (s *Sweep) Record(experiment string, cell int, o *Obs, elapsed time.Duratio
 		return nil
 	}
 	sc := SweepCell{
-		Experiment: experiment,
-		Cell:       cell,
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
-		Metrics:    o.Reg.Snapshot(),
-		PredErr:    o.Errs().Rows(),
+		Experiment:    experiment,
+		Cell:          cell,
+		ElapsedMS:     float64(elapsed) / float64(time.Millisecond),
+		MetricsReport: o.Report(),
 	}
 	var err error
 	if o.Tracer != nil && s.TraceDir != "" {
 		if err = os.MkdirAll(s.TraceDir, 0o755); err == nil {
 			sc.TraceFile = filepath.Join(s.TraceDir, fmt.Sprintf("%s-cell%d.trace.json", experiment, cell))
-			err = o.Tracer.WriteTraceFile(sc.TraceFile)
+			err = WriteTraceFile(sc.TraceFile, o.Tracer, nil)
 		}
 	}
 	s.mu.Lock()

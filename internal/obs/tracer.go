@@ -96,8 +96,8 @@ type Tracer struct {
 	events []Event
 }
 
-// NewTracer returns an empty tracer.
-func NewTracer() *Tracer {
+// newTracer returns an empty tracer.
+func newTracer() *Tracer {
 	return &Tracer{events: make([]Event, 0, 1024)}
 }
 

@@ -89,7 +89,7 @@ func TestProfilerDeterministicAcrossWorkers(t *testing.T) {
 func TestProfilerWindowSeriesAndHook(t *testing.T) {
 	c, _, _ := profiledCluster(t)
 	p := NewProfiler(c)
-	p.Series = obs.NewSeriesSet(256)
+	p.Series = obs.NewSeriesSet()
 	var hookEnds []sim.Time
 	p.OnWindow = func(end sim.Time) { hookEnds = append(hookEnds, end) }
 	c.RunProfiled(sim.Time(30*time.Millisecond), 1, p)
@@ -108,8 +108,8 @@ func TestProfilerWindowSeriesAndHook(t *testing.T) {
 			t.Fatalf("shard %d series has %d points, want one per window (%d)", i, s.Len(), p.Windows())
 		}
 		var sum float64
-		for _, pt := range s.Points(nil) {
-			sum += pt.V
+		for _, pt := range s.Points {
+			sum += pt.Value
 		}
 		if sum != float64(load.Events) {
 			t.Fatalf("shard %s window series sums to %v, want its %d total events", load.Shard, sum, load.Events)
