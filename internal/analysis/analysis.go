@@ -11,12 +11,8 @@
 // data (see load.go). That keeps the linter runnable in hermetic
 // environments with nothing but the Go toolchain.
 //
-// Since PR 8 the framework also carries an interprocedural dataflow layer
-// (dataflow.go): a static call graph over every loaded package with
-// per-function summaries computed bottom-up over SCCs. maporder, poolsafe
-// and detshare consult it to see through function boundaries. See
-// LINTING.md ("The dataflow layer") for what the summaries capture and
-// their known imprecision.
+// Every analyzer is one walk per function: none follows a call into its
+// callee (LINTING.md, "Scope and limitations").
 //
 // The analyzers and the invariants they protect:
 //
@@ -36,12 +32,12 @@
 //     a future packet.
 //   - detshare: no mutable state shared across cells in deterministic
 //     packages — global writes outside init, goroutine spawns, and
-//     closures that cross a goroutine boundary while writing captures.
+//     closures handed to package parallel that write captures.
 //
-// Diagnostics can be suppressed with staticcheck-style comments:
+// A diagnostic can be suppressed with a staticcheck-style comment on its
+// line or the line above:
 //
-//	//lint:ignore detclock <reason>         (this or the next line)
-//	//lint:file-ignore detclock <reason>    (whole file)
+//	//lint:ignore detclock <reason>
 //
 // Two rule families are not checked here because the program enforces them
 // on itself: the shard layer's ownership protocol (who may produce onto an
@@ -87,10 +83,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Prog is the whole-program dataflow view (call graph + summaries)
-	// built over every package of the same Load.
-	Prog *Program
 
 	diags *[]Diagnostic
 }
@@ -146,7 +138,6 @@ func runRaw(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 		Files:     pkg.Files,
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
-		Prog:      pkg.Prog,
 		diags:     &diags,
 	}
 	if err := a.Run(pass); err != nil {
@@ -156,11 +147,11 @@ func runRaw(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 }
 
 // RunAll applies the whole suite to one package and audits the package's
-// //lint:ignore / //lint:file-ignore comments against the combined
-// findings. A suppression that suppressed nothing is *stale* and is
-// reported as a diagnostic under the pseudo-analyzer name "suppression"
-// (stale ones rot the allowlists — an ignore comment that no longer fires
-// is a license for the next real violation to hide under).
+// //lint:ignore comments against the combined findings. A suppression that
+// suppressed nothing is *stale* and is reported as a diagnostic under the
+// pseudo-analyzer name "suppression" (stale ones rot the allowlists — an
+// ignore comment that no longer fires is a license for the next real
+// violation to hide under).
 func RunAll(pkg *Package) ([]Diagnostic, error) {
 	var raw []Diagnostic
 	for _, a := range Analyzers {
@@ -179,8 +170,8 @@ func RunAll(pkg *Package) ([]Diagnostic, error) {
 				Pos:      s.pos,
 				Analyzer: "suppression",
 				Message: fmt.Sprintf(
-					"stale suppression: //lint:%s %s no longer suppresses any diagnostic; delete it or narrow it (stale allowlists hide the next real violation)",
-					s.directive(), strings.Join(s.names, ",")),
+					"stale suppression: //lint:ignore %s no longer suppresses any diagnostic; delete it or narrow it (stale allowlists hide the next real violation)",
+					strings.Join(s.names, ",")),
 			})
 		}
 	}
@@ -276,49 +267,35 @@ func MapOrderPkg(path string) bool {
 
 // ---- suppression ----------------------------------------------------------
 
-var (
-	ignoreRe     = regexp.MustCompile(`^//\s*lint:ignore\s+(\S+)\s+\S`)
-	fileIgnoreRe = regexp.MustCompile(`^//\s*lint:file-ignore\s+(\S+)\s+\S`)
-)
+var ignoreRe = regexp.MustCompile(`^//\s*lint:ignore\s+(\S+)\s+\S`)
 
-// A suppressComment is one //lint:ignore or //lint:file-ignore comment.
+// A suppressComment is one //lint:ignore comment.
 type suppressComment struct {
 	pos   token.Position
 	names []string // analyzers it names, in source order
-	file  bool     // file-ignore: covers the whole file
-}
-
-func (s *suppressComment) directive() string {
-	if s.file {
-		return "file-ignore"
-	}
-	return "ignore"
 }
 
 // collectSuppressions gathers every suppression comment in the package.
-// Both forms require a non-empty reason and take a comma-separated
+// The comment requires a non-empty reason and takes a comma-separated
 // analyzer list, e.g.:
 //
 //	//lint:ignore detclock,detrand test fixture exercising both
 func collectSuppressions(pkg *Package) []*suppressComment {
 	var out []*suppressComment
-	add := func(pos token.Position, names string, file bool) {
-		s := &suppressComment{pos: pos, file: file}
-		for _, n := range strings.Split(names, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				s.names = append(s.names, n)
-			}
-		}
-		out = append(out, s)
-	}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if m := fileIgnoreRe.FindStringSubmatch(c.Text); m != nil {
-					add(pkg.Fset.Position(c.Pos()), m[1], true)
-				} else if m := ignoreRe.FindStringSubmatch(c.Text); m != nil {
-					add(pkg.Fset.Position(c.Pos()), m[1], false)
+				m := ignoreRe.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
 				}
+				s := &suppressComment{pos: pkg.Fset.Position(c.Pos())}
+				for _, n := range strings.Split(m[1], ",") {
+					if n = strings.TrimSpace(n); n != "" {
+						s.names = append(s.names, n)
+					}
+				}
+				out = append(out, s)
 			}
 		}
 	}
@@ -328,9 +305,8 @@ func collectSuppressions(pkg *Package) []*suppressComment {
 // applySuppressions drops diagnostics covered by the given suppression
 // comments. A //lint:ignore comment covers the line it sits on and the
 // line below it (the staticcheck convention: the comment precedes the
-// flagged statement); //lint:file-ignore covers its whole file. Every
-// comment that suppressed at least one diagnostic is recorded in used — the
-// stale-suppression audit's input.
+// flagged statement). Every comment that suppressed at least one
+// diagnostic is recorded in used — the stale-suppression audit's input.
 func applySuppressions(diags []Diagnostic, sups []*suppressComment, used map[*suppressComment]bool) []Diagnostic {
 	if len(diags) == 0 || len(sups) == 0 {
 		return diags
@@ -339,7 +315,7 @@ func applySuppressions(diags []Diagnostic, sups []*suppressComment, used map[*su
 		if s.pos.Filename != d.Pos.Filename {
 			return false
 		}
-		if !s.file && s.pos.Line != d.Pos.Line && s.pos.Line != d.Pos.Line-1 {
+		if s.pos.Line != d.Pos.Line && s.pos.Line != d.Pos.Line-1 {
 			return false
 		}
 		for _, n := range s.names {

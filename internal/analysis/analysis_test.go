@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/zhuge-project/zhuge/internal/analysis"
@@ -48,12 +49,8 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestPoolSafe(t *testing.T) {
-	// All three dirs share one load, so the xpool pair exercises summaries
-	// crossing a real package boundary (core imports helper).
 	analysistest.Run(t, moduleRoot(t), analysis.PoolSafe,
 		"./internal/analysis/testdata/src/poolsafe/pool",
-		"./internal/analysis/testdata/src/poolsafe/xpool/helper",
-		"./internal/analysis/testdata/src/poolsafe/xpool/core",
 	)
 }
 
@@ -148,5 +145,46 @@ func TestDeterministicPkgClassification(t *testing.T) {
 	}
 	if !analysis.MapOrderPkg("github.com/zhuge-project/zhuge/internal/obs") {
 		t.Error("MapOrderPkg must include obs: its exporters are where map order reaches golden files")
+	}
+}
+
+// TestSuppressionAudit pins the stale-suppression rules: a used comment is
+// kept silent, a live-analyzer comment that suppresses nothing is stale, and
+// an unknown analyzer name is always stale.
+func TestSuppressionAudit(t *testing.T) {
+	pkgs, err := analysis.Load(moduleRoot(t), "./internal/analysis/testdata/src/suppression/sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+	}
+	diags, err := analysis.RunAll(pkgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSubstrings := []string{
+		"//lint:ignore detclock",
+		"//lint:ignore nosuchcheck",
+	}
+	if len(diags) != len(wantSubstrings) {
+		t.Fatalf("%d diagnostics, want %d:\n%v", len(diags), len(wantSubstrings), diags)
+	}
+	for _, d := range diags {
+		if d.Analyzer != "suppression" {
+			t.Errorf("unexpected non-audit diagnostic: %s", d)
+		}
+	}
+	for _, want := range wantSubstrings {
+		found := false
+		for _, d := range diags {
+			if strings.Contains(d.Message, want) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("no stale report mentioning %q in:\n%v", want, diags)
+		}
 	}
 }

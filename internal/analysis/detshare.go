@@ -18,10 +18,10 @@ import (
 // Four rules, all scoped to deterministic packages (DeterministicPkg):
 //
 //  1. Writes to package-level variables (assignment, ++/--, delete, and
-//     writes through a selector/index chain rooted at one) outside
-//     init-only code. Init-only = func init, package-level initializer
-//     expressions, and unexported functions the call graph proves are
-//     only called from init-only code.
+//     writes through a selector/index chain rooted at one) outside init
+//     context. Init context is syntactic: the body of func init, a
+//     package-level initializer expression, and any literal nested in
+//     either.
 //  2. Mutating sync/atomic calls on package-level state (method form
 //     counter.Add(1) and function form atomic.AddInt64(&counter, 1)).
 //     Atomics fix the *race* but not the *sharing*: a commutative counter
@@ -32,18 +32,18 @@ import (
 //     their cell's executor; a spawned goroutine is wall-clock
 //     concurrency leaking into the datapath (the parallel and shard
 //     layers own all legitimate concurrency).
-//  4. Closures that cross a goroutine boundary — passed to a callee in
-//     package parallel, or to any parameter the summary layer marks
-//     ReachesGoroutine — and write variables captured from the enclosing
-//     function. Writes to distinct elements keyed by a closure parameter
+//  4. Closures handed to a callee in package parallel (matched by package
+//     name) that write variables captured from the enclosing function.
+//     Writes to distinct elements keyed by a closure parameter
 //     (out[i] = ... in a worker-pool body) are the legitimate idiom and
 //     exempt.
 //
-// Known imprecision: rule 1 treats a method or exported function as
-// never-init-only even if it happens to be called only from init;
-// rule 4's element-write exemption accepts any index declared inside the
-// closure. Both err on the side the suite promises (no false "shared"
-// verdicts on the established idioms, conservative flags elsewhere).
+// Known imprecision: the analyzer stops at the function boundary. Rule 1
+// flags a write in a helper even when init is its only caller (move the
+// write into init, or suppress with a reason); rule 4 does not see a
+// closure handed to a home-made worker pool (whose go statement rule 3
+// flags instead), and its element-write exemption accepts any index
+// declared inside the closure.
 var DetShare = &Analyzer{
 	Name: "detshare",
 	Doc: "flag package-level mutable state, goroutine spawns, and captured-variable writes " +
@@ -64,25 +64,20 @@ func runDetShare(pass *Pass) error {
 		return nil
 	}
 	ds := &detShareState{pass: pass}
-	check := func(node *FuncNode) {
-		if node == nil || pass.Prog.InitOnly(node) {
-			return
-		}
-		inspectOwn(node, func(m ast.Node) bool {
-			ds.checkNode(m)
-			return true
-		})
-	}
 	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch d := n.(type) {
-			case *ast.FuncDecl:
-				check(pass.Prog.DeclNode(d))
-			case *ast.FuncLit:
-				check(pass.Prog.LitNode(d))
+		for _, decl := range f.Decls {
+			// Init context is skipped whole, nested literals included:
+			// func init here, and package-level initializers by never
+			// descending into anything that is not a FuncDecl.
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || (fd.Recv == nil && fd.Name.Name == "init") {
+				continue
 			}
-			return true
-		})
+			ast.Inspect(fd.Body, func(m ast.Node) bool {
+				ds.checkNode(m)
+				return true
+			})
+		}
 	}
 	return nil
 }
@@ -111,7 +106,7 @@ func (ds *detShareState) checkNode(m ast.Node) {
 // lvalue/selector/index chain, or nil.
 func (ds *detShareState) globalRoot(e ast.Expr) *types.Var {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
 			// A qualified identifier (pkg.Var) resolves through Sel.
 			if v := asGlobalVar(ds.pass.TypesInfo.Uses[x.Sel]); v != nil {
@@ -152,7 +147,7 @@ func (ds *detShareState) checkGlobalWrite(lhs ast.Expr) {
 func (ds *detShareState) checkCall(call *ast.CallExpr) {
 	info := ds.pass.TypesInfo
 	// delete(globalMap, k)
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" && len(call.Args) > 0 {
 			ds.checkGlobalWrite(call.Args[0])
 			return
@@ -162,7 +157,7 @@ func (ds *detShareState) checkCall(call *ast.CallExpr) {
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
 		if sig, _ := fn.Type().(*types.Signature); sig != nil && sig.Recv() != nil {
 			// Method form: counter.Add(1).
-			if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && atomicMutators[trimAtomicSuffix(fn.Name())] {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && atomicMutators[trimAtomicSuffix(fn.Name())] {
 				if v := ds.globalRoot(sel.X); v != nil {
 					ds.pass.Reportf(call.Pos(),
 						"atomic mutation of package-level %s in a deterministic package: the atomic fixes the race, not the sharing — cells still observe each other through it; keep it out of anything that shapes output, or suppress with a reason",
@@ -171,7 +166,7 @@ func (ds *detShareState) checkCall(call *ast.CallExpr) {
 			}
 		} else if atomicMutators[trimAtomicSuffix(fn.Name())] && len(call.Args) > 0 {
 			// Function form: atomic.AddInt64(&counter, 1).
-			if u, ok := unparen(call.Args[0]).(*ast.UnaryExpr); ok {
+			if u, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok {
 				if v := ds.globalRoot(u.X); v != nil {
 					ds.pass.Reportf(call.Pos(),
 						"atomic mutation of package-level %s in a deterministic package: the atomic fixes the race, not the sharing — cells still observe each other through it; keep it out of anything that shapes output, or suppress with a reason",
@@ -183,6 +178,28 @@ func (ds *detShareState) checkCall(call *ast.CallExpr) {
 	ds.checkGoroutineBoundClosures(call, fn)
 }
 
+// StaticCallee resolves a call expression to the concrete function object
+// it invokes: a package function, a concrete method, or nil for interface
+// dispatch, function values, builtins, and conversions.
+func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[fun].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+				if types.IsInterface(sig.Recv().Type()) {
+					return nil // dynamic dispatch
+				}
+			}
+			return fn
+		}
+	}
+	return nil
+}
+
 // trimAtomicSuffix maps AddInt64/StoreUint32/... onto the operation name
 // so the method table covers the function forms too.
 func trimAtomicSuffix(name string) string {
@@ -192,22 +209,15 @@ func trimAtomicSuffix(name string) string {
 	return name
 }
 
-// checkGoroutineBoundClosures applies rule 4: a literal argument that the
-// callee moves across a goroutine boundary must not write captures.
+// checkGoroutineBoundClosures applies rule 4: a literal argument handed to
+// package parallel runs on a worker goroutine and must not write captures.
 func (ds *detShareState) checkGoroutineBoundClosures(call *ast.CallExpr, fn *types.Func) {
-	for ai, arg := range call.Args {
-		lit, ok := unparen(arg).(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		bound, how := false, ""
-		if fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "parallel" {
-			bound, how = true, fn.Pkg().Name()+"."+fn.Name()
-		} else if cs := ds.pass.Prog.CalleeSummary(ds.pass.TypesInfo, call); cs != nil && ai < len(cs.ReachesGoroutine) && cs.ReachesGoroutine[ai] {
-			bound, how = true, fn.Name()
-		}
-		if bound {
-			ds.checkCapturedWrites(lit, how)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "parallel" {
+		return
+	}
+	for _, arg := range call.Args {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			ds.checkCapturedWrites(lit, fn.Pkg().Name()+"."+fn.Name())
 		}
 	}
 }
@@ -216,7 +226,7 @@ func (ds *detShareState) checkCapturedWrites(lit *ast.FuncLit, via string) {
 	info := ds.pass.TypesInfo
 	capturedRoot := func(e ast.Expr) (*ast.Ident, types.Object) {
 		for {
-			switch x := unparen(e).(type) {
+			switch x := ast.Unparen(e).(type) {
 			case *ast.SelectorExpr:
 				e = x.X
 			case *ast.StarExpr:

@@ -26,11 +26,6 @@ type Package struct {
 	Files []*ast.File // non-test Go files, parsed with comments
 	Types *types.Package
 	Info  *types.Info
-
-	// Prog is the interprocedural view over every package of the same
-	// Load call (dataflow.go). All packages from one Load share one
-	// Program, so summaries and reachability cross package boundaries.
-	Prog *Program
 }
 
 // listedPkg is the subset of `go list -json` output the loader consumes.
@@ -142,9 +137,5 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		})
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	prog := NewProgram(pkgs)
-	for _, p := range pkgs {
-		p.Prog = prog
-	}
 	return pkgs, nil
 }

@@ -21,14 +21,10 @@ import (
 //     unless some later call in the same function whose name contains
 //     "sort" takes that slice — the collect-keys-then-sort idiom.
 //
-// Since PR 8 both sides see through helpers via the dataflow layer's
-// summaries: a call inside the loop to a function that (transitively)
-// writes output — fmt/log printing or Write*/Encode on a non-local
-// receiver — is flagged like an inline print (pattern 1 laundered through
-// a helper), and a later call to a helper that sorts its parameter
-// satisfies pattern 3 even when the helper's name says nothing about
-// sorting (dedupe(keys) that sorts internally). Without a Program the
-// analyzer degrades to the name-based behavior above.
+// The check stops at the function boundary: a helper called inside the
+// loop that prints is not seen through, and a helper that sorts its
+// argument counts for pattern 3 only if the call is sort-shaped, i.e. its
+// rendered name contains "sort".
 //
 // Order-independent uses — copying into another map, numeric aggregation —
 // are not flagged. Scope: deterministic packages plus obs (MapOrderPkg),
@@ -86,16 +82,7 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.CallExpr:
-			if checkOutputCall(pass, s) {
-				return true
-			}
-			// Output laundered through a helper: the callee's summary
-			// says it (transitively) writes to an escaping writer.
-			if cs := pass.Prog.CalleeSummary(pass.TypesInfo, s); cs != nil && cs.EmitsOutput {
-				pass.Reportf(s.Pos(),
-					"call to %s inside range over map writes output (via its callees) in randomized map order; iterate sorted keys instead",
-					calleeName(s))
-			}
+			checkOutputCall(pass, s)
 		case *ast.AssignStmt:
 			// x = append(x, ...) / x := append(y, ...)
 			for i, rhs := range s.Rhs {
@@ -125,19 +112,18 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 	})
 }
 
-// checkOutputCall flags direct output calls inside the loop body and
-// reports whether it flagged one.
-func checkOutputCall(pass *Pass, call *ast.CallExpr) bool {
+// checkOutputCall flags direct output calls inside the loop body.
+func checkOutputCall(pass *Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return false
+		return
 	}
 	name := sel.Sel.Name
 	if fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
 		if fn.Pkg().Path() == "fmt" && fmtPrintFuncs[name] {
 			pass.Reportf(call.Pos(),
 				"fmt.%s inside range over map emits output in randomized map order; iterate sorted keys instead", name)
-			return true
+			return
 		}
 	}
 	// Method calls on writers/encoders: selection-based (has a receiver).
@@ -145,9 +131,7 @@ func checkOutputCall(pass *Pass, call *ast.CallExpr) bool {
 		pass.Reportf(call.Pos(),
 			"%s.%s inside range over map writes output in randomized map order; iterate sorted keys instead",
 			render(sel.X), name)
-		return true
 	}
-	return false
 }
 
 func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
@@ -172,10 +156,9 @@ func declaredWithin(pass *Pass, e ast.Expr, rs *ast.RangeStmt) bool {
 
 // sortedLater reports whether, after the range statement, the enclosing
 // function calls something sort-shaped with the append target among its
-// arguments. Sort-shaped means either the callee's name contains "sort"
+// arguments. Sort-shaped means the callee's name contains "sort"
 // (case-insensitively: sort.Slice, sort.Strings, slices.Sort, a local
-// sortStrings helper, ...) or — with a Program — the callee's summary
-// proves the parameter receiving the target is sorted inside.
+// sortStrings helper, ...).
 func sortedLater(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, target ast.Expr) bool {
 	targetKey := exprKey(pass, target)
 	if targetKey == "" {
@@ -204,14 +187,6 @@ func sortedLater(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, target as
 		if strings.Contains(strings.ToLower(calleeName(call)), "sort") {
 			for _, arg := range call.Args {
 				if argHasTarget(arg) {
-					found = true
-					return false
-				}
-			}
-		}
-		if cs := pass.Prog.CalleeSummary(pass.TypesInfo, call); cs != nil {
-			for ai, arg := range call.Args {
-				if ai < len(cs.Sorts) && cs.Sorts[ai] && argHasTarget(arg) {
 					found = true
 					return false
 				}

@@ -33,13 +33,10 @@ import (
 //   - `defer p.Release()` is exempt: it runs after every use in the
 //     function.
 //
-// Since PR 8 the check is interprocedural where the dataflow layer can
-// prove it: passing a pooled pointer to a callee whose summary says the
-// corresponding parameter (or receiver) may be released marks the local as
-// released at the call site, so `sink(p); p.Size` is caught even when the
-// Release lives two calls deep or in another package. Calls that do not
-// resolve statically still transfer ownership invisibly and remain the
-// runtime golden tests' backstop.
+// The walk stops at the function boundary: a callee that releases its
+// argument — a helper, or the next hop's Receive(p) — transfers ownership
+// invisibly. A double Release across that boundary panics in
+// netem.Packet.Release; a stale read across it has no gate.
 var PoolSafe = &Analyzer{
 	Name: "poolsafe",
 	Doc: "detect use-after-Release and double-Release of pooled values " +
@@ -170,54 +167,6 @@ func (ps *poolState) clearAssigned(lhs []ast.Expr, rel map[types.Object]token.Po
 	}
 }
 
-// applyCallEffects consults the dataflow layer for every call in the
-// expression tree: a pooled identifier passed where the callee's summary
-// says "may release" is marked released at the call position, exactly as
-// if the Release were inline. Closure subtrees are skipped (they run at an
-// unknowable time).
-func (ps *poolState) applyCallEffects(n ast.Node, rel map[types.Object]token.Pos) {
-	if n == nil {
-		return
-	}
-	info := ps.pass.TypesInfo
-	mark := func(e ast.Expr, at token.Pos) {
-		id, ok := unparen(e).(*ast.Ident)
-		if !ok {
-			return
-		}
-		if t := info.TypeOf(id); t == nil || !isPooledPtr(t) {
-			return
-		}
-		if obj := info.Uses[id]; obj != nil {
-			rel[obj] = at
-		}
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		cs := ps.pass.Prog.CalleeSummary(info, call)
-		if cs == nil {
-			return true
-		}
-		if cs.RecvReleases {
-			if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-				mark(sel.X, call.Pos())
-			}
-		}
-		for ai, arg := range call.Args {
-			if ai < len(cs.Releases) && cs.Releases[ai] {
-				mark(arg, call.Pos())
-			}
-		}
-		return true
-	})
-}
-
 func copyRel(rel map[types.Object]token.Pos) map[types.Object]token.Pos {
 	c := make(map[types.Object]token.Pos, len(rel))
 	for k, v := range rel {
@@ -256,12 +205,10 @@ func (ps *poolState) walkStmt(s ast.Stmt, rel map[types.Object]token.Pos) {
 			return
 		}
 		ps.findUses(st.X, rel, nil)
-		ps.applyCallEffects(st.X, rel)
 
 	case *ast.AssignStmt:
 		for _, r := range st.Rhs {
 			ps.findUses(r, rel, nil)
-			ps.applyCallEffects(r, rel)
 		}
 		// Selector LHS (p.Size = 3) is a use of p; plain ident LHS is a
 		// rebind.
@@ -274,14 +221,12 @@ func (ps *poolState) walkStmt(s ast.Stmt, rel map[types.Object]token.Pos) {
 
 	case *ast.DeclStmt:
 		ps.findUses(st, rel, nil)
-		ps.applyCallEffects(st, rel)
 
 	case *ast.IfStmt:
 		if st.Init != nil {
 			ps.walkStmt(st.Init, rel)
 		}
 		ps.findUses(st.Cond, rel, nil)
-		ps.applyCallEffects(st.Cond, rel)
 		ps.walkStmts(st.Body.List, copyRel(rel))
 		if st.Else != nil {
 			ps.walkStmt(st.Else, copyRel(rel))
@@ -295,7 +240,6 @@ func (ps *poolState) walkStmt(s ast.Stmt, rel map[types.Object]token.Pos) {
 			ps.walkStmt(st.Init, rel)
 		}
 		ps.findUses(st.Cond, rel, nil)
-		ps.applyCallEffects(st.Cond, rel)
 		// Two passes over the body: the second catches a release in
 		// iteration N reaching a use at the top of iteration N+1.
 		inner := copyRel(rel)
@@ -307,7 +251,6 @@ func (ps *poolState) walkStmt(s ast.Stmt, rel map[types.Object]token.Pos) {
 
 	case *ast.RangeStmt:
 		ps.findUses(st.X, rel, nil)
-		ps.applyCallEffects(st.X, rel)
 		inner := copyRel(rel)
 		// The iteration variables are rebound each pass.
 		var lhs []ast.Expr
@@ -327,7 +270,6 @@ func (ps *poolState) walkStmt(s ast.Stmt, rel map[types.Object]token.Pos) {
 			ps.walkStmt(st.Init, rel)
 		}
 		ps.findUses(st.Tag, rel, nil)
-		ps.applyCallEffects(st.Tag, rel)
 		for _, c := range st.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				inner := copyRel(rel)
@@ -373,7 +315,6 @@ func (ps *poolState) walkStmt(s ast.Stmt, rel map[types.Object]token.Pos) {
 	case *ast.ReturnStmt:
 		for _, r := range st.Results {
 			ps.findUses(r, rel, nil)
-			ps.applyCallEffects(r, rel)
 		}
 
 	case *ast.LabeledStmt:
@@ -385,7 +326,6 @@ func (ps *poolState) walkStmt(s ast.Stmt, rel map[types.Object]token.Pos) {
 	case *ast.SendStmt:
 		ps.findUses(st.Chan, rel, nil)
 		ps.findUses(st.Value, rel, nil)
-		ps.applyCallEffects(st.Value, rel)
 
 	case nil, *ast.BranchStmt, *ast.EmptyStmt:
 		// no packet flow

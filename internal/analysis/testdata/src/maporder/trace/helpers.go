@@ -1,56 +1,16 @@
-// helpers.go exercises the PR 8 interprocedural half of maporder: output
-// laundered through a helper is flagged via the helper's summary, and a
-// helper that sorts its argument internally satisfies the
-// collect-then-sort idiom even though its name says nothing about sorting.
+// helpers.go pins where maporder stops: at the function boundary. A helper
+// that sorts its argument satisfies collect-then-sort only when the call is
+// sort-shaped (maps.go, localSortHelper); a helper that prints is not seen
+// through.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
-// emit writes one line: its summary carries EmitsOutput.
-func emit(w io.Writer, k string) {
-	fmt.Fprintln(w, k)
-}
-
-// emitVia launders the write one level deeper; summaries compose.
-func emitVia(w io.Writer, k string) {
-	emit(w, k)
-}
-
-func launderedPrint(w io.Writer, m map[string]int) {
-	for k := range m {
-		emit(w, k) // want `call to emit inside range over map writes output`
-	}
-}
-
-func launderedPrintDeep(w io.Writer, m map[string]int) {
-	for k := range m {
-		emitVia(w, k) // want `call to emitVia inside range over map writes output`
-	}
-}
-
-// renderLocal writes only to a function-local Builder — no escaping
-// output, so calling it per-iteration is order-safe.
-func renderLocal(k string) string {
-	var b strings.Builder
-	b.WriteString(k)
-	return b.String()
-}
-
-func localBuilderHelperClean(m map[string]int) int {
-	n := 0
-	for k := range m {
-		n += len(renderLocal(k))
-	}
-	return n
-}
-
-// dedupe sorts internally; its name gives no hint, so only the summary's
-// Sorts fact makes the accumulate below legal.
+// dedupe sorts internally, but its name gives no hint.
 func dedupe(keys []string) []string {
 	sort.Strings(keys)
 	out := keys[:0]
@@ -65,16 +25,21 @@ func dedupe(keys []string) []string {
 func collectThenDedupe(w io.Writer, m map[string]int) {
 	var keys []string
 	for k := range m {
-		keys = append(keys, k)
+		keys = append(keys, k) // want `append to keys inside range over map`
 	}
 	for _, k := range dedupe(keys) {
 		fmt.Fprintln(w, k)
 	}
 }
 
-func suppressedLaundered(w io.Writer, m map[string]int) {
+func emit(w io.Writer, k string) {
+	fmt.Fprintln(w, k)
+}
+
+// launderedPrint leaks map order through emit and is silent: the exporters'
+// byte-identity tests are the gate for this shape.
+func launderedPrint(w io.Writer, m map[string]int) {
 	for k := range m {
-		//lint:ignore maporder fixture exercises suppressing the laundered-output report
 		emit(w, k)
 	}
 }

@@ -183,3 +183,27 @@ func TestReverseDemuxTranslatesKeys(t *testing.T) {
 		t.Error("reverse demux did not translate the uplink key to its registration")
 	}
 }
+
+// TestDoubleReleasePanics: a second Release would put one struct in the pool
+// twice and hand it to two owners, whatever the payload. The flag that
+// catches it is cleared by NewPacket, so recycling stays legal.
+func TestDoubleReleasePanics(t *testing.T) {
+	for name, p := range map[string]*Packet{
+		"pooled":  dataPacket(flowA),
+		"literal": {Size: 1},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "netem: Packet released twice" {
+					t.Errorf("%s packet: second Release recovered %v, want the double-release panic", name, r)
+				}
+			}()
+			p.Release()
+			p.Release()
+		}()
+	}
+	// Release -> NewPacket -> Release: the pool hands released structs back.
+	for i := 0; i < 100; i++ {
+		dataPacket(flowA).Release()
+	}
+}

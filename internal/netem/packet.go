@@ -130,6 +130,10 @@ type Packet struct {
 	// baseline (it models ABC's reuse of an ECN-like header bit).
 	ABCMark uint8
 
+	// released is set by Release and cleared by NewPacket, so that a second
+	// Release panics instead of pooling one struct twice.
+	released bool
+
 	Payload any
 }
 
@@ -143,7 +147,9 @@ var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 // NewPacket returns a zeroed Packet from the pool. Callers populate it and
 // hand it into the topology; ownership transfers with it.
 func NewPacket() *Packet {
-	return packetPool.Get().(*Packet)
+	p := packetPool.Get().(*Packet)
+	p.released = false
+	return p
 }
 
 // payloadReleaser is satisfied by pooled payload types (packet.FeedbackBuf);
@@ -156,12 +162,16 @@ type payloadReleaser interface{ Release() }
 // packet terminally — the delivery demux, or a qdisc dropping it — may call
 // Release; after the call every reference to p is invalid, including its
 // Payload (pooled payloads are recycled with the packet). Releasing a packet
-// that was not pool-allocated is harmless (it simply joins the pool).
+// that was not pool-allocated is harmless (it simply joins the pool);
+// releasing any packet twice would hand one struct to two owners, and panics.
 func (p *Packet) Release() {
+	if p.released {
+		panic("netem: Packet released twice")
+	}
 	if r, ok := p.Payload.(payloadReleaser); ok {
 		r.Release()
 	}
-	*p = Packet{}
+	*p = Packet{released: true}
 	packetPool.Put(p)
 }
 
