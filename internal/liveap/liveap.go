@@ -3,7 +3,9 @@
 // the paper's OpenWrt packet-socket implementation (§7.1). It relays
 // RTP/RTCP sessions between a server and a wireless client and shapes the
 // downlink to a configurable (optionally trace-driven) rate through a real
-// queue. Its Zhuge state is the simulator's own: a core.FortuneTeller fed
+// queue, paced against a departure clock with ~2 ms of credit rather than a
+// sleep per packet, which the runtime's timer rounding would stretch by
+// ~0.6 ms each. Its Zhuge state is the simulator's own: a core.FortuneTeller fed
 // wall-clock offsets and a core.InbandUpdater that records transport-wide
 // sequence numbers from real RTP header bytes, constructs real TWCC RTCP
 // packets and absorbs the client's own TWCC. The relay is that updater's
@@ -17,6 +19,7 @@ package liveap
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -40,9 +43,11 @@ type Config struct {
 	// Server is where (rewritten) feedback is forwarded.
 	Server string
 
-	// Rate shapes the downlink, bits per second. Ignored if Trace is set.
+	// Rate shapes the downlink, bits per second: positive and finite.
+	// Ignored if Trace is set.
 	Rate float64
-	// Trace optionally drives a time-varying downlink rate.
+	// Trace optionally drives a time-varying downlink rate. While it reads
+	// 0 bit/s the link is out and the queue holds.
 	Trace *trace.Trace
 
 	// QueueLimit bounds the downlink queue in bytes (default 256 KiB).
@@ -121,8 +126,8 @@ func New(cfg Config) (*Relay, error) {
 	if cfg.FeedbackEvery == 0 {
 		cfg.FeedbackEvery = 40 * time.Millisecond
 	}
-	if cfg.Rate == 0 && cfg.Trace == nil {
-		return nil, fmt.Errorf("liveap: Rate or Trace required")
+	if cfg.Trace == nil && !(cfg.Rate > 0 && cfg.Rate <= math.MaxFloat64) {
+		return nil, fmt.Errorf("liveap: Rate %v bit/s: want a positive finite rate, or a Trace", cfg.Rate)
 	}
 	mediaAddr, err := net.ResolveUDPAddr("udp", cfg.MediaListen)
 	if err != nil {
@@ -265,14 +270,56 @@ func (r *Relay) mediaLoop() {
 	}
 }
 
-// drainLoop serialises the queue at the shaped rate toward the client.
+const (
+	// maxCredit is how far the departure clock may trail now: about one
+	// timer overshoot, so a late wake-up is won back but an idle link
+	// earns no burst.
+	maxCredit = 2 * time.Millisecond
+	// outagePoll is how often a link at rate 0 reads its rate again.
+	outagePoll = time.Millisecond
+)
+
+// drainLoop serialises the queue at the shaped rate toward the client. It
+// paces against a departure clock, next, that each packet moves on by its
+// airtime, and sleeps only while next is ahead of now: a sub-millisecond
+// sleep wakes ~0.6 ms late, so the packets that fell due meanwhile go out
+// back to back rather than each paying the overshoot again.
 func (r *Relay) drainLoop() {
 	defer r.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	sleep := func(d time.Duration) bool {
+		timer.Reset(d)
+		select {
+		case <-timer.C:
+			return true
+		case <-r.done:
+			return false
+		}
+	}
+	var next time.Duration
 	for {
+		now := r.Now()
+		if next > now {
+			if !sleep(next - now) {
+				return
+			}
+			continue
+		}
+		next = max(next, now-maxCredit)
+		rate := r.rateAt(now)
+		if !(rate > 0) {
+			// An outage: the queue holds until the link comes back.
+			if !sleep(outagePoll) {
+				return
+			}
+			continue
+		}
 		r.mu.Lock()
-		p := r.q.Dequeue(r.Now())
+		at := r.Now() // under the mutex: never before an enqueue it follows
+		p := r.q.Dequeue(at)
 		if p != nil {
-			r.ft.OnDequeue(r.Now(), p)
+			r.ft.OnDequeue(at, p)
 			// Counted before the write: whoever reads the packet off the
 			// client socket must already see it in Stats.
 			r.stats.MediaOut++
@@ -292,15 +339,7 @@ func (r *Relay) drainLoop() {
 			r.stats.Dropped++
 			r.mu.Unlock()
 		}
-		rate := r.rateAt(r.Now())
-		if rate > 0 {
-			airtime := time.Duration(float64(p.Size*8) / rate * float64(time.Second))
-			select {
-			case <-time.After(airtime):
-			case <-r.done:
-				return
-			}
-		}
+		next += time.Duration(float64(p.Size*8) / rate * float64(time.Second))
 	}
 }
 

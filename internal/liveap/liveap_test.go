@@ -1,16 +1,25 @@
 package liveap
 
 import (
+	"math"
 	"net"
 	"testing"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/packet"
+	"github.com/zhuge-project/zhuge/internal/trace"
 )
 
 // startRelay brings up a relay on loopback ephemeral ports with stub
 // server/client sockets, returning the relay and both endpoints.
 func startRelay(t *testing.T, zhuge bool, rate float64) (*Relay, *net.UDPConn, *net.UDPConn) {
+	t.Helper()
+	return startRelayWith(t, Config{Rate: rate, Zhuge: zhuge})
+}
+
+// startRelayWith is startRelay for a Config whose shaping fields are set;
+// it fills in the addresses and the feedback interval.
+func startRelayWith(t *testing.T, cfg Config) (*Relay, *net.UDPConn, *net.UDPConn) {
 	t.Helper()
 	serverSock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -20,15 +29,10 @@ func startRelay(t *testing.T, zhuge bool, rate float64) (*Relay, *net.UDPConn, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(Config{
-		MediaListen:    "127.0.0.1:0",
-		FeedbackListen: "127.0.0.1:0",
-		Client:         clientSock.LocalAddr().String(),
-		Server:         serverSock.LocalAddr().String(),
-		Rate:           rate,
-		Zhuge:          zhuge,
-		FeedbackEvery:  20 * time.Millisecond,
-	})
+	cfg.MediaListen, cfg.FeedbackListen = "127.0.0.1:0", "127.0.0.1:0"
+	cfg.Client, cfg.Server = clientSock.LocalAddr().String(), serverSock.LocalAddr().String()
+	cfg.FeedbackEvery = 20 * time.Millisecond
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,22 +189,140 @@ func TestZhugeRelayAbsorbsClientTWCC(t *testing.T) {
 	}
 }
 
+// shapedPayload makes a 1250-byte packet on the shaper's books (20 bytes of
+// RTP header with the TWCC extension, 28 of UDP/IP): 10 kbit of airtime.
+const (
+	shapedPayload = 1202
+	shapedBits    = 10e3
+)
+
+// TestRelayShapesRate pins the shaped rate from both sides. A closed loop
+// keeps a window of packets queued at the relay, and the rate delivered
+// between the skip-th and the last arrival must be within [0.85, 1.10] of
+// the rate asked for; the first arrivals spend the departure clock's
+// start-up credit and are skipped.
 func TestRelayShapesRate(t *testing.T) {
-	// 20 x 1000B at 1 Mbps should take ~(20*1028*8)/1e6 = ~164ms.
-	r, serverSock, clientSock := startRelay(t, false, 1e6)
-	start := time.Now()
-	for i := 0; i < 20; i++ {
-		sendRTP(t, serverSock, r.MediaAddr(), uint16(i), 1000)
+	for _, c := range []struct {
+		name string
+		rate float64
+		n    int
+	}{
+		{"20Mbps", 20e6, 300}, // 150 ms of airtime
+		{"4Mbps", 4e6, 70},    // 175 ms
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const window, skip = 32, 8
+			r, serverSock, clientSock := startRelay(t, false, c.rate)
+			for i := 0; i < window; i++ {
+				sendRTP(t, serverSock, r.MediaAddr(), uint16(i), shapedPayload)
+			}
+			clientSock.SetReadDeadline(time.Now().Add(5 * time.Second))
+			buf := make([]byte, 2048)
+			var from time.Time
+			for got := 0; got < c.n; got++ {
+				if _, err := clientSock.Read(buf); err != nil {
+					t.Fatalf("got %d/%d: %v", got, c.n, err)
+				}
+				if got == skip {
+					from = time.Now()
+				}
+				if next := got + window; next < c.n {
+					sendRTP(t, serverSock, r.MediaAddr(), uint16(next), shapedPayload)
+				}
+			}
+			span := time.Since(from)
+			ratio := float64(c.n-1-skip) * shapedBits / span.Seconds() / c.rate
+			if ratio < 0.85 || ratio > 1.10 {
+				t.Errorf("%d packets in %v: %.3f of the configured rate, want [0.85, 1.10]", c.n-1-skip, span, ratio)
+			}
+		})
 	}
+}
+
+// TestRelayIdleCreditIsCapped: an idle link saves up no burst. After 50 ms
+// with an empty queue, a batch sent back to back may skip at most the
+// departure clock's credit (~2 packets at 1 ms each), where a clock left
+// 50 ms behind would let the whole batch out at once.
+func TestRelayIdleCreditIsCapped(t *testing.T) {
+	const rate, batch = 10e6, 40
+	r, serverSock, clientSock := startRelay(t, false, rate)
 	clientSock.SetReadDeadline(time.Now().Add(5 * time.Second))
 	buf := make([]byte, 2048)
-	for got := 0; got < 20; got++ {
+	sendRTP(t, serverSock, r.MediaAddr(), 0, shapedPayload)
+	if _, err := clientSock.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	start := time.Now()
+	for i := 1; i <= batch; i++ {
+		sendRTP(t, serverSock, r.MediaAddr(), uint16(i), shapedPayload)
+	}
+	for got := 0; got < batch; got++ {
 		if _, err := clientSock.Read(buf); err != nil {
-			t.Fatalf("got %d/20: %v", got, err)
+			t.Fatalf("got %d/%d: %v", got, batch, err)
 		}
 	}
-	elapsed := time.Since(start)
-	if elapsed < 100*time.Millisecond {
-		t.Errorf("20KB crossed a 1Mbps shaper in %v; shaping absent", elapsed)
+	airtime := time.Duration(shapedBits / rate * float64(time.Second))
+	if took, want := time.Since(start), (batch-5)*airtime; took < want {
+		t.Errorf("%d packets of %v airtime after an idle 50 ms took %v, want at least %v", batch, airtime, took, want)
+	}
+}
+
+// TestRelayHoldsQueueThroughOutage: while the trace reads 0 bit/s the link is
+// out, not at line rate. The queue holds what it can, what it turns away is
+// counted as dropped, and what it held goes out once the rate comes back.
+func TestRelayHoldsQueueThroughOutage(t *testing.T) {
+	const held, sent = 5, 10
+	outage := &trace.Trace{Samples: []trace.Sample{{At: 0, Rate: 0}, {At: 100 * time.Millisecond, Rate: 10e6}}}
+	start := time.Now()
+	r, serverSock, clientSock := startRelayWith(t, Config{Trace: outage, QueueLimit: held * shapedBits / 8})
+	for i := 0; i < sent; i++ {
+		sendRTP(t, serverSock, r.MediaAddr(), uint16(i), shapedPayload)
+	}
+	clientSock.SetReadDeadline(time.Now().Add(2 * time.Second))
+	buf := make([]byte, 2048)
+	for got := 0; got < held; got++ {
+		if _, err := clientSock.Read(buf); err != nil {
+			t.Fatalf("got %d/%d: %v", got, held, err)
+		}
+		if got == 0 {
+			if at := time.Since(start); at < 100*time.Millisecond {
+				t.Errorf("first packet forwarded %v after start, inside the 100 ms outage", at)
+			}
+		}
+	}
+	if st := r.Stats(); st.MediaIn != sent || st.MediaOut != held || st.Dropped != sent-held {
+		t.Errorf("stats %+v, want %d in, %d out, %d dropped", st, sent, held, sent-held)
+	}
+}
+
+// TestNewRefusesBadRates: a rate that is not a positive finite number is an
+// error, not an unshaped relay; with a Trace, Rate is ignored.
+func TestNewRefusesBadRates(t *testing.T) {
+	steady := trace.Constant("steady", 10e6, time.Second)
+	for _, c := range []struct {
+		name  string
+		rate  float64
+		trace *trace.Trace
+		ok    bool
+	}{
+		{"zero", 0, nil, false},
+		{"negative", -1, nil, false},
+		{"NaN", math.NaN(), nil, false},
+		{"+Inf", math.Inf(1), nil, false},
+		{"-Inf", math.Inf(-1), nil, false},
+		{"positive", 20e6, nil, true},
+		{"trace", 0, steady, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := New(Config{MediaListen: "127.0.0.1:0", FeedbackListen: "127.0.0.1:0",
+				Client: "127.0.0.1:9", Server: "127.0.0.1:9", Rate: c.rate, Trace: c.trace})
+			if err == nil {
+				r.Close()
+			}
+			if (err == nil) != c.ok {
+				t.Errorf("New(Rate %v, Trace %v) error = %v, want ok %v", c.rate, c.trace != nil, err, c.ok)
+			}
+		})
 	}
 }

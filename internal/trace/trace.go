@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,7 +150,8 @@ func (t *Trace) Save(w io.Writer) error {
 }
 
 // Load parses a CSV trace written by Save (or hand-authored in the same
-// "seconds,bps" format; the header comment is optional).
+// "seconds,bps" format; the header comment is optional). A rate must be
+// finite and non-negative; 0 bps is an outage.
 func Load(name string, r io.Reader) (*Trace, error) {
 	t := &Trace{Name: name, BaseRTT: 50 * time.Millisecond}
 	sc := bufio.NewScanner(r)
@@ -179,6 +181,9 @@ func Load(name string, r io.Reader) (*Trace, error) {
 		rate, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace %s line %d: bad rate: %v", name, line, err)
+		}
+		if !(rate >= 0 && rate <= math.MaxFloat64) {
+			return nil, fmt.Errorf("trace %s line %d: bad rate %v: want a finite, non-negative bps", name, line, rate)
 		}
 		t.Samples = append(t.Samples, Sample{At: time.Duration(sec * float64(time.Second)), Rate: rate})
 	}

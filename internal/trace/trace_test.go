@@ -93,18 +93,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsBadInput: each bad input fails, naming the line where the
+// fault is on one line. A rate of 0 is an outage, not an error.
 func TestLoadRejectsBadInput(t *testing.T) {
-	cases := []string{
-		"",
-		"not,a,trace\n",
-		"abc,100\n",
-		"1.0,xyz\n",
-		"2.0,100\n1.0,200\n", // out of order
+	cases := []struct {
+		in, want string // want: substring of the error
+	}{
+		{"", "empty"},
+		{"not,a,trace\n", "line 1"},
+		{"abc,100\n", "line 1: bad time"},
+		{"1.0,xyz\n", "line 1: bad rate"},
+		{"2.0,100\n1.0,200\n", "out of order"},
+		{"0,-1\n", "line 1: bad rate -1"},
+		{"# trace x base_rtt_ms 40\n0,10e6\n\n0.1,NaN\n", "line 4: bad rate NaN"},
+		{"0,10e6\n0.1,Inf\n", "line 2: bad rate +Inf"},
+		{"0,+Inf\n", "line 1: bad rate +Inf"},
+		{"0,-Inf\n", "line 1: bad rate -Inf"},
 	}
 	for _, c := range cases {
-		if _, err := Load("bad", strings.NewReader(c)); err == nil {
-			t.Errorf("Load(%q) should fail", c)
+		if _, err := Load("bad", strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Load(%q) error = %v, want one containing %q", c.in, err, c.want)
 		}
+	}
+	tr, err := Load("outage", strings.NewReader("0,0\n0.1,10e6\n"))
+	if err != nil || tr.RateAt(0) != 0 || tr.RateAt(150*time.Millisecond) != 10e6 {
+		t.Errorf("Load of a 0 bps sample = %v, %v; want an outage then 10 Mbps", tr, err)
 	}
 }
 
