@@ -402,7 +402,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 		dur := 2 * time.Second
 		tr := trace.Constant("bench", 20e6, dur)
 		p := scenario.NewPath(scenario.Options{Seed: seed, Trace: tr})
-		f := p.AddRTPFlow(scenario.RTPFlowConfig{})
+		f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 		p.Run(dur)
 		return f.Metrics.DeliveredBytes
 	}
@@ -478,7 +478,7 @@ func BenchmarkObsDatapath(b *testing.B) {
 			p := scenario.NewPath(scenario.Options{
 				Seed: 1, Trace: tr, Solution: scenario.SolutionZhuge, Obs: mk(),
 			})
-			f := p.AddRTPFlow(scenario.RTPFlowConfig{})
+			f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 			p.Run(dur)
 			if f.Metrics.DeliveredBytes <= 0 {
 				b.Fatal("flow delivered nothing")

@@ -23,7 +23,7 @@ type predSample struct {
 // prediction accuracy via the delivery tap.
 func collectPredictions(cfg Config, tr *trace.Trace, dur time.Duration, ftCfg core.FortuneTellerConfig) []predSample {
 	p := scenario.NewPath(scenario.Options{Seed: cfg.Seed, Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: ftCfg})
-	f := p.AddRTPFlow(scenario.RTPFlowConfig{})
+	f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 	var samples []predSample
 	p.AddDeliveryTap(func(pkt *netem.Packet) {
 		if pkt.Flow == f.Flow && pkt.Kind == netem.KindData && pkt.APArrival > 0 {
@@ -251,18 +251,18 @@ func AblationFeedback(cfg Config) *Table {
 		tr := trace.Step("drop10", dropBase, dropBase/10, dropWarmup, total)
 		p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr,
 			Solution: scenario.SolutionZhuge, OOB: v.oob, WANRTT: 50 * time.Millisecond})
-		f := p.AddTCPVideoFlow(scenario.TCPFlowConfig{CCA: "copa"})
+		f := p.AddFlow(scenario.FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 		p.Run(total)
-		_, mean := p.AP.OOB().Stats(f.Flow)
+		_, mean := p.APs[0].Zhuge.OOB().Stats(f.Flow)
 
 		// The ablations' hidden cost shows in the steady state: a second
 		// run on a constant link measures bias (extra ACK delay where the
 		// true delta is zero) and the goodput it forfeits.
 		sp := scenario.NewPath(scenario.Options{Seed: cfg.Seed, Trace: trace.Constant("steady", dropBase, total),
 			Solution: scenario.SolutionZhuge, OOB: v.oob, WANRTT: 50 * time.Millisecond})
-		sf := sp.AddTCPVideoFlow(scenario.TCPFlowConfig{CCA: "copa"})
+		sf := sp.AddFlow(scenario.FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 		sp.Run(total)
-		_, steadyMean := sp.AP.OOB().Stats(sf.Flow)
+		_, steadyMean := sp.APs[0].Zhuge.OOB().Stats(sf.Flow)
 
 		return [][]string{{
 			v.name,

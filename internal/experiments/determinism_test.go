@@ -48,7 +48,7 @@ func TestSameTickBatchesAreParallelInvisible(t *testing.T) {
 		p := scenario.NewPath(scenario.Options{Seed: seed, Trace: tr, Solution: scenario.SolutionZhuge})
 		var flows []*scenario.RTPFlow
 		for i := 0; i < 3; i++ {
-			flows = append(flows, p.AddRTPFlow(scenario.RTPFlowConfig{FPS: 25}))
+			flows = append(flows, p.AddFlow(scenario.FlowSpec{Kind: "rtp", FPS: 25}).RTP)
 		}
 		p.Run(dur)
 		var sb strings.Builder

@@ -161,7 +161,7 @@ func TestFig14Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := Fig14(Config{Seed: 1, Scale: 0.34})
+	tab := ByID("fig14").Run(Config{Seed: 1, Scale: 0.34})
 	rows := rowsBy(tab, 2)
 	better := 0
 	checked := 0

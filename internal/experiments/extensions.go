@@ -101,9 +101,9 @@ func ExtSelectiveEstimation(cfg Config) *Table {
 		p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr,
 			Solution: scenario.SolutionZhuge,
 			FTConfig: coreFTWithSampling(every)})
-		f := p.AddRTPFlow(scenario.RTPFlowConfig{})
+		f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 		p.Run(dur)
-		ft := p.AP.FortuneTeller()
+		ft := p.APs[0].Zhuge.FortuneTeller()
 		hits := float64(ft.CacheHits())
 		total := hits + float64(ft.Predictions())
 		rate := 0.0

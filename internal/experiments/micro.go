@@ -94,14 +94,18 @@ func competitionRow(cfg Config, o *obs.Obs, c chaos.Cell) []string {
 	event := 15 * time.Second
 	total := event + cfg.dur(30*time.Second, 10*time.Second)
 	tr := trace.Constant("comp", 30e6, total)
-	p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr,
-		Solution: c.Sol.Sol, Qdisc: c.Sol.Qdisc, WANRTT: 50 * time.Millisecond})
-	f := p.AddRTPFlow(scenario.RTPFlowConfig{})
-	for i := 0; i < n; i++ {
+	sp := scenario.Spec{Obs: o, Seed: cfg.Seed, WANRTT: 50 * time.Millisecond,
+		APs:   []scenario.APSpec{{Trace: tr, Solution: c.Sol.Sol, Qdisc: c.Sol.Qdisc}},
+		Flows: []scenario.FlowSpec{{Kind: "rtp"}}}
+	for i := 1; i <= n; i++ {
 		// Each competitor is its own station: competition costs
 		// the RTC flow airtime, not space in its queue.
-		p.AddStationBulkFlow(event, 0)
+		sta := fmt.Sprintf("station%d", i)
+		sp.Stations = append(sp.Stations, scenario.StationSpec{Name: sta, OwnQueue: true})
+		sp.Flows = append(sp.Flows, scenario.FlowSpec{Kind: "bulk", Station: sta, StartAt: event})
 	}
+	p := sp.Build()
+	f := p.Flows[0].RTP
 	p.Run(total)
 	fps := f.Decoder.FrameRateSeries(total)
 	// Competition is persistent, so "duration" here is cumulative
@@ -135,18 +139,3 @@ func interferenceRow(cfg Config, o *obs.Obs, c chaos.Cell) []string {
 		pct(res.rttTail()), pct(res.frameTail()), pct(res.lowFPS()),
 	}
 }
-
-// Fig14 reproduces the RTP bandwidth-drop microbenchmark: degradation
-// durations of network RTT, frame delay and frame rate after a kx drop,
-// for GCC+FIFO, GCC+CoDel and GCC+Zhuge.
-func Fig14(cfg Config) *Table { return runMicroFigure(microFigures()[0], cfg) }
-
-// Fig15 is the TCP twin of Fig14: Copa, Copa+FastAck, ABC and Copa+Zhuge.
-func Fig15(cfg Config) *Table { return runMicroFigure(microFigures()[1], cfg) }
-
-// Fig16 reproduces the flow-competition microbenchmark: n CUBIC bulk flows
-// join the RTC flow's AP queue at t=15s; degradation durations follow.
-func Fig16(cfg Config) *Table { return runMicroFigure(microFigures()[2], cfg) }
-
-// Fig17 reproduces the wireless-interference microbenchmark.
-func Fig17(cfg Config) *Table { return runMicroFigure(microFigures()[3], cfg) }

@@ -57,7 +57,7 @@ func Fig3a(cfg Config) *Table {
 	warm := 5 * time.Second
 	tr := trace.Step("fig3a", 30e6, 3e6, warm, 12*time.Second)
 	p := scenario.NewPath(scenario.Options{Seed: cfg.Seed, Trace: tr})
-	p.AddRTPFlow(scenario.RTPFlowConfig{StartRate: 5e6, MaxRate: 10e6})
+	p.AddFlow(scenario.FlowSpec{Kind: "rtp", StartRate: 5e6, MaxRate: 10e6})
 	countCell()
 
 	t := &Table{

@@ -31,7 +31,7 @@ func goldenSweep(t *testing.T, workers int, dir string) (jsonl [][]byte, sweep *
 			Obs: o, Seed: cfg.Seed + int64(i), Trace: tr,
 			Solution: scenario.SolutionZhuge,
 		})
-		p.AddRTPFlow(scenario.RTPFlowConfig{})
+		p.AddFlow(scenario.FlowSpec{Kind: "rtp"})
 		p.Run(5 * time.Second)
 		var buf bytes.Buffer
 		if err := o.Trace().WriteJSONL(&buf); err != nil {

@@ -38,10 +38,10 @@ func Fig18(cfg Config) *Table {
 			// Stable channel; an scp bulk transfer toggles every 30s.
 			p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: trace.Constant("scp", 27e6, dur),
 				Solution: sol.Sol, Qdisc: sol.Qdisc, WANRTT: 30 * time.Millisecond})
-			f := p.AddRTPFlow(scenario.RTPFlowConfig{})
-			p.AddBulkFlow(10*time.Second, 30*time.Second)
+			f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"})
+			p.AddFlow(scenario.FlowSpec{Kind: "bulk", StartAt: 10 * time.Second, Period: 30 * time.Second})
 			p.Run(dur)
-			return result{f.Metrics, dur}
+			return result{f.Metrics(), dur}
 		}},
 		{"mcs", func(sol chaos.SolutionSpec, o *obs.Obs) result {
 			// Random MCS level per 30s period, like `iw` reconfiguration.

@@ -116,13 +116,12 @@ type countHop struct{ n int }
 
 func (c *countHop) Receive(*Packet) { c.n++ }
 
-// TestRouterRouteAndUnroute covers the routing table handover rewrites at
+// TestRouterRouteAndReroute covers the routing table handover rewrites at
 // run time: exact-match routes win, everything else takes the default, and
-// an unrouted flow falls back to it.
-func TestRouterRouteAndUnroute(t *testing.T) {
-	var def, special countHop
-	r := NewRouter(nil)
-	r.SetDefault(&def)
+// routing a flow again re-points it.
+func TestRouterRouteAndReroute(t *testing.T) {
+	var def, special, moved countHop
+	r := NewRouter(&def)
 	r.Route(flowA, &special)
 
 	r.Receive(&Packet{Flow: flowA})
@@ -130,17 +129,11 @@ func TestRouterRouteAndUnroute(t *testing.T) {
 	if special.n != 1 || def.n != 1 {
 		t.Fatalf("routed=%d default=%d, want 1/1", special.n, def.n)
 	}
-	if r.NextHop(flowA) != Receiver(&special) || r.Routes() != 1 {
-		t.Error("NextHop of a routed flow is not its route")
-	}
 
-	r.Unroute(flowA)
+	r.Route(flowA, &moved)
 	r.Receive(&Packet{Flow: flowA})
-	if def.n != 2 {
-		t.Errorf("unrouted flow did not fall back to default (default=%d)", def.n)
-	}
-	if r.NextHop(flowA) != Receiver(&def) || r.Routes() != 0 {
-		t.Error("NextHop after Unroute is not the default")
+	if moved.n != 1 || special.n != 1 || def.n != 1 {
+		t.Errorf("rerouted flow: moved=%d old=%d default=%d, want 1/1/1", moved.n, special.n, def.n)
 	}
 }
 

@@ -15,31 +15,13 @@ type Router struct {
 	def  Receiver
 }
 
-// NewRouter returns a router whose unmatched flows go to def. A nil def is
-// allowed while wiring but must be set before traffic flows.
+// NewRouter returns a router whose unmatched flows go to def.
 func NewRouter(def Receiver) *Router {
 	return &Router{next: make(map[FlowKey]Receiver), def: def}
 }
 
-// SetDefault changes the fallback next hop.
-func (r *Router) SetDefault(def Receiver) { r.def = def }
-
 // Route binds flow to a next hop, replacing any previous binding.
 func (r *Router) Route(flow FlowKey, next Receiver) { r.next[flow] = next }
-
-// Unroute removes flow's binding; the flow falls back to the default hop.
-func (r *Router) Unroute(flow FlowKey) { delete(r.next, flow) }
-
-// NextHop returns the receiver flow currently resolves to.
-func (r *Router) NextHop(flow FlowKey) Receiver {
-	if nh, ok := r.next[flow]; ok {
-		return nh
-	}
-	return r.def
-}
-
-// Routes returns the number of explicit (non-default) bindings.
-func (r *Router) Routes() int { return len(r.next) }
 
 // Receive implements Receiver.
 func (r *Router) Receive(p *Packet) {

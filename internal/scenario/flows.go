@@ -52,41 +52,13 @@ func (p *Path) measure(flow netem.FlowKey, frames *video.FrameStats) *FlowMetric
 	return m
 }
 
-// RTPFlowConfig parameterises an RTP video flow.
-type RTPFlowConfig struct {
-	CCA       string  // rate controller: "gcc" (default) or "nada"
-	FPS       int     // default 25
-	StartRate float64 // default 1 Mbps
-	MinRate   float64 // default 150 kbps
-	MaxRate   float64 // default 6 Mbps (paper: ~2 Mbps average video)
-	StartAt   time.Duration
-	// Station names the station carrying this flow; empty means the
-	// primary station on the first AP.
-	Station string
-	// GapLoss enables the sender's feedback-hole loss inference (see
-	// rtp.Sender.GapLoss); the handover experiments need it to observe
-	// the fortunes a state reset discards.
-	GapLoss bool
-	// Unoptimized leaves this flow outside Zhuge even when the path runs
-	// SolutionZhuge (the external-fairness experiment, Figure 20 bar b).
-	Unoptimized bool
-}
-
-func (c RTPFlowConfig) withDefaults() RTPFlowConfig {
-	if c.FPS == 0 {
-		c.FPS = 25
-	}
-	if c.StartRate == 0 {
-		c.StartRate = 1e6
-	}
-	if c.MinRate == 0 {
-		c.MinRate = 150e3
-	}
-	if c.MaxRate == 0 {
-		c.MaxRate = 6e6
-	}
-	return c
-}
+// RTPFlowConfig and TCPFlowConfig are FlowSpec under the names
+// benchmark/cells.go still uses; they go when that package moves onto
+// AddFlow.
+type (
+	RTPFlowConfig = FlowSpec
+	TCPFlowConfig = FlowSpec
+)
 
 // RTPFlow is a WebRTC-style video call over RTP/RTCP with GCC.
 type RTPFlow struct {
@@ -97,9 +69,9 @@ type RTPFlow struct {
 	Metrics *FlowMetrics
 }
 
-// AddRTPFlow attaches an RTP/GCC video flow to the path. With
-// SolutionZhuge the flow is optimised in in-band mode.
-func (p *Path) AddRTPFlow(cfg RTPFlowConfig) *RTPFlow {
+// AddRTPFlow attaches an RTP/GCC video flow to the path, whatever cfg.Kind
+// says. With SolutionZhuge the flow is optimised in in-band mode.
+func (p *Path) AddRTPFlow(cfg FlowSpec) *RTPFlow {
 	cfg = cfg.withDefaults()
 	flow := p.NewFlowKey()
 	st := p.station(cfg.Station)
@@ -165,41 +137,6 @@ func (p *Path) AddRTPFlow(cfg RTPFlowConfig) *RTPFlow {
 	return &RTPFlow{Flow: flow, Sender: snd, Encoder: enc, Decoder: dec, Metrics: m}
 }
 
-// TCPFlowConfig parameterises a video stream over TCP.
-type TCPFlowConfig struct {
-	CCA       string // "copa" (default), "cubic", "bbr", "abc"
-	FPS       int
-	StartRate float64
-	MinRate   float64
-	MaxRate   float64
-	StartAt   time.Duration
-	// Station names the station carrying this flow; empty means the
-	// primary station on the first AP.
-	Station string
-	// Unoptimized leaves this flow outside Zhuge/FastAck even when the
-	// path runs them (the external-fairness experiment, Figure 20 bar b).
-	Unoptimized bool
-}
-
-func (c TCPFlowConfig) withDefaults() TCPFlowConfig {
-	if c.CCA == "" {
-		c.CCA = "copa"
-	}
-	if c.FPS == 0 {
-		c.FPS = 25
-	}
-	if c.StartRate == 0 {
-		c.StartRate = 1e6
-	}
-	if c.MinRate == 0 {
-		c.MinRate = 150e3
-	}
-	if c.MaxRate == 0 {
-		c.MaxRate = 6e6
-	}
-	return c
-}
-
 // streamTransport is what the stream-video application needs from a
 // reliable transport's sender: hand it bytes, ask how many were
 // acknowledged. tcpsim.Sender and quicsim.Sender both satisfy it.
@@ -250,10 +187,17 @@ func (f *streamVideo) delivered(now sim.Time, upTo uint64) {
 	}
 }
 
-// newTCPController builds the window controller a stream flow of the given
-// kind names. An unknown name is a build-time configuration bug and panics
+// newTCPController builds the window controller a flow of the given kind
+// names; "" is the kind's default, cubic for bulk and copa for the video
+// streams. An unknown name is a build-time configuration bug and panics
 // rather than measuring the default under the wrong label.
 func newTCPController(name, kind string) cca.TCP {
+	if name == "" {
+		name = "copa"
+		if kind == "bulk" {
+			name = "cubic"
+		}
+	}
 	switch name {
 	case "copa":
 		return cca.NewCopa()
@@ -274,7 +218,7 @@ func newTCPController(name, kind string) cca.TCP {
 // With SolutionZhuge the flow is optimised out-of-band; with
 // SolutionFastAck a TCP flow's ACKs are counterfeited by the AP (FastAck
 // reads TCP sequence numbers, so a QUIC flow passes it untouched).
-func (p *Path) addStreamVideo(cfg TCPFlowConfig, proto uint8, dial func(netem.FlowKey, streamHooks) streamTransport) *streamVideo {
+func (p *Path) addStreamVideo(cfg FlowSpec, proto uint8, dial func(netem.FlowKey, streamHooks) streamTransport) *streamVideo {
 	flow := p.NewFlowKey()
 	flow.Proto = proto
 	st := p.station(cfg.Station)
@@ -374,11 +318,11 @@ type TCPVideoFlow struct {
 	Sender *tcpsim.Sender
 }
 
-// AddTCPVideoFlow attaches a TCP video stream. The CCA field accepts
-// "copa" (default), "cubic", "bbr" or "abc". With SolutionZhuge the flow
-// is optimised in out-of-band mode; with SolutionFastAck its ACKs are
-// counterfeited by the AP.
-func (p *Path) AddTCPVideoFlow(cfg TCPFlowConfig) *TCPVideoFlow {
+// AddTCPVideoFlow attaches a TCP video stream, whatever cfg.Kind says. The
+// CCA field accepts "copa" (default), "cubic", "bbr" or "abc". With
+// SolutionZhuge the flow is optimised in out-of-band mode; with
+// SolutionFastAck its ACKs are counterfeited by the AP.
+func (p *Path) AddTCPVideoFlow(cfg FlowSpec) *TCPVideoFlow {
 	cfg = cfg.withDefaults()
 	f := &TCPVideoFlow{}
 	f.streamVideo = p.addStreamVideo(cfg, 6, func(flow netem.FlowKey, h streamHooks) streamTransport {
@@ -392,56 +336,38 @@ func (p *Path) AddTCPVideoFlow(cfg TCPFlowConfig) *TCPVideoFlow {
 	return f
 }
 
-// BulkFlow is a CUBIC bulk transfer used as competitor (Figure 16) and as
-// the scp workload of Figure 18.
+// BulkFlow is a TCP bulk download used as competitor: on an own-queue
+// station of its own it costs the RTC flow airtime, not queue space (Figure
+// 16); on the RTC flow's station it shares its queue (the scp workload of
+// Figure 18).
 type BulkFlow struct {
 	Flow   netem.FlowKey
 	Sender *tcpsim.Sender
 }
 
-// AddBulkFlow attaches a CUBIC bulk download sharing the primary station's
-// queue (a competitor on the same device, e.g. the scp scenario). If
-// period > 0 the transfer alternates period on / period off (scp style);
-// otherwise it runs continuously from startAt.
-func (p *Path) AddBulkFlow(startAt, period time.Duration) *BulkFlow {
-	return p.addBulk(startAt, period, false)
-}
-
-// AddStationBulkFlow attaches a CUBIC bulk download to its own wireless
-// station: it competes with the RTC flow for channel airtime but fills its
-// own per-station queue, the way a different client on the same AP behaves
-// (the Figure 16 competition model).
-func (p *Path) AddStationBulkFlow(startAt, period time.Duration) *BulkFlow {
-	return p.addBulk(startAt, period, true)
-}
-
-func (p *Path) addBulk(startAt, period time.Duration, ownStation bool) *BulkFlow {
+// addBulk attaches a bulk download to fs.Station with fs.CCA (default
+// cubic). If fs.Period > 0 the transfer alternates period on / period off
+// (scp style); otherwise it runs continuously from fs.StartAt.
+func (p *Path) addBulk(fs FlowSpec) *BulkFlow {
 	flow := p.NewFlowKey()
 	flow.Proto = 6
-	if ownStation {
-		// Each station-bulk flow is its own client on the first AP: it
-		// fills its own per-station queue and costs the primary station
-		// airtime, not queue space — how 802.11 competition behaves.
-		p.stationN++
-		first := p.APs[0]
-		st := p.newStation(fmt.Sprintf("station%d", p.stationN), first, true, first.Spec.QueueCap)
-		p.wanRouter.Route(flow, st.link)
-	}
-	snd := tcpsim.NewSender(p.S, flow, cca.NewCubic(), p.ServerOut())
+	st := p.station(fs.Station)
+	snd := tcpsim.NewSender(p.S, flow, newTCPController(fs.CCA, "bulk"), p.ServerOut())
 	rcv := tcpsim.NewReceiver(p.S, flow.Reverse(), p.ClientOut())
 	p.RegisterClient(flow, rcv)
 	p.RegisterServer(flow, snd)
+	p.bindFlow(flow, st)
 
 	// Keep the pipe full by topping up the app buffer periodically while
 	// "on".
 	on := true
-	if period > 0 {
+	if fs.Period > 0 {
 		var flip func()
 		flip = func() {
 			on = !on
-			p.S.ScheduleAfter(period, flip)
+			p.S.ScheduleAfter(fs.Period, flip)
 		}
-		p.S.Schedule(startAt+period, flip)
+		p.S.Schedule(fs.StartAt+fs.Period, flip)
 	}
 	var feed func()
 	feed = func() {
@@ -450,6 +376,6 @@ func (p *Path) addBulk(startAt, period time.Duration, ownStation bool) *BulkFlow
 		}
 		p.S.ScheduleAfter(100*time.Millisecond, feed)
 	}
-	p.S.Schedule(startAt, feed)
+	p.S.Schedule(fs.StartAt, feed)
 	return &BulkFlow{Flow: flow, Sender: snd}
 }

@@ -84,7 +84,7 @@ func TestHandoverNoDuplicateOrLostDelivery(t *testing.T) {
 		t.Run(policy.String(), func(t *testing.T) {
 			sp := roamingSpec(1, policy, scenario.SolutionZhuge)
 			p := sp.Build()
-			p.AddRTPFlow(scenario.RTPFlowConfig{Station: "roamer", GapLoss: true})
+			p.AddFlow(scenario.FlowSpec{Kind: "rtp", Station: "roamer", GapLoss: true})
 
 			type mediaSeq struct {
 				ssrc uint32
@@ -134,7 +134,7 @@ func TestHandoverDeterministic(t *testing.T) {
 	run := func() string {
 		sp := roamingSpec(7, scenario.HandoverMigrate, scenario.SolutionZhuge)
 		p := sp.Build()
-		p.AddRTPFlow(scenario.RTPFlowConfig{Station: "roamer", GapLoss: true})
+		p.AddFlow(scenario.FlowSpec{Kind: "rtp", Station: "roamer", GapLoss: true})
 		var fp string
 		var n int
 		p.AddDeliveryTap(func(pkt *netem.Packet) {
@@ -158,7 +158,7 @@ func TestHandoverDeterministic(t *testing.T) {
 func TestHandoverFastAckRejected(t *testing.T) {
 	sp := roamingSpec(1, scenario.HandoverReset, scenario.SolutionFastAck)
 	p := sp.Build()
-	p.AddTCPVideoFlow(scenario.TCPFlowConfig{Station: "roamer"})
+	p.AddFlow(scenario.FlowSpec{Kind: "tcp", Station: "roamer"})
 	defer func() {
 		if recover() == nil {
 			t.Error("handover between FastAck APs did not panic")

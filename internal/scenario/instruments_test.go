@@ -31,11 +31,11 @@ func TestEachInstrumentAlone(t *testing.T) {
 	cells := []struct {
 		name string
 		sol  scenario.Solution
-		add  func(p *scenario.Path)
+		kind string
 	}{
-		{"rtp+zhuge", scenario.SolutionZhuge, func(p *scenario.Path) { p.AddRTPFlow(scenario.RTPFlowConfig{}) }},
-		{"tcp+zhuge", scenario.SolutionZhuge, func(p *scenario.Path) { p.AddTCPVideoFlow(scenario.TCPFlowConfig{}) }},
-		{"tcp+fastack", scenario.SolutionFastAck, func(p *scenario.Path) { p.AddTCPVideoFlow(scenario.TCPFlowConfig{}) }},
+		{"rtp+zhuge", scenario.SolutionZhuge, "rtp"},
+		{"tcp+zhuge", scenario.SolutionZhuge, "tcp"},
+		{"tcp+fastack", scenario.SolutionFastAck, "tcp"},
 	}
 	for _, b := range bundles {
 		t.Run(b.name, func(t *testing.T) {
@@ -47,7 +47,7 @@ func TestEachInstrumentAlone(t *testing.T) {
 				if o != nil {
 					obs.StartSampler(p.S, o.Series, o.Reg, 100*time.Millisecond)
 				}
-				c.add(p)
+				p.AddFlow(scenario.FlowSpec{Kind: c.kind})
 				p.Run(dur)
 				if c.sol == scenario.SolutionZhuge && !b.saw(o) {
 					t.Errorf("%s: the %s instrument recorded nothing", c.name, b.name)
@@ -57,7 +57,7 @@ func TestEachInstrumentAlone(t *testing.T) {
 				sp := roamingSpec(3, policy, scenario.SolutionZhuge)
 				sp.Obs = obs.New(b.opts)
 				p := sp.Build()
-				p.AddRTPFlow(scenario.RTPFlowConfig{Station: "roamer", GapLoss: true})
+				p.AddFlow(scenario.FlowSpec{Kind: "rtp", Station: "roamer", GapLoss: true})
 				p.Run(7 * time.Second)
 			}
 		})

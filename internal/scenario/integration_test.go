@@ -14,13 +14,13 @@ import (
 // sender's GCC keeps functioning, and the flow still recovers losses.
 func TestZhugeInbandFeedbackPath(t *testing.T) {
 	p := NewPath(Options{Seed: 2, Trace: dropTrace(), Solution: SolutionZhuge})
-	f := p.AddRTPFlow(RTPFlowConfig{})
+	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.Run(15 * time.Second)
 
-	if got := p.AP.Inband().Constructed(); got < 100 {
+	if got := p.APs[0].Zhuge.Inband().Constructed(); got < 100 {
 		t.Errorf("AP constructed %d feedback packets, want hundreds over 15s", got)
 	}
-	if got := p.AP.Inband().DroppedClientFeedback(); got < 100 {
+	if got := p.APs[0].Zhuge.Inband().DroppedClientFeedback(); got < 100 {
 		t.Errorf("AP absorbed %d client TWCC packets, want hundreds", got)
 	}
 	if f.Decoder.Decoded < 300 {
@@ -29,7 +29,7 @@ func TestZhugeInbandFeedbackPath(t *testing.T) {
 	if rate := f.Sender.Controller().Rate(); rate < 150e3 {
 		t.Errorf("GCC rate %f collapsed", rate)
 	}
-	if p.AP.FortuneTeller().Predictions() == 0 {
+	if p.APs[0].Zhuge.FortuneTeller().Predictions() == 0 {
 		t.Error("Fortune Teller made no predictions")
 	}
 }
@@ -37,7 +37,7 @@ func TestZhugeInbandFeedbackPath(t *testing.T) {
 // TestZhugeWithCoDel runs the Gcc+Zhuge(+CoDel) combination of §7.2.
 func TestZhugeWithCoDel(t *testing.T) {
 	p := NewPath(Options{Seed: 2, Trace: dropTrace(), Solution: SolutionZhuge, Qdisc: "codel"})
-	f := p.AddRTPFlow(RTPFlowConfig{})
+	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.Run(15 * time.Second)
 	if f.Decoder.Decoded < 300 {
 		t.Errorf("decoded %d frames with Zhuge+CoDel", f.Decoder.Decoded)
@@ -48,8 +48,8 @@ func TestZhugeWithCoDel(t *testing.T) {
 // Fortune Teller under fq_codel with a competing bulk flow.
 func TestZhugeWithFQCoDel(t *testing.T) {
 	p := NewPath(Options{Seed: 2, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: SolutionZhuge, Qdisc: "fqcodel"})
-	f := p.AddRTPFlow(RTPFlowConfig{})
-	p.AddBulkFlow(time.Second, 0)
+	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
+	p.AddFlow(FlowSpec{Kind: "bulk", StartAt: time.Second})
 	p.Run(10 * time.Second)
 	if f.Decoder.Decoded < 200 {
 		t.Errorf("decoded %d frames with Zhuge+FQCoDel under competition", f.Decoder.Decoded)
@@ -66,9 +66,9 @@ func TestZhugeWithFQCoDel(t *testing.T) {
 // delay stays small.
 func TestOOBAckDelayUnbiasedSteadyState(t *testing.T) {
 	p := NewPath(Options{Seed: 4, Trace: trace.Constant("c20", 20e6, 20*time.Second), Solution: SolutionZhuge})
-	f := p.AddTCPVideoFlow(TCPFlowConfig{CCA: "copa"})
+	f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 	p.Run(20 * time.Second)
-	acks, mean := p.AP.OOB().Stats(f.Flow)
+	acks, mean := p.APs[0].Zhuge.OOB().Stats(f.Flow)
 	if acks == 0 {
 		t.Fatal("no ACKs passed the updater")
 	}
@@ -85,7 +85,7 @@ func TestRTTMetricIdenticalDefinitionAcrossSolutions(t *testing.T) {
 	meds := map[Solution]time.Duration{}
 	for _, sol := range []Solution{SolutionNone, SolutionZhuge, SolutionFastAck} {
 		p := NewPath(Options{Seed: 6, Trace: trace.Constant("c50", 50e6, 5*time.Second), Solution: sol})
-		f := p.AddTCPVideoFlow(TCPFlowConfig{CCA: "copa"})
+		f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 		p.Run(5 * time.Second)
 		meds[sol] = f.Metrics.RTT.Quantile(0.5)
 	}
@@ -105,8 +105,8 @@ func TestRTTMetricIdenticalDefinitionAcrossSolutions(t *testing.T) {
 // optimized flows each get their own feedback and neither starves.
 func TestMultipleZhugeFlowsIndependent(t *testing.T) {
 	p := NewPath(Options{Seed: 8, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: SolutionZhuge})
-	f1 := p.AddRTPFlow(RTPFlowConfig{})
-	f2 := p.AddRTPFlow(RTPFlowConfig{})
+	f1 := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
+	f2 := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.Run(10 * time.Second)
 	if f1.Decoder.Decoded < 200 || f2.Decoder.Decoded < 200 {
 		t.Errorf("decoded %d/%d frames; both flows should thrive", f1.Decoder.Decoded, f2.Decoder.Decoded)
@@ -117,7 +117,7 @@ func TestMultipleZhugeFlowsIndependent(t *testing.T) {
 // the packets delivered over the air.
 func TestDeliveryTapSeesEveryDataPacket(t *testing.T) {
 	p := NewPath(Options{Seed: 3, Trace: trace.Constant("c20", 20e6, 5*time.Second)})
-	f := p.AddRTPFlow(RTPFlowConfig{})
+	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	var tapped int
 	p.AddDeliveryTap(func(pkt *netem.Packet) {
 		if pkt.Flow == f.Flow && pkt.Kind == netem.KindData {
@@ -135,7 +135,7 @@ func TestDeliveryTapSeesEveryDataPacket(t *testing.T) {
 func TestNADAFlowRuns(t *testing.T) {
 	for _, sol := range []Solution{SolutionNone, SolutionZhuge} {
 		p := NewPath(Options{Seed: 12, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: sol})
-		f := p.AddRTPFlow(RTPFlowConfig{CCA: "nada"})
+		f := p.AddFlow(FlowSpec{Kind: "rtp", CCA: "nada"}).RTP
 		p.Run(10 * time.Second)
 		if f.Sender.Controller().Name() != "nada" {
 			t.Fatalf("controller %q", f.Sender.Controller().Name())
@@ -163,7 +163,7 @@ func TestQUICFlowRuns(t *testing.T) {
 		{SolutionZhuge, "pcc"},
 	} {
 		p := NewPath(Options{Seed: 13, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: cfg.sol})
-		f := p.AddQUICVideoFlow(TCPFlowConfig{CCA: cfg.cca})
+		f := p.AddFlow(FlowSpec{Kind: "quic", CCA: cfg.cca}).QUIC
 		p.Run(10 * time.Second)
 		if f.Metrics.FrameDelay.Count() < 180 {
 			t.Errorf("%v/%s delivered only %d frames over QUIC", cfg.sol, cfg.cca, f.Metrics.FrameDelay.Count())
@@ -175,7 +175,7 @@ func TestQUICFlowRuns(t *testing.T) {
 func TestQUICZhugeReducesTail(t *testing.T) {
 	run := func(sol Solution) float64 {
 		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol})
-		f := p.AddQUICVideoFlow(TCPFlowConfig{CCA: "copa"})
+		f := p.AddFlow(FlowSpec{Kind: "quic", CCA: "copa"}).QUIC
 		p.Run(15 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)
 	}
@@ -200,7 +200,7 @@ func TestQUICFlowRecordsControlLoop(t *testing.T) {
 	for _, sol := range []Solution{SolutionNone, SolutionZhuge} {
 		o := obs.New(obs.Options{Loop: true})
 		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol, Obs: o})
-		p.AddQUICVideoFlow(TCPFlowConfig{CCA: "copa"})
+		p.AddFlow(FlowSpec{Kind: "quic", CCA: "copa"})
 		p.Run(15 * time.Second)
 		lt := o.ControlLoop()
 		if matched, _ := lt.Matched(); matched == 0 {

@@ -15,11 +15,11 @@ type QUICVideoFlow struct {
 	Sender *quicsim.Sender
 }
 
-// AddQUICVideoFlow attaches a QUIC video stream. The CCA field accepts
-// "copa" (default), "cubic", "bbr" or "pcc". With SolutionZhuge the flow is
-// optimised out-of-band, identically to TCP — no part of the datapath
-// inspects the (notionally encrypted) payload.
-func (p *Path) AddQUICVideoFlow(cfg TCPFlowConfig) *QUICVideoFlow {
+// AddQUICVideoFlow attaches a QUIC video stream, whatever cfg.Kind says.
+// The CCA field accepts "copa" (default), "cubic", "bbr" or "pcc". With
+// SolutionZhuge the flow is optimised out-of-band, identically to TCP — no
+// part of the datapath inspects the (notionally encrypted) payload.
+func (p *Path) AddQUICVideoFlow(cfg FlowSpec) *QUICVideoFlow {
 	cfg = cfg.withDefaults()
 	f := &QUICVideoFlow{}
 	f.streamVideo = p.addStreamVideo(cfg, 17, func(flow netem.FlowKey, h streamHooks) streamTransport {

@@ -7,10 +7,10 @@
 // directly from those and plain netem links, routers and demuxes, either
 // declaratively from a Spec (multi-AP, stations, scheduled handovers) or
 // through the classic single-AP NewPath options.
-// Path.AddFlow attaches a flow by kind name — RTP/GCC video calls, TCP and
-// QUIC video streams, bulk-transfer competitors; the typed Add…Flow
-// factories are what it calls — and every measured flow yields one
-// FlowMetrics record carrying both halves of the paper's metrics: the
+// One FlowSpec declares a flow of any kind — RTP/GCC video calls, TCP and
+// QUIC video streams, bulk-transfer competitors — on any station, and
+// Path.AddFlow (behind Spec.Flows) builds it. Every measured flow yields
+// one FlowMetrics record carrying both halves of the paper's metrics: the
 // application's frame delay and frame rate (video.FrameStats) and the
 // network RTT, rate and goodput series.
 package scenario
@@ -98,8 +98,8 @@ type Path struct {
 	Spec Spec
 
 	// APs lists every access point of the path; AP is the first one's
-	// Zhuge instance (nil under any other solution), the handle single-AP
-	// experiments read.
+	// Zhuge instance (nil under any other solution), kept for the benchmark
+	// package, which reads it; everything else reads APs[0].Zhuge.
 	APs []*PathAP
 	AP  *core.AP
 
@@ -122,7 +122,6 @@ type Path struct {
 	cell        int
 	labelPrefix string
 
-	stationN int
 	nextPort uint16
 }
 

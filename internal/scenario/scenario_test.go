@@ -25,7 +25,7 @@ func dropTrace() *trace.Trace {
 
 func TestRTPFlowRunsOverPath(t *testing.T) {
 	p := NewPath(Options{Seed: 1, Trace: trace.Constant("c30", 30e6, 10*time.Second)})
-	f := p.AddRTPFlow(RTPFlowConfig{})
+	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.Run(10 * time.Second)
 	if f.Decoder.Decoded < 200 {
 		t.Fatalf("decoded %d frames over 10s, want ~250", f.Decoder.Decoded)
@@ -41,7 +41,7 @@ func TestRTPFlowRunsOverPath(t *testing.T) {
 
 func TestTCPVideoFlowRunsOverPath(t *testing.T) {
 	p := NewPath(Options{Seed: 1, Trace: trace.Constant("c30", 30e6, 10*time.Second)})
-	f := p.AddTCPVideoFlow(TCPFlowConfig{CCA: "copa"})
+	f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 	p.Run(10 * time.Second)
 	if f.Metrics.FrameDelay.Count() < 200 {
 		t.Fatalf("delivered %d frames over 10s, want ~250", f.Metrics.FrameDelay.Count())
@@ -54,7 +54,7 @@ func TestTCPVideoFlowRunsOverPath(t *testing.T) {
 func TestZhugeReducesRTPTailLatency(t *testing.T) {
 	run := func(sol Solution, qdisc string) float64 {
 		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol, Qdisc: qdisc})
-		f := p.AddRTPFlow(RTPFlowConfig{})
+		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		p.Run(15 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)
 	}
@@ -72,7 +72,7 @@ func TestZhugeReducesRTPTailLatency(t *testing.T) {
 func TestZhugeReducesTCPTailLatency(t *testing.T) {
 	run := func(sol Solution) float64 {
 		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol})
-		f := p.AddTCPVideoFlow(TCPFlowConfig{CCA: "copa"})
+		f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 		p.Run(15 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)
 	}
@@ -97,7 +97,7 @@ func TestABCAndFastAckRun(t *testing.T) {
 		{SolutionFastAck, "copa"},
 	} {
 		p := NewPath(Options{Seed: 7, Trace: trace.Constant("c20", 20e6, 8*time.Second), Solution: tc.sol})
-		f := p.AddTCPVideoFlow(TCPFlowConfig{CCA: tc.cca})
+		f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: tc.cca}).TCP
 		p.Run(8 * time.Second)
 		if f.Metrics.FrameDelay.Count() < 100 {
 			t.Errorf("%v/%s delivered only %d frames", tc.sol, tc.cca, f.Metrics.FrameDelay.Count())
@@ -114,9 +114,9 @@ func TestABCAndFastAckRun(t *testing.T) {
 func TestCompetingBulkFlowDegradesRTC(t *testing.T) {
 	run := func(withBulk bool) float64 {
 		p := NewPath(Options{Seed: 5, Trace: trace.Constant("c20", 20e6, 10*time.Second)})
-		f := p.AddRTPFlow(RTPFlowConfig{})
+		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		if withBulk {
-			p.AddBulkFlow(time.Second, 0)
+			p.AddFlow(FlowSpec{Kind: "bulk", StartAt: time.Second})
 		}
 		p.Run(10 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)
@@ -133,7 +133,7 @@ func TestZhugeDoesNotHurtSteadyState(t *testing.T) {
 	// achieved media rate essentially unchanged.
 	run := func(sol Solution) float64 {
 		p := NewPath(Options{Seed: 9, Trace: trace.Constant("c20", 20e6, 20*time.Second), Solution: sol})
-		f := p.AddRTPFlow(RTPFlowConfig{})
+		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		p.Run(20 * time.Second)
 		return f.Metrics.DeliveredBytes * 8 / 20
 	}
@@ -148,7 +148,7 @@ func TestZhugeDoesNotHurtSteadyState(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, int) {
 		p := NewPath(Options{Seed: 11, Trace: dropTrace(), Solution: SolutionZhuge})
-		f := p.AddRTPFlow(RTPFlowConfig{})
+		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		p.Run(6 * time.Second)
 		return f.Metrics.RTT.Count(), f.Decoder.Decoded
 	}
@@ -162,7 +162,7 @@ func TestDeterministicRuns(t *testing.T) {
 func TestInterferersDegradePerformance(t *testing.T) {
 	run := func(n int) float64 {
 		p := NewPath(Options{Seed: 3, Trace: trace.Constant("c20", 20e6, 8*time.Second), Interferers: n})
-		f := p.AddRTPFlow(RTPFlowConfig{})
+		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		p.Run(8 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)
 	}
@@ -239,8 +239,9 @@ func TestUnknownCCAPanics(t *testing.T) {
 		"rtp":  {"", "gcc", "nada"},
 		"tcp":  {"", "copa", "cubic", "bbr", "abc"},
 		"quic": {"", "copa", "cubic", "bbr", "abc", "pcc"},
+		"bulk": {"", "copa", "cubic", "bbr", "abc"},
 	}
-	names := []string{"", "gcc", "nada", "copa", "cubic", "bbr", "abc", "pcc", "coppa"}
+	names := []string{"", "gcc", "nada", "copa", "cubic", "bbr", "abc", "pcc", "coppa", "cubc"}
 	for kind, ok := range accepted {
 		for _, name := range names {
 			want := ""
@@ -261,5 +262,53 @@ func TestUnknownCCAPanics(t *testing.T) {
 				t.Errorf("AddFlow{%s, CCA %q}: panic %q, want %q", kind, name, got, want)
 			}
 		}
+	}
+}
+
+// TestFlowSpecVideoFieldsReachTheFlow sets the encoder knobs on a FlowSpec
+// for every video kind: frames go out at FPS, the first rate update steps
+// from StartRate, and no update exceeds MaxRate. Every default is above the
+// value set, so a knob that does not reach the flow shows.
+func TestFlowSpecVideoFieldsReachTheFlow(t *testing.T) {
+	const dur = 5 * time.Second
+	const startRate, maxRate = 300e3, 400e3
+	for _, kind := range []string{"rtp", "tcp", "quic"} {
+		p := NewPath(Options{Seed: 1, Trace: trace.Constant("c20", 20e6, dur)})
+		m := p.AddFlow(FlowSpec{Kind: kind, FPS: 60, StartRate: startRate, MaxRate: maxRate}).Metrics()
+		p.Run(dur)
+		if fps := float64(m.FrameDelay.Count()) / dur.Seconds(); fps < 55 || fps > 60 {
+			t.Errorf("%s: %.1f frames/s delivered, want ~60", kind, fps)
+		}
+		// The first update moves a few percent off the start rate (tcp and
+		// quic probe up 8%, GCC by its additive step).
+		if first := m.RateSeries.Points[0].Value; first < startRate || first > 1.1*startRate {
+			t.Errorf("%s: first rate update %.0f, want just above StartRate %.0f", kind, first, startRate)
+		}
+		for _, pt := range m.RateSeries.Points {
+			if pt.Value > maxRate {
+				t.Errorf("%s: rate %.0f at %v exceeds MaxRate", kind, pt.Value, pt.At)
+				break
+			}
+		}
+	}
+}
+
+// TestBulkFlowOnOwnQueueStation: a bulk FlowSpec honours its Station. On an
+// own-queue station the download is delivered over that station's link, and
+// the AP's main queue carries none of it.
+func TestBulkFlowOnOwnQueueStation(t *testing.T) {
+	const dur = 3 * time.Second
+	p := Spec{
+		Seed:     1,
+		APs:      []APSpec{{Trace: trace.Constant("c20", 20e6, dur)}},
+		Stations: []StationSpec{{Name: "station1", OwnQueue: true}},
+		Flows:    []FlowSpec{{Kind: "bulk", Station: "station1"}},
+	}.Build()
+	p.Run(dur)
+	if n := p.Station("station1").Link().Delivered(); n == 0 {
+		t.Error("the station's own link delivered nothing")
+	}
+	if n := p.APs[0].Downlink.Delivered(); n != 0 {
+		t.Errorf("the AP's main downlink delivered %d packets of the station's bulk flow", n)
 	}
 }

@@ -53,18 +53,41 @@ type FlowSpec struct {
 	Kind    string // "rtp", "tcp", "quic", "bulk"
 	Station string // station carrying the flow; default DefaultStation
 
-	CCA     string        // rate controller (kind-specific default)
+	CCA     string        // rate/window controller; "" is the kind's default
 	StartAt time.Duration // traffic start
 	Period  time.Duration // bulk only: on/off alternation period
 
-	// GapLoss (rtp only) enables the sender's feedback-hole loss
-	// inference — see RTPFlowConfig.GapLoss. Scenarios with roams or air
-	// loss need it so discarded fortunes register as losses.
+	// The video kinds' encoder: frame rate and the bounds its bitrate
+	// adapts within.
+	FPS       int     // default 25
+	StartRate float64 // bits/s; default 1 Mbps
+	MinRate   float64 // default 150 kbps
+	MaxRate   float64 // default 6 Mbps (paper: ~2 Mbps average video)
+
+	// GapLoss (rtp only) enables the sender's feedback-hole loss inference
+	// (rtp.Sender.GapLoss). Scenarios with roams or air loss need it so
+	// fortunes a handover discards register as losses.
 	GapLoss bool
 
 	// Unoptimized keeps the flow outside the AP solution even when one
-	// runs (the external-fairness experiments).
+	// runs (the external-fairness experiments, Figure 20 bar b).
 	Unoptimized bool
+}
+
+func (fs FlowSpec) withDefaults() FlowSpec {
+	if fs.FPS == 0 {
+		fs.FPS = 25
+	}
+	if fs.StartRate == 0 {
+		fs.StartRate = 1e6
+	}
+	if fs.MinRate == 0 {
+		fs.MinRate = 150e3
+	}
+	if fs.MaxRate == 0 {
+		fs.MaxRate = 6e6
+	}
+	return fs
 }
 
 // HandoverPolicy selects what happens to a flow's AP-side Zhuge state
@@ -349,22 +372,13 @@ func (p *Path) AddFlow(fs FlowSpec) *BuiltFlow {
 	bf := &BuiltFlow{Spec: fs}
 	switch fs.Kind {
 	case "rtp":
-		bf.RTP = p.AddRTPFlow(RTPFlowConfig{
-			CCA: fs.CCA, StartAt: fs.StartAt, GapLoss: fs.GapLoss,
-			Station: fs.Station, Unoptimized: fs.Unoptimized,
-		})
+		bf.RTP = p.AddRTPFlow(fs)
 	case "tcp":
-		bf.TCP = p.AddTCPVideoFlow(TCPFlowConfig{
-			CCA: fs.CCA, StartAt: fs.StartAt,
-			Station: fs.Station, Unoptimized: fs.Unoptimized,
-		})
+		bf.TCP = p.AddTCPVideoFlow(fs)
 	case "quic":
-		bf.QUIC = p.AddQUICVideoFlow(TCPFlowConfig{
-			CCA: fs.CCA, StartAt: fs.StartAt,
-			Station: fs.Station, Unoptimized: fs.Unoptimized,
-		})
+		bf.QUIC = p.AddQUICVideoFlow(fs)
 	case "bulk":
-		bf.Bulk = p.AddBulkFlow(fs.StartAt, fs.Period)
+		bf.Bulk = p.addBulk(fs)
 	default:
 		panic(fmt.Sprintf("scenario: unknown flow kind %q", fs.Kind))
 	}
