@@ -253,8 +253,27 @@ func BenchmarkFig21WireFormats(b *testing.B) {
 // BenchmarkSimulatorCore measures raw event throughput of the discrete
 // event engine, the scaling limit for large experiments. The handle-less
 // sub-bench is the hot path every datapath component uses; its Timer comes
-// from the simulator's free list, so it must run allocation-free.
+// from the simulator's free list, so it must run allocation-free. So must
+// the deque every datapath queue is: one push and one pop per op at a
+// standing depth of 100, so that the array fills and is compacted, not
+// regrown, every 150 or so ops.
 func BenchmarkSimulatorCore(b *testing.B) {
+	b.Run("deque", func(b *testing.B) {
+		b.ReportAllocs()
+		var q sim.Deque[*netem.Packet]
+		p := &netem.Packet{}
+		for i := 0; i < 1000; i++ {
+			q.PushBack(p)
+			if i >= 100 {
+				q.PopFront()
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q.PushBack(p)
+			q.PopFront()
+		}
+	})
 	b.Run("schedule", func(b *testing.B) {
 		b.ReportAllocs()
 		s := sim.New(1)

@@ -14,8 +14,8 @@ import (
 type BBR struct {
 	state bbrState
 
-	btlBw  *metrics.WindowedMax // delivery rate, bps, over 10 estimated RTTs
-	rtProp *metrics.WindowedMin // over 10 s
+	btlBw  *metrics.WindowedFilter // max delivery rate, bps, over 10 estimated RTTs
+	rtProp *metrics.WindowedFilter // min RTT over 10 s
 	srtt   time.Duration
 
 	deliveredBytes *metrics.SlidingSum // acked bytes for delivery-rate samples

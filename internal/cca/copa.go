@@ -17,8 +17,8 @@ type Copa struct {
 
 	delta float64
 
-	rttMin      *metrics.WindowedMin // over 10 s
-	rttStanding dynamicMin           // over srtt/2 (window tracks srtt)
+	rttMin      *metrics.WindowedFilter // min over 10 s
+	rttStanding dynamicMin              // over srtt/2 (window tracks srtt)
 	srtt        time.Duration
 
 	// velocity state
@@ -114,31 +114,26 @@ func (c *Copa) OnAck(ev AckEvent) {
 // window is srtt/2, and srtt moves). Samples older than the retention bound
 // are pruned on add.
 type dynamicMin struct {
-	samples []struct {
-		at sim.Time
-		v  float64
-	}
+	samples sim.Deque[timedSample]
+}
+
+type timedSample struct {
+	at sim.Time
+	v  float64
 }
 
 const dynamicMinRetention = 2 * time.Second
 
 func (d *dynamicMin) add(now sim.Time, v float64) {
-	d.samples = append(d.samples, struct {
-		at sim.Time
-		v  float64
-	}{now, v})
-	cut := 0
-	for cut < len(d.samples) && now-d.samples[cut].at > dynamicMinRetention {
-		cut++
-	}
-	if cut > 0 {
-		d.samples = append(d.samples[:0], d.samples[cut:]...)
+	d.samples.PushBack(timedSample{now, v})
+	for now-d.samples.Front().at > dynamicMinRetention { // v itself stops it
+		d.samples.PopFront()
 	}
 }
 
 func (d *dynamicMin) min(now sim.Time, window time.Duration) (float64, bool) {
 	best, found := 0.0, false
-	for _, s := range d.samples {
+	for _, s := range d.samples.Items() {
 		if now-s.at <= window && (!found || s.v < best) {
 			best, found = s.v, true
 		}

@@ -129,7 +129,7 @@ type FortuneTeller struct {
 	// within 1ms count as one burst, §4.2).
 	deqIntervals *metrics.SlidingSum
 	// max simultaneous departure bytes at 1ms resolution (Eq. 1).
-	maxBurst *metrics.WindowedMax
+	maxBurst *metrics.WindowedFilter
 
 	lastDeqAt   sim.Time
 	haveLastDeq bool

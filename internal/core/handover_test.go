@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -108,6 +109,56 @@ func TestMigrateCarriesUnflushedFortunes(t *testing.T) {
 	}
 	if fb.FBCount != 1 {
 		t.Errorf("feedback counter restarted at %d, want continuation 1", fb.FBCount)
+	}
+}
+
+// TestMigrateCarriesLiveOOBState moves an out-of-band flow whose token bank
+// has been partly spent: the new AP holds exactly the unspent tokens, their
+// total and the delta history, and releases no ACK before the old AP's last.
+func TestMigrateCarriesLiveOOBState(t *testing.T) {
+	const ms = time.Millisecond
+	s := sim.New(6)
+	var releasedA, releasedB []sim.Time
+	a := NewOOBUpdater(s, netem.ReceiverFunc(func(*netem.Packet) { releasedA = append(releasedA, s.Now()) }), s.NewRand("a"), time.Hour)
+	b := NewOOBUpdater(s, netem.ReceiverFunc(func(*netem.Packet) { releasedB = append(releasedB, s.Now()) }), s.NewRand("b"), time.Hour)
+	predict := func(totals ...time.Duration) {
+		for _, total := range totals {
+			a.OnDataPacket(0, dataFlow, Prediction{QLong: total})
+		}
+	}
+
+	// One +30 ms delta; the first ACK samples it and is held 30 ms.
+	predict(100*ms, 130*ms)
+	a.OnAckPacket(0, dataFlow, ackPkt(1))
+	// Tokens of 10, 10, 15 and 4 ms. The second ACK samples +30 ms again,
+	// pays it with 10 + 10 + 10 of them, leaving 5 and 4, and goes out at the
+	// order floor, right behind the first.
+	predict(120*ms, 110*ms, 95*ms, 91*ms)
+	a.OnAckPacket(0, dataFlow, ackPkt(2))
+
+	st := a.exportFlow(dataFlow)
+	if want := []time.Duration{5 * ms, 4 * ms}; !reflect.DeepEqual(st.tokenHistory, want) || st.tokenTotal != 9*ms {
+		t.Fatalf("exported tokens %v totalling %v, want %v totalling 9ms", st.tokenHistory, st.tokenTotal, want)
+	}
+	if want := []timedDelta{{at: 0, delta: 30 * ms}}; !reflect.DeepEqual(st.deltaHistory, want) {
+		t.Fatalf("exported deltas %v, want %v", st.deltaHistory, want)
+	}
+	// What B holds is what it would export.
+	b.importFlow(dataFlow, st)
+	if got := b.exportFlow(dataFlow); !reflect.DeepEqual(got, st) {
+		t.Fatalf("imported state %+v, want %+v", got, st)
+	}
+	b.importFlow(dataFlow, st)
+
+	// At B an ACK samples +30 ms, the 9 ms of tokens offset it, and the order
+	// floor is A's last release at 30 ms: held 30 + 21 ms.
+	b.OnAckPacket(0, dataFlow, ackPkt(3))
+	s.Run()
+	if want := []sim.Time{30 * ms, 30 * ms}; !reflect.DeepEqual(releasedA, want) {
+		t.Errorf("A released ACKs at %v, want %v", releasedA, want)
+	}
+	if want := []sim.Time{51 * ms}; !reflect.DeepEqual(releasedB, want) {
+		t.Errorf("B released ACKs at %v, want %v", releasedB, want)
 	}
 }
 

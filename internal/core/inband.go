@@ -31,12 +31,12 @@ const feedbackOverhead = 28
 // one further behind means the sender restarted its sequence space.
 const maxMisorder = 100
 
-// Clock is all the in-band updater needs from its host: the current time and
-// a one-shot timer. *sim.Simulator is one as it stands; the live relay
-// (internal/liveap) supplies wall-clock offsets and time.AfterFunc. The
-// clock's owner serialises everything: a scheduled fn must never run
-// concurrently with another or with any InbandUpdater method. core stays
-// single-threaded and never reads wall time itself.
+// Clock is all the AP and both Feedback Updaters need from their host: the
+// current time and a one-shot timer. *sim.Simulator is one as it stands; the
+// live relay (internal/liveap) supplies wall-clock offsets and
+// time.AfterFunc. The clock's owner serialises everything: a scheduled fn
+// must never run concurrently with another or with any method of core.
+// core stays single-threaded and never reads wall time itself.
 type Clock interface {
 	Now() sim.Time
 	ScheduleAfter(d time.Duration, fn func())

@@ -31,7 +31,7 @@ type OOBOptions struct {
 // tokens. It never reads transport headers, so it works for TCP and for
 // fully encrypted out-of-band protocols like QUIC.
 type OOBUpdater struct {
-	s      *sim.Simulator
+	s      Clock
 	uplink netem.Receiver // where (delayed) ACKs continue toward the sender
 	rng    *rand.Rand
 	window time.Duration
@@ -51,13 +51,11 @@ type oobFlow struct {
 
 	// deltaHistory: recent non-negative delay deltas (Algorithm 1),
 	// expired past the sliding window.
-	deltaHistory []timedDelta
+	deltaHistory sim.Deque[timedDelta]
 	// tokenHistory: banked negative deltas (Algorithm 1 lines 4-5),
-	// consumed before delaying later ACKs (Algorithm 2 lines 3-10).
-	// tokenHead indexes the oldest live token; popping advances it instead
-	// of reslicing so the backing array's capacity is reused.
-	tokenHistory []time.Duration
-	tokenHead    int
+	// consumed oldest first before delaying later ACKs (Algorithm 2 lines
+	// 3-10).
+	tokenHistory sim.Deque[time.Duration]
 	tokenTotal   time.Duration
 
 	lastSentTime sim.Time
@@ -68,31 +66,10 @@ type oobFlow struct {
 	// pending holds ACKs whose delayed send events are outstanding, in
 	// scheduling order. Within a flow, release times are nondecreasing
 	// (lastSentTime only grows) and same-instant events fire in scheduling
-	// order, so one persistent closure popping the ring head replaces a
+	// order, so one persistent closure popping the front replaces a
 	// per-ACK capturing closure.
-	pending     []*netem.Packet
-	pendingHead int
-	sendFn      func()
-}
-
-func (f *oobFlow) tokenLen() int { return len(f.tokenHistory) - f.tokenHead }
-
-func (f *oobFlow) popToken() {
-	f.tokenHead++
-	if f.tokenHead == len(f.tokenHistory) {
-		f.tokenHistory = f.tokenHistory[:0]
-		f.tokenHead = 0
-	} else if f.tokenHead > 64 && f.tokenHead*2 > len(f.tokenHistory) {
-		n := copy(f.tokenHistory, f.tokenHistory[f.tokenHead:])
-		f.tokenHistory = f.tokenHistory[:n]
-		f.tokenHead = 0
-	}
-}
-
-func (f *oobFlow) resetTokens() {
-	f.tokenHistory = f.tokenHistory[:0]
-	f.tokenHead = 0
-	f.tokenTotal = 0
+	pending sim.Deque[*netem.Packet]
+	sendFn  func()
 }
 
 type timedDelta struct {
@@ -130,7 +107,7 @@ func (u *OOBUpdater) SetObs(o *obs.Obs) {
 }
 
 // NewOOBUpdater builds an out-of-band updater forwarding ACKs into uplink.
-func NewOOBUpdater(s *sim.Simulator, uplink netem.Receiver, rng *rand.Rand, window time.Duration) *OOBUpdater {
+func NewOOBUpdater(s Clock, uplink netem.Receiver, rng *rand.Rand, window time.Duration) *OOBUpdater {
 	if window == 0 {
 		window = DefaultWindow
 	}
@@ -144,20 +121,7 @@ func (u *OOBUpdater) flow(key netem.FlowKey) *oobFlow {
 	f := u.flows[key]
 	if f == nil {
 		f = &oobFlow{}
-		f.sendFn = func() {
-			p := f.pending[f.pendingHead]
-			f.pending[f.pendingHead] = nil
-			f.pendingHead++
-			if f.pendingHead == len(f.pending) {
-				f.pending = f.pending[:0]
-				f.pendingHead = 0
-			} else if f.pendingHead > 64 && f.pendingHead*2 > len(f.pending) {
-				n := copy(f.pending, f.pending[f.pendingHead:])
-				f.pending = f.pending[:n]
-				f.pendingHead = 0
-			}
-			u.uplink.Receive(p)
-		}
+		f.sendFn = func() { u.uplink.Receive(f.pending.PopFront()) }
 		u.flows[key] = f
 	}
 	return f
@@ -176,29 +140,24 @@ func (u *OOBUpdater) OnDataPacket(now sim.Time, downlink netem.FlowKey, pred Pre
 	}
 	delta := total - f.lastTotalDelay
 	if delta >= 0 {
-		f.deltaHistory = append(f.deltaHistory, timedDelta{at: now, delta: delta})
+		f.deltaHistory.PushBack(timedDelta{at: now, delta: delta})
 		if f.pendingDelta += delta; f.pendingDelta > 2*time.Second {
 			f.pendingDelta = 2 * time.Second
 		}
 		u.expire(f, now)
 	} else {
-		f.tokenHistory = append(f.tokenHistory, -delta)
+		f.tokenHistory.PushBack(-delta)
 		f.tokenTotal += -delta
-		for f.tokenTotal > maxTokenBank && f.tokenLen() > 0 {
-			f.tokenTotal -= f.tokenHistory[f.tokenHead]
-			f.popToken()
+		for f.tokenTotal > maxTokenBank && f.tokenHistory.Len() > 0 {
+			f.tokenTotal -= f.tokenHistory.PopFront()
 		}
 	}
 	f.lastTotalDelay = total
 }
 
 func (u *OOBUpdater) expire(f *oobFlow, now sim.Time) {
-	cut := 0
-	for cut < len(f.deltaHistory) && now-f.deltaHistory[cut].at > u.window {
-		cut++
-	}
-	if cut > 0 {
-		f.deltaHistory = append(f.deltaHistory[:0], f.deltaHistory[cut:]...)
+	for f.deltaHistory.Len() > 0 && now-f.deltaHistory.Front().at > u.window {
+		f.deltaHistory.PopFront()
 	}
 }
 
@@ -223,26 +182,25 @@ func (u *OOBUpdater) OnAckPacket(now sim.Time, downlink netem.FlowKey, p *netem.
 	if u.opts.AccumulateDeltas {
 		extra = f.pendingDelta
 		f.pendingDelta = 0
-	} else if n := len(f.deltaHistory); n > 0 {
-		extra = f.deltaHistory[u.rng.Intn(n)].delta
+	} else if n := f.deltaHistory.Len(); n > 0 {
+		extra = f.deltaHistory.Items()[u.rng.Intn(n)].delta
 	}
 	// Consume tokens (lines 3-10). Tokens offset only the sampled delta,
 	// never the order floor: applying them to the floor (as a literal
 	// reading of the pseudocode would) could reorder feedback packets,
 	// exactly what the tokens exist to prevent.
 	if u.opts.DisableTokens {
-		f.resetTokens()
+		f.tokenHistory, f.tokenTotal = sim.Deque[time.Duration]{}, 0
 	}
-	for f.tokenLen() > 0 && extra > 0 {
-		if f.tokenHistory[f.tokenHead] > extra {
-			f.tokenHistory[f.tokenHead] -= extra
+	for f.tokenHistory.Len() > 0 && extra > 0 {
+		if tok := f.tokenHistory.Front(); *tok > extra {
+			*tok -= extra
 			f.tokenTotal -= extra
 			extra = 0
-			break
+		} else {
+			extra -= *tok
+			f.tokenTotal -= f.tokenHistory.PopFront()
 		}
-		extra -= f.tokenHistory[f.tokenHead]
-		f.tokenTotal -= f.tokenHistory[f.tokenHead]
-		f.popToken()
 	}
 	// Saturate: never let the ACK stream fall more than maxAckBacklog
 	// behind real time.
@@ -272,13 +230,13 @@ func (u *OOBUpdater) OnAckPacket(now sim.Time, downlink netem.FlowKey, p *netem.
 	// Always go through the scheduler, even for zero delay: a previous
 	// ACK may have a send event pending at this exact instant, and event
 	// insertion order is what keeps the two in sequence.
-	f.pending = append(f.pending, p)
+	f.pending.PushBack(p)
 	u.s.ScheduleAfter(actualDelay, f.sendFn)
 }
 
 // oobFlowState is the portable slice of an oobFlow — the estimator history
 // that travels with a roaming flow under the migrate-state handover policy.
-// The pending ACK ring deliberately stays behind: those packets' send
+// The pending ACK queue deliberately stays behind: those packets' send
 // events are already scheduled and drain through the old AP's uplink; only
 // the distributional state (delta history, banked tokens, the last total
 // delay the delta chain continues from) and the order floor move.
@@ -294,7 +252,7 @@ type oobFlowState struct {
 
 // exportFlow detaches and returns the flow's portable state, or nil if the
 // updater holds none. The flow's entry leaves the map; an outstanding send
-// event keeps the old ring alive through its own closure until it drains.
+// event keeps the old queue alive through its own closure until it drains.
 func (u *OOBUpdater) exportFlow(key netem.FlowKey) *oobFlowState {
 	f := u.flows[key]
 	if f == nil {
@@ -303,8 +261,8 @@ func (u *OOBUpdater) exportFlow(key netem.FlowKey) *oobFlowState {
 	st := &oobFlowState{
 		lastTotalDelay: f.lastTotalDelay,
 		haveLast:       f.haveLast,
-		deltaHistory:   append([]timedDelta(nil), f.deltaHistory...),
-		tokenHistory:   append([]time.Duration(nil), f.tokenHistory[f.tokenHead:]...),
+		deltaHistory:   append([]timedDelta(nil), f.deltaHistory.Items()...),
+		tokenHistory:   append([]time.Duration(nil), f.tokenHistory.Items()...),
 		tokenTotal:     f.tokenTotal,
 		lastSentTime:   f.lastSentTime,
 		pendingDelta:   f.pendingDelta,
@@ -321,9 +279,13 @@ func (u *OOBUpdater) importFlow(key netem.FlowKey, st *oobFlowState) {
 	f := u.flow(key)
 	f.lastTotalDelay = st.lastTotalDelay
 	f.haveLast = st.haveLast
-	f.deltaHistory = append(f.deltaHistory[:0], st.deltaHistory...)
-	f.tokenHistory = append(f.tokenHistory[:0], st.tokenHistory...)
-	f.tokenHead = 0
+	f.deltaHistory, f.tokenHistory = sim.Deque[timedDelta]{}, sim.Deque[time.Duration]{}
+	for _, d := range st.deltaHistory {
+		f.deltaHistory.PushBack(d)
+	}
+	for _, tok := range st.tokenHistory {
+		f.tokenHistory.PushBack(tok)
+	}
 	f.tokenTotal = st.tokenTotal
 	if st.lastSentTime > f.lastSentTime {
 		f.lastSentTime = st.lastSentTime

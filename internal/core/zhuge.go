@@ -39,7 +39,7 @@ func (m Mode) String() string {
 // configurable IP list of the OpenWrt implementation (§7.1); everything
 // else is forwarded untouched.
 type AP struct {
-	s  *sim.Simulator
+	s  Clock
 	wl *wireless.Link
 
 	ft  *FortuneTeller
@@ -58,7 +58,7 @@ type AP struct {
 // NewAP builds a Zhuge AP around an existing wireless downlink. uplinkOut
 // is the next hop toward the servers (the AP's Ethernet uplink). rng drives
 // the delta-distribution sampling of the out-of-band updater.
-func NewAP(s *sim.Simulator, wl *wireless.Link, uplinkOut netem.Receiver, rng *rand.Rand, ftCfg FortuneTellerConfig) *AP {
+func NewAP(s Clock, wl *wireless.Link, uplinkOut netem.Receiver, rng *rand.Rand, ftCfg FortuneTellerConfig) *AP {
 	ft := NewFortuneTeller(wl.Queue(), ftCfg)
 	wl.AddObserver(ft)
 	ap := &AP{

@@ -3,6 +3,7 @@ package liveap
 import (
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,31 +84,60 @@ func TestRelayForwardsMedia(t *testing.T) {
 	}
 }
 
+// TestZhugeRelayBuildsTWCC shapes the relay to 1 Mbit/s, 10 ms of airtime
+// per packet, and sends a packet every 2 ms, so the queue builds. The AP
+// reports every packet in TWCC it builds from its predictions, and later
+// packets are reported arriving progressively later: the predicted queueing
+// delay rises with the queue.
 func TestZhugeRelayBuildsTWCC(t *testing.T) {
-	r, serverSock, _ := startRelay(t, true, 10e6)
-	for i := 0; i < 20; i++ {
-		sendRTP(t, serverSock, r.MediaAddr(), uint16(100+i), 800)
-		time.Sleep(2 * time.Millisecond)
+	const n, gap, base = 60, 2 * time.Millisecond, 100
+	r, serverSock, _ := startRelay(t, true, 1e6)
+	sent := make([]time.Duration, n) // on the relay's clock
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		// A fixed schedule: a late wake-up is made up, so the offered rate
+		// stays five times the shaped one.
+		time.Sleep(time.Until(start.Add(time.Duration(i) * gap)))
+		sent[i] = r.Now()
+		sendRTP(t, serverSock, r.MediaAddr(), uint16(base+i), shapedPayload)
 	}
-	// The AP should construct TWCC feedback and send it to the server.
 	serverSock.SetReadDeadline(time.Now().Add(2 * time.Second))
 	buf := make([]byte, 2048)
-	n, err := serverSock.Read(buf)
-	if err != nil {
-		t.Fatalf("no AP feedback: %v", err)
+	delay := map[int]time.Duration{} // reported arrival - send, by packet
+	for len(delay) < n {
+		m, err := serverSock.Read(buf)
+		if err != nil {
+			t.Fatalf("AP feedback reported %d of %d packets: %v", len(delay), n, err)
+		}
+		fb, err := packet.UnmarshalTWCC(buf[:m])
+		if err != nil {
+			t.Fatalf("AP feedback not TWCC: %v", err)
+		}
+		if fb.MediaSSRC != 0x1234 {
+			t.Fatalf("feedback SSRC %#x, want 0x1234", fb.MediaSSRC)
+		}
+		for _, a := range fb.Arrivals() {
+			i := int(a.Seq) - base
+			if i < 0 || i >= n {
+				t.Fatalf("feedback reports sequence %d, outside the sent %d..%d", a.Seq, base, base+n-1)
+			}
+			delay[i] = a.At - sent[i]
+		}
 	}
-	fb, err := packet.UnmarshalTWCC(buf[:n])
-	if err != nil {
-		t.Fatalf("AP feedback not TWCC: %v", err)
+	// Medians, so that one early prediction made before the first dequeue
+	// (no rate measured yet) cannot decide the outcome.
+	median := func(from int) time.Duration {
+		d := make([]time.Duration, 0, n/3)
+		for i := from; i < from+n/3; i++ {
+			d = append(d, delay[i])
+		}
+		slices.Sort(d)
+		return d[len(d)/2]
 	}
-	if fb.MediaSSRC != 0x1234 {
-		t.Errorf("feedback SSRC %#x, want 0x1234", fb.MediaSSRC)
-	}
-	if len(fb.Arrivals()) == 0 {
-		t.Error("feedback carries no arrivals")
-	}
-	if fb.BaseSeq < 100 || fb.BaseSeq > 119 {
-		t.Errorf("base seq %d outside sent range", fb.BaseSeq)
+	early, late := median(0), median(n-n/3)
+	t.Logf("median reported one-way delay: %v over the first %d packets, %v over the last", early, n/3, late)
+	if late < early+100*time.Millisecond {
+		t.Errorf("the growing queue added %v to the median reported delay, want at least 100 ms", late-early)
 	}
 }
 

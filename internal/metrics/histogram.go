@@ -199,23 +199,3 @@ func (h *Histogram) String() string {
 		h.Quantile(0.99).Round(time.Microsecond),
 		h.maxSeen.Round(time.Microsecond))
 }
-
-// Merge adds all observations of other into h. Both histograms must share
-// identical bucket geometry (they do when created by the same constructor).
-func (h *Histogram) Merge(other *Histogram) {
-	if h.min != other.min || h.growth != other.growth || len(h.buckets) != len(other.buckets) {
-		panic("metrics: merging histograms with different geometry")
-	}
-	h.count += other.count
-	h.sum += other.sum
-	h.zeros += other.zeros
-	if other.maxSeen > h.maxSeen {
-		h.maxSeen = other.maxSeen
-	}
-	if other.count > 0 && other.minSeen < h.minSeen {
-		h.minSeen = other.minSeen
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-}

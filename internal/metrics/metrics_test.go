@@ -85,21 +85,6 @@ func TestHistogramCCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 100; i++ {
-		a.Add(10 * time.Millisecond)
-		b.Add(90 * time.Millisecond)
-	}
-	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count %d, want 200", a.Count())
-	}
-	if got := a.Mean(); got != 50*time.Millisecond {
-		t.Errorf("merged mean %v, want 50ms", got)
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.FractionAbove(0) != 0 {

@@ -1,13 +1,19 @@
 package metrics
 
-import "time"
+import (
+	"time"
 
-// WindowedMin tracks the minimum of a time series over a sliding window of
-// virtual time, using a monotonic deque. CCAs use it for min-RTT filters;
-// the Fortune Teller uses the max variant for burst sizing.
-type WindowedMin struct {
+	"github.com/zhuge-project/zhuge/internal/sim"
+)
+
+// WindowedFilter tracks the minimum or the maximum of a time series over a
+// sliding window of virtual time, using a monotonic deque. CCAs use the min
+// filter for min-RTT and the max filter for bottleneck bandwidth; the Fortune
+// Teller uses the max filter for burst sizing.
+type WindowedFilter struct {
 	window time.Duration
-	deque  []timedValue
+	max    bool
+	deque  sim.Deque[timedValue]
 }
 
 type timedValue struct {
@@ -16,67 +22,47 @@ type timedValue struct {
 }
 
 // NewWindowedMin returns a min filter over the given window.
-func NewWindowedMin(window time.Duration) *WindowedMin {
-	return &WindowedMin{window: window}
-}
-
-// Add records v at virtual time now. Times must be non-decreasing.
-func (w *WindowedMin) Add(now time.Duration, v float64) {
-	for len(w.deque) > 0 && w.deque[len(w.deque)-1].v >= v {
-		w.deque = w.deque[:len(w.deque)-1]
-	}
-	w.deque = append(w.deque, timedValue{now, v})
-	w.expire(now)
-}
-
-func (w *WindowedMin) expire(now time.Duration) {
-	for len(w.deque) > 0 && now-w.deque[0].at > w.window {
-		w.deque = w.deque[1:]
-	}
-}
-
-// Get returns the window minimum as of now, and false if the window is empty.
-func (w *WindowedMin) Get(now time.Duration) (float64, bool) {
-	w.expire(now)
-	if len(w.deque) == 0 {
-		return 0, false
-	}
-	return w.deque[0].v, true
-}
-
-// WindowedMax is the max-filter twin of WindowedMin.
-type WindowedMax struct {
-	window time.Duration
-	deque  []timedValue
+func NewWindowedMin(window time.Duration) *WindowedFilter {
+	return &WindowedFilter{window: window}
 }
 
 // NewWindowedMax returns a max filter over the given window.
-func NewWindowedMax(window time.Duration) *WindowedMax {
-	return &WindowedMax{window: window}
+func NewWindowedMax(window time.Duration) *WindowedFilter {
+	return &WindowedFilter{window: window, max: true}
 }
 
 // Add records v at virtual time now. Times must be non-decreasing.
-func (w *WindowedMax) Add(now time.Duration, v float64) {
-	for len(w.deque) > 0 && w.deque[len(w.deque)-1].v <= v {
-		w.deque = w.deque[:len(w.deque)-1]
+func (w *WindowedFilter) Add(now time.Duration, v float64) {
+	for w.deque.Len() > 0 && w.dominated(w.deque.Back().v, v) {
+		w.deque.PopBack()
 	}
-	w.deque = append(w.deque, timedValue{now, v})
+	w.deque.PushBack(timedValue{now, v})
 	w.expire(now)
 }
 
-func (w *WindowedMax) expire(now time.Duration) {
-	for len(w.deque) > 0 && now-w.deque[0].at > w.window {
-		w.deque = w.deque[1:]
+// dominated reports whether an earlier sample old can no longer be the
+// filter's answer once v has arrived: v is as good and outlives it.
+func (w *WindowedFilter) dominated(old, v float64) bool {
+	if w.max {
+		return old <= v
+	}
+	return old >= v
+}
+
+func (w *WindowedFilter) expire(now time.Duration) {
+	for w.deque.Len() > 0 && now-w.deque.Front().at > w.window {
+		w.deque.PopFront()
 	}
 }
 
-// Get returns the window maximum as of now, and false if the window is empty.
-func (w *WindowedMax) Get(now time.Duration) (float64, bool) {
+// Get returns the window minimum (or maximum) as of now, and false if the
+// window is empty.
+func (w *WindowedFilter) Get(now time.Duration) (float64, bool) {
 	w.expire(now)
-	if len(w.deque) == 0 {
+	if w.deque.Len() == 0 {
 		return 0, false
 	}
-	return w.deque[0].v, true
+	return w.deque.Front().v, true
 }
 
 // SlidingSum accumulates (time, value) samples and reports their sum over a
@@ -84,7 +70,7 @@ func (w *WindowedMax) Get(now time.Duration) (float64, bool) {
 // Teller measures avg(txRate) and how senders measure delivery rate.
 type SlidingSum struct {
 	window    time.Duration
-	samples   []timedValue
+	samples   sim.Deque[timedValue]
 	sum       float64
 	firstAt   time.Duration
 	haveFirst bool
@@ -104,19 +90,14 @@ func (s *SlidingSum) Add(now time.Duration, v float64) {
 		s.firstAt = now
 		s.haveFirst = true
 	}
-	s.samples = append(s.samples, timedValue{now, v})
+	s.samples.PushBack(timedValue{now, v})
 	s.sum += v
 	s.expire(now)
 }
 
 func (s *SlidingSum) expire(now time.Duration) {
-	i := 0
-	for i < len(s.samples) && now-s.samples[i].at > s.window {
-		s.sum -= s.samples[i].v
-		i++
-	}
-	if i > 0 {
-		s.samples = append(s.samples[:0], s.samples[i:]...)
+	for s.samples.Len() > 0 && now-s.samples.Front().at > s.window {
+		s.sum -= s.samples.PopFront().v
 	}
 }
 
@@ -146,14 +127,14 @@ func (s *SlidingSum) Rate(now time.Duration) float64 {
 // Count returns the number of samples within the window ending at now.
 func (s *SlidingSum) Count(now time.Duration) int {
 	s.expire(now)
-	return len(s.samples)
+	return s.samples.Len()
 }
 
 // Mean returns the mean of samples in the window, and false if empty.
 func (s *SlidingSum) Mean(now time.Duration) (float64, bool) {
 	s.expire(now)
-	if len(s.samples) == 0 {
+	if s.samples.Len() == 0 {
 		return 0, false
 	}
-	return s.sum / float64(len(s.samples)), true
+	return s.sum / float64(s.samples.Len()), true
 }

@@ -19,13 +19,6 @@ func TestFlowKeyReverse(t *testing.T) {
 	}
 }
 
-func TestFlowKeyCanonical(t *testing.T) {
-	k := FlowKey{SrcIP: 9, DstIP: 2, SrcPort: 10, DstPort: 20, Proto: 6}
-	if k.Canonical() != k.Reverse().Canonical() {
-		t.Error("both directions must share a canonical key")
-	}
-}
-
 func TestPropertyHashStableAndDirectional(t *testing.T) {
 	f := func(a, b uint32, p1, p2 uint16) bool {
 		k := FlowKey{SrcIP: a, DstIP: b, SrcPort: p1, DstPort: p2, Proto: 17}

@@ -34,16 +34,6 @@ func (k FlowKey) Reverse() FlowKey {
 	}
 }
 
-// Canonical returns a direction-independent key: both directions of a flow
-// map to the same canonical key, useful for per-connection state at the AP.
-func (k FlowKey) Canonical() FlowKey {
-	r := k.Reverse()
-	if k.SrcIP < r.SrcIP || (k.SrcIP == r.SrcIP && k.SrcPort <= r.SrcPort) {
-		return k
-	}
-	return r
-}
-
 // String formats the key for logs.
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%d.%d:%d>%d.%d:%d/%d",
@@ -212,12 +202,11 @@ type Link struct {
 	// scheduling order. Delivery times are nondecreasing (busyUntil only
 	// grows, and lastAt clamps extra-delay shrinkage) and same-instant
 	// events fire in scheduling order, so the delivery closure can pop the
-	// ring head instead of capturing the packet — one closure per link
+	// front instead of capturing the packet — one closure per link
 	// instead of one per packet. Each entry keeps the dst in effect at
 	// schedule time, matching the old per-closure capture if SetDst is
 	// called mid-flight.
-	inflight  []linkDelivery
-	head      int
+	inflight  sim.Deque[linkDelivery]
 	deliverFn func()
 }
 
@@ -236,17 +225,7 @@ func NewLink(s *sim.Simulator, rate float64, delay time.Duration, dst Receiver) 
 
 // deliverHead fires the oldest pending delivery.
 func (l *Link) deliverHead() {
-	d := l.inflight[l.head]
-	l.inflight[l.head] = linkDelivery{}
-	l.head++
-	if l.head == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.head = 0
-	} else if l.head > 64 && l.head*2 > len(l.inflight) {
-		n := copy(l.inflight, l.inflight[l.head:])
-		l.inflight = l.inflight[:n]
-		l.head = 0
-	}
+	d := l.inflight.PopFront()
 	d.dst.Receive(d.p)
 }
 
@@ -284,6 +263,6 @@ func (l *Link) Receive(p *Packet) {
 		deliverAt = l.lastAt
 	}
 	l.lastAt = deliverAt
-	l.inflight = append(l.inflight, linkDelivery{p: p, dst: l.dst})
+	l.inflight.PushBack(linkDelivery{p: p, dst: l.dst})
 	l.sim.Schedule(deliverAt, l.deliverFn)
 }

@@ -12,8 +12,10 @@ func TestRTPRoundTripWithTWCC(t *testing.T) {
 	h := RTPHeader{Marker: true, PayloadType: 96, Seq: 4321, Timestamp: 90000, SSRC: 0xdeadbeef, HasTWCC: true, TWCCSeq: 999}
 	payload := bytes.Repeat([]byte{0xab}, 100)
 	wire := h.Marshal(nil, payload)
-	if len(wire) != h.MarshaledLen(len(payload)) {
-		t.Errorf("MarshaledLen %d != actual %d", h.MarshaledLen(len(payload)), len(wire))
+	// 12-byte fixed header, 8 bytes of one-byte-header extension carrying
+	// the transport-wide sequence number, then the payload.
+	if want := 12 + 8 + len(payload); len(wire) != want {
+		t.Errorf("marshaled %d bytes, want %d", len(wire), want)
 	}
 	var out RTPHeader
 	got, err := out.Unmarshal(wire)

@@ -116,16 +116,6 @@ func (h *RTPHeader) parseOneByteExtensions(ext []byte) {
 	}
 }
 
-// MarshaledLen returns the length Marshal would produce for a payload of
-// payloadLen bytes.
-func (h *RTPHeader) MarshaledLen(payloadLen int) int {
-	n := rtpFixedLen + payloadLen
-	if h.HasTWCC {
-		n += 8
-	}
-	return n
-}
-
 // IsRTCP heuristically distinguishes RTCP from RTP in a multiplexed stream
 // (RFC 5761): RTCP payload types occupy 200-207 in the second byte.
 func IsRTCP(b []byte) bool {

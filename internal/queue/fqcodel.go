@@ -11,8 +11,8 @@ import (
 // Linux implementation's new/old flow lists.
 type FQCoDel struct {
 	buckets  []fqBucket
-	newFlows []int // bucket indices
-	oldFlows []int
+	newFlows sim.Deque[int] // bucket indices
+	oldFlows sim.Deque[int]
 	quantum  int
 	limit    int // total byte limit
 	bytes    int
@@ -72,7 +72,7 @@ func (q *FQCoDel) Enqueue(now sim.Time, p *netem.Packet) bool {
 		b.active = true
 		b.isNew = true
 		b.deficit = q.quantum
-		q.newFlows = append(q.newFlows, i)
+		q.newFlows.PushBack(i)
 	}
 	return true
 }
@@ -82,20 +82,20 @@ func (q *FQCoDel) Enqueue(now sim.Time, p *netem.Packet) bool {
 func (q *FQCoDel) Dequeue(now sim.Time) *netem.Packet {
 	for q.pkts > 0 {
 		list := &q.newFlows
-		if len(*list) == 0 {
+		if list.Len() == 0 {
 			list = &q.oldFlows
 		}
-		if len(*list) == 0 {
+		if list.Len() == 0 {
 			return nil // inconsistent; should not happen
 		}
-		i := (*list)[0]
+		i := *list.Front()
 		b := &q.buckets[i]
 		if b.deficit <= 0 {
 			// Move to the back of old flows with a fresh quantum.
 			b.deficit += q.quantum
-			*list = (*list)[1:]
+			list.PopFront()
 			b.isNew = false
-			q.oldFlows = append(q.oldFlows, i)
+			q.oldFlows.PushBack(i)
 			continue
 		}
 		before := b.core.len()
@@ -131,9 +131,9 @@ func (q *FQCoDel) recountBytes(drops int, b *fqBucket) {
 	q.bytes = total
 }
 
-func (q *FQCoDel) deactivate(list *[]int, i int, b *fqBucket) {
-	if len(*list) > 0 && (*list)[0] == i {
-		*list = (*list)[1:]
+func (q *FQCoDel) deactivate(list *sim.Deque[int], i int, b *fqBucket) {
+	if list.Len() > 0 && *list.Front() == i {
+		list.PopFront()
 	}
 	b.active = false
 	b.isNew = false

@@ -49,16 +49,15 @@ type DropObservable interface {
 	SetDropHook(h DropFunc)
 }
 
-// fifoCore is the packet buffer shared by all disciplines: a slice-backed
-// FIFO with byte accounting and front-since tracking.
+// fifoCore is the packet buffer shared by all disciplines: a FIFO with byte
+// accounting and front-since tracking.
 type fifoCore struct {
-	pkts       []*netem.Packet
-	head       int
+	pkts       sim.Deque[*netem.Packet]
 	bytes      int
 	frontSince sim.Time
 }
 
-func (f *fifoCore) len() int    { return len(f.pkts) - f.head }
+func (f *fifoCore) len() int    { return f.pkts.Len() }
 func (f *fifoCore) size() int   { return f.bytes }
 func (f *fifoCore) empty() bool { return f.len() == 0 }
 
@@ -66,7 +65,7 @@ func (f *fifoCore) push(now sim.Time, p *netem.Packet) {
 	if f.empty() {
 		f.frontSince = now
 	}
-	f.pkts = append(f.pkts, p)
+	f.pkts.PushBack(p)
 	f.bytes += p.Size
 }
 
@@ -74,20 +73,10 @@ func (f *fifoCore) pop(now sim.Time) *netem.Packet {
 	if f.empty() {
 		return nil
 	}
-	p := f.pkts[f.head]
-	f.pkts[f.head] = nil
-	f.head++
+	p := f.pkts.PopFront()
 	f.bytes -= p.Size
-	if f.empty() {
-		f.pkts = f.pkts[:0]
-		f.head = 0
-	} else {
+	if !f.empty() {
 		f.frontSince = now
-		if f.head > 1024 && f.head*2 > len(f.pkts) {
-			n := copy(f.pkts, f.pkts[f.head:])
-			f.pkts = f.pkts[:n]
-			f.head = 0
-		}
 	}
 	return p
 }

@@ -169,7 +169,7 @@ type streamVideo struct {
 	FramesSent    int
 	FramesDropped int
 
-	frames []streamFrame
+	frames sim.Deque[streamFrame]
 }
 
 type streamFrame struct {
@@ -180,10 +180,8 @@ type streamFrame struct {
 // delivered is the receiver's OnDeliver hook: in-order delivery reaching
 // a frame boundary decodes the frame.
 func (f *streamVideo) delivered(now sim.Time, upTo uint64) {
-	for len(f.frames) > 0 && f.frames[0].end <= upTo {
-		fr := f.frames[0]
-		f.frames = f.frames[1:]
-		f.Metrics.AddFrame(now, fr.captured)
+	for f.frames.Len() > 0 && f.frames.Front().end <= upTo {
+		f.Metrics.AddFrame(now, f.frames.PopFront().captured)
 	}
 }
 
@@ -299,7 +297,7 @@ func (p *Path) addStreamVideo(cfg FlowSpec, proto uint8, dial func(netem.FlowKey
 		}
 		f.FramesSent++
 		streamEnd += uint64(fr.Size)
-		f.frames = append(f.frames, streamFrame{end: streamEnd, captured: fr.CapturedAt})
+		f.frames.PushBack(streamFrame{end: streamEnd, captured: fr.CapturedAt})
 		if lt != nil {
 			lt.OnAir(now, flow)
 		}

@@ -60,15 +60,15 @@ type Sender struct {
 	appEnd     uint64
 
 	// retransmission queue of stream chunks declared lost
-	retxQueue []streamChunk
+	retxQueue sim.Deque[streamChunk]
 
 	// window is the send window: one slot per packet number from base, the
-	// oldest packet still in flight, to nextPktNum-1, so window[i].PktNum ==
+	// oldest packet still in flight, to nextPktNum-1, so item i holds packet
 	// base+i. Packet numbers are never reused, so a packet is found by
 	// subtraction. A slot goes dead when its packet is acknowledged or
 	// declared lost; trimWindow then drops the dead front, so outside
-	// Receive and onPTO window[0] is live or the window is empty.
-	window        []sentPacket
+	// Receive and onPTO the front is live or the window is empty.
+	window        sim.Deque[sentPacket]
 	base          uint64
 	inflightBytes int
 
@@ -109,10 +109,6 @@ type sentPacket struct {
 	dataPacket
 	live bool // still in flight: neither acknowledged nor declared lost
 }
-
-// minWindow is the headroom, in packets, a window is given beyond twice what
-// it holds each time it runs out of backing array.
-const minWindow = 64
 
 // NewSender builds a QUIC sender for flow with controller cc.
 func NewSender(s *sim.Simulator, flow netem.FlowKey, cc cca.TCP, out netem.Receiver) *Sender {
@@ -164,9 +160,8 @@ func (t *Sender) trySend() {
 			return
 		}
 		var chunk streamChunk
-		if len(t.retxQueue) > 0 {
-			chunk = t.retxQueue[0]
-			t.retxQueue = t.retxQueue[1:]
+		if t.retxQueue.Len() > 0 {
+			chunk = t.retxQueue.PopFront()
 		} else if t.streamNext < t.appEnd {
 			n := int(t.appEnd - t.streamNext)
 			if n > cca.MSS {
@@ -192,18 +187,7 @@ func (t *Sender) sendData(chunk streamChunk) {
 	now := t.s.Now()
 	dp := dataPacket{PktNum: t.nextPktNum, Offset: chunk.Offset, Len: chunk.Len, SentAt: now}
 	t.nextPktNum++
-	if len(t.window) == cap(t.window) {
-		// trimWindow re-slices the front away, so the array runs out at the
-		// back however few packets are in flight. Moving to one with room
-		// for as many again plus minWindow copies each slot at most once per
-		// packet sent; plain append, doubling from a window of ten, would
-		// reallocate every ten packets (+10 % bytes allocated per event on
-		// the stream-quic benchmark).
-		grown := make([]sentPacket, len(t.window), 2*len(t.window)+minWindow)
-		copy(grown, t.window)
-		t.window = grown
-	}
-	t.window = append(t.window, sentPacket{dataPacket: dp, live: true})
+	t.window.PushBack(sentPacket{dataPacket: dp, live: true})
 	t.inflightBytes += dp.Len
 	p := netem.NewPacket()
 	*p = netem.Packet{
@@ -231,7 +215,7 @@ func (t *Sender) armPTO() {
 
 // onPTO is the probe timeout: re-send the oldest in-flight chunk.
 func (t *Sender) onPTO() {
-	if len(t.window) == 0 {
+	if t.window.Len() == 0 {
 		return
 	}
 	t.timeouts++
@@ -241,12 +225,10 @@ func (t *Sender) onPTO() {
 	// bypassing the congestion window (RFC 9002 §7.5: probe packets may
 	// exceed the window — the in-flight packets blocking it are exactly
 	// the ones presumed lost).
-	t.declareLost(&t.window[0])
+	t.declareLost(t.window.Front())
 	t.trimWindow()
-	if len(t.retxQueue) > 0 {
-		chunk := t.retxQueue[0]
-		t.retxQueue = t.retxQueue[1:]
-		t.sendData(chunk)
+	if t.retxQueue.Len() > 0 {
+		t.sendData(t.retxQueue.PopFront())
 	}
 	t.trySend()
 	t.armPTO()
@@ -258,19 +240,17 @@ func (t *Sender) declareLost(sp *sentPacket) {
 	sp.live = false
 	t.inflightBytes -= sp.Len
 	t.lostPackets++
-	t.retxQueue = append(t.retxQueue, streamChunk{Offset: sp.Offset, Len: sp.Len})
+	t.retxQueue.PushBack(streamChunk{Offset: sp.Offset, Len: sp.Len})
 }
 
 // trimWindow drops resolved packets from the front of the window, making
 // base the oldest packet in flight again. Receive calls it only once a whole
 // ACK is processed, so slots do not move while ranges are being walked.
 func (t *Sender) trimWindow() {
-	i := 0
-	for i < len(t.window) && !t.window[i].live {
-		i++
+	for t.window.Len() > 0 && !t.window.Front().live {
+		t.window.PopFront()
+		t.base++
 	}
-	t.window = t.window[i:]
-	t.base += uint64(i)
 }
 
 // Receive implements netem.Receiver: ACK packets from the network.
@@ -279,7 +259,8 @@ func (t *Sender) Receive(p *netem.Packet) {
 	if !ok {
 		return
 	}
-	if len(t.window) == 0 {
+	window := t.window.Items()
+	if len(window) == 0 {
 		return // nothing in flight to acknowledge
 	}
 	now := t.s.Now()
@@ -292,7 +273,7 @@ func (t *Sender) Receive(p *netem.Packet) {
 	var largestNewlyAcked dataPacket // valid when newlyAcked > 0
 	for _, r := range ack.Ranges {
 		for pn := max(r.Lo, t.base); pn <= min(r.Hi, newest); pn++ {
-			sp := &t.window[pn-t.base]
+			sp := &window[pn-t.base]
 			if !sp.live {
 				continue
 			}
@@ -334,8 +315,8 @@ func (t *Sender) Receive(p *netem.Packet) {
 	// largestAcked is still live, so the next walk passes little more than
 	// what its own ACK resolves.
 	anyLost := false
-	for i := range t.window {
-		sp := &t.window[i]
+	for i := range window {
+		sp := &window[i]
 		if sp.PktNum >= t.largestAcked {
 			break
 		}
@@ -354,12 +335,12 @@ func (t *Sender) Receive(p *netem.Packet) {
 		AckedBytes: newlyAcked,
 		RTT:        rtt,
 		InFlight:   t.inflightBytes,
-		AppLimited: t.Pending() == 0 && len(t.retxQueue) == 0 && t.inflightBytes < t.cc.CWND()*3/4,
+		AppLimited: t.Pending() == 0 && t.retxQueue.Len() == 0 && t.inflightBytes < t.cc.CWND()*3/4,
 	})
 	if t.OnAcked != nil {
 		t.OnAcked(now, t.Acked())
 	}
-	if len(t.window) == 0 {
+	if t.window.Len() == 0 {
 		if t.rtoTimer != nil {
 			t.rtoTimer.Stop()
 		}

@@ -416,14 +416,15 @@ func (c *openCC) PacingRate(sim.Time) float64 { return 0 }
 // window's invariants on the way.
 func liveSet(t *testing.T, snd *Sender) map[uint64]dataPacket {
 	t.Helper()
-	if snd.base+uint64(len(snd.window)) != snd.nextPktNum {
-		t.Fatalf("window [%d,+%d) does not end at the next packet number %d", snd.base, len(snd.window), snd.nextPktNum)
+	window := snd.window.Items()
+	if snd.base+uint64(len(window)) != snd.nextPktNum {
+		t.Fatalf("window [%d,+%d) does not end at the next packet number %d", snd.base, len(window), snd.nextPktNum)
 	}
-	if len(snd.window) > 0 && !snd.window[0].live {
+	if len(window) > 0 && !window[0].live {
 		t.Fatalf("window front %d is resolved but not trimmed", snd.base)
 	}
 	live := map[uint64]dataPacket{}
-	for i, sp := range snd.window {
+	for i, sp := range window {
 		if sp.PktNum != snd.base+uint64(i) {
 			t.Fatalf("window[%d] holds packet %d, base %d", i, sp.PktNum, snd.base)
 		}

@@ -80,14 +80,6 @@ func (p *Payload) Release() {
 // reads it from the RTP header extension (implements core.TWCCCarrier).
 func (p *Payload) TWCCInfo() (ssrc uint32, seq uint16) { return p.SSRC, p.TWCCSeq }
 
-// FeedbackPayload wraps the raw RTCP bytes of an uplink feedback packet.
-type FeedbackPayload struct {
-	Raw []byte // marshaled TWCC or NACK
-}
-
-// RawRTCP exposes the RTCP bytes (implements core.RTCPCarrier).
-func (f FeedbackPayload) RawRTCP() []byte { return f.Raw }
-
 // Sender packetises frames, paces them out, and adapts rate via GCC.
 type Sender struct {
 	s    *sim.Simulator
@@ -102,9 +94,8 @@ type Sender struct {
 	// sent records per-TWCC-seq send metadata for feedback matching.
 	sent [1 << 16]sentRecord
 
-	// pacer queue (slice-backed FIFO; head indexes the next packet out)
-	queue    []*netem.Packet
-	head     int
+	// pacer queue
+	queue    sim.Deque[*netem.Packet]
 	pacing   bool
 	pacingAt sim.Time
 	sendFn   func() // persistent pacer event: send head, schedule next
@@ -252,7 +243,7 @@ func (snd *Sender) enqueue(pl *Payload, wireSize int) {
 		Size:    wireSize,
 		Payload: pl,
 	}
-	snd.queue = append(snd.queue, p)
+	snd.queue.PushBack(p)
 }
 
 // pace drains the queue at 1.5x the target rate (WebRTC's pacing factor),
@@ -270,9 +261,7 @@ func (snd *Sender) pace() {
 // capture the packet. Only the head can fire next — SendFrame appends at the
 // tail — so the peeked and popped packets are always the same.
 func (snd *Sender) paceNext() {
-	if snd.head == len(snd.queue) {
-		snd.queue = snd.queue[:0]
-		snd.head = 0
+	if snd.queue.Len() == 0 {
 		snd.pacing = false
 		return
 	}
@@ -281,7 +270,7 @@ func (snd *Sender) paceNext() {
 	if at < now {
 		at = now
 	}
-	p := snd.queue[snd.head]
+	p := *snd.queue.Front()
 	rate := snd.cc.Rate() * 1.5
 	gap := time.Duration(float64(p.Size*8) / rate * float64(time.Second))
 	snd.pacingAt = at + gap
@@ -291,9 +280,7 @@ func (snd *Sender) paceNext() {
 // sendHead fires one paced send: pop the queue head, stamp its TWCC
 // sequence number at the actual send instant, and book the next send.
 func (snd *Sender) sendHead() {
-	p := snd.queue[snd.head]
-	snd.queue[snd.head] = nil
-	snd.head++
+	p := snd.queue.PopFront()
 	sendAt := snd.s.Now()
 	pl := p.Payload.(*Payload)
 	pl.TWCCSeq = snd.twccSeq

@@ -153,10 +153,9 @@ type Link struct {
 
 	// pending holds in-flight aggregates in delivery order. Aggregates are
 	// serialised by busy, so delivery times are nondecreasing and the
-	// single deliverFn can pop the head instead of capturing the burst.
+	// single deliverFn can pop the front instead of capturing the burst.
 	// Each entry pins the dst in effect when the aggregate was sealed.
-	pending     []pendingBurst
-	pendingHead int
+	pending sim.Deque[pendingBurst]
 	// burstFree recycles burst buffers (pre-sized to MaxAggPackets) once
 	// their aggregate has been delivered.
 	burstFree [][]*netem.Packet
@@ -464,7 +463,7 @@ func (l *Link) transmitBurst() {
 	if l.o != nil {
 		l.obsBurst(now, burst, bits, airtime)
 	}
-	l.pending = append(l.pending, pendingBurst{pkts: burst, dst: l.dst})
+	l.pending.PushBack(pendingBurst{pkts: burst, dst: l.dst})
 	l.s.Schedule(now+airtime+l.cfg.PropDelay, l.deliverFn)
 	l.s.Schedule(now+airtime, l.endTxFn)
 }
@@ -479,13 +478,7 @@ type pendingBurst struct {
 // block-ACK instant for every packet in it).
 func (l *Link) deliverPending() {
 	at := l.s.Now()
-	e := l.pending[l.pendingHead]
-	l.pending[l.pendingHead] = pendingBurst{}
-	l.pendingHead++
-	if l.pendingHead == len(l.pending) {
-		l.pending = l.pending[:0]
-		l.pendingHead = 0
-	}
+	e := l.pending.PopFront()
 	for _, p := range e.pkts {
 		if l.lossProb > 0 && l.lossRNG.Float64() < l.lossProb {
 			// Lost on the air: the packet consumed its airtime but never
