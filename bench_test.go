@@ -15,6 +15,7 @@ package zhuge
 import (
 	"container/heap"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -586,6 +587,41 @@ func BenchmarkQUICTransfer(b *testing.B) {
 			n := float64(b.N * pkts)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pkt")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/pkt")
+		})
+	}
+}
+
+// copaPacing keeps BenchmarkCopaOnAck's PacingRate calls from being
+// optimised away.
+var copaPacing float64
+
+// BenchmarkCopaOnAck is Copa's cost per ACK at two ACK rates: OnAck plus the
+// two PacingRate calls tcpsim's send loop makes per packet, after a 3 s
+// warm-up that fills the 2 s of standing-RTT samples. ns/ack at 10000 ACK/s
+// over ns/ack at 1000 is the gate CI applies: scanning every retained sample
+// read ~10 (ten times the samples), a search of the monotonic deque ~1.0.
+func BenchmarkCopaOnAck(b *testing.B) {
+	for _, rate := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("acks-%d", rate), func(b *testing.B) {
+			c := cca.NewCopa()
+			rng := rand.New(rand.NewSource(1))
+			gap := time.Second / time.Duration(rate)
+			var now sim.Time
+			ack := func() {
+				now += gap
+				rtt := 40*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
+				c.OnAck(cca.AckEvent{Now: now, AckedBytes: cca.MSS, RTT: rtt})
+				copaPacing = c.PacingRate(now) + c.PacingRate(now)
+			}
+			for i := 0; i < 3*rate; i++ {
+				ack()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ack()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ack")
 		})
 	}
 }

@@ -17,8 +17,10 @@ type Copa struct {
 
 	delta float64
 
-	rttMin      *metrics.WindowedFilter // min over 10 s
-	rttStanding dynamicMin              // over srtt/2 (window tracks srtt)
+	rttMin *metrics.WindowedFilter // min over 10 s
+	// rttStanding keeps 2 s of RTT samples; the standing RTT is their min
+	// over srtt/2, read with Within as the window tracks srtt.
+	rttStanding *metrics.WindowedFilter
 	srtt        time.Duration
 
 	// velocity state
@@ -37,6 +39,7 @@ func NewCopa() *Copa {
 		cwnd:        10,
 		delta:       0.5,
 		rttMin:      metrics.NewWindowedMin(10 * time.Second),
+		rttStanding: metrics.NewWindowedMin(2 * time.Second),
 		velocity:    1,
 		inSlowStart: true,
 	}
@@ -62,10 +65,10 @@ func (c *Copa) OnAck(ev AckEvent) {
 		halfSrtt = 10 * time.Millisecond
 	}
 	c.rttMin.Add(now, float64(ev.RTT))
-	c.rttStanding.add(now, float64(ev.RTT))
+	c.rttStanding.Add(now, float64(ev.RTT))
 
 	minV, _ := c.rttMin.Get(now)
-	standingV, ok := c.rttStanding.min(now, halfSrtt)
+	standingV, ok := c.rttStanding.Within(now, halfSrtt)
 	if !ok {
 		return
 	}
@@ -107,38 +110,6 @@ func (c *Copa) OnAck(ev AckEvent) {
 	if c.cwnd < 2 {
 		c.cwnd = 2
 	}
-}
-
-// dynamicMin keeps raw (time, value) samples and answers minimum-over-the-
-// last-w queries for a window w that changes between calls (Copa's standing
-// window is srtt/2, and srtt moves). Samples older than the retention bound
-// are pruned on add.
-type dynamicMin struct {
-	samples sim.Deque[timedSample]
-}
-
-type timedSample struct {
-	at sim.Time
-	v  float64
-}
-
-const dynamicMinRetention = 2 * time.Second
-
-func (d *dynamicMin) add(now sim.Time, v float64) {
-	d.samples.PushBack(timedSample{now, v})
-	for now-d.samples.Front().at > dynamicMinRetention { // v itself stops it
-		d.samples.PopFront()
-	}
-}
-
-func (d *dynamicMin) min(now sim.Time, window time.Duration) (float64, bool) {
-	best, found := 0.0, false
-	for _, s := range d.samples.Items() {
-		if now-s.at <= window && (!found || s.v < best) {
-			best, found = s.v, true
-		}
-	}
-	return best, found
 }
 
 // updateVelocity doubles velocity when the window keeps moving in one
@@ -217,7 +188,7 @@ func (c *Copa) PacingRate(now sim.Time) float64 {
 	if halfSrtt < 10*time.Millisecond {
 		halfSrtt = 10 * time.Millisecond
 	}
-	if v, ok := c.rttStanding.min(now, halfSrtt); ok && v > 0 {
+	if v, ok := c.rttStanding.Within(now, halfSrtt); ok && v > 0 {
 		return 2 * c.cwnd * MSS * 8 / (time.Duration(v).Seconds())
 	}
 	return 0

@@ -80,10 +80,6 @@ type FortuneTellerConfig struct {
 	// DisableBurstAdjust drops the maxBurstSize subtraction of Eq. 1.
 	DisableBurstAdjust bool
 
-	// MaxPrediction caps predictions when the rate estimate collapses.
-	// Default 2s, comfortably above any delay a CCA distinguishes.
-	MaxPrediction time.Duration
-
 	// MaxDeqInterval, when positive, treats dequeue gaps longer than it
 	// as link-idle restarts rather than channel-access intervals: the gap
 	// is not recorded and burst tracking starts fresh. APs that can sit
@@ -106,11 +102,12 @@ func (c FortuneTellerConfig) withDefaults() FortuneTellerConfig {
 	if c.Window == 0 {
 		c.Window = DefaultWindow
 	}
-	if c.MaxPrediction == 0 {
-		c.MaxPrediction = 2 * time.Second
-	}
 	return c
 }
+
+// maxPrediction caps predictions when the rate estimate collapses:
+// comfortably above any delay a CCA distinguishes.
+const maxPrediction = 2 * time.Second
 
 // FortuneTeller watches the AP's downlink queue (as a wireless.Observer)
 // and predicts, for a packet arriving now, the delay it will experience to
@@ -218,7 +215,7 @@ func (f *FortuneTeller) OnDequeue(now sim.Time, p *netem.Packet) {
 		// channel-access interval. Feeding it to avg(dequeueIntvl) would
 		// poison the tx term with the whole idle period for the next
 		// window (a roaming station's first fortunes at a revisited AP
-		// would all cap at MaxPrediction). Restart burst tracking instead,
+		// would all cap at maxPrediction). Restart burst tracking instead,
 		// as if this were the first dequeue.
 		f.burstBytes = p.Size
 		f.lastDeqAt = now
@@ -298,7 +295,7 @@ func (f *FortuneTeller) predict(now sim.Time, flow netem.FlowKey) Prediction {
 		if txRate > 0 {
 			pred.QLong = time.Duration(float64(qSize) / txRate * float64(time.Second))
 		} else {
-			pred.QLong = f.cfg.MaxPrediction
+			pred.QLong = maxPrediction
 		}
 	}
 
@@ -316,8 +313,8 @@ func (f *FortuneTeller) predict(now sim.Time, flow netem.FlowKey) Prediction {
 	}
 
 	pred.Total = pred.QLong + pred.QShort + pred.Tx
-	if pred.Total > f.cfg.MaxPrediction {
-		pred.Total = f.cfg.MaxPrediction
+	if pred.Total > maxPrediction {
+		pred.Total = maxPrediction
 	}
 	return pred
 }

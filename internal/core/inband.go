@@ -23,9 +23,6 @@ type RTCPCarrier interface {
 	RawRTCP() []byte
 }
 
-// feedbackOverhead approximates IP+UDP bytes around an RTCP payload.
-const feedbackOverhead = 28
-
 // maxMisorder is RFC 3550 A.1's MAX_MISORDER: a sequence number at most this
 // far behind the last one recorded is a reordered or duplicated datagram;
 // one further behind means the sender restarted its sequence space.
@@ -184,7 +181,7 @@ func (u *InbandUpdater) flush(f *ibFlow) {
 	*fbp = netem.Packet{
 		Flow:    f.downlink.Reverse(),
 		Kind:    netem.KindFeedback,
-		Size:    len(buf.B) + feedbackOverhead,
+		Size:    len(buf.B) + packet.UDPOverhead,
 		SentAt:  u.s.Now(),
 		Payload: buf,
 	}

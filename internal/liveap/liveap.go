@@ -244,7 +244,7 @@ func (r *Relay) mediaLoop() {
 			}
 		}
 		now := r.Now()
-		p := &netem.Packet{Flow: flowOf(m.ssrc), Kind: netem.KindData, Size: n + 28, Payload: m}
+		p := &netem.Packet{Flow: flowOf(m.ssrc), Kind: netem.KindData, Size: n + packet.UDPOverhead, Payload: m}
 		r.mu.Lock()
 		r.stats.MediaIn++
 		var pred core.Prediction
@@ -355,7 +355,7 @@ func (r *Relay) feedbackLoop() {
 		}
 		// buf is written out or dropped before the next read reuses it.
 		p := netem.NewPacket()
-		*p = netem.Packet{Kind: netem.KindFeedback, Size: n + 28, Payload: rtcp(buf[:n])}
+		*p = netem.Packet{Kind: netem.KindFeedback, Size: n + packet.UDPOverhead, Payload: rtcp(buf[:n])}
 		r.mu.Lock()
 		if r.cfg.Zhuge {
 			r.ib.OnFeedbackPacket(r.Now(), p)

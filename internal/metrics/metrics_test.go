@@ -160,6 +160,51 @@ func TestPropertyWindowedMinMatchesBrute(t *testing.T) {
 	}
 }
 
+// TestPropertyWithinMatchesBrute compares Within, for min and max filters,
+// with a scan of the samples the filter retains (those at most its window
+// before the last Add), at random times, values and query windows,
+// including windows longer than the retention and queries after the last
+// Add.
+func TestPropertyWithinMatchesBrute(t *testing.T) {
+	const window = 50 * time.Millisecond
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		filters := []*WindowedFilter{NewWindowedMin(window), NewWindowedMax(window)}
+		var hist []timedValue
+		var now time.Duration
+		for i := 0; i < 200; i++ {
+			now += time.Duration(rng.Intn(10)) * time.Millisecond // repeats included
+			v := float64(rng.Intn(20))
+			hist = append(hist, timedValue{now, v})
+			for _, w := range filters {
+				w.Add(now, v)
+			}
+			at := now + time.Duration(rng.Intn(30))*time.Millisecond
+			d := time.Duration(rng.Intn(120)) * time.Millisecond
+			for _, w := range filters {
+				got, ok := w.Within(at, d)
+				best, found := 0.0, false
+				for _, h := range hist {
+					if now-h.at > window || at-h.at > d {
+						continue
+					}
+					if !found || (w.max && h.v > best) || (!w.max && h.v < best) {
+						best, found = h.v, true
+					}
+				}
+				if ok != found || got != best {
+					t.Logf("max=%v Within(%v, %v) = %v,%v, scan %v,%v", w.max, at, d, got, ok, best, found)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSlidingSumRate(t *testing.T) {
 	s := NewSlidingSum(100 * time.Millisecond)
 	for i := 0; i < 10; i++ {

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"sort"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/sim"
@@ -63,6 +64,20 @@ func (w *WindowedFilter) Get(now time.Duration) (float64, bool) {
 		return 0, false
 	}
 	return w.deque.Front().v, true
+}
+
+// Within returns the minimum (or maximum) of the samples recorded at most d
+// before now, and false if there are none. Unlike Get it expires nothing:
+// it reads the samples the last Add retained, so a d beyond the window
+// reads them all. The deque is in time order and its first entry inside d
+// is the answer for those samples, so a binary search finds it.
+func (w *WindowedFilter) Within(now, d time.Duration) (float64, bool) {
+	items := w.deque.Items()
+	i := sort.Search(len(items), func(i int) bool { return now-items[i].at <= d })
+	if i == len(items) {
+		return 0, false
+	}
+	return items[i].v, true
 }
 
 // SlidingSum accumulates (time, value) samples and reports their sum over a

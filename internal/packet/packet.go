@@ -18,6 +18,10 @@ const (
 	ProtoUDP = 17
 )
 
+// UDPOverhead is the IPv4 (20) and UDP (8) header bytes around a datagram's
+// payload: what a packet's size adds to the RTP or RTCP bytes it carries.
+const UDPOverhead = 28
+
 var (
 	// ErrTruncated reports a buffer too short for the claimed structure.
 	ErrTruncated = errors.New("packet: truncated")

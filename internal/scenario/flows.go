@@ -80,9 +80,9 @@ func (p *Path) AddRTPFlow(cfg FlowSpec) *RTPFlow {
 	var rc cca.Rate
 	switch cfg.CCA {
 	case "", "gcc":
-		rc = cca.NewGCC(cfg.StartRate, cfg.MinRate, cfg.MaxRate)
+		rc = cca.NewGCC(cfg.StartRate, minRate, cfg.MaxRate)
 	case "nada":
-		rc = cca.NewNADA(cfg.StartRate, cfg.MinRate, cfg.MaxRate)
+		rc = cca.NewNADA(cfg.StartRate, minRate, cfg.MaxRate)
 	default:
 		panic(fmt.Sprintf("scenario: unknown CCA %q for rtp", cfg.CCA))
 	}
@@ -274,8 +274,8 @@ func (p *Path) addStreamVideo(cfg FlowSpec, proto uint8, dial func(netem.FlowKey
 			} else {
 				target = 0.85 * ackRate
 			}
-			if target < cfg.MinRate {
-				target = cfg.MinRate
+			if target < minRate {
+				target = minRate
 			}
 			if target > cfg.MaxRate {
 				target = cfg.MaxRate

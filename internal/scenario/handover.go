@@ -30,7 +30,7 @@ type Station struct {
 // competing traffic costs the primary flow airtime, not queue space),
 // delivering into the same shared demux as the AP downlink; without it the
 // station's flows share the AP's main downlink queue.
-func (p *Path) newStation(name string, ap *PathAP, ownQueue bool, queueCap int) *Station {
+func (p *Path) newStation(name string, ap *PathAP, ownQueue bool) *Station {
 	st := &Station{ap: ap}
 	if ownQueue {
 		label := p.labelPrefix + name
@@ -42,7 +42,7 @@ func (p *Path) newStation(name string, ap *PathAP, ownQueue bool, queueCap int) 
 			Interferers: ap.Spec.Interferers,
 			Obs:         p.Spec.Obs,
 			ObsLabel:    label,
-		}, queue.NewFIFO(queueCap), p.clientDemux, p.S.NewRand(label))
+		}, queue.NewFIFO(0), p.clientDemux, p.S.NewRand(label))
 	}
 	p.stations[name] = st
 	return st

@@ -25,7 +25,7 @@ func (p *Path) AddQUICVideoFlow(cfg FlowSpec) *QUICVideoFlow {
 	f.streamVideo = p.addStreamVideo(cfg, 17, func(flow netem.FlowKey, h streamHooks) streamTransport {
 		var cc cca.TCP
 		if cfg.CCA == "pcc" {
-			cc = cca.NewPCC(cfg.StartRate, cfg.MinRate, 2*cfg.MaxRate)
+			cc = cca.NewPCC(cfg.StartRate, minRate, 2*cfg.MaxRate)
 		} else {
 			cc = newTCPController(cfg.CCA, "quic")
 		}

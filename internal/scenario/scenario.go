@@ -23,6 +23,7 @@ import (
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
+	"github.com/zhuge-project/zhuge/internal/wireless"
 )
 
 // Solution selects the AP-side mechanism under test.
@@ -57,11 +58,10 @@ func (s Solution) String() string {
 
 // Options configures a classic single-AP path (the NewPath surface).
 type Options struct {
-	Seed     int64
-	Trace    *trace.Trace  // downlink available bandwidth
-	WANRTT   time.Duration // server<->AP round trip; default from trace
-	Qdisc    string        // "fifo" (default), "codel", "fqcodel"
-	QueueCap int           // bytes; default queue.DefaultFIFOLimit
+	Seed   int64
+	Trace  *trace.Trace  // downlink available bandwidth
+	WANRTT time.Duration // server<->AP round trip; default from trace
+	Qdisc  string        // "fifo" (default), "codel", "fqcodel"
 
 	Interferers int // stations contending on the channel (Figure 17)
 
@@ -84,8 +84,7 @@ func (o Options) Spec() Spec {
 	return Spec{
 		Seed: o.Seed, WANRTT: o.WANRTT, Obs: o.Obs,
 		APs: []APSpec{{
-			Name: "ap0", Trace: o.Trace, Qdisc: o.Qdisc,
-			QueueCap: o.QueueCap, Interferers: o.Interferers,
+			Name: "ap0", Trace: o.Trace, Qdisc: o.Qdisc, Interferers: o.Interferers,
 			Solution: o.Solution, FTConfig: o.FTConfig, OOB: o.OOB,
 			MCSScale: o.MCSScale,
 		}},
@@ -197,7 +196,7 @@ func (p *Path) ReturnBase() time.Duration {
 }
 
 func (p *Path) apReturnBase(pa *PathAP) time.Duration {
-	return pa.WANUp.Delay() + pa.Downlink.Config().MaxAggAirtime/2
+	return pa.WANUp.Delay() + wireless.MaxAggAirtime/2
 }
 
 // FlowReturnBase is ReturnBase through the AP currently serving the

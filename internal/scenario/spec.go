@@ -22,8 +22,7 @@ type APSpec struct {
 	Name string // default "ap<index>"
 
 	Trace       *trace.Trace // downlink available bandwidth (required)
-	Qdisc       string       // "fifo" (default), "codel", "fqcodel"
-	QueueCap    int          // bytes; default queue.DefaultFIFOLimit
+	Qdisc       string       // "fifo" (default), "codel", "fqcodel"; each holds queue.DefaultFIFOLimit bytes
 	Interferers int          // foreign stations contending on this AP's channel
 
 	Solution Solution
@@ -42,10 +41,10 @@ type StationSpec struct {
 	Name string // required, unique
 	AP   string // starting AP name; default the first AP
 
-	// OwnQueue gives the station a dedicated queue + radio link at its
-	// AP. Without it the station's flows share the AP's main queue.
+	// OwnQueue gives the station a dedicated queue (a queue.DefaultFIFOLimit
+	// FIFO) + radio link at its AP. Without it the station's flows share
+	// the AP's main queue.
 	OwnQueue bool
-	QueueCap int // with OwnQueue; default queue.DefaultFIFOLimit
 }
 
 // FlowSpec declares one traffic flow of a scenario.
@@ -58,10 +57,9 @@ type FlowSpec struct {
 	Period  time.Duration // bulk only: on/off alternation period
 
 	// The video kinds' encoder: frame rate and the bounds its bitrate
-	// adapts within.
+	// adapts within (the floor is minRate).
 	FPS       int     // default 25
 	StartRate float64 // bits/s; default 1 Mbps
-	MinRate   float64 // default 150 kbps
 	MaxRate   float64 // default 6 Mbps (paper: ~2 Mbps average video)
 
 	// GapLoss (rtp only) enables the sender's feedback-hole loss inference
@@ -81,14 +79,14 @@ func (fs FlowSpec) withDefaults() FlowSpec {
 	if fs.StartRate == 0 {
 		fs.StartRate = 1e6
 	}
-	if fs.MinRate == 0 {
-		fs.MinRate = 150e3
-	}
 	if fs.MaxRate == 0 {
 		fs.MaxRate = 6e6
 	}
 	return fs
 }
+
+// minRate is the floor, in bits/s, of every video flow's bitrate.
+const minRate = 150e3
 
 // HandoverPolicy selects what happens to a flow's AP-side Zhuge state
 // when its station roams to another AP.
@@ -243,7 +241,7 @@ func (sp Spec) build(cell int, cellLabel string) *Path {
 	p.clientOut = netem.NewRouter(first.Uplink)
 
 	// The implicit primary station shares the first AP's queue.
-	p.defaultSta = p.newStation(DefaultStation, first, false, 0)
+	p.defaultSta = p.newStation(DefaultStation, first, false)
 
 	for _, ss := range sp.Stations {
 		if ss.Name == "" {
@@ -252,7 +250,7 @@ func (sp Spec) build(cell int, cellLabel string) *Path {
 		if _, dup := p.stations[ss.Name]; dup {
 			panic(fmt.Sprintf("scenario: duplicate station %q", ss.Name))
 		}
-		p.newStation(ss.Name, p.apByName(ss.AP), ss.OwnQueue, ss.QueueCap)
+		p.newStation(ss.Name, p.apByName(ss.AP), ss.OwnQueue)
 	}
 
 	p.AP = first.Zhuge
@@ -270,16 +268,16 @@ func (sp Spec) build(cell int, cellLabel string) *Path {
 const wanRate = 200e6
 
 // newQdisc builds the AP queuing discipline by name: "" or "fifo",
-// "codel", "fqcodel". Unknown names are a build-time configuration bug
-// and panic.
-func newQdisc(kind string, queueCap int) queue.Qdisc {
+// "codel", "fqcodel", each bounded at queue.DefaultFIFOLimit. Unknown names
+// are a build-time configuration bug and panic.
+func newQdisc(kind string) queue.Qdisc {
 	switch kind {
 	case "", "fifo":
-		return queue.NewFIFO(queueCap)
+		return queue.NewFIFO(0)
 	case "codel":
-		return queue.NewCoDel(queueCap)
+		return queue.NewCoDel(0)
 	case "fqcodel":
-		return queue.NewFQCoDel(0, queueCap)
+		return queue.NewFQCoDel(0, 0)
 	default:
 		panic(fmt.Sprintf("scenario: unknown qdisc %q", kind))
 	}
@@ -314,7 +312,7 @@ func (p *Path) buildAP(i int, as APSpec) {
 	pa := &PathAP{
 		Spec:    as,
 		Channel: wireless.NewChannel(),
-		Qdisc:   newQdisc(as.Qdisc, as.QueueCap),
+		Qdisc:   newQdisc(as.Qdisc),
 	}
 	pa.Downlink = wireless.NewLink(p.S, wireless.Config{
 		Channel:     pa.Channel,

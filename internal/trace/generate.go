@@ -23,8 +23,6 @@ type GenParams struct {
 	Mean    float64       // target mean rate, bits per second
 	BaseRTT time.Duration // propagation RTT to record with the trace
 
-	Step time.Duration // sample spacing (default 50ms)
-
 	// Slow variation: log-rate AR(1) x' = AR*x + N(0, Sigma).
 	AR    float64
 	Sigma float64
@@ -41,17 +39,14 @@ type GenParams struct {
 }
 
 func (p GenParams) withDefaults() GenParams {
-	if p.Step == 0 {
-		p.Step = 50 * time.Millisecond
-	}
-	if p.FadeRatioCap == 0 {
-		p.FadeRatioCap = 60
-	}
 	if p.Floor == 0 {
 		p.Floor = 50e3
 	}
 	return p
 }
+
+// genStep is the generated traces' sample spacing.
+const genStep = 50 * time.Millisecond
 
 // Generate synthesises a trace of the given duration.
 func Generate(p GenParams, dur time.Duration, rng *rand.Rand) *Trace {
@@ -64,12 +59,12 @@ func Generate(p GenParams, dur time.Duration, rng *rand.Rand) *Trace {
 	fadeUntil := time.Duration(-1)
 	fadeDepth := 1.0
 
-	for at := time.Duration(0); at < dur; at += p.Step {
+	for at := time.Duration(0); at < dur; at += genStep {
 		x = p.AR*x + rng.NormFloat64()*p.Sigma
 		rate := p.Mean * math.Exp(x-p.Sigma*p.Sigma/(2*(1-p.AR*p.AR)))
 
 		// Fade arrivals: Poisson with rate FadeRate per second.
-		if at > fadeUntil && rng.Float64() < p.FadeRate*p.Step.Seconds() {
+		if at > fadeUntil && rng.Float64() < p.FadeRate*genStep.Seconds() {
 			fadeDepth = boundedPareto(rng, p.FadeRatioMin, p.FadeAlpha, p.FadeRatioCap)
 			fadeDur := p.FadeDurMin + time.Duration(rng.Float64()*float64(p.FadeDurMax-p.FadeDurMin))
 			fadeUntil = at + fadeDur
@@ -87,12 +82,6 @@ func Generate(p GenParams, dur time.Duration, rng *rand.Rand) *Trace {
 
 // boundedPareto draws from a Pareto(min, alpha) distribution truncated at cap.
 func boundedPareto(rng *rand.Rand, min, alpha, cap float64) float64 {
-	if min <= 0 {
-		min = 2
-	}
-	if alpha <= 0 {
-		alpha = 1
-	}
 	v := min / math.Pow(1-rng.Float64(), 1/alpha)
 	if v > cap {
 		v = cap

@@ -25,9 +25,6 @@ const MTU = 1200
 // rtpOverhead approximates IP+UDP+RTP(+TWCC ext) header bytes.
 const rtpOverhead = 48
 
-// feedbackOverhead approximates IP+UDP bytes around an RTCP payload.
-const feedbackOverhead = 28
-
 // Payload is the simulator-level view of one RTP data packet. On a real
 // wire, RTPSeq/TWCCSeq live in the (unencrypted) RTP header and the frame
 // fields are implied by the payload; Zhuge's in-band updater reads only
@@ -437,12 +434,6 @@ type Receiver struct {
 	fsFree  []*frameState // recycled reassembly states (with their got maps)
 	decoder *video.Decoder
 
-	// DisableTWCC mutes locally generated TWCC feedback (Zhuge in-band
-	// mode constructs feedback at the AP instead and drops the client's;
-	// disabling it at the source models that drop without wasting uplink
-	// airtime in the simulator).
-	DisableTWCC bool
-
 	// onObserve/onFeedback are the control-loop recorder taps (see
 	// SetLoopHooks); nil when observability is disabled.
 	onObserve  func(now sim.Time)
@@ -581,8 +572,7 @@ func (r *Receiver) putFrameState(fs *frameState) {
 
 // sendFeedback flushes accumulated arrivals as one TWCC feedback packet.
 func (r *Receiver) sendFeedback() {
-	if len(r.arrivals) == 0 || r.DisableTWCC {
-		r.arrivals = r.arrivals[:0]
+	if len(r.arrivals) == 0 {
 		return
 	}
 	packet.BuildTWCCInto(&r.fbScratch, r.ssrc, r.ssrc, r.fbCount, r.arrivals)
@@ -590,16 +580,21 @@ func (r *Receiver) sendFeedback() {
 	buf := packet.NewFeedbackBuf()
 	buf.B = r.fbScratch.Marshal(buf.B)
 	r.arrivals = r.arrivals[:0]
+	if r.onFeedback != nil {
+		r.onFeedback(r.s.Now())
+	}
+	r.sendRTCP(buf)
+}
+
+// sendRTCP sends buf's RTCP bytes toward the sender as one feedback packet.
+func (r *Receiver) sendRTCP(buf *packet.FeedbackBuf) {
 	p := netem.NewPacket()
 	*p = netem.Packet{
 		Flow:    r.flow,
 		Kind:    netem.KindFeedback,
-		Size:    len(buf.B) + feedbackOverhead,
+		Size:    len(buf.B) + packet.UDPOverhead,
 		SentAt:  r.s.Now(),
 		Payload: buf,
-	}
-	if r.onFeedback != nil {
-		r.onFeedback(r.s.Now())
 	}
 	r.out.Receive(p)
 }
@@ -618,15 +613,7 @@ func (r *Receiver) sendReceiverReport() {
 	buf := packet.NewFeedbackBuf()
 	buf.B = rr.Marshal(buf.B)
 	r.rrSent++
-	p := netem.NewPacket()
-	*p = netem.Packet{
-		Flow:    r.flow,
-		Kind:    netem.KindFeedback,
-		Size:    len(buf.B) + feedbackOverhead,
-		SentAt:  r.s.Now(),
-		Payload: buf,
-	}
-	r.out.Receive(p)
+	r.sendRTCP(buf)
 }
 
 // sendNACKs requests retransmission of sequence gaps older than 10ms. A
@@ -667,13 +654,5 @@ func (r *Receiver) sendNACKs() {
 	nack := packet.NACK{SenderSSRC: r.ssrc, MediaSSRC: r.ssrc, Lost: lost}
 	buf := packet.NewFeedbackBuf()
 	buf.B = nack.Marshal(buf.B)
-	p := netem.NewPacket()
-	*p = netem.Packet{
-		Flow:    r.flow,
-		Kind:    netem.KindFeedback,
-		Size:    len(buf.B) + feedbackOverhead,
-		SentAt:  now,
-		Payload: buf,
-	}
-	r.out.Receive(p)
+	r.sendRTCP(buf)
 }

@@ -141,29 +141,6 @@ func TestGCCBacksOffOverCongestedWireless(t *testing.T) {
 	}
 }
 
-func TestDisableTWCCSuppressesFeedback(t *testing.T) {
-	s := sim.New(1)
-	sess := newSession(s, 50e6, 20*time.Millisecond)
-	sess.rcv.DisableTWCC = true
-	fbSeen := 0
-	// Intercept the reverse path.
-	orig := sess.rcv.out
-	sess.rcv.out = netem.ReceiverFunc(func(p *netem.Packet) {
-		if fp, ok := p.Payload.(interface{ RawRTCP() []byte }); ok {
-			if pt, f, _, err := packet.RTCPKind(fp.RawRTCP()); err == nil && pt == packet.RTCPTypeRTPFB && f == packet.RTPFBTWCC {
-				fbSeen++
-			}
-		}
-		orig.Receive(p)
-	})
-	sess.enc.Start()
-	sess.rcv.Start()
-	s.RunUntil(5 * time.Second)
-	if fbSeen != 0 {
-		t.Errorf("saw %d TWCC feedback packets with DisableTWCC", fbSeen)
-	}
-}
-
 func TestPacingSpreadsFramePackets(t *testing.T) {
 	s := sim.New(1)
 	var times []sim.Time

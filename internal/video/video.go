@@ -28,26 +28,21 @@ type Frame struct {
 type EncoderConfig struct {
 	FPS          int     // frames per second (paper: 1080p 24-25 fps)
 	StartBitrate float64 // bits per second (paper: ~2 Mbps average)
-	KeyInterval  int     // frames per group of pictures; default 48
-	KeyScale     float64 // key frame size multiplier; default 3
-	SizeJitter   float64 // lognormal sigma of frame size; default 0.15
 }
 
 func (c EncoderConfig) withDefaults() EncoderConfig {
 	if c.FPS == 0 {
 		c.FPS = 24
 	}
-	if c.KeyInterval == 0 {
-		c.KeyInterval = 48
-	}
-	if c.KeyScale == 0 {
-		c.KeyScale = 3
-	}
-	if c.SizeJitter == 0 {
-		c.SizeJitter = 0.15
-	}
 	return c
 }
+
+// The encoder's group-of-pictures model.
+const (
+	keyInterval = 48   // frames per group of pictures; frame 0 is a key frame
+	keyScale    = 3    // key frame size multiplier
+	sizeJitter  = 0.15 // lognormal sigma of frame size
+)
 
 // Encoder emits frames at a fixed rate whose sizes track a target bitrate.
 // The target can change at any time (the CCA drives it); the next frame
@@ -99,16 +94,15 @@ func (e *Encoder) Start() {
 }
 
 func (e *Encoder) emit() {
-	key := e.frameID%uint64(e.cfg.KeyInterval) == 0
+	key := e.frameID%keyInterval == 0
 	// Budget per frame so that key frames don't inflate the average:
 	// with one key of weight K per GOP of N, base = N*rate/fps/(N-1+K).
-	n := float64(e.cfg.KeyInterval)
-	base := e.target / float64(e.cfg.FPS) / 8 * n / (n - 1 + e.cfg.KeyScale)
+	base := e.target / float64(e.cfg.FPS) / 8 * keyInterval / (keyInterval - 1 + keyScale)
 	size := base
 	if key {
-		size *= e.cfg.KeyScale
+		size *= keyScale
 	}
-	size *= math.Exp(e.rng.NormFloat64()*e.cfg.SizeJitter - e.cfg.SizeJitter*e.cfg.SizeJitter/2)
+	size *= math.Exp(e.rng.NormFloat64()*sizeJitter - sizeJitter*sizeJitter/2)
 	if size < 200 {
 		size = 200
 	}

@@ -29,7 +29,7 @@ func TestEncoderRateAndCadence(t *testing.T) {
 
 func TestEncoderKeyFrames(t *testing.T) {
 	s := sim.New(1)
-	e := NewEncoder(s, EncoderConfig{FPS: 24, StartBitrate: 2e6, KeyInterval: 48}, s.NewRand("enc"))
+	e := NewEncoder(s, EncoderConfig{FPS: 24, StartBitrate: 2e6}, s.NewRand("enc"))
 	var frames []Frame
 	e.OnFrame = func(f Frame) { frames = append(frames, f) }
 	e.Start()
@@ -59,18 +59,29 @@ func TestEncoderKeyFrames(t *testing.T) {
 
 func TestEncoderTracksTargetChange(t *testing.T) {
 	s := sim.New(1)
-	e := NewEncoder(s, EncoderConfig{FPS: 25, StartBitrate: 2e6, KeyInterval: 1 << 30, SizeJitter: 0.001}, s.NewRand("enc"))
-	var sizes []int
-	e.OnFrame = func(f Frame) { sizes = append(sizes, f.Size) }
+	e := NewEncoder(s, EncoderConfig{FPS: 25, StartBitrate: 2e6}, s.NewRand("enc"))
+	var frames []Frame
+	e.OnFrame = func(f Frame) { frames = append(frames, f) }
 	e.Start()
-	s.At(time.Second, func() { e.SetTargetBitrate(500e3) })
-	s.RunUntil(2 * time.Second)
-	// Frame 10 (before change) ~ 2e6/25/8 = 10000B; frame 40 ~ 2500B.
-	if sizes[10] < 8000 || sizes[10] > 12000 {
-		t.Errorf("pre-change frame size %d, want ~10000", sizes[10])
+	// GOP 0 (frames 0-47, up to 1.88s) encodes at 2 Mbps and GOP 2 (frames
+	// 96-143, from 3.84s) at 500 kbps.
+	s.At(2*time.Second, func() { e.SetTargetBitrate(500e3) })
+	s.RunUntil(6 * time.Second)
+	meanP := func(gop int) float64 {
+		sum := 0
+		for _, f := range frames[gop*keyInterval+1 : (gop+1)*keyInterval] {
+			sum += f.Size
+		}
+		return float64(sum) / (keyInterval - 1)
 	}
-	if sizes[40] < 2000 || sizes[40] > 3000 {
-		t.Errorf("post-change frame size %d, want ~2500", sizes[40])
+	// A P frame's budget is rate/fps/8 * N/(N-1+K) = 0.96 * rate/fps/8.
+	for _, c := range []struct {
+		gop  int
+		want float64
+	}{{0, 9600}, {2, 2400}} {
+		if got := meanP(c.gop); got < 0.9*c.want || got > 1.1*c.want {
+			t.Errorf("GOP %d: mean P-frame size %.0f B, want %.0f ±10%%", c.gop, got, c.want)
+		}
 	}
 }
 

@@ -49,6 +49,30 @@ func (c *Channel) reserve(now sim.Time, airtime time.Duration) (start sim.Time) 
 	return start
 }
 
+// The 802.11 model every link shares (§7.1 fixes one AP model for the
+// whole evaluation). Over-the-air propagation delay is taken as zero.
+const (
+	// MaxAggAirtime bounds the estimated air time of one aggregate, like
+	// an 802.11 TXOP limit.
+	MaxAggAirtime = 4 * time.Millisecond
+	// perTxOverhead is the fixed per-aggregate overhead: preamble, SIFS,
+	// block ACK.
+	perTxOverhead = 300 * time.Microsecond
+	// baseAccess is the mean channel-access delay with an idle channel
+	// (DIFS + average backoff).
+	baseAccess = 100 * time.Microsecond
+	// interfererAirtime is the expected extra access wait one interferer
+	// adds to every channel access.
+	interfererAirtime = 300 * time.Microsecond
+	// stormProb is the per-access probability, per interferer, of hitting
+	// a channel-occupancy storm — a long stretch where other BSSes hold the
+	// medium (the heavy tail behind Table 1's reports of >100ms WiFi hops).
+	stormProb = 0.0003
+	// stormMin and stormMax bound a storm's duration.
+	stormMin = 30 * time.Millisecond
+	stormMax = 250 * time.Millisecond
+)
+
 // Config parameterises a wireless link.
 type Config struct {
 	// Channel optionally shares the medium with other links (per-station
@@ -64,32 +88,11 @@ type Config struct {
 
 	// MaxAggPackets bounds packets per aggregate (AMPDU). Default 32.
 	MaxAggPackets int
-	// MaxAggAirtime bounds the estimated air time of one aggregate,
-	// like an 802.11 TXOP limit. Default 4ms.
-	MaxAggAirtime time.Duration
-	// PerTxOverhead is fixed per-aggregate overhead (preamble, SIFS,
-	// block ACK). Default 300µs.
-	PerTxOverhead time.Duration
-	// BaseAccess is the mean channel-access delay with an idle channel
-	// (DIFS + average backoff). Default 100µs.
-	BaseAccess time.Duration
 	// Interferers is the number of stations contending on the same
-	// channel from other BSSes (Figure 17). Each adds
-	// InterfererAirtime of expected wait per channel access.
+	// channel from other BSSes (Figure 17). Each adds interfererAirtime
+	// of expected wait per channel access, and a stormProb chance of a
+	// storm.
 	Interferers int
-	// InterfererAirtime is the expected extra access wait contributed by
-	// one interferer. Default 300µs.
-	InterfererAirtime time.Duration
-	// StormProb is the per-access probability, per interferer, of hitting
-	// a channel-occupancy storm — a long stretch where other BSSes hold
-	// the medium (the heavy tail behind Table 1's reports of >100ms WiFi
-	// hops). Default 0.0008 per interferer.
-	StormProb float64
-	// StormMin/StormMax bound a storm's duration. Default 50-400ms.
-	StormMin time.Duration
-	StormMax time.Duration
-	// PropDelay is the over-the-air propagation delay. Default 0.
-	PropDelay time.Duration
 
 	// Obs optionally attaches the observability layer: packet-lifecycle
 	// trace events, per-link instruments and the prediction-error join at
@@ -105,27 +108,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxAggPackets == 0 {
 		c.MaxAggPackets = 32
-	}
-	if c.MaxAggAirtime == 0 {
-		c.MaxAggAirtime = 4 * time.Millisecond
-	}
-	if c.PerTxOverhead == 0 {
-		c.PerTxOverhead = 300 * time.Microsecond
-	}
-	if c.BaseAccess == 0 {
-		c.BaseAccess = 100 * time.Microsecond
-	}
-	if c.InterfererAirtime == 0 {
-		c.InterfererAirtime = 300 * time.Microsecond
-	}
-	if c.StormProb == 0 {
-		c.StormProb = 0.0003
-	}
-	if c.StormMin == 0 {
-		c.StormMin = 30 * time.Millisecond
-	}
-	if c.StormMax == 0 {
-		c.StormMax = 250 * time.Millisecond
 	}
 	return c
 }
@@ -309,8 +291,8 @@ func (l *Link) Channel() *Channel { return l.cfg.Channel }
 // nil ch detaches the link onto its own air.
 func (l *Link) SetChannel(ch *Channel) { l.cfg.Channel = ch }
 
-// Config returns the link's effective configuration (defaults filled in).
-// Topology code derives return-path latency estimates from it.
+// Config returns the link's effective configuration (defaults filled in);
+// the chaos injector reads the interferer count a burst restores from it.
 func (l *Link) Config() Config { return l.cfg }
 
 // Queue returns the link's qdisc.
@@ -402,13 +384,12 @@ func (l *Link) maybeStart() {
 func (l *Link) accessDelay() time.Duration {
 	// The random slot is unconditional: deterministic backoff would let
 	// one saturated station win every contention tie and starve the rest.
-	d := l.cfg.BaseAccess + time.Duration(l.rng.ExpFloat64()*float64(l.cfg.BaseAccess))
+	d := baseAccess + time.Duration(l.rng.ExpFloat64()*float64(baseAccess))
 	if l.cfg.Interferers > 0 {
-		mean := float64(l.cfg.Interferers) * float64(l.cfg.InterfererAirtime)
+		mean := float64(l.cfg.Interferers) * float64(interfererAirtime)
 		d += time.Duration(l.rng.ExpFloat64() * mean)
-		if l.rng.Float64() < l.cfg.StormProb*float64(l.cfg.Interferers) {
-			span := float64(l.cfg.StormMax - l.cfg.StormMin)
-			d += l.cfg.StormMin + time.Duration(l.rng.Float64()*span)
+		if l.rng.Float64() < stormProb*float64(l.cfg.Interferers) {
+			d += stormMin + time.Duration(l.rng.Float64()*float64(stormMax-stormMin))
 		}
 	}
 	return d
@@ -432,7 +413,7 @@ func (l *Link) transmitBurst() {
 	var bits float64
 	for len(burst) < l.cfg.MaxAggPackets {
 		peekAir := time.Duration((bits + 12112) / rate * float64(time.Second))
-		if len(burst) > 0 && peekAir > l.cfg.MaxAggAirtime {
+		if len(burst) > 0 && peekAir > MaxAggAirtime {
 			break
 		}
 		p := l.q.Dequeue(now)
@@ -456,7 +437,7 @@ func (l *Link) transmitBurst() {
 		return
 	}
 
-	airtime := time.Duration(bits/rate*float64(time.Second)) + l.cfg.PerTxOverhead
+	airtime := time.Duration(bits/rate*float64(time.Second)) + perTxOverhead
 	if ch := l.cfg.Channel; ch != nil {
 		ch.reserve(now, airtime)
 	}
@@ -464,7 +445,7 @@ func (l *Link) transmitBurst() {
 		l.obsBurst(now, burst, bits, airtime)
 	}
 	l.pending.PushBack(pendingBurst{pkts: burst, dst: l.dst})
-	l.s.Schedule(now+airtime+l.cfg.PropDelay, l.deliverFn)
+	l.s.Schedule(now+airtime, l.deliverFn)
 	l.s.Schedule(now+airtime, l.endTxFn)
 }
 
