@@ -97,8 +97,7 @@ func bufAsPayload(dst netem.Receiver) {
 }
 
 // payloadUseAfterRelease: the table covers *rtp.Payload, the pooled media
-// payload whose store/wire refcount makes stale reads alias another flow's
-// packet.
+// payload, whose stale reads alias another flow's packet.
 func payloadUseAfterRelease(pl *rtp.Payload) uint16 {
 	pl.Release()
 	return pl.RTPSeq // want `use of pl after Release`

@@ -13,6 +13,10 @@ import "sync"
 // packet of another flow or another concurrently running simulation.
 type FeedbackBuf struct {
 	B []byte
+
+	// released is set by Release and cleared by NewFeedbackBuf, so that a
+	// second Release panics instead of pooling one buffer twice.
+	released bool
 }
 
 var feedbackBufPool = sync.Pool{New: func() any { return new(FeedbackBuf) }}
@@ -21,7 +25,9 @@ var feedbackBufPool = sync.Pool{New: func() any { return new(FeedbackBuf) }}
 // to B (capacity from earlier uses is retained, so steady-state feedback
 // construction does not allocate).
 func NewFeedbackBuf() *FeedbackBuf {
-	return feedbackBufPool.Get().(*FeedbackBuf)
+	b := feedbackBufPool.Get().(*FeedbackBuf)
+	b.released = false
+	return b
 }
 
 // RawRTCP exposes the RTCP bytes (implements core.RTCPCarrier).
@@ -30,7 +36,12 @@ func (b *FeedbackBuf) RawRTCP() []byte { return b.B }
 // Release returns the buffer to the pool, keeping its storage for reuse.
 // Normally invoked by netem.Packet.Release via the payload-releaser hook;
 // call it directly only for a buffer that never became a packet payload.
+// Releasing a buffer twice would hand it to two owners, and panics.
 func (b *FeedbackBuf) Release() {
+	if b.released {
+		panic("packet: FeedbackBuf released twice")
+	}
 	b.B = b.B[:0]
+	b.released = true
 	feedbackBufPool.Put(b)
 }

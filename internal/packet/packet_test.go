@@ -224,3 +224,22 @@ func TestRTCPKind(t *testing.T) {
 		t.Errorf("NACK kind = %d/%d", pt, fmtField)
 	}
 }
+
+// TestFeedbackBufDoubleReleasePanics: a second Release would put one buffer
+// in the pool twice and hand its bytes to two feedback packets. The flag
+// that catches it is cleared by NewFeedbackBuf, so recycling stays legal.
+func TestFeedbackBufDoubleReleasePanics(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		b := NewFeedbackBuf()
+		b.B = append(b.B, 1)
+		b.Release()
+	}
+	b := NewFeedbackBuf()
+	b.Release()
+	defer func() {
+		if r := recover(); r != "packet: FeedbackBuf released twice" {
+			t.Errorf("second Release recovered %v, want the double-release panic", r)
+		}
+	}()
+	b.Release()
+}

@@ -92,7 +92,7 @@ type Sender struct {
 
 	// OnRTT receives every RTT sample.
 	OnRTT func(now sim.Time, rtt time.Duration)
-	// OnAckedBytes fires when the contiguous acknowledged prefix advances.
+	// OnAcked fires when the contiguous acknowledged prefix advances.
 	OnAcked func(now sim.Time, upTo uint64)
 
 	lostPackets int

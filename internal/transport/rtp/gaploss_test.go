@@ -21,6 +21,19 @@ func (c *captureCC) OnFeedback(_ sim.Time, samples []cca.FeedbackSample) {
 	c.batches = append(c.batches, append([]cca.FeedbackSample(nil), samples...))
 }
 
+// recordSends records n 1200-byte sends from TWCC seq first on, each sent
+// at seq milliseconds, as the pacer would have. With records still held,
+// first must be the next TWCC seq.
+func recordSends(snd *Sender, first uint16, n int) {
+	if snd.sent.Len() == 0 {
+		snd.sent.next = first
+	}
+	for i := 0; i < n; i++ {
+		seq := snd.sent.next
+		snd.sent.push(sentRecord{at: sim.Time(seq) * sim.Time(time.Millisecond), size: 1200, valid: true})
+	}
+}
+
 // newGapSender builds a sender with seqs 10..19 recorded as sent and a
 // feedback whose base has jumped to 15, as happens when the first reports
 // after an AP handover never reach the sender.
@@ -35,9 +48,7 @@ func newGapSender(t *testing.T, gapLoss bool) (*Sender, *captureCC, []byte) {
 	// pre-handshake gap would (correctly) not be reported.
 	snd.flushing = true
 	snd.flushSeq = 10
-	for seq := uint16(10); seq < 20; seq++ {
-		snd.sent[seq] = sentRecord{at: sim.Time(seq) * sim.Time(time.Millisecond), size: 1200, valid: true}
-	}
+	recordSends(snd, 10, 10)
 	var arrivals []packet.TWCCArrival
 	for seq := uint16(15); seq < 20; seq++ {
 		arrivals = append(arrivals, packet.TWCCArrival{Seq: seq, At: time.Duration(seq) * 2 * time.Millisecond})
@@ -74,7 +85,7 @@ func TestGapLossFlushesSkippedSends(t *testing.T) {
 		t.Errorf("flushSeq = %d, want 20", snd.flushSeq)
 	}
 	next := packet.BuildTWCC(7, 7, 1, []packet.TWCCArrival{{Seq: 20, At: 50 * time.Millisecond}}).Marshal(nil)
-	snd.sent[20] = sentRecord{at: sim.Time(20 * time.Millisecond), size: 1200, valid: true}
+	recordSends(snd, 20, 1)
 	snd.onTWCC(next)
 	if n := len(cc.batches[1]); n != 1 {
 		t.Errorf("second feedback delivered %d samples, want 1 (no re-flush)", n)
@@ -92,7 +103,7 @@ func TestGapLossOffLeavesSkippedSendsPending(t *testing.T) {
 		t.Fatalf("got %d samples, want only the 5 covered ones", n)
 	}
 	for seq := uint16(10); seq < 15; seq++ {
-		if !snd.sent[seq].valid {
+		if rec := snd.sent.at(seq); rec == nil || !rec.valid {
 			t.Errorf("seq %d was dropped without GapLoss; a later NACK could still cover it", seq)
 		}
 	}
@@ -107,9 +118,7 @@ func TestGapLossWrapAround(t *testing.T) {
 	snd.GapLoss = true
 	snd.flushing = true
 	snd.flushSeq = 65533
-	for _, seq := range []uint16{65533, 65534, 65535, 0, 1} {
-		snd.sent[seq] = sentRecord{at: sim.Time(time.Millisecond), size: 1200, valid: true}
-	}
+	recordSends(snd, 65533, 5)
 	raw := packet.BuildTWCC(7, 7, 0, []packet.TWCCArrival{{Seq: 1, At: time.Millisecond}}).Marshal(nil)
 	snd.onTWCC(raw)
 

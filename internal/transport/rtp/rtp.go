@@ -9,7 +9,6 @@ package rtp
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/cca"
@@ -40,10 +39,10 @@ type Payload struct {
 	Captured   sim.Time
 	Retransmit bool
 
-	// refs counts the owners of a pooled payload: the wire packet carrying
-	// it and, for original (non-retransmit) sends, the sender's
-	// retransmission store. Manipulated only through newPayload/Release.
-	refs int32
+	// released is set by Release and cleared when enqueue takes the struct
+	// from the pool, so that a second Release panics instead of pooling one
+	// struct twice.
+	released bool
 }
 
 // payloadPool recycles Payloads across flows and shards. Media payloads are
@@ -51,25 +50,15 @@ type Payload struct {
 // sent, several per frame, multiplied per shard at campus scale.
 var payloadPool = sync.Pool{New: func() any { return new(Payload) }}
 
-// newPayload returns a zeroed Payload from the pool holding refs references.
-func newPayload(refs int32) *Payload {
-	pl := payloadPool.Get().(*Payload)
-	atomic.StoreInt32(&pl.refs, refs)
-	return pl
-}
-
-// Release drops one reference and recycles the payload when the last owner
-// lets go (implements netem's structural payloadReleaser hook, so the wire
-// reference dies with the packet that carried it; the sender releases its
-// store reference when feedback confirms delivery or the slot is reused).
-// The count is atomic because under a sharded run the wire reference can die
-// on another shard's goroutine — a tromboned packet dropped at a visited AP
-// — concurrently with the home sender releasing its store reference.
+// Release recycles the payload (implements netem's structural
+// payloadReleaser hook, so it dies with the packet that carried it). A
+// payload has one owner, so a second Release means two packets alias it,
+// and panics.
 func (p *Payload) Release() {
-	if atomic.AddInt32(&p.refs, -1) > 0 {
-		return
+	if p.released {
+		panic("rtp: Payload released twice")
 	}
-	*p = Payload{}
+	*p = Payload{released: true}
 	payloadPool.Put(p)
 }
 
@@ -85,11 +74,11 @@ type Sender struct {
 	cc   cca.Rate
 	ssrc uint32
 
-	rtpSeq  uint16
-	twccSeq uint16
-
-	// sent records per-TWCC-seq send metadata for feedback matching.
-	sent [1 << 16]sentRecord
+	// sent holds send metadata by TWCC seq for feedback matching, and
+	// store a copy of each original send's payload by RTP seq for NACKs.
+	// sent.next and store.next are the next TWCC and RTP seqs.
+	sent  seqWindow[sentRecord]
+	store seqWindow[storedPayload]
 
 	// pacer queue
 	queue    sim.Deque[*netem.Packet]
@@ -102,9 +91,6 @@ type Sender struct {
 	fbScratch       packet.TWCCFeedback
 	arrivalsScratch []packet.TWCCArrival
 	samplesScratch  []cca.FeedbackSample
-
-	// retransmission store: recent packets by RTP seq.
-	store [1 << 16]*Payload
 
 	// Encoder to drive with rate updates (optional).
 	Encoder *video.Encoder
@@ -121,14 +107,10 @@ type Sender struct {
 	// prediction — before the packet has crossed the queue and air link. An
 	// "arrived" entry in such feedback is not proof the receiver has the
 	// packet (it may still be dropped by the qdisc and NACKed), so the
-	// retransmission store must not recycle payloads on it; recycling falls
-	// back to the virtual-time horizon prune. Client-generated feedback
-	// (the default) is receiver ground truth and recycles on confirmation.
+	// retransmission store must not retire payloads on it; they leave at
+	// the virtual-time horizon prune. Client-generated feedback (the
+	// default) is receiver ground truth and retires them on confirmation.
 	APFeedback bool
-
-	// pruneSeq is the oldest store slot the horizon prune has not yet
-	// visited; slots behind it hold payloads younger than storeHorizon.
-	pruneSeq uint16
 
 	// GapLoss infers loss for sent packets the feedback stream has
 	// silently skipped: when a TWCC message's range starts beyond
@@ -147,8 +129,41 @@ type Sender struct {
 type sentRecord struct {
 	at     sim.Time
 	size   int
-	rtpSeq uint16 // media seq of the payload, for store release on confirm
+	rtpSeq uint16 // media seq of the payload, to retire its stored copy on confirm
 	valid  bool
+}
+
+// storedPayload is the store's copy of one original send. live is cleared
+// when client feedback confirms the send: no NACK can ask for it anymore.
+type storedPayload struct {
+	pl   Payload
+	live bool
+}
+
+// seqWindow holds one entry per sequence number up to next-1, from the
+// oldest not yet popped and at most 1<<16 of them: an entry lives until it
+// is popped or until 1<<16 later numbers have been issued.
+type seqWindow[T any] struct {
+	sim.Deque[T]
+	next uint16
+}
+
+// push appends the entry for sequence number next.
+func (w *seqWindow[T]) push(v T) {
+	if w.Len() == 1<<16 {
+		w.PopFront()
+	}
+	w.PushBack(v)
+	w.next++
+}
+
+// at returns the entry for seq, or nil if seq is not in the window.
+func (w *seqWindow[T]) at(seq uint16) *T {
+	items := w.Items()
+	if i := int(seq - w.next + uint16(len(items))); i < len(items) {
+		return &items[i]
+	}
+	return nil
 }
 
 // NewSender builds an RTP sender for flow with rate controller cc, writing
@@ -165,35 +180,26 @@ func (snd *Sender) Controller() cca.Rate { return snd.cc }
 // Retransmits returns the cumulative retransmission count.
 func (snd *Sender) Retransmits() int { return snd.retransmits }
 
-// storeHorizon bounds how long a payload can sit in the retransmission
-// store before the prune recycles it. It must exceed the last instant a
+// storeHorizon bounds how long a payload's copy can sit in the
+// retransmission store before the prune pops it. It must exceed the last instant a
 // NACK can still arrive for a send: the receiver abandons a missing
 // sequence 2s after detecting the gap, detection lags the send by at most
 // one frame interval plus the (possibly bufferbloated) one-way delay of the
 // next delivered packet, and the NACK rides the uplink back. 8s dominates
-// that sum with seconds to spare, so pruned slots are provably dead and
+// that sum with seconds to spare, so pruned copies are provably dead and
 // the prune changes no run's behavior.
 const storeHorizon = 8 * time.Second
 
-// pruneStore walks forward from the oldest unvisited slot, recycling
-// payloads older than storeHorizon. Amortised O(1) per send: each slot is
-// visited once per trip around the sequence space.
-func (snd *Sender) pruneStore(now sim.Time) {
-	for snd.pruneSeq != snd.rtpSeq {
-		if pl := snd.store[snd.pruneSeq]; pl != nil {
-			if now-pl.Captured <= storeHorizon {
-				return
-			}
-			snd.store[snd.pruneSeq] = nil
-			pl.Release()
-		}
-		snd.pruneSeq++
-	}
-}
-
 // SendFrame packetises one encoded frame and queues it on the pacer.
 func (snd *Sender) SendFrame(f video.Frame) {
-	snd.pruneStore(snd.s.Now())
+	// Pop confirmed copies and those older than storeHorizon.
+	now := snd.s.Now()
+	for snd.store.Len() > 0 {
+		if e := snd.store.Front(); e.live && now-e.pl.Captured <= storeHorizon {
+			break
+		}
+		snd.store.PopFront()
+	}
 	total := (f.Size + MTU - 1) / MTU
 	if total == 0 {
 		total = 1
@@ -205,40 +211,28 @@ func (snd *Sender) SendFrame(f video.Frame) {
 			n = MTU
 		}
 		remaining -= n
-		// Two references: one rides the wire packet, one stays in the
-		// retransmission store until feedback confirms delivery (or the
-		// slot is reused a full sequence-space later).
-		pl := newPayload(2)
-		pl.SSRC, pl.RTPSeq = snd.ssrc, snd.rtpSeq
-		pl.FrameID, pl.FrameIdx, pl.FrameTot = f.ID, i, total
-		pl.Key, pl.Captured = f.Key, f.CapturedAt
-		snd.releaseStored(pl.RTPSeq)
-		snd.store[pl.RTPSeq] = pl
-		snd.rtpSeq++
+		pl := Payload{
+			SSRC: snd.ssrc, RTPSeq: snd.store.next,
+			FrameID: f.ID, FrameIdx: i, FrameTot: total,
+			Key: f.Key, Captured: f.CapturedAt,
+		}
+		snd.store.push(storedPayload{pl: pl, live: true})
 		snd.enqueue(pl, n+rtpOverhead)
 	}
 	snd.pace()
 }
 
-// releaseStored drops the store's reference on the payload at seq, if any,
-// and empties the slot. Called when feedback confirms the sequence arrived —
-// no NACK for it can come anymore — and before a wrapped sequence number
-// reuses the slot.
-func (snd *Sender) releaseStored(seq uint16) {
-	if pl := snd.store[seq]; pl != nil {
-		snd.store[seq] = nil
-		pl.Release()
-	}
-}
-
-// enqueue stamps a fresh TWCC sequence number and queues the packet.
-func (snd *Sender) enqueue(pl *Payload, wireSize int) {
+// enqueue queues a pooled copy of pl on the pacer, in a packet of wireSize
+// bytes. The packet is the copy's only owner; the store keeps its own.
+func (snd *Sender) enqueue(pl Payload, wireSize int) {
+	wire := payloadPool.Get().(*Payload)
+	*wire = pl
 	p := netem.NewPacket()
 	*p = netem.Packet{
 		Flow:    snd.flow,
 		Kind:    netem.KindData,
 		Size:    wireSize,
-		Payload: pl,
+		Payload: wire,
 	}
 	snd.queue.PushBack(p)
 }
@@ -280,9 +274,8 @@ func (snd *Sender) sendHead() {
 	p := snd.queue.PopFront()
 	sendAt := snd.s.Now()
 	pl := p.Payload.(*Payload)
-	pl.TWCCSeq = snd.twccSeq
-	snd.sent[pl.TWCCSeq] = sentRecord{at: sendAt, size: p.Size, rtpSeq: pl.RTPSeq, valid: true}
-	snd.twccSeq++
+	pl.TWCCSeq = snd.sent.next
+	snd.sent.push(sentRecord{at: sendAt, size: p.Size, rtpSeq: pl.RTPSeq, valid: true})
 	p.SentAt = sendAt
 	p.Seq = uint64(pl.TWCCSeq)
 	if snd.OnSend != nil {
@@ -330,9 +323,9 @@ func (snd *Sender) onTWCC(raw []byte) {
 		// advance), so report them to the controller now, ahead of the
 		// covered range.
 		for s := snd.flushSeq; int16(fb.BaseSeq-s) > 0; s++ {
-			if rec := snd.sent[s]; rec.valid {
+			if rec := snd.sent.at(s); rec != nil && rec.valid {
 				samples = append(samples, cca.FeedbackSample{Seq: s, SendAt: rec.at, Size: rec.size})
-				snd.sent[s] = sentRecord{}
+				*rec = sentRecord{}
 			}
 		}
 	}
@@ -340,8 +333,7 @@ func (snd *Sender) onTWCC(raw []byte) {
 	snd.arrivalsScratch = arrivals[:0]
 	ai := 0
 	for range fb.Packets {
-		rec := snd.sent[seq]
-		if rec.valid {
+		if rec := snd.sent.at(seq); rec != nil && rec.valid {
 			s := cca.FeedbackSample{Seq: seq, SendAt: rec.at, Size: rec.size}
 			if ai < len(arrivals) && arrivals[ai].Seq == seq {
 				s.Arrived = true
@@ -349,17 +341,16 @@ func (snd *Sender) onTWCC(raw []byte) {
 				ai++
 				// Client feedback only: the receiver has this media
 				// sequence (original or retransmit), it will never be
-				// NACKed again, so the store's copy is dead. Recycling
-				// here — one feedback interval after the send — lets a
-				// steady-state flow run from a handful of pooled
-				// payloads. AP-built feedback cannot promise receipt;
-				// those flows recycle via the horizon prune instead.
-				if !snd.APFeedback {
-					snd.releaseStored(rec.rtpSeq)
+				// NACKed again, so the store's copy is dead and the next
+				// prune pops it, one feedback interval after the send.
+				// AP-built feedback cannot promise receipt; those copies
+				// stay until the horizon prune.
+				if e := snd.store.at(rec.rtpSeq); e != nil && !snd.APFeedback {
+					e.live = false
 				}
 			}
 			samples = append(samples, s)
-			snd.sent[seq] = sentRecord{}
+			*rec = sentRecord{}
 		} else if ai < len(arrivals) && arrivals[ai].Seq == seq {
 			ai++
 		}
@@ -367,6 +358,9 @@ func (snd *Sender) onTWCC(raw []byte) {
 	}
 	if snd.GapLoss && int16(seq-snd.flushSeq) > 0 {
 		snd.flushSeq = seq
+	}
+	for snd.sent.Len() > 0 && !snd.sent.Front().valid {
+		snd.sent.PopFront()
 	}
 	snd.samplesScratch = samples[:0]
 	if len(samples) > 0 {
@@ -386,19 +380,12 @@ func (snd *Sender) onNACK(raw []byte) {
 		return
 	}
 	for _, seq := range nack.Lost {
-		pl := snd.store[seq]
-		if pl == nil {
+		e := snd.store.at(seq)
+		if e == nil || !e.live {
 			continue
 		}
 		snd.retransmits++
-		// One reference: clones ride the wire and are never stored. Fields
-		// are copied one by one — never `*clone = *pl` — because pl's wire
-		// twin may still be alive on another shard and its Release would
-		// race a whole-struct copy of the refcount.
-		clone := newPayload(1)
-		clone.SSRC, clone.RTPSeq = pl.SSRC, pl.RTPSeq
-		clone.FrameID, clone.FrameIdx, clone.FrameTot = pl.FrameID, pl.FrameIdx, pl.FrameTot
-		clone.Key, clone.Captured = pl.Key, pl.Captured
+		clone := e.pl
 		clone.Retransmit = true
 		size := MTU
 		if clone.FrameIdx == clone.FrameTot-1 {

@@ -1,8 +1,10 @@
 package rtp
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/zhuge-project/zhuge/internal/cca"
 	"github.com/zhuge-project/zhuge/internal/netem"
@@ -184,60 +186,170 @@ func TestReceiverSendsReceiverReports(t *testing.T) {
 	}
 }
 
-// storeCensus counts retransmission-store slots still holding a payload
-// among all media sequences sent so far.
-func storeCensus(snd *Sender) (live, total int) {
-	total = int(snd.rtpSeq)
-	for i := 0; i < total; i++ {
-		if snd.store[uint16(i)] != nil {
-			live++
+// nackHarness is a sender whose wire records a copy of every payload it
+// paces out and then releases the packet, as the delivery demux would.
+// Feedback and NACKs are handed to the sender by hand.
+type nackHarness struct {
+	s    *sim.Simulator
+	snd  *Sender
+	wire []Payload
+}
+
+func newNACKHarness() *nackHarness {
+	h := &nackHarness{s: sim.New(1)}
+	h.snd = NewSender(h.s, mediaFlow, 7, &captureCC{}, netem.ReceiverFunc(func(p *netem.Packet) {
+		h.wire = append(h.wire, *p.Payload.(*Payload))
+		p.Release()
+	}))
+	return h
+}
+
+// sendFrame sends a ten-packet frame captured now and paces it out.
+func (h *nackHarness) sendFrame(id uint64) {
+	h.snd.SendFrame(video.Frame{ID: id, Size: 10 * MTU, CapturedAt: h.s.Now()})
+	h.s.Run()
+}
+
+// confirm reports TWCC seqs first..first+n-1 arrived.
+func (h *nackHarness) confirm(first uint16, n int) {
+	var arrivals []packet.TWCCArrival
+	for i := 0; i < n; i++ {
+		arrivals = append(arrivals, packet.TWCCArrival{Seq: first + uint16(i), At: h.s.Now()})
+	}
+	h.snd.onTWCC(packet.BuildTWCC(7, 7, 0, arrivals).Marshal(nil))
+}
+
+// nack asks for the RTP seqs lost, paces the retransmissions out and
+// returns the RTP seqs retransmitted.
+func (h *nackHarness) nack(t *testing.T, lost ...uint16) []uint16 {
+	t.Helper()
+	n := len(h.wire)
+	msg := packet.NACK{SenderSSRC: 7, MediaSSRC: 7, Lost: lost}
+	h.snd.onNACK(msg.Marshal(nil))
+	h.s.Run()
+	got := []uint16{}
+	for _, pl := range h.wire[n:] {
+		if !pl.Retransmit {
+			t.Errorf("NACK sent RTP seq %d without the retransmit flag", pl.RTPSeq)
+		}
+		got = append(got, pl.RTPSeq)
+	}
+	return got
+}
+
+// seqs returns first..first+n-1, wrapping.
+func seqs(first uint16, n int) []uint16 {
+	out := make([]uint16, n)
+	for i := range out {
+		out[i] = first + uint16(i)
+	}
+	return out
+}
+
+// TestConfirmedSendIsNotRetransmitted pins the store under client
+// feedback: a TWCC arrival is receiver ground truth, so a confirmed send
+// (original or retransmission) is never sent again, while an unconfirmed
+// one is, with the original's frame fields.
+func TestConfirmedSendIsNotRetransmitted(t *testing.T) {
+	h := newNACKHarness()
+	h.sendFrame(3)
+	h.confirm(0, 5)
+	if got := h.nack(t, seqs(0, 10)...); !reflect.DeepEqual(got, seqs(5, 5)) {
+		t.Fatalf("retransmitted %v after confirming 0..4, want %v", got, seqs(5, 5))
+	}
+	orig, re := h.wire[7], h.wire[12]
+	orig.TWCCSeq, re.TWCCSeq, re.Retransmit = 0, 0, false
+	if re != orig {
+		t.Errorf("retransmission %+v differs from original %+v", re, orig)
+	}
+	// The retransmissions went out as TWCC seqs 10..14; confirming them
+	// confirms RTP seqs 5..9.
+	h.confirm(10, 5)
+	if got := h.nack(t, seqs(0, 10)...); len(got) != 0 {
+		t.Errorf("retransmitted %v after every send was confirmed", got)
+	}
+	if got := h.snd.Retransmits(); got != 5 {
+		t.Errorf("Retransmits() = %d, want 5", got)
+	}
+}
+
+// TestAPFeedbackRetransmitsUntilHorizon pins the store under AP-built
+// feedback: an "arrived" entry built from the Fortune Teller's prediction
+// does not prove the client has the packet, so a send stays retransmittable
+// until it is storeHorizon old, and no longer.
+func TestAPFeedbackRetransmitsUntilHorizon(t *testing.T) {
+	h := newNACKHarness()
+	h.snd.APFeedback = true
+	h.sendFrame(0)
+	h.confirm(0, 10)
+	if got := h.nack(t, seqs(0, 10)...); !reflect.DeepEqual(got, seqs(0, 10)) {
+		t.Fatalf("retransmitted %v after AP feedback, want %v", got, seqs(0, 10))
+	}
+	h.s.RunUntil(storeHorizon)
+	h.sendFrame(1) // the prune runs here, with frame 0 exactly storeHorizon old
+	if got := h.nack(t, 0); !reflect.DeepEqual(got, []uint16{0}) {
+		t.Errorf("retransmitted %v at the horizon, want [0]", got)
+	}
+	h.s.RunUntil(storeHorizon + time.Second)
+	h.sendFrame(2)
+	if got := h.nack(t, 0, 9, 10); !reflect.DeepEqual(got, []uint16{10}) {
+		t.Errorf("retransmitted %v past frame 0's horizon, want only frame 1's [10]", got)
+	}
+}
+
+// TestNACKAcrossSeqWrap asks for sends on both sides of the RTP seq wrap,
+// and for one on each side of the sent range.
+func TestNACKAcrossSeqWrap(t *testing.T) {
+	h := newNACKHarness()
+	h.snd.store.next = 65530
+	h.sendFrame(0) // RTP seqs 65530..65535, 0..3
+	want := []uint16{65534, 65535, 0, 1}
+	if got := h.nack(t, 65529, 65534, 65535, 0, 1, 4); !reflect.DeepEqual(got, want) {
+		t.Errorf("retransmitted %v, want %v", got, want)
+	}
+}
+
+// TestSeqWindowHoldsOneSequenceSpace: past 1<<16 entries the oldest goes,
+// so each 16-bit number names one entry, the newest sent under it.
+func TestSeqWindowHoldsOneSequenceSpace(t *testing.T) {
+	var w seqWindow[int]
+	for i := 0; i < 1<<16+3; i++ {
+		w.push(i)
+	}
+	if w.Len() != 1<<16 {
+		t.Fatalf("window holds %d entries, want %d", w.Len(), 1<<16)
+	}
+	for seq, want := range map[uint16]int{0: 1 << 16, 2: 1<<16 + 2, 3: 3, 65535: 65535} {
+		if got := w.at(seq); got == nil || *got != want {
+			t.Errorf("at(%d) = %v, want entry %d", seq, got, want)
 		}
 	}
-	return live, total
 }
 
-// TestPayloadStoreRecycles pins the pooled-payload lifecycle under client
-// feedback: TWCC arrivals are receiver ground truth, so the store drops its
-// reference a feedback interval after each send and a steady-state flow
-// runs from a handful of pooled payloads.
-func TestPayloadStoreRecycles(t *testing.T) {
-	s := sim.New(1)
-	sess := newSession(s, 50e6, 20*time.Millisecond)
-	sess.enc.Start()
-	sess.rcv.Start()
-	s.RunUntil(5 * time.Second)
-	live, total := storeCensus(sess.snd)
-	if total < 300 {
-		t.Fatalf("only %d media packets sent in 5s", total)
-	}
-	if live > total/10 {
-		t.Errorf("store holds %d of %d payloads under client feedback, want <10%% (only the last unconfirmed sends)", live, total)
+// TestSenderIsSmall: the store and the send records hold the sequence
+// numbers in flight, not the whole 16-bit sequence space, so a campus of
+// hundreds of senders is not hundreds of MiB.
+func TestSenderIsSmall(t *testing.T) {
+	if size := unsafe.Sizeof(Sender{}); size > 1024 {
+		t.Errorf("Sizeof(Sender{}) = %d B, want at most 1 KiB", size)
 	}
 }
 
-// TestPayloadStorePrunesAtHorizon pins the AP-feedback path: arrival
-// entries built by a Zhuge AP cannot prove receiver possession, so the
-// store must hold every payload until the NACK horizon — and recycle them
-// once virtual time passes it.
-func TestPayloadStorePrunesAtHorizon(t *testing.T) {
-	s := sim.New(1)
-	sess := newSession(s, 50e6, 20*time.Millisecond)
-	sess.snd.APFeedback = true
-	sess.enc.Start()
-	sess.rcv.Start()
-	s.RunUntil(5 * time.Second)
-	if live, total := storeCensus(sess.snd); live != total {
-		t.Fatalf("AP-feedback store recycled %d of %d payloads before the horizon", total-live, total)
-	}
-	s.RunUntil(12 * time.Second)
-	live, total := storeCensus(sess.snd)
-	if live == total {
-		t.Fatal("horizon prune recycled nothing by t=12s")
-	}
-	if sess.snd.store[0] != nil {
-		t.Error("first send (t~0) still stored at t=12s, beyond the 8s horizon")
-	}
-	if total > 0 && sess.snd.store[sess.snd.rtpSeq-1] == nil {
-		t.Error("newest send already pruned; the horizon must spare recent payloads")
-	}
+// TestPayloadDoubleReleasePanics: a payload has one owner, the packet that
+// carries it, so a second Release means two packets alias it and must not
+// pool it twice.
+func TestPayloadDoubleReleasePanics(t *testing.T) {
+	h := newNACKHarness()
+	var pl *Payload
+	h.snd.out = netem.ReceiverFunc(func(p *netem.Packet) {
+		pl = p.Payload.(*Payload)
+		p.Release()
+	})
+	h.sendFrame(0)
+	defer func() {
+		if r := recover(); r != "rtp: Payload released twice" {
+			t.Errorf("second Release recovered %v, want the double-release panic", r)
+		}
+	}()
+	pl.Release()
 }

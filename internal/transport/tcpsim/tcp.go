@@ -63,7 +63,7 @@ type Sender struct {
 	// OnRTT, if set, receives every RTT sample (the paper's network-RTT
 	// metric is measured at the sender, §7.2).
 	OnRTT func(now sim.Time, rtt time.Duration)
-	// OnDeliveredChange, if set, fires when sndUna advances; the video-
+	// OnAcked, if set, fires when sndUna advances; the video-
 	// over-TCP layer uses it to detect frame completion at the receiver.
 	OnAcked func(now sim.Time, upTo uint64)
 
