@@ -302,13 +302,30 @@ func (s *Simulator) next() *Timer {
 	return t
 }
 
-// peekTime returns the timestamp of the next pending event.
+// peekTime returns the timestamp of the next live event. Stopped timers
+// at the front of the batch or the top of the heap are discarded on the way,
+// as Step would discard them: RunUntil and RunBefore decide from this time
+// whether to Step, and a stopped timer's time would let Step fire the live
+// event behind it, however late.
 func (s *Simulator) peekTime() (Time, bool) {
-	if s.batchNext < len(s.batch) {
-		return s.batch[s.batchNext].at, true
+	for s.batchNext < len(s.batch) {
+		t := s.batch[s.batchNext]
+		if !t.stopped {
+			return t.at, true
+		}
+		s.batch[s.batchNext] = nil
+		s.batchNext++
+		t.fired = true
+		s.recycle(t)
 	}
-	if s.events.len() > 0 {
-		return s.events.minTime(), true
+	for s.events.len() > 0 {
+		t := s.events.tm[0]
+		if !t.stopped {
+			return t.at, true
+		}
+		s.events.pop()
+		t.fired = true
+		s.recycle(t)
 	}
 	return 0, false
 }

@@ -78,6 +78,41 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
+// A stopped timer that is next in line, at the top of the heap or in the
+// same-instant batch, must not let RunUntil or RunBefore fire the live event
+// behind it when that event lies past the end.
+func TestRunUntilSkipsStoppedTimers(t *testing.T) {
+	testRunSkipsStoppedTimers(t, (*Simulator).RunUntil)
+}
+
+func TestRunBeforeSkipsStoppedTimers(t *testing.T) {
+	testRunSkipsStoppedTimers(t, (*Simulator).RunBefore)
+}
+
+func testRunSkipsStoppedTimers(t *testing.T, run func(*Simulator, Time)) {
+	const end = 1500 * time.Microsecond
+	for _, batched := range []bool{false, true} {
+		s := New(1)
+		if batched {
+			var victim *Timer
+			s.At(time.Millisecond, func() { victim.Stop() })
+			victim = s.At(time.Millisecond, func() { t.Error("stopped timer fired") })
+		} else {
+			s.At(time.Millisecond, func() { t.Error("stopped timer fired") }).Stop()
+		}
+		late := false
+		s.Schedule(2*time.Millisecond, func() { late = true })
+		run(s, end)
+		if late || s.Now() != end {
+			t.Errorf("batched=%v: 2ms event fired = %v, Now() = %v; want false, %v", batched, late, s.Now(), end)
+		}
+		s.Run()
+		if !late {
+			t.Errorf("batched=%v: 2ms event never fired", batched)
+		}
+	}
+}
+
 func TestEventsScheduledDuringRun(t *testing.T) {
 	s := New(1)
 	var chain []time.Duration
