@@ -34,6 +34,7 @@ import (
 	"github.com/zhuge-project/zhuge/internal/sim"
 	"github.com/zhuge-project/zhuge/internal/trace"
 	"github.com/zhuge-project/zhuge/internal/transport/quicsim"
+	"github.com/zhuge-project/zhuge/internal/transport/tcpsim"
 )
 
 // benchCfg is the reduced scale used by figure benches.
@@ -257,7 +258,10 @@ func BenchmarkFig21WireFormats(b *testing.B) {
 // from the simulator's free list, so it must run allocation-free. So must
 // the deque every datapath queue is: one push and one pop per op at a
 // standing depth of 100, so that the array fills and is compacted, not
-// regrown, every 150 or so ops.
+// regrown, every 150 or so ops. And so must moving a deadline: rearm is one
+// Reset per op of a timer queued among 128 others, the heap depth a
+// TCP stream keeps, as a transport re-arms its retransmission timeout on
+// every send and ACK.
 func BenchmarkSimulatorCore(b *testing.B) {
 	b.Run("deque", func(b *testing.B) {
 		b.ReportAllocs()
@@ -284,6 +288,20 @@ func BenchmarkSimulatorCore(b *testing.B) {
 			at += time.Microsecond
 			s.Schedule(at, fn)
 			s.Step()
+		}
+	})
+	b.Run("rearm", func(b *testing.B) {
+		b.ReportAllocs()
+		s := sim.New(1)
+		fn := func() {}
+		for i := 0; i < 128; i++ {
+			s.Schedule(sim.Time(i)*time.Millisecond, fn)
+		}
+		tm := s.NewTimer(fn)
+		tm.Reset(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tm.Reset(sim.Time(i%128) * time.Millisecond)
 		}
 	})
 	b.Run("at-retained", func(b *testing.B) {
@@ -580,6 +598,42 @@ func BenchmarkQUICTransfer(b *testing.B) {
 				s.RunUntil(time.Minute)
 				if rcv.Delivered() != uint64(pkts*cca.MSS) || snd.LostPackets() != 0 {
 					b.Fatalf("delivered %d of %d bytes, %d packets lost", rcv.Delivered(), pkts*cca.MSS, snd.LostPackets())
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N * pkts)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/pkt")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/pkt")
+		})
+	}
+}
+
+// BenchmarkTCPTransfer is BenchmarkQUICTransfer's twin for tcpsim: the
+// same lossless bulk transfer, cubic over a pair of 100 Mbit/s links, at two
+// flow lengths. ns/pkt at 8000 packets over ns/pkt at 2000 is the scaling
+// gate CI applies (1.83 while every new segment was placed by a scan of the
+// in-flight list and every ACK moved the rest of it down; about 1.0 with
+// the list a deque).
+func BenchmarkTCPTransfer(b *testing.B) {
+	for _, pkts := range []int{2000, 8000} {
+		b.Run(fmt.Sprintf("pkts-%d", pkts), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := sim.New(1)
+				fwd := netem.NewLink(s, 100e6, 20*time.Millisecond, nil)
+				rev := netem.NewLink(s, 100e6, 20*time.Millisecond, nil)
+				flow := netem.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 443, DstPort: 50000, Proto: 6}
+				snd := tcpsim.NewSender(s, flow, cca.NewCubic(), fwd)
+				rcv := tcpsim.NewReceiver(s, flow.Reverse(), rev)
+				fwd.SetDst(rcv)
+				rev.SetDst(snd)
+				snd.Write(pkts * cca.MSS)
+				s.RunUntil(time.Minute)
+				if rcv.Delivered() != uint64(pkts*cca.MSS) || snd.Retransmits() != 0 {
+					b.Fatalf("delivered %d of %d bytes, %d retransmits", rcv.Delivered(), pkts*cca.MSS, snd.Retransmits())
 				}
 			}
 			b.StopTimer()

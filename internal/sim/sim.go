@@ -16,40 +16,78 @@ import (
 // Time is a virtual timestamp measured from the start of the simulation.
 type Time = time.Duration
 
-// Timer is a handle for a scheduled event. It can be stopped before firing.
+// Timer is a handle for a scheduled event. It can be stopped before firing,
+// and re-armed with Reset at any time, before or after it fires.
 //
-// Timers handed out by At/After are "retained": the caller holds the handle
-// and may Stop or inspect it at any time — even long after the event fired —
-// so the simulator must never reuse them. Recycling a retained timer would
-// let a caller's stale handle alias a future, unrelated event: Stop would
-// cancel someone else's timer and At/Stopped would report its state. That
-// aliasing is why every At/After call costs exactly one allocation (the
-// handle itself) while the handle-less Schedule/ScheduleAfter path recycles
-// timers through a per-simulator free list and runs allocation-free.
+// Timers handed out by At/After/NewTimer are "retained": the caller holds the
+// handle and may Stop, Reset or inspect it at any time — even long after the
+// event fired — so the simulator must never reuse them. Recycling a retained
+// timer would let a caller's stale handle alias a future, unrelated event:
+// Stop would cancel someone else's timer and At/Pending would report its
+// state. So each handle costs one allocation when it is made, and none
+// after: a deadline that keeps moving (a retransmission timeout re-armed on
+// every send and ACK) is one timer Reset in place, not a new handle per move.
+// The handle-less Schedule/ScheduleAfter path recycles timers through a
+// per-simulator free list and runs allocation-free.
 type Timer struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	stopped  bool
+	at  Time
+	seq uint64
+	fn  func()
+	s   *Simulator
+	// slot is the timer's index in the event heap while it is queued there,
+	// slotBatched while it waits in the same-instant batch, and slotIdle
+	// otherwise: fired, stopped, or never armed.
+	slot     int
 	retained bool
-	fired    bool // popped for dispatch (set before fn runs)
 }
 
-// At returns the virtual time this timer is scheduled to fire.
+const (
+	slotIdle    = -1
+	slotBatched = -2
+)
+
+// At returns the virtual time this timer is, or was last, armed to fire.
 func (t *Timer) At() Time { return t.at }
 
-// Stop cancels the timer. Stopping an already-fired timer is a no-op.
-// It reports whether the call prevented the timer from firing.
+// Pending reports whether the timer is armed and has not yet fired.
+func (t *Timer) Pending() bool { return t.slot != slotIdle }
+
+// Stop cancels the timer, taking it out of the event queue. Stopping a timer
+// that is not pending is a no-op. It reports whether the call prevented the
+// timer from firing.
 func (t *Timer) Stop() bool {
-	if t.stopped || t.fired {
+	switch {
+	case t.slot >= 0:
+		t.s.events.remove(t.slot)
+	case t.slot == slotBatched:
+		t.s.batchDead++ // its batch entry is skipped at dispatch
+	default:
 		return false
 	}
-	t.stopped = true
+	t.slot = slotIdle
 	return true
 }
 
-// Stopped reports whether Stop was called before the timer fired.
-func (t *Timer) Stopped() bool { return t.stopped }
+// Reset arms the timer to fire at absolute virtual time at, whether it is
+// pending, fired or stopped. It takes one fresh sequence number, as Stop
+// followed by At does, so it fires exactly where that pair would have put a
+// new timer; but a timer queued in the heap is re-keyed in place, sifting
+// from its own slot, and nothing is allocated. Resetting into the past
+// panics, as scheduling there does.
+func (t *Timer) Reset(at Time) {
+	s := t.s
+	s.checkTime(at)
+	s.seq++
+	t.at, t.seq = at, s.seq
+	if t.slot >= 0 {
+		s.events.rekey(t.slot, eventKey{at: at, seq: s.seq})
+		return
+	}
+	if t.slot == slotBatched {
+		s.batchDead++
+	}
+	s.events.push(t)
+}
 
 // eventKey is the heap-ordering key, kept in a flat array separate from the
 // timers so sift comparisons touch only densely packed 16-byte keys instead
@@ -73,8 +111,9 @@ func (k eventKey) less(o eventKey) bool {
 // four children of a node inside one cache line of keys.
 //
 // Children of node i are arity*i+1 ... arity*i+arity; parent is
-// (i-1)/arity. Invariant: key[parent] < key[child] for every edge (strict,
-// because seq is unique).
+// (i-1)/arity. Invariants: key[parent] < key[child] for every edge (strict,
+// because seq is unique), and tm[i].slot == i for every i, so a timer can be
+// removed or re-keyed where it sits.
 type eventQueue struct {
 	key []eventKey
 	tm  []*Timer
@@ -105,14 +144,18 @@ func (q *eventQueue) siftUp(i int) {
 			break
 		}
 		q.key[i], q.tm[i] = q.key[p], q.tm[p]
+		q.tm[i].slot = i
 		i = p
 	}
 	q.key[i], q.tm[i] = k, t
+	t.slot = i
 }
 
-// pop removes and returns the minimum-(at, seq) timer.
+// pop removes and returns the minimum-(at, seq) timer. It is remove(0),
+// written out for the event loop's hot path.
 func (q *eventQueue) pop() *Timer {
 	t := q.tm[0]
+	t.slot = slotIdle
 	n := len(q.key) - 1
 	k, last := q.key[n], q.tm[n]
 	q.tm[n] = nil
@@ -120,24 +163,56 @@ func (q *eventQueue) pop() *Timer {
 	q.tm = q.tm[:n]
 	if n > 0 {
 		q.key[0], q.tm[0] = k, last
-		q.siftDown()
+		q.siftDown(0)
 	}
 	return t
 }
 
-// siftDown restores the heap from the root after a pop, walking the hole
-// down through the smallest child at each level. The slice headers and the
-// current minimum-child key live in locals so the inner loop compares
-// registers instead of reloading through the struct pointer.
-func (q *eventQueue) siftDown() {
+// remove takes the timer at i out of the heap: the last element fills the
+// hole and sifts from there, up or down.
+func (q *eventQueue) remove(i int) {
+	q.tm[i].slot = slotIdle
+	n := len(q.key) - 1
+	k, last := q.key[n], q.tm[n]
+	q.tm[n] = nil
+	q.key = q.key[:n]
+	q.tm = q.tm[:n]
+	if i < n {
+		q.key[i], q.tm[i] = k, last
+		q.fix(i)
+	}
+}
+
+// rekey gives the timer at i a new key and restores the heap from i.
+func (q *eventQueue) rekey(i int, k eventKey) {
+	q.key[i] = k
+	q.fix(i)
+}
+
+// fix restores the heap around i after key[i] changed: toward the root if
+// it now beats its parent, toward the leaves otherwise.
+func (q *eventQueue) fix(i int) {
+	if i > 0 && q.key[i].less(q.key[(i-1)/arity]) {
+		q.siftUp(i)
+	} else {
+		q.siftDown(i)
+	}
+}
+
+// siftDown restores the heap below i, walking the hole down through the
+// smallest child at each level. The slice headers and the current
+// minimum-child key live in locals so the inner loop compares registers
+// instead of reloading through the struct pointer. key[i] must not beat its
+// parent.
+func (q *eventQueue) siftDown(i int) {
 	key, tm := q.key, q.tm
 	n := len(key)
-	i := 0
-	k, t := key[0], tm[0]
+	top := i
+	k, t := key[i], tm[i]
 	// Sink the hole to a leaf along the minimum-child path without
-	// comparing k at each level (bottom-up heapsort variant): k came from
-	// the last position, so it almost always belongs near a leaf, and the
-	// per-level k comparison would nearly never exit early.
+	// comparing k at each level (bottom-up heapsort variant): k usually
+	// came from the last position, so it almost always belongs near a
+	// leaf, and the per-level k comparison would nearly never exit early.
 	for {
 		c := arity*i + 1
 		if c >= n {
@@ -154,18 +229,21 @@ func (q *eventQueue) siftDown() {
 			}
 		}
 		key[i], tm[i] = km, tm[m]
+		tm[i].slot = i
 		i = m
 	}
 	// Bubble k back up from the leaf hole (usually zero or one step).
-	for i > 0 {
+	for i > top {
 		p := (i - 1) / arity
 		if !k.less(key[p]) {
 			break
 		}
 		key[i], tm[i] = key[p], tm[p]
+		tm[i].slot = i
 		i = p
 	}
 	key[i], tm[i] = k, t
+	t.slot = i
 }
 
 // Simulator owns the virtual clock and the pending event set.
@@ -185,15 +263,19 @@ type Simulator struct {
 	// dispatched from this buffer in seq order without going back to the
 	// heap between events. batchNext indexes the next undispatched entry;
 	// entries at and beyond it are still pending (they count in Pending,
-	// can still be Stopped, and survive a Stop of the simulator).
+	// can still be stopped or re-armed, and survive a Stop of the
+	// simulator). A timer stopped or re-armed while it waits here leaves
+	// its entry behind, dead; batchDead counts those entries, and they are
+	// skipped at dispatch.
 	batch     []*Timer
 	batchNext int
+	batchDead int
 
 	// free recycles handle-less timers popped from the event heap. Only
 	// timers created by Schedule/ScheduleAfter land here: nothing can hold
 	// a reference to them, so reuse is invisible. Retained timers (At/
-	// After) are never recycled — a caller's old handle must never alias a
-	// new event (see the Timer doc comment).
+	// After/NewTimer) are never recycled — a caller's old handle must never
+	// alias a new event (see the Timer doc comment).
 	free []*Timer
 }
 
@@ -208,8 +290,11 @@ func (s *Simulator) Now() Time { return s.now }
 // Seed returns the root seed the simulator was created with.
 func (s *Simulator) Seed() int64 { return s.seed }
 
-// Pending returns the number of events waiting to fire.
-func (s *Simulator) Pending() int { return s.events.len() + len(s.batch) - s.batchNext }
+// Pending returns the number of events waiting to fire. Stopped timers are
+// not among them.
+func (s *Simulator) Pending() int {
+	return s.events.len() + len(s.batch) - s.batchNext - s.batchDead
+}
 
 // Fired returns the cumulative count of events executed — the event-loop
 // throughput figure the observability layer exports per run.
@@ -232,6 +317,13 @@ func (s *Simulator) After(d time.Duration, fn func()) *Timer {
 	return s.At(s.now+d, fn)
 }
 
+// NewTimer returns a retained timer for fn that is not armed: Reset arms it.
+// It takes no sequence number until then. A component that re-arms one
+// deadline for its whole life holds one of these, with fn bound once.
+func (s *Simulator) NewTimer(fn func()) *Timer {
+	return &Timer{fn: fn, s: s, slot: slotIdle, retained: true}
+}
+
 // Schedule is the handle-less twin of At for hot paths: the event cannot be
 // stopped, which lets the simulator recycle its Timer after it fires instead
 // of allocating one per event.
@@ -248,21 +340,25 @@ func (s *Simulator) ScheduleAfter(d time.Duration, fn func()) {
 }
 
 func (s *Simulator) schedule(t Time, fn func()) *Timer {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
-	}
+	s.checkTime(t)
 	s.seq++
 	var timer *Timer
 	if n := len(s.free); n > 0 {
 		timer = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*timer = Timer{at: t, seq: s.seq, fn: fn}
+		*timer = Timer{at: t, seq: s.seq, fn: fn, s: s}
 	} else {
-		timer = &Timer{at: t, seq: s.seq, fn: fn}
+		timer = &Timer{at: t, seq: s.seq, fn: fn, s: s}
 	}
 	s.events.push(timer)
 	return timer
+}
+
+func (s *Simulator) checkTime(t Time) {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
+	}
 }
 
 // recycle returns a popped, handle-less timer to the free list.
@@ -274,18 +370,31 @@ func (s *Simulator) recycle(t *Timer) {
 	s.free = append(s.free, t)
 }
 
-// next removes and returns the next timer in (at, seq) order, or nil when
-// no events are pending. It serves the current same-timestamp batch first;
-// when the batch is empty it pops the heap, and if the popped minimum's
-// timestamp still tops the heap it drains the entire same-instant run into
-// the batch in one pass (heap pops yield the run already in seq order, so
-// no re-sorting is needed). Events a batched timer schedules at the same
-// instant carry higher seqs and correctly fire after the batch drains.
+// skipDead advances past batch entries whose timers were stopped or
+// re-armed since they were drained into the batch.
+func (s *Simulator) skipDead() {
+	for s.batchNext < len(s.batch) && s.batch[s.batchNext].slot != slotBatched {
+		s.batch[s.batchNext] = nil
+		s.batchNext++
+		s.batchDead--
+	}
+}
+
+// next removes and returns the next live timer in (at, seq) order, or nil
+// when no events are pending. It serves the current same-timestamp batch
+// first; when the batch is empty it pops the heap, and if the popped
+// minimum's timestamp still tops the heap it drains the entire same-instant
+// run into the batch in one pass (heap pops yield the run already in seq
+// order, so no re-sorting is needed). Events a batched timer schedules at
+// the same instant carry higher seqs and correctly fire after the batch
+// drains. The heap holds live timers only, since Stop takes a timer out.
 func (s *Simulator) next() *Timer {
+	s.skipDead()
 	if s.batchNext < len(s.batch) {
 		t := s.batch[s.batchNext]
 		s.batch[s.batchNext] = nil
 		s.batchNext++
+		t.slot = slotIdle
 		return t
 	}
 	if s.events.len() == 0 {
@@ -296,36 +405,22 @@ func (s *Simulator) next() *Timer {
 		s.batch = s.batch[:0]
 		s.batchNext = 0
 		for s.events.len() > 0 && s.events.minTime() == t.at {
-			s.batch = append(s.batch, s.events.pop())
+			b := s.events.pop()
+			b.slot = slotBatched
+			s.batch = append(s.batch, b)
 		}
 	}
 	return t
 }
 
-// peekTime returns the timestamp of the next live event. Stopped timers
-// at the front of the batch or the top of the heap are discarded on the way,
-// as Step would discard them: RunUntil and RunBefore decide from this time
-// whether to Step, and a stopped timer's time would let Step fire the live
-// event behind it, however late.
+// peekTime returns the timestamp of the next live event.
 func (s *Simulator) peekTime() (Time, bool) {
-	for s.batchNext < len(s.batch) {
-		t := s.batch[s.batchNext]
-		if !t.stopped {
-			return t.at, true
-		}
-		s.batch[s.batchNext] = nil
-		s.batchNext++
-		t.fired = true
-		s.recycle(t)
+	s.skipDead()
+	if s.batchNext < len(s.batch) {
+		return s.batch[s.batchNext].at, true
 	}
-	for s.events.len() > 0 {
-		t := s.events.tm[0]
-		if !t.stopped {
-			return t.at, true
-		}
-		s.events.pop()
-		t.fired = true
-		s.recycle(t)
+	if s.events.len() > 0 {
+		return s.events.minTime(), true
 	}
 	return 0, false
 }
@@ -340,27 +435,16 @@ func (s *Simulator) NextEventTime() (Time, bool) {
 // Step fires the next pending event, advancing the clock to it.
 // It reports whether an event fired.
 func (s *Simulator) Step() bool {
-	for {
-		t := s.next()
-		if t == nil {
-			return false
-		}
-		// Stopped timers are skipped at dispatch time, not pop time: a
-		// same-instant event dispatched just before this one may have
-		// stopped it while it sat in the batch.
-		if t.stopped {
-			t.fired = true
-			s.recycle(t)
-			continue
-		}
-		s.now = t.at
-		t.fired = true
-		fn := t.fn
-		s.recycle(t)
-		s.fired++
-		fn()
-		return true
+	t := s.next()
+	if t == nil {
+		return false
 	}
+	s.now = t.at
+	fn := t.fn
+	s.recycle(t)
+	s.fired++
+	fn()
+	return true
 }
 
 // Run fires events until none remain or Stop is called.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -51,12 +50,15 @@ func TestStopTimer(t *testing.T) {
 	if timer.Stop() {
 		t.Error("second Stop should report false")
 	}
+	if timer.Pending() {
+		t.Error("Pending() should be false after Stop")
+	}
+	if s.Pending() != 0 {
+		t.Errorf("simulator Pending() = %d after Stop, want 0: a stopped timer leaves the queue", s.Pending())
+	}
 	s.Run()
 	if fired {
 		t.Error("stopped timer fired")
-	}
-	if !timer.Stopped() {
-		t.Error("Stopped() should be true")
 	}
 }
 
@@ -301,7 +303,7 @@ func TestRetainedTimersAreNotRecycled(t *testing.T) {
 	if fired {
 		t.Error("stopped retained timer fired")
 	}
-	if !h.Stopped() {
+	if h.Pending() {
 		t.Error("handle lost its stopped state")
 	}
 	if h.At() != 50*time.Millisecond {
@@ -333,6 +335,9 @@ func TestStopWhileBatched(t *testing.T) {
 		order = append(order, 0)
 		if !victim.Stop() {
 			t.Error("stopping a batched, not-yet-dispatched timer should succeed")
+		}
+		if got := s.Pending(); got != 2 {
+			t.Errorf("Pending() = %d after stopping a batched timer, want 2: the stopped one is not pending", got)
 		}
 	})
 	s.At(time.Second, func() { order = append(order, 1) })
@@ -414,60 +419,124 @@ func TestStopSimulatorMidBatch(t *testing.T) {
 }
 
 // TestPropertyHeapMatchesReferenceModel drives the event queue with random
-// schedule/cancel interleavings and checks the firing sequence against a
-// reference model: a sorted-by-(time, seq) slice of the surviving events.
+// schedule/stop/reset interleavings, made between RunUntil windows and from
+// inside firing events (where same-instant timers sit in the batch), and
+// checks every firing against a reference model: the live events with their
+// (time, seq) keys, where At and Reset each take the next seq. An event must
+// fire at its time, be the least live key, and not lie past the window.
 func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 	rng := LabeledRand(42, "heap-property")
+	// Cases the random walk must reach, counted across all trials.
+	var resetLater, resetEarlier, resetFired, resetBatched, stopBatched int
 	for trial := 0; trial < 200; trial++ {
 		s := New(1)
 		type ref struct {
 			at   Time
-			id   int
+			seq  uint64
 			tm   *Timer
-			dead bool
+			live bool
 		}
-		var model []*ref
-		var fires []int
-		n := 1 + rng.Intn(60)
-		for i := 0; i < n; i++ {
-			switch {
-			case len(model) > 0 && rng.Intn(4) == 0:
-				// Cancel a random live event.
-				r := model[rng.Intn(len(model))]
-				if !r.dead {
-					r.dead = true
-					r.tm.Stop()
+		var refs []*ref
+		var seq uint64 // the model's copy of the simulator's sequence
+		var bound Time // end of the current RunUntil window
+		liveCount := func() int {
+			n := 0
+			for _, r := range refs {
+				if r.live {
+					n++
 				}
-			default:
-				// Coarse times force plenty of ties.
-				at := Time(rng.Intn(8)) * time.Millisecond
-				id := i
-				r := &ref{at: at, id: id}
-				r.tm = s.At(at, func() { fires = append(fires, id) })
-				model = append(model, r)
+			}
+			return n
+		}
+		var ops func(n int)
+		fire := func(r *ref) func() {
+			return func() {
+				if !r.live || s.Now() != r.at || r.at > bound {
+					t.Fatalf("trial %d: event keyed (%v, %d) fired at %v in a window ending %v, live %v",
+						trial, r.at, r.seq, s.Now(), bound, r.live)
+				}
+				for _, o := range refs {
+					if o.live && o != r && (o.at < r.at || o.at == r.at && o.seq < r.seq) {
+						t.Fatalf("trial %d: (%v, %d) fired before live (%v, %d)", trial, r.at, r.seq, o.at, o.seq)
+					}
+				}
+				r.live = false
+				ops(rng.Intn(3))
 			}
 		}
-		// Reference order: stable sort by time (insertion order breaks
-		// ties, matching the (at, seq) contract).
-		var want []int
-		sort.SliceStable(model, func(i, j int) bool { return model[i].at < model[j].at })
-		for _, r := range model {
-			if !r.dead {
-				want = append(want, r.id)
+		ops = func(n int) {
+			for ; n > 0; n-- {
+				// Coarse times force plenty of ties, hence batches.
+				at := s.Now() + Time(rng.Intn(4))*time.Millisecond
+				switch op := rng.Intn(4); {
+				case op == 0 || len(refs) == 0:
+					seq++
+					r := &ref{at: at, seq: seq, live: true}
+					r.tm = s.At(at, fire(r))
+					refs = append(refs, r)
+				case op == 1:
+					r := refs[rng.Intn(len(refs))]
+					if r.tm.slot == slotBatched {
+						stopBatched++
+					}
+					if got := r.tm.Stop(); got != r.live {
+						t.Fatalf("trial %d: Stop() = %v, want %v", trial, got, r.live)
+					}
+					r.live = false
+				case op == 2:
+					r := refs[rng.Intn(len(refs))]
+					switch {
+					case r.tm.slot == slotBatched:
+						resetBatched++
+					case !r.live:
+						resetFired++ // or stopped
+					case at > r.at:
+						resetLater++
+					case at < r.at:
+						resetEarlier++
+					}
+					seq++
+					r.tm.Reset(at)
+					r.at, r.seq, r.live = at, seq, true
+				default:
+					r := refs[rng.Intn(len(refs))]
+					if r.tm.Pending() != r.live || r.tm.At() != r.at {
+						t.Fatalf("trial %d: timer Pending() = %v at %v, want %v at %v",
+							trial, r.tm.Pending(), r.tm.At(), r.live, r.at)
+					}
+					if got, want := s.Pending(), liveCount(); got != want {
+						t.Fatalf("trial %d: Pending() = %d, want %d live events", trial, got, want)
+					}
+				}
 			}
 		}
+		ops(1 + rng.Intn(20))
+		for step := 1; step <= 16; step++ {
+			bound = Time(step) * time.Millisecond
+			s.RunUntil(bound)
+			if s.Now() != bound {
+				t.Fatalf("trial %d: Now() = %v after RunUntil(%v)", trial, s.Now(), bound)
+			}
+			for _, r := range refs {
+				if r.live && r.at <= bound {
+					t.Fatalf("trial %d: event at %v still live after RunUntil(%v)", trial, r.at, bound)
+				}
+			}
+			if got, want := s.Pending(), liveCount(); got != want {
+				t.Fatalf("trial %d: Pending() = %d after RunUntil(%v), want %d", trial, got, bound, want)
+			}
+			ops(rng.Intn(4))
+		}
+		bound = Time(1 << 62)
 		s.Run()
-		if len(fires) != len(want) {
-			t.Fatalf("trial %d: fired %v, want %v", trial, fires, want)
+		if n := liveCount(); n != 0 || s.Pending() != 0 {
+			t.Fatalf("trial %d: %d events never fired, Pending() = %d", trial, n, s.Pending())
 		}
-		for i := range want {
-			if fires[i] != want[i] {
-				t.Fatalf("trial %d: fired %v, want %v", trial, fires, want)
-			}
-		}
-		if s.Pending() != 0 {
-			t.Fatalf("trial %d: %d events left pending", trial, s.Pending())
-		}
+	}
+	t.Logf("resets: %d later, %d earlier, %d of fired or stopped, %d batched; %d batched stops",
+		resetLater, resetEarlier, resetFired, resetBatched, stopBatched)
+	if resetLater == 0 || resetEarlier == 0 || resetFired == 0 || resetBatched == 0 || stopBatched == 0 {
+		t.Error("the random walk missed a Reset or Stop case")
 	}
 }
 

@@ -77,15 +77,13 @@ type Sender struct {
 
 	srtt, rttvar time.Duration
 	rto          time.Duration
-	rtoTimer     *sim.Timer
-	rtoBackoff   int
+	// Both timers are held for life, their callbacks bound once: armPTO
+	// moves the PTO, and sendTimer is pending while a paced send waits.
+	rtoTimer   *sim.Timer
+	rtoBackoff int
 
 	pacingNext sim.Time
 	sendTimer  *sim.Timer
-
-	// The two timer callbacks, bound once: a method value or a closure
-	// made where the timer is armed is an allocation per data packet.
-	ptoFn, sendFn func()
 
 	// delivered tracking for app-level frame completion
 	ackedRanges *rangeSet
@@ -117,11 +115,8 @@ func NewSender(s *sim.Simulator, flow netem.FlowKey, cc cca.TCP, out netem.Recei
 		rto:         time.Second,
 		ackedRanges: newRangeSet(),
 	}
-	t.ptoFn = t.onPTO
-	t.sendFn = func() {
-		t.sendTimer = nil
-		t.trySend()
-	}
+	t.rtoTimer = s.NewTimer(t.onPTO)
+	t.sendTimer = s.NewTimer(t.trySend)
 	return t
 }
 
@@ -151,12 +146,12 @@ func (t *Sender) Write(n int) {
 
 func (t *Sender) trySend() {
 	now := t.s.Now()
-	if t.sendTimer != nil && !t.sendTimer.Stopped() {
+	if t.sendTimer.Pending() {
 		return
 	}
 	for t.inflightBytes < t.cc.CWND() {
 		if rate := t.cc.PacingRate(now); rate > 0 && t.pacingNext > now {
-			t.sendTimer = t.s.At(t.pacingNext, t.sendFn)
+			t.sendTimer.Reset(t.pacingNext)
 			return
 		}
 		var chunk streamChunk
@@ -203,14 +198,11 @@ func (t *Sender) sendData(chunk streamChunk) {
 }
 
 func (t *Sender) armPTO() {
-	if t.rtoTimer != nil {
-		t.rtoTimer.Stop()
-	}
 	backoff := t.rto << t.rtoBackoff
 	if backoff > time.Minute {
 		backoff = time.Minute
 	}
-	t.rtoTimer = t.s.After(backoff, t.ptoFn)
+	t.rtoTimer.Reset(t.s.Now() + backoff)
 }
 
 // onPTO is the probe timeout: re-send the oldest in-flight chunk.
@@ -341,9 +333,7 @@ func (t *Sender) Receive(p *netem.Packet) {
 		t.OnAcked(now, t.Acked())
 	}
 	if t.window.Len() == 0 {
-		if t.rtoTimer != nil {
-			t.rtoTimer.Stop()
-		}
+		t.rtoTimer.Stop()
 	} else {
 		t.armPTO()
 	}

@@ -8,6 +8,7 @@
 package tcpsim
 
 import (
+	"sort"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/cca"
@@ -46,7 +47,10 @@ type Sender struct {
 	sndNxt uint64
 	appEnd uint64 // bytes the application has made available
 
-	segs []Segment // in-flight segments ordered by Seq
+	// segs holds the in-flight segments in Seq order: a new segment goes
+	// on the back, an acknowledged one comes off the front, and a
+	// retransmission refreshes its segment where it sits.
+	segs sim.Deque[Segment]
 
 	dupAcks   int
 	recover   uint64 // end of fast-recovery: highest seq sent at loss time
@@ -54,11 +58,11 @@ type Sender struct {
 
 	srtt, rttvar time.Duration
 	rto          time.Duration
-	rtoTimer     *sim.Timer
+	rtoTimer     *sim.Timer // held for life: armRTO moves it
 	rtoBackoff   int
 
 	pacingNext sim.Time
-	sendTimer  *sim.Timer
+	sendTimer  *sim.Timer // pending while a paced send waits
 
 	// OnRTT, if set, receives every RTT sample (the paper's network-RTT
 	// metric is measured at the sender, §7.2).
@@ -74,7 +78,10 @@ type Sender struct {
 // NewSender builds a TCP sender for flow using controller cc, transmitting
 // into out (the first hop toward the receiver).
 func NewSender(s *sim.Simulator, flow netem.FlowKey, cc cca.TCP, out netem.Receiver) *Sender {
-	return &Sender{s: s, cc: cc, out: out, flow: flow, rto: time.Second}
+	t := &Sender{s: s, cc: cc, out: out, flow: flow, rto: time.Second}
+	t.rtoTimer = s.NewTimer(t.onRTO)
+	t.sendTimer = s.NewTimer(t.trySend)
+	return t
 }
 
 // Retransmits returns the cumulative retransmission count.
@@ -100,23 +107,22 @@ func (t *Sender) Pending() int { return int(t.appEnd - t.sndNxt) }
 
 func (t *Sender) trySend() {
 	now := t.s.Now()
-	if t.sendTimer != nil && !t.sendTimer.Stopped() {
+	if t.sendTimer.Pending() {
 		return // a paced send is already scheduled
 	}
 	for t.sndNxt < t.appEnd && t.InFlight() < t.cc.CWND() {
 		if rate := t.cc.PacingRate(now); rate > 0 && t.pacingNext > now {
 			// Pace: schedule the next send.
-			t.sendTimer = t.s.At(t.pacingNext, func() {
-				t.sendTimer = nil
-				t.trySend()
-			})
+			t.sendTimer.Reset(t.pacingNext)
 			return
 		}
 		n := int(t.appEnd - t.sndNxt)
 		if n > cca.MSS {
 			n = cca.MSS
 		}
-		t.sendSegment(Segment{Seq: t.sndNxt, Len: n, SentAt: now})
+		seg := Segment{Seq: t.sndNxt, Len: n, SentAt: now}
+		t.segs.PushBack(seg) // sndNxt is past every segment in flight
+		t.sendSegment(seg)
 		t.sndNxt += uint64(n)
 		if rate := t.cc.PacingRate(now); rate > 0 {
 			gap := time.Duration(float64(n+dataOverhead) * 8 / rate * float64(time.Second))
@@ -128,8 +134,8 @@ func (t *Sender) trySend() {
 	}
 }
 
+// sendSegment puts a segment already recorded in segs on the wire.
 func (t *Sender) sendSegment(seg Segment) {
-	t.insertSegment(seg)
 	p := netem.NewPacket()
 	*p = netem.Packet{
 		Flow:    t.flow,
@@ -143,33 +149,12 @@ func (t *Sender) sendSegment(seg Segment) {
 	t.armRTO()
 }
 
-// insertSegment records an in-flight segment, replacing any same-seq entry
-// (retransmissions refresh SentAt).
-func (t *Sender) insertSegment(seg Segment) {
-	for i := range t.segs {
-		if t.segs[i].Seq == seg.Seq {
-			t.segs[i] = seg
-			return
-		}
-		if t.segs[i].Seq > seg.Seq {
-			t.segs = append(t.segs, Segment{})
-			copy(t.segs[i+1:], t.segs[i:])
-			t.segs[i] = seg
-			return
-		}
-	}
-	t.segs = append(t.segs, seg)
-}
-
 func (t *Sender) armRTO() {
-	if t.rtoTimer != nil {
-		t.rtoTimer.Stop()
-	}
 	backoff := t.rto << t.rtoBackoff
 	if backoff > time.Minute {
 		backoff = time.Minute
 	}
-	t.rtoTimer = t.s.After(backoff, t.onRTO)
+	t.rtoTimer.Reset(t.s.Now() + backoff)
 }
 
 func (t *Sender) onRTO() {
@@ -187,21 +172,25 @@ func (t *Sender) onRTO() {
 
 func (t *Sender) retransmitFirst() {
 	now := t.s.Now()
-	for _, seg := range t.segs {
-		if seg.Seq >= t.sndUna {
-			t.retransmits++
-			t.sendSegment(Segment{Seq: seg.Seq, Len: seg.Len, SentAt: now})
-			return
-		}
+	segs := t.segs.Items()
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].Seq >= t.sndUna })
+	if i < len(segs) {
+		t.retransmits++
+		segs[i].SentAt = now
+		t.sendSegment(segs[i])
+		return
 	}
-	// Segment list lost its head (should not happen); resend from sndUna.
+	// Segment list lost its head (should not happen); resend from sndUna,
+	// which is past every segment left, so it goes on the back.
 	n := int(t.sndNxt - t.sndUna)
 	if n > cca.MSS {
 		n = cca.MSS
 	}
 	if n > 0 {
 		t.retransmits++
-		t.sendSegment(Segment{Seq: t.sndUna, Len: n, SentAt: now})
+		seg := Segment{Seq: t.sndUna, Len: n, SentAt: now}
+		t.segs.PushBack(seg)
+		t.sendSegment(seg)
 	}
 }
 
@@ -243,9 +232,7 @@ func (t *Sender) Receive(p *netem.Packet) {
 			t.OnAcked(now, t.sndUna)
 		}
 		if t.sndUna >= t.sndNxt {
-			if t.rtoTimer != nil {
-				t.rtoTimer.Stop()
-			}
+			t.rtoTimer.Stop()
 		} else {
 			t.armRTO()
 		}
@@ -262,12 +249,8 @@ func (t *Sender) Receive(p *netem.Packet) {
 }
 
 func (t *Sender) dropAckedSegments() {
-	i := 0
-	for i < len(t.segs) && t.segs[i].Seq+uint64(t.segs[i].Len) <= t.sndUna {
-		i++
-	}
-	if i > 0 {
-		t.segs = append(t.segs[:0], t.segs[i:]...)
+	for t.segs.Len() > 0 && t.segs.Front().Seq+uint64(t.segs.Front().Len) <= t.sndUna {
+		t.segs.PopFront()
 	}
 }
 
