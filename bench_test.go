@@ -261,7 +261,9 @@ func BenchmarkFig21WireFormats(b *testing.B) {
 // regrown, every 150 or so ops. And so must moving a deadline: rearm is one
 // Reset per op of a timer queued among 128 others, the heap depth a
 // TCP stream keeps, as a transport re-arms its retransmission timeout on
-// every send and ACK.
+// every send and ACK. And so must a delay line: line is one Push and one
+// firing per op behind a standing backlog of 64 values, a link's packets in
+// flight, which re-arms the line's one timer for the next head each time.
 func BenchmarkSimulatorCore(b *testing.B) {
 	b.Run("deque", func(b *testing.B) {
 		b.ReportAllocs()
@@ -302,6 +304,23 @@ func BenchmarkSimulatorCore(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tm.Reset(sim.Time(i%128) * time.Millisecond)
+		}
+	})
+	b.Run("line", func(b *testing.B) {
+		b.ReportAllocs()
+		s := sim.New(1)
+		l := sim.NewLine(s, func(*netem.Packet) {})
+		p := &netem.Packet{}
+		var at sim.Time
+		for i := 0; i < 64; i++ {
+			at += time.Microsecond
+			l.Push(at, p)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at += time.Microsecond
+			l.Push(at, p)
+			s.Step()
 		}
 	})
 	b.Run("at-retained", func(b *testing.B) {
@@ -361,10 +380,10 @@ func (h *benchHeap) Pop() any {
 
 // BenchmarkEventCore measures steady-state event throughput: a standing set
 // of self-rescheduling events whose offsets repeat, so same-instant runs
-// occur (as they do under burst deliveries) and the batch-dispatch path is
-// exercised. The standing set is sized past L1 (8192 events) because that is
-// where the representations diverge: the flat heap compares 16-byte keys in
-// a contiguous array while container/heap dereferences a boxed timer per
+// occur (as they do under burst deliveries) and ties are broken by seq. The
+// standing set is sized past L1 (8192 events) because that is where the
+// representations diverge: the flat heap compares 16-byte keys in a
+// contiguous array while container/heap dereferences a boxed timer per
 // comparison. flat4 drives the real Simulator; containerheap drives the
 // replaced implementation under the identical workload. Both must run
 // allocation-free; the recorded number is sim.drill_ns_per_event

@@ -32,15 +32,13 @@ func TestParallelismIsInvisible(t *testing.T) {
 	}
 }
 
-// TestSameTickBatchesAreParallelInvisible is the determinism regression test
-// for the event core's same-instant batch dispatch. Each cell runs three RTP
-// flows with an identical frame cadence starting at the same instant, so
-// encoder ticks, pacer events and burst deliveries from independent
-// components pile onto shared timestamps and the batch path runs constantly.
-// The per-cell fingerprints must be byte-identical sequentially and under 8
-// workers: batching may only reorder work inside the engine, never the
-// (time, seq) dispatch order any component observes.
-func TestSameTickBatchesAreParallelInvisible(t *testing.T) {
+// TestSameTickCellsAreParallelInvisible is the determinism regression test
+// for same-instant events. Each cell runs three RTP flows with an identical
+// frame cadence starting at the same instant, so encoder ticks, pacer events
+// and link deliveries from independent components pile onto shared
+// timestamps, and ties are broken by (time, seq) alone. The per-cell
+// fingerprints must be byte-identical sequentially and under 8 workers.
+func TestSameTickCellsAreParallelInvisible(t *testing.T) {
 	const cells = 8
 	runCell := func(seed int64) string {
 		dur := 2 * time.Second

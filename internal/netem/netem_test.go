@@ -95,6 +95,46 @@ func TestLinkIdleGapResetsSerialisation(t *testing.T) {
 	}
 }
 
+// TestLinkExtraDelayShrinkKeepsFIFO: when a latency spike clears with
+// packets still in flight, later packets would be due before the ones sent
+// during the spike. The link clamps them to the last delivery time instead,
+// so they arrive behind those, in sending order, and its delay line never
+// sees a time earlier than the one before it.
+func TestLinkExtraDelayShrinkKeepsFIFO(t *testing.T) {
+	s := sim.New(1)
+	type arrival struct {
+		seq uint64
+		at  sim.Time
+	}
+	var got []arrival
+	// 1 Mbps, 10ms propagation: a 1250B packet takes 10ms to serialise.
+	l := NewLink(s, 1e6, 10*time.Millisecond, ReceiverFunc(func(p *Packet) {
+		got = append(got, arrival{p.Seq, s.Now()})
+	}))
+	l.SetExtraDelay(50 * time.Millisecond)
+	l.Receive(&Packet{Seq: 0, Size: 1250}) // 10 + 10 + 50 = 70ms
+	l.SetExtraDelay(0)
+	if l.ExtraDelay() != 0 {
+		t.Fatalf("ExtraDelay() = %v after clearing, want 0", l.ExtraDelay())
+	}
+	l.Receive(&Packet{Seq: 1, Size: 1250}) // 30ms unclamped
+	l.Receive(&Packet{Seq: 2, Size: 1250}) // 40ms unclamped
+	s.At(60*time.Millisecond, func() {
+		l.Receive(&Packet{Seq: 3, Size: 1250}) // 80ms: past the clamp
+	})
+	s.Run()
+	want := []arrival{{0, 70 * time.Millisecond}, {1, 70 * time.Millisecond}, {2, 70 * time.Millisecond}, {3, 80 * time.Millisecond}}
+	if len(got) != len(want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("delivered %v, want %v", got, want)
+			break
+		}
+	}
+}
+
 func TestSinkDiscards(t *testing.T) {
 	Sink.Receive(&Packet{Size: 1}) // must not panic
 }

@@ -193,21 +193,18 @@ type Link struct {
 
 	// extra is added to every future delivery time (a chaos latency
 	// spike). When it shrinks mid-flight, lastAt clamps new deliveries to
-	// the latest one already scheduled, preserving the nondecreasing
-	// invariant the ring below relies on.
+	// the latest one already scheduled: the delay line below panics on a
+	// delivery time earlier than the one before it.
 	extra  time.Duration
 	lastAt sim.Time
 
-	// inflight holds packets whose delivery events are pending, in
-	// scheduling order. Delivery times are nondecreasing (busyUntil only
-	// grows, and lastAt clamps extra-delay shrinkage) and same-instant
-	// events fire in scheduling order, so the delivery closure can pop the
-	// front instead of capturing the packet — one closure per link
-	// instead of one per packet. Each entry keeps the dst in effect at
-	// schedule time, matching the old per-closure capture if SetDst is
-	// called mid-flight.
-	inflight  sim.Deque[linkDelivery]
-	deliverFn func()
+	// inflight holds the packets on the wire, in sending order, behind one
+	// timer for the whole line rather than one event per packet. Each
+	// fires exactly where its own event would have: busyUntil only grows
+	// and lastAt clamps extra-delay shrinkage, so delivery times never
+	// decrease. Each entry keeps the dst in effect when it was sent, so a
+	// SetDst mid-flight redirects only later packets.
+	inflight *sim.Line[linkDelivery]
 }
 
 type linkDelivery struct {
@@ -219,14 +216,8 @@ type linkDelivery struct {
 // propagation delay, delivering to dst.
 func NewLink(s *sim.Simulator, rate float64, delay time.Duration, dst Receiver) *Link {
 	l := &Link{sim: s, rate: rate, delay: delay, dst: dst}
-	l.deliverFn = l.deliverHead
+	l.inflight = sim.NewLine(s, func(d linkDelivery) { d.dst.Receive(d.p) })
 	return l
-}
-
-// deliverHead fires the oldest pending delivery.
-func (l *Link) deliverHead() {
-	d := l.inflight.PopFront()
-	d.dst.Receive(d.p)
 }
 
 // SetDst changes the delivery destination (used while wiring topologies).
@@ -263,6 +254,5 @@ func (l *Link) Receive(p *Packet) {
 		deliverAt = l.lastAt
 	}
 	l.lastAt = deliverAt
-	l.inflight.PushBack(linkDelivery{p: p, dst: l.dst})
-	l.sim.Schedule(deliverAt, l.deliverFn)
+	l.inflight.Push(deliverAt, linkDelivery{p: p, dst: l.dst})
 }

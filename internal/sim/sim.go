@@ -35,16 +35,12 @@ type Timer struct {
 	fn  func()
 	s   *Simulator
 	// slot is the timer's index in the event heap while it is queued there,
-	// slotBatched while it waits in the same-instant batch, and slotIdle
-	// otherwise: fired, stopped, or never armed.
+	// and slotIdle otherwise: fired, stopped, or never armed.
 	slot     int
 	retained bool
 }
 
-const (
-	slotIdle    = -1
-	slotBatched = -2
-)
+const slotIdle = -1
 
 // At returns the virtual time this timer is, or was last, armed to fire.
 func (t *Timer) At() Time { return t.at }
@@ -56,15 +52,10 @@ func (t *Timer) Pending() bool { return t.slot != slotIdle }
 // that is not pending is a no-op. It reports whether the call prevented the
 // timer from firing.
 func (t *Timer) Stop() bool {
-	switch {
-	case t.slot >= 0:
-		t.s.events.remove(t.slot)
-	case t.slot == slotBatched:
-		t.s.batchDead++ // its batch entry is skipped at dispatch
-	default:
+	if t.slot == slotIdle {
 		return false
 	}
-	t.slot = slotIdle
+	t.s.events.remove(t.slot)
 	return true
 }
 
@@ -75,18 +66,20 @@ func (t *Timer) Stop() bool {
 // from its own slot, and nothing is allocated. Resetting into the past
 // panics, as scheduling there does.
 func (t *Timer) Reset(at Time) {
-	s := t.s
-	s.checkTime(at)
-	s.seq++
-	t.at, t.seq = at, s.seq
-	if t.slot >= 0 {
-		s.events.rekey(t.slot, eventKey{at: at, seq: s.seq})
-		return
+	t.s.checkTime(at)
+	t.s.seq++
+	t.arm(eventKey{at: at, seq: t.s.seq})
+}
+
+// arm queues the timer under k, re-keying it where it sits if it is queued
+// already. k.seq must be one the simulator has handed out.
+func (t *Timer) arm(k eventKey) {
+	t.at, t.seq = k.at, k.seq
+	if t.slot == slotIdle {
+		t.s.events.push(t)
+	} else {
+		t.s.events.rekey(t.slot, k)
 	}
-	if t.slot == slotBatched {
-		s.batchDead++
-	}
-	s.events.push(t)
 }
 
 // eventKey is the heap-ordering key, kept in a flat array separate from the
@@ -122,10 +115,6 @@ type eventQueue struct {
 const arity = 4
 
 func (q *eventQueue) len() int { return len(q.key) }
-
-// minTime returns the timestamp of the earliest pending event. It must not
-// be called on an empty queue.
-func (q *eventQueue) minTime() Time { return q.key[0].at }
 
 func (q *eventQueue) push(t *Timer) {
 	i := len(q.key)
@@ -256,21 +245,6 @@ type Simulator struct {
 	seed    int64
 	stopped bool
 
-	// batch holds a same-timestamp run of timers popped from the heap in
-	// one pass (batch dispatch): when the popped minimum shares its
-	// timestamp with the new heap top — an AMPDU delivery fan-out, a tick
-	// aligning many components — the whole run is drained at once and then
-	// dispatched from this buffer in seq order without going back to the
-	// heap between events. batchNext indexes the next undispatched entry;
-	// entries at and beyond it are still pending (they count in Pending,
-	// can still be stopped or re-armed, and survive a Stop of the
-	// simulator). A timer stopped or re-armed while it waits here leaves
-	// its entry behind, dead; batchDead counts those entries, and they are
-	// skipped at dispatch.
-	batch     []*Timer
-	batchNext int
-	batchDead int
-
 	// free recycles handle-less timers popped from the event heap. Only
 	// timers created by Schedule/ScheduleAfter land here: nothing can hold
 	// a reference to them, so reuse is invisible. Retained timers (At/
@@ -290,11 +264,9 @@ func (s *Simulator) Now() Time { return s.now }
 // Seed returns the root seed the simulator was created with.
 func (s *Simulator) Seed() int64 { return s.seed }
 
-// Pending returns the number of events waiting to fire. Stopped timers are
-// not among them.
-func (s *Simulator) Pending() int {
-	return s.events.len() + len(s.batch) - s.batchNext - s.batchDead
-}
+// Pending returns the number of armed timers. Stopped timers are not among
+// them, and a Line counts once however many values it holds.
+func (s *Simulator) Pending() int { return s.events.len() }
 
 // Fired returns the cumulative count of events executed — the event-loop
 // throughput figure the observability layer exports per run.
@@ -370,75 +342,23 @@ func (s *Simulator) recycle(t *Timer) {
 	s.free = append(s.free, t)
 }
 
-// skipDead advances past batch entries whose timers were stopped or
-// re-armed since they were drained into the batch.
-func (s *Simulator) skipDead() {
-	for s.batchNext < len(s.batch) && s.batch[s.batchNext].slot != slotBatched {
-		s.batch[s.batchNext] = nil
-		s.batchNext++
-		s.batchDead--
-	}
-}
-
-// next removes and returns the next live timer in (at, seq) order, or nil
-// when no events are pending. It serves the current same-timestamp batch
-// first; when the batch is empty it pops the heap, and if the popped
-// minimum's timestamp still tops the heap it drains the entire same-instant
-// run into the batch in one pass (heap pops yield the run already in seq
-// order, so no re-sorting is needed). Events a batched timer schedules at
-// the same instant carry higher seqs and correctly fire after the batch
-// drains. The heap holds live timers only, since Stop takes a timer out.
-func (s *Simulator) next() *Timer {
-	s.skipDead()
-	if s.batchNext < len(s.batch) {
-		t := s.batch[s.batchNext]
-		s.batch[s.batchNext] = nil
-		s.batchNext++
-		t.slot = slotIdle
-		return t
-	}
-	if s.events.len() == 0 {
-		return nil
-	}
-	t := s.events.pop()
-	if s.events.len() > 0 && s.events.minTime() == t.at {
-		s.batch = s.batch[:0]
-		s.batchNext = 0
-		for s.events.len() > 0 && s.events.minTime() == t.at {
-			b := s.events.pop()
-			b.slot = slotBatched
-			s.batch = append(s.batch, b)
-		}
-	}
-	return t
-}
-
-// peekTime returns the timestamp of the next live event.
-func (s *Simulator) peekTime() (Time, bool) {
-	s.skipDead()
-	if s.batchNext < len(s.batch) {
-		return s.batch[s.batchNext].at, true
-	}
-	if s.events.len() > 0 {
-		return s.events.minTime(), true
-	}
-	return 0, false
-}
-
 // NextEventTime returns the timestamp of the earliest pending event and
 // whether one exists. A shard coordinator uses it to compute the global
 // lower bound on virtual time before granting the next safe window.
 func (s *Simulator) NextEventTime() (Time, bool) {
-	return s.peekTime()
+	if s.events.len() == 0 {
+		return 0, false
+	}
+	return s.events.key[0].at, true
 }
 
 // Step fires the next pending event, advancing the clock to it.
 // It reports whether an event fired.
 func (s *Simulator) Step() bool {
-	t := s.next()
-	if t == nil {
+	if s.events.len() == 0 {
 		return false
 	}
+	t := s.events.pop()
 	s.now = t.at
 	fn := t.fn
 	s.recycle(t)
@@ -459,7 +379,7 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(end Time) {
 	s.stopped = false
 	for !s.stopped {
-		at, ok := s.peekTime()
+		at, ok := s.NextEventTime()
 		if !ok || at > end {
 			break
 		}
@@ -478,7 +398,7 @@ func (s *Simulator) RunUntil(end Time) {
 func (s *Simulator) RunBefore(end Time) {
 	s.stopped = false
 	for !s.stopped {
-		at, ok := s.peekTime()
+		at, ok := s.NextEventTime()
 		if !ok || at >= end {
 			break
 		}

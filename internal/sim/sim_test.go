@@ -80,9 +80,8 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
-// A stopped timer that is next in line, at the top of the heap or in the
-// same-instant batch, must not let RunUntil or RunBefore fire the live event
-// behind it when that event lies past the end.
+// A stopped timer that is next in line must not let RunUntil or RunBefore
+// fire the live event behind it when that event lies past the end.
 func TestRunUntilSkipsStoppedTimers(t *testing.T) {
 	testRunSkipsStoppedTimers(t, (*Simulator).RunUntil)
 }
@@ -93,25 +92,17 @@ func TestRunBeforeSkipsStoppedTimers(t *testing.T) {
 
 func testRunSkipsStoppedTimers(t *testing.T, run func(*Simulator, Time)) {
 	const end = 1500 * time.Microsecond
-	for _, batched := range []bool{false, true} {
-		s := New(1)
-		if batched {
-			var victim *Timer
-			s.At(time.Millisecond, func() { victim.Stop() })
-			victim = s.At(time.Millisecond, func() { t.Error("stopped timer fired") })
-		} else {
-			s.At(time.Millisecond, func() { t.Error("stopped timer fired") }).Stop()
-		}
-		late := false
-		s.Schedule(2*time.Millisecond, func() { late = true })
-		run(s, end)
-		if late || s.Now() != end {
-			t.Errorf("batched=%v: 2ms event fired = %v, Now() = %v; want false, %v", batched, late, s.Now(), end)
-		}
-		s.Run()
-		if !late {
-			t.Errorf("batched=%v: 2ms event never fired", batched)
-		}
+	s := New(1)
+	s.At(time.Millisecond, func() { t.Error("stopped timer fired") }).Stop()
+	late := false
+	s.Schedule(2*time.Millisecond, func() { late = true })
+	run(s, end)
+	if late || s.Now() != end {
+		t.Errorf("2ms event fired = %v, Now() = %v; want false, %v", late, s.Now(), end)
+	}
+	s.Run()
+	if !late {
+		t.Error("2ms event never fired")
 	}
 }
 
@@ -323,21 +314,20 @@ func TestScheduleInPastPanics(t *testing.T) {
 	s.Schedule(500*time.Millisecond, func() {})
 }
 
-// TestStopWhileBatched pins the dispatch-time stop check: with several
-// events queued at one instant, an earlier event in the batch stopping a
-// later one must prevent it from firing, even though batch dispatch popped
-// both from the heap before either ran.
-func TestStopWhileBatched(t *testing.T) {
+// TestStopSameInstantTimer: with several events queued at one instant, an
+// earlier one stopping a later one must prevent it from firing and take it
+// out of Pending at once.
+func TestStopSameInstantTimer(t *testing.T) {
 	s := New(1)
 	var order []int
 	var victim *Timer
 	s.At(time.Second, func() {
 		order = append(order, 0)
 		if !victim.Stop() {
-			t.Error("stopping a batched, not-yet-dispatched timer should succeed")
+			t.Error("stopping a same-instant, not-yet-fired timer should succeed")
 		}
 		if got := s.Pending(); got != 2 {
-			t.Errorf("Pending() = %d after stopping a batched timer, want 2: the stopped one is not pending", got)
+			t.Errorf("Pending() = %d after stopping a same-instant timer, want 2: the stopped one is not pending", got)
 		}
 	})
 	s.At(time.Second, func() { order = append(order, 1) })
@@ -385,10 +375,10 @@ func TestStopAfterFire(t *testing.T) {
 	}
 }
 
-// TestStopSimulatorMidBatch: stopping the simulator from inside a
-// same-instant batch leaves the rest of the batch pending (visible via
+// TestStopSimulatorMidInstant: stopping the simulator from inside a run of
+// same-instant events leaves the rest of the run pending (visible via
 // Pending) and firable by a later Run.
-func TestStopSimulatorMidBatch(t *testing.T) {
+func TestStopSimulatorMidInstant(t *testing.T) {
 	s := New(1)
 	var order []int
 	for i := 0; i < 6; i++ {
@@ -405,7 +395,7 @@ func TestStopSimulatorMidBatch(t *testing.T) {
 		t.Fatalf("fired %v before Stop, want first 3", order)
 	}
 	if got := s.Pending(); got != 3 {
-		t.Fatalf("Pending() = %d after mid-batch Stop, want 3", got)
+		t.Fatalf("Pending() = %d after mid-instant Stop, want 3", got)
 	}
 	s.Run()
 	if len(order) != 6 {
@@ -419,75 +409,107 @@ func TestStopSimulatorMidBatch(t *testing.T) {
 }
 
 // TestPropertyHeapMatchesReferenceModel drives the event queue with random
-// schedule/stop/reset interleavings, made between RunUntil windows and from
-// inside firing events (where same-instant timers sit in the batch), and
-// checks every firing against a reference model: the live events with their
-// (time, seq) keys, where At and Reset each take the next seq. An event must
-// fire at its time, be the least live key, and not lie past the window.
+// interleavings of At, Schedule, Stop, Reset and pushes onto two or three
+// delay lines, made between RunUntil windows and from inside firing events,
+// and checks every firing against a reference model: the live events and
+// line values with their (time, seq) keys, where At, Schedule, Push and
+// Reset each take the next seq, as one event per value would. An event
+// must fire at its time, be the least live key, and not lie past the
+// window. Coarse times make ties common, so line values often share an
+// instant with each other and with unrelated events.
 func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 	rng := LabeledRand(42, "heap-property")
 	// Cases the random walk must reach, counted across all trials.
-	var resetLater, resetEarlier, resetFired, resetBatched, stopBatched int
+	var resetLater, resetEarlier, resetFired, lineTies int
 	for trial := 0; trial < 200; trial++ {
 		s := New(1)
 		type ref struct {
 			at   Time
 			seq  uint64
-			tm   *Timer
+			tm   *Timer // nil for a Schedule event or a line value
+			line int    // the value's line, or -1
 			live bool
 		}
-		var refs []*ref
+		var refs, timers []*ref
 		var seq uint64 // the model's copy of the simulator's sequence
 		var bound Time // end of the current RunUntil window
-		liveCount := func() int {
+		// pending is what Simulator.Pending must report: one per live
+		// event, and one per line holding a live value.
+		pending := func() int {
 			n := 0
+			held := map[int]bool{}
 			for _, r := range refs {
-				if r.live {
+				switch {
+				case !r.live:
+				case r.line < 0:
+					n++
+				case !held[r.line]:
+					held[r.line] = true
 					n++
 				}
 			}
 			return n
 		}
 		var ops func(n int)
-		fire := func(r *ref) func() {
-			return func() {
-				if !r.live || s.Now() != r.at || r.at > bound {
-					t.Fatalf("trial %d: event keyed (%v, %d) fired at %v in a window ending %v, live %v",
-						trial, r.at, r.seq, s.Now(), bound, r.live)
-				}
-				for _, o := range refs {
-					if o.live && o != r && (o.at < r.at || o.at == r.at && o.seq < r.seq) {
-						t.Fatalf("trial %d: (%v, %d) fired before live (%v, %d)", trial, r.at, r.seq, o.at, o.seq)
-					}
-				}
-				r.live = false
-				ops(rng.Intn(3))
+		fire := func(r *ref) {
+			if !r.live || s.Now() != r.at || r.at > bound {
+				t.Fatalf("trial %d: event keyed (%v, %d) fired at %v in a window ending %v, live %v",
+					trial, r.at, r.seq, s.Now(), bound, r.live)
 			}
+			for _, o := range refs {
+				if o.live && o != r && (o.at < r.at || o.at == r.at && o.seq < r.seq) {
+					t.Fatalf("trial %d: (%v, %d) fired before live (%v, %d)", trial, r.at, r.seq, o.at, o.seq)
+				}
+			}
+			r.live = false
+			ops(rng.Intn(3))
+		}
+		lines := make([]*Line[*ref], 2+rng.Intn(2))
+		lastAt := make([]Time, len(lines))
+		for i := range lines {
+			lines[i] = NewLine(s, fire)
 		}
 		ops = func(n int) {
 			for ; n > 0; n-- {
-				// Coarse times force plenty of ties, hence batches.
+				// Coarse times force plenty of ties.
 				at := s.Now() + Time(rng.Intn(4))*time.Millisecond
-				switch op := rng.Intn(4); {
-				case op == 0 || len(refs) == 0:
+				switch op := rng.Intn(6); {
+				case op == 0 || len(timers) == 0:
 					seq++
-					r := &ref{at: at, seq: seq, live: true}
-					r.tm = s.At(at, fire(r))
+					r := &ref{at: at, seq: seq, line: -1, live: true}
+					r.tm = s.At(at, func() { fire(r) })
 					refs = append(refs, r)
+					timers = append(timers, r)
 				case op == 1:
-					r := refs[rng.Intn(len(refs))]
-					if r.tm.slot == slotBatched {
-						stopBatched++
+					seq++
+					r := &ref{at: at, seq: seq, line: -1, live: true}
+					s.Schedule(at, func() { fire(r) })
+					refs = append(refs, r)
+				case op == 2:
+					i := rng.Intn(len(lines))
+					if at < lastAt[i] {
+						at = lastAt[i]
 					}
+					for _, o := range refs {
+						if o.live && o.at == at {
+							lineTies++
+							break
+						}
+					}
+					seq++
+					r := &ref{at: at, seq: seq, line: i, live: true}
+					lines[i].Push(at, r)
+					lastAt[i] = at
+					refs = append(refs, r)
+				case op == 3:
+					r := timers[rng.Intn(len(timers))]
 					if got := r.tm.Stop(); got != r.live {
 						t.Fatalf("trial %d: Stop() = %v, want %v", trial, got, r.live)
 					}
 					r.live = false
-				case op == 2:
-					r := refs[rng.Intn(len(refs))]
+				case op == 4:
+					r := timers[rng.Intn(len(timers))]
 					switch {
-					case r.tm.slot == slotBatched:
-						resetBatched++
 					case !r.live:
 						resetFired++ // or stopped
 					case at > r.at:
@@ -499,13 +521,13 @@ func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 					r.tm.Reset(at)
 					r.at, r.seq, r.live = at, seq, true
 				default:
-					r := refs[rng.Intn(len(refs))]
+					r := timers[rng.Intn(len(timers))]
 					if r.tm.Pending() != r.live || r.tm.At() != r.at {
 						t.Fatalf("trial %d: timer Pending() = %v at %v, want %v at %v",
 							trial, r.tm.Pending(), r.tm.At(), r.live, r.at)
 					}
-					if got, want := s.Pending(), liveCount(); got != want {
-						t.Fatalf("trial %d: Pending() = %d, want %d live events", trial, got, want)
+					if got, want := s.Pending(), pending(); got != want {
+						t.Fatalf("trial %d: Pending() = %d, want %d", trial, got, want)
 					}
 				}
 			}
@@ -522,47 +544,76 @@ func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 					t.Fatalf("trial %d: event at %v still live after RunUntil(%v)", trial, r.at, bound)
 				}
 			}
-			if got, want := s.Pending(), liveCount(); got != want {
+			if got, want := s.Pending(), pending(); got != want {
 				t.Fatalf("trial %d: Pending() = %d after RunUntil(%v), want %d", trial, got, bound, want)
 			}
 			ops(rng.Intn(4))
 		}
 		bound = Time(1 << 62)
 		s.Run()
-		if n := liveCount(); n != 0 || s.Pending() != 0 {
-			t.Fatalf("trial %d: %d events never fired, Pending() = %d", trial, n, s.Pending())
+		if n := pending(); n != 0 || s.Pending() != 0 {
+			t.Fatalf("trial %d: %d events or lines never fired, Pending() = %d", trial, n, s.Pending())
 		}
 	}
-	t.Logf("resets: %d later, %d earlier, %d of fired or stopped, %d batched; %d batched stops",
-		resetLater, resetEarlier, resetFired, resetBatched, stopBatched)
-	if resetLater == 0 || resetEarlier == 0 || resetFired == 0 || resetBatched == 0 || stopBatched == 0 {
-		t.Error("the random walk missed a Reset or Stop case")
+	t.Logf("resets: %d later, %d earlier, %d of fired or stopped; %d line pushes tied with a live key",
+		resetLater, resetEarlier, resetFired, lineTies)
+	if resetLater == 0 || resetEarlier == 0 || resetFired == 0 || lineTies == 0 {
+		t.Error("the random walk missed a Reset case or a line tie")
 	}
 }
 
-// TestSameTickMultiComponentOrder models several components scheduling into
-// one instant — the batch-dispatch fast path — and checks the global firing
-// order is exactly global scheduling order, with mid-batch schedules at the
-// same instant firing after the whole pre-existing batch.
-func TestSameTickMultiComponentOrder(t *testing.T) {
+// TestLinePushOutOfOrderPanics: a line fires its values in push order, so a
+// value due before the one pushed last would fire late; Push refuses it.
+// Pushing at the last value's time, or later, is fine.
+func TestLinePushOutOfOrderPanics(t *testing.T) {
+	s := New(1)
+	var got []int
+	l := NewLine(s, func(v int) { got = append(got, v) })
+	l.Push(2*time.Millisecond, 0)
+	l.Push(2*time.Millisecond, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("pushing before the last value should panic")
+			}
+		}()
+		l.Push(time.Millisecond, 2)
+	}()
+	l.Push(3*time.Millisecond, 3)
+	s.Run()
+	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
+		t.Errorf("fired %v, want [0 1 3]", got)
+	}
+}
+
+// TestSameTickOrderAcrossComponents models several components scheduling
+// into one instant through different APIs and a delay line, and checks the
+// global firing order is exactly global scheduling order, with same-instant
+// work scheduled from inside the instant firing after all that was already
+// queued there.
+func TestSameTickOrderAcrossComponents(t *testing.T) {
 	s := New(1)
 	const tick = 10 * time.Millisecond
 	var order []string
 	emit := func(tag string) func() {
 		return func() { order = append(order, tag) }
 	}
-	// Three "components" interleave schedules into the same tick through
-	// different APIs; a fourth adds same-instant work from inside the batch.
+	// Four "components" interleave schedules into the same tick through
+	// different APIs and a line; one adds same-instant work from inside it.
+	line := NewLine(s, func(tag string) { order = append(order, tag) })
 	s.Schedule(tick, emit("a0"))
+	line.Push(tick, "l0")
 	s.At(tick, emit("b0"))
 	s.Schedule(tick, func() {
 		order = append(order, "c0")
-		s.Schedule(tick, emit("c1")) // same instant, scheduled mid-batch
+		s.Schedule(tick, emit("c1")) // same instant, scheduled from inside it
+		line.Push(tick, "l2")
 	})
+	line.Push(tick, "l1")
 	s.After(tick, emit("a1"))
 	s.ScheduleAfter(tick, emit("b1"))
 	s.Run()
-	want := []string{"a0", "b0", "c0", "a1", "b1", "c1"}
+	want := []string{"a0", "l0", "b0", "c0", "l1", "a1", "b1", "c1", "l2"}
 	if len(order) != len(want) {
 		t.Fatalf("order %v, want %v", order, want)
 	}
@@ -573,8 +624,8 @@ func TestSameTickMultiComponentOrder(t *testing.T) {
 	}
 }
 
-// TestNextEventTime checks the peek used by the shard coordinator: it must
-// see through both the heap and an in-progress same-tick batch.
+// TestNextEventTime checks the peek used by the shard coordinator, before
+// and in the middle of a run of same-instant events.
 func TestNextEventTime(t *testing.T) {
 	s := New(1)
 	if _, ok := s.NextEventTime(); ok {
@@ -585,12 +636,12 @@ func TestNextEventTime(t *testing.T) {
 	if at, ok := s.NextEventTime(); !ok || at != 2*time.Millisecond {
 		t.Fatalf("NextEventTime = %v, %v; want 2ms, true", at, ok)
 	}
-	// Force a batch: two events at the same instant, peek from inside the
-	// first must report the batched second.
+	// Two events at the same instant: after the first fires, the peek
+	// must report the second.
 	s.Schedule(2*time.Millisecond, func() {})
 	s.Step()
 	if at, ok := s.NextEventTime(); !ok || at != 2*time.Millisecond {
-		t.Fatalf("mid-batch NextEventTime = %v, %v; want 2ms, true", at, ok)
+		t.Fatalf("mid-instant NextEventTime = %v, %v; want 2ms, true", at, ok)
 	}
 	s.Run()
 	if _, ok := s.NextEventTime(); ok {
