@@ -18,6 +18,7 @@ import (
 	"github.com/zhuge-project/zhuge/internal/cca"
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/sim"
+	"github.com/zhuge-project/zhuge/internal/transport/ackclock"
 )
 
 const (
@@ -48,19 +49,15 @@ type ackRange struct {
 	Lo, Hi uint64 // inclusive
 }
 
-// Sender is the QUIC sending endpoint.
+// Sender is the QUIC sending endpoint. The embedded ACK clock holds the
+// application's bytes, paces and windows the sends, and owns the PTO and the
+// RTT estimate; Sender adds packet numbers, the send window, the
+// retransmission queue and RFC 9002 loss detection.
 type Sender struct {
-	s    *sim.Simulator
-	cc   cca.TCP
-	out  netem.Receiver
-	flow netem.FlowKey
+	ackclock.Sender
 
 	nextPktNum uint64
-	streamNext uint64 // next stream byte to transmit for the first time
-	appEnd     uint64
-
-	// retransmission queue of stream chunks declared lost
-	retxQueue sim.Deque[streamChunk]
+	retxQueue  sim.Deque[streamChunk] // stream chunks declared lost, to resend
 
 	// window is the send window: one slot per packet number from base, the
 	// oldest packet still in flight, to nextPktNum-1, so item i holds packet
@@ -73,28 +70,8 @@ type Sender struct {
 	inflightBytes int
 
 	largestAcked uint64
-	haveAcked    bool
-
-	srtt, rttvar time.Duration
-	rto          time.Duration
-	// Both timers are held for life, their callbacks bound once: armPTO
-	// moves the PTO, and sendTimer is pending while a paced send waits.
-	rtoTimer   *sim.Timer
-	rtoBackoff int
-
-	pacingNext sim.Time
-	sendTimer  *sim.Timer
-
-	// delivered tracking for app-level frame completion
-	ackedRanges *rangeSet
-
-	// OnRTT receives every RTT sample.
-	OnRTT func(now sim.Time, rtt time.Duration)
-	// OnAcked fires when the contiguous acknowledged prefix advances.
-	OnAcked func(now sim.Time, upTo uint64)
-
-	lostPackets int
-	timeouts    int
+	ackedRanges  *rangeSet // acknowledged stream bytes: Acked is their prefix
+	lostPackets  int
 }
 
 type streamChunk struct {
@@ -110,21 +87,18 @@ type sentPacket struct {
 
 // NewSender builds a QUIC sender for flow with controller cc.
 func NewSender(s *sim.Simulator, flow netem.FlowKey, cc cca.TCP, out netem.Receiver) *Sender {
-	t := &Sender{
-		s: s, cc: cc, out: out, flow: flow,
-		rto:         time.Second,
-		ackedRanges: newRangeSet(),
-	}
-	t.rtoTimer = s.NewTimer(t.onPTO)
-	t.sendTimer = s.NewTimer(t.trySend)
+	t := &Sender{ackedRanges: newRangeSet()}
+	t.Init(s, flow, cc, out, dataOverhead, ackclock.Hooks{
+		InFlight:    t.InFlight,
+		LostWaiting: func() bool { return t.retxQueue.Len() > 0 },
+		Send:        t.sendOne,
+		Timeout:     t.onPTO,
+	})
 	return t
 }
 
 // LostPackets returns the count of packets declared lost.
 func (t *Sender) LostPackets() int { return t.lostPackets }
-
-// Timeouts returns the PTO count.
-func (t *Sender) Timeouts() int { return t.timeouts }
 
 // InFlight returns unacknowledged bytes in the network.
 func (t *Sender) InFlight() int { return t.inflightBytes }
@@ -132,98 +106,37 @@ func (t *Sender) InFlight() int { return t.inflightBytes }
 // Acked returns the length of the contiguous acknowledged stream prefix.
 func (t *Sender) Acked() uint64 { return t.ackedRanges.contiguous() }
 
-// SRTT returns the smoothed RTT.
-func (t *Sender) SRTT() time.Duration { return t.srtt }
-
-// Pending returns stream bytes not yet transmitted for the first time.
-func (t *Sender) Pending() int { return int(t.appEnd - t.streamNext) }
-
-// Write makes n more application bytes available.
-func (t *Sender) Write(n int) {
-	t.appEnd += uint64(n)
-	t.trySend()
+// sendOne sends the oldest chunk declared lost, else the next new one.
+func (t *Sender) sendOne() int {
+	var chunk streamChunk
+	if t.retxQueue.Len() > 0 {
+		chunk = t.retxQueue.PopFront()
+	} else {
+		chunk.Offset, chunk.Len = t.Take()
+	}
+	t.sendData(chunk)
+	return chunk.Len
 }
 
-func (t *Sender) trySend() {
-	now := t.s.Now()
-	if t.sendTimer.Pending() {
-		return
-	}
-	for t.inflightBytes < t.cc.CWND() {
-		if rate := t.cc.PacingRate(now); rate > 0 && t.pacingNext > now {
-			t.sendTimer.Reset(t.pacingNext)
-			return
-		}
-		var chunk streamChunk
-		if t.retxQueue.Len() > 0 {
-			chunk = t.retxQueue.PopFront()
-		} else if t.streamNext < t.appEnd {
-			n := int(t.appEnd - t.streamNext)
-			if n > cca.MSS {
-				n = cca.MSS
-			}
-			chunk = streamChunk{Offset: t.streamNext, Len: n}
-			t.streamNext += uint64(n)
-		} else {
-			return
-		}
-		t.sendData(chunk)
-		if rate := t.cc.PacingRate(now); rate > 0 {
-			gap := time.Duration(float64(chunk.Len+dataOverhead) * 8 / rate * float64(time.Second))
-			if t.pacingNext < now {
-				t.pacingNext = now
-			}
-			t.pacingNext += gap
-		}
-	}
-}
-
+// sendData sends chunk under the next packet number.
 func (t *Sender) sendData(chunk streamChunk) {
-	now := t.s.Now()
-	dp := dataPacket{PktNum: t.nextPktNum, Offset: chunk.Offset, Len: chunk.Len, SentAt: now}
+	dp := dataPacket{PktNum: t.nextPktNum, Offset: chunk.Offset, Len: chunk.Len, SentAt: t.Sim.Now()}
 	t.nextPktNum++
 	t.window.PushBack(sentPacket{dataPacket: dp, live: true})
 	t.inflightBytes += dp.Len
-	p := netem.NewPacket()
-	*p = netem.Packet{
-		Flow:    t.flow,
-		Kind:    netem.KindData,
-		Size:    dp.Len + dataOverhead,
-		Seq:     dp.PktNum,
-		SentAt:  now,
-		Payload: dp,
-	}
-	t.out.Receive(p)
-	t.armPTO()
+	t.Emit(dp.PktNum, dp.Len, dp)
 }
 
-func (t *Sender) armPTO() {
-	backoff := t.rto << t.rtoBackoff
-	if backoff > time.Minute {
-		backoff = time.Minute
-	}
-	t.rtoTimer.Reset(t.s.Now() + backoff)
-}
-
-// onPTO is the probe timeout: re-send the oldest in-flight chunk.
+// onPTO is the probe timeout: declare the oldest packet lost and probe with
+// its data immediately, bypassing the congestion window (RFC 9002 §7.5:
+// probe packets may exceed the window - the in-flight packets blocking it
+// are exactly the ones presumed lost).
 func (t *Sender) onPTO() {
-	if t.window.Len() == 0 {
-		return
-	}
-	t.timeouts++
-	t.rtoBackoff++
-	t.cc.OnRTO(t.s.Now())
-	// Declare the oldest packet lost and probe with its data immediately,
-	// bypassing the congestion window (RFC 9002 §7.5: probe packets may
-	// exceed the window — the in-flight packets blocking it are exactly
-	// the ones presumed lost).
 	t.declareLost(t.window.Front())
 	t.trimWindow()
-	if t.retxQueue.Len() > 0 {
-		t.sendData(t.retxQueue.PopFront())
-	}
-	t.trySend()
-	t.armPTO()
+	t.sendData(t.retxQueue.PopFront())
+	t.TrySend()
+	t.ArmRTO()
 }
 
 // declareLost takes a live packet out of flight and queues its stream data
@@ -255,7 +168,7 @@ func (t *Sender) Receive(p *netem.Packet) {
 	if len(window) == 0 {
 		return // nothing in flight to acknowledge
 	}
-	now := t.s.Now()
+	now := t.Sim.Now()
 
 	// Only packet numbers in [base, newest] can still be in flight, so each
 	// range is clamped to the window: an ACK costs the slots it can resolve,
@@ -281,23 +194,16 @@ func (t *Sender) Receive(p *netem.Packet) {
 	if newlyAcked == 0 {
 		return
 	}
-	if ack.Largest > t.largestAcked || !t.haveAcked {
-		t.largestAcked = ack.Largest
-		t.haveAcked = true
-	}
-	t.rtoBackoff = 0
+	t.largestAcked = max(t.largestAcked, ack.Largest)
 
 	var rtt time.Duration
 	if largestNewlyAcked.PktNum == ack.Largest {
 		rtt = now - largestNewlyAcked.SentAt
-		t.updateRTT(rtt)
-		if t.OnRTT != nil {
-			t.OnRTT(now, rtt)
-		}
+		t.Sample(now, rtt)
 	}
 
 	// Loss detection (RFC 9002): packet threshold and time threshold.
-	lossDelay := time.Duration(timeThresholdN * float64(max64(t.srtt, rtt)))
+	lossDelay := time.Duration(timeThresholdN * float64(max(t.SRTT(), rtt)))
 	if lossDelay <= 0 {
 		lossDelay = 200 * time.Millisecond
 	}
@@ -318,51 +224,12 @@ func (t *Sender) Receive(p *netem.Packet) {
 		}
 	}
 	if anyLost {
-		t.cc.OnLoss(now)
+		t.CC.OnLoss(now)
 	}
 	t.trimWindow()
 
-	t.cc.OnAck(cca.AckEvent{
-		Now:        now,
-		AckedBytes: newlyAcked,
-		RTT:        rtt,
-		InFlight:   t.inflightBytes,
-		AppLimited: t.Pending() == 0 && t.retxQueue.Len() == 0 && t.inflightBytes < t.cc.CWND()*3/4,
-	})
-	if t.OnAcked != nil {
-		t.OnAcked(now, t.Acked())
-	}
-	if t.window.Len() == 0 {
-		t.rtoTimer.Stop()
-	} else {
-		t.armPTO()
-	}
-	t.trySend()
-}
-
-func (t *Sender) updateRTT(rtt time.Duration) {
-	if t.srtt == 0 {
-		t.srtt = rtt
-		t.rttvar = rtt / 2
-	} else {
-		d := t.srtt - rtt
-		if d < 0 {
-			d = -d
-		}
-		t.rttvar = (3*t.rttvar + d) / 4
-		t.srtt = (7*t.srtt + rtt) / 8
-	}
-	t.rto = t.srtt + 4*t.rttvar
-	if t.rto < 200*time.Millisecond {
-		t.rto = 200 * time.Millisecond
-	}
-}
-
-func max64(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	t.NewDataAcked(now, newlyAcked, rtt, 0, t.Acked())
+	t.TrySend()
 }
 
 // Receiver is the QUIC receiving endpoint: it tracks received packet

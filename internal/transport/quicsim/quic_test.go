@@ -12,6 +12,7 @@ import (
 	"github.com/zhuge-project/zhuge/internal/cca"
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/sim"
+	"github.com/zhuge-project/zhuge/internal/transport/ackclock"
 )
 
 var testFlow = netem.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 443, DstPort: 50000, Proto: 17}
@@ -310,6 +311,53 @@ func TestPropertyReliableUnderRandomLoss(t *testing.T) {
 	}
 }
 
+// dropAll is a first hop that loses every packet.
+var dropAll = netem.ReceiverFunc(func(*netem.Packet) {})
+
+// TestPTOBackoffIsCapped sends into a path that drops everything for three
+// simulated hours: the PTO doubles from one second up to a minute and then
+// fires a minute apart. Shifting the PTO by the backoff unbounded overflowed
+// after 34 timeouts and scheduled the next one in the past.
+func TestPTOBackoffIsCapped(t *testing.T) {
+	s := sim.New(1)
+	var ptos []sim.Time
+	snd := NewSender(s, testFlow, &openCC{onRTO: func() { ptos = append(ptos, s.Now()) }}, dropAll)
+	snd.Write(cca.MSS)
+	s.RunUntil(3 * time.Hour)
+	// 1+2+4+8+16+32 s, then a minute apart: 6 + 178 timeouts.
+	if snd.Timeouts() != 184 || len(ptos) != 184 || snd.LostPackets() != 184 {
+		t.Fatalf("%d timeouts (%d told to the controller, %d packets lost), want 184", snd.Timeouts(), len(ptos), snd.LostPackets())
+	}
+	var prev sim.Time
+	for i, at := range ptos {
+		want := time.Minute
+		if i < 6 {
+			want = time.Second << i
+		}
+		if at-prev != want {
+			t.Fatalf("timeout %d came %v after the one before, want %v", i+1, at-prev, want)
+		}
+		prev = at
+	}
+}
+
+// TestIdlePacedSenderArmsOnlyThePTO: once a paced sender has sent all it was
+// given, the PTO is the one timer it holds; no pacing timer is left to fire
+// into nothing.
+func TestIdlePacedSenderArmsOnlyThePTO(t *testing.T) {
+	s := sim.New(1)
+	snd := NewSender(s, testFlow, &openCC{pacing: 1e6}, dropAll)
+	snd.Write(3 * cca.MSS)
+	// At 1 Mbit/s a packet is paced 11.56 ms after the one before.
+	s.RunUntil(30 * time.Millisecond)
+	if snd.Pending() != 0 || snd.InFlight() != 3*cca.MSS {
+		t.Fatalf("%d bytes unsent, %d in flight, want 0 and %d", snd.Pending(), snd.InFlight(), 3*cca.MSS)
+	}
+	if n := s.Pending(); n != 1 {
+		t.Errorf("%d events pending once everything is sent, want 1 (the PTO)", n)
+	}
+}
+
 // refBook is the sender's bookkeeping as it was before the send window, kept
 // as the reference the window is checked against: every packet in flight in a
 // map keyed by packet number, every packet number of every ACK range looked
@@ -319,7 +367,7 @@ type refBook struct {
 	inflightBytes int
 	largestAcked  uint64
 	haveAcked     bool
-	rtt           Sender // for updateRTT and srtt, which the window left alone
+	rtt           ackclock.Sender // the estimator, which the window left alone
 	acked         rangeSet
 }
 
@@ -365,9 +413,9 @@ func (b *refBook) receive(ack ackFrame, now sim.Time) (out ackOutcome, ok bool) 
 	}
 	if largestNewlyAcked.PktNum == ack.Largest {
 		out.rtt = now - largestNewlyAcked.SentAt
-		b.rtt.updateRTT(out.rtt)
+		b.rtt.Sample(now, out.rtt)
 	}
-	lossDelay := time.Duration(timeThresholdN * float64(max64(b.rtt.srtt, out.rtt)))
+	lossDelay := time.Duration(timeThresholdN * float64(max(b.rtt.SRTT(), out.rtt)))
 	if lossDelay <= 0 {
 		lossDelay = 200 * time.Millisecond
 	}
@@ -398,9 +446,11 @@ func (b *refBook) pto() {
 	b.declareLost(oldest)
 }
 
-// openCC never limits the sender and records what the sender tells it.
+// openCC never limits the sender, paces at pacing (0: not at all) and
+// records what the sender tells it.
 type openCC struct {
 	onRTO  func()
+	pacing float64
 	acks   []cca.AckEvent
 	losses int
 }
@@ -410,7 +460,7 @@ func (c *openCC) OnAck(ev cca.AckEvent)       { c.acks = append(c.acks, ev) }
 func (c *openCC) OnLoss(sim.Time)             { c.losses++ }
 func (c *openCC) OnRTO(sim.Time)              { c.onRTO() }
 func (c *openCC) CWND() int                   { return 1 << 30 }
-func (c *openCC) PacingRate(sim.Time) float64 { return 0 }
+func (c *openCC) PacingRate(sim.Time) float64 { return c.pacing }
 
 // liveSet returns the packets the window holds in flight, checking the
 // window's invariants on the way.
@@ -574,7 +624,7 @@ func TestWindowMatchesMapBookkeeping(t *testing.T) {
 		if d := inFlightDiff(liveSet(t, snd), ref.inflight); d != "" || snd.InFlight() != ref.inflightBytes {
 			t.Fatalf("seed %d at the end: %s; %d bytes in flight, reference %d", seed, d, snd.InFlight(), ref.inflightBytes)
 		}
-		if snd.Timeouts() == 0 || snd.LostPackets() < 100 || snd.Acked() != snd.appEnd || stale == 0 || truncated == 0 || duplicated == 0 || overtaken == 0 {
+		if snd.Timeouts() == 0 || snd.LostPackets() < 100 || snd.Pending() != 0 || snd.Acked() != snd.Sent() || stale == 0 || truncated == 0 || duplicated == 0 || overtaken == 0 {
 			t.Errorf("seed %d: stream too tame or not delivered: %d PTOs, %d lost, %d stale ACKs, %d truncated frames, %d duplicated, %d overtaken",
 				seed, snd.Timeouts(), snd.LostPackets(), stale, truncated, duplicated, overtaken)
 		}

@@ -14,6 +14,7 @@ import (
 	"github.com/zhuge-project/zhuge/internal/cca"
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/sim"
+	"github.com/zhuge-project/zhuge/internal/transport/ackclock"
 )
 
 // Header overheads, matching common practice (IPv4 + TCP + timestamps).
@@ -36,16 +37,13 @@ type AckInfo struct {
 	ABCMark uint8
 }
 
-// Sender is the TCP sending endpoint.
+// Sender is the TCP sending endpoint. The embedded ACK clock holds the
+// application's bytes, paces and windows the sends, and owns the RTO and the
+// RTT estimate; Sender adds the cumulative-ACK bookkeeping and fast recovery.
 type Sender struct {
-	s    *sim.Simulator
-	cc   cca.TCP
-	out  netem.Receiver
-	flow netem.FlowKey
+	ackclock.Sender
 
 	sndUna uint64
-	sndNxt uint64
-	appEnd uint64 // bytes the application has made available
 
 	// segs holds the in-flight segments in Seq order: a new segment goes
 	// on the back, an acknowledged one comes off the front, and a
@@ -56,141 +54,61 @@ type Sender struct {
 	recover   uint64 // end of fast-recovery: highest seq sent at loss time
 	inRecover bool
 
-	srtt, rttvar time.Duration
-	rto          time.Duration
-	rtoTimer     *sim.Timer // held for life: armRTO moves it
-	rtoBackoff   int
-
-	pacingNext sim.Time
-	sendTimer  *sim.Timer // pending while a paced send waits
-
-	// OnRTT, if set, receives every RTT sample (the paper's network-RTT
-	// metric is measured at the sender, §7.2).
-	OnRTT func(now sim.Time, rtt time.Duration)
-	// OnAcked, if set, fires when sndUna advances; the video-
-	// over-TCP layer uses it to detect frame completion at the receiver.
-	OnAcked func(now sim.Time, upTo uint64)
-
 	retransmits int
-	timeouts    int
 }
 
 // NewSender builds a TCP sender for flow using controller cc, transmitting
 // into out (the first hop toward the receiver).
 func NewSender(s *sim.Simulator, flow netem.FlowKey, cc cca.TCP, out netem.Receiver) *Sender {
-	t := &Sender{s: s, cc: cc, out: out, flow: flow, rto: time.Second}
-	t.rtoTimer = s.NewTimer(t.onRTO)
-	t.sendTimer = s.NewTimer(t.trySend)
+	t := &Sender{}
+	t.Init(s, flow, cc, out, dataOverhead, ackclock.Hooks{
+		InFlight:    t.InFlight,
+		LostWaiting: func() bool { return false }, // a loss is resent at once
+		Send:        func() int { return t.push(t.Take()) },
+		Timeout:     t.onRTO,
+	})
 	return t
 }
 
 // Retransmits returns the cumulative retransmission count.
 func (t *Sender) Retransmits() int { return t.retransmits }
 
-// Timeouts returns the cumulative RTO count.
-func (t *Sender) Timeouts() int { return t.timeouts }
-
 // InFlight returns the number of unacknowledged bytes.
-func (t *Sender) InFlight() int { return int(t.sndNxt - t.sndUna) }
+func (t *Sender) InFlight() int { return int(t.Sent() - t.sndUna) }
 
 // Acked returns the cumulative acknowledged byte count.
 func (t *Sender) Acked() uint64 { return t.sndUna }
 
-// Write makes n more application bytes available and tries to send.
-func (t *Sender) Write(n int) {
-	t.appEnd += uint64(n)
-	t.trySend()
+// push sends a segment that starts past every one in flight, so it goes on
+// the back, and returns its length.
+func (t *Sender) push(seq uint64, n int) int {
+	seg := Segment{Seq: seq, Len: n, SentAt: t.Sim.Now()}
+	t.segs.PushBack(seg)
+	t.Emit(seq, n, seg)
+	return n
 }
 
-// Pending returns application bytes not yet transmitted.
-func (t *Sender) Pending() int { return int(t.appEnd - t.sndNxt) }
-
-func (t *Sender) trySend() {
-	now := t.s.Now()
-	if t.sendTimer.Pending() {
-		return // a paced send is already scheduled
-	}
-	for t.sndNxt < t.appEnd && t.InFlight() < t.cc.CWND() {
-		if rate := t.cc.PacingRate(now); rate > 0 && t.pacingNext > now {
-			// Pace: schedule the next send.
-			t.sendTimer.Reset(t.pacingNext)
-			return
-		}
-		n := int(t.appEnd - t.sndNxt)
-		if n > cca.MSS {
-			n = cca.MSS
-		}
-		seg := Segment{Seq: t.sndNxt, Len: n, SentAt: now}
-		t.segs.PushBack(seg) // sndNxt is past every segment in flight
-		t.sendSegment(seg)
-		t.sndNxt += uint64(n)
-		if rate := t.cc.PacingRate(now); rate > 0 {
-			gap := time.Duration(float64(n+dataOverhead) * 8 / rate * float64(time.Second))
-			if t.pacingNext < now {
-				t.pacingNext = now
-			}
-			t.pacingNext += gap
-		}
-	}
-}
-
-// sendSegment puts a segment already recorded in segs on the wire.
-func (t *Sender) sendSegment(seg Segment) {
-	p := netem.NewPacket()
-	*p = netem.Packet{
-		Flow:    t.flow,
-		Kind:    netem.KindData,
-		Size:    seg.Len + dataOverhead,
-		Seq:     seg.Seq,
-		SentAt:  seg.SentAt,
-		Payload: seg,
-	}
-	t.out.Receive(p)
-	t.armRTO()
-}
-
-func (t *Sender) armRTO() {
-	backoff := t.rto << t.rtoBackoff
-	if backoff > time.Minute {
-		backoff = time.Minute
-	}
-	t.rtoTimer.Reset(t.s.Now() + backoff)
-}
-
+// onRTO leaves fast recovery and resends the first unacknowledged segment.
 func (t *Sender) onRTO() {
-	if t.sndUna >= t.sndNxt {
-		return // nothing outstanding
-	}
-	t.timeouts++
-	t.rtoBackoff++
-	t.cc.OnRTO(t.s.Now())
 	t.inRecover = false
 	t.dupAcks = 0
-	// Retransmit the first unacknowledged segment.
 	t.retransmitFirst()
 }
 
 func (t *Sender) retransmitFirst() {
-	now := t.s.Now()
 	segs := t.segs.Items()
 	i := sort.Search(len(segs), func(i int) bool { return segs[i].Seq >= t.sndUna })
 	if i < len(segs) {
 		t.retransmits++
-		segs[i].SentAt = now
-		t.sendSegment(segs[i])
+		segs[i].SentAt = t.Sim.Now()
+		t.Emit(segs[i].Seq, segs[i].Len, segs[i])
 		return
 	}
-	// Segment list lost its head (should not happen); resend from sndUna,
-	// which is past every segment left, so it goes on the back.
-	n := int(t.sndNxt - t.sndUna)
-	if n > cca.MSS {
-		n = cca.MSS
-	}
-	if n > 0 {
+	// No segment starts at or past sndUna (an ACK ended mid-segment):
+	// resend from sndUna, which is past every segment left.
+	if n := min(t.InFlight(), cca.MSS); n > 0 {
 		t.retransmits++
-		seg := Segment{Seq: t.sndUna, Len: n, SentAt: now}
-		t.segs.PushBack(seg)
-		t.sendSegment(seg)
+		t.push(t.sndUna, n)
 	}
 }
 
@@ -200,84 +118,35 @@ func (t *Sender) Receive(p *netem.Packet) {
 	if !ok {
 		return
 	}
-	now := t.s.Now()
+	now := t.Sim.Now()
 
 	if ack.Ack > t.sndUna {
 		newly := int(ack.Ack - t.sndUna)
 		t.sndUna = ack.Ack
 		t.dupAcks = 0
-		t.rtoBackoff = 0
-		t.dropAckedSegments()
-
+		for t.segs.Len() > 0 && t.segs.Front().Seq+uint64(t.segs.Front().Len) <= t.sndUna {
+			t.segs.PopFront()
+		}
 		var rtt time.Duration
 		if ack.Echo > 0 {
 			rtt = now - ack.Echo
-			t.updateRTO(rtt)
-			if t.OnRTT != nil {
-				t.OnRTT(now, rtt)
-			}
+			t.Sample(now, rtt)
 		}
 		if t.inRecover && ack.Ack >= t.recover {
 			t.inRecover = false
 		}
-		t.cc.OnAck(cca.AckEvent{
-			Now:        now,
-			AckedBytes: newly,
-			RTT:        rtt,
-			InFlight:   t.InFlight(),
-			ABCMark:    ack.ABCMark,
-			AppLimited: t.Pending() == 0 && t.InFlight() < t.cc.CWND()*3/4,
-		})
-		if t.OnAcked != nil {
-			t.OnAcked(now, t.sndUna)
-		}
-		if t.sndUna >= t.sndNxt {
-			t.rtoTimer.Stop()
-		} else {
-			t.armRTO()
-		}
-	} else if ack.Ack == t.sndUna && t.sndNxt > t.sndUna {
+		t.NewDataAcked(now, newly, rtt, ack.ABCMark, t.sndUna)
+	} else if ack.Ack == t.sndUna && t.InFlight() > 0 {
 		t.dupAcks++
 		if t.dupAcks == 3 && !t.inRecover {
 			t.inRecover = true
-			t.recover = t.sndNxt
-			t.cc.OnLoss(now)
+			t.recover = t.Sent()
+			t.CC.OnLoss(now)
 			t.retransmitFirst()
 		}
 	}
-	t.trySend()
+	t.TrySend()
 }
-
-func (t *Sender) dropAckedSegments() {
-	for t.segs.Len() > 0 && t.segs.Front().Seq+uint64(t.segs.Front().Len) <= t.sndUna {
-		t.segs.PopFront()
-	}
-}
-
-// updateRTO implements RFC 6298 with a 200ms floor (Linux default).
-func (t *Sender) updateRTO(rtt time.Duration) {
-	if t.srtt == 0 {
-		t.srtt = rtt
-		t.rttvar = rtt / 2
-	} else {
-		d := t.srtt - rtt
-		if d < 0 {
-			d = -d
-		}
-		t.rttvar = (3*t.rttvar + d) / 4
-		t.srtt = (7*t.srtt + rtt) / 8
-	}
-	t.rto = t.srtt + 4*t.rttvar
-	if t.rto < 200*time.Millisecond {
-		t.rto = 200 * time.Millisecond
-	}
-	if t.rto > time.Minute {
-		t.rto = time.Minute
-	}
-}
-
-// SRTT returns the smoothed RTT estimate.
-func (t *Sender) SRTT() time.Duration { return t.srtt }
 
 // Receiver is the TCP receiving endpoint: it reassembles the byte stream,
 // acknowledges every data packet, and echoes ABC marks.
@@ -298,8 +167,6 @@ type Receiver struct {
 	// observation and the feedback-departure instant (they coincide: TCP
 	// acknowledges each arrival immediately).
 	OnAck func(now sim.Time)
-
-	received int
 }
 
 // NewReceiver builds a receiver whose ACKs travel into out with ackFlow.
@@ -316,7 +183,6 @@ func (r *Receiver) Receive(p *netem.Packet) {
 	if !ok {
 		return
 	}
-	r.received++
 	if seg.Seq == r.rcvNxt {
 		r.rcvNxt += uint64(seg.Len)
 		// Drain contiguous out-of-order segments.

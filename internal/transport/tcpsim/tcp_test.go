@@ -174,11 +174,10 @@ func TestOverWirelessBottleneck(t *testing.T) {
 		return 20e6
 	}
 	rev := netem.NewLink(s, 100e6, 25*time.Millisecond, nil)
-	snd := NewSender(s, testFlow, cca.NewCopa(), nil)
 	rcv := NewReceiver(s, testFlow.Reverse(), rev)
 	wl := wireless.NewLink(s, wireless.Config{Rate: rateFn}, queue.NewFIFO(0), rcv, s.NewRand("wl"))
 	wan := netem.NewLink(s, 100e6, 25*time.Millisecond, wl)
-	snd.out = wan
+	snd := NewSender(s, testFlow, cca.NewCopa(), wan)
 	rev.SetDst(snd)
 
 	// Steady application supply: 1.5 Mbps in 30KB chunks.
@@ -215,12 +214,16 @@ func TestAckClockRespectsWindow(t *testing.T) {
 	}
 }
 
-type fixedCwnd struct{ w int }
+// fixedCwnd holds the window at w and records when RTOs fire.
+type fixedCwnd struct {
+	w    int
+	rtos []sim.Time
+}
 
 func (f *fixedCwnd) Name() string                { return "fixed" }
 func (f *fixedCwnd) OnAck(cca.AckEvent)          {}
 func (f *fixedCwnd) OnLoss(sim.Time)             {}
-func (f *fixedCwnd) OnRTO(sim.Time)              {}
+func (f *fixedCwnd) OnRTO(now sim.Time)          { f.rtos = append(f.rtos, now) }
 func (f *fixedCwnd) CWND() int                   { return f.w }
 func (f *fixedCwnd) PacingRate(sim.Time) float64 { return 0 }
 
@@ -250,5 +253,32 @@ func TestPropertyReliableUnderRandomLoss(t *testing.T) {
 			t.Errorf("seed %d: delivered %d of %d (retx=%d rto=%d)",
 				seed, rcv.Delivered(), total, snd.Retransmits(), snd.Timeouts())
 		}
+	}
+}
+
+// TestRTOBackoffIsCapped sends into a path that drops everything for three
+// simulated hours: the RTO doubles from one second up to a minute and then
+// fires a minute apart. Shifting the RTO by the backoff unbounded overflowed
+// after 34 timeouts and scheduled the next one in the past.
+func TestRTOBackoffIsCapped(t *testing.T) {
+	s := sim.New(1)
+	cc := &fixedCwnd{w: 10 * cca.MSS}
+	snd := NewSender(s, testFlow, cc, netem.ReceiverFunc(func(*netem.Packet) {}))
+	snd.Write(cca.MSS)
+	s.RunUntil(3 * time.Hour)
+	// 1+2+4+8+16+32 s, then a minute apart: 6 + 178 timeouts.
+	if snd.Timeouts() != 184 || len(cc.rtos) != 184 {
+		t.Fatalf("%d timeouts (%d told to the controller), want 184", snd.Timeouts(), len(cc.rtos))
+	}
+	var prev sim.Time
+	for i, at := range cc.rtos {
+		want := time.Minute
+		if i < 6 {
+			want = time.Second << i
+		}
+		if at-prev != want {
+			t.Fatalf("timeout %d came %v after the one before, want %v", i+1, at-prev, want)
+		}
+		prev = at
 	}
 }
