@@ -71,6 +71,13 @@ type ibFlow struct {
 	started  bool
 	stopped  bool
 
+	// hold is the visit of a roamed packet whose record waits unflushed
+	// here, held once for all of them: the feedback built from those
+	// records crosses back to the roamed station's home cell, so the visit
+	// must not drain before it leaves. The next flush hands the hold to
+	// that feedback packet; exportFlow and dropFlow give it back.
+	hold *netem.Visit
+
 	// fbScratch is reused across flushes so periodic feedback construction
 	// does not allocate in steady state.
 	fbScratch packet.TWCCFeedback
@@ -145,6 +152,10 @@ func (u *InbandUpdater) OnDataPacket(now sim.Time, downlink netem.FlowKey, p *ne
 	// benefit; see EXPERIMENTS.md for the resulting trade-offs.)
 	at := time.Duration(now) + pred.Total
 	f.records = append(f.records, packet.TWCCArrival{Seq: seq, At: at})
+	if v := p.Visit(); v != nil && f.hold == nil {
+		v.Hold()
+		f.hold = v
+	}
 	if !f.started {
 		f.started = true
 		u.startTicker(f)
@@ -185,6 +196,8 @@ func (u *InbandUpdater) flush(f *ibFlow) {
 		SentAt:  u.s.Now(),
 		Payload: buf,
 	}
+	fbp.SetVisit(f.hold)
+	f.hold = nil
 	if u.tr != nil {
 		u.tr.Record(obs.Event{At: u.s.Now(), Type: obs.EvFeedback, Flow: f.downlink, Size: fbp.Size, A: int64(nRecords)})
 	}
@@ -244,8 +257,18 @@ func (u *InbandUpdater) exportFlow(key netem.FlowKey) *ibFlowState {
 	}
 	f.stopped = true
 	f.records = f.records[:0]
+	f.unhold()
 	delete(u.flows, key)
 	return st
+}
+
+// unhold gives back the flow's hold on a visit, if it has one: its records
+// have moved out or been discarded.
+func (f *ibFlow) unhold() {
+	if f.hold != nil {
+		f.hold.Unhold()
+		f.hold = nil
+	}
 }
 
 // importFlow installs exported in-band state. The feedback ticker restarts
@@ -273,6 +296,7 @@ func (u *InbandUpdater) importFlow(key netem.FlowKey, st *ibFlowState) {
 func (u *InbandUpdater) dropFlow(key netem.FlowKey) {
 	if f := u.flows[key]; f != nil {
 		f.stopped = true
+		f.unhold()
 		delete(u.flows, key)
 	}
 }

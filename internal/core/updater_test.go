@@ -304,3 +304,50 @@ func TestInbandRunsOnAnyClock(t *testing.T) {
 			len(out), other, u.DroppedClientFeedback())
 	}
 }
+
+// TestInbandHoldsVisitUntilFeedbackLeaves: records of packets that entered
+// a visit keep it live after the packets die, with one hold however many
+// records wait. The feedback built from them carries the hold to its own
+// Release, and exporting or dropping the flow gives back a hold whose
+// records leave with the flow state.
+func TestInbandHoldsVisitUntilFeedbackLeaves(t *testing.T) {
+	s := sim.New(6)
+	var fbs []*netem.Packet
+	u := NewInbandUpdater(s, netem.ReceiverFunc(func(p *netem.Packet) { fbs = append(fbs, p) }), 40*time.Millisecond)
+	var v netem.Visit
+	seq := uint16(100)
+	record := func() {
+		p := netem.NewPacket()
+		p.Flow, p.Kind, p.Size = dataFlow, netem.KindData, 1000
+		p.Payload = twccPayload{ssrc: 42, seq: seq}
+		seq++
+		v.Enter(p)
+		u.OnDataPacket(s.Now(), dataFlow, p, Prediction{Total: 10 * time.Millisecond})
+		p.Release()
+	}
+	for i := 0; i < 3; i++ {
+		record()
+	}
+	if v.Live() != 1 {
+		t.Fatalf("three records waiting: live %d, want the one hold", v.Live())
+	}
+	s.RunUntil(45 * time.Millisecond)
+	if len(fbs) != 1 || fbs[0].Visit() != &v || v.Live() != 1 {
+		t.Fatalf("after the flush: %d feedback packets, live %d; want one carrying the hold, live 1", len(fbs), v.Live())
+	}
+	fbs[0].Release()
+	if v.Live() != 0 {
+		t.Fatalf("feedback released: live %d, want 0", v.Live())
+	}
+	for _, leave := range []func(){
+		func() { u.exportFlow(dataFlow) },
+		func() { u.dropFlow(dataFlow) },
+	} {
+		record()
+		leave()
+		if v.Live() != 0 {
+			t.Fatalf("flow state left with its records: live %d, want 0", v.Live())
+		}
+	}
+	u.Stop()
+}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"github.com/zhuge-project/zhuge/internal/sim"
 )
@@ -231,5 +232,53 @@ func TestDoubleReleasePanics(t *testing.T) {
 	// Release -> NewPacket -> Release: the pool hands released structs back.
 	for i := 0; i < 100; i++ {
 		dataPacket(flowA).Release()
+	}
+}
+
+// TestPacketIs96Bytes pins the packet's size: Kind, ABCMark and released
+// share the word after Flow, which is what made room for the visit pointer.
+func TestPacketIs96Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n != 96 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 96", n)
+	}
+}
+
+// TestVisitCountsUntilRelease walks one visit through every way its count
+// moves: packets entered count in, their Release counts them out, a hold
+// keeps it live until a packet carrying it is released, and an untagged
+// copy or a recycled packet counts for nothing.
+func TestVisitCountsUntilRelease(t *testing.T) {
+	var v Visit
+	p, q := dataPacket(flowA), dataPacket(flowA)
+	v.Enter(p)
+	v.Enter(q)
+	if v.Live() != 2 || p.Visit() != &v {
+		t.Fatalf("after two Enters: live %d, tag %p; want 2, %p", v.Live(), p.Visit(), &v)
+	}
+	cp := NewPacket()
+	*cp = *p
+	cp.SetVisit(nil) // the copy a forwarder sends home
+	cp.Release()
+	v.Hold() // state derived from p outlives it
+	p.Release()
+	if v.Live() != 2 {
+		t.Fatalf("after an untagged copy's Release, a Hold and p's Release: live %d, want 2", v.Live())
+	}
+	fb := NewPacket()
+	fb.SetVisit(&v) // the hold moves to a packet built from that state
+	q.Release()
+	fb.Release()
+	if v.Live() != 0 {
+		t.Fatalf("after every packet died: live %d, want 0", v.Live())
+	}
+	for i := 0; i < 10; i++ {
+		if r := NewPacket(); r.Visit() != nil {
+			t.Fatal("a recycled packet kept its visit tag")
+		}
+	}
+	v.Hold()
+	v.Unhold()
+	if v.Live() != 0 {
+		t.Fatalf("Hold then Unhold: live %d, want 0", v.Live())
 	}
 }

@@ -99,6 +99,15 @@ func (k Kind) String() string {
 type Packet struct {
 	Flow FlowKey
 	Kind Kind
+
+	// ABCMark carries the one-bit accelerate/brake mark of the ABC
+	// baseline (it models ABC's reuse of an ECN-like header bit).
+	ABCMark uint8
+
+	// released is set by Release and cleared by NewPacket, so that a second
+	// Release panics instead of pooling one struct twice.
+	released bool
+
 	Size int // bytes on the wire, headers included
 
 	// Seq is a transport-scoped identifier used only by endpoints and
@@ -116,13 +125,9 @@ type Packet struct {
 	APArrival sim.Time
 	Predicted time.Duration
 
-	// ABCMark carries the one-bit accelerate/brake mark of the ABC
-	// baseline (it models ABC's reuse of an ECN-like header bit).
-	ABCMark uint8
-
-	// released is set by Release and cleared by NewPacket, so that a second
-	// Release panics instead of pooling one struct twice.
-	released bool
+	// visit is the Visit this packet counts toward while it lives in a
+	// cell it was sent into across a cut edge; nil everywhere else.
+	visit *Visit
 
 	Payload any
 }
@@ -158,12 +163,58 @@ func (p *Packet) Release() {
 	if p.released {
 		panic("netem: Packet released twice")
 	}
+	if p.visit != nil {
+		p.visit.out++
+	}
 	if r, ok := p.Payload.(payloadReleaser); ok {
 		r.Release()
 	}
 	*p = Packet{released: true}
 	packetPool.Put(p)
 }
+
+// Visit counts what one roamed station has alive in the cell it visits:
+// the packets its home cell sent there across a cut edge (Enter), plus any
+// state in that cell still derived from them (Hold). Every such packet dies
+// through Release, which counts it out, so the visit has drained when Live
+// reads zero. The sharded runtime keeps the visit's return edge armed until
+// then: nothing of the visit can cross back home after it.
+//
+// The count has two fields so that each has one writer across a parallel
+// window: in is written only by the sending cell's events, out only by the
+// visited cell's (and by barrier code). Live reads both, so it may only be
+// called at a barrier, when no cell is running.
+type Visit struct {
+	in  int64
+	out int64
+}
+
+// Enter tags p as sent into the visited cell and counts it in. The sending
+// cell calls it before handing p to the cut edge.
+func (v *Visit) Enter(p *Packet) {
+	v.in++
+	p.visit = v
+}
+
+// Hold keeps the visit live for state in the visited cell that outlives
+// the packet it came from. Give the hold back with Unhold, or hand it to a
+// packet with SetVisit, whose Release then gives it back.
+func (v *Visit) Hold() { v.out-- }
+
+// Unhold gives back one Hold.
+func (v *Visit) Unhold() { v.out++ }
+
+// Live returns how many packets and holds of the visit are outstanding.
+// Barrier-only: the two counts are written by different cells in a window.
+func (v *Visit) Live() int64 { return v.in - v.out }
+
+// Visit returns the visit p counts toward, or nil.
+func (p *Packet) Visit() *Visit { return p.visit }
+
+// SetVisit re-tags p without counting anything in: pass a held visit to let
+// p carry the hold until its Release, or nil to clear the tag of a copy that
+// leaves the visited cell.
+func (p *Packet) SetVisit(v *Visit) { p.visit = v }
 
 // Receiver consumes packets. Every hop in a topology is a Receiver.
 type Receiver interface {

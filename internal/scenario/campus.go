@@ -98,7 +98,10 @@ func Campus(seed int64, cfg CampusConfig) Spec {
 // CampusCutDelay is the inter-AP backhaul delay campus runs use: two
 // switched-Ethernet hops across a campus distribution layer. As the
 // cluster lookahead it grants 2ms windows — hundreds of events per shard
-// per window at campus load.
+// per window at campus load — but only while a visit is live: a cut edge
+// bounds the windows from the roam out that arms it until the visit has
+// drained after the return, and the stretches no roam touches run in one
+// window per barrier action.
 const CampusCutDelay = 2 * time.Millisecond
 
 // Fingerprint renders every per-flow output of the sharded run into one

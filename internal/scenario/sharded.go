@@ -72,10 +72,19 @@ type ShardedPath struct {
 	// Moves() record the cell migrations executed.
 	Rebalancer *shard.Rebalancer
 
-	byAP  map[string]*ShardedCell
-	edges map[[2]int]*shard.Edge  // (from cell, to cell) -> cut edge
-	home  map[string]*ShardedCell // station -> home cell
-	where map[string]*ShardedCell // station -> cell currently serving it
+	byAP   map[string]*ShardedCell
+	edges  map[[2]int]*shard.Edge  // (from cell, to cell) -> cut edge
+	home   map[string]*ShardedCell // station -> home cell
+	where  map[string]*ShardedCell // station -> cell currently serving it
+	visits map[visitKey]*netem.Visit
+}
+
+// visitKey names a station's visits to one foreign cell. Repeat visits
+// share one count: a flow's packets in that cell then count toward one
+// visit, so an AP there needs at most one hold per flow.
+type visitKey struct {
+	station string
+	cell    int
 }
 
 // BuildSharded decomposes the Spec into per-AP cells, groups them onto
@@ -148,10 +157,11 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 	}
 	spd := &ShardedPath{
 		Spec: sp, Opts: opt, Cluster: cluster,
-		byAP:  make(map[string]*ShardedCell, n),
-		edges: make(map[[2]int]*shard.Edge),
-		home:  make(map[string]*ShardedCell),
-		where: make(map[string]*ShardedCell),
+		byAP:   make(map[string]*ShardedCell, n),
+		edges:  make(map[[2]int]*shard.Edge),
+		home:   make(map[string]*ShardedCell),
+		where:  make(map[string]*ShardedCell),
+		visits: make(map[visitKey]*netem.Visit),
 	}
 	for i := 0; i < n; i++ {
 		label := ""
@@ -182,7 +192,7 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 	// Create the cut edges the declared roams will traverse — both
 	// directions of every (home, target) pair — in sorted order, so edge
 	// identity and the cluster's drain order are functions of the Spec,
-	// never of the grouping.
+	// never of the grouping. They start disarmed: the roams arm them.
 	pairs := make(map[[2]int]bool)
 	for _, h := range sp.Handovers {
 		sta := h.Station
@@ -265,6 +275,12 @@ func (spd *ShardedPath) Run(d time.Duration, workers int) {
 //     a previously visited cell only ever see that cell's in-flight
 //     stragglers, which still drain home — nothing is lost by a roam.
 //
+// A roam out arms both cut edges of the (home, visited) pair. Leaving the
+// visited cell disarms the outbound edge at once — the home routers no
+// longer point at it, and this barrier drained its ring — and the return
+// edge once the visit has drained: once nothing the home cell sent into
+// the visited cell, and nothing built from it, is still alive there.
+//
 // Zhuge per-flow state migrates (or resets) between the serving APs per
 // the declared policy, and the home path's routers are re-pointed, through
 // the same moveFlowState and reroute the single-simulator Handover uses;
@@ -288,12 +304,24 @@ func (spd *ShardedPath) handover(h HandoverSpec) {
 	fromPA, toPA := cur.Path.APs[0], to.Path.APs[0]
 	st := home.Path.Station(sta)
 	moveFlowState(st, fromPA, toPA, h.Policy)
+	if cur != home {
+		spd.edges[[2]int{home.Index, cur.Index}].Disarm()
+		spd.edges[[2]int{cur.Index, home.Index}].DisarmWhenDrained(spd.visits[visitKey{sta, cur.Index}])
+	}
 	if to == home {
 		home.Path.reroute(st, st.DownIn(), toPA.Uplink)
 	} else {
 		out := spd.edges[[2]int{home.Index, to.Index}]
 		back := spd.edges[[2]int{to.Index, home.Index}]
-		home.Path.reroute(st, edgeSender{out, toPA.DownIn}, edgeSender{out, toPA.Uplink})
+		out.Arm()
+		back.Arm()
+		vk := visitKey{sta, to.Index}
+		v := spd.visits[vk]
+		if v == nil {
+			v = new(netem.Visit)
+			spd.visits[vk] = v
+		}
+		home.Path.reroute(st, edgeSender{out, toPA.DownIn, v}, edgeSender{out, toPA.Uplink, v})
 		for _, flow := range st.flows {
 			to.Path.clientDemux.Register(flow, demuxForward{back, home.Path.clientDemux})
 			to.Path.serverDemux.Register(flow, demuxForward{back, home.Path.serverDemux})
@@ -305,19 +333,27 @@ func (spd *ShardedPath) handover(h HandoverSpec) {
 // edgeSender adapts a cut edge to netem.Receiver so routers can point
 // flows at it: packets handed here leave the cell and surface at dst on
 // the destination cell after the edge delay. Ownership passes to the edge.
+// Each packet enters the station's visit to the destination cell, which
+// keeps the return edge armed until the packet dies there.
 type edgeSender struct {
-	e   *shard.Edge
-	dst netem.Receiver
+	e     *shard.Edge
+	dst   netem.Receiver
+	visit *netem.Visit
 }
 
 // Receive implements netem.Receiver.
-func (es edgeSender) Receive(p *netem.Packet) { es.e.Send(p, es.dst) }
+func (es edgeSender) Receive(p *netem.Packet) {
+	es.visit.Enter(p)
+	es.e.Send(p, es.dst)
+}
 
 // demuxForward trombones a roamed flow's packets home from a visited
 // cell's terminal demux. The demux releases every packet after delivery,
 // so the forwarder must hand the edge a copy; the payload pointer moves to
 // the copy (and is stripped from the original) so pooled payloads are
-// released exactly once, at the home demux.
+// released exactly once, at the home demux. The original keeps its visit
+// tag and counts out when the demux releases it; the copy leaves the
+// visited cell untagged.
 type demuxForward struct {
 	e    *shard.Edge
 	home netem.Receiver
@@ -327,6 +363,7 @@ type demuxForward struct {
 func (f demuxForward) Receive(p *netem.Packet) {
 	cp := netem.NewPacket()
 	*cp = *p
+	cp.SetVisit(nil)
 	p.Payload = nil
 	f.e.Send(cp, f.home)
 }

@@ -64,12 +64,18 @@ func (sh *Shard) Cells() []*Cell { return sh.cells }
 // stream), so the inbox FIFO order is a function of that cell alone and
 // both shard count and cell placement stay invisible. Edges bind cells,
 // not shards: when a cell migrates, its edges follow it implicitly.
+//
+// An edge bounds windows only while it is armed, and only an armed edge
+// may carry a packet. Arming is a count of the routes that use the edge,
+// raised and lowered at barriers, so an edge nothing routes over lets the
+// cells around it run to the next barrier action in one window.
 type Edge struct {
 	name  string
 	delay sim.Time
 	src   *Cell
 	dst   *Cell
 	inbox ring
+	armed int // routes using the edge; written only at barriers
 }
 
 // Name returns the edge's unique name within its cluster.
@@ -86,8 +92,50 @@ func (e *Edge) Delay() time.Duration { return e.delay }
 // Send is in-window only: the inbox ring's single producer is the source
 // cell's event stream, so a Send from a barrier action or from build code
 // panics (see ring.push).
+//
+// Send on a disarmed edge panics too: the windows were granted without
+// its delay, so its packet could arrive in the destination cell's past.
 func (e *Edge) Send(p *netem.Packet, dst netem.Receiver) {
+	if e.armed == 0 {
+		panic(fmt.Sprintf("shard: send on disarmed edge %q: the windows were granted without its delay; "+
+			"Arm it at a barrier before routing over it", e.name))
+	}
 	e.inbox.push(Parcel{P: p, At: e.src.s.Now() + e.delay, Dst: dst})
+}
+
+// Arm adds one route over the edge: from the next window on, its delay
+// bounds the windows and Send may carry packets. Barrier-only.
+func (e *Edge) Arm() {
+	e.src.c.BarrierOnly("Edge.Arm")
+	e.armed++
+}
+
+// Disarm removes one route Arm added; the edge stops bounding windows when
+// the last one goes. The caller vouches that the route will send nothing
+// more — the barrier has already drained what it sent. Barrier-only.
+func (e *Edge) Disarm() {
+	e.src.c.BarrierOnly("Edge.Disarm")
+	if e.armed == 0 {
+		panic(fmt.Sprintf("shard: Disarm of edge %q, which is not armed", e.name))
+	}
+	e.armed--
+}
+
+// DisarmWhenDrained removes one route Arm added at the end of the first
+// barrier, this one included, at which v has nothing live: for a route
+// that may still carry what a visit left behind in the source cell.
+// Barrier-only.
+func (e *Edge) DisarmWhenDrained(v *netem.Visit) {
+	c := e.src.c
+	c.BarrierOnly("Edge.DisarmWhenDrained")
+	c.draining = append(c.draining, drainingRoute{e, v})
+}
+
+// drainingRoute is a route waiting for its visit to drain before it
+// disarms its edge.
+type drainingRoute struct {
+	e *Edge
+	v *netem.Visit
 }
 
 // action is one barrier callback: fn runs single-threaded at virtual time
@@ -110,9 +158,12 @@ type Cluster struct {
 	edges   []*Edge
 	edgeSet map[string]bool
 	look    sim.Time // min edge delay; valid when len(edges) > 0
-	actions []action
-	nextAct int
-	windows uint64
+	// draining holds routes that disarm their edge once their visit has
+	// drained; checked at every barrier.
+	draining []drainingRoute
+	actions  []action
+	nextAct  int
+	windows  uint64
 
 	// active counts shard executors currently inside a window; nonzero
 	// means "a window is executing". It is the one predicate the whole
@@ -235,11 +286,26 @@ func (c *Cluster) Migrate(cell *Cell, to *Shard) {
 	cell.sh = to
 }
 
-// Lookahead returns the cluster's window bound: the minimum edge delay,
-// or false when there are no edges (windows are then bounded only by
-// barrier actions and the horizon).
+// Lookahead returns the minimum delay over all edges, armed or not, or
+// false when there are none. It is the narrowest window bound the
+// cluster can impose; RunWith bounds each window by the minimum over the
+// edges armed at that barrier only (armedLookahead).
 func (c *Cluster) Lookahead() (time.Duration, bool) {
 	return c.look, len(c.edges) > 0
+}
+
+// armedLookahead returns the minimum delay over the armed edges, or false
+// when none is armed (windows are then bounded only by barrier actions and
+// the horizon).
+func (c *Cluster) armedLookahead() (sim.Time, bool) {
+	var look sim.Time
+	found := false
+	for _, e := range c.edges {
+		if e.armed > 0 && (!found || e.delay < look) {
+			look, found = e.delay, true
+		}
+	}
+	return look, found
 }
 
 // At registers a barrier action at virtual time t. Actions run
@@ -276,6 +342,12 @@ func (c *Cluster) Run(end sim.Time, workers int) {
 // RunWith is Run with a caller-supplied barrier executor: do(n, fn) must
 // run fn(0..n-1) to completion before returning. The profiler wraps the
 // executor here to measure per-shard window cost.
+//
+// Each window is W = min(m + L, next barrier action, end), where m is the
+// earliest pending event over all cells and L the minimum delay over the
+// edges armed at the barrier; with no edge armed the first term drops
+// out. Arming changes only at barriers, from counts every shard count
+// sees alike, so the windows are the same at every shard count.
 func (c *Cluster) RunWith(end sim.Time, do func(n int, fn func(i int))) {
 	c.BarrierOnly("Run")
 	sort.Slice(c.edges, func(i, j int) bool { return c.edges[i].name < c.edges[j].name })
@@ -290,18 +362,20 @@ func (c *Cluster) RunWith(end sim.Time, do func(n int, fn func(i int))) {
 			break
 		}
 		w := end
-		if haveNext && len(c.edges) > 0 && minNext+c.look < w {
-			w = minNext + c.look
+		if look, armed := c.armedLookahead(); haveNext && armed && minNext+look < w {
+			w = minNext + look
 		}
 		if haveAct && actAt < w {
 			w = actAt
 		}
-		// Every cross-cell arrival is >= minNext + minimum edge delay
-		// >= w, so executing [now, w) on all shards concurrently can
-		// never deliver into a shard's past.
+		// Only armed edges carry packets (Edge.Send), so every cross-cell
+		// arrival is >= minNext + minimum armed edge delay >= w, and
+		// executing [now, w) on all shards concurrently can never deliver
+		// into a shard's past.
 		do(len(c.shards), func(i int) { c.runShard(i, w, false) })
 		c.drainEdges()
 		c.runActions(w)
+		c.disarmDrained()
 		c.windows++
 	}
 	// Epilogue: the horizon itself. Events stamped exactly at end still
@@ -358,6 +432,21 @@ func (c *Cluster) drainEdges() {
 			dst.Schedule(pc.At, func() { rcv.Receive(p) })
 		})
 	}
+}
+
+// disarmDrained disarms the edge of every draining route whose visit has
+// nothing live any more. Barrier-only: Visit.Live reads counts that cells
+// write in a window.
+func (c *Cluster) disarmDrained() {
+	keep := c.draining[:0]
+	for _, d := range c.draining {
+		if d.v.Live() == 0 {
+			d.e.Disarm()
+		} else {
+			keep = append(keep, d)
+		}
+	}
+	c.draining = keep
 }
 
 // runActions executes every action with at <= w in (time, registration)

@@ -16,8 +16,10 @@
 // lookahead that makes conservative synchronisation possible: a packet
 // sent at time t cannot arrive before t+delay, so while the global minimum
 // next-event time is m, every shard may safely execute events strictly
-// before m+L (L = the minimum delay over all edges) without ever receiving
-// a message in its past.
+// before m+L (L = the minimum delay over the armed edges) without ever
+// receiving a message in its past. Only an armed edge may carry a packet;
+// arming is a per-edge route count changed at barriers (Edge.Arm, Disarm,
+// DisarmWhenDrained), so with nothing armed the m+L term drops out.
 //
 // A Cluster advances its shards in lockstep windows:
 //
@@ -25,6 +27,7 @@
 //	every shard runs its cells' events in [now, W) in parallel (RunBefore)
 //	edge inboxes drain in global edge order            (barrier)
 //	actions scheduled exactly at W run single-threaded (barrier)
+//	routes whose visit has drained disarm their edges  (barrier)
 //
 // Edges never deliver at send time — not even when source and destination
 // happen to share a shard. Sends enqueue (packet, arrival, dst) into the
@@ -55,9 +58,11 @@
 //
 // Every rule above is asserted at runtime against one predicate — a window
 // is executing (Cluster.active != 0): Edge.Send panics outside a window;
-// draining a ring, Cluster.AddShard/AddCell/Connect/At/Migrate/Run* and
-// Cell.Sim panic inside one (Cluster.BarrierOnly, which code outside this
-// package calls before mutating state that spans cells). An executing event
-// always sees a window and a barrier action never does, so a violation is
-// the same panic at any worker count.
+// draining a ring, Cluster.AddShard/AddCell/Connect/At/Migrate/Run*,
+// Edge.Arm/Disarm/DisarmWhenDrained and Cell.Sim panic inside one
+// (Cluster.BarrierOnly, which code outside this package calls before
+// mutating state that spans cells). An executing event always sees a window
+// and a barrier action never does, so a violation is the same panic at any
+// worker count. Edge.Send on a disarmed edge panics too; arming changes
+// only at barriers, so that panic is also the same at any worker count.
 package shard

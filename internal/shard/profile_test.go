@@ -18,12 +18,8 @@ func profiledCluster(t *testing.T) (*Cluster, *Cell, *Cell) {
 	c := NewCluster()
 	heavy := c.AddCell("heavy", sim.New(1), c.AddShard("heavy"))
 	light := c.AddCell("light", sim.New(2), c.AddShard("light"))
-	if _, err := c.Connect("h->l", heavy, light, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Connect("l->h", light, heavy, 3*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	armedEdge(t, c, "h->l", heavy, light, 5*time.Millisecond)
+	armedEdge(t, c, "l->h", light, heavy, 3*time.Millisecond)
 	for i := 0; i < 30; i++ {
 		heavy.Sim().Schedule(sim.Time(i)*sim.Time(time.Millisecond), func() {})
 	}

@@ -21,12 +21,8 @@ func rebalCluster(t *testing.T, horizon time.Duration) *Cluster {
 	busy1 := c.AddCell("busy1", sim.New(2), s0)
 	idle0 := c.AddCell("idle0", sim.New(3), s1)
 	idle1 := c.AddCell("idle1", sim.New(4), s1)
-	if _, err := c.Connect("b0->b1", busy0, busy1, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Connect("i0->i1", idle0, idle1, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	armedEdge(t, c, "b0->b1", busy0, busy1, time.Millisecond)
+	armedEdge(t, c, "i0->i1", idle0, idle1, time.Millisecond)
 	for _, cl := range []*Cell{busy0, busy1} {
 		s := cl.Sim()
 		for at := time.Duration(0); at < horizon; at += time.Millisecond {
@@ -142,9 +138,7 @@ func TestRebalancerRefusesUnhelpfulMove(t *testing.T) {
 	s0, s1 := c.AddShard("s0"), c.AddShard("s1")
 	giant := c.AddCell("giant", sim.New(1), s0)
 	small := c.AddCell("small", sim.New(2), s1)
-	if _, err := c.Connect("g->s", giant, small, time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	armedEdge(t, c, "g->s", giant, small, time.Millisecond)
 	for at := time.Duration(0); at < horizon; at += time.Millisecond {
 		giant.Sim().Schedule(at, func() {})
 	}

@@ -89,7 +89,8 @@ func TestRingGrowthMidstream(t *testing.T) {
 }
 
 // cellPair builds a two-shard cluster with one cell on each and a pair of
-// cut edges, the canonical fixture for protocol tests.
+// cut edges, the canonical fixture for protocol tests. The edges start
+// disarmed; a test that sends on one arms it first.
 func cellPair(t *testing.T) (c *Cluster, a, b *Cell, ab, ba *Edge) {
 	t.Helper()
 	c = NewCluster()
@@ -107,6 +108,17 @@ func cellPair(t *testing.T) (c *Cluster, a, b *Cell, ab, ba *Edge) {
 		t.Fatal(err)
 	}
 	return c, a, b, ab, ba
+}
+
+// armedEdge connects two cells and arms the edge, so that its delay
+// bounds the windows.
+func armedEdge(t *testing.T, c *Cluster, name string, from, to *Cell, delay time.Duration) {
+	t.Helper()
+	e, err := c.Connect(name, from, to, delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Arm()
 }
 
 func TestZeroLookaheadRejected(t *testing.T) {
@@ -136,6 +148,8 @@ func TestZeroLookaheadRejected(t *testing.T) {
 func exchange(t *testing.T, workers int) []string {
 	t.Helper()
 	c, a, b, ab, ba := cellPair(t)
+	ab.Arm()
+	ba.Arm()
 	simA, simB := a.Sim(), b.Sim() // Cell.Sim is not an in-window accessor
 
 	var logA, logB []string
@@ -230,11 +244,55 @@ func TestWorkerCountInvisible(t *testing.T) {
 	}
 }
 
+// TestOnlyArmedEdgesBoundWindows pins the lookahead rule: a disarmed edge
+// lets a cell with events every millisecond run to the horizon in one
+// window, an armed 3ms edge cuts the same run into windows of at most 3ms,
+// and a route left draining disarms its edge at the first barrier at which
+// its visit has nothing live.
+func TestOnlyArmedEdgesBoundWindows(t *testing.T) {
+	const horizon = 30 * time.Millisecond
+	run := func(prep func(c *Cluster, ab, ba *Edge)) (*Cluster, *Edge) {
+		c, a, _, ab, ba := cellPair(t)
+		for at := time.Duration(0); at < horizon; at += time.Millisecond {
+			a.Sim().Schedule(at, func() {})
+		}
+		prep(c, ab, ba)
+		c.Run(horizon, 2)
+		return c, ba
+	}
+	if c, _ := run(func(*Cluster, *Edge, *Edge) {}); c.Windows() != 1 {
+		t.Fatalf("no edge armed: %d windows, want 1", c.Windows())
+	}
+	if c, _ := run(func(c *Cluster, ab, ba *Edge) { ba.Arm() }); c.Windows() != 10 {
+		t.Fatalf("3ms edge armed: %d windows, want 10", c.Windows())
+	}
+	// Armed from the start, left to drain at 6ms with two packets live;
+	// one dies at 9ms, the other at 20ms, so the edge bounds the windows
+	// up to the barrier at or after 20ms and not after it.
+	var v netem.Visit
+	c, ba := run(func(c *Cluster, ab, ba *Edge) {
+		ba.Arm()
+		c.At(6*time.Millisecond, func() { ba.DisarmWhenDrained(&v) })
+		p, q := netem.NewPacket(), netem.NewPacket()
+		v.Enter(p)
+		v.Enter(q)
+		s := ba.src.s
+		s.Schedule(9*time.Millisecond, p.Release)
+		s.Schedule(20*time.Millisecond, q.Release)
+	})
+	if ba.armed != 0 || v.Live() != 0 {
+		t.Fatalf("after the run: edge armed %d, visit live %d; want 0, 0", ba.armed, v.Live())
+	}
+	if c.Windows() != 8 {
+		t.Fatalf("%d windows, want 8: 3ms windows up to 21ms, then one to the horizon", c.Windows())
+	}
+}
+
 // TestEdgeBurstBeyondInitialCap drives far more than ringCap parcels down
 // one edge inside a single window; every one must arrive, in order.
 func TestEdgeBurstBeyondInitialCap(t *testing.T) {
-	c, a, b, ab, _ := cellPair(t)
-	_ = b
+	c, a, _, ab, _ := cellPair(t)
+	ab.Arm()
 	const n = ringCap + 300
 	var got []uint64
 	bIn := netem.ReceiverFunc(func(p *netem.Packet) {
@@ -266,6 +324,7 @@ func TestEdgeBurstBeyondInitialCap(t *testing.T) {
 func TestMigrateMovesCellAtBarrier(t *testing.T) {
 	run := func(migrate bool) ([]string, uint64) {
 		c, a, b, ab, _ := cellPair(t)
+		ab.Arm()
 		simB := b.Sim()
 		var log []string
 		bIn := netem.ReceiverFunc(func(p *netem.Packet) {
@@ -327,40 +386,60 @@ func TestMigrateUpdatesResidency(t *testing.T) {
 // always sees a window and a barrier action never does.
 func TestProtocolRulesPanic(t *testing.T) {
 	sink := netem.ReceiverFunc(func(p *netem.Packet) { p.Release() })
+	send := func(c *Cluster, a, b *Cell, ab *Edge) { ab.Send(netem.NewPacket(), sink) }
 	rules := []struct {
 		name      string
 		atBarrier bool // violate from a Cluster.At action; otherwise from a scheduled event
 		violate   func(c *Cluster, a, b *Cell, ab *Edge)
 		want      string
+		// prep readies edge a->b at build time; nil arms it.
+		prep func(c *Cluster, ab *Edge)
 	}{
-		{"Edge.Send from a barrier action", true,
-			func(c *Cluster, a, b *Cell, ab *Edge) { ab.Send(netem.NewPacket(), sink) },
-			"Edge.Send outside a window"},
+		{"Edge.Send from a barrier action", true, send,
+			"Edge.Send outside a window", nil},
+		{"Edge.Send on a never-armed edge", false, send,
+			`shard: send on disarmed edge "a->b"`, func(*Cluster, *Edge) {}},
+		{"Edge.Send on a disarmed edge", false, send,
+			`shard: send on disarmed edge "a->b"`, func(c *Cluster, ab *Edge) {
+				ab.Arm()
+				c.At(time.Millisecond/2, ab.Disarm)
+			}},
+		{"Edge.Arm in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { ab.Arm() },
+			"shard: Edge.Arm while a window is executing", nil},
+		{"Edge.Disarm in-window", false,
+			func(c *Cluster, a, b *Cell, ab *Edge) { ab.Disarm() },
+			"shard: Edge.Disarm while a window is executing", nil},
 		{"Cluster.At in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { c.At(5*time.Millisecond, func() {}) },
-			"shard: At while a window is executing"},
+			"shard: At while a window is executing", nil},
 		{"Cluster.Connect in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { c.Connect("late", a, b, time.Millisecond) },
-			"shard: Connect while a window is executing"},
+			"shard: Connect while a window is executing", nil},
 		{"Cluster.AddCell in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { c.AddCell("late", sim.New(3), c.Shards()[0]) },
-			"shard: AddCell while a window is executing"},
+			"shard: AddCell while a window is executing", nil},
 		{"Cluster.AddShard in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { c.AddShard("late") },
-			"shard: AddShard while a window is executing"},
+			"shard: AddShard while a window is executing", nil},
 		{"Cluster.Run in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { c.Run(time.Second, 1) },
-			"shard: Run while a window is executing"},
+			"shard: Run while a window is executing", nil},
 		{"Cell.Sim in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { b.Sim() },
-			"shard: Cell.Sim while a window is executing"},
+			"shard: Cell.Sim while a window is executing", nil},
 		{"ring drained in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { ab.inbox.drain(func(Parcel) {}) },
-			"edge ring drained while a window is executing"},
+			"edge ring drained while a window is executing", nil},
 	}
 	for _, r := range rules {
 		for _, workers := range []int{1, 4} {
 			c, a, b, ab, _ := cellPair(t)
+			if r.prep != nil {
+				r.prep(c, ab)
+			} else {
+				ab.Arm()
+			}
 			violate := func() { r.violate(c, a, b, ab) }
 			if r.atBarrier {
 				c.At(time.Millisecond, violate)
