@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -179,5 +181,191 @@ func TestPoolPanic(t *testing.T) {
 		if r != 1 {
 			t.Fatalf("post-panic round: cell %d did not run", i)
 		}
+	}
+}
+
+// TestPoolParkedRounds separates rounds by more than the spin bound, so
+// every helper parks between them and each round starts with wake-ups,
+// with rounds smaller and larger than the pool.
+func TestPoolParkedRounds(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		p := NewPool(workers)
+		for _, n := range []int{1, workers - 1, workers, workers + 1, 3 * workers} {
+			results := make([]int, n)
+			for round := 1; round <= 5; round++ {
+				time.Sleep(2 * spinFor)
+				p.Do(n, func(i int) { results[i]++ })
+				for i, r := range results {
+					if r != round {
+						t.Fatalf("workers=%d n=%d round %d: cell %d ran %d times", workers, n, round, i, r)
+					}
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// rendezvous blocks a cell until all workers have started one, so that
+// every worker holds exactly one cell of the round, or fails after a
+// deadline.
+func rendezvous(arrived *atomic.Int32, workers int) bool {
+	arrived.Add(1)
+	deadline := time.Now().Add(5 * time.Second)
+	for arrived.Load() < int32(workers) {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// TestPoolWakesParkedHelpers checks that a round wakes every parked
+// helper: its cells only finish once all workers run one at the same time.
+func TestPoolWakesParkedHelpers(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		p := NewPool(workers)
+		for round := 0; round < 3; round++ {
+			time.Sleep(2 * spinFor)
+			var arrived atomic.Int32
+			var stuck atomic.Bool
+			p.Do(workers, func(int) {
+				if !rendezvous(&arrived, workers) {
+					stuck.Store(true)
+				}
+			})
+			if stuck.Load() {
+				t.Fatalf("workers=%d round %d: a cell waited 5 s for the other workers to join", workers, round)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestPoolCallerWaitsForStragglers gives the caller of Do the round's
+// only fast cell, so it runs out of work, spins past the bound and parks:
+// Do must still return only after every helper's cell has finished.
+func TestPoolCallerWaitsForStragglers(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		p := NewPool(workers)
+		results := make([]int, workers)
+		for round := 1; round <= 3; round++ {
+			var arrived atomic.Int32
+			p.Do(workers, func(i int) {
+				rendezvous(&arrived, workers)
+				buf := make([]byte, 8<<10)
+				if !bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("(*Pool).Do(")) {
+					time.Sleep(2 * spinFor) // a helper's cell
+				}
+				results[i]++
+			})
+			for i, r := range results {
+				if r != round {
+					t.Fatalf("workers=%d round %d: cell %d ran %d times when Do returned", workers, round, i, r)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestPoolPanicWhileParked raises a panic in a round that wakes parked
+// helpers: it must surface as a *PanicError naming the cell, and the pool
+// must serve the next round.
+func TestPoolPanicWhileParked(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		p := NewPool(workers)
+		p.Do(workers, func(int) {})
+		time.Sleep(2 * spinFor)
+		func() {
+			defer func() {
+				pe, ok := recover().(*PanicError)
+				if !ok {
+					t.Fatalf("workers=%d: recover() = %T, want *PanicError", workers, pe)
+				}
+				if pe.Cell != workers-1 {
+					t.Fatalf("workers=%d: panicked cell = %d, want %d", workers, pe.Cell, workers-1)
+				}
+			}()
+			p.Do(2*workers, func(i int) {
+				if i == workers-1 {
+					panic("boom")
+				}
+			})
+		}()
+		time.Sleep(2 * spinFor)
+		ran := make([]int, 2*workers)
+		p.Do(len(ran), func(i int) { ran[i] = 1 })
+		for i, r := range ran {
+			if r != 1 {
+				t.Fatalf("workers=%d post-panic round: cell %d did not run", workers, i)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestPoolCloseReturnsWorkers checks Close leaves no helper goroutine
+// behind, whether the helpers were spinning or parked.
+func TestPoolCloseReturnsWorkers(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		for _, park := range []bool{false, true} {
+			base := runtime.NumGoroutine()
+			p := NewPool(workers)
+			p.Do(workers, func(int) {})
+			if park {
+				time.Sleep(2 * spinFor)
+			}
+			p.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("workers=%d park=%v: %d goroutines after Close, %d before NewPool", workers, park, runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+}
+
+// mustPanic runs fn and fails unless it panics with want.
+func mustPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != want {
+			t.Fatalf("recover() = %v, want %q", v, want)
+		}
+	}()
+	fn()
+}
+
+// TestPoolMisuseFailsByName checks that Do after Close and a Do that
+// overlaps another on the same pool panic by name instead of hanging.
+func TestPoolMisuseFailsByName(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		p := NewPool(workers)
+		p.Do(workers, func(int) {})
+		p.Close()
+		p.Close()
+		mustPanic(t, "parallel: Do on a closed Pool", func() { p.Do(workers, func(int) {}) })
+
+		p = NewPool(workers)
+		started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			p.Do(workers, func(i int) {
+				if i == 0 {
+					close(started)
+					<-release
+				}
+			})
+		}()
+		<-started
+		mustPanic(t, "parallel: concurrent Do on one Pool", func() { p.Do(workers, func(int) {}) })
+		close(release)
+		<-done
+		p.Do(workers, func(int) {})
+		p.Close()
 	}
 }

@@ -177,7 +177,7 @@ type Cluster struct {
 }
 
 // BarrierOnly panics, naming op, when a window is executing. Build code
-// and barrier actions run with every shard executor parked and may touch
+// and barrier actions run while no shard executes a window and may touch
 // state on any shard; in-window code runs concurrently with the other
 // shards and may not. Every control-plane entry point below calls it, and
 // so does code outside this package that mutates state spanning several
@@ -267,8 +267,8 @@ func (c *Cluster) Connect(name string, from, to *Cell, delay time.Duration) (*Ed
 // destination shard's worker from the next window on) and the producer
 // side of every edge rooted at the cell (the SPSC inbox rings' producer is
 // "whichever worker runs the owning shard's window", so re-homing the cell
-// re-homes the rings with it). Inside the barrier both sides are parked:
-// the transfer is a pointer move and outputs cannot observe it — residency
+// re-homes the rings with it). Inside the barrier no window executes: the
+// transfer is a pointer move and outputs cannot observe it — residency
 // only decides which core runs the cell's (unchanged) event stream.
 func (c *Cluster) Migrate(cell *Cell, to *Shard) {
 	c.BarrierOnly("Migrate")
@@ -334,9 +334,15 @@ func (c *Cluster) Windows() uint64 { return c.windows }
 // runs windows inline — the sequential reference that sharded output is
 // checked byte-identical against.
 func (c *Cluster) Run(end sim.Time, workers int) {
-	pool := parallel.NewPool(workers)
+	pool := c.pool(workers)
 	defer pool.Close()
 	c.RunWith(end, pool.Do)
+}
+
+// pool returns a barrier executor with at most one worker per shard: a
+// worker with no shard to run would only spin.
+func (c *Cluster) pool(workers int) *parallel.Pool {
+	return parallel.NewPool(min(parallel.Workers(workers), max(len(c.shards), 1)))
 }
 
 // RunWith is Run with a caller-supplied barrier executor: do(n, fn) must

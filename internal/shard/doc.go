@@ -41,11 +41,13 @@
 // Ownership rules for the inbox rings: an Edge has exactly one producer
 // (events of its source cell, run by whichever worker owns that cell's
 // shard during a window) and one consumer (the coordinator, at the
-// barrier). The barrier's WaitGroup gives the happens-before edge between
-// the two; the ring's atomics additionally make in-window publication safe
-// under the race detector. A packet pushed into an edge belongs to the
-// edge until the barrier delivers it; senders must not retain or release
-// it.
+// barrier). The barrier's check-out counter gives the happens-before edge
+// between the two: each shard's window, once it returns, decrements an
+// atomic count of shards left, and parallel.Pool.Do returns only after it
+// reads zero. The ring's atomics additionally make in-window publication
+// safe under the race detector. A packet pushed into an edge belongs to
+// the edge until the barrier delivers it; senders must not retain or
+// release it.
 //
 // Migration (Cluster.Migrate) re-homes a cell at a barrier, when no shard
 // goroutine is running: the cell's event heap changes executor and the

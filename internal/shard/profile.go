@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/obs"
-	"github.com/zhuge-project/zhuge/internal/parallel"
 	"github.com/zhuge-project/zhuge/internal/sim"
 )
 
@@ -183,7 +182,7 @@ func (p *Profiler) Critical() time.Duration { return p.critical }
 // RunProfiled is Cluster.Run with profiling: it advances the cluster to end
 // on a worker pool while p attributes per-window load.
 func (c *Cluster) RunProfiled(end sim.Time, workers int, p *Profiler) {
-	pool := parallel.NewPool(workers)
+	pool := c.pool(workers)
 	defer pool.Close()
 	c.RunWith(end, p.Wrap(pool.Do))
 }

@@ -25,13 +25,15 @@ const ringCap = 256
 // the coordinator at the barrier. head and tail are monotonic atomics so
 // in-window pushes are cleanly published, but the design leans on the
 // barrier: the consumer only drains between windows, after the worker
-// pool's WaitGroup has established happens-before with every producer.
+// pool's check-out counter (the atomic count of shards still running,
+// which parallel.Pool.Do waits to read zero) has established
+// happens-before with every producer.
 //
 // Capacity grows geometrically inside push when a window's burst exceeds
-// it. Growth is safe precisely because the ring is SPSC with a parked
-// consumer: during a window only the producer touches buf, so it may
-// replace the slice; the barrier's happens-before edge publishes the new
-// header to the consumer before the next drain. Capacity stays a power of
+// it. Growth is safe precisely because the ring is SPSC with a consumer
+// that drains only between windows: during a window only the producer
+// touches buf, so it may replace the slice; the barrier's happens-before
+// edge publishes the new header to the consumer before the next drain. Capacity stays a power of
 // two so position i lives at buf[i % len(buf)] before and after growth.
 //
 // Both sides assert the context they depend on against the cluster's
@@ -62,7 +64,7 @@ func (r *ring) push(p Parcel) {
 
 // grow doubles the buffer (or allocates the initial one), re-laying live
 // parcels so absolute position i stays at buf[i % len(buf)]. Producer side
-// only, with the consumer parked at the barrier.
+// only, inside a window, while the consumer drains only at barriers.
 func (r *ring) grow() {
 	if r.buf == nil {
 		r.buf = make([]Parcel, ringCap)
