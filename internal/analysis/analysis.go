@@ -41,7 +41,7 @@
 //
 // Two rule families are not checked here because the program enforces them
 // on itself: the shard layer's ownership protocol (who may produce onto an
-// edge ring, what may run inside a window) is asserted at runtime against
+// edge inbox, what may run inside a window) is asserted at runtime against
 // one predicate in internal/shard, and the costly observability hooks have
 // no nil branch, so a call site without its nil test panics in every test
 // that runs with obs off (internal/obs package comment). LINTING.md's

@@ -6,17 +6,15 @@
 // siblings, executing cells concurrently is invisible in the output: a sweep
 // run with 8 workers is byte-identical to the same sweep run with 1.
 //
-// The runner deliberately has no throttling, batching or result channels:
-// cells are CPU-bound simulator runs lasting milliseconds to minutes, so an
-// atomic work counter plus a slot-per-index result slice is both the fastest
-// and the simplest correct design.
+// There is one fan-out, Pool: Map is a Pool started and closed around one
+// Do, and the shard coordinator keeps one Pool for a whole run. It has no
+// throttling, batching or result channels: cells claim indices from an
+// atomic counter and write results into a slot-per-index slice.
 package parallel
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -51,9 +49,11 @@ func Workers(requested int) int {
 	return requested
 }
 
-// Map runs fn(i) for every i in [0, n) across at most workers goroutines.
-// workers <= 1 runs every cell inline on the calling goroutine — the legacy
-// sequential path, with zero goroutines and zero synchronisation.
+// Map runs fn(i) for every i in [0, n) across at most workers goroutines,
+// the calling one among them: it is one Pool.Do on a pool of
+// min(workers, n) workers, started and closed around the call. workers <= 1
+// runs every cell inline on the calling goroutine — the legacy sequential
+// path, with zero goroutines and zero synchronisation.
 //
 // Cells are claimed from an atomic counter, so execution order is arbitrary;
 // callers preserve determinism by writing results into slot i of a
@@ -64,45 +64,9 @@ func Map(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if pe := runCell(i, fn); pe != nil {
-				panic(pe)
-			}
-		}
-		return
-	}
-
-	var (
-		next     atomic.Int64 // next unclaimed cell
-		panicked atomic.Pointer[PanicError]
-		wg       sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for panicked.Load() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Keep the first panic; later ones lose the race and are
-				// dropped (they are almost always the same bug anyway).
-				if pe := runCell(i, fn); pe != nil {
-					panicked.CompareAndSwap(nil, pe)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if pe := panicked.Load(); pe != nil {
-		panic(pe)
-	}
+	p := NewPool(min(Workers(workers), n))
+	defer p.Close()
+	p.Do(n, fn)
 }
 
 // runCell invokes fn(i), converting a panic into an attributed *PanicError.

@@ -3,6 +3,7 @@ package parallel
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -107,6 +108,31 @@ func TestMapPanicStopsNewCells(t *testing.T) {
 	}
 }
 
+// TestNestedMap runs Maps inside the cells of a Map, the shape of a suite
+// whose experiments fan out their own cells: pools inside a pool's cells,
+// each with spinning helpers. Every inner slot is written exactly once,
+// and every helper has exited when the outer Map returns.
+func TestNestedMap(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		base := runtime.NumGoroutine()
+		const outer, inner = 6, 37
+		var counts [outer][inner]atomic.Int32
+		for round := 0; round < 3; round++ {
+			Map(workers, outer, func(o int) {
+				Map(workers, inner, func(i int) { counts[o][i].Add(1) })
+			})
+		}
+		for o := range counts {
+			for i := range counts[o] {
+				if got := counts[o][i].Load(); got != 3 {
+					t.Fatalf("workers=%d: slot [%d][%d] written %d times over 3 rounds, want 3", workers, o, i, got)
+				}
+			}
+		}
+		waitGoroutines(t, base, fmt.Sprintf("workers=%d: after the nested Maps", workers))
+	}
+}
+
 func TestPanicErrorUnwrap(t *testing.T) {
 	sentinel := errors.New("sentinel")
 	func() {
@@ -155,7 +181,8 @@ func TestPoolBarriers(t *testing.T) {
 }
 
 // TestPoolPanic checks a panicking cell surfaces as *PanicError with its
-// index, and the pool survives for later rounds.
+// index, that no further cell starts once one has panicked, and that the
+// pool survives for later rounds.
 func TestPoolPanic(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -175,6 +202,25 @@ func TestPoolPanic(t *testing.T) {
 			}
 		})
 	}()
+	const n = 1000
+	var started atomic.Int32
+	func() {
+		defer func() {
+			if pe, ok := recover().(*PanicError); !ok || pe.Cell != 0 {
+				t.Fatalf("recover() = %v, want a *PanicError for cell 0", pe)
+			}
+		}()
+		p.Do(n, func(i int) {
+			started.Add(1)
+			if i == 0 {
+				panic("early")
+			}
+			time.Sleep(time.Millisecond)
+		})
+	}()
+	if s := started.Load(); s >= n {
+		t.Errorf("all %d cells started despite a panic in cell 0", s)
+	}
 	ran := make([]int, 4)
 	p.Do(4, func(i int) { ran[i] = 1 })
 	for i, r := range ran {
@@ -318,14 +364,22 @@ func TestPoolCloseReturnsWorkers(t *testing.T) {
 				time.Sleep(2 * spinFor)
 			}
 			p.Close()
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					t.Fatalf("workers=%d park=%v: %d goroutines after Close, %d before NewPool", workers, park, runtime.NumGoroutine(), base)
-				}
-				time.Sleep(time.Millisecond)
-			}
+			waitGoroutines(t, base, fmt.Sprintf("workers=%d park=%v: after Close", workers, park))
 		}
+	}
+}
+
+// waitGoroutines fails unless the goroutine count falls back to base
+// within a deadline: an exiting goroutine may still count for a moment
+// after the WaitGroup that Close waits on is done.
+func waitGoroutines(t *testing.T, base int, when string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before", when, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 	"time"
 )
 
-// Pool is a reusable worker pool for repeated barrier fan-outs. Map spawns
-// fresh goroutines per call, which is fine for sweeps (cells run for
-// milliseconds to minutes) but wasteful for the shard coordinator, which
-// issues one fan-out per synchronisation window — about a thousand per
-// campus run, each a fraction of a millisecond of compute.
+// Pool is a reusable worker pool for repeated barrier fan-outs. A sweep
+// (Map) starts one for a single Do; the shard coordinator keeps one for a
+// whole run and issues one Do per synchronisation window — about a
+// thousand per campus run, each a fraction of a millisecond of compute.
 //
 // A window barrier must therefore neither create goroutines nor let a core
 // go idle when work is coming. The caller of Do claims cells alongside
@@ -23,9 +22,8 @@ import (
 // else wanted, because the spin ends early as soon as a yield shows that
 // other goroutines want the processor.
 //
-// Do has the same determinism contract as Map: cells are claimed from an
-// atomic counter in arbitrary order, and callers preserve determinism by
-// writing results into per-index slots.
+// Cells are claimed from an atomic counter in arbitrary order, and callers
+// preserve determinism by writing results into per-index slots.
 type Pool struct {
 	workers int
 	helpers []helper
@@ -109,9 +107,10 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Do runs fn(i) for every i in [0, n) across the pool's workers, the
 // calling goroutine among them, and returns when all cells have finished —
-// a barrier. A panicking cell re-panics here as a *PanicError after the
-// round drains, exactly like Map. Do on a closed pool, and a Do that
-// overlaps another on the same pool, panic.
+// a barrier. Once a cell panics no further cell starts, and the panic
+// re-panics here as a *PanicError after the cells in flight have finished.
+// Do on a closed pool, and a Do that overlaps another on the same pool,
+// panic.
 func (p *Pool) Do(n int, fn func(i int)) {
 	if p.closed.Load() {
 		panic("parallel: Do on a closed Pool")
@@ -191,18 +190,23 @@ func (p *Pool) await(h *helper, last *poolJob) *poolJob {
 	}
 }
 
-// run claims and runs j's cells until none is left to claim. The goroutine
-// that finishes the round's last cell wakes the caller if it parked; that
-// atomic check-out, not a lock, is what orders every cell's writes before
-// Do returns.
+// run claims and runs j's cells until none is left to claim. After a
+// panic the cells still claimed are counted down without running, so left
+// reaches zero all the same. The goroutine that finishes the round's last
+// cell wakes the caller if it parked; that atomic check-out, not a lock,
+// is what orders every cell's writes before Do returns.
 func (p *Pool) run(j *poolJob) {
 	for {
 		i := int(j.next.Add(1)) - 1
 		if i >= j.n {
 			return
 		}
-		if pe := runCell(i, j.fn); pe != nil {
-			j.pe.CompareAndSwap(nil, pe)
+		// Keep the first panic; later ones lose the race and are dropped
+		// (they are almost always the same bug anyway).
+		if j.pe.Load() == nil {
+			if pe := runCell(i, j.fn); pe != nil {
+				j.pe.CompareAndSwap(nil, pe)
+			}
 		}
 		if j.left.Add(-1) == 0 && j.waiting.CompareAndSwap(true, false) {
 			p.done <- struct{}{}

@@ -277,7 +277,7 @@ func (spd *ShardedPath) Run(d time.Duration, workers int) {
 //
 // A roam out arms both cut edges of the (home, visited) pair. Leaving the
 // visited cell disarms the outbound edge at once — the home routers no
-// longer point at it, and this barrier drained its ring — and the return
+// longer point at it, and this barrier drained its inbox — and the return
 // edge once the visit has drained: once nothing the home cell sent into
 // the visited cell, and nothing built from it, is still alive there.
 //

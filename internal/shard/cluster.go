@@ -74,7 +74,7 @@ type Edge struct {
 	delay sim.Time
 	src   *Cell
 	dst   *Cell
-	inbox ring
+	inbox inbox
 	armed int // routes using the edge; written only at barriers
 }
 
@@ -89,9 +89,9 @@ func (e *Edge) Delay() time.Duration { return e.delay }
 // caller gives up ownership of p — the packet must not be touched or
 // Released after Send; the destination's delivery path releases it.
 //
-// Send is in-window only: the inbox ring's single producer is the source
-// cell's event stream, so a Send from a barrier action or from build code
-// panics (see ring.push).
+// Send is in-window only: the inbox's single producer is the source cell's
+// event stream, so a Send from a barrier action or from build code panics
+// (see inbox.push).
 //
 // Send on a disarmed edge panics too: the windows were granted without
 // its delay, so its packet could arrive in the destination cell's past.
@@ -168,8 +168,8 @@ type Cluster struct {
 	// active counts shard executors currently inside a window; nonzero
 	// means "a window is executing". It is the one predicate the whole
 	// ownership protocol is asserted against: the control plane (AddShard,
-	// AddCell, Connect, At, Migrate, RunWith, Cell.Sim) and the ring's
-	// consumer side panic while it is nonzero, the ring's producer side
+	// AddCell, Connect, At, Migrate, Run, Cell.Sim) and the inbox's
+	// consumer side panic while it is nonzero, the inbox's producer side
 	// (Edge.Send) panics while it is zero. An executing event always sees
 	// its own executor's increment and a barrier action always sees zero,
 	// so every violation is the same panic at any worker count.
@@ -253,7 +253,7 @@ func (c *Cluster) Connect(name string, from, to *Cell, delay time.Duration) (*Ed
 		panic(fmt.Sprintf("shard: duplicate edge %q", name))
 	}
 	c.edgeSet[name] = true
-	e := &Edge{name: name, delay: delay, src: from, dst: to, inbox: ring{active: &c.active}}
+	e := &Edge{name: name, delay: delay, src: from, dst: to, inbox: inbox{active: &c.active}}
 	c.edges = append(c.edges, e)
 	if len(c.edges) == 1 || delay < c.look {
 		c.look = delay
@@ -265,9 +265,9 @@ func (c *Cluster) Connect(name string, from, to *Cell, delay time.Duration) (*Ed
 // between windows, when no shard executor is running — because it
 // transfers two ownerships at once: the cell's event heap (executed by the
 // destination shard's worker from the next window on) and the producer
-// side of every edge rooted at the cell (the SPSC inbox rings' producer is
-// "whichever worker runs the owning shard's window", so re-homing the cell
-// re-homes the rings with it). Inside the barrier no window executes: the
+// side of every edge rooted at the cell (an inbox's producer is "whichever
+// worker runs the owning shard's window", so re-homing the cell re-homes
+// the inboxes with it). Inside the barrier no window executes: the
 // transfer is a pointer move and outputs cannot observe it — residency
 // only decides which core runs the cell's (unchanged) event stream.
 func (c *Cluster) Migrate(cell *Cell, to *Shard) {
@@ -288,7 +288,7 @@ func (c *Cluster) Migrate(cell *Cell, to *Shard) {
 
 // Lookahead returns the minimum delay over all edges, armed or not, or
 // false when there are none. It is the narrowest window bound the
-// cluster can impose; RunWith bounds each window by the minimum over the
+// cluster can impose; run bounds each window by the minimum over the
 // edges armed at that barrier only (armedLookahead).
 func (c *Cluster) Lookahead() (time.Duration, bool) {
 	return c.look, len(c.edges) > 0
@@ -336,7 +336,7 @@ func (c *Cluster) Windows() uint64 { return c.windows }
 func (c *Cluster) Run(end sim.Time, workers int) {
 	pool := c.pool(workers)
 	defer pool.Close()
-	c.RunWith(end, pool.Do)
+	c.run(end, pool.Do)
 }
 
 // pool returns a barrier executor with at most one worker per shard: a
@@ -345,16 +345,16 @@ func (c *Cluster) pool(workers int) *parallel.Pool {
 	return parallel.NewPool(min(parallel.Workers(workers), max(len(c.shards), 1)))
 }
 
-// RunWith is Run with a caller-supplied barrier executor: do(n, fn) must
-// run fn(0..n-1) to completion before returning. The profiler wraps the
-// executor here to measure per-shard window cost.
+// run is Run with a given barrier executor: do(n, fn) must run fn(0..n-1)
+// to completion before returning. RunProfiled passes the pool's executor
+// wrapped by the profiler, which measures per-shard window cost.
 //
 // Each window is W = min(m + L, next barrier action, end), where m is the
 // earliest pending event over all cells and L the minimum delay over the
 // edges armed at the barrier; with no edge armed the first term drops
 // out. Arming changes only at barriers, from counts every shard count
 // sees alike, so the windows are the same at every shard count.
-func (c *Cluster) RunWith(end sim.Time, do func(n int, fn func(i int))) {
+func (c *Cluster) run(end sim.Time, do func(n int, fn func(i int))) {
 	c.BarrierOnly("Run")
 	sort.Slice(c.edges, func(i, j int) bool { return c.edges[i].name < c.edges[j].name })
 	sort.Slice(c.actions, func(i, j int) bool {

@@ -31,23 +31,24 @@
 //
 // Edges never deliver at send time — not even when source and destination
 // happen to share a shard. Sends enqueue (packet, arrival, dst) into the
-// edge's inbox ring; the coordinator drains every edge at every barrier in
+// edge's inbox; the coordinator drains every edge at every barrier in
 // name order and schedules the arrivals on the destination simulators.
 // Deferring uniformly is what makes placement invisible: the order in
 // which cross-cell arrivals obtain event sequence numbers depends only on
 // the (fixed) edge order and each edge's (deterministic, per-cell) FIFO
 // content, never on which shard a cell happened to reside on.
 //
-// Ownership rules for the inbox rings: an Edge has exactly one producer
+// Ownership rules for the inboxes: an Edge has exactly one producer
 // (events of its source cell, run by whichever worker owns that cell's
 // shard during a window) and one consumer (the coordinator, at the
 // barrier). The barrier's check-out counter gives the happens-before edge
 // between the two: each shard's window, once it returns, decrements an
 // atomic count of shards left, and parallel.Pool.Do returns only after it
-// reads zero. The ring's atomics additionally make in-window publication
-// safe under the race detector. A packet pushed into an edge belongs to
-// the edge until the barrier delivers it; senders must not retain or
-// release it.
+// reads zero; the next window starts only after the coordinator has
+// drained. That is the inbox's only synchronisation — it is a plain
+// sim.Deque — and the race detector sees it. A packet pushed into an edge
+// belongs to the edge until the barrier delivers it; senders must not
+// retain or release it.
 //
 // Migration (Cluster.Migrate) re-homes a cell at a barrier, when no shard
 // goroutine is running: the cell's event heap changes executor and the
@@ -60,7 +61,7 @@
 //
 // Every rule above is asserted at runtime against one predicate — a window
 // is executing (Cluster.active != 0): Edge.Send panics outside a window;
-// draining a ring, Cluster.AddShard/AddCell/Connect/At/Migrate/Run*,
+// draining an inbox, Cluster.AddShard/AddCell/Connect/At/Migrate/Run*,
 // Edge.Arm/Disarm/DisarmWhenDrained and Cell.Sim panic inside one
 // (Cluster.BarrierOnly, which code outside this package calls before
 // mutating state that spans cells). An executing event always sees a window

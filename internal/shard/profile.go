@@ -82,10 +82,10 @@ func NewProfiler(c *Cluster) *Profiler {
 	return p
 }
 
-// Wrap returns a barrier executor that runs do while attributing each
+// wrap returns a barrier executor that runs do while attributing each
 // shard's compute — and, between windows, each cell's events — to the
-// profiler. Pass it to RunWith.
-func (p *Profiler) Wrap(do func(n int, fn func(i int))) func(n int, fn func(i int)) {
+// profiler.
+func (p *Profiler) wrap(do func(n int, fn func(i int))) func(n int, fn func(i int)) {
 	return func(n int, fn func(i int)) {
 		do(n, func(i int) {
 			if p.Clock != nil {
@@ -184,5 +184,5 @@ func (p *Profiler) Critical() time.Duration { return p.critical }
 func (c *Cluster) RunProfiled(end sim.Time, workers int, p *Profiler) {
 	pool := c.pool(workers)
 	defer pool.Close()
-	c.RunWith(end, p.Wrap(pool.Do))
+	c.run(end, p.wrap(pool.Do))
 }

@@ -3,90 +3,12 @@ package shard
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/sim"
 )
-
-// testRing returns a ring with a window counter of its own, standing in
-// for a cluster: window(true) before pushing, window(false) before draining.
-func testRing() (r *ring, window func(bool)) {
-	active := new(atomic.Int32)
-	return &ring{active: active}, func(on bool) {
-		if on {
-			active.Store(1)
-		} else {
-			active.Store(0)
-		}
-	}
-}
-
-func TestRingFIFOAndGrowth(t *testing.T) {
-	r, window := testRing()
-	const n = 4*ringCap + 100 // force several geometric growth steps
-	window(true)
-	for i := 0; i < n; i++ {
-		r.push(Parcel{At: sim.Time(i)})
-	}
-	window(false)
-	if len(r.buf) < n || len(r.buf)&(len(r.buf)-1) != 0 {
-		t.Fatalf("buf grew to %d, want a power of two >= %d", len(r.buf), n)
-	}
-	var got []sim.Time
-	r.drain(func(p Parcel) { got = append(got, p.At) })
-	if len(got) != n {
-		t.Fatalf("drained %d parcels, want %d", len(got), n)
-	}
-	for i, at := range got {
-		if at != sim.Time(i) {
-			t.Fatalf("parcel %d has At %d: FIFO order broken across growth", i, at)
-		}
-	}
-	// The ring must be empty and reusable after a drain, at its grown
-	// capacity.
-	window(true)
-	r.push(Parcel{At: 42})
-	window(false)
-	var again []sim.Time
-	r.drain(func(p Parcel) { again = append(again, p.At) })
-	if len(again) != 1 || again[0] != 42 {
-		t.Fatalf("post-drain ring yielded %v, want [42]", again)
-	}
-}
-
-// TestRingGrowthMidstream grows while head is far from zero, so the
-// re-laying in grow has to translate wrapped positions correctly.
-func TestRingGrowthMidstream(t *testing.T) {
-	r, window := testRing()
-	next := 0
-	popped := 0
-	push := func(n int) {
-		window(true)
-		for i := 0; i < n; i++ {
-			r.push(Parcel{At: sim.Time(next)})
-			next++
-		}
-	}
-	drainAll := func() {
-		window(false)
-		r.drain(func(p Parcel) {
-			if p.At != sim.Time(popped) {
-				t.Fatalf("popped At %d, want %d", p.At, popped)
-			}
-			popped++
-		})
-	}
-	push(ringCap - 3) // nearly fill
-	drainAll()        // head == tail == ringCap-3: wrapped state
-	push(3 * ringCap) // burst forces growth with nonzero head
-	drainAll()
-	if popped != next {
-		t.Fatalf("popped %d of %d parcels", popped, next)
-	}
-}
 
 // cellPair builds a two-shard cluster with one cell on each and a pair of
 // cut edges, the canonical fixture for protocol tests. The edges start
@@ -288,28 +210,33 @@ func TestOnlyArmedEdgesBoundWindows(t *testing.T) {
 	}
 }
 
-// TestEdgeBurstBeyondInitialCap drives far more than ringCap parcels down
-// one edge inside a single window; every one must arrive, in order.
+// TestEdgeBurstBeyondInitialCap drives a burst down one edge inside a
+// single window, growing its inbox many times over, and a second burst
+// through the drained inbox a few windows later; every parcel must arrive,
+// in order.
 func TestEdgeBurstBeyondInitialCap(t *testing.T) {
 	c, a, _, ab, _ := cellPair(t)
 	ab.Arm()
-	const n = ringCap + 300
+	const n = 1000
 	var got []uint64
 	bIn := netem.ReceiverFunc(func(p *netem.Packet) {
 		got = append(got, p.Seq)
 		p.Release()
 	})
-	// All sends at t=1ms: one event, n pushes, all inside one window.
-	a.Sim().Schedule(time.Millisecond, func() {
-		for i := 0; i < n; i++ {
-			p := netem.NewPacket()
-			p.Seq = uint64(i)
-			ab.Send(p, bIn)
-		}
-	})
+	// Each burst is one event, n pushes, all inside one window; the edge's
+	// 5ms lookahead puts the two bursts in different windows.
+	for burst, at := range []time.Duration{time.Millisecond, 12 * time.Millisecond} {
+		a.Sim().Schedule(at, func() {
+			for i := 0; i < n; i++ {
+				p := netem.NewPacket()
+				p.Seq = uint64(burst*n + i)
+				ab.Send(p, bIn)
+			}
+		})
+	}
 	c.Run(20*time.Millisecond, 2)
-	if len(got) != n {
-		t.Fatalf("delivered %d parcels, want %d", len(got), n)
+	if len(got) != 2*n {
+		t.Fatalf("delivered %d parcels, want %d", len(got), 2*n)
 	}
 	for i, seq := range got {
 		if seq != uint64(i) {
@@ -428,9 +355,9 @@ func TestProtocolRulesPanic(t *testing.T) {
 		{"Cell.Sim in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { b.Sim() },
 			"shard: Cell.Sim while a window is executing", nil},
-		{"ring drained in-window", false,
+		{"inbox drained in-window", false,
 			func(c *Cluster, a, b *Cell, ab *Edge) { ab.inbox.drain(func(Parcel) {}) },
-			"edge ring drained while a window is executing", nil},
+			"edge inbox drained while a window is executing", nil},
 	}
 	for _, r := range rules {
 		for _, workers := range []int{1, 4} {
