@@ -357,9 +357,8 @@ func runCampus(r campusRun) {
 	wall := time.Since(start)
 	fmt.Fprintf(os.Stderr, "campus aps=%d stations=%d shards=%d workers=%d dur=%v seed=%d\n",
 		aps, 10*aps, len(spd.Cluster.Shards()), workers, dur, seed)
-	look, _ := spd.Cluster.Lookahead()
-	fmt.Fprintf(os.Stderr, "events=%d windows=%d lookahead=%v wall=%v (%.0f events/sec)\n",
-		spd.Cluster.Fired(), spd.Cluster.Windows(), look,
+	fmt.Fprintf(os.Stderr, "events=%d windows=%d wall=%v (%.0f events/sec)\n",
+		spd.Cluster.Fired(), spd.Cluster.Windows(),
 		wall.Round(time.Millisecond), float64(spd.Cluster.Fired())/wall.Seconds())
 	if rb := spd.Rebalancer; rb != nil {
 		fmt.Fprintf(os.Stderr, "rebalancer: %d migrations\n", rb.Migrations())

@@ -80,16 +80,6 @@ type FortuneTellerConfig struct {
 	// DisableBurstAdjust drops the maxBurstSize subtraction of Eq. 1.
 	DisableBurstAdjust bool
 
-	// MaxDeqInterval, when positive, treats dequeue gaps longer than it
-	// as link-idle restarts rather than channel-access intervals: the gap
-	// is not recorded and burst tracking starts fresh. APs that can sit
-	// idle between flows — multi-AP topologies with roaming stations —
-	// need this so the first fortunes after traffic returns are not
-	// dominated by the idle period. Zero (the default, and the paper's
-	// single-AP setting, where the estimator never goes idle) records
-	// every gap.
-	MaxDeqInterval time.Duration
-
 	// SampleEvery enables the selective-estimation CPU optimisation the
 	// paper proposes for loaded APs (§7.6): a fresh prediction is
 	// computed at most once per SampleEvery per flow; packets in between
@@ -108,6 +98,13 @@ func (c FortuneTellerConfig) withDefaults() FortuneTellerConfig {
 // maxPrediction caps predictions when the rate estimate collapses:
 // comfortably above any delay a CCA distinguishes.
 const maxPrediction = 2 * time.Second
+
+// maxDeqInterval is the longest dequeue gap read as a channel-access
+// interval, which on a busy link is milliseconds. A longer gap means the
+// link sat idle — a sender backing off, or a roaming station's traffic
+// living at another AP — so it is not recorded and burst tracking starts
+// fresh.
+const maxDeqInterval = time.Second
 
 // FortuneTeller watches the AP's downlink queue (as a wireless.Observer)
 // and predicts, for a packet arriving now, the delay it will experience to
@@ -210,7 +207,7 @@ func (f *FortuneTeller) OnDequeue(now sim.Time, p *netem.Packet) {
 		return
 	}
 	iv := now - f.lastDeqAt
-	if f.cfg.MaxDeqInterval > 0 && iv > f.cfg.MaxDeqInterval {
+	if iv > maxDeqInterval {
 		// The link sat idle: the gap is absence of traffic, not a
 		// channel-access interval. Feeding it to avg(dequeueIntvl) would
 		// poison the tx term with the whole idle period for the next

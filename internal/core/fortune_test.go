@@ -127,6 +127,33 @@ func TestTxReflectsDequeueIntervals(t *testing.T) {
 	}
 }
 
+// TestIdleGapRestartsBurstTracking pins the idle-gap rule of the default
+// Fortune Teller: a dequeue gap longer than maxDeqInterval is the link
+// sitting idle, not a channel-access interval, so it never enters
+// avg(dequeueIntvl) and the estimator resumes as if that dequeue were its
+// first.
+func TestIdleGapRestartsBurstTracking(t *testing.T) {
+	q := queue.NewFIFO(0)
+	ft := NewFortuneTeller(q, FortuneTellerConfig{})
+	now := sim.Time(0)
+	for i := 0; i < 10; i++ {
+		ft.OnDequeue(now, dataPkt(1000, uint64(i)))
+		now += 4 * time.Millisecond
+	}
+	now += maxDeqInterval
+	ft.OnDequeue(now, dataPkt(1000, 10))
+	if tx := ft.Predict(now, dataFlow).Tx; tx != 0 {
+		t.Fatalf("tx %v right after a %v idle gap, want 0: the gap was recorded", tx, maxDeqInterval+4*time.Millisecond)
+	}
+	for i := 11; i < 13; i++ {
+		now += 4 * time.Millisecond
+		ft.OnDequeue(now, dataPkt(1000, uint64(i)))
+	}
+	if tx := ft.Predict(now, dataFlow).Tx; tx != 4*time.Millisecond {
+		t.Errorf("tx %v after the link resumed at one dequeue per 4ms, want 4ms", tx)
+	}
+}
+
 func TestSubMillisecondIntervalsExcludedFromTx(t *testing.T) {
 	q := queue.NewFIFO(0)
 	ft := NewFortuneTeller(q, FortuneTellerConfig{})

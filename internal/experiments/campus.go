@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/scenario"
-	"github.com/zhuge-project/zhuge/internal/shard"
 )
 
 // CampusSharded runs the flagship campus workload — many APs, each serving
@@ -51,20 +50,15 @@ func CampusSharded(cfg Config) *Table {
 	if cfg.Shards > 0 {
 		counts = []int{cfg.Shards}
 	}
-	// Aggressive hysteresis so the dynamic rows actually migrate within the
-	// golden-scale horizon; the defaults are tuned for long runs.
-	rcfg := shard.RebalanceConfig{Ratio: 1.05, Patience: 2, Cooldown: 8, HalfLife: 8}
-
 	for _, shards := range counts {
 		for _, rebalance := range []bool{false, true} {
 			if shards == 1 && rebalance {
 				continue // one shard: nowhere to migrate to
 			}
 			spd, err := scenario.BuildSharded(scenario.Campus(cfg.Seed, ccfg), scenario.ShardedOptions{
-				Shards:          shards,
-				CutDelay:        scenario.CampusCutDelay,
-				Rebalance:       rebalance,
-				RebalanceConfig: rcfg,
+				Shards:    shards,
+				CutDelay:  scenario.CampusCutDelay,
+				Rebalance: rebalance,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("campus-sharded: %v", err))

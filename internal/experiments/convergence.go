@@ -96,12 +96,12 @@ func Fig4(cfg Config) *Table {
 func runDrop(cfg Config, o *obs.Obs, ccaName, qdisc string, sol scenario.Solution, k float64) result {
 	total := dropWarmup + cfg.dur(dropTail, 10*time.Second)
 	tr := trace.Step(fmt.Sprintf("drop%.0f", k), dropBase, dropBase/k, dropWarmup, total)
-	opts := scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Qdisc: qdisc, Solution: sol, WANRTT: 50 * time.Millisecond}
+	sp := oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr, Qdisc: qdisc, Solution: sol})
 	transport := "tcp"
 	if ccaName == "gcc" {
 		transport = "rtp"
 	}
-	return run(opts, transport, ccaName, total)
+	return run(sp, transport, ccaName, total)
 }
 
 // Fig7 reproduces the estimator illustration: how qLong and qShort react in

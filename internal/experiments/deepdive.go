@@ -22,7 +22,7 @@ type predSample struct {
 // collectPredictions runs a Zhuge RTP flow on tr and harvests per-packet
 // prediction accuracy via the delivery tap.
 func collectPredictions(cfg Config, tr *trace.Trace, dur time.Duration, ftCfg core.FortuneTellerConfig) []predSample {
-	p := scenario.NewPath(scenario.Options{Seed: cfg.Seed, Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: ftCfg})
+	p := oneAP(cfg, nil, 0, scenario.APSpec{Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: ftCfg}).Build()
 	f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 	var samples []predSample
 	p.AddDeliveryTap(func(pkt *netem.Packet) {
@@ -165,7 +165,7 @@ func Fig20(cfg Config) *Table {
 		c := cells[i]
 		b := c.b
 		tr := trace.Constant("fair", capacity, dur)
-		p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: b.sol, WANRTT: 40 * time.Millisecond})
+		p := oneAP(cfg, o, 40*time.Millisecond, scenario.APSpec{Trace: tr, Solution: b.sol}).Build()
 		f1 := p.AddFlow(scenario.FlowSpec{Kind: c.proto, Unoptimized: b.f1Un}).Metrics()
 		f2 := p.AddFlow(scenario.FlowSpec{Kind: c.proto, Unoptimized: b.f2Un}).Metrics()
 		p.Run(dur)
@@ -215,7 +215,7 @@ func AblationEstimators(cfg Config) *Table {
 		v := variants[i]
 		samples := collectPredictions(cfg, tr, dur, v.ft)
 		p50, p90, _ := absErrQuantiles(samples)
-		res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: v.ft}, "rtp", "", dur)
+		res := run(oneAP(cfg, o, 0, scenario.APSpec{Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: v.ft}), "rtp", "", dur)
 		return [][]string{{
 			v.name,
 			p50.Round(10 * time.Microsecond).String(),
@@ -249,8 +249,8 @@ func AblationFeedback(cfg Config) *Table {
 		v := variants[i]
 		total := dropWarmup + cfg.dur(dropTail, 10*time.Second)
 		tr := trace.Step("drop10", dropBase, dropBase/10, dropWarmup, total)
-		p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr,
-			Solution: scenario.SolutionZhuge, OOB: v.oob, WANRTT: 50 * time.Millisecond})
+		p := oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr,
+			Solution: scenario.SolutionZhuge, OOB: v.oob}).Build()
 		f := p.AddFlow(scenario.FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 		p.Run(total)
 		_, mean := p.APs[0].Zhuge.OOB().Stats(f.Flow)
@@ -258,8 +258,8 @@ func AblationFeedback(cfg Config) *Table {
 		// The ablations' hidden cost shows in the steady state: a second
 		// run on a constant link measures bias (extra ACK delay where the
 		// true delta is zero) and the goodput it forfeits.
-		sp := scenario.NewPath(scenario.Options{Seed: cfg.Seed, Trace: trace.Constant("steady", dropBase, total),
-			Solution: scenario.SolutionZhuge, OOB: v.oob, WANRTT: 50 * time.Millisecond})
+		sp := oneAP(cfg, nil, 50*time.Millisecond, scenario.APSpec{Trace: trace.Constant("steady", dropBase, total),
+			Solution: scenario.SolutionZhuge, OOB: v.oob}).Build()
 		sf := sp.AddFlow(scenario.FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 		sp.Run(total)
 		_, steadyMean := sp.APs[0].Zhuge.OOB().Stats(sf.Flow)

@@ -138,10 +138,17 @@ func (r result) frameTail() float64 { return r.FrameDelay.FractionAbove(frameThr
 func (r result) lowFPS() float64    { return r.LowFrameRateRatio(r.dur, lowFPS) }
 func (r result) goodput() float64   { return r.DeliveredBytes * 8 / r.dur.Seconds() } // bits/s
 
+// oneAP declares the single-AP path of one cell: the cell's seed and
+// observability bundle, the given AP, and a WAN round trip of wanRTT
+// (0 = the trace's base RTT).
+func oneAP(cfg Config, o *obs.Obs, wanRTT time.Duration, ap scenario.APSpec) scenario.Spec {
+	return scenario.Spec{Seed: cfg.Seed, WANRTT: wanRTT, Obs: o, APs: []scenario.APSpec{ap}}
+}
+
 // run runs one flow of the named transport and CCA ("" = the transport's
-// default) over the path options for dur.
-func run(opts scenario.Options, transport, ccaName string, dur time.Duration) result {
-	p := scenario.NewPath(opts)
+// default) over the path sp declares for dur.
+func run(sp scenario.Spec, transport, ccaName string, dur time.Duration) result {
+	p := sp.Build()
 	f := p.AddFlow(scenario.FlowSpec{Kind: transport, CCA: ccaName})
 	p.Run(dur)
 	return result{f.Metrics(), dur}
@@ -149,7 +156,7 @@ func run(opts scenario.Options, transport, ccaName string, dur time.Duration) re
 
 // runSolution runs one comparison point of the evaluation on tr.
 func runSolution(cfg Config, o *obs.Obs, tr *trace.Trace, sol chaos.SolutionSpec, dur time.Duration) result {
-	return run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: sol.Sol, Qdisc: sol.Qdisc},
+	return run(oneAP(cfg, o, 0, scenario.APSpec{Trace: tr, Solution: sol.Sol, Qdisc: sol.Qdisc}),
 		sol.Transport, sol.CCA, dur)
 }
 
@@ -188,7 +195,7 @@ func countCell() { cellsRun.Add(1) }
 // is immutable and everything they write goes into the returned rows.
 //
 // Each cell receives its own observability bundle (nil unless cfg.Obs is
-// set); cells that build a scenario pass it through scenario.Options.Obs.
+// set); cells that build a scenario pass it through scenario.Spec.Obs.
 // Finished bundles are recorded on cfg.Obs keyed by (table ID, cell index),
 // so per-cell attribution survives any worker count.
 func runCells(cfg Config, t *Table, n int, cell func(i int, o *obs.Obs) [][]string) {

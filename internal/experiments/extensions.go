@@ -40,7 +40,7 @@ func ExtQUIC(cfg Config) *Table {
 	}
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol}, "quic", c.cca, dur)
+		res := run(oneAP(cfg, o, 0, scenario.APSpec{Trace: c.tr, Solution: c.sol}), "quic", c.cca, dur)
 		return [][]string{{
 			c.tr.Name, c.cca, c.sol.String(),
 			pct(res.rttTail()), pct(res.frameTail()), pct(res.lowFPS()),
@@ -73,7 +73,7 @@ func ExtNADA(cfg Config) *Table {
 	}
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: c.tr, Solution: c.sol}, "rtp", "nada", dur)
+		res := run(oneAP(cfg, o, 0, scenario.APSpec{Trace: c.tr, Solution: c.sol}), "rtp", "nada", dur)
 		return [][]string{{
 			c.tr.Name, c.sol.String(),
 			pct(res.rttTail()), pct(res.frameTail()),
@@ -98,9 +98,9 @@ func ExtSelectiveEstimation(cfg Config) *Table {
 	intervals := []time.Duration{0, 2 * time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
 	runCells(cfg, t, len(intervals), func(i int, o *obs.Obs) [][]string {
 		every := intervals[i]
-		p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr,
+		p := oneAP(cfg, o, 0, scenario.APSpec{Trace: tr,
 			Solution: scenario.SolutionZhuge,
-			FTConfig: coreFTWithSampling(every)})
+			FTConfig: coreFTWithSampling(every)}).Build()
 		f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 		p.Run(dur)
 		ft := p.APs[0].Zhuge.FortuneTeller()

@@ -76,9 +76,8 @@ func abwDropRow(cfg Config, o *obs.Obs, c chaos.Cell) []string {
 	k := c.Fault.Param
 	total := dropWarmup + cfg.dur(dropTail, 10*time.Second)
 	tr := trace.Step(fmt.Sprintf("drop%.0f", k), dropBase, dropBase/k, dropWarmup, total)
-	opts := scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: c.Sol.Sol,
-		Qdisc: c.Sol.Qdisc, WANRTT: 50 * time.Millisecond}
-	res := run(opts, c.Sol.Transport, c.Sol.CCA, total)
+	sp := oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr, Solution: c.Sol.Sol, Qdisc: c.Sol.Qdisc})
+	res := run(sp, c.Sol.Transport, c.Sol.CCA, total)
 	return []string{
 		c.Sol.Name, fmt.Sprintf("%.0fx", k),
 		secs(degradationAfter(&res.RTTSeries, 200, dropWarmup)),
@@ -132,8 +131,8 @@ func competitionRow(cfg Config, o *obs.Obs, c chaos.Cell) []string {
 func interferenceRow(cfg Config, o *obs.Obs, c chaos.Cell) []string {
 	dur := cfg.dur(120*time.Second, 20*time.Second)
 	tr := trace.Constant("intf", 30e6, dur)
-	res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr, Solution: c.Sol.Sol, Qdisc: c.Sol.Qdisc,
-		Interferers: int(c.Fault.Param), WANRTT: 50 * time.Millisecond}, c.Sol.Transport, c.Sol.CCA, dur)
+	res := run(oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr, Solution: c.Sol.Sol, Qdisc: c.Sol.Qdisc,
+		Interferers: int(c.Fault.Param)}), c.Sol.Transport, c.Sol.CCA, dur)
 	return []string{
 		c.Sol.Name, fmt.Sprintf("%d", int(c.Fault.Param)),
 		pct(res.rttTail()), pct(res.frameTail()), pct(res.lowFPS()),

@@ -35,7 +35,7 @@ func Fig2(cfg Config) *Table {
 	runCells(cfg, t, len(accesses), func(i int, o *obs.Obs) [][]string {
 		a := accesses[i]
 		tr := trace.Generate(a.gen, dur, newRNG(cfg, "fig2-"+a.name))
-		res := run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: tr}, "rtp", "", dur)
+		res := run(oneAP(cfg, o, 0, scenario.APSpec{Trace: tr}), "rtp", "", dur)
 		return [][]string{{
 			a.name,
 			res.RTT.Quantile(0.5).Round(time.Millisecond).String(),
@@ -56,7 +56,7 @@ func Fig3a(cfg Config) *Table {
 	cfg = cfg.withDefaults()
 	warm := 5 * time.Second
 	tr := trace.Step("fig3a", 30e6, 3e6, warm, 12*time.Second)
-	p := scenario.NewPath(scenario.Options{Seed: cfg.Seed, Trace: tr})
+	p := oneAP(cfg, nil, 0, scenario.APSpec{Trace: tr}).Build()
 	p.AddFlow(scenario.FlowSpec{Kind: "rtp", StartRate: 5e6, MaxRate: 10e6})
 	countCell()
 

@@ -36,8 +36,8 @@ func Fig18(cfg Config) *Table {
 	scenarios := []scn{
 		{"scp", func(sol chaos.SolutionSpec, o *obs.Obs) result {
 			// Stable channel; an scp bulk transfer toggles every 30s.
-			p := scenario.NewPath(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: trace.Constant("scp", 27e6, dur),
-				Solution: sol.Sol, Qdisc: sol.Qdisc, WANRTT: 30 * time.Millisecond})
+			p := oneAP(cfg, o, 30*time.Millisecond, scenario.APSpec{Trace: trace.Constant("scp", 27e6, dur),
+				Solution: sol.Sol, Qdisc: sol.Qdisc}).Build()
 			f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"})
 			p.AddFlow(scenario.FlowSpec{Kind: "bulk", StartAt: 10 * time.Second, Period: 30 * time.Second})
 			p.Run(dur)
@@ -50,9 +50,9 @@ func Fig18(cfg Config) *Table {
 			for i := range levels {
 				levels[i] = mcsLevels[rng.Intn(len(mcsLevels))]
 			}
-			return run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: trace.Constant("mcs", 30e6, dur),
-				Solution: sol.Sol, Qdisc: sol.Qdisc, WANRTT: 30 * time.Millisecond,
-				MCSScale: func(at sim.Time) float64 { return levels[int(at/(30*time.Second))%len(levels)] }},
+			return run(oneAP(cfg, o, 30*time.Millisecond, scenario.APSpec{Trace: trace.Constant("mcs", 30e6, dur),
+				Solution: sol.Sol, Qdisc: sol.Qdisc,
+				MCSScale: func(at sim.Time) float64 { return levels[int(at/(30*time.Second))%len(levels)] }}),
 				"rtp", "", dur)
 		}},
 		{"raw", func(sol chaos.SolutionSpec, o *obs.Obs) result {
@@ -60,8 +60,8 @@ func Fig18(cfg Config) *Table {
 			// fluctuation; a handful of co-channel stations add access
 			// jitter (the paper's crowded-office testbed, not the 2.4GHz
 			// worst case of Figure 17).
-			return run(scenario.Options{Obs: o, Seed: cfg.Seed, Trace: office(),
-				Solution: sol.Sol, Qdisc: sol.Qdisc, Interferers: 4}, "rtp", "", dur)
+			return run(oneAP(cfg, o, 0, scenario.APSpec{Trace: office(),
+				Solution: sol.Sol, Qdisc: sol.Qdisc, Interferers: 4}), "rtp", "", dur)
 		}},
 	}
 

@@ -71,9 +71,9 @@ func Example_videocall() {
 		{"codel", scenario.SolutionNone, "codel"},
 		{"zhuge", scenario.SolutionZhuge, "fifo"},
 	} {
-		p := scenario.NewPath(scenario.Options{
-			Seed: 21, Trace: tr, Solution: cfg.sol, Qdisc: cfg.qdisc, Interferers: 10,
-		})
+		p := scenario.Spec{Seed: 21, APs: []scenario.APSpec{{
+			Trace: tr, Solution: cfg.sol, Qdisc: cfg.qdisc, Interferers: 10,
+		}}}.Build()
 		flow := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 		// The periodic competitor, on the call's own station.
 		p.AddFlow(scenario.FlowSpec{Kind: "bulk", StartAt: 20 * time.Second, Period: 30 * time.Second})

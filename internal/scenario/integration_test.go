@@ -36,7 +36,7 @@ func TestZhugeInbandFeedbackPath(t *testing.T) {
 
 // TestZhugeWithCoDel runs the Gcc+Zhuge(+CoDel) combination of §7.2.
 func TestZhugeWithCoDel(t *testing.T) {
-	p := NewPath(Options{Seed: 2, Trace: dropTrace(), Solution: SolutionZhuge, Qdisc: "codel"})
+	p := Spec{Seed: 2, APs: []APSpec{{Trace: dropTrace(), Solution: SolutionZhuge, Qdisc: "codel"}}}.Build()
 	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.Run(15 * time.Second)
 	if f.Decoder.Decoded < 300 {
@@ -47,7 +47,7 @@ func TestZhugeWithCoDel(t *testing.T) {
 // TestZhugeWithFQCoDel exercises the per-flow queue statistics path of the
 // Fortune Teller under fq_codel with a competing bulk flow.
 func TestZhugeWithFQCoDel(t *testing.T) {
-	p := NewPath(Options{Seed: 2, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: SolutionZhuge, Qdisc: "fqcodel"})
+	p := Spec{Seed: 2, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: SolutionZhuge, Qdisc: "fqcodel"}}}.Build()
 	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.AddFlow(FlowSpec{Kind: "bulk", StartAt: time.Second})
 	p.Run(10 * time.Second)

@@ -4,9 +4,9 @@
 // returning over a contended wireless hop and each AP's Ethernet uplink.
 // A PathAP is the whole access point — queue, both radio links, wired
 // uplink and the one solution in front of them — and paths are wired
-// directly from those and plain netem links, routers and demuxes, either
-// declaratively from a Spec (multi-AP, stations, scheduled handovers) or
-// through the classic single-AP NewPath options.
+// directly from those and plain netem links, routers and demuxes,
+// declaratively from a Spec (one or more APs, stations, scheduled
+// handovers); NewPath is a one-AP shorthand over it.
 // One FlowSpec declares a flow of any kind — RTP/GCC video calls, TCP and
 // QUIC video streams, bulk-transfer competitors — on any station, and
 // Path.AddFlow (behind Spec.Flows) builds it. Every measured flow yields
@@ -56,22 +56,14 @@ func (s Solution) String() string {
 	}
 }
 
-// Options configures a classic single-AP path (the NewPath surface).
+// Options is the shorthand for a one-AP path that benchmark/cells.go
+// builds through NewPath: a seed, a trace, a solution and an optional
+// observability bundle. Everything else a run varies is declared with a
+// Spec, and Options goes once that caller builds a Spec too.
 type Options struct {
-	Seed   int64
-	Trace  *trace.Trace  // downlink available bandwidth
-	WANRTT time.Duration // server<->AP round trip; default from trace
-	Qdisc  string        // "fifo" (default), "codel", "fqcodel"
-
-	Interferers int // stations contending on the channel (Figure 17)
-
+	Seed     int64
+	Trace    *trace.Trace // downlink available bandwidth
 	Solution Solution
-	FTConfig core.FortuneTellerConfig // Zhuge estimator variants
-	OOB      core.OOBOptions          // Zhuge out-of-band ablation variants
-
-	// MCSScale optionally scales the downlink PHY rate over time (the
-	// "mcs" testbed scenario of Figure 18).
-	MCSScale func(at sim.Time) float64
 
 	// Obs optionally attaches the observability layer (tracer, metrics
 	// registry, prediction-error accounter) to every component of the
@@ -82,12 +74,8 @@ type Options struct {
 // Spec converts the single-AP options into their declarative form.
 func (o Options) Spec() Spec {
 	return Spec{
-		Seed: o.Seed, WANRTT: o.WANRTT, Obs: o.Obs,
-		APs: []APSpec{{
-			Name: "ap0", Trace: o.Trace, Qdisc: o.Qdisc, Interferers: o.Interferers,
-			Solution: o.Solution, FTConfig: o.FTConfig, OOB: o.OOB,
-			MCSScale: o.MCSScale,
-		}},
+		Seed: o.Seed, Obs: o.Obs,
+		APs: []APSpec{{Name: "ap0", Trace: o.Trace, Solution: o.Solution}},
 	}
 }
 
@@ -124,7 +112,7 @@ type Path struct {
 	nextPort uint16
 }
 
-// NewPath assembles the classic single-AP topology.
+// NewPath assembles the single-AP topology o declares.
 func NewPath(o Options) *Path {
 	if o.Trace == nil {
 		panic("scenario: Options.Trace is required")

@@ -53,7 +53,7 @@ func TestTCPVideoFlowRunsOverPath(t *testing.T) {
 
 func TestZhugeReducesRTPTailLatency(t *testing.T) {
 	run := func(sol Solution, qdisc string) float64 {
-		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol, Qdisc: qdisc})
+		p := Spec{Seed: 42, APs: []APSpec{{Trace: dropTrace(), Solution: sol, Qdisc: qdisc}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		p.Run(15 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)
@@ -161,7 +161,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestInterferersDegradePerformance(t *testing.T) {
 	run := func(n int) float64 {
-		p := NewPath(Options{Seed: 3, Trace: trace.Constant("c20", 20e6, 8*time.Second), Interferers: n})
+		p := Spec{Seed: 3, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 8*time.Second), Interferers: n}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		p.Run(8 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)

@@ -17,14 +17,11 @@ type ShardedOptions struct {
 	// are byte-identical for every value.
 	Shards int
 
-	// Rebalance enables the dynamic rebalancer: per-window cell loads are
-	// watched during the run and whole cells migrate between shards at
-	// barriers when the imbalance exceeds RebalanceConfig's hysteresis.
+	// Rebalance enables the dynamic rebalancer: per-window cell event
+	// counts are watched during the run and whole cells migrate between
+	// shards at barriers when the imbalance exceeds its hysteresis.
 	// Like Shards it can only change wall-clock speed, never outputs.
 	Rebalance bool
-
-	// RebalanceConfig tunes the rebalancer; the zero value means defaults.
-	RebalanceConfig shard.RebalanceConfig
 
 	// CutDelay is the one-way backhaul delay of every inter-cell edge —
 	// the trombone path a roamed station's traffic crosses, and the
@@ -182,7 +179,7 @@ func BuildSharded(sp Spec, opt ShardedOptions) (*ShardedPath, error) {
 		spd.byAP[sp.APs[i].Name] = cell
 	}
 	if opt.Rebalance {
-		spd.Rebalancer = shard.NewRebalancer(cluster, opt.RebalanceConfig)
+		spd.Rebalancer = shard.NewRebalancer(cluster)
 	}
 	for sta, ci := range cellOfSta {
 		spd.home[sta] = spd.Cells[ci]

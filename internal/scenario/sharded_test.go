@@ -43,8 +43,8 @@ func TestShardCountIsInvisible(t *testing.T) {
 		var want string
 		for _, opt := range []ShardedOptions{
 			{Shards: 1}, {Shards: 2}, {Shards: 4}, {Shards: 8},
-			{Shards: 2, Rebalance: true, RebalanceConfig: aggressive},
-			{Shards: 4, Rebalance: true, RebalanceConfig: aggressive},
+			{Shards: 2, Rebalance: true},
+			{Shards: 4, Rebalance: true},
 		} {
 			opt.CutDelay = CampusCutDelay
 			spd, err := BuildSharded(Campus(tc.seed, testCampus()), opt)
@@ -305,10 +305,6 @@ func buildAndRunCampusOpts(t *testing.T, opt ShardedOptions, workers int, d time
 	return spd
 }
 
-// aggressive makes migrations fire within the short test horizon; the
-// rebalancer's defaults are tuned for long runs.
-var aggressive = shard.RebalanceConfig{Ratio: 1.05, Patience: 2, Cooldown: 8, HalfLife: 8}
-
 // TestMigrationIsInvisible extends the byte-identity gate to the one thing
 // that moves cells off the contiguous split: the rebalancer migrating them
 // mid-run must reproduce the single-shard fingerprint exactly. A shard count
@@ -317,7 +313,7 @@ func TestMigrationIsInvisible(t *testing.T) {
 	d := 2 * time.Second
 	want := buildAndRunCampus(t, 1, 1, d).Fingerprint()
 	for _, shards := range []int{3, 6} {
-		spd := buildAndRunCampusOpts(t, ShardedOptions{Shards: shards, Rebalance: true, RebalanceConfig: aggressive}, 4, d)
+		spd := buildAndRunCampusOpts(t, ShardedOptions{Shards: shards, Rebalance: true}, 4, d)
 		if got := spd.Fingerprint(); got != want {
 			t.Fatalf("%d shards, rebalanced, diverged from the single-shard reference:\n--- want\n%s\n--- got\n%s",
 				shards, want, got)
@@ -334,13 +330,13 @@ func TestMigrationIsInvisible(t *testing.T) {
 func TestRebalanceScheduleDeterministic(t *testing.T) {
 	run := func(workers int) []shard.Move {
 		spd := buildAndRunCampusOpts(t, ShardedOptions{
-			Shards: 2, Rebalance: true, RebalanceConfig: aggressive,
+			Shards: 2, Rebalance: true,
 		}, workers, 2*time.Second)
 		return spd.Rebalancer.Moves()
 	}
 	m1, m4 := run(1), run(4)
 	if len(m1) == 0 {
-		t.Fatal("aggressive config executed no migrations on the campus workload")
+		t.Fatal("the rebalancer executed no migrations on the campus workload")
 	}
 	if !reflect.DeepEqual(m1, m4) {
 		t.Fatalf("migration schedules differ across worker counts:\n1 worker:  %+v\n4 workers: %+v", m1, m4)

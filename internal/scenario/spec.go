@@ -292,20 +292,9 @@ func (p *Path) buildAP(i int, as APSpec) {
 	// sharded decomposition every AP is labelled, and cell-prefixed, so no
 	// two cells' streams or metric names can collide no matter how
 	// generically their APs are named.
-	sharded := p.labelPrefix != ""
 	prefix := ""
-	if sharded || i > 0 {
+	if p.labelPrefix != "" || i > 0 {
 		prefix = p.labelPrefix + as.Name + "."
-	}
-	// Multi-AP topologies can leave an AP idle while the traffic lives
-	// elsewhere; the Fortune Teller must not read that idle period as a
-	// channel-access interval when a station roams back (the single-AP
-	// estimators never go idle, so the default stays off there and the
-	// original scenarios remain bit-exact).
-	// A sharded cell's AP can also idle while its stations roam elsewhere,
-	// so the same cap applies whenever the Spec is part of a decomposition.
-	if (len(p.Spec.APs) > 1 || sharded) && as.FTConfig.MaxDeqInterval == 0 {
-		as.FTConfig.MaxDeqInterval = time.Second
 	}
 	tr := as.Trace
 	rate := func(at sim.Time) float64 { return tr.RateAt(at) }

@@ -147,8 +147,8 @@ type action struct {
 }
 
 // Cluster coordinates a set of shards: it computes safe windows from the
-// cut edges' minimum delay, fans RunBefore out over a worker pool, drains
-// edge inboxes at every barrier in global edge-name order, and runs
+// armed cut edges' minimum delay, fans RunBefore out over a worker pool,
+// drains edge inboxes at every barrier in global edge-name order, and runs
 // registered barrier actions at their exact virtual times.
 type Cluster struct {
 	shards  []*Shard
@@ -157,7 +157,6 @@ type Cluster struct {
 	cellSet map[string]bool
 	edges   []*Edge
 	edgeSet map[string]bool
-	look    sim.Time // min edge delay; valid when len(edges) > 0
 	// draining holds routes that disarm their edge once their visit has
 	// drained; checked at every barrier.
 	draining []drainingRoute
@@ -255,9 +254,6 @@ func (c *Cluster) Connect(name string, from, to *Cell, delay time.Duration) (*Ed
 	c.edgeSet[name] = true
 	e := &Edge{name: name, delay: delay, src: from, dst: to, inbox: inbox{active: &c.active}}
 	c.edges = append(c.edges, e)
-	if len(c.edges) == 1 || delay < c.look {
-		c.look = delay
-	}
 	return e, nil
 }
 
@@ -284,14 +280,6 @@ func (c *Cluster) Migrate(cell *Cell, to *Shard) {
 	}
 	to.cells = append(to.cells, cell)
 	cell.sh = to
-}
-
-// Lookahead returns the minimum delay over all edges, armed or not, or
-// false when there are none. It is the narrowest window bound the
-// cluster can impose; run bounds each window by the minimum over the
-// edges armed at that barrier only (armedLookahead).
-func (c *Cluster) Lookahead() (time.Duration, bool) {
-	return c.look, len(c.edges) > 0
 }
 
 // armedLookahead returns the minimum delay over the armed edges, or false

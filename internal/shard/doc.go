@@ -54,10 +54,10 @@
 // goroutine is running: the cell's event heap changes executor and the
 // producer side of its edges changes with it, inside the same
 // happens-before edge every barrier already provides. The Rebalancer
-// drives migration from the Profiler's per-window load measurements —
-// observe the imbalance at a barrier, react in that same barrier — and
-// because placement is invisible, even a wall-clock-driven migration
-// schedule cannot perturb outputs.
+// drives migration from the Profiler's per-window event counts — observe
+// the imbalance at a barrier, react in that same barrier. It never reads
+// the Profiler's wall clock, so its schedule is deterministic too, though
+// placement is invisible and no schedule could perturb outputs.
 //
 // Every rule above is asserted at runtime against one predicate — a window
 // is executing (Cluster.active != 0): Edge.Send panics outside a window;

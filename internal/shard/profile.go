@@ -34,7 +34,8 @@ type ShardLoad struct {
 // the coordinating goroutine, where residency is stable.
 type Profiler struct {
 	// Clock returns monotonic elapsed time (e.g. time.Since(start) from a
-	// cmd). Nil disables compute/stall attribution.
+	// cmd). Nil disables compute/stall attribution. The rebalancer never
+	// reads it: its signal is event counts alone.
 	Clock func() time.Duration
 
 	// Series, when non-nil, receives per-window telemetry stamped at each
@@ -48,11 +49,8 @@ type Profiler struct {
 	// publish mid-run snapshots.
 	OnWindow func(end sim.Time)
 
-	// Rebal, when non-nil, observes every window and may migrate cells at
-	// the barrier (see Rebalancer). Attach with AttachRebalancer.
-	Rebal *Rebalancer
-
 	c          *Cluster
+	rebal      *Rebalancer // observes every window; see AttachRebalancer
 	loads      []ShardLoad
 	cellFired  []uint64        // per cell (cluster order): cumulative Fired at last barrier
 	cellEvents []uint64        // per cell: total events attributed so far
@@ -149,8 +147,8 @@ func (p *Profiler) endWindow() {
 			}
 		}
 	}
-	if p.Rebal != nil {
-		p.Rebal.observe(p, end)
+	if p.rebal != nil {
+		p.rebal.observe(p, end)
 	}
 	if p.OnWindow != nil {
 		p.OnWindow(end)

@@ -2,42 +2,26 @@ package shard
 
 import "github.com/zhuge-project/zhuge/internal/sim"
 
-// RebalanceConfig tunes the dynamic cell rebalancer. The defaults favour
-// stability: migration is cheap (a pointer move at a barrier) but moving a
-// cell resets locality, so the rebalancer demands a persistent, material
-// imbalance before acting and then holds off while the move takes effect.
-type RebalanceConfig struct {
-	// Ratio is the hysteresis high-water mark: the rebalancer only
+// The rebalancer's tuning, measured on the campus workload (DESIGN.md
+// "Placement"). Migration is cheap (a pointer move at a barrier) but moving
+// a cell resets locality, so the rebalancer demands a persistent imbalance
+// before acting and then holds off while the move takes effect.
+const (
+	// rebalRatio is the hysteresis high-water mark: the rebalancer only
 	// considers acting while the heaviest shard's smoothed load exceeds
-	// the lightest's by more than this factor. Default 1.3.
-	Ratio float64
-	// Patience is how many consecutive over-Ratio windows must pass
-	// before a migration — one noisy window never triggers. Default 8.
-	Patience int
-	// Cooldown is how many windows must pass after a migration before
+	// the lightest's by more than this factor.
+	rebalRatio = 1.05
+	// rebalPatience is how many consecutive over-ratio windows must pass
+	// before a migration, so one noisy window never triggers.
+	rebalPatience = 2
+	// rebalCooldown is how many windows must pass after a migration before
 	// the next one, letting the smoothed loads catch up with the new
-	// placement instead of thrashing. Default 64.
-	Cooldown int
-	// HalfLife is the per-cell load EWMA half-life in windows; it also
-	// serves as the warm-up period before the first decision. Default 32.
-	HalfLife int
-}
-
-func (cfg RebalanceConfig) withDefaults() RebalanceConfig {
-	if cfg.Ratio == 0 {
-		cfg.Ratio = 1.3
-	}
-	if cfg.Patience == 0 {
-		cfg.Patience = 8
-	}
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = 64
-	}
-	if cfg.HalfLife == 0 {
-		cfg.HalfLife = 32
-	}
-	return cfg
-}
+	// placement instead of thrashing.
+	rebalCooldown = 8
+	// rebalHalfLife is the per-cell load EWMA half-life in windows; it also
+	// serves as the warm-up period before the first decision.
+	rebalHalfLife = 8
+)
 
 // Move records one executed migration, for tests and run summaries.
 type Move struct {
@@ -50,19 +34,16 @@ type Move struct {
 // Rebalancer migrates whole cells between shards at barriers when the
 // observed load imbalance exceeds a hysteresis threshold. It closes the
 // shortest possible control loop over the runtime's own scheduling: the
-// signal is the profiler's per-window per-cell load (exact event deltas,
-// scaled by the shard's measured compute when a wall clock is injected),
-// the reaction is a Cluster.Migrate executed in the very barrier that
-// observed the imbalance.
+// signal is the profiler's per-window per-cell event deltas, the reaction
+// is a Cluster.Migrate executed in the very barrier that observed the
+// imbalance.
 //
 // Correctness does not depend on the decisions: cell placement is
-// invisible in every output (see the package comment), so even a
-// wall-clock-driven, nondeterministic migration schedule leaves the
-// byte-identity gate intact. With a nil profiler Clock the signal is
-// events-only and the whole schedule is deterministic — what the
-// regression tests pin.
+// invisible in every output (see the package comment). The signal is event
+// counts alone, never the profiler's wall clock, so the whole schedule is
+// deterministic whether or not a Clock is injected — what the regression
+// tests pin.
 type Rebalancer struct {
-	cfg    RebalanceConfig
 	c      *Cluster
 	load   []float64 // per-cell EWMA, cluster cell order
 	streak int
@@ -75,9 +56,8 @@ type Rebalancer struct {
 
 // NewRebalancer builds a rebalancer for c. Attach it to the profiled run
 // with AttachRebalancer.
-func NewRebalancer(c *Cluster, cfg RebalanceConfig) *Rebalancer {
+func NewRebalancer(c *Cluster) *Rebalancer {
 	return &Rebalancer{
-		cfg:       cfg.withDefaults(),
 		c:         c,
 		load:      make([]float64, len(c.cells)),
 		shardLoad: make([]float64, len(c.shards)),
@@ -87,7 +67,7 @@ func NewRebalancer(c *Cluster, cfg RebalanceConfig) *Rebalancer {
 // AttachRebalancer wires r into the profiler's barrier hook. The profiler
 // is the rebalancer's sensor: every window it hands over fresh per-cell
 // deltas, and the rebalancer may migrate before the next window starts.
-func (p *Profiler) AttachRebalancer(r *Rebalancer) { p.Rebal = r }
+func (p *Profiler) AttachRebalancer(r *Rebalancer) { p.rebal = r }
 
 // Moves returns the executed migrations in order.
 func (r *Rebalancer) Moves() []Move { return r.moves }
@@ -99,21 +79,14 @@ func (r *Rebalancer) Migrations() int { return len(r.moves) }
 // update smoothed per-cell loads, check the hysteresis gate, and migrate
 // at most one cell. Single-threaded barrier context by construction.
 func (r *Rebalancer) observe(p *Profiler, end sim.Time) {
-	alpha := 2.0 / (float64(r.cfg.HalfLife) + 1)
+	const alpha = 2.0 / (rebalHalfLife + 1)
 	for ci := range r.load {
-		sample := float64(p.cellDelta[ci])
-		if p.Clock != nil && p.shardDelta[p.c.cells[ci].sh.idx] > 0 {
-			// Scale the cell's share of its shard's events by the shard's
-			// measured compute: an ns-denominated per-cell estimate.
-			sh := p.c.cells[ci].sh.idx
-			sample = float64(p.compute[sh]) * float64(p.cellDelta[ci]) / float64(p.shardDelta[sh])
-		}
-		r.load[ci] += alpha * (sample - r.load[ci])
+		r.load[ci] += alpha * (float64(p.cellDelta[ci]) - r.load[ci])
 	}
 	if r.cool > 0 {
 		r.cool--
 	}
-	if p.windows < uint64(r.cfg.HalfLife) {
+	if p.windows < rebalHalfLife {
 		return // warm-up: the EWMA is still mostly initial zeros
 	}
 	for i := range r.shardLoad {
@@ -132,13 +105,13 @@ func (r *Rebalancer) observe(p *Profiler, end sim.Time) {
 		}
 	}
 	maxL, minL := r.shardLoad[hi], r.shardLoad[lo]
-	imbalanced := maxL > 0 && (minL <= 0 || maxL/minL > r.cfg.Ratio)
+	imbalanced := maxL > 0 && (minL <= 0 || maxL/minL > rebalRatio)
 	if !imbalanced {
 		r.streak = 0
 		return
 	}
 	r.streak++
-	if r.streak < r.cfg.Patience || r.cool > 0 || hi == lo {
+	if r.streak < rebalPatience || r.cool > 0 || hi == lo {
 		return
 	}
 	r.streak = 0
@@ -149,7 +122,7 @@ func (r *Rebalancer) observe(p *Profiler, end sim.Time) {
 	from, to := r.c.shards[hi], r.c.shards[lo]
 	moved := r.c.cells[cell]
 	r.c.Migrate(moved, to)
-	r.cool = r.cfg.Cooldown
+	r.cool = rebalCooldown
 	r.moves = append(r.moves, Move{
 		Window: p.windows, At: end,
 		Cell: moved.name, From: from.name, To: to.name,

@@ -42,7 +42,7 @@ func TestRebalancerMovesLoad(t *testing.T) {
 	const horizon = 400 * time.Millisecond
 	c := rebalCluster(t, horizon)
 	p := NewProfiler(c) // nil Clock: events-only signal, deterministic
-	r := NewRebalancer(c, RebalanceConfig{})
+	r := NewRebalancer(c)
 	p.AttachRebalancer(r)
 	c.RunProfiled(sim.Time(horizon), 2, p)
 
@@ -74,7 +74,7 @@ func TestRebalancerNoThrashOnStableLoad(t *testing.T) {
 	c.Migrate(c.Cells()[1], c.Shards()[1]) // busy1 -> s1
 	c.Migrate(c.Cells()[2], c.Shards()[0]) // idle0 -> s0
 	p := NewProfiler(c)
-	r := NewRebalancer(c, RebalanceConfig{})
+	r := NewRebalancer(c)
 	p.AttachRebalancer(r)
 	c.RunProfiled(sim.Time(horizon), 2, p)
 
@@ -90,7 +90,7 @@ func TestRebalancerConverges(t *testing.T) {
 	const horizon = 800 * time.Millisecond
 	c := rebalCluster(t, horizon)
 	p := NewProfiler(c)
-	r := NewRebalancer(c, RebalanceConfig{})
+	r := NewRebalancer(c)
 	p.AttachRebalancer(r)
 	c.RunProfiled(sim.Time(horizon), 2, p)
 
@@ -114,7 +114,7 @@ func TestRebalancerDeterministic(t *testing.T) {
 		const horizon = 400 * time.Millisecond
 		c := rebalCluster(t, horizon)
 		p := NewProfiler(c)
-		r := NewRebalancer(c, RebalanceConfig{})
+		r := NewRebalancer(c)
 		p.AttachRebalancer(r)
 		c.RunProfiled(sim.Time(horizon), workers, p)
 		return r.Moves()
@@ -126,6 +126,44 @@ func TestRebalancerDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m1, m4) {
 		t.Fatalf("migration schedule differs across worker counts:\n1 worker:  %+v\n4 workers: %+v", m1, m4)
+	}
+}
+
+// TestRebalancerIgnoresWallClock pins the rebalancer's one signal: event
+// counts. A profiler Clock that makes the idle shard s1 look 100× costlier
+// than the busy one must not change a single move.
+func TestRebalancerIgnoresWallClock(t *testing.T) {
+	run := func(clock func() time.Duration) []Move {
+		const horizon = 400 * time.Millisecond
+		c := rebalCluster(t, horizon)
+		p := NewProfiler(c)
+		p.Clock = clock
+		r := NewRebalancer(c)
+		p.AttachRebalancer(r)
+		c.RunProfiled(sim.Time(horizon), 1, p)
+		return r.Moves()
+	}
+	// One worker runs the shards in order, so each window reads the clock
+	// four times: s0 start and end, then s1 start and end. s0's window
+	// measures 1ns and s1's 100ns.
+	var now time.Duration
+	calls := 0
+	skewed := func() time.Duration {
+		switch calls % 4 {
+		case 1:
+			now++
+		case 3:
+			now += 100
+		}
+		calls++
+		return now
+	}
+	want := run(nil)
+	if len(want) == 0 {
+		t.Fatal("no migrations to compare")
+	}
+	if got := run(skewed); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a skewed wall clock changed the migrations:\nnil Clock: %+v\nskewed:    %+v", want, got)
 	}
 }
 
@@ -146,7 +184,7 @@ func TestRebalancerRefusesUnhelpfulMove(t *testing.T) {
 		small.Sim().Schedule(at, func() {})
 	}
 	p := NewProfiler(c)
-	r := NewRebalancer(c, RebalanceConfig{})
+	r := NewRebalancer(c)
 	p.AttachRebalancer(r)
 	c.RunProfiled(sim.Time(horizon), 2, p)
 

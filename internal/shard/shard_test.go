@@ -57,9 +57,6 @@ func TestZeroLookaheadRejected(t *testing.T) {
 	if _, err := c.Connect("cut", a, b, time.Millisecond); err != nil {
 		t.Fatalf("positive delay rejected: %v", err)
 	}
-	if l, ok := c.Lookahead(); !ok || l != time.Millisecond {
-		t.Fatalf("Lookahead = %v, %v; want 1ms, true", l, ok)
-	}
 }
 
 // exchange builds two single-cell shards ping-ponging packets over a pair
