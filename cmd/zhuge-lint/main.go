@@ -1,6 +1,6 @@
 // Command zhuge-lint runs the project's custom static analyzers — the
-// compile-time enforcement of the simulator's determinism, pool-safety and
-// shared-state invariants. See internal/analysis and LINTING.md.
+// compile-time enforcement of the simulator's determinism and shared-state
+// invariants. See internal/analysis and LINTING.md.
 //
 // Usage:
 //

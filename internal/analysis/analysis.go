@@ -1,7 +1,6 @@
 // Package analysis is zhuge-lint: a suite of static analyzers that enforce
-// the simulator's determinism, pool-safety and shared-state invariants at
-// compile time instead of discovering violations at runtime through golden
-// tests.
+// the simulator's determinism and shared-state invariants at compile time
+// instead of discovering violations at runtime through golden tests.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) so the analyzers could be ported to the real
@@ -27,9 +26,6 @@
 //     a map while printing, writing to an io.Writer, or accumulating an
 //     unsorted slice is exactly the bug class the j=1-vs-j=8 golden tests
 //     exist to catch.
-//   - poolsafe: no reads of a *netem.Packet after Release() and no double
-//     Release — pooled packets are recycled and a stale reference aliases
-//     a future packet.
 //   - detshare: no mutable state shared across cells in deterministic
 //     packages — global writes outside init, goroutine spawns, and
 //     closures handed to package parallel that write captures.
@@ -39,13 +35,14 @@
 //
 //	//lint:ignore detclock <reason>
 //
-// Two rule families are not checked here because the program enforces them
-// on itself: the shard layer's ownership protocol (who may produce onto an
-// edge inbox, what may run inside a window) is asserted at runtime against
-// one predicate in internal/shard, and the costly observability hooks have
-// no nil branch, so a call site without its nil test panics in every test
-// that runs with obs off (internal/obs package comment). LINTING.md's
-// verdict table has the analyzers that used to police both.
+// Three rule families are not checked here because the program enforces
+// them on itself: the shard layer's ownership protocol (who may produce onto
+// an edge inbox, what may run inside a window) is asserted at runtime
+// against one predicate in internal/shard; the costly observability hooks
+// have no nil branch, so a call site without its nil test panics in every
+// test that runs with obs off (internal/obs package comment); and a pooled
+// packet released while a hop holds it panics at that hop (netem.Held).
+// LINTING.md's verdict table has the analyzers that used to police them.
 //
 // Run it with: go run ./cmd/zhuge-lint ./...
 package analysis
@@ -113,7 +110,6 @@ var Analyzers = []*Analyzer{
 	DetClock,
 	DetRand,
 	MapOrder,
-	PoolSafe,
 	DetShare,
 }
 

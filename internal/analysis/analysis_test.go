@@ -48,12 +48,6 @@ func TestMapOrder(t *testing.T) {
 	)
 }
 
-func TestPoolSafe(t *testing.T) {
-	analysistest.Run(t, moduleRoot(t), analysis.PoolSafe,
-		"./internal/analysis/testdata/src/poolsafe/pool",
-	)
-}
-
 func TestDetShare(t *testing.T) {
 	analysistest.Run(t, moduleRoot(t), analysis.DetShare,
 		"./internal/analysis/testdata/src/detshare/scenario",
@@ -70,7 +64,6 @@ func TestAnalyzersAreLive(t *testing.T) {
 		"detclock": "./internal/analysis/testdata/src/detclock/sim",
 		"detrand":  "./internal/analysis/testdata/src/detrand/wireless",
 		"maporder": "./internal/analysis/testdata/src/maporder/trace",
-		"poolsafe": "./internal/analysis/testdata/src/poolsafe/pool",
 		"detshare": "./internal/analysis/testdata/src/detshare/scenario",
 	}
 	if len(fixtures) != len(analysis.Analyzers) {

@@ -86,14 +86,12 @@ func (f *FastAck) OnDelivered(p *netem.Packet) {
 		f.Loop.OnFeedbackOut(now, p.Flow)
 	}
 	ack := netem.NewPacket()
-	*ack = netem.Packet{
-		Flow:    p.Flow.Reverse(),
-		Kind:    netem.KindAck,
-		Size:    64,
-		Seq:     st.next,
-		SentAt:  f.s.Now(),
-		Payload: tcpsim.AckInfo{Ack: st.next, Echo: seg.SentAt, ABCMark: p.ABCMark},
-	}
+	ack.Flow = p.Flow.Reverse()
+	ack.Kind = netem.KindAck
+	ack.Size = 64
+	ack.Seq = st.next
+	ack.SentAt = f.s.Now()
+	ack.Payload = tcpsim.AckInfo{Ack: st.next, Echo: seg.SentAt, ABCMark: p.ABCMark}
 	f.uplinkOut.Receive(ack)
 }
 

@@ -189,13 +189,11 @@ func (u *InbandUpdater) flush(f *ibFlow) {
 	u.constructed++
 	u.cConstructed.Inc()
 	fbp := netem.NewPacket()
-	*fbp = netem.Packet{
-		Flow:    f.downlink.Reverse(),
-		Kind:    netem.KindFeedback,
-		Size:    len(buf.B) + packet.UDPOverhead,
-		SentAt:  u.s.Now(),
-		Payload: buf,
-	}
+	fbp.Flow = f.downlink.Reverse()
+	fbp.Kind = netem.KindFeedback
+	fbp.Size = len(buf.B) + packet.UDPOverhead
+	fbp.SentAt = u.s.Now()
+	fbp.Payload = buf
 	fbp.SetVisit(f.hold)
 	f.hold = nil
 	if u.tr != nil {

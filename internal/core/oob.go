@@ -68,9 +68,12 @@ type oobFlow struct {
 	// (lastSentTime only grows) and same-instant events fire in scheduling
 	// order, so one persistent closure popping the front replaces a
 	// per-ACK capturing closure.
-	pending sim.Deque[*netem.Packet]
+	pending sim.Deque[netem.Held]
 	sendFn  func()
 }
+
+// oobHolder names the delayed-ACK queue in a netem.Held panic.
+const oobHolder = "core.OOBUpdater"
 
 type timedDelta struct {
 	at    sim.Time
@@ -121,7 +124,7 @@ func (u *OOBUpdater) flow(key netem.FlowKey) *oobFlow {
 	f := u.flows[key]
 	if f == nil {
 		f = &oobFlow{}
-		f.sendFn = func() { u.uplink.Receive(f.pending.PopFront()) }
+		f.sendFn = func() { u.uplink.Receive(f.pending.PopFront().Packet(oobHolder)) }
 		u.flows[key] = f
 	}
 	return f
@@ -230,7 +233,7 @@ func (u *OOBUpdater) OnAckPacket(now sim.Time, downlink netem.FlowKey, p *netem.
 	// Always go through the scheduler, even for zero delay: a previous
 	// ACK may have a send event pending at this exact instant, and event
 	// insertion order is what keeps the two in sequence.
-	f.pending.PushBack(p)
+	f.pending.PushBack(netem.Hold(p, oobHolder))
 	u.s.ScheduleAfter(actualDelay, f.sendFn)
 }
 

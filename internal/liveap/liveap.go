@@ -355,7 +355,7 @@ func (r *Relay) feedbackLoop() {
 		}
 		// buf is written out or dropped before the next read reuses it.
 		p := netem.NewPacket()
-		*p = netem.Packet{Kind: netem.KindFeedback, Size: n + packet.UDPOverhead, Payload: rtcp(buf[:n])}
+		p.Kind, p.Size, p.Payload = netem.KindFeedback, n+packet.UDPOverhead, rtcp(buf[:n])
 		r.mu.Lock()
 		if r.cfg.Zhuge {
 			r.ib.OnFeedbackPacket(r.Now(), p)

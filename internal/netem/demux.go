@@ -5,7 +5,7 @@ package netem
 // receivers by flow key (optionally reversed, for server-side demuxing of
 // uplink traffic), runs delivery taps first, and Releases every packet
 // afterwards — endpoints copy what they need; the pooled packet never
-// escapes delivery. It is the one owner of pooled-packet release.
+// escapes delivery. It refuses a packet released before it arrived.
 //
 // One Demux instance serves any number of upstream links: the AP downlink
 // and every secondary station deliver into the same client demux, so taps
@@ -33,6 +33,9 @@ func (d *Demux) AddTap(tap func(p *Packet)) { d.taps = append(d.taps, tap) }
 
 // Receive implements Receiver: run taps, deliver, Release.
 func (d *Demux) Receive(p *Packet) {
+	if p.released {
+		heldPanic("netem: released packet handed to ", "netem.Demux")
+	}
 	for _, tap := range d.taps {
 		tap(p)
 	}

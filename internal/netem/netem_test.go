@@ -201,6 +201,22 @@ func TestDemuxRoutesAndReleases(t *testing.T) {
 	}
 }
 
+// TestDemuxRefusesReleasedPacket: a packet released before it reaches the
+// demux has nobody left to deliver it for; the demux panics on entry,
+// before a tap or a receiver reads the recycled struct.
+func TestDemuxRefusesReleasedPacket(t *testing.T) {
+	d := NewDemux(false)
+	d.AddTap(func(*Packet) { t.Error("a tap saw a released packet") })
+	p := dataPacket(flowA)
+	p.Release()
+	defer func() {
+		if r := recover(); r != "netem: released packet handed to netem.Demux" {
+			t.Errorf("recovered %v, want the demux to refuse the released packet", r)
+		}
+	}()
+	d.Receive(p)
+}
+
 func TestReverseDemuxTranslatesKeys(t *testing.T) {
 	d := NewDemux(true)
 	var c countHop
@@ -255,9 +271,7 @@ func TestVisitCountsUntilRelease(t *testing.T) {
 	if v.Live() != 2 || p.Visit() != &v {
 		t.Fatalf("after two Enters: live %d, tag %p; want 2, %p", v.Live(), p.Visit(), &v)
 	}
-	cp := NewPacket()
-	*cp = *p
-	cp.SetVisit(nil) // the copy a forwarder sends home
+	cp := p.Clone() // the copy a forwarder sends home, untagged
 	cp.Release()
 	v.Hold() // state derived from p outlives it
 	p.Release()

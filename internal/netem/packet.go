@@ -1,9 +1,9 @@
 // Package netem provides the network-emulation primitives shared by every
 // component of the simulator: the packet model and its pool, flow
 // identification, fixed-rate serialising links, the flow Router that
-// handover re-points, and the delivery Demux where pooled packets are
-// released. The wireless bottleneck link lives in internal/wireless; queue
-// disciplines in internal/queue.
+// handover re-points, the delivery Demux, and Held, the one rule every hop
+// that keeps a packet across events applies. The wireless bottleneck link
+// lives in internal/wireless; queue disciplines in internal/queue.
 package netem
 
 import (
@@ -107,6 +107,9 @@ type Packet struct {
 	// released is set by Release and cleared by NewPacket, so that a second
 	// Release panics instead of pooling one struct twice.
 	released bool
+	// gen counts the struct's Releases. NewPacket keeps it, so a Held taken
+	// in one life of the struct does not match a later life.
+	gen uint32
 
 	Size int // bytes on the wire, headers included
 
@@ -139,7 +142,8 @@ type Packet struct {
 // the per-packet allocation from the enqueue hot path.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// NewPacket returns a zeroed Packet from the pool. Callers populate it and
+// NewPacket returns a zeroed Packet from the pool. Callers populate it field
+// by field (a whole-struct assignment would overwrite its generation) and
 // hand it into the topology; ownership transfers with it.
 func NewPacket() *Packet {
 	p := packetPool.Get().(*Packet)
@@ -153,12 +157,15 @@ func NewPacket() *Packet {
 // payload's package.
 type payloadReleaser interface{ Release() }
 
-// Release returns a packet to the pool. Only the component that consumes a
-// packet terminally — the delivery demux, or a qdisc dropping it — may call
-// Release; after the call every reference to p is invalid, including its
-// Payload (pooled payloads are recycled with the packet). Releasing a packet
-// that was not pool-allocated is harmless (it simply joins the pool);
-// releasing any packet twice would hand one struct to two owners, and panics.
+// Release returns a packet to the pool. Only the hop where a packet's life
+// ends may call it: the delivery Demux; a qdisc or wireless.Link dropping it
+// (an enqueue reject, a CoDel drop, air loss); core.InbandUpdater absorbing
+// a client TWCC packet; the live relay once it has written a packet out.
+// After the call every reference to p is invalid, including its Payload
+// (pooled payloads are recycled with the packet), and a hop still holding p
+// panics when it hands p on (Held). Releasing a packet that was not
+// pool-allocated is harmless (it simply joins the pool); releasing any
+// packet twice would hand one struct to two owners, and panics.
 func (p *Packet) Release() {
 	if p.released {
 		panic("netem: Packet released twice")
@@ -169,9 +176,51 @@ func (p *Packet) Release() {
 	if r, ok := p.Payload.(payloadReleaser); ok {
 		r.Release()
 	}
-	*p = Packet{released: true}
+	*p = Packet{released: true, gen: p.gen + 1}
 	packetPool.Put(p)
 }
+
+// Clone returns a pooled copy of p's fields. The copy keeps its own
+// generation and carries no visit: it was never counted into one.
+func (p *Packet) Clone() *Packet {
+	cp := NewPacket()
+	gen := cp.gen
+	*cp = *p
+	cp.released, cp.gen, cp.visit = false, gen, nil
+	return cp
+}
+
+// Held is a packet kept by a hop across events (a qdisc's buffer, a link's
+// packets in flight, a pacer's queue, a delayed ACK, a cut edge's inbox):
+// the pointer and the generation it had when the hop took it. A hop that
+// took a packet owns it until it hands it on, so a Release in between is
+// the fault of whoever kept a reference, and the hop panics with its own
+// name instead of handing a recycled struct downstream.
+type Held struct {
+	p   *Packet
+	gen uint32
+}
+
+// Hold records p for the hop named holder. It panics if p is released.
+func Hold(p *Packet, holder string) Held {
+	if p.released {
+		heldPanic("netem: released packet handed to ", holder)
+	}
+	return Held{p, p.gen}
+}
+
+// Packet returns the held packet, for holder to read or hand on. It panics
+// if the packet was released since Hold, even when NewPacket has recycled
+// the struct since.
+func (h Held) Packet(holder string) *Packet {
+	if h.p.gen != h.gen {
+		heldPanic("netem: packet released while held by ", holder)
+	}
+	return h.p
+}
+
+// heldPanic reports a released packet at the hop named holder.
+func heldPanic(msg, holder string) { panic(msg + holder) }
 
 // Visit counts what one roamed station has alive in the cell it visits:
 // the packets its home cell sent there across a cut edge (Enter), plus any
@@ -212,8 +261,7 @@ func (v *Visit) Live() int64 { return v.in - v.out }
 func (p *Packet) Visit() *Visit { return p.visit }
 
 // SetVisit re-tags p without counting anything in: pass a held visit to let
-// p carry the hold until its Release, or nil to clear the tag of a copy that
-// leaves the visited cell.
+// p carry the hold until its Release.
 func (p *Packet) SetVisit(v *Visit) { p.visit = v }
 
 // Receiver consumes packets. Every hop in a topology is a Receiver.
@@ -259,7 +307,7 @@ type Link struct {
 }
 
 type linkDelivery struct {
-	p   *Packet
+	h   Held
 	dst Receiver
 }
 
@@ -267,7 +315,7 @@ type linkDelivery struct {
 // propagation delay, delivering to dst.
 func NewLink(s *sim.Simulator, rate float64, delay time.Duration, dst Receiver) *Link {
 	l := &Link{sim: s, rate: rate, delay: delay, dst: dst}
-	l.inflight = sim.NewLine(s, func(d linkDelivery) { d.dst.Receive(d.p) })
+	l.inflight = sim.NewLine(s, func(d linkDelivery) { d.dst.Receive(d.h.Packet("netem.Link")) })
 	return l
 }
 
@@ -305,5 +353,5 @@ func (l *Link) Receive(p *Packet) {
 		deliverAt = l.lastAt
 	}
 	l.lastAt = deliverAt
-	l.inflight.Push(deliverAt, linkDelivery{p: p, dst: l.dst})
+	l.inflight.Push(deliverAt, linkDelivery{h: Hold(p, "netem.Link"), dst: l.dst})
 }

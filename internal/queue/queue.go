@@ -52,10 +52,13 @@ type DropObservable interface {
 // fifoCore is the packet buffer shared by all disciplines: a FIFO with byte
 // accounting and front-since tracking.
 type fifoCore struct {
-	pkts       sim.Deque[*netem.Packet]
+	pkts       sim.Deque[netem.Held]
 	bytes      int
 	frontSince sim.Time
 }
+
+// holder names the qdisc buffer in a netem.Held panic.
+const holder = "queue"
 
 func (f *fifoCore) len() int    { return f.pkts.Len() }
 func (f *fifoCore) size() int   { return f.bytes }
@@ -65,7 +68,7 @@ func (f *fifoCore) push(now sim.Time, p *netem.Packet) {
 	if f.empty() {
 		f.frontSince = now
 	}
-	f.pkts.PushBack(p)
+	f.pkts.PushBack(netem.Hold(p, holder))
 	f.bytes += p.Size
 }
 
@@ -73,7 +76,7 @@ func (f *fifoCore) pop(now sim.Time) *netem.Packet {
 	if f.empty() {
 		return nil
 	}
-	p := f.pkts.PopFront()
+	p := f.pkts.PopFront().Packet(holder)
 	f.bytes -= p.Size
 	if !f.empty() {
 		f.frontSince = now

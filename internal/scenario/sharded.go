@@ -349,8 +349,8 @@ func (es edgeSender) Receive(p *netem.Packet) {
 // so the forwarder must hand the edge a copy; the payload pointer moves to
 // the copy (and is stripped from the original) so pooled payloads are
 // released exactly once, at the home demux. The original keeps its visit
-// tag and counts out when the demux releases it; the copy leaves the
-// visited cell untagged.
+// tag and counts out when the demux releases it; the copy (Packet.Clone)
+// leaves the visited cell untagged, under its own generation.
 type demuxForward struct {
 	e    *shard.Edge
 	home netem.Receiver
@@ -358,9 +358,7 @@ type demuxForward struct {
 
 // Receive implements netem.Receiver.
 func (f demuxForward) Receive(p *netem.Packet) {
-	cp := netem.NewPacket()
-	*cp = *p
-	cp.SetVisit(nil)
+	cp := p.Clone()
 	p.Payload = nil
 	f.e.Send(cp, f.home)
 }

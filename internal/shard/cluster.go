@@ -87,7 +87,8 @@ func (e *Edge) Delay() time.Duration { return e.delay }
 // Send hands a packet across the cut: it will be delivered to dst on the
 // destination cell at the source cell's now plus the edge delay. The
 // caller gives up ownership of p — the packet must not be touched or
-// Released after Send; the destination's delivery path releases it.
+// Released after Send (the delivery panics naming shard.Edge if it was);
+// the destination's delivery path releases it.
 //
 // Send is in-window only: the inbox's single producer is the source cell's
 // event stream, so a Send from a barrier action or from build code panics
@@ -100,7 +101,7 @@ func (e *Edge) Send(p *netem.Packet, dst netem.Receiver) {
 		panic(fmt.Sprintf("shard: send on disarmed edge %q: the windows were granted without its delay; "+
 			"Arm it at a barrier before routing over it", e.name))
 	}
-	e.inbox.push(Parcel{P: p, At: e.src.s.Now() + e.delay, Dst: dst})
+	e.inbox.push(Parcel{P: netem.Hold(p, holder), At: e.src.s.Now() + e.delay, Dst: dst})
 }
 
 // Arm adds one route over the edge: from the next window on, its delay
@@ -422,8 +423,8 @@ func (c *Cluster) drainEdges() {
 	for _, e := range c.edges {
 		dst := e.dst.s
 		e.inbox.drain(func(pc Parcel) {
-			p, rcv := pc.P, pc.Dst
-			dst.Schedule(pc.At, func() { rcv.Receive(p) })
+			h, rcv := pc.P, pc.Dst
+			dst.Schedule(pc.At, func() { rcv.Receive(h.Packet(holder)) })
 		})
 	}
 }

@@ -10,10 +10,13 @@ import (
 // Parcel is one cross-cell hand-off in flight: a packet, the virtual time
 // it arrives, and the receiver it is delivered to on the destination shard.
 type Parcel struct {
-	P   *netem.Packet
+	P   netem.Held
 	At  sim.Time
 	Dst netem.Receiver
 }
+
+// holder names a cut edge in a netem.Held panic.
+const holder = "shard.Edge"
 
 // inbox is a cut edge's queue of parcels. Its one producer is the source
 // cell's events, inside a window; its one consumer is the coordinator, at

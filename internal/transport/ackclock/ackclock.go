@@ -125,14 +125,12 @@ func (c *Sender) TrySend() {
 // re-arms the RTO.
 func (c *Sender) Emit(seq uint64, n int, payload any) {
 	p := netem.NewPacket()
-	*p = netem.Packet{
-		Flow:    c.flow,
-		Kind:    netem.KindData,
-		Size:    n + c.overhead,
-		Seq:     seq,
-		SentAt:  c.Sim.Now(),
-		Payload: payload,
-	}
+	p.Flow = c.flow
+	p.Kind = netem.KindData
+	p.Size = n + c.overhead
+	p.Seq = seq
+	p.SentAt = c.Sim.Now()
+	p.Payload = payload
 	c.out.Receive(p)
 	c.ArmRTO()
 }

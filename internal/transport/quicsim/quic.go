@@ -287,14 +287,12 @@ func (r *Receiver) Receive(p *netem.Packet) {
 		r.OnAck(now)
 	}
 	ack := netem.NewPacket()
-	*ack = netem.Packet{
-		Flow:    r.flow,
-		Kind:    netem.KindAck,
-		Size:    ackSize,
-		Seq:     r.largest,
-		SentAt:  now,
-		Payload: ackFrame{Largest: r.largest, Ranges: r.received.descendingRanges(32)},
-	}
+	ack.Flow = r.flow
+	ack.Kind = netem.KindAck
+	ack.Size = ackSize
+	ack.Seq = r.largest
+	ack.SentAt = now
+	ack.Payload = ackFrame{Largest: r.largest, Ranges: r.received.descendingRanges(32)}
 	r.out.Receive(ack)
 }
 

@@ -81,7 +81,7 @@ type Sender struct {
 	store seqWindow[storedPayload]
 
 	// pacer queue
-	queue    sim.Deque[*netem.Packet]
+	queue    sim.Deque[netem.Held]
 	pacing   bool
 	pacingAt sim.Time
 	sendFn   func() // persistent pacer event: send head, schedule next
@@ -228,14 +228,15 @@ func (snd *Sender) enqueue(pl Payload, wireSize int) {
 	wire := payloadPool.Get().(*Payload)
 	*wire = pl
 	p := netem.NewPacket()
-	*p = netem.Packet{
-		Flow:    snd.flow,
-		Kind:    netem.KindData,
-		Size:    wireSize,
-		Payload: wire,
-	}
-	snd.queue.PushBack(p)
+	p.Flow = snd.flow
+	p.Kind = netem.KindData
+	p.Size = wireSize
+	p.Payload = wire
+	snd.queue.PushBack(netem.Hold(p, holder))
 }
+
+// holder names the pacer queue in a netem.Held panic.
+const holder = "rtp.Sender"
 
 // pace drains the queue at 1.5x the target rate (WebRTC's pacing factor),
 // stamping TWCC sequence numbers at the actual send instant.
@@ -261,7 +262,7 @@ func (snd *Sender) paceNext() {
 	if at < now {
 		at = now
 	}
-	p := *snd.queue.Front()
+	p := snd.queue.Front().Packet(holder)
 	rate := snd.cc.Rate() * 1.5
 	gap := time.Duration(float64(p.Size*8) / rate * float64(time.Second))
 	snd.pacingAt = at + gap
@@ -271,7 +272,7 @@ func (snd *Sender) paceNext() {
 // sendHead fires one paced send: pop the queue head, stamp its TWCC
 // sequence number at the actual send instant, and book the next send.
 func (snd *Sender) sendHead() {
-	p := snd.queue.PopFront()
+	p := snd.queue.PopFront().Packet(holder)
 	sendAt := snd.s.Now()
 	pl := p.Payload.(*Payload)
 	pl.TWCCSeq = snd.sent.next
@@ -576,13 +577,11 @@ func (r *Receiver) sendFeedback() {
 // sendRTCP sends buf's RTCP bytes toward the sender as one feedback packet.
 func (r *Receiver) sendRTCP(buf *packet.FeedbackBuf) {
 	p := netem.NewPacket()
-	*p = netem.Packet{
-		Flow:    r.flow,
-		Kind:    netem.KindFeedback,
-		Size:    len(buf.B) + packet.UDPOverhead,
-		SentAt:  r.s.Now(),
-		Payload: buf,
-	}
+	p.Flow = r.flow
+	p.Kind = netem.KindFeedback
+	p.Size = len(buf.B) + packet.UDPOverhead
+	p.SentAt = r.s.Now()
+	p.Payload = buf
 	r.out.Receive(p)
 }
 

@@ -205,13 +205,11 @@ func (r *Receiver) Receive(p *netem.Packet) {
 		r.OnAck(r.s.Now())
 	}
 	ack := netem.NewPacket()
-	*ack = netem.Packet{
-		Flow:    r.flow,
-		Kind:    netem.KindAck,
-		Size:    ackSize,
-		Seq:     r.rcvNxt,
-		SentAt:  r.s.Now(),
-		Payload: AckInfo{Ack: r.rcvNxt, Echo: seg.SentAt, ABCMark: p.ABCMark},
-	}
+	ack.Flow = r.flow
+	ack.Kind = netem.KindAck
+	ack.Size = ackSize
+	ack.Seq = r.rcvNxt
+	ack.SentAt = r.s.Now()
+	ack.Payload = AckInfo{Ack: r.rcvNxt, Echo: seg.SentAt, ABCMark: p.ABCMark}
 	r.out.Receive(ack)
 }

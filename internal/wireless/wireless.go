@@ -140,7 +140,7 @@ type Link struct {
 	pending sim.Deque[pendingBurst]
 	// burstFree recycles burst buffers (pre-sized to MaxAggPackets) once
 	// their aggregate has been delivered.
-	burstFree [][]*netem.Packet
+	burstFree [][]netem.Held
 
 	// chaos loss injection: each packet of a delivered aggregate is lost
 	// with probability lossProb, drawn from the dedicated lossRNG so
@@ -246,14 +246,14 @@ func (l *Link) obsDequeue(now sim.Time, p *netem.Packet) {
 
 // obsBurst records a sealed aggregate and its airtime span; called only
 // when l.o != nil. The aggregate is attributed to its first packet's flow.
-func (l *Link) obsBurst(now sim.Time, burst []*netem.Packet, bits float64, airtime time.Duration) {
+func (l *Link) obsBurst(now sim.Time, burst []netem.Held, bits float64, airtime time.Duration) {
 	l.cAgg.Inc()
 	l.hAMPDU.Observe(time.Duration(len(burst)))
 	l.hAirtime.Observe(airtime)
 	l.gQBytes.Set(float64(l.q.Bytes()))
 	l.gQLen.Set(float64(l.q.Len()))
 	if l.tr != nil {
-		flow := burst[0].Flow
+		flow := burst[0].Packet(holder).Flow
 		l.tr.Record(obs.Event{At: now, Type: obs.EvAggregate, Flow: flow, Size: int(bits / 8), A: int64(len(burst))})
 		l.tr.Record(obs.Event{At: now, Dur: airtime, Type: obs.EvAirtime, Flow: flow, Size: int(bits / 8), A: int64(len(burst))})
 	}
@@ -420,7 +420,7 @@ func (l *Link) transmitBurst() {
 		if p == nil {
 			break
 		}
-		burst = append(burst, p)
+		burst = append(burst, netem.Hold(p, holder))
 		bits += float64(p.Size * 8)
 		for _, o := range l.observers {
 			o.OnDequeue(now, p)
@@ -451,16 +451,20 @@ func (l *Link) transmitBurst() {
 
 // pendingBurst is one sealed aggregate awaiting its delivery event.
 type pendingBurst struct {
-	pkts []*netem.Packet
+	pkts []netem.Held
 	dst  netem.Receiver
 }
+
+// holder names the link's in-flight aggregates in a netem.Held panic.
+const holder = "wireless.Link"
 
 // deliverPending delivers the oldest in-flight aggregate (the 802.11
 // block-ACK instant for every packet in it).
 func (l *Link) deliverPending() {
 	at := l.s.Now()
 	e := l.pending.PopFront()
-	for _, p := range e.pkts {
+	for _, h := range e.pkts {
+		p := h.Packet(holder)
 		if l.lossProb > 0 && l.lossRNG.Float64() < l.lossProb {
 			// Lost on the air: the packet consumed its airtime but never
 			// reaches the client, so it dies here.
@@ -481,19 +485,17 @@ func (l *Link) deliverPending() {
 }
 
 // getBurstBuf returns a cleared burst buffer with MaxAggPackets capacity.
-func (l *Link) getBurstBuf() []*netem.Packet {
+func (l *Link) getBurstBuf() []netem.Held {
 	if n := len(l.burstFree); n > 0 {
 		b := l.burstFree[n-1]
 		l.burstFree = l.burstFree[:n-1]
 		return b
 	}
-	return make([]*netem.Packet, 0, l.cfg.MaxAggPackets)
+	return make([]netem.Held, 0, l.cfg.MaxAggPackets)
 }
 
 // putBurstBuf recycles a burst buffer once its packets are handed off.
-func (l *Link) putBurstBuf(b []*netem.Packet) {
-	for i := range b {
-		b[i] = nil // drop packet references; they belong downstream now
-	}
+func (l *Link) putBurstBuf(b []netem.Held) {
+	clear(b) // drop packet references; they belong downstream now
 	l.burstFree = append(l.burstFree, b[:0])
 }
