@@ -1,16 +1,14 @@
-// Command zhuge-lint runs the project's custom static analyzers — the
-// compile-time enforcement of the simulator's determinism and shared-state
-// invariants. See internal/analysis and LINTING.md.
+// Command zhuge-lint runs the project's two static analyzers, detclock and
+// detrand — the compile-time enforcement that the simulator takes time only
+// from its virtual clock and randomness only from labeled seeds. See
+// internal/analysis and LINTING.md.
 //
 // Usage:
 //
 //	go run ./cmd/zhuge-lint [-sarif file] [packages]
 //
 // With no packages it lints ./... . Exit status: 0 clean, 1 findings,
-// 2 usage or load error. Suppress individual findings with
-// //lint:ignore <analyzer> <reason> on or above the offending line; a
-// suppression that no longer matches anything is itself reported (as the
-// pseudo-analyzer "suppression").
+// 2 usage or load error. There is no suppression comment.
 //
 // -sarif FILE additionally writes a SARIF 2.1.0 log for CI annotation
 // (written even when there are findings, so the upload step always has a
@@ -51,11 +49,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// RunAll (vs per-analyzer Run) also audits //lint:ignore comments:
-	// a stale suppression is a finding like any other.
 	var all []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunAll(pkg)
+		diags, err := analysis.Run(pkg, analysis.Analyzers...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "zhuge-lint: %v\n", err)
 			os.Exit(2)

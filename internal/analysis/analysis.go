@@ -1,6 +1,6 @@
-// Package analysis is zhuge-lint: a suite of static analyzers that enforce
-// the simulator's determinism and shared-state invariants at compile time
-// instead of discovering violations at runtime through golden tests.
+// Package analysis is zhuge-lint: two static analyzers that keep the
+// simulator's clock and randomness deterministic at compile time instead of
+// discovering a violation at run time as a golden-table diff.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Diagnostic) so the analyzers could be ported to the real
@@ -22,26 +22,18 @@
 //     seed helpers (sim.LabeledRand / sim.Simulator.NewRand /
 //     experiments.newRNG) so every stream is a pure function of
 //     (root seed, component label).
-//   - maporder: no map-iteration order leaking into exports — ranging over
-//     a map while printing, writing to an io.Writer, or accumulating an
-//     unsorted slice is exactly the bug class the j=1-vs-j=8 golden tests
-//     exist to catch.
-//   - detshare: no mutable state shared across cells in deterministic
-//     packages — global writes outside init, goroutine spawns, and
-//     closures handed to package parallel that write captures.
 //
-// A diagnostic can be suppressed with a staticcheck-style comment on its
-// line or the line above:
+// There is no suppression comment: a finding is fixed, not waived.
 //
-//	//lint:ignore detclock <reason>
-//
-// Three rule families are not checked here because the program enforces
+// The other rule families are not checked here because the program enforces
 // them on itself: the shard layer's ownership protocol (who may produce onto
 // an edge inbox, what may run inside a window) is asserted at runtime
 // against one predicate in internal/shard; the costly observability hooks
 // have no nil branch, so a call site without its nil test panics in every
-// test that runs with obs off (internal/obs package comment); and a pooled
-// packet released while a hop holds it panics at that hop (netem.Held).
+// test that runs with obs off (internal/obs package comment); a pooled
+// packet released while a hop holds it panics at that hop (netem.Held); map
+// order that reaches output fails an order assert next to each exporter;
+// and state shared between cells is reported by the race detector.
 // LINTING.md's verdict table has the analyzers that used to police them.
 //
 // Run it with: go run ./cmd/zhuge-lint ./...
@@ -52,15 +44,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
 
 // An Analyzer describes one static check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //lint:ignore comments. It must be a valid identifier.
+	// Name identifies the analyzer in diagnostics. It must be a valid
+	// identifier.
 	Name string
 
 	// Doc is a one-paragraph description of what the analyzer checks and
@@ -109,66 +100,23 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 var Analyzers = []*Analyzer{
 	DetClock,
 	DetRand,
-	MapOrder,
-	DetShare,
 }
 
-// Run applies one analyzer to one loaded package and returns its findings
-// with //lint:ignore suppressions already applied, sorted by position.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	diags, err := runRaw(a, pkg)
-	if err != nil {
-		return nil, err
-	}
-	diags = applySuppressions(diags, collectSuppressions(pkg), map[*suppressComment]bool{})
-	sortDiags(diags)
-	return diags, nil
-}
-
-// runRaw applies one analyzer with no suppression filtering.
-func runRaw(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+// Run applies the given analyzers to one loaded package and returns their
+// findings sorted by position.
+func Run(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-		diags:     &diags,
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-	}
-	return diags, nil
-}
-
-// RunAll applies the whole suite to one package and audits the package's
-// //lint:ignore comments against the combined findings. A suppression that
-// suppressed nothing is *stale* and is reported as a diagnostic under the
-// pseudo-analyzer name "suppression" (stale ones rot the allowlists — an
-// ignore comment that no longer fires is a license for the next real
-// violation to hide under).
-func RunAll(pkg *Package) ([]Diagnostic, error) {
-	var raw []Diagnostic
-	for _, a := range Analyzers {
-		d, err := runRaw(a, pkg)
-		if err != nil {
-			return nil, err
+	for _, a := range analyzers {
+		pass := &Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			diags:     &diags,
 		}
-		raw = append(raw, d...)
-	}
-	sups := collectSuppressions(pkg)
-	used := map[*suppressComment]bool{}
-	diags := applySuppressions(raw, sups, used)
-	for _, s := range sups {
-		if !used[s] {
-			diags = append(diags, Diagnostic{
-				Pos:      s.pos,
-				Analyzer: "suppression",
-				Message: fmt.Sprintf(
-					"stale suppression: //lint:ignore %s no longer suppresses any diagnostic; delete it or narrow it (stale allowlists hide the next real violation)",
-					strings.Join(s.names, ",")),
-			})
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 	}
 	sortDiags(diags)
@@ -248,93 +196,4 @@ func DeterministicPkg(path string) bool {
 		return false
 	}
 	return deterministicSegments[last]
-}
-
-// MapOrderPkg reports whether maporder applies: the deterministic packages
-// plus obs, whose JSONL/Chrome-trace/metrics exports are exactly where map
-// order would leak into golden files.
-func MapOrderPkg(path string) bool {
-	if DeterministicPkg(path) {
-		return true
-	}
-	segs := strings.Split(path, "/")
-	return segs[len(segs)-1] == "obs"
-}
-
-// ---- suppression ----------------------------------------------------------
-
-var ignoreRe = regexp.MustCompile(`^//\s*lint:ignore\s+(\S+)\s+\S`)
-
-// A suppressComment is one //lint:ignore comment.
-type suppressComment struct {
-	pos   token.Position
-	names []string // analyzers it names, in source order
-}
-
-// collectSuppressions gathers every suppression comment in the package.
-// The comment requires a non-empty reason and takes a comma-separated
-// analyzer list, e.g.:
-//
-//	//lint:ignore detclock,detrand test fixture exercising both
-func collectSuppressions(pkg *Package) []*suppressComment {
-	var out []*suppressComment
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := ignoreRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				s := &suppressComment{pos: pkg.Fset.Position(c.Pos())}
-				for _, n := range strings.Split(m[1], ",") {
-					if n = strings.TrimSpace(n); n != "" {
-						s.names = append(s.names, n)
-					}
-				}
-				out = append(out, s)
-			}
-		}
-	}
-	return out
-}
-
-// applySuppressions drops diagnostics covered by the given suppression
-// comments. A //lint:ignore comment covers the line it sits on and the
-// line below it (the staticcheck convention: the comment precedes the
-// flagged statement). Every comment that suppressed at least one
-// diagnostic is recorded in used — the stale-suppression audit's input.
-func applySuppressions(diags []Diagnostic, sups []*suppressComment, used map[*suppressComment]bool) []Diagnostic {
-	if len(diags) == 0 || len(sups) == 0 {
-		return diags
-	}
-	covers := func(s *suppressComment, d Diagnostic) bool {
-		if s.pos.Filename != d.Pos.Filename {
-			return false
-		}
-		if s.pos.Line != d.Pos.Line && s.pos.Line != d.Pos.Line-1 {
-			return false
-		}
-		for _, n := range s.names {
-			if n == d.Analyzer {
-				return true
-			}
-		}
-		return false
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		suppressed := false
-		for _, s := range sups {
-			if covers(s, d) {
-				used[s] = true
-				suppressed = true
-				// Keep scanning: another comment covering the same
-				// diagnostic is also legitimately "used".
-			}
-		}
-		if !suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }

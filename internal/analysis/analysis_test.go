@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/zhuge-project/zhuge/internal/analysis"
@@ -40,20 +39,6 @@ func TestDetRand(t *testing.T) {
 	)
 }
 
-func TestMapOrder(t *testing.T) {
-	analysistest.Run(t, moduleRoot(t), analysis.MapOrder,
-		"./internal/analysis/testdata/src/maporder/trace",
-		// Matrix cell maps must not feed rows in range order.
-		"./internal/analysis/testdata/src/maporder/chaos",
-	)
-}
-
-func TestDetShare(t *testing.T) {
-	analysistest.Run(t, moduleRoot(t), analysis.DetShare,
-		"./internal/analysis/testdata/src/detshare/scenario",
-	)
-}
-
 // TestAnalyzersAreLive proves the gate is not vacuous: each analyzer must
 // produce at least one diagnostic on its negative fixtures. A refactor
 // that silently turns an analyzer into a no-op fails here even if the
@@ -63,8 +48,6 @@ func TestAnalyzersAreLive(t *testing.T) {
 	fixtures := map[string]string{
 		"detclock": "./internal/analysis/testdata/src/detclock/sim",
 		"detrand":  "./internal/analysis/testdata/src/detrand/wireless",
-		"maporder": "./internal/analysis/testdata/src/maporder/trace",
-		"detshare": "./internal/analysis/testdata/src/detshare/scenario",
 	}
 	if len(fixtures) != len(analysis.Analyzers) {
 		t.Fatalf("fixture map covers %d analyzers, suite has %d", len(fixtures), len(analysis.Analyzers))
@@ -89,7 +72,7 @@ func TestTreeIsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pkg := range pkgs {
-		diags, err := analysis.RunAll(pkg)
+		diags, err := analysis.Run(pkg, analysis.Analyzers...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,50 +117,6 @@ func TestDeterministicPkgClassification(t *testing.T) {
 	for _, c := range cases {
 		if got := analysis.DeterministicPkg(c.path); got != c.det {
 			t.Errorf("DeterministicPkg(%q) = %v, want %v", c.path, got, c.det)
-		}
-	}
-	if !analysis.MapOrderPkg("github.com/zhuge-project/zhuge/internal/obs") {
-		t.Error("MapOrderPkg must include obs: its exporters are where map order reaches golden files")
-	}
-}
-
-// TestSuppressionAudit pins the stale-suppression rules: a used comment is
-// kept silent, a live-analyzer comment that suppresses nothing is stale, and
-// an unknown analyzer name is always stale.
-func TestSuppressionAudit(t *testing.T) {
-	pkgs, err := analysis.Load(moduleRoot(t), "./internal/analysis/testdata/src/suppression/sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
-	}
-	diags, err := analysis.RunAll(pkgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSubstrings := []string{
-		"//lint:ignore detclock",
-		"//lint:ignore nosuchcheck",
-	}
-	if len(diags) != len(wantSubstrings) {
-		t.Fatalf("%d diagnostics, want %d:\n%v", len(diags), len(wantSubstrings), diags)
-	}
-	for _, d := range diags {
-		if d.Analyzer != "suppression" {
-			t.Errorf("unexpected non-audit diagnostic: %s", d)
-		}
-	}
-	for _, want := range wantSubstrings {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no stale report mentioning %q in:\n%v", want, diags)
 		}
 	}
 }

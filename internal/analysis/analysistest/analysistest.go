@@ -9,9 +9,7 @@
 //	x, y := f() // want `first regex` `second regex`
 //
 // Every diagnostic must match a want on its line and every want must be
-// matched by a diagnostic; suppressed diagnostics (//lint:ignore) count as
-// absent, so fixtures can assert suppression behaviour by carrying an
-// ignore comment and no want.
+// matched by a diagnostic.
 package analysistest
 
 import (
@@ -51,7 +49,7 @@ func Run(t *testing.T, moduleRoot string, a *analysis.Analyzer, dirs ...string) 
 		t.Fatalf("no fixture packages matched %v", dirs)
 	}
 	for _, pkg := range pkgs {
-		diags, err := analysis.Run(a, pkg)
+		diags, err := analysis.Run(pkg, a)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
 		}
@@ -122,9 +120,9 @@ func parseWants(t *testing.T, pkg *analysis.Package, filename string, c *ast.Com
 }
 
 // MustBeLive asserts the analyzer produces at least one diagnostic across
-// the given fixture dirs *before* suppression filtering would matter —
-// i.e. the gate is live, not vacuous. It is used by the suite test to prove
-// each analyzer actually fails on its negative fixtures.
+// the given fixture dirs, i.e. the gate is live, not vacuous. It is used by
+// the suite test to prove each analyzer actually fails on its negative
+// fixtures.
 func MustBeLive(t *testing.T, moduleRoot string, a *analysis.Analyzer, dirs ...string) {
 	t.Helper()
 	pkgs, err := analysis.Load(moduleRoot, dirs...)
@@ -133,7 +131,7 @@ func MustBeLive(t *testing.T, moduleRoot string, a *analysis.Analyzer, dirs ...s
 	}
 	total := 0
 	for _, pkg := range pkgs {
-		diags, err := analysis.Run(a, pkg)
+		diags, err := analysis.Run(pkg, a)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
 		}

@@ -69,22 +69,17 @@ type sarifRegion struct {
 	StartColumn int `json:"startColumn,omitempty"`
 }
 
-// WriteSARIF emits diagnostics as a SARIF 2.1.0 log. The rule list covers
-// the suite plus the "suppression" pseudo-rule the stale-suppression audit
-// reports under; file URIs are relative to base with forward slashes, as
-// the upload action expects.
+// WriteSARIF emits diagnostics as a SARIF 2.1.0 log. The rule list is the
+// suite; file URIs are relative to base with forward slashes, as the upload
+// action expects.
 func WriteSARIF(w io.Writer, base string, diags []Diagnostic) error {
-	rules := make([]sarifRule, 0, len(Analyzers)+1)
+	rules := make([]sarifRule, 0, len(Analyzers))
 	for _, a := range Analyzers {
 		rules = append(rules, sarifRule{
 			ID:               a.Name,
 			ShortDescription: sarifMessage{Text: a.Doc},
 		})
 	}
-	rules = append(rules, sarifRule{
-		ID:               "suppression",
-		ShortDescription: sarifMessage{Text: "stale //lint:ignore suppression no longer matching any diagnostic"},
-	})
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		results = append(results, sarifResult{

@@ -16,11 +16,6 @@ func runtimeTimers() {
 	_ = time.NewTimer(time.Second) // want `time\.NewTimer is wall-clock`
 }
 
-func suppressed() time.Time {
-	//lint:ignore detclock fixture exercises the suppression comment
-	return time.Now()
-}
-
 // virtualTimeOK shows that pure time.Duration arithmetic and constants are
 // never flagged: they carry no ambient state.
 func virtualTimeOK(d time.Duration) time.Duration {

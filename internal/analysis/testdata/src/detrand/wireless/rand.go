@@ -25,8 +25,3 @@ func rawSource(seed int64) *rand.Rand {
 func methodsOK(rng *rand.Rand) float64 {
 	return rng.Float64() + rng.ExpFloat64() + float64(rng.Intn(3))
 }
-
-func suppressedSource(seed int64) rand.Source {
-	//lint:ignore detrand fixture exercises the suppression comment
-	return rand.NewSource(seed)
-}

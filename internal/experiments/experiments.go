@@ -183,9 +183,9 @@ var cellsRun atomic.Int64
 func CellsRun() int64 { return cellsRun.Load() }
 
 // countCell records one executed cell; experiments that run a single
-// simulation outside runCells call it directly.
-//
-//lint:ignore detshare commutative process-wide counter, read only by CellsRun after the worker pool joins; it never shapes experiment output
+// simulation outside runCells call it directly. The counter is shared by
+// every cell in the process on purpose: it is commutative, read only by
+// CellsRun after the worker pool joins, and never shapes experiment output.
 func countCell() { cellsRun.Add(1) }
 
 // runCells is the concurrency boundary of every sweep-shaped experiment: it

@@ -3,12 +3,13 @@
 // the paper's OpenWrt packet-socket implementation (§7.1). It relays
 // RTP/RTCP sessions between a server and a wireless client and shapes the
 // downlink to a configurable (optionally trace-driven) rate through a real
-// queue, paced against a departure clock with ~2 ms of credit rather than a
-// sleep per packet, which the runtime's timer rounding would stretch by
-// ~0.6 ms each. Its Zhuge state is the simulator's own: a core.FortuneTeller fed
-// wall-clock offsets and a core.InbandUpdater that records transport-wide
-// sequence numbers from real RTP header bytes, constructs real TWCC RTCP
-// packets and absorbs the client's own TWCC. The relay is that updater's
+// queue, paced against a departure clock rather than a sleep per packet,
+// which the runtime's timer rounding would stretch by ~0.6 ms each. A late
+// wake-up with packets queued is won back in full; a link that sat idle or
+// out earns at most ~2 ms of credit. Its Zhuge state is the simulator's
+// own: a core.FortuneTeller fed wall-clock offsets and a core.InbandUpdater
+// that records transport-wide sequence numbers from real RTP header bytes,
+// constructs real TWCC RTCP packets and absorbs the client's own TWCC. The relay is that updater's
 // core.Clock: time.Since(start), and time.AfterFunc callbacks that run under
 // the relay mutex, which also covers every other call into core.
 //
@@ -271,9 +272,10 @@ func (r *Relay) mediaLoop() {
 }
 
 const (
-	// maxCredit is how far the departure clock may trail now: about one
-	// timer overshoot, so a late wake-up is won back but an idle link
-	// earns no burst.
+	// maxCredit is how far the departure clock may trail now once the
+	// link has waited on an empty queue or through an outage: about one
+	// timer overshoot, so an idle link earns no burst. While packets are
+	// queued the clock is not clamped, so a late wake-up loses no rate.
 	maxCredit = 2 * time.Millisecond
 	// outagePoll is how often a link at rate 0 reads its rate again.
 	outagePoll = time.Millisecond
@@ -306,13 +308,13 @@ func (r *Relay) drainLoop() {
 			}
 			continue
 		}
-		next = max(next, now-maxCredit)
 		rate := r.rateAt(now)
 		if !(rate > 0) {
 			// An outage: the queue holds until the link comes back.
 			if !sleep(outagePoll) {
 				return
 			}
+			next = max(next, r.Now()-maxCredit)
 			continue
 		}
 		r.mu.Lock()
@@ -328,6 +330,7 @@ func (r *Relay) drainLoop() {
 		if p == nil {
 			select {
 			case <-r.kick:
+				next = max(next, r.Now()-maxCredit)
 				continue
 			case <-r.done:
 				return

@@ -269,6 +269,55 @@ func TestRelayShapesRate(t *testing.T) {
 	}
 }
 
+// TestRelayKeepsRateThroughLateWakeups: a backlogged relay whose drain
+// wakes up late wins the time back. The test holds the relay mutex for
+// 10 ms in every 20, so the drain cannot dequeue while it is held; the
+// closed loop of TestRelayShapesRate must still read [0.85, 1.10] of the
+// configured rate. A departure clock clamped to ~2 ms of credit on every
+// pass read 0.52-0.58 here.
+func TestRelayKeepsRateThroughLateWakeups(t *testing.T) {
+	const rate, n, window, skip = 20e6, 300, 32, 8
+	r, serverSock, clientSock := startRelay(t, false, rate)
+	stop := make(chan struct{})
+	stalled := make(chan struct{})
+	go func() {
+		defer close(stalled)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+			r.mu.Lock()
+			time.Sleep(10 * time.Millisecond)
+			r.mu.Unlock()
+		}
+	}()
+	defer func() { close(stop); <-stalled }()
+	for i := 0; i < window; i++ {
+		sendRTP(t, serverSock, r.MediaAddr(), uint16(i), shapedPayload)
+	}
+	clientSock.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, 2048)
+	var from time.Time
+	for got := 0; got < n; got++ {
+		if _, err := clientSock.Read(buf); err != nil {
+			t.Fatalf("got %d/%d: %v", got, n, err)
+		}
+		if got == skip {
+			from = time.Now()
+		}
+		if next := got + window; next < n {
+			sendRTP(t, serverSock, r.MediaAddr(), uint16(next), shapedPayload)
+		}
+	}
+	span := time.Since(from)
+	ratio := float64(n-1-skip) * shapedBits / span.Seconds() / rate
+	if ratio < 0.85 || ratio > 1.10 {
+		t.Errorf("%d packets in %v: %.3f of the configured rate, want [0.85, 1.10]", n-1-skip, span, ratio)
+	}
+}
+
 // TestRelayIdleCreditIsCapped: an idle link saves up no burst. After 50 ms
 // with an empty queue, a batch sent back to back may skip at most the
 // departure clock's credit (~2 packets at 1 ms each), where a clock left

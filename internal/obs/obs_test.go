@@ -270,6 +270,33 @@ func TestRegistryAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestPredErrModeRowsAreSorted pins the order of the per-mode rows, which
+// come out of a map: labels inserted in descending order, more of them than
+// a small map's one group holds, must still export ascending.
+func TestPredErrModeRowsAreSorted(t *testing.T) {
+	a := newPredErr()
+	const modes = 12
+	for i := 0; i < modes; i++ {
+		f := testFlow(uint16(6000 + i))
+		a.SetMode(f, fmt.Sprintf("mode%02d", modes-1-i))
+		a.Observe(f, 2*time.Millisecond, time.Millisecond)
+	}
+	var got []string
+	for _, r := range a.Rows() {
+		if r.Flow == "" {
+			got = append(got, r.Mode)
+		}
+	}
+	if len(got) != modes {
+		t.Fatalf("%d mode rows, want %d", len(got), modes)
+	}
+	for i, m := range got {
+		if want := fmt.Sprintf("mode%02d", i); m != want {
+			t.Fatalf("mode row %d is %q, want %q: rows %v", i, m, want, got)
+		}
+	}
+}
+
 // disabled is what a datapath component holds with no Obs attached: a nil
 // pointer per instrument. It is a package-level variable so the compiler
 // cannot fold the nil tests below away.

@@ -66,8 +66,8 @@ func TestStartSamplerTicksInVirtualTime(t *testing.T) {
 }
 
 // TestSeriesJSONLRoundtrip pins the canonical export: series sorted by name
-// whatever order the map hands them out in (LINTING.md's runtime twin for
-// maporder M1), every line a JSON object, the same set written twice the
+// whatever order the map hands them out in (the order assert that replaced
+// the maporder analyzer here; LINTING.md probe M1), every line a JSON object, the same set written twice the
 // same bytes, and every point kept: nothing caps a series, so the 20 000
 // samples one of them takes here all come out, oldest first.
 func TestSeriesJSONLRoundtrip(t *testing.T) {

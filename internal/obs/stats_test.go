@@ -2,8 +2,10 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"testing"
 )
 
@@ -62,7 +64,20 @@ func TestStatsServerServesPages(t *testing.T) {
 		t.Fatalf("republished /api/relay body %q (err=%v)", body, err)
 	}
 
-	// The index lists every page path, sorted.
+	// The index lists every page path, sorted, whatever order the page map
+	// hands them out in: twelve more pages published in descending order,
+	// more than a small map's one group holds.
+	const more = 12
+	for i := more - 1; i >= 0; i-- {
+		if err := s.Publish(fmt.Sprintf("p%02d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []string
+	for i := 0; i < more; i++ {
+		want = append(want, fmt.Sprintf("/api/p%02d", i))
+	}
+	want = append(want, "/api/raw", "/api/relay")
 	code, body = statsGet(t, base+"/")
 	if code != 200 {
 		t.Fatalf("/ -> %d", code)
@@ -73,8 +88,8 @@ func TestStatsServerServesPages(t *testing.T) {
 	if err := json.Unmarshal(body, &idx); err != nil {
 		t.Fatalf("index body %q: %v", body, err)
 	}
-	if len(idx.Pages) != 2 || idx.Pages[0] != "/api/raw" || idx.Pages[1] != "/api/relay" {
-		t.Fatalf("index pages %v, want [/api/raw /api/relay]", idx.Pages)
+	if !slices.Equal(idx.Pages, want) {
+		t.Fatalf("index pages %v, want %v", idx.Pages, want)
 	}
 
 	if code, _ := statsGet(t, base+"/api/nope"); code != 404 {

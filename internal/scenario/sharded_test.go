@@ -262,15 +262,21 @@ func TestRoamFromAnEventPanics(t *testing.T) {
 }
 
 // TestZeroLookaheadRejected pins the build-time error for a cut with no
-// delay: the cluster cannot grant any parallel window from it.
+// delay: the cluster cannot grant any parallel window from it. The error
+// names the first cut edge in (home, target) order, which BuildSharded
+// collects in a map: every one of ten builds must name the same edge.
 func TestZeroLookaheadRejected(t *testing.T) {
-	sp := Campus(1, testCampus())
-	_, err := BuildSharded(sp, ShardedOptions{Shards: 2}) // CutDelay zero
-	if err == nil {
-		t.Fatal("BuildSharded accepted a zero-delay cut edge")
-	}
-	if !strings.Contains(err.Error(), "lookahead") {
-		t.Fatalf("error %q does not explain the lookahead requirement", err)
+	for i := 0; i < 10; i++ {
+		_, err := BuildSharded(Campus(1, testCampus()), ShardedOptions{Shards: 2}) // CutDelay zero
+		if err == nil {
+			t.Fatal("BuildSharded accepted a zero-delay cut edge")
+		}
+		if !strings.Contains(err.Error(), "lookahead") {
+			t.Fatalf("error %q does not explain the lookahead requirement", err)
+		}
+		if !strings.Contains(err.Error(), `"cut.ap000->ap001"`) {
+			t.Fatalf("build %d: error %q does not name the first cut edge, cut.ap000->ap001", i, err)
+		}
 	}
 }
 

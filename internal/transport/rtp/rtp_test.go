@@ -186,6 +186,41 @@ func TestReceiverSendsReceiverReports(t *testing.T) {
 	}
 }
 
+// TestNACKListsGapsInOrder pins the order of a NACK's sequence numbers,
+// which come out of the receiver's loss map: twelve gaps, each more than 16
+// apart so that each is its own PID on the wire, must be asked for
+// ascending.
+func TestNACKListsGapsInOrder(t *testing.T) {
+	s := sim.New(1)
+	var nacks []*packet.NACK
+	r := NewReceiver(s, mediaFlow.Reverse(), 7, video.NewDecoder(), netem.ReceiverFunc(func(p *netem.Packet) {
+		if fb, ok := p.Payload.(interface{ RawRTCP() []byte }); ok {
+			if n, err := packet.UnmarshalNACK(fb.RawRTCP()); err == nil {
+				nacks = append(nacks, n)
+			}
+		}
+	}))
+	const gaps = 12
+	var want []uint16
+	for seq := uint16(0); seq <= 20*gaps+1; seq++ {
+		if seq > 0 && seq%20 == 0 {
+			want = append(want, seq)
+			continue
+		}
+		p := netem.NewPacket()
+		p.Payload = &Payload{RTPSeq: seq, TWCCSeq: seq, FrameID: uint64(seq), FrameTot: 1}
+		r.Receive(p)
+	}
+	s.ScheduleAfter(20*time.Millisecond, r.sendNACKs)
+	s.Run()
+	if len(nacks) != 1 {
+		t.Fatalf("%d NACKs, want 1", len(nacks))
+	}
+	if !reflect.DeepEqual(nacks[0].Lost, want) {
+		t.Fatalf("NACK lists %v, want %v", nacks[0].Lost, want)
+	}
+}
+
 // nackHarness is a sender whose wire records a copy of every payload it
 // paces out and then releases the packet, as the delivery demux would.
 // Feedback and NACKs are handed to the sender by hand.
