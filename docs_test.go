@@ -15,7 +15,7 @@ var (
 	docLink     = regexp.MustCompile(`\]\(([^)\s#]+)[^)\s]*\)`)
 	docPath     = regexp.MustCompile(`^[\w.*/-]+$`)
 	docBareFile = regexp.MustCompile(`^[A-Za-z0-9][\w.*-]*\.(go|md|json|txt|yml)$`)
-	docCommand  = regexp.MustCompile(`\b(zhuge-(?:sim|bench|ap|lint|trace))((?:\s+[^\s|;&>#]+)*)`)
+	docCommand  = regexp.MustCompile(`\b(zhuge-(?:sim|bench|ap|trace))((?:\s+[^\s|;&>#]+)*)`)
 	docFlag     = regexp.MustCompile(`\s-([a-z][a-z0-9-]*)`)
 	flagDef     = regexp.MustCompile(`flag\.\w+\("([^"]+)"`)
 )
@@ -57,7 +57,7 @@ func TestDocsResolve(t *testing.T) {
 		return false
 	}
 	flags := map[string]map[string]bool{}
-	for _, cmd := range []string{"zhuge-sim", "zhuge-bench", "zhuge-ap", "zhuge-lint", "zhuge-trace"} {
+	for _, cmd := range []string{"zhuge-sim", "zhuge-bench", "zhuge-ap", "zhuge-trace"} {
 		src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestDocsResolve(t *testing.T) {
 // with the tree: every package directory directly under internal/ and
 // internal/transport/ must appear there as a backticked path, so adding or
 // deleting a package turns the table red instead of stale. Nested helper
-// directories (testdata, analysistest, goldengen) are covered by their
+// directories (testdata, goldengen) are covered by their
 // parents' rows.
 func TestInventoryListsEveryPackage(t *testing.T) {
 	raw, err := os.ReadFile("DESIGN.md")

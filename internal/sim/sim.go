@@ -423,7 +423,8 @@ func (s *Simulator) NewRand(label string) *rand.Rand {
 // deterministic RNG from (seed, label) for code that needs reproducible
 // randomness before (or without) a Simulator — trace generation, experiment
 // setup. It is one of the two functions allowed to call rand.NewSource;
-// the detrand analyzer (internal/analysis) flags every other call site.
+// the detrand rule (determinism_test.go at the module root) flags every
+// other call site.
 func LabeledRand(seed int64, label string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d/%s", seed, label)
