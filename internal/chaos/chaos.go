@@ -9,8 +9,10 @@
 // time-varying recovery figure across all solutions.
 //
 // The package owns the canonical solution lists (the comparison points of
-// the paper's figures) and the fault catalogue; internal/experiments
-// renders both into tables through the parallel cell runner.
+// the paper's figures) and the fault catalogue, which is a list of
+// Injector values. internal/experiments renders the matrix into tables
+// through the parallel cell runner; the paper's own microbenchmark figures
+// (14–17) sweep the solution lists there, outside the matrix.
 package chaos
 
 import "time"

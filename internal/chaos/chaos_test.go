@@ -19,10 +19,9 @@ var testPhases = Phases{
 }
 
 // buildCell assembles a phased path for one injector without running it.
-func buildCell(t *testing.T, sol SolutionSpec, f Fault) *scenario.Path {
+func buildCell(t *testing.T, sol SolutionSpec, inj Injector) *scenario.Path {
 	t.Helper()
-	rc := RunConfig{Seed: 1, Phases: testPhases, Cell: Cell{Sol: sol, Fault: f}}
-	inj := f.Injector()
+	rc := RunConfig{Seed: 1, Phases: testPhases, Cell: Cell{Sol: sol, Fault: inj}}
 	sp := rc.spec()
 	inj.Prepare(&sp, testPhases)
 	p := sp.Build()
@@ -46,7 +45,7 @@ func TestPhaseBoundaries(t *testing.T) {
 // TestStepLossFiresOnSchedule pins the fault window: loss is off through
 // the stabilise phase, armed during inject, and cleared for recover.
 func TestStepLossFiresOnSchedule(t *testing.T) {
-	p := buildCell(t, RTPSolutions[0], Fault{Family: "loss", Param: 0.5})
+	p := buildCell(t, RTPSolutions[0], StepLoss{Frac: 0.5})
 	eps := time.Millisecond
 	p.Run(testPhases.InjectStart() - eps)
 	if got := p.APs[0].Downlink.LossProb(); got != 0 {
@@ -65,7 +64,7 @@ func TestStepLossFiresOnSchedule(t *testing.T) {
 func TestLatencySpikeFiresOnSchedule(t *testing.T) {
 	// Dur longer than the inject window: the spike must still clear at
 	// inject end.
-	p := buildCell(t, RTPSolutions[0], Fault{Family: "spike", Param: 200, Dur: time.Hour})
+	p := buildCell(t, RTPSolutions[0], LatencySpike{Extra: 200 * time.Millisecond, Dur: time.Hour})
 	eps := time.Millisecond
 	p.Run(testPhases.InjectStart() - eps)
 	if got := p.WANDownLink().ExtraDelay(); got != 0 {
@@ -82,7 +81,7 @@ func TestLatencySpikeFiresOnSchedule(t *testing.T) {
 }
 
 func TestInterfererBurstFiresOnSchedule(t *testing.T) {
-	p := buildCell(t, RTPSolutions[0], Fault{Family: "burst", Param: 40})
+	p := buildCell(t, RTPSolutions[0], InterfererBurst{N: 40})
 	eps := time.Millisecond
 	p.Run(testPhases.InjectStart() + eps)
 	if got := p.APs[0].Downlink.Config().Interferers; got != 40 {
@@ -95,7 +94,7 @@ func TestInterfererBurstFiresOnSchedule(t *testing.T) {
 }
 
 func TestRateCollapseWindow(t *testing.T) {
-	p := buildCell(t, RTPSolutions[0], Fault{Family: "collapse", Param: 16})
+	p := buildCell(t, RTPSolutions[0], RateCollapse{Factor: 16})
 	base := p.APs[0].Downlink.CurrentRate(testPhases.InjectStart() - time.Millisecond)
 	mid := p.APs[0].Downlink.CurrentRate(testPhases.InjectStart() + testPhases.Inject/2)
 	after := p.APs[0].Downlink.CurrentRate(testPhases.InjectEnd() + time.Millisecond)
@@ -108,7 +107,7 @@ func TestRateCollapseWindow(t *testing.T) {
 }
 
 func TestAPRebootRoamsMeasuredStation(t *testing.T) {
-	p := buildCell(t, RTPSolutions[2], Fault{Family: "reboot"})
+	p := buildCell(t, RTPSolutions[2], APReboot{})
 	eps := time.Millisecond
 	st := p.Station(MeasuredStation)
 	p.Run(testPhases.InjectStart() - eps)
@@ -127,7 +126,7 @@ func TestAPRebootRoamsMeasuredStation(t *testing.T) {
 
 func TestRoamStormMovesAllStations(t *testing.T) {
 	n := 4
-	p := buildCell(t, RTPSolutions[0], Fault{Family: "roamstorm", Param: float64(n)})
+	p := buildCell(t, RTPSolutions[0], RoamStorm{N: n})
 	eps := time.Millisecond
 	p.Run(testPhases.InjectStart() + eps)
 	for i := 0; i < n; i++ {
@@ -248,10 +247,17 @@ func TestWindowQuantile(t *testing.T) {
 	}
 }
 
+// TestMatrixEnumeration pins the catalogue: 7 solutions × 15 faults, less
+// the three FastAck cells of the roam-shaped faults, and a golden subset
+// whose every label names exactly one catalogue entry.
 func TestMatrixEnumeration(t *testing.T) {
+	faults := PhasedFaults()
+	if len(faults) != 15 || len(Solutions()) != 7 {
+		t.Fatalf("catalogue has %d faults and %d solutions, want 15 and 7", len(faults), len(Solutions()))
+	}
 	cells := Cells()
-	if len(cells) < 48 {
-		t.Fatalf("matrix has %d cells, want >= 48", len(cells))
+	if len(cells) != 7*15-3 {
+		t.Fatalf("matrix has %d cells, want 102", len(cells))
 	}
 	seen := make(map[string]bool, len(cells))
 	for _, c := range cells {
@@ -260,13 +266,32 @@ func TestMatrixEnumeration(t *testing.T) {
 			t.Fatalf("duplicate cell %q", id)
 		}
 		seen[id] = true
-		if c.Sol.Sol == scenario.SolutionFastAck &&
-			(c.Fault.Family == "roamstorm" || c.Fault.Family == "reboot") {
+		if !c.Supported() {
 			t.Fatalf("unsupported cell enumerated: %q", id)
 		}
 	}
+	for _, f := range []Injector{RoamStorm{N: 8}, APReboot{}} {
+		if (Cell{Sol: TCPSolutions[1], Fault: f}).Supported() {
+			t.Fatalf("%s supported under %s", f.Fault(), TCPSolutions[1].Name)
+		}
+	}
+	for _, label := range goldenFaults {
+		n := 0
+		for _, f := range faults {
+			if f.Fault() == label {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("golden label %q names %d catalogue entries, want 1", label, n)
+		}
+	}
+	golden := GoldenCells()
+	if len(golden) != 7*len(goldenFaults)-1 {
+		t.Fatalf("golden subset has %d cells, want %d", len(golden), 7*len(goldenFaults)-1)
+	}
 	// Golden subset is a subset of the full matrix.
-	for _, c := range GoldenCells() {
+	for _, c := range golden {
 		if !seen[c.ID()] {
 			t.Fatalf("golden cell %q not in the full matrix", c.ID())
 		}
@@ -274,7 +299,7 @@ func TestMatrixEnumeration(t *testing.T) {
 	// Every solution appears in the golden subset.
 	for _, s := range Solutions() {
 		found := false
-		for _, c := range GoldenCells() {
+		for _, c := range golden {
 			if c.Sol.Name == s.Name {
 				found = true
 				break
@@ -308,25 +333,6 @@ func TestFilterCells(t *testing.T) {
 	}
 }
 
-func TestFigureCellsOrder(t *testing.T) {
-	cells := FigureCells("abw-drop", "rtp")
-	if len(cells) != len(RTPSolutions)*len(DropFactors) {
-		t.Fatalf("fig14 grid has %d cells", len(cells))
-	}
-	// Solutions outer, factors inner — the hand-written loop order the
-	// golden tables pin.
-	if cells[0].Sol.Name != RTPSolutions[0].Name || cells[0].Fault.Param != DropFactors[0] {
-		t.Fatalf("first cell %q", cells[0].ID())
-	}
-	if cells[1].Sol.Name != RTPSolutions[0].Name || cells[1].Fault.Param != DropFactors[1] {
-		t.Fatalf("second cell %q", cells[1].ID())
-	}
-	last := cells[len(cells)-1]
-	if last.Sol.Name != RTPSolutions[len(RTPSolutions)-1].Name {
-		t.Fatalf("last cell %q", last.ID())
-	}
-}
-
 // TestRunPhasedDeterministic pins that a cell is a pure function of its
 // RunConfig: two runs give identical results.
 func TestRunPhasedDeterministic(t *testing.T) {
@@ -334,7 +340,7 @@ func TestRunPhasedDeterministic(t *testing.T) {
 		t.Skip("simulation run")
 	}
 	ph := Phases{Stabilise: 2 * time.Second, Inject: time.Second, Recover: 2 * time.Second}
-	cell := Cell{Sol: RTPSolutions[2], Fault: Fault{Family: "loss", Label: "loss-50%", Param: 0.5}}
+	cell := Cell{Sol: RTPSolutions[2], Fault: StepLoss{Frac: 0.5}}
 	a := RunPhased(RunConfig{Seed: 7, Phases: ph, Cell: cell})
 	b := RunPhased(RunConfig{Seed: 7, Phases: ph, Cell: cell})
 	if a != b {

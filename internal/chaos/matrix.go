@@ -1,7 +1,7 @@
 package chaos
 
 import (
-	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -43,118 +43,48 @@ func Solutions() []SolutionSpec {
 	return out
 }
 
-// Fault is one catalogue entry: a family plus its parameter. Param's
-// meaning is family-specific (loss fraction, extra-delay ms, interferer
-// count, collapse factor, storm size, drop factor, flow count).
-type Fault struct {
-	Family string
-	Label  string
-	Param  float64
-	Dur    time.Duration // spike only: how long the spike lasts
-}
-
-// Injector builds the runnable injector for a phased fault.
-func (f Fault) Injector() Injector {
-	switch f.Family {
-	case "loss":
-		return StepLoss{Frac: f.Param}
-	case "spike":
-		return LatencySpike{Extra: time.Duration(f.Param) * time.Millisecond, Dur: f.Dur}
-	case "burst":
-		return InterfererBurst{N: int(f.Param)}
-	case "collapse":
-		return RateCollapse{Factor: f.Param}
-	case "roamstorm":
-		return RoamStorm{N: int(f.Param)}
-	case "reboot":
-		return APReboot{}
-	}
-	panic(fmt.Sprintf("chaos: fault family %q has no injector", f.Family))
-}
-
 // PhasedFaults is the fault catalogue of the chaos matrix: every entry is
 // armed for the inject window of a stabilise→inject→recover run.
-func PhasedFaults() []Fault {
-	var fs []Fault
-	for _, p := range []float64{2, 10, 25, 50, 100} {
-		fs = append(fs, Fault{Family: "loss", Label: fmt.Sprintf("loss-%g%%", p), Param: p / 100})
+func PhasedFaults() []Injector {
+	const spike = 200 * time.Millisecond
+	return []Injector{
+		StepLoss{Frac: 0.02}, StepLoss{Frac: 0.10}, StepLoss{Frac: 0.25}, StepLoss{Frac: 0.50}, StepLoss{Frac: 1},
+		LatencySpike{Extra: spike, Dur: 100 * time.Millisecond},
+		LatencySpike{Extra: spike, Dur: time.Second},
+		LatencySpike{Extra: spike, Dur: 5 * time.Second},
+		InterfererBurst{N: 10}, InterfererBurst{N: 40},
+		RateCollapse{Factor: 4}, RateCollapse{Factor: 16},
+		RoamStorm{N: 8}, RoamStorm{N: 32},
+		APReboot{},
 	}
-	for _, d := range []time.Duration{100 * time.Millisecond, time.Second, 5 * time.Second} {
-		fs = append(fs, Fault{Family: "spike", Label: "spike-" + d.String(), Param: 200, Dur: d})
-	}
-	for _, n := range []int{10, 40} {
-		fs = append(fs, Fault{Family: "burst", Label: fmt.Sprintf("burst-%d", n), Param: float64(n)})
-	}
-	for _, f := range []float64{4, 16} {
-		fs = append(fs, Fault{Family: "collapse", Label: fmt.Sprintf("collapse-%gx", f), Param: f})
-	}
-	for _, n := range []int{8, 32} {
-		fs = append(fs, Fault{Family: "roamstorm", Label: fmt.Sprintf("storm-%d", n), Param: float64(n)})
-	}
-	fs = append(fs, Fault{Family: "reboot", Label: "reboot"})
-	return fs
-}
-
-// DropFactors are the bandwidth-reduction factors of Figures 4/14/15.
-var DropFactors = []float64{2, 5, 10, 20, 50}
-
-// CompetitionCounts are the CUBIC competitor counts of Figure 16.
-var CompetitionCounts = []int{0, 10, 20, 30, 40}
-
-// InterferenceCounts are the contending-station counts of Figure 17.
-var InterferenceCounts = []int{0, 5, 10, 20, 30, 40}
-
-// FigureFaults enumerates a legacy single-fault sweep (the microbenchmark
-// figures) as matrix data.
-func FigureFaults(family string) []Fault {
-	var fs []Fault
-	switch family {
-	case "abw-drop":
-		for _, k := range DropFactors {
-			fs = append(fs, Fault{Family: family, Label: fmt.Sprintf("drop-%.0fx", k), Param: k})
-		}
-	case "competition":
-		for _, n := range CompetitionCounts {
-			fs = append(fs, Fault{Family: family, Label: fmt.Sprintf("flows-%d", n), Param: float64(n)})
-		}
-	case "interference":
-		for _, n := range InterferenceCounts {
-			fs = append(fs, Fault{Family: family, Label: fmt.Sprintf("intf-%d", n), Param: float64(n)})
-		}
-	default:
-		panic(fmt.Sprintf("chaos: unknown figure family %q", family))
-	}
-	return fs
 }
 
 // Cell is one matrix entry: a solution under a fault.
 type Cell struct {
 	Sol   SolutionSpec
-	Fault Fault
+	Fault Injector
 }
 
 // ID names the cell for filters and logs, e.g. "rtp/Gcc+Zhuge/loss-50%".
 func (c Cell) ID() string {
-	return c.Sol.Transport + "/" + c.Sol.Name + "/" + c.Fault.Label
+	return c.Sol.Transport + "/" + c.Sol.Name + "/" + c.Fault.Fault()
 }
 
 // Supported reports whether the combination can run: FastAck APs cannot be
 // handover endpoints, so the roam-shaped faults skip them.
 func (c Cell) Supported() bool {
-	if c.Sol.Sol == scenario.SolutionFastAck {
-		switch c.Fault.Family {
-		case "roamstorm", "reboot":
-			return false
-		}
+	switch c.Fault.(type) {
+	case RoamStorm, APReboot:
+		return c.Sol.Sol != scenario.SolutionFastAck
 	}
 	return true
 }
 
-// enumerate builds solutions × faults in deterministic order (solutions
-// outer, faults inner), dropping unsupported combinations.
-func enumerate(sols []SolutionSpec, faults []Fault) []Cell {
+// enumerate builds every solution × faults in deterministic order
+// (solutions outer, faults inner), dropping unsupported combinations.
+func enumerate(faults []Injector) []Cell {
 	var cells []Cell
-	for _, s := range sols {
+	for _, s := range Solutions() {
 		for _, f := range faults {
 			c := Cell{Sol: s, Fault: f}
 			if c.Supported() {
@@ -168,33 +98,23 @@ func enumerate(sols []SolutionSpec, faults []Fault) []Cell {
 // Cells enumerates the full phased chaos matrix: every solution of both
 // transports under every catalogue fault.
 func Cells() []Cell {
-	return enumerate(Solutions(), PhasedFaults())
+	return enumerate(PhasedFaults())
 }
 
-// FigureCells enumerates a legacy microbenchmark figure as matrix cells
-// (same solution-outer, parameter-inner order the hand-written loops had).
-func FigureCells(family, transport string) []Cell {
-	sols := RTPSolutions
-	if transport == "tcp" {
-		sols = TCPSolutions
-	}
-	return enumerate(sols, FigureFaults(family))
-}
+// goldenFaults labels the catalogue entries of the golden subset: one
+// fault per disturbance shape.
+var goldenFaults = []string{"loss-50%", "spike-1s", "collapse-16x", "storm-8"}
 
 // GoldenCells is the pinned representative subset the golden-gated
-// chaos-matrix experiment runs: one fault per disturbance shape, every
-// solution.
+// chaos-matrix experiment runs: the goldenFaults under every solution.
 func GoldenCells() []Cell {
-	keep := map[string]bool{
-		"loss-50%": true, "spike-1s": true, "collapse-16x": true, "storm-8": true,
-	}
-	var faults []Fault
+	var faults []Injector
 	for _, f := range PhasedFaults() {
-		if keep[f.Label] {
+		if slices.Contains(goldenFaults, f.Fault()) {
 			faults = append(faults, f)
 		}
 	}
-	return enumerate(Solutions(), faults)
+	return enumerate(faults)
 }
 
 // FilterCells keeps cells whose ID contains any of the comma-separated

@@ -64,7 +64,7 @@ func (rc RunConfig) spec() scenario.Spec {
 // flow's target-rate series.
 func RunPhased(rc RunConfig) Result {
 	ph := rc.Phases
-	inj := rc.Cell.Fault.Injector()
+	inj := rc.Cell.Fault
 	sp := rc.spec()
 	inj.Prepare(&sp, ph)
 	p := sp.Build()

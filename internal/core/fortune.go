@@ -135,11 +135,6 @@ type FortuneTeller struct {
 	predictions *obs.Counter
 	cacheHits   *obs.Counter
 	tr          *obs.Tracer
-
-	// onEnqueue receives every enqueue observation the Fortune Teller sees
-	// as the AP's wireless.Observer — the single arrival-side entry point
-	// the AP hooks its in-band fortune recording into.
-	onEnqueue func(now sim.Time, p *netem.Packet, accepted bool)
 }
 
 type cachedPrediction struct {
@@ -180,21 +175,9 @@ func (f *FortuneTeller) SetObs(o *obs.Obs) {
 	}
 }
 
-// SetEnqueueHook registers the function that receives every enqueue
-// observation. The AP routes its in-band fortune recording through here so
-// arrival-side observation has exactly one entry point.
-func (f *FortuneTeller) SetEnqueueHook(hook func(now sim.Time, p *netem.Packet, accepted bool)) {
-	f.onEnqueue = hook
-}
-
-// OnEnqueue implements wireless.Observer. The Fortune Teller itself needs
-// no arrival-side state (predictions are pulled by the AP before it
-// enqueues); the event is forwarded to the registered hook.
-func (f *FortuneTeller) OnEnqueue(now sim.Time, p *netem.Packet, accepted bool) {
-	if f.onEnqueue != nil {
-		f.onEnqueue(now, p, accepted)
-	}
-}
+// OnEnqueue implements wireless.Observer. The Fortune Teller needs no
+// arrival-side state: predictions are pulled by the AP before it enqueues.
+func (f *FortuneTeller) OnEnqueue(sim.Time, *netem.Packet, bool) {}
 
 // OnDequeue implements wireless.Observer: every packet pulled by the
 // wireless driver updates the rate, interval and burst estimators.

@@ -19,7 +19,9 @@ func newHandoverAP(s *sim.Simulator, label string, uplink netem.Receiver) *AP {
 	wl := wireless.NewLink(s, wireless.Config{
 		Rate: func(sim.Time) float64 { return 30e6 },
 	}, q, netem.Sink, s.NewRand(label+".wl"))
-	return NewAP(s, wl, uplink, s.NewRand(label), FortuneTellerConfig{})
+	ap := NewAP(s, q, wl, uplink, s.NewRand(label), FortuneTellerConfig{})
+	wl.AddObserver(ap)
+	return ap
 }
 
 func TestExportFlowDetachesAndReportsMode(t *testing.T) {

@@ -5,8 +5,8 @@ import (
 
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/obs"
+	"github.com/zhuge-project/zhuge/internal/queue"
 	"github.com/zhuge-project/zhuge/internal/sim"
-	"github.com/zhuge-project/zhuge/internal/wireless"
 )
 
 // Mode selects the Feedback Updater mechanism for a flow (§5.1, Table 2).
@@ -39,8 +39,8 @@ func (m Mode) String() string {
 // configurable IP list of the OpenWrt implementation (§7.1); everything
 // else is forwarded untouched.
 type AP struct {
-	s  Clock
-	wl *wireless.Link
+	s    Clock
+	down netem.Receiver
 
 	ft  *FortuneTeller
 	oob *OOBUpdater
@@ -55,31 +55,28 @@ type AP struct {
 	lt *obs.LoopTracker
 }
 
-// NewAP builds a Zhuge AP around an existing wireless downlink. uplinkOut
-// is the next hop toward the servers (the AP's Ethernet uplink). rng drives
-// the delta-distribution sampling of the out-of-band updater.
-func NewAP(s Clock, wl *wireless.Link, uplinkOut netem.Receiver, rng *rand.Rand, ftCfg FortuneTellerConfig) *AP {
-	ft := NewFortuneTeller(wl.Queue(), ftCfg)
-	wl.AddObserver(ft)
-	ap := &AP{
+// NewAP builds a Zhuge AP in front of a downlink: q is the downlink's
+// queue and down the link itself, which must report its queue events to
+// the AP (register the AP as the link's observer). uplinkOut is the next
+// hop toward the servers (the AP's Ethernet uplink). rng drives the
+// delta-distribution sampling of the out-of-band updater.
+func NewAP(s Clock, q queue.Qdisc, down, uplinkOut netem.Receiver, rng *rand.Rand, ftCfg FortuneTellerConfig) *AP {
+	return &AP{
 		s:         s,
-		wl:        wl,
-		ft:        ft,
+		down:      down,
+		ft:        NewFortuneTeller(q, ftCfg),
 		oob:       NewOOBUpdater(s, uplinkOut, rng, ftCfg.Window),
 		ib:        NewInbandUpdater(s, uplinkOut, ftCfg.Window),
 		rtc:       make(map[netem.FlowKey]Mode),
 		uplinkOut: uplinkOut,
 	}
-	// The AP observes enqueue outcomes through the Fortune Teller's hook
-	// (the datapath's single arrival-side observation point): in-band
-	// fortunes are only recorded for packets the queue accepted — a packet
-	// dropped at the AP must show up as lost in the constructed feedback,
-	// not as received with a predicted arrival.
-	ft.SetEnqueueHook(ap.onEnqueue)
-	return ap
 }
 
-func (ap *AP) onEnqueue(now sim.Time, p *netem.Packet, accepted bool) {
+// OnEnqueue implements wireless.Observer. In-band fortunes are only
+// recorded for packets the queue accepted: a packet dropped at the AP must
+// show up as lost in the constructed feedback, not as received with a
+// predicted arrival.
+func (ap *AP) OnEnqueue(now sim.Time, p *netem.Packet, accepted bool) {
 	if !accepted || p.Kind != netem.KindData {
 		return
 	}
@@ -87,6 +84,10 @@ func (ap *AP) onEnqueue(now sim.Time, p *netem.Packet, accepted bool) {
 		ap.ib.OnDataPacket(now, p.Flow, p, Prediction{Total: p.Predicted})
 	}
 }
+
+// OnDequeue implements wireless.Observer: departures feed the Fortune
+// Teller's estimators.
+func (ap *AP) OnDequeue(now sim.Time, p *netem.Packet) { ap.ft.OnDequeue(now, p) }
 
 // SetObs attaches the observability layer to the AP and every component
 // under it (Fortune Teller and both Feedback Updaters). Call before traffic
@@ -153,7 +154,7 @@ func (ap *AP) receiveDownlink(p *netem.Packet) {
 		// In-band fortunes are recorded by the enqueue observer, which
 		// knows whether the queue accepted the packet.
 	}
-	ap.wl.Receive(p)
+	ap.down.Receive(p)
 }
 
 func (ap *AP) receiveUplink(p *netem.Packet) {

@@ -31,7 +31,7 @@ func runChaosCells(cfg Config, t *Table, cells []chaos.Cell) {
 		c := cells[i]
 		r := chaos.RunPhased(chaos.RunConfig{Seed: cfg.Seed, Phases: ph, Cell: c, Obs: o})
 		return [][]string{{
-			c.Sol.Name, c.Sol.Transport, c.Fault.Label,
+			c.Sol.Name, c.Sol.Transport, c.Fault.Fault(),
 			pct(r.DipDepth), secs(r.Recross),
 			fmt.Sprintf("%.1f", r.PostP99), pct(r.RTTTail),
 		}}

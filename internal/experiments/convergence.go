@@ -16,9 +16,8 @@ import (
 	"github.com/zhuge-project/zhuge/internal/wireless"
 )
 
-// dropKs are the bandwidth-reduction factors swept in Figures 4/14/15; the
-// canonical list lives with the chaos matrix's fault catalogue.
-var dropKs = chaos.DropFactors
+// dropKs are the bandwidth-reduction factors swept in Figures 4/14/15.
+var dropKs = []float64{2, 5, 10, 20, 50}
 
 const (
 	dropWarmup = 15 * time.Second
@@ -67,22 +66,26 @@ func Fig4(cfg Config) *Table {
 		Header: []string{"cca", "qdisc", "k", "rttDegradation(s)", "rateReconverge(s)"},
 	}
 	type cell struct {
-		cca, qdisc string
-		k          float64
+		sol chaos.SolutionSpec
+		k   float64
 	}
 	var cells []cell
 	for _, ccaName := range []string{"cubic", "bbr", "copa", "gcc"} {
+		transport := "tcp"
+		if ccaName == "gcc" {
+			transport = "rtp"
+		}
 		for _, qd := range []string{"fifo", "codel"} {
 			for _, k := range dropKs {
-				cells = append(cells, cell{ccaName, qd, k})
+				cells = append(cells, cell{chaos.SolutionSpec{Transport: transport, CCA: ccaName, Qdisc: qd}, k})
 			}
 		}
 	}
 	runCells(cfg, t, len(cells), func(i int, o *obs.Obs) [][]string {
 		c := cells[i]
-		res := runDrop(cfg, o, c.cca, c.qdisc, scenario.SolutionNone, c.k)
+		res := runDrop(cfg, o, c.sol, c.k)
 		return [][]string{{
-			c.cca, c.qdisc, fmt.Sprintf("%.0fx", c.k),
+			c.sol.CCA, c.sol.Qdisc, fmt.Sprintf("%.0fx", c.k),
 			secs(degradationAfter(&res.RTTSeries, 200, dropWarmup)),
 			secs(degradationAfter(&res.RateSeries, 1.2*dropBase/c.k, dropWarmup)),
 		}}
@@ -90,18 +93,13 @@ func Fig4(cfg Config) *Table {
 	return t
 }
 
-// runDrop runs one bandwidth-drop microbenchmark: warm up at 30 Mbps, drop
-// to 30/k at dropWarmup, observe for dropTail. "gcc" names the RTP flow,
-// every other CCA a TCP one.
-func runDrop(cfg Config, o *obs.Obs, ccaName, qdisc string, sol scenario.Solution, k float64) result {
+// runDrop runs one bandwidth-drop microbenchmark (Figures 4/14/15): warm
+// up at 30 Mbps, drop to 30/k at dropWarmup, observe for dropTail.
+func runDrop(cfg Config, o *obs.Obs, sol chaos.SolutionSpec, k float64) result {
 	total := dropWarmup + cfg.dur(dropTail, 10*time.Second)
 	tr := trace.Step(fmt.Sprintf("drop%.0f", k), dropBase, dropBase/k, dropWarmup, total)
-	sp := oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr, Qdisc: qdisc, Solution: sol})
-	transport := "tcp"
-	if ccaName == "gcc" {
-		transport = "rtp"
-	}
-	return run(sp, transport, ccaName, total)
+	sp := oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr, Qdisc: sol.Qdisc, Solution: sol.Sol})
+	return run(sp, sol.Transport, sol.CCA, total)
 }
 
 // Fig7 reproduces the estimator illustration: how qLong and qShort react in

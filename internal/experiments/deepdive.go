@@ -8,7 +8,6 @@ import (
 	"github.com/zhuge-project/zhuge/internal/core"
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/obs"
-	"github.com/zhuge-project/zhuge/internal/parallel"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/trace"
 )
@@ -19,10 +18,10 @@ type predSample struct {
 	actual    time.Duration
 }
 
-// collectPredictions runs a Zhuge RTP flow on tr and harvests per-packet
-// prediction accuracy via the delivery tap.
-func collectPredictions(cfg Config, tr *trace.Trace, dur time.Duration, ftCfg core.FortuneTellerConfig) []predSample {
-	p := oneAP(cfg, nil, 0, scenario.APSpec{Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: ftCfg}).Build()
+// collectPredictions runs a Zhuge RTP flow on tr, observed by o, and
+// harvests per-packet prediction accuracy via the delivery tap.
+func collectPredictions(cfg Config, o *obs.Obs, tr *trace.Trace, dur time.Duration, ftCfg core.FortuneTellerConfig) []predSample {
+	p := oneAP(cfg, o, 0, scenario.APSpec{Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: ftCfg}).Build()
 	f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 	var samples []predSample
 	p.AddDeliveryTap(func(pkt *netem.Packet) {
@@ -66,29 +65,22 @@ func Fig19(cfg Config) *Table {
 		Title:  "Fortune Teller prediction accuracy",
 		Header: []string{"trace", "err.p50", "err.p90", "err.p99", "samples"},
 	}
-	type cellOut struct {
-		row     []string
-		samples []predSample
-	}
-	outs := parallel.Sweep(cfg.Workers, standardTraces(cfg, dur), func(tr *trace.Trace, _ int) cellOut {
-		samples := collectPredictions(cfg, tr, dur, core.FortuneTellerConfig{})
-		countCell()
-		p50, p90, p99 := absErrQuantiles(samples)
-		return cellOut{
-			row: []string{
-				tr.Name,
-				p50.Round(10 * time.Microsecond).String(),
-				p90.Round(10 * time.Microsecond).String(),
-				p99.Round(10 * time.Microsecond).String(),
-				fmt.Sprintf("%d", len(samples)),
-			},
-			samples: samples,
-		}
+	traces := standardTraces(cfg, dur)
+	samples := make([][]predSample, len(traces))
+	runCells(cfg, t, len(traces), func(i int, o *obs.Obs) [][]string {
+		samples[i] = collectPredictions(cfg, o, traces[i], dur, core.FortuneTellerConfig{})
+		p50, p90, p99 := absErrQuantiles(samples[i])
+		return [][]string{{
+			traces[i].Name,
+			p50.Round(10 * time.Microsecond).String(),
+			p90.Round(10 * time.Microsecond).String(),
+			p99.Round(10 * time.Microsecond).String(),
+			fmt.Sprintf("%d", len(samples[i])),
+		}}
 	})
 	var all []predSample
-	for _, o := range outs {
-		t.Rows = append(t.Rows, o.row)
-		all = append(all, o.samples...)
+	for _, s := range samples {
+		all = append(all, s...)
 	}
 
 	// Heatmap: rows = predicted bin, cols = real bin (normalised per row).
@@ -213,7 +205,7 @@ func AblationEstimators(cfg Config) *Table {
 	}
 	runCells(cfg, t, len(variants), func(i int, o *obs.Obs) [][]string {
 		v := variants[i]
-		samples := collectPredictions(cfg, tr, dur, v.ft)
+		samples := collectPredictions(cfg, nil, tr, dur, v.ft)
 		p50, p90, _ := absErrQuantiles(samples)
 		res := run(oneAP(cfg, o, 0, scenario.APSpec{Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: v.ft}), "rtp", "", dur)
 		return [][]string{{

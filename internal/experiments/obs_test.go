@@ -179,3 +179,35 @@ func TestRecordFailureGoesToStderr(t *testing.T) {
 		t.Errorf("stderr got %q, want the record warning", errOut)
 	}
 }
+
+// TestFig19RecordsEveryCell pins that Fig. 19 runs through runCells: with
+// Config.Obs set, each of its five trace cells is recorded, and the
+// recorded bundle is the one its Zhuge AP reported into.
+func TestFig19RecordsEveryCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	sweep := obs.NewSweep("")
+	Fig19(Config{Seed: 1, Scale: 0.02, Workers: 2, Obs: sweep})
+	var buf bytes.Buffer
+	if err := sweep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var cells []obs.SweepCell
+	if err := json.Unmarshal(buf.Bytes(), &cells); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, c := range cells {
+		if c.Experiment != "fig19" {
+			continue
+		}
+		n++
+		if c.Metrics.Counters["ft.predictions"] == 0 {
+			t.Errorf("fig19 cell %d recorded no Fortune Teller predictions", c.Cell)
+		}
+	}
+	if n != 5 {
+		t.Fatalf("recorded %d fig19 cells, want 5", n)
+	}
+}

@@ -96,15 +96,3 @@ func MapTimed(workers, n int, fn func(i int)) []time.Duration {
 	})
 	return elapsed
 }
-
-// Sweep runs fn over every item across at most workers goroutines and
-// returns the results in item order — the deterministic fan-out primitive
-// the experiment tables are built on. fn receives the item and its index;
-// results[i] always corresponds to items[i] regardless of execution order.
-func Sweep[T, R any](workers int, items []T, fn func(item T, i int) R) []R {
-	results := make([]R, len(items))
-	Map(workers, len(items), func(i int) {
-		results[i] = fn(items[i], i)
-	})
-	return results
-}

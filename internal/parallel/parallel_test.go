@@ -33,36 +33,6 @@ func TestMapZeroAndNegative(t *testing.T) {
 	}
 }
 
-func TestSweepPreservesOrder(t *testing.T) {
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i * 3
-	}
-	got := Sweep(8, items, func(item, i int) int {
-		if item != i*3 {
-			t.Errorf("item %d delivered to index %d", item, i)
-		}
-		return item * item
-	})
-	for i, v := range got {
-		if v != (i*3)*(i*3) {
-			t.Fatalf("results[%d] = %d, want %d", i, v, (i*3)*(i*3))
-		}
-	}
-}
-
-func TestSweepSequentialMatchesParallel(t *testing.T) {
-	items := []string{"a", "bb", "ccc", "dddd", "eeeee"}
-	fn := func(s string, i int) string { return strings.Repeat(s, i+1) }
-	seq := Sweep(1, items, fn)
-	par := Sweep(8, items, fn)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("index %d: sequential %q != parallel %q", i, seq[i], par[i])
-		}
-	}
-}
-
 func TestMapPanicAttribution(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		func() {

@@ -330,7 +330,8 @@ func (p *Path) buildAP(i int, as APSpec) {
 	switch as.Solution {
 	case SolutionZhuge:
 		// Fortune Teller + Feedback Updater on both directions.
-		pa.Zhuge = core.NewAP(p.S, pa.Downlink, pa.WANUp, p.S.NewRand(prefix+"zhuge"), as.FTConfig)
+		pa.Zhuge = core.NewAP(p.S, pa.Qdisc, pa.Downlink, pa.WANUp, p.S.NewRand(prefix+"zhuge"), as.FTConfig)
+		pa.Downlink.AddObserver(pa.Zhuge)
 		pa.Zhuge.OOB().SetOptions(as.OOB)
 		pa.Zhuge.SetObs(p.Spec.Obs)
 		pa.DownIn, up = pa.Zhuge.DownlinkIn(), pa.Zhuge.UplinkIn()

@@ -276,7 +276,7 @@ func (l *Link) obsDeliver(now sim.Time, p *netem.Packet) {
 	}
 }
 
-// AddObserver registers an AP-datapath observer (e.g. the Fortune Teller).
+// AddObserver registers an AP-datapath observer (e.g. the Zhuge AP).
 func (l *Link) AddObserver(o Observer) { l.observers = append(l.observers, o) }
 
 // Channel returns the shared medium the link currently contends on (nil if
