@@ -1,6 +1,7 @@
 package zhuge
 
 import (
+	"bytes"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -135,6 +136,75 @@ func TestInventoryListsEveryPackage(t *testing.T) {
 			}
 			if !strings.Contains(inventory, "`"+pkg+"`") {
 				t.Errorf("DESIGN.md's system inventory does not list `%s`", pkg)
+			}
+		}
+	}
+}
+
+var (
+	ciProbe   = regexp.MustCompile(`(?m)^\s*probe\s+(.*)$`)
+	shellWord = regexp.MustCompile(`'[^']*'|\S+`)
+	runFlag   = regexp.MustCompile(`-run\s+(\S+)`)
+)
+
+// TestCIProbesNameLiveTests keeps CI's seeded probes pointed at code that
+// exists. Deleting or renaming a test a probe runs would otherwise break
+// only CI. For every `probe` row of .github/workflows/ci.yml, each test a
+// `-run` pattern names must be declared as `func <Test>(` in a _test.go
+// file of the package the probe tests (the row's fifth argument, or else
+// the edited file's directory), and the probe's ID must appear in
+// LINTING.md, which describes it.
+func TestCIProbesNameLiveTests(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	linting, err := os.ReadFile("LINTING.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := ciProbe.FindAllStringSubmatch(string(ci), -1)
+	if len(rows) == 0 {
+		t.Fatal("ci.yml has no probe rows")
+	}
+	for _, row := range rows {
+		var args []string
+		for _, w := range shellWord.FindAllString(row[1], -1) {
+			args = append(args, strings.Trim(w, "'"))
+		}
+		if len(args) < 4 {
+			t.Errorf("probe row %q has %d arguments, want at least 4", row[1], len(args))
+			continue
+		}
+		id := args[0]
+		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(id) + `\b`).Match(linting) {
+			t.Errorf("probe %s is not described in LINTING.md", id)
+		}
+		pkg := filepath.Dir(args[2])
+		if len(args) > 4 && args[4] != "" {
+			pkg = args[4]
+		}
+		if len(args) < 6 {
+			continue
+		}
+		m := runFlag.FindStringSubmatch(args[5])
+		if m == nil {
+			continue
+		}
+		files, _ := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		var src []byte
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src = append(src, b...)
+		}
+		top, _, _ := strings.Cut(m[1], "/")
+		for _, name := range strings.Split(top, "|") {
+			name = strings.Trim(name, "^$()")
+			if !bytes.Contains(src, []byte("func "+name+"(")) {
+				t.Errorf("probe %s runs -run %s, but no _test.go file in %s declares func %s(", id, m[1], pkg, name)
 			}
 		}
 	}

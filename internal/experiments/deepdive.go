@@ -19,13 +19,14 @@ type predSample struct {
 }
 
 // collectPredictions runs a Zhuge RTP flow on tr, observed by o, and
-// harvests per-packet prediction accuracy via the delivery tap.
-func collectPredictions(cfg Config, o *obs.Obs, tr *trace.Trace, dur time.Duration, ftCfg core.FortuneTellerConfig) []predSample {
+// harvests per-packet prediction accuracy via the delivery tap, next to the
+// flow's own result.
+func collectPredictions(cfg Config, o *obs.Obs, tr *trace.Trace, dur time.Duration, ftCfg core.FortuneTellerConfig) ([]predSample, result) {
 	p := oneAP(cfg, o, 0, scenario.APSpec{Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: ftCfg}).Build()
-	f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
+	f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"})
 	var samples []predSample
 	p.AddDeliveryTap(func(pkt *netem.Packet) {
-		if pkt.Flow == f.Flow && pkt.Kind == netem.KindData && pkt.APArrival > 0 {
+		if pkt.Flow == f.RTP.Flow && pkt.Kind == netem.KindData && pkt.APArrival > 0 {
 			samples = append(samples, predSample{
 				predicted: pkt.Predicted,
 				actual:    p.S.Now() - pkt.APArrival,
@@ -33,7 +34,7 @@ func collectPredictions(cfg Config, o *obs.Obs, tr *trace.Trace, dur time.Durati
 		}
 	})
 	p.Run(dur)
-	return samples
+	return samples, result{f.Metrics(), dur}
 }
 
 func absErrQuantiles(samples []predSample) (p50, p90, p99 time.Duration) {
@@ -68,7 +69,7 @@ func Fig19(cfg Config) *Table {
 	traces := standardTraces(cfg, dur)
 	samples := make([][]predSample, len(traces))
 	runCells(cfg, t, len(traces), func(i int, o *obs.Obs) [][]string {
-		samples[i] = collectPredictions(cfg, o, traces[i], dur, core.FortuneTellerConfig{})
+		samples[i], _ = collectPredictions(cfg, o, traces[i], dur, core.FortuneTellerConfig{})
 		p50, p90, p99 := absErrQuantiles(samples[i])
 		return [][]string{{
 			traces[i].Name,
@@ -205,9 +206,8 @@ func AblationEstimators(cfg Config) *Table {
 	}
 	runCells(cfg, t, len(variants), func(i int, o *obs.Obs) [][]string {
 		v := variants[i]
-		samples := collectPredictions(cfg, nil, tr, dur, v.ft)
+		samples, res := collectPredictions(cfg, o, tr, dur, v.ft)
 		p50, p90, _ := absErrQuantiles(samples)
-		res := run(oneAP(cfg, o, 0, scenario.APSpec{Trace: tr, Solution: scenario.SolutionZhuge, FTConfig: v.ft}), "rtp", "", dur)
 		return [][]string{{
 			v.name,
 			p50.Round(10 * time.Microsecond).String(),

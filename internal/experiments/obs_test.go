@@ -27,10 +27,7 @@ func goldenSweep(t *testing.T, workers int, dir string) (jsonl [][]byte, sweep *
 	jsonl = make([][]byte, n)
 	runCells(cfg, tab, n, func(i int, o *obs.Obs) [][]string {
 		tr := trace.Constant("golden", 10e6, 5*time.Second)
-		p := scenario.NewPath(scenario.Options{
-			Obs: o, Seed: cfg.Seed + int64(i), Trace: tr,
-			Solution: scenario.SolutionZhuge,
-		})
+		p := oneAP(Config{Seed: cfg.Seed + int64(i)}, o, 0, scenario.APSpec{Trace: tr, Solution: scenario.SolutionZhuge}).Build()
 		p.AddFlow(scenario.FlowSpec{Kind: "rtp"})
 		p.Run(5 * time.Second)
 		var buf bytes.Buffer
