@@ -458,7 +458,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 	runCell := func(seed int64) float64 {
 		dur := 2 * time.Second
 		tr := trace.Constant("bench", 20e6, dur)
-		p := scenario.NewPath(scenario.Options{Seed: seed, Trace: tr})
+		p := scenario.Spec{Seed: seed, APs: []scenario.APSpec{{Trace: tr}}}.Build()
 		f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 		p.Run(dur)
 		return f.Metrics.DeliveredBytes
@@ -532,9 +532,9 @@ func BenchmarkObsDatapath(b *testing.B) {
 		dur := 2 * time.Second
 		for i := 0; i < b.N; i++ {
 			tr := trace.Constant("obs-bench", 20e6, dur)
-			p := scenario.NewPath(scenario.Options{
-				Seed: 1, Trace: tr, Solution: scenario.SolutionZhuge, Obs: mk(),
-			})
+			p := scenario.Spec{Seed: 1, Obs: mk(), APs: []scenario.APSpec{{
+				Trace: tr, Solution: scenario.SolutionZhuge,
+			}}}.Build()
 			f := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).RTP
 			p.Run(dur)
 			if f.Metrics.DeliveredBytes <= 0 {

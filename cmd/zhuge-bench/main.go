@@ -38,7 +38,6 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "duration scale factor")
 		seed    = flag.Int64("seed", 1, "root random seed")
 		workers = flag.Int("j", runtime.NumCPU(), "worker count for parallel cells (1 = sequential)")
-		shards  = flag.Int("shards", 0, "pin sharded experiments (campus-sharded) to one shard count (0 = sweep 1/2/4; output is identical at any value)")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 		format  = flag.String("format", "table", "output format: table|csv")
 		outDir  = flag.String("o", "", "write each table to <dir>/<id>.<ext> instead of stdout")
@@ -72,7 +71,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: *workers, Shards: *shards}
+	cfg := experiments.Config{Seed: *seed, Scale: *scale, Workers: *workers}
 	if *metricsOut != "" || *traceDir != "" {
 		cfg.Obs = obs.NewSweep(*traceDir)
 	}

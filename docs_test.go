@@ -2,6 +2,7 @@ package zhuge
 
 import (
 	"bytes"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -142,10 +143,67 @@ func TestInventoryListsEveryPackage(t *testing.T) {
 }
 
 var (
-	ciProbe   = regexp.MustCompile(`(?m)^\s*probe\s+(.*)$`)
-	shellWord = regexp.MustCompile(`'[^']*'|\S+`)
-	runFlag   = regexp.MustCompile(`-run\s+(\S+)`)
+	ciProbe      = regexp.MustCompile(`(?m)^\s*probe\s+(.*)$`)
+	shellWord    = regexp.MustCompile(`'[^']*'|\S+`)
+	runFlag      = regexp.MustCompile(`-run\s+(\S+)`)
+	probeFinding = regexp.MustCompile(`^(\S+\.go):(\d+):\d+: `)
 )
+
+// sedSubsts splits a sed script of s/pattern/replacement/ commands,
+// separated by ";", into pattern and replacement pairs; ok is false for
+// any other script.
+func sedSubsts(script string) (subs [][2]string, ok bool) {
+	s := script
+	for {
+		s = strings.TrimLeft(s, " ;")
+		if s == "" {
+			return subs, true
+		}
+		if !strings.HasPrefix(s, "s/") {
+			return nil, false
+		}
+		s = s[2:]
+		var f [2]string
+		for i := range f {
+			end := 0
+			for ; end < len(s) && s[end] != '/'; end++ {
+				if s[end] == '\\' {
+					end++
+				}
+			}
+			if end >= len(s) {
+				return nil, false
+			}
+			f[i], s = s[:end], s[end+1:]
+		}
+		subs = append(subs, f)
+		s = strings.TrimLeft(s, "g")
+	}
+}
+
+// breToRE2 translates the basic regular expressions the probes' sed
+// addresses use into RE2: an escaped character is a literal (\t a tab), and
+// (, ), {, }, +, ? and |, plain characters in a BRE, are quoted.
+func breToRE2(bre string) string {
+	var b strings.Builder
+	for i := 0; i < len(bre); i++ {
+		switch c := bre[i]; {
+		case c == '\\' && i+1 < len(bre):
+			i++
+			switch bre[i] {
+			case 't':
+				b.WriteString(`\t`)
+			default:
+				b.WriteString(regexp.QuoteMeta(bre[i : i+1]))
+			}
+		case strings.IndexByte("(){}+?|", c) >= 0:
+			b.WriteString(`\` + string(c))
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
+}
 
 // TestCIProbesNameLiveTests keeps CI's seeded probes pointed at code that
 // exists. Deleting or renaming a test a probe runs would otherwise break
@@ -153,7 +211,11 @@ var (
 // `-run` pattern names must be declared as `func <Test>(` in a _test.go
 // file of the package the probe tests (the row's fifth argument, or else
 // the edited file's directory), and the probe's ID must appear in
-// LINTING.md, which describes it.
+// LINTING.md, which describes it. The edit must still apply where it was
+// meant to: each s/// address of the row's sed script, read as RE2, must
+// match exactly one line of the edited file, and an expected message of the
+// form path:line:col: must name that line (plus one per newline the
+// replacement inserts, since the finding sits on its last line).
 func TestCIProbesNameLiveTests(t *testing.T) {
 	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -180,6 +242,7 @@ func TestCIProbesNameLiveTests(t *testing.T) {
 		if !regexp.MustCompile(`\b` + regexp.QuoteMeta(id) + `\b`).Match(linting) {
 			t.Errorf("probe %s is not described in LINTING.md", id)
 		}
+		checkProbeEdit(t, id, args[1], args[2], args[3])
 		pkg := filepath.Dir(args[2])
 		if len(args) > 4 && args[4] != "" {
 			pkg = args[4]
@@ -206,6 +269,47 @@ func TestCIProbesNameLiveTests(t *testing.T) {
 			if !bytes.Contains(src, []byte("func "+name+"(")) {
 				t.Errorf("probe %s runs -run %s, but no _test.go file in %s declares func %s(", id, m[1], pkg, name)
 			}
+		}
+	}
+}
+
+// checkProbeEdit holds one probe row's sed script to the file it edits; see
+// TestCIProbesNameLiveTests.
+func checkProbeEdit(t *testing.T, id, message, file, script string) {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Errorf("probe %s edits %s: %v", id, file, err)
+		return
+	}
+	subs, ok := sedSubsts(script)
+	if !ok {
+		t.Errorf("probe %s: sed script %q is not a list of s/pattern/replacement/ commands", id, script)
+		return
+	}
+	lines := strings.Split(string(src), "\n")
+	for _, sub := range subs {
+		re, err := regexp.Compile(breToRE2(sub[0]))
+		if err != nil {
+			t.Errorf("probe %s: address %q: %v", id, sub[0], err)
+			continue
+		}
+		var at []int
+		for i, l := range lines {
+			if re.MatchString(l) {
+				at = append(at, i+1)
+			}
+		}
+		if len(at) != 1 {
+			t.Errorf("probe %s: address %q matches %d lines of %s %v, want exactly 1", id, sub[0], len(at), file, at)
+			continue
+		}
+		m := probeFinding.FindStringSubmatch(message)
+		if m == nil {
+			continue
+		}
+		if want := fmt.Sprintf("%s:%d", file, at[0]+strings.Count(sub[1], `\n`)); m[1]+":"+m[2] != want {
+			t.Errorf("probe %s expects %q, but its edit lands on %s", id, m[0], want)
 		}
 	}
 }

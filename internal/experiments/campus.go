@@ -46,11 +46,7 @@ func CampusSharded(cfg Config) *Table {
 			"decoded", "skipped", "delivered(MB)", "fingerprint"},
 	}
 
-	counts := []int{1, 2, 4}
-	if cfg.Shards > 0 {
-		counts = []int{cfg.Shards}
-	}
-	for _, shards := range counts {
+	for _, shards := range []int{1, 2, 4} {
 		for _, rebalance := range []bool{false, true} {
 			if shards == 1 && rebalance {
 				continue // one shard: nowhere to migrate to

@@ -24,8 +24,8 @@ func TestParallelismIsInvisible(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			seq := goldenTable(e, 1).String()
-			par := goldenTable(e, 8).String()
+			seq := goldenTable(e, 1, 1).String()
+			par := goldenTable(e, 1, 8).String()
 			if seq != par {
 				t.Errorf("rendered table differs between -j 1 and -j 8:\n--- j=1 ---\n%s\n--- j=8 ---\n%s", seq, par)
 			}

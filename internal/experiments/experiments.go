@@ -32,13 +32,6 @@ type Config struct {
 	// label), so the rendered tables are byte-identical at any setting.
 	Workers int
 
-	// Shards, when positive, pins the sharded experiments (campus-sharded)
-	// to one shard count instead of their default invariance sweep over
-	// {1, 2, 4}. Results are byte-identical at any setting — that is the
-	// sharded runtime's contract — so this only trades sweep coverage for
-	// wall-clock.
-	Shards int
-
 	// Obs optionally collects per-cell observability (metrics registry,
 	// prediction-error accounting, and — when its TraceDir is set — packet
 	// traces). Each cell gets its own Obs bundle, so the determinism

@@ -10,23 +10,23 @@ import (
 	"testing"
 )
 
-// goldenRuns holds each experiment's table at the golden configuration,
-// Config{Seed: 1, Scale: 0.02}, one entry per worker count.
-var goldenRuns sync.Map // "<id>/<workers>" → *goldenRun
+// goldenRuns holds each experiment's table at the golden scale, 0.02, one
+// entry per seed and worker count. Seed 1 is the golden configuration.
+var goldenRuns sync.Map // "<id>/<seed>/<workers>" → *goldenRun
 
 type goldenRun struct {
 	once sync.Once
 	tab  *Table
 }
 
-// goldenTable renders e at the golden configuration with the given workers.
-// Each configuration runs once per test binary: TestParallelismIsInvisible,
-// TestAllExperimentsProduceRows and TestBuilderPreservesSeedTables all read
-// the same tables, whichever of them asks first.
-func goldenTable(e Experiment, workers int) *Table {
-	v, _ := goldenRuns.LoadOrStore(fmt.Sprintf("%s/%d", e.ID, workers), new(goldenRun))
+// goldenTable renders e at the golden scale with the given seed and
+// workers. Each configuration runs once per test binary: the golden,
+// parallelism and table-shape tests, TestClaims and the table checks all
+// read the same tables, whichever of them asks first.
+func goldenTable(e Experiment, seed int64, workers int) *Table {
+	v, _ := goldenRuns.LoadOrStore(fmt.Sprintf("%s/%d/%d", e.ID, seed, workers), new(goldenRun))
 	r := v.(*goldenRun)
-	r.once.Do(func() { r.tab = e.Run(Config{Seed: 1, Scale: 0.02, Workers: workers}) })
+	r.once.Do(func() { r.tab = e.Run(Config{Seed: seed, Scale: 0.02, Workers: workers}) })
 	return r.tab
 }
 
@@ -62,7 +62,7 @@ func TestBuilderPreservesSeedTables(t *testing.T) {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
 			for _, workers := range []int{1, 8} {
-				sum := sha256.Sum256([]byte(goldenTable(e, workers).String()))
+				sum := sha256.Sum256([]byte(goldenTable(e, 1, workers).String()))
 				if got := hex.EncodeToString(sum[:]); got != want {
 					t.Errorf("fingerprint %s at -j %d, want %s; `zhuge-bench -exp %s -scale 0.02 -seed 1 -j %d` prints the table", got, workers, want, e.ID, workers)
 				}

@@ -20,7 +20,7 @@ func Example_quickstart() {
 	tr := trace.Generate(trace.RestaurantWiFi(), dur, rand.New(rand.NewSource(7)))
 
 	run := func(sol scenario.Solution) (rttTail, frameTail float64, p99 time.Duration) {
-		p := scenario.NewPath(scenario.Options{Seed: 7, Trace: tr, Solution: sol})
+		p := scenario.Spec{Seed: 7, APs: []scenario.APSpec{{Trace: tr, Solution: sol}}}.Build()
 		m := p.AddFlow(scenario.FlowSpec{Kind: "rtp"}).Metrics()
 		p.Run(dur)
 		return m.RTT.FractionAbove(200 * time.Millisecond),
@@ -154,7 +154,7 @@ func Example_cloudgaming() {
 		{"abc", scenario.SolutionABC, "abc"},
 		{"copa+zhuge", scenario.SolutionZhuge, "copa"},
 	} {
-		p := scenario.NewPath(scenario.Options{Seed: 5, Trace: tr, Solution: cfg.sol})
+		p := scenario.Spec{Seed: 5, APs: []scenario.APSpec{{Trace: tr, Solution: cfg.sol}}}.Build()
 		flow := p.AddFlow(scenario.FlowSpec{Kind: "tcp", CCA: cfg.cca, FPS: 60, MaxRate: 20e6}).TCP
 		p.Run(dur)
 

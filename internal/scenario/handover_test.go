@@ -173,7 +173,7 @@ func TestHandoverFastAckRejected(t *testing.T) {
 func TestReturnBaseMatchesDerivation(t *testing.T) {
 	tr := trace.Constant("c", 20e6, time.Second)
 
-	p := scenario.NewPath(scenario.Options{Seed: 1, Trace: tr})
+	p := scenario.Spec{Seed: 1, APs: []scenario.APSpec{{Trace: tr}}}.Build()
 	if got, want := p.ReturnBase(), 25*time.Millisecond+2*time.Millisecond; got != want {
 		t.Errorf("default ReturnBase = %v, want %v (WANRTT/2 + MaxAggAirtime/2)", got, want)
 	}

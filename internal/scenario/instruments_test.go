@@ -41,9 +41,9 @@ func TestEachInstrumentAlone(t *testing.T) {
 		t.Run(b.name, func(t *testing.T) {
 			for _, c := range cells {
 				o := obs.New(b.opts)
-				p := scenario.NewPath(scenario.Options{
-					Seed: 3, Trace: trace.Step("step", 20e6, 4e6, dur/2, dur), Solution: c.sol, Obs: o,
-				})
+				p := scenario.Spec{Seed: 3, Obs: o, APs: []scenario.APSpec{{
+					Trace: trace.Step("step", 20e6, 4e6, dur/2, dur), Solution: c.sol,
+				}}}.Build()
 				if o != nil {
 					obs.StartSampler(p.S, o.Series, o.Reg, 100*time.Millisecond)
 				}

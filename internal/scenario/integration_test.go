@@ -13,7 +13,7 @@ import (
 // a real path: the AP constructs feedback, absorbs the client's TWCC, the
 // sender's GCC keeps functioning, and the flow still recovers losses.
 func TestZhugeInbandFeedbackPath(t *testing.T) {
-	p := NewPath(Options{Seed: 2, Trace: dropTrace(), Solution: SolutionZhuge})
+	p := Spec{Seed: 2, APs: []APSpec{{Trace: dropTrace(), Solution: SolutionZhuge}}}.Build()
 	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.Run(15 * time.Second)
 
@@ -65,7 +65,7 @@ func TestZhugeWithFQCoDel(t *testing.T) {
 // not inflate steady-state RTT: on a constant-rate link, the mean extra ACK
 // delay stays small.
 func TestOOBAckDelayUnbiasedSteadyState(t *testing.T) {
-	p := NewPath(Options{Seed: 4, Trace: trace.Constant("c20", 20e6, 20*time.Second), Solution: SolutionZhuge})
+	p := Spec{Seed: 4, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 20*time.Second), Solution: SolutionZhuge}}}.Build()
 	f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 	p.Run(20 * time.Second)
 	acks, mean := p.APs[0].Zhuge.OOB().Stats(f.Flow)
@@ -84,7 +84,7 @@ func TestRTTMetricIdenticalDefinitionAcrossSolutions(t *testing.T) {
 	// On an uncongested path every solution must measure the same base RTT.
 	meds := map[Solution]time.Duration{}
 	for _, sol := range []Solution{SolutionNone, SolutionZhuge, SolutionFastAck} {
-		p := NewPath(Options{Seed: 6, Trace: trace.Constant("c50", 50e6, 5*time.Second), Solution: sol})
+		p := Spec{Seed: 6, APs: []APSpec{{Trace: trace.Constant("c50", 50e6, 5*time.Second), Solution: sol}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 		p.Run(5 * time.Second)
 		meds[sol] = f.Metrics.RTT.Quantile(0.5)
@@ -104,7 +104,7 @@ func TestRTTMetricIdenticalDefinitionAcrossSolutions(t *testing.T) {
 // TestMultipleZhugeFlowsIndependent checks per-flow updater state: two
 // optimized flows each get their own feedback and neither starves.
 func TestMultipleZhugeFlowsIndependent(t *testing.T) {
-	p := NewPath(Options{Seed: 8, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: SolutionZhuge})
+	p := Spec{Seed: 8, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: SolutionZhuge}}}.Build()
 	f1 := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	f2 := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.Run(10 * time.Second)
@@ -116,7 +116,7 @@ func TestMultipleZhugeFlowsIndependent(t *testing.T) {
 // TestDeliveryTapSeesEveryDataPacket ensures metric taps observe exactly
 // the packets delivered over the air.
 func TestDeliveryTapSeesEveryDataPacket(t *testing.T) {
-	p := NewPath(Options{Seed: 3, Trace: trace.Constant("c20", 20e6, 5*time.Second)})
+	p := Spec{Seed: 3, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 5*time.Second)}}}.Build()
 	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	var tapped int
 	p.AddDeliveryTap(func(pkt *netem.Packet) {
@@ -134,7 +134,7 @@ func TestDeliveryTapSeesEveryDataPacket(t *testing.T) {
 // end-to-end, with and without Zhuge.
 func TestNADAFlowRuns(t *testing.T) {
 	for _, sol := range []Solution{SolutionNone, SolutionZhuge} {
-		p := NewPath(Options{Seed: 12, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: sol})
+		p := Spec{Seed: 12, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: sol}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "rtp", CCA: "nada"}).RTP
 		p.Run(10 * time.Second)
 		if f.Sender.Controller().Name() != "nada" {
@@ -162,7 +162,7 @@ func TestQUICFlowRuns(t *testing.T) {
 		{SolutionNone, "pcc"},
 		{SolutionZhuge, "pcc"},
 	} {
-		p := NewPath(Options{Seed: 13, Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: cfg.sol})
+		p := Spec{Seed: 13, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 10*time.Second), Solution: cfg.sol}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "quic", CCA: cfg.cca}).QUIC
 		p.Run(10 * time.Second)
 		if f.Metrics.FrameDelay.Count() < 180 {
@@ -174,7 +174,7 @@ func TestQUICFlowRuns(t *testing.T) {
 // TestQUICZhugeReducesTail mirrors the TCP headline over QUIC.
 func TestQUICZhugeReducesTail(t *testing.T) {
 	run := func(sol Solution) float64 {
-		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol})
+		p := Spec{Seed: 42, APs: []APSpec{{Trace: dropTrace(), Solution: sol}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "quic", CCA: "copa"}).QUIC
 		p.Run(15 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)
@@ -199,7 +199,7 @@ func TestQUICZhugeReducesTail(t *testing.T) {
 func TestQUICFlowRecordsControlLoop(t *testing.T) {
 	for _, sol := range []Solution{SolutionNone, SolutionZhuge} {
 		o := obs.New(obs.Options{Loop: true})
-		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol, Obs: o})
+		p := Spec{Seed: 42, Obs: o, APs: []APSpec{{Trace: dropTrace(), Solution: sol}}}.Build()
 		p.AddFlow(FlowSpec{Kind: "quic", CCA: "copa"})
 		p.Run(15 * time.Second)
 		lt := o.ControlLoop()

@@ -24,7 +24,7 @@ func dropTrace() *trace.Trace {
 }
 
 func TestRTPFlowRunsOverPath(t *testing.T) {
-	p := NewPath(Options{Seed: 1, Trace: trace.Constant("c30", 30e6, 10*time.Second)})
+	p := Spec{Seed: 1, APs: []APSpec{{Trace: trace.Constant("c30", 30e6, 10*time.Second)}}}.Build()
 	f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 	p.Run(10 * time.Second)
 	if f.Decoder.Decoded < 200 {
@@ -40,7 +40,7 @@ func TestRTPFlowRunsOverPath(t *testing.T) {
 }
 
 func TestTCPVideoFlowRunsOverPath(t *testing.T) {
-	p := NewPath(Options{Seed: 1, Trace: trace.Constant("c30", 30e6, 10*time.Second)})
+	p := Spec{Seed: 1, APs: []APSpec{{Trace: trace.Constant("c30", 30e6, 10*time.Second)}}}.Build()
 	f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 	p.Run(10 * time.Second)
 	if f.Metrics.FrameDelay.Count() < 200 {
@@ -71,7 +71,7 @@ func TestZhugeReducesRTPTailLatency(t *testing.T) {
 
 func TestZhugeReducesTCPTailLatency(t *testing.T) {
 	run := func(sol Solution) float64 {
-		p := NewPath(Options{Seed: 42, Trace: dropTrace(), Solution: sol})
+		p := Spec{Seed: 42, APs: []APSpec{{Trace: dropTrace(), Solution: sol}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
 		p.Run(15 * time.Second)
 		return f.Metrics.RTT.FractionAbove(200 * time.Millisecond)
@@ -96,7 +96,7 @@ func TestABCAndFastAckRun(t *testing.T) {
 		{SolutionABC, "abc"},
 		{SolutionFastAck, "copa"},
 	} {
-		p := NewPath(Options{Seed: 7, Trace: trace.Constant("c20", 20e6, 8*time.Second), Solution: tc.sol})
+		p := Spec{Seed: 7, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 8*time.Second), Solution: tc.sol}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "tcp", CCA: tc.cca}).TCP
 		p.Run(8 * time.Second)
 		if f.Metrics.FrameDelay.Count() < 100 {
@@ -113,7 +113,7 @@ func TestABCAndFastAckRun(t *testing.T) {
 
 func TestCompetingBulkFlowDegradesRTC(t *testing.T) {
 	run := func(withBulk bool) float64 {
-		p := NewPath(Options{Seed: 5, Trace: trace.Constant("c20", 20e6, 10*time.Second)})
+		p := Spec{Seed: 5, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 10*time.Second)}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		if withBulk {
 			p.AddFlow(FlowSpec{Kind: "bulk", StartAt: time.Second})
@@ -132,7 +132,7 @@ func TestZhugeDoesNotHurtSteadyState(t *testing.T) {
 	// Figure 18(c)/Figure 20 property: on a stable link, Zhuge leaves the
 	// achieved media rate essentially unchanged.
 	run := func(sol Solution) float64 {
-		p := NewPath(Options{Seed: 9, Trace: trace.Constant("c20", 20e6, 20*time.Second), Solution: sol})
+		p := Spec{Seed: 9, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, 20*time.Second), Solution: sol}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		p.Run(20 * time.Second)
 		return f.Metrics.DeliveredBytes * 8 / 20
@@ -147,7 +147,7 @@ func TestZhugeDoesNotHurtSteadyState(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, int) {
-		p := NewPath(Options{Seed: 11, Trace: dropTrace(), Solution: SolutionZhuge})
+		p := Spec{Seed: 11, APs: []APSpec{{Trace: dropTrace(), Solution: SolutionZhuge}}}.Build()
 		f := p.AddFlow(FlowSpec{Kind: "rtp"}).RTP
 		p.Run(6 * time.Second)
 		return f.Metrics.RTT.Count(), f.Decoder.Decoded
@@ -179,7 +179,7 @@ func TestInterferersDegradePerformance(t *testing.T) {
 // ratio is the series' own. The bulk competitor carries no record.
 func TestAddFlowOneRecordPerKind(t *testing.T) {
 	const dur = 8 * time.Second
-	p := NewPath(Options{Seed: 3, Trace: trace.Constant("c40", 40e6, dur), Solution: SolutionZhuge})
+	p := Spec{Seed: 3, APs: []APSpec{{Trace: trace.Constant("c40", 40e6, dur), Solution: SolutionZhuge}}}.Build()
 	var built []*BuiltFlow
 	for _, kind := range []string{"rtp", "tcp", "quic", "bulk"} {
 		built = append(built, p.AddFlow(FlowSpec{Kind: kind}))
@@ -254,7 +254,7 @@ func TestUnknownCCAPanics(t *testing.T) {
 						msg = fmt.Sprint(r)
 					}
 				}()
-				p := NewPath(Options{Seed: 1, Trace: trace.Constant("c20", 20e6, time.Second)})
+				p := Spec{Seed: 1, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, time.Second)}}}.Build()
 				p.AddFlow(FlowSpec{Kind: kind, CCA: name})
 				return ""
 			}()
@@ -273,7 +273,7 @@ func TestFlowSpecVideoFieldsReachTheFlow(t *testing.T) {
 	const dur = 5 * time.Second
 	const startRate, maxRate = 300e3, 400e3
 	for _, kind := range []string{"rtp", "tcp", "quic"} {
-		p := NewPath(Options{Seed: 1, Trace: trace.Constant("c20", 20e6, dur)})
+		p := Spec{Seed: 1, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, dur)}}}.Build()
 		m := p.AddFlow(FlowSpec{Kind: kind, FPS: 60, StartRate: startRate, MaxRate: maxRate}).Metrics()
 		p.Run(dur)
 		if fps := float64(m.FrameDelay.Count()) / dur.Seconds(); fps < 55 || fps > 60 {
