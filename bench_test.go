@@ -166,6 +166,21 @@ func BenchmarkTable3ABCTraces(b *testing.B)   { runExperiment(b, "table3", nil) 
 func BenchmarkAblationEstimators(b *testing.B) { runExperiment(b, "ablation-estimators", nil) }
 func BenchmarkAblationFeedback(b *testing.B)   { runExperiment(b, "ablation-feedback", nil) }
 
+// BenchmarkSuite runs every experiment once per iteration at the golden
+// configuration (seed 1, scale 0.02) on one worker: the suite zhuge-bench
+// -exp all runs, without the fan-out. What it allocates depends on the host
+// only through sync.Pool misses, so its B/op and allocs/op settle a perf
+// claim the suite's noisy wall clock cannot, and CI bounds both.
+func BenchmarkSuite(b *testing.B) {
+	b.ReportAllocs()
+	cfg := experiments.Config{Seed: 1, Scale: 0.02, Workers: 1}
+	for i := 0; i < b.N; i++ {
+		for _, e := range experiments.All() {
+			e.Run(cfg)
+		}
+	}
+}
+
 // --- Figure 21: AP datapath CPU overhead ---------------------------------
 //
 // The paper measures CPU load of decade-old OpenWrt routers running 1-5
@@ -329,6 +344,11 @@ func BenchmarkSimulatorCore(b *testing.B) {
 		var at sim.Time
 		fn := func() {}
 		for i := 0; i < b.N; i++ {
+			// A retained timer stays registered while its simulator
+			// lives, so a fresh simulator every 4096 events bounds memory.
+			if i%4096 == 4095 {
+				s, at = sim.New(1), 0
+			}
 			at += time.Microsecond
 			s.At(at, fn)
 			s.Step()

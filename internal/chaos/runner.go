@@ -3,6 +3,7 @@ package chaos
 import (
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/trace"
@@ -70,13 +71,13 @@ func RunPhased(rc RunConfig) Result {
 	p := sp.Build()
 	inj.Arm(p, ph)
 	armPhaseObs(p, rc.Obs, ph)
-	p.Run(ph.End())
-
 	// The measured flow is the first declared one; storm flows follow it.
 	m := p.Flows[0].Metrics()
+	m.RTTSeries = new(metrics.Series)
+	p.Run(ph.End())
 	return Result{
 		Recovery: MeasureRecovery(&m.RateSeries, ph),
-		PostP99:  WindowQuantile(&m.RTTSeries, ph.InjectEnd(), ph.End(), 0.99),
+		PostP99:  WindowQuantile(m.RTTSeries, ph.InjectEnd(), ph.End(), 0.99),
 		RTTTail:  m.RTT.FractionAbove(200 * time.Millisecond),
 	}
 }

@@ -86,7 +86,7 @@ func Fig4(cfg Config) *Table {
 		res := runDrop(cfg, o, c.sol, c.k)
 		return [][]string{{
 			c.sol.CCA, c.sol.Qdisc, fmt.Sprintf("%.0fx", c.k),
-			secs(degradationAfter(&res.RTTSeries, 200, dropWarmup)),
+			secs(degradationAfter(res.RTTSeries, 200, dropWarmup)),
 			secs(degradationAfter(&res.RateSeries, 1.2*dropBase/c.k, dropWarmup)),
 		}}
 	})
@@ -98,8 +98,11 @@ func Fig4(cfg Config) *Table {
 func runDrop(cfg Config, o *obs.Obs, sol chaos.SolutionSpec, k float64) result {
 	total := dropWarmup + cfg.dur(dropTail, 10*time.Second)
 	tr := trace.Step(fmt.Sprintf("drop%.0f", k), dropBase, dropBase/k, dropWarmup, total)
-	sp := oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr, Qdisc: sol.Qdisc, Solution: sol.Sol})
-	return run(sp, sol.Transport, sol.CCA, total)
+	p := oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr, Qdisc: sol.Qdisc, Solution: sol.Sol}).Build()
+	m := p.AddFlow(scenario.FlowSpec{Kind: sol.Transport, CCA: sol.CCA}).Metrics()
+	m.RTTSeries = new(metrics.Series)
+	p.Run(total)
+	return result{m, total}
 }
 
 // Fig7 reproduces the estimator illustration: how qLong and qShort react in

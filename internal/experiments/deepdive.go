@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/core"
+	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
@@ -244,6 +245,7 @@ func AblationFeedback(cfg Config) *Table {
 		p := oneAP(cfg, o, 50*time.Millisecond, scenario.APSpec{Trace: tr,
 			Solution: scenario.SolutionZhuge, OOB: v.oob}).Build()
 		f := p.AddFlow(scenario.FlowSpec{Kind: "tcp", CCA: "copa"}).TCP
+		f.Metrics.RTTSeries = new(metrics.Series)
 		p.Run(total)
 		_, mean := p.APs[0].Zhuge.OOB().Stats(f.Flow)
 
@@ -259,7 +261,7 @@ func AblationFeedback(cfg Config) *Table {
 		return [][]string{{
 			v.name,
 			pct(f.Metrics.RTT.FractionAbove(rttThreshold)),
-			secs(degradationAfter(&f.Metrics.RTTSeries, 200, dropWarmup)),
+			secs(degradationAfter(f.Metrics.RTTSeries, 200, dropWarmup)),
 			mean.Round(10 * time.Microsecond).String(),
 			fmt.Sprintf("%.2f", sf.Metrics.DeliveredBytes*8/total.Seconds()/1e6),
 			steadyMean.Round(10 * time.Microsecond).String(),

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/chaos"
+	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/trace"
@@ -42,7 +43,7 @@ func dropFigure(cfg Config, id, title string, sols []chaos.SolutionSpec) *Table 
 		res := runDrop(cfg, o, sol, k)
 		return [][]string{{
 			sol.Name, fmt.Sprintf("%.0fx", k),
-			secs(degradationAfter(&res.RTTSeries, 200, dropWarmup)),
+			secs(degradationAfter(res.RTTSeries, 200, dropWarmup)),
 			secs(degradationAfter(&res.FrameDelaySeries, 400, dropWarmup)),
 			secs(degradationBelowAfter(res.FrameRateSeries(res.dur), lowFPS, dropWarmup)),
 		}}
@@ -74,6 +75,7 @@ func Fig16(cfg Config) *Table {
 		}
 		p := sp.Build()
 		f := p.Flows[0].RTP
+		f.Metrics.RTTSeries = new(metrics.Series)
 		p.Run(total)
 		fps := f.Decoder.FrameRateSeries(total)
 		// Competition is persistent, so "duration" here is cumulative

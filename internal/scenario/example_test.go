@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/scenario"
 	"github.com/zhuge-project/zhuge/internal/trace"
 )
@@ -156,6 +157,7 @@ func Example_cloudgaming() {
 	} {
 		p := scenario.Spec{Seed: 5, APs: []scenario.APSpec{{Trace: tr, Solution: cfg.sol}}}.Build()
 		flow := p.AddFlow(scenario.FlowSpec{Kind: "tcp", CCA: cfg.cca, FPS: 60, MaxRate: 20e6}).TCP
+		flow.Metrics.RTTSeries = new(metrics.Series) // the budget and recovery columns read it
 		p.Run(dur)
 
 		// The cloud-gaming delay budget from the paper's introduction.

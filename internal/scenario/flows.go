@@ -25,8 +25,10 @@ type FlowMetrics struct {
 	// for every solution, so Zhuge's deliberate ACK delays cannot skew
 	// the comparison.
 	RTT *metrics.Histogram
-	// RTTSeries records (time, RTT ms) for degradation-duration analysis.
-	RTTSeries metrics.Series
+	// RTTSeries records (time, RTT ms) per data packet for degradation
+	// analysis; nil, and recording nothing, unless its reader sets it
+	// before the run.
+	RTTSeries *metrics.Series
 	// RateSeries records (time, target rate bps) of the sender's CCA.
 	RateSeries metrics.Series
 	// DeliveredBytes is the total application payload delivered to the
@@ -46,7 +48,9 @@ func (p *Path) measure(flow netem.FlowKey, frames *video.FrameStats) *FlowMetric
 		now := p.S.Now()
 		rtt := now - pkt.SentAt + p.FlowReturnBase(flow)
 		m.RTT.Add(rtt)
-		m.RTTSeries.Add(now, float64(rtt.Milliseconds()))
+		if m.RTTSeries != nil {
+			m.RTTSeries.Add(now, float64(rtt.Milliseconds()))
+		}
 		m.DeliveredBytes += float64(pkt.Size)
 	})
 	return m

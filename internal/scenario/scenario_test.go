@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/trace"
 )
 
@@ -289,6 +290,28 @@ func TestFlowSpecVideoFieldsReachTheFlow(t *testing.T) {
 				t.Errorf("%s: rate %.0f at %v exceeds MaxRate", kind, pt.Value, pt.At)
 				break
 			}
+		}
+	}
+}
+
+// TestRTTSeriesOnlyOnRequest: the per-packet RTT series costs a point per
+// delivered data packet, so a flow records it only when its reader asked
+// before the run. Two flows share one path: the one nobody asked about
+// records no series, and the one asked about records a point for every RTT
+// sample its histogram took.
+func TestRTTSeriesOnlyOnRequest(t *testing.T) {
+	const dur = 3 * time.Second
+	for _, kind := range []string{"rtp", "tcp", "quic"} {
+		p := Spec{Seed: 1, APs: []APSpec{{Trace: trace.Constant("c20", 20e6, dur)}}}.Build()
+		quiet := p.AddFlow(FlowSpec{Kind: kind}).Metrics()
+		asked := p.AddFlow(FlowSpec{Kind: kind}).Metrics()
+		asked.RTTSeries = new(metrics.Series)
+		p.Run(dur)
+		if quiet.RTTSeries != nil || quiet.RTT.Count() == 0 {
+			t.Errorf("%s: unasked flow has series %v after %d RTT samples, want nil after some", kind, quiet.RTTSeries, quiet.RTT.Count())
+		}
+		if got, want := asked.RTTSeries.Len(), asked.RTT.Count(); uint64(got) != want || want == 0 {
+			t.Errorf("%s: asked flow recorded %d series points for %d RTT samples, want equal and nonzero", kind, got, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/zhuge-project/zhuge/internal/metrics"
 	"github.com/zhuge-project/zhuge/internal/obs"
 	"github.com/zhuge-project/zhuge/internal/shard"
 	"github.com/zhuge-project/zhuge/internal/sim"
@@ -187,6 +188,7 @@ func TestCrossShardHandover(t *testing.T) {
 		}
 		own := spd.Cell("east").Path.Station("roamer").Link()
 		visited := spd.Cell("west").Path.APs[0].Downlink
+		spd.Cell("east").Path.Flows[0].RTP.Metrics.RTTSeries = new(metrics.Series)
 		var at [3]delivered
 		for i, when := range []time.Duration{1500 * time.Millisecond, 2 * time.Second} {
 			spd.Cluster.At(when, func() { at[i] = delivered{own.Delivered(), visited.Delivered()} })

@@ -29,14 +29,14 @@ type Time = time.Duration
 // every send and ACK) is one timer Reset in place, not a new handle per move.
 // The handle-less Schedule/ScheduleAfter path recycles timers through a
 // per-simulator free list and runs allocation-free.
+// The event heap holds timer ids, not pointers. A retained timer keeps its
+// id and registry entry while the simulator lives; outside tests only
+// ackclock (two per sender) and Line (one per line) make them.
 type Timer struct {
-	at  Time
-	seq uint64
-	fn  func()
-	s   *Simulator
-	// slot is the timer's index in the event heap while it is queued there,
-	// and slotIdle otherwise: fired, stopped, or never armed.
-	slot     int
+	at       Time
+	fn       func()
+	s        *Simulator
+	id       int32
 	retained bool
 }
 
@@ -46,16 +46,17 @@ const slotIdle = -1
 func (t *Timer) At() Time { return t.at }
 
 // Pending reports whether the timer is armed and has not yet fired.
-func (t *Timer) Pending() bool { return t.slot != slotIdle }
+func (t *Timer) Pending() bool { return t.s.events.slot[t.id] != slotIdle }
 
 // Stop cancels the timer, taking it out of the event queue. Stopping a timer
 // that is not pending is a no-op. It reports whether the call prevented the
 // timer from firing.
 func (t *Timer) Stop() bool {
-	if t.slot == slotIdle {
+	i := t.s.events.slot[t.id]
+	if i == slotIdle {
 		return false
 	}
-	t.s.events.remove(t.slot)
+	t.s.events.remove(int(i))
 	return true
 }
 
@@ -74,19 +75,19 @@ func (t *Timer) Reset(at Time) {
 // arm queues the timer under k, re-keying it where it sits if it is queued
 // already. k.seq must be one the simulator has handed out.
 func (t *Timer) arm(k eventKey) {
-	t.at, t.seq = k.at, k.seq
-	if t.slot == slotIdle {
-		t.s.events.push(t)
+	t.at = k.at
+	if i := t.s.events.slot[t.id]; i == slotIdle {
+		t.s.events.push(t.id, k)
 	} else {
-		t.s.events.rekey(t.slot, k)
+		t.s.events.rekey(int(i), k)
 	}
 }
 
 // eventKey is the heap-ordering key, kept in a flat array separate from the
-// timers so sift comparisons touch only densely packed 16-byte keys instead
-// of chasing *Timer pointers. Ordering is strictly (at, seq): seq is unique
-// per simulator, so no two keys compare equal and ties between
-// same-timestamp events always resolve to scheduling order.
+// timer ids so sift comparisons touch only densely packed 16-byte keys.
+// Ordering is strictly (at, seq): seq is unique per simulator, so no two
+// keys compare equal and ties between same-timestamp events always resolve
+// to scheduling order.
 type eventKey struct {
 	at  Time
 	seq uint64
@@ -96,78 +97,78 @@ func (k eventKey) less(o eventKey) bool {
 	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
 }
 
-// eventQueue is a flat 4-ary min-heap over (key, timer) pairs stored in two
-// parallel slices: key[i] orders the heap, tm[i] is the timer it belongs to.
-// Compared with container/heap over []*Timer this removes the any-boxing of
-// Push/Pop, the Less/Swap interface dispatch per comparison, and the pointer
-// chase per comparison; the 4-ary layout halves the tree depth and keeps all
-// four children of a node inside one cache line of keys.
+// eventQueue is a flat 4-ary min-heap over (key, timer id) pairs stored in
+// two parallel slices: key[i] orders the heap, id[i] names the timer it
+// belongs to. Compared with container/heap over []*Timer this removes the
+// any-boxing of Push/Pop, the Less/Swap interface dispatch per comparison,
+// and the pointer chase per comparison; the 4-ary layout halves the tree
+// depth and keeps all four children of a node inside one cache line of
+// keys. No array holds a pointer, so sifts pay no GC write barrier.
 //
 // Children of node i are arity*i+1 ... arity*i+arity; parent is
 // (i-1)/arity. Invariants: key[parent] < key[child] for every edge (strict,
-// because seq is unique), and tm[i].slot == i for every i, so a timer can be
-// removed or re-keyed where it sits.
+// because seq is unique), and slot[id[i]] == i for every i, so a timer can
+// be removed or re-keyed where it sits; a timer not queued has slotIdle.
 type eventQueue struct {
-	key []eventKey
-	tm  []*Timer
+	key  []eventKey
+	id   []int32
+	slot []int32
 }
 
 const arity = 4
 
 func (q *eventQueue) len() int { return len(q.key) }
 
-func (q *eventQueue) push(t *Timer) {
+func (q *eventQueue) push(id int32, k eventKey) {
 	i := len(q.key)
-	q.key = append(q.key, eventKey{at: t.at, seq: t.seq})
-	q.tm = append(q.tm, t)
+	q.key = append(q.key, k)
+	q.id = append(q.id, id)
 	q.siftUp(i)
 }
 
 // siftUp moves the element at i toward the root until its parent is
 // smaller, shifting ancestors down into the hole instead of swapping.
 func (q *eventQueue) siftUp(i int) {
-	k, t := q.key[i], q.tm[i]
+	k, id := q.key[i], q.id[i]
 	for i > 0 {
 		p := (i - 1) / arity
 		if !k.less(q.key[p]) {
 			break
 		}
-		q.key[i], q.tm[i] = q.key[p], q.tm[p]
-		q.tm[i].slot = i
+		q.key[i], q.id[i] = q.key[p], q.id[p]
+		q.slot[q.id[i]] = int32(i)
 		i = p
 	}
-	q.key[i], q.tm[i] = k, t
-	t.slot = i
+	q.key[i], q.id[i] = k, id
+	q.slot[id] = int32(i)
 }
 
-// pop removes and returns the minimum-(at, seq) timer. It is remove(0),
-// written out for the event loop's hot path.
-func (q *eventQueue) pop() *Timer {
-	t := q.tm[0]
-	t.slot = slotIdle
+// pop removes and returns the id of the minimum-(at, seq) timer. It is
+// remove(0), written out for the event loop's hot path.
+func (q *eventQueue) pop() int32 {
+	id := q.id[0]
+	q.slot[id] = slotIdle
 	n := len(q.key) - 1
-	k, last := q.key[n], q.tm[n]
-	q.tm[n] = nil
+	k, last := q.key[n], q.id[n]
 	q.key = q.key[:n]
-	q.tm = q.tm[:n]
+	q.id = q.id[:n]
 	if n > 0 {
-		q.key[0], q.tm[0] = k, last
+		q.key[0], q.id[0] = k, last
 		q.siftDown(0)
 	}
-	return t
+	return id
 }
 
 // remove takes the timer at i out of the heap: the last element fills the
 // hole and sifts from there, up or down.
 func (q *eventQueue) remove(i int) {
-	q.tm[i].slot = slotIdle
+	q.slot[q.id[i]] = slotIdle
 	n := len(q.key) - 1
-	k, last := q.key[n], q.tm[n]
-	q.tm[n] = nil
+	k, last := q.key[n], q.id[n]
 	q.key = q.key[:n]
-	q.tm = q.tm[:n]
+	q.id = q.id[:n]
 	if i < n {
-		q.key[i], q.tm[i] = k, last
+		q.key[i], q.id[i] = k, last
 		q.fix(i)
 	}
 }
@@ -194,10 +195,10 @@ func (q *eventQueue) fix(i int) {
 // instead of reloading through the struct pointer. key[i] must not beat its
 // parent.
 func (q *eventQueue) siftDown(i int) {
-	key, tm := q.key, q.tm
+	key, ids, slot := q.key, q.id, q.slot
 	n := len(key)
 	top := i
-	k, t := key[i], tm[i]
+	k, id := key[i], ids[i]
 	// Sink the hole to a leaf along the minimum-child path without
 	// comparing k at each level (bottom-up heapsort variant): k usually
 	// came from the last position, so it almost always belongs near a
@@ -217,8 +218,8 @@ func (q *eventQueue) siftDown(i int) {
 				m, km = j, kj
 			}
 		}
-		key[i], tm[i] = km, tm[m]
-		tm[i].slot = i
+		key[i], ids[i] = km, ids[m]
+		slot[ids[i]] = int32(i)
 		i = m
 	}
 	// Bubble k back up from the leaf hole (usually zero or one step).
@@ -227,12 +228,12 @@ func (q *eventQueue) siftDown(i int) {
 		if !k.less(key[p]) {
 			break
 		}
-		key[i], tm[i] = key[p], tm[p]
-		tm[i].slot = i
+		key[i], ids[i] = key[p], ids[p]
+		slot[ids[i]] = int32(i)
 		i = p
 	}
-	key[i], tm[i] = k, t
-	t.slot = i
+	key[i], ids[i] = k, id
+	slot[id] = int32(i)
 }
 
 // Simulator owns the virtual clock and the pending event set.
@@ -245,12 +246,13 @@ type Simulator struct {
 	seed    int64
 	stopped bool
 
-	// free recycles handle-less timers popped from the event heap. Only
-	// timers created by Schedule/ScheduleAfter land here: nothing can hold
-	// a reference to them, so reuse is invisible. Retained timers (At/
+	timers []*Timer // timers[id], written once when the timer is made
+	// free holds the ids of handle-less timers popped from the event heap.
+	// Only timers created by Schedule/ScheduleAfter land here: nothing can
+	// hold a reference to them, so reuse is invisible. Retained timers (At/
 	// After/NewTimer) are never recycled — a caller's old handle must never
 	// alias a new event (see the Timer doc comment).
-	free []*Timer
+	free []int32
 }
 
 // New returns a simulator whose component RNGs derive from seed.
@@ -292,8 +294,14 @@ func (s *Simulator) After(d time.Duration, fn func()) *Timer {
 // NewTimer returns a retained timer for fn that is not armed: Reset arms it.
 // It takes no sequence number until then. A component that re-arms one
 // deadline for its whole life holds one of these, with fn bound once.
-func (s *Simulator) NewTimer(fn func()) *Timer {
-	return &Timer{fn: fn, s: s, slot: slotIdle, retained: true}
+func (s *Simulator) NewTimer(fn func()) *Timer { return s.newTimer(fn, true) }
+
+// newTimer registers an unarmed timer under the next id.
+func (s *Simulator) newTimer(fn func(), retained bool) *Timer {
+	t := &Timer{fn: fn, s: s, id: int32(len(s.timers)), retained: retained}
+	s.timers = append(s.timers, t)
+	s.events.slot = append(s.events.slot, slotIdle)
+	return t
 }
 
 // Schedule is the handle-less twin of At for hot paths: the event cannot be
@@ -316,14 +324,14 @@ func (s *Simulator) schedule(t Time, fn func()) *Timer {
 	s.seq++
 	var timer *Timer
 	if n := len(s.free); n > 0 {
-		timer = s.free[n-1]
-		s.free[n-1] = nil
+		timer = s.timers[s.free[n-1]]
 		s.free = s.free[:n-1]
-		*timer = Timer{at: t, seq: s.seq, fn: fn, s: s}
+		timer.fn = fn
 	} else {
-		timer = &Timer{at: t, seq: s.seq, fn: fn, s: s}
+		timer = s.newTimer(fn, false)
 	}
-	s.events.push(timer)
+	timer.at = t
+	s.events.push(timer.id, eventKey{at: t, seq: s.seq})
 	return timer
 }
 
@@ -331,15 +339,6 @@ func (s *Simulator) checkTime(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
 	}
-}
-
-// recycle returns a popped, handle-less timer to the free list.
-func (s *Simulator) recycle(t *Timer) {
-	if t.retained {
-		return
-	}
-	t.fn = nil // release the closure now, not at next reuse
-	s.free = append(s.free, t)
 }
 
 // NextEventTime returns the timestamp of the earliest pending event and
@@ -358,10 +357,13 @@ func (s *Simulator) Step() bool {
 	if s.events.len() == 0 {
 		return false
 	}
-	t := s.events.pop()
+	t := s.timers[s.events.pop()]
 	s.now = t.at
 	fn := t.fn
-	s.recycle(t)
+	if !t.retained {
+		t.fn = nil // release the closure now, not at next reuse
+		s.free = append(s.free, t.id)
+	}
 	s.fired++
 	fn()
 	return true

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -302,6 +303,39 @@ func TestRetainedTimersAreNotRecycled(t *testing.T) {
 	}
 }
 
+// TestEventHeapHoldsNoPointers: the arrays a sift moves must hold no
+// pointer, or every move pays the collector's write barrier while it marks
+// and the collector scans them. The test names the array that does.
+func TestEventHeapHoldsNoPointers(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Array:
+			return hasPointers(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if hasPointers(ty.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+			reflect.Interface, reflect.Slice, reflect.String:
+			return true
+		}
+		return false
+	}
+	q := reflect.TypeOf(eventQueue{})
+	for i := 0; i < q.NumField(); i++ {
+		f := q.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			t.Errorf("eventQueue.%s is a %v, want a slice", f.Name, f.Type)
+		} else if hasPointers(f.Type.Elem()) {
+			t.Errorf("eventQueue.%s holds %v, which holds a pointer", f.Name, f.Type.Elem())
+		}
+	}
+}
+
 func TestScheduleInPastPanics(t *testing.T) {
 	s := New(1)
 	s.Schedule(time.Second, func() {})
@@ -416,7 +450,11 @@ func TestStopSimulatorMidInstant(t *testing.T) {
 // Reset each take the next seq, as one event per value would. An event
 // must fire at its time, be the least live key, and not lie past the
 // window. Coarse times make ties common, so line values often share an
-// instant with each other and with unrelated events.
+// instant with each other and with unrelated events. After every operation
+// the heap's position map must name each entry's own slot, every handle's
+// Pending must match the model, and the registry must hold no id beyond
+// the retained timers, the lines, the free list and the handle-less events
+// still queued: a recycled handle-less timer reuses its id.
 func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 	rng := LabeledRand(42, "heap-property")
 	// Cases the random walk must reach, counted across all trials.
@@ -450,6 +488,39 @@ func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 			}
 			return n
 		}
+		var lines []*Line[*ref]
+		// check holds the heap's invariants against the model.
+		check := func(where string) {
+			q := &s.events
+			for i, id := range q.id {
+				if q.slot[id] != int32(i) {
+					t.Fatalf("trial %d, %s: heap position %d holds timer %d, whose slot reads %d", trial, where, i, id, q.slot[id])
+				}
+				if i > 0 && !q.key[(i-1)/arity].less(q.key[i]) {
+					t.Fatalf("trial %d, %s: heap position %d beats its parent", trial, where, i)
+				}
+			}
+			for _, r := range timers {
+				if r.tm.Pending() != r.live {
+					t.Fatalf("trial %d, %s: timer keyed (%v, %d) Pending() = %v, want %v", trial, where, r.at, r.seq, r.tm.Pending(), r.live)
+				}
+			}
+			queued := 0
+			for _, r := range refs {
+				if r.live && r.tm == nil && r.line < 0 {
+					queued++
+				}
+			}
+			for _, id := range s.free {
+				if q.slot[id] != slotIdle || s.timers[id].retained {
+					t.Fatalf("trial %d, %s: free id %d is queued or retained", trial, where, id)
+				}
+			}
+			if got, want := len(s.timers), len(timers)+len(lines)+len(s.free)+queued; got != want {
+				t.Fatalf("trial %d, %s: registry holds %d timers, want %d retained + %d lines + %d free + %d queued handle-less",
+					trial, where, got, len(timers), len(lines), len(s.free), queued)
+			}
+		}
 		var ops func(n int)
 		fire := func(r *ref) {
 			if !r.live || s.Now() != r.at || r.at > bound {
@@ -464,7 +535,7 @@ func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 			r.live = false
 			ops(rng.Intn(3))
 		}
-		lines := make([]*Line[*ref], 2+rng.Intn(2))
+		lines = make([]*Line[*ref], 2+rng.Intn(2))
 		lastAt := make([]Time, len(lines))
 		for i := range lines {
 			lines[i] = NewLine(s, fire)
@@ -530,6 +601,7 @@ func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 						t.Fatalf("trial %d: Pending() = %d, want %d", trial, got, want)
 					}
 				}
+				check("after an operation")
 			}
 		}
 		ops(1 + rng.Intn(20))
@@ -547,6 +619,7 @@ func TestPropertyHeapMatchesReferenceModel(t *testing.T) {
 			if got, want := s.Pending(), pending(); got != want {
 				t.Fatalf("trial %d: Pending() = %d after RunUntil(%v), want %d", trial, got, bound, want)
 			}
+			check("after RunUntil")
 			ops(rng.Intn(4))
 		}
 		bound = Time(1 << 62)
