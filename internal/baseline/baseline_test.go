@@ -79,9 +79,16 @@ type ackLog struct {
 }
 
 func (a *ackLog) Receive(p *netem.Packet) {
-	if info, ok := p.Payload.(tcpsim.AckInfo); ok {
+	if info, ok := tcpsim.AckOf(p); ok {
 		a.acks = append(a.acks, info)
 	}
+}
+
+// tcpPacket returns a packet of flow carrying the TCP header hdr.
+func tcpPacket(flow netem.FlowKey, hdr interface{ Put(*netem.Packet) }) *netem.Packet {
+	p := &netem.Packet{Flow: flow}
+	hdr.Put(p)
+	return p
 }
 
 func TestFastAckSynthesizesCumulativeAcks(t *testing.T) {
@@ -91,8 +98,7 @@ func TestFastAckSynthesizesCumulativeAcks(t *testing.T) {
 	fa.Optimize(flow)
 
 	deliver := func(seq uint64, length int) {
-		fa.OnDelivered(&netem.Packet{Flow: flow, Kind: netem.KindData, Size: length + 52,
-			Payload: tcpsim.Segment{Seq: seq, Len: length, SentAt: s.Now()}})
+		fa.OnDelivered(tcpPacket(flow, tcpsim.Segment{Seq: seq, Len: length, SentAt: s.Now()}))
 	}
 	deliver(0, 1000)
 	deliver(1000, 1000)
@@ -122,15 +128,13 @@ func TestFastAckAbsorbsClientAcks(t *testing.T) {
 	in := fa.UplinkIn()
 
 	// Client ACK of the optimised flow: absorbed.
-	in.Receive(&netem.Packet{Flow: flow.Reverse(), Kind: netem.KindAck, Size: 64,
-		Payload: tcpsim.AckInfo{Ack: 500}})
+	in.Receive(tcpPacket(flow.Reverse(), tcpsim.AckInfo{Ack: 500}))
 	if len(out.acks) != 0 || fa.Absorbed() != 1 {
 		t.Errorf("client ack not absorbed: forwarded=%d absorbed=%d", len(out.acks), fa.Absorbed())
 	}
 	// An unrelated flow's ACK passes through.
 	other := netem.FlowKey{SrcIP: 9, DstIP: 9, SrcPort: 1, DstPort: 1, Proto: 6}
-	in.Receive(&netem.Packet{Flow: other, Kind: netem.KindAck, Size: 64,
-		Payload: tcpsim.AckInfo{Ack: 7}})
+	in.Receive(tcpPacket(other, tcpsim.AckInfo{Ack: 7}))
 	if len(out.acks) != 1 {
 		t.Error("unoptimised flow's ack should pass through")
 	}
@@ -140,8 +144,7 @@ func TestFastAckIgnoresUnoptimizedDeliveries(t *testing.T) {
 	s := sim.New(1)
 	out := &ackLog{}
 	fa := NewFastAck(s, out)
-	fa.OnDelivered(&netem.Packet{Flow: flow, Kind: netem.KindData, Size: 100,
-		Payload: tcpsim.Segment{Seq: 0, Len: 48}})
+	fa.OnDelivered(tcpPacket(flow, tcpsim.Segment{Seq: 0, Len: 48}))
 	if fa.Synthesized() != 0 {
 		t.Error("unoptimised flow should not get synthetic acks")
 	}

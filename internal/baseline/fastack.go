@@ -21,6 +21,7 @@ type FastAck struct {
 	uplinkOut netem.Receiver
 
 	flows map[netem.FlowKey]*fastAckFlow // downlink data flow -> state
+	pkts  netem.Maker                    // the counterfeit ACKs
 
 	// Loop, if set, records FastAck's control loop: the 802.11 delivery
 	// confirmation is the AP's observation, and the counterfeit ACK leaves
@@ -62,7 +63,7 @@ func (f *FastAck) OnDelivered(p *netem.Packet) {
 	if st == nil || p.Kind != netem.KindData {
 		return
 	}
-	seg, ok := p.Payload.(tcpsim.Segment)
+	seg, ok := tcpsim.SegmentOf(p)
 	if !ok {
 		return
 	}
@@ -85,13 +86,10 @@ func (f *FastAck) OnDelivered(p *netem.Packet) {
 		f.Loop.OnObserve(now, p.Flow)
 		f.Loop.OnFeedbackOut(now, p.Flow)
 	}
-	ack := netem.NewPacket()
+	ack := f.pkts.NewPacket()
 	ack.Flow = p.Flow.Reverse()
-	ack.Kind = netem.KindAck
-	ack.Size = 64
-	ack.Seq = st.next
 	ack.SentAt = f.s.Now()
-	ack.Payload = tcpsim.AckInfo{Ack: st.next, Echo: seg.SentAt, ABCMark: p.ABCMark}
+	tcpsim.AckInfo{Ack: st.next, Echo: seg.SentAt, ABCMark: p.ABCMark}.Put(ack)
 	f.uplinkOut.Receive(ack)
 }
 

@@ -52,6 +52,7 @@ type InbandUpdater struct {
 	interval time.Duration
 
 	flows map[netem.FlowKey]*ibFlow
+	pkts  netem.Maker // the feedback packets and their buffers
 
 	constructed int
 	dropped     int
@@ -184,11 +185,10 @@ func (u *InbandUpdater) flush(f *ibFlow) {
 	packet.BuildTWCCInto(&f.fbScratch, f.ssrc, f.ssrc, f.fbCount, f.records)
 	f.fbCount++
 	f.records = f.records[:0]
-	buf := packet.NewFeedbackBuf()
+	fbp, buf := packet.NewFeedback(&u.pkts)
 	buf.B = f.fbScratch.Marshal(buf.B)
 	u.constructed++
 	u.cConstructed.Inc()
-	fbp := netem.NewPacket()
 	fbp.Flow = f.downlink.Reverse()
 	fbp.Kind = netem.KindFeedback
 	fbp.Size = len(buf.B) + packet.UDPOverhead

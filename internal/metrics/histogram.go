@@ -8,6 +8,9 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sort"
+	"sync"
 	"time"
 )
 
@@ -19,6 +22,7 @@ type Histogram struct {
 	min     time.Duration // lower bound of bucket 0
 	growth  float64
 	logG    float64
+	table   *bucketTable
 	buckets []uint64
 	count   uint64
 	sum     time.Duration
@@ -40,13 +44,54 @@ func NewHistogramRange(min time.Duration, growth float64, buckets int) *Histogra
 	if min <= 0 || growth <= 1 || buckets < 1 {
 		panic("metrics: invalid histogram parameters")
 	}
-	return &Histogram{
+	h := &Histogram{
 		min:     min,
 		growth:  growth,
 		logG:    math.Log(growth),
 		buckets: make([]uint64, buckets),
 		minSeen: math.MaxInt64,
 	}
+	key := [3]float64{float64(min), growth, float64(buckets)}
+	t, ok := tables.Load(key)
+	if !ok {
+		t, _ = tables.LoadOrStore(key, newBucketTable(h))
+	}
+	h.table = t.(*bucketTable)
+	return h
+}
+
+// bucketTable maps a duration to its bucket without a logarithm. first[i]
+// is the least duration the formula int(math.Log(d/min)/logG) puts in
+// bucket i or above, found by bisecting the formula itself, so a lookup
+// reproduces it exactly. cell holds, for the durations that share a bit
+// length and the 7 bits below the leading one, the bucket of the least of
+// them; a cell is at most 1/128 wide, so at growth 1.02 a lookup steps up
+// past at most one bucket start.
+type bucketTable struct {
+	first []time.Duration
+	cell  [64 << 7]int32
+}
+
+var tables sync.Map // one *bucketTable per parameter set, never written once stored
+
+func newBucketTable(h *Histogram) *bucketTable {
+	formula := func(d time.Duration) int { return int(math.Log(float64(d)/float64(h.min)) / h.logG) }
+	t := &bucketTable{first: make([]time.Duration, len(h.buckets))}
+	lo := h.min
+	for i := range t.first {
+		// Bucket i starts less than lo*growth past bucket i-1's start, lo.
+		span := int(float64(lo) * h.growth)
+		lo += time.Duration(sort.Search(span, func(k int) bool { return formula(lo+time.Duration(k)) >= i }))
+		t.first[i] = lo
+	}
+	for c := range t.cell {
+		least := time.Duration(c)
+		if l := c >> 7; l > 8 {
+			least = time.Duration(128|c&127) << (l - 8)
+		}
+		t.cell[c] = int32(max(sort.Search(len(t.first), func(i int) bool { return t.first[i] > least })-1, 0))
+	}
+	return t
 }
 
 // clamp keeps bucket-interpolated estimates inside the exact observed range.
@@ -60,10 +105,17 @@ func (h *Histogram) clamp(d time.Duration) time.Duration {
 	return d
 }
 
+// bucketIndex returns the bucket of d >= h.min: the formula
+// int(math.Log(d/min)/logG), capped at the last bucket, read from the table.
 func (h *Histogram) bucketIndex(d time.Duration) int {
-	i := int(math.Log(float64(d)/float64(h.min)) / h.logG)
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
+	c := int(d) // a duration below 256 is its own cell
+	if l := bits.Len64(uint64(d)); l > 8 {
+		c = l<<7 | int(d>>(l-8))&127
+	}
+	first := h.table.first
+	i := int(h.table.cell[c])
+	for i+1 < len(first) && first[i+1] <= d {
+		i++
 	}
 	return i
 }

@@ -323,3 +323,39 @@ func TestPropertyHistogramQuantileMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBucketTableMatchesLogFormula: the table lookup puts every duration
+// in the bucket int(math.Log(d/min)/logG) names, capped at the last one,
+// at every bucket start ±300 ns and at random durations over the whole
+// range, for the default parameters and three others (finer buckets than a
+// cell, coarse ones, and a 1 ns floor whose first buckets hold no duration).
+func TestBucketTableMatchesLogFormula(t *testing.T) {
+	for _, h := range []*Histogram{
+		NewHistogram(),
+		NewHistogramRange(time.Nanosecond, 1.02, 1200),
+		NewHistogramRange(100*time.Microsecond, 1.001, 5000),
+		NewHistogramRange(time.Millisecond, 1.5, 40),
+	} {
+		formula := func(d time.Duration) int {
+			return min(int(math.Log(float64(d)/float64(h.min))/h.logG), len(h.buckets)-1)
+		}
+		check := func(d time.Duration) {
+			if d < h.min {
+				return
+			}
+			if got, want := h.bucketIndex(d), formula(d); got != want {
+				t.Fatalf("min %v growth %v: bucket of %d ns = %d, the formula says %d", h.min, h.growth, d, got, want)
+			}
+		}
+		for _, start := range h.table.first {
+			for d := start - 300; d <= start+300; d++ {
+				check(d)
+			}
+		}
+		top := math.Log(float64(h.table.first[len(h.buckets)-1])*4) - math.Log(float64(h.min))
+		rng := rand.New(rand.NewSource(1))
+		for range 200000 {
+			check(time.Duration(float64(h.min) * math.Exp(rng.Float64()*top)))
+		}
+	}
+}

@@ -251,11 +251,66 @@ func TestDoubleReleasePanics(t *testing.T) {
 	}
 }
 
-// TestPacketIs96Bytes pins the packet's size: Kind, ABCMark and released
-// share the word after Flow, which is what made room for the visit pointer.
-func TestPacketIs96Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Packet{}); n != 96 {
-		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 96", n)
+// TestPacketIs112Bytes pins the packet's size: Kind, ABCMark and released
+// share the word after Flow, which is what made room for the visit
+// pointer. The home pointer (the Maker a same-cell Release returns the
+// packet to) and Aux (the header word that keeps TCP and QUIC headers out
+// of a boxed payload) took it from 96 to 112 bytes, the allocator's next
+// size class: any size from 97 bytes up costs 112.
+func TestPacketIs112Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n != 112 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 112", n)
+	}
+}
+
+// countedPayload counts its Releases, as a payload that refuses a second
+// one does.
+type countedPayload struct{ released int }
+
+func (c *countedPayload) Release() { c.released++ }
+
+// TestMakerTakesBackSameCellPackets: a packet that dies untagged goes back
+// to its Maker, one generation on, with its payload; a visit-tagged packet
+// (which may die in a cell other than its maker's) goes back to no Maker,
+// and neither does its payload; a Clone belongs to no Maker.
+func TestMakerTakesBackSameCellPackets(t *testing.T) {
+	var m Maker
+	p := m.NewPacket()
+	pl := &countedPayload{}
+	p.Size, p.Payload = 100, pl
+	gen := p.gen
+	p.Release()
+	if pl.released != 1 {
+		t.Fatalf("payload released %d times, want 1", pl.released)
+	}
+	if q := m.NewPacket(); q != p || q.gen != gen+1 || q.Payload != pl || q.Size != 0 || q.released {
+		t.Fatalf("same-cell packet: got %p gen %d payload %v size %d; want %p gen %d with its payload, zeroed", q, q.gen, q.Payload, q.Size, p, gen+1)
+	}
+
+	var v Visit
+	v.Enter(p)
+	p.Release()
+	if len(m.free) != 0 || p.home != nil || p.Payload != nil {
+		t.Fatalf("visit-tagged packet: %d on the list, home %p, payload %v; want none, nil, nil", len(m.free), p.home, p.Payload)
+	}
+	if pl.released != 2 {
+		t.Fatalf("the tagged packet's payload released %d times in all, want 2", pl.released)
+	}
+
+	q := m.NewPacket()
+	q.Payload = &countedPayload{}
+	cp := q.Clone()
+	if cp.home != nil {
+		t.Fatal("a Clone belongs to its original's Maker")
+	}
+	q.Payload = nil
+	cp.Release()
+	if len(m.free) != 0 {
+		t.Fatal("a Clone's Release put it on a Maker's list")
+	}
+	q.Release()
+	if len(m.free) != 1 || m.free[0] != q {
+		t.Fatal("the original did not come back after its Clone died")
 	}
 }
 

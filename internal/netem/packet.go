@@ -1,5 +1,5 @@
 // Package netem provides the network-emulation primitives shared by every
-// component of the simulator: the packet model and its pool, flow
+// component of the simulator: the packet model and its free lists, flow
 // identification, fixed-rate serialising links, the flow Router that
 // handover re-points, the delivery Demux, and Held, the one rule every hop
 // that keeps a packet across events applies. The wireless bottleneck link
@@ -114,8 +114,11 @@ type Packet struct {
 	Size int // bytes on the wire, headers included
 
 	// Seq is a transport-scoped identifier used only by endpoints and
-	// debug output; in-network elements must not interpret it.
+	// debug output; in-network elements must not interpret it. Aux is a
+	// second header word only endpoints read: a TCP ACK's timestamp echo, a
+	// QUIC packet's stream offset.
 	Seq uint64
+	Aux uint64
 
 	SentAt     sim.Time // stamped by the original sender
 	EnqueuedAt sim.Time // stamped by the bottleneck qdisc on enqueue
@@ -131,62 +134,92 @@ type Packet struct {
 	// visit is the Visit this packet counts toward while it lives in a
 	// cell it was sent into across a cut edge; nil everywhere else.
 	visit *Visit
+	// home is the free list of the endpoint that made the packet, nil for
+	// one from the shared pool.
+	home *Maker
 
 	Payload any
 }
 
-// packetPool recycles Packet structs across flows and (when experiments run
-// in parallel) across concurrently running simulations. Endpoints allocate
-// every data/ACK/feedback packet they send; recycling them at the points
-// where packets provably die — final demux delivery, qdisc drops — removes
-// the per-packet allocation from the enqueue hot path.
+// Maker is the free list of one endpoint that makes packets: a packet comes
+// back to it, with its payload, when it dies untagged, in its maker's cell.
+// A Maker serves one simulator, or the live relay under its mutex, so what a
+// run allocates does not depend on the host.
+type Maker struct{ free []*Packet }
+
+// NewPacket returns a packet from the list, zeroed but for Payload (its last
+// life's, for the endpoint to reuse or overwrite; nil for a new packet).
+// Fill it field by field (a whole-struct assignment would overwrite its
+// generation) and hand it into the topology; ownership transfers with it.
+func (m *Maker) NewPacket() *Packet {
+	n := len(m.free)
+	if n == 0 {
+		return &Packet{home: m}
+	}
+	p := m.free[n-1]
+	m.free = m.free[:n-1]
+	p.released = false
+	return p
+}
+
+// packetPool holds the packets no Maker takes back: copies (Clone), packets
+// that died in a cell they were sent into across a cut edge, and those of
+// callers without a list (the live relay's client feedback, tests).
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// NewPacket returns a zeroed Packet from the pool. Callers populate it field
-// by field (a whole-struct assignment would overwrite its generation) and
-// hand it into the topology; ownership transfers with it.
+// NewPacket returns a zeroed packet from the shared pool, for callers that
+// own no Maker; see Maker.NewPacket for how to fill it.
 func NewPacket() *Packet {
 	p := packetPool.Get().(*Packet)
 	p.released = false
 	return p
 }
 
-// payloadReleaser is satisfied by pooled payload types (packet.FeedbackBuf);
-// their backing storage returns to its own pool together with the packet
-// that carried it. The interface is structural so netem does not import the
+// payloadReleaser is satisfied by payload types that refuse a second
+// Release (packet.FeedbackBuf, rtp.Payload), released with the packet that
+// carried it. The interface is structural so netem does not import the
 // payload's package.
 type payloadReleaser interface{ Release() }
 
-// Release returns a packet to the pool. Only the hop where a packet's life
-// ends may call it: the delivery Demux; a qdisc or wireless.Link dropping it
-// (an enqueue reject, a CoDel drop, air loss); core.InbandUpdater absorbing
-// a client TWCC packet; the live relay once it has written a packet out.
-// After the call every reference to p is invalid, including its Payload
-// (pooled payloads are recycled with the packet), and a hop still holding p
-// panics when it hands p on (Held). Releasing a packet that was not
-// pool-allocated is harmless (it simply joins the pool); releasing any
-// packet twice would hand one struct to two owners, and panics.
+// Release ends a packet's life. Only the hop where a packet's life ends may
+// call it: the delivery Demux; a qdisc or wireless.Link dropping it (an
+// enqueue reject, a CoDel drop, air loss); core.InbandUpdater absorbing a
+// client TWCC packet; the live relay once it has written a packet out.
+// After the call every reference to p is invalid, including its Payload,
+// and a hop still holding p panics when it hands p on (Held). An untagged
+// packet goes back to its Maker; a visit-tagged one may die in a cell
+// other than its maker's, which runs in parallel with it, so it goes to the
+// shared pool and its payload to the collector. Releasing any packet twice
+// would hand one struct to two owners, and panics.
 func (p *Packet) Release() {
 	if p.released {
 		panic("netem: Packet released twice")
 	}
-	if p.visit != nil {
-		p.visit.out++
-	}
 	if r, ok := p.Payload.(payloadReleaser); ok {
 		r.Release()
 	}
-	*p = Packet{released: true, gen: p.gen + 1}
-	packetPool.Put(p)
+	home := p.home
+	if p.visit != nil {
+		p.visit.out++
+		home = nil
+	}
+	if home == nil {
+		*p = Packet{released: true, gen: p.gen + 1}
+		packetPool.Put(p)
+		return
+	}
+	*p = Packet{released: true, gen: p.gen + 1, home: home, Payload: p.Payload}
+	home.free = append(home.free, p)
 }
 
-// Clone returns a pooled copy of p's fields. The copy keeps its own
-// generation and carries no visit: it was never counted into one.
+// Clone returns a copy of p's fields from the shared pool. The copy keeps
+// its own generation, carries no visit (it was never counted into one) and
+// belongs to no Maker.
 func (p *Packet) Clone() *Packet {
 	cp := NewPacket()
 	gen := cp.gen
 	*cp = *p
-	cp.released, cp.gen, cp.visit = false, gen, nil
+	cp.released, cp.gen, cp.visit, cp.home = false, gen, nil, nil
 	return cp
 }
 

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/zhuge-project/zhuge/internal/netem"
 )
 
 func TestRTPRoundTripWithTWCC(t *testing.T) {
@@ -225,16 +227,26 @@ func TestRTCPKind(t *testing.T) {
 	}
 }
 
-// TestFeedbackBufDoubleReleasePanics: a second Release would put one buffer
-// in the pool twice and hand its bytes to two feedback packets. The flag
-// that catches it is cleared by NewFeedbackBuf, so recycling stays legal.
+// TestFeedbackBufDoubleReleasePanics: a second Release would recycle one
+// buffer twice and hand its bytes to two feedback packets. The flag that
+// catches it is cleared by NewFeedback, so recycling stays legal: a
+// packet's buffer comes back with it to its Maker, empty, storage kept.
 func TestFeedbackBufDoubleReleasePanics(t *testing.T) {
+	var m netem.Maker
+	first, _ := NewFeedback(&m)
+	first.Release()
 	for i := 0; i < 100; i++ {
-		b := NewFeedbackBuf()
+		p, b := NewFeedback(&m)
+		if p != first || len(b.B) != 0 {
+			t.Fatalf("draw %d: packet %p with %d bytes, want %p back, empty", i, p, len(b.B), first)
+		}
 		b.B = append(b.B, 1)
-		b.Release()
+		p.Release()
 	}
-	b := NewFeedbackBuf()
+	_, b := NewFeedback(&m)
+	if cap(b.B) == 0 {
+		t.Fatal("the recycled buffer lost its storage")
+	}
 	b.Release()
 	defer func() {
 		if r := recover(); r != "packet: FeedbackBuf released twice" {

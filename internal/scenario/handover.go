@@ -7,6 +7,7 @@ import (
 	"github.com/zhuge-project/zhuge/internal/netem"
 	"github.com/zhuge-project/zhuge/internal/queue"
 	"github.com/zhuge-project/zhuge/internal/sim"
+	"github.com/zhuge-project/zhuge/internal/trace"
 	"github.com/zhuge-project/zhuge/internal/wireless"
 )
 
@@ -34,11 +35,12 @@ func (p *Path) newStation(name string, ap *PathAP, ownQueue bool) *Station {
 	st := &Station{ap: ap}
 	if ownQueue {
 		label := p.labelPrefix + name
+		var cur trace.Cursor
 		st.link = wireless.NewLink(p.S, wireless.Config{
 			Channel: ap.Channel,
 			// Delegate to the current association so the PHY rate follows
 			// the station across handovers.
-			Rate:        func(at sim.Time) float64 { return st.ap.Spec.Trace.RateAt(at) },
+			Rate:        func(at sim.Time) float64 { return cur.RateAt(st.ap.Spec.Trace, at) },
 			Interferers: ap.Spec.Interferers,
 			Obs:         p.Spec.Obs,
 			ObsLabel:    label,

@@ -18,9 +18,14 @@ import (
 )
 
 // A holderRig hands p to a fresh instance of one packet holder, calls held
-// while the holder keeps p, then makes the holder hand p on. It returns
-// false, having run nothing, when it could not hand the holder p.
-type holderRig func(p *netem.Packet, held func()) bool
+// while the holder keeps it, then makes the holder hand it on. p comes from
+// a netem.Maker, and draw takes the next packet from that list, which after
+// p's Release is p: recycling is deterministic. A holder that only takes
+// packets it drew itself passes held its own packet, and its own draw.
+type holderRig func(p *netem.Packet, draw func() *netem.Packet, held heldFunc)
+
+// heldFunc is what a test does to p while a holder keeps it.
+type heldFunc func(p *netem.Packet, draw func() *netem.Packet)
 
 var heldFlow = netem.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 20, Proto: 17}
 
@@ -28,58 +33,65 @@ var heldFlow = netem.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 10, DstPort: 20, Proto
 var holderRigs = []struct {
 	holder string
 	rig    holderRig
-	// drawsOwn marks a holder that only takes packets it drew from the
-	// pool itself, which are never released: it cannot be handed one.
+	// drawsOwn marks a holder that only takes packets it drew from its
+	// own list, which are never released: it cannot be handed one.
 	drawsOwn bool
 }{
-	{"queue", func(p *netem.Packet, held func()) bool {
+	{"queue", func(p *netem.Packet, draw func() *netem.Packet, held heldFunc) {
 		q := queue.NewFIFO(0)
 		q.Enqueue(0, p)
-		held()
+		held(p, draw)
 		q.Dequeue(0)
-		return true
 	}, false},
-	{"netem.Link", func(p *netem.Packet, held func()) bool {
+	{"netem.Link", func(p *netem.Packet, draw func() *netem.Packet, held heldFunc) {
 		s := sim.New(1)
 		netem.NewLink(s, 1e6, time.Millisecond, netem.Sink).Receive(p)
-		held()
+		held(p, draw)
 		s.Run()
-		return true
 	}, false},
-	{"wireless.Link", func(p *netem.Packet, held func()) bool {
+	{"wireless.Link", func(p *netem.Packet, draw func() *netem.Packet, held heldFunc) {
 		s := sim.New(1)
 		cfg := wireless.Config{Rate: func(sim.Time) float64 { return 1e8 }}
 		wireless.NewLink(s, cfg, &handQdisc{}, netem.Sink, s.NewRand("wl")).Receive(p)
 		s.Step() // the aggregate leaves the qdisc and goes on the air
-		held()
+		held(p, draw)
 		s.Run()
-		return true
 	}, false},
-	{"rtp.Sender", func(p *netem.Packet, held func()) bool {
+	{"rtp.Sender", func(_ *netem.Packet, _ func() *netem.Packet, held heldFunc) {
 		s := sim.New(1)
-		snd := rtp.NewSender(s, heldFlow, 1, cca.NewGCC(1e6, 1e5, 1e7), netem.Sink)
-		p.Release() // the pacer draws its packet from the pool: park p there
-		snd.SendFrame(video.Frame{Size: 100})
-		if p.Size == 0 {
-			return false // the pool handed the pacer another struct
-		}
-		held()
+		var sent *netem.Packet
+		snd := rtp.NewSender(s, heldFlow, 1, cca.NewGCC(1e6, 1e5, 1e7), netem.ReceiverFunc(func(p *netem.Packet) { sent = p }))
+		frame := video.Frame{Size: 100}
+		snd.SendFrame(frame)
 		s.Run()
-		return true
+		own := sent
+		own.Release() // back on the sender's list, which the pacer draws from
+		// draw has the pacer draw one packet: own, refilled, if the list
+		// handed it back.
+		draw := func() *netem.Packet {
+			snd.SendFrame(frame)
+			if own.Size == 0 {
+				return nil
+			}
+			return own
+		}
+		if draw() != own {
+			panic("the sender's list did not hand its packet back")
+		}
+		held(own, draw)
+		s.Run()
 	}, true},
-	{"core.OOBUpdater", func(p *netem.Packet, held func()) bool {
+	{"core.OOBUpdater", func(p *netem.Packet, draw func() *netem.Packet, held heldFunc) {
 		s := sim.New(1)
 		core.NewOOBUpdater(s, netem.Sink, s.NewRand("oob"), 0).OnAckPacket(0, heldFlow, p)
-		held()
+		held(p, draw)
 		s.Run()
-		return true
 	}, false},
-	{"shard.Edge", func(p *netem.Packet, held func()) bool {
+	{"shard.Edge", func(p *netem.Packet, draw func() *netem.Packet, held heldFunc) {
 		inWindow(func(e *shard.Edge) {
 			e.Send(p, netem.Sink)
-			held()
+			held(p, draw)
 		})
-		return true
 	}, false},
 }
 
@@ -132,36 +144,13 @@ func panicOf(fn func()) (msg string) {
 	return ""
 }
 
-// redraw draws from the pool, as the next NewPacket anywhere would, until
-// it hands back p. It reports false if the pool dropped p instead.
-func redraw(p *netem.Packet) bool {
-	for range 8 {
-		if netem.NewPacket() == p {
-			return true
-		}
-	}
-	return false
-}
-
-// runRig runs rig on a fresh pooled packet, calling held(p) while the
-// holder keeps it, and returns what the run panicked with. Both the rig and
-// held may need sync.Pool to hand a struct back, which it need not do; when
-// either reports that it did not, the run is repeated.
-func runRig(t *testing.T, rig holderRig, held func(p *netem.Packet) bool) string {
-	t.Helper()
-	for range 20 {
-		p := netem.NewPacket()
-		p.Flow, p.Size = heldFlow, 100
-		again := false
-		msg := panicOf(func() {
-			again = !rig(p, func() { again = !held(p) })
-		})
-		if !again {
-			return msg
-		}
-	}
-	t.Fatal("the pool never handed the struct back")
-	return ""
+// runRig runs rig on a packet from a fresh Maker, calling held while the
+// holder keeps it, and returns what the run panicked with.
+func runRig(rig holderRig, held heldFunc) string {
+	var m netem.Maker
+	p := m.NewPacket()
+	p.Flow, p.Size = heldFlow, 100
+	return panicOf(func() { rig(p, m.NewPacket, held) })
 }
 
 // TestHoldersRefuseReleasedPackets pins the rule every hop that keeps a
@@ -173,16 +162,15 @@ func TestHoldersRefuseReleasedPackets(t *testing.T) {
 	for _, r := range holderRigs {
 		t.Run(r.holder, func(t *testing.T) {
 			want := "netem: packet released while held by " + r.holder
-			got := runRig(t, r.rig, func(p *netem.Packet) bool {
-				p.Release()
-				return true
-			})
+			got := runRig(r.rig, func(p *netem.Packet, _ func() *netem.Packet) { p.Release() })
 			if !strings.Contains(got, want) {
 				t.Errorf("released after the hand-off: panic %q, want %q", got, want)
 			}
-			got = runRig(t, r.rig, func(p *netem.Packet) bool {
+			got = runRig(r.rig, func(p *netem.Packet, draw func() *netem.Packet) {
 				p.Release()
-				return redraw(p)
+				if draw() != p {
+					t.Error("the list did not hand the released struct back")
+				}
 			})
 			if !strings.Contains(got, want) {
 				t.Errorf("released and recycled: panic %q, want %q", got, want)
@@ -191,10 +179,11 @@ func TestHoldersRefuseReleasedPackets(t *testing.T) {
 				return
 			}
 			want = "netem: released packet handed to " + r.holder
-			p := netem.NewPacket()
+			var m netem.Maker
+			p := m.NewPacket()
 			p.Release()
 			got = panicOf(func() {
-				r.rig(p, func() { t.Error("the holder took a released packet") })
+				r.rig(p, m.NewPacket, func(*netem.Packet, func() *netem.Packet) { t.Error("the holder took a released packet") })
 			})
 			if !strings.Contains(got, want) {
 				t.Errorf("handed a released packet: panic %q, want %q", got, want)

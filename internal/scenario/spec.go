@@ -297,7 +297,8 @@ func (p *Path) buildAP(i int, as APSpec) {
 		prefix = p.labelPrefix + as.Name + "."
 	}
 	tr := as.Trace
-	rate := func(at sim.Time) float64 { return tr.RateAt(at) }
+	var cur trace.Cursor // read by this AP's two links, both in this cell
+	rate := func(at sim.Time) float64 { return cur.RateAt(tr, at) }
 	pa := &PathAP{
 		Spec:    as,
 		Channel: wireless.NewChannel(),

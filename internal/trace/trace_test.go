@@ -293,3 +293,35 @@ func TestNamed(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorMatchesRateAt: a cursor reads what RateAt reads, whichever way
+// time moves between reads: forward a little, back, across the wrap-around,
+// and onto samples that share an At, where the last of them holds.
+func TestCursorMatchesRateAt(t *testing.T) {
+	ms := time.Millisecond
+	tr := &Trace{Samples: []Sample{
+		{10 * ms, 1}, {20 * ms, 2}, {20 * ms, 3}, {30 * ms, 4}, {30 * ms, 5}, {30 * ms, 6}, {50 * ms, 7}, {70 * ms, 8},
+	}}
+	var c Cursor
+	rng := rand.New(rand.NewSource(1))
+	at := time.Duration(0)
+	for i := range 20000 {
+		switch i % 4 {
+		case 0, 1:
+			at += time.Duration(rng.Int63n(int64(3 * ms))) // forward
+		case 2:
+			at -= time.Duration(rng.Int63n(int64(40 * ms))) // back, below the first sample too
+		case 3:
+			at = time.Duration(rng.Int63n(10)) * 10 * ms // onto a sample's At, wrapped or not
+		}
+		if got, want := c.RateAt(tr, at), tr.RateAt(at); got != want {
+			t.Fatalf("read %d at %v: cursor %v, RateAt %v", i, at, got, want)
+		}
+	}
+	var other Cursor // a cursor moved onto a shorter trace starts over
+	other.RateAt(tr, 65*ms)
+	short := &Trace{Samples: []Sample{{0, 9}, {10 * ms, 10}}}
+	if got := other.RateAt(short, 5*ms); got != 9 {
+		t.Fatalf("cursor carried to a shorter trace read %v, want 9", got)
+	}
+}

@@ -44,6 +44,7 @@ type Sender struct {
 	flow     netem.FlowKey
 	overhead int // header bytes added to every data packet
 	hooks    Hooks
+	pkts     netem.Maker
 
 	appEnd uint64 // bytes the application has made available
 	next   uint64 // first byte never sent
@@ -121,16 +122,18 @@ func (c *Sender) TrySend() {
 	}
 }
 
-// Emit puts a data packet of n payload bytes on the wire, stamped now, and
+// Emit puts a data packet of n payload bytes on the wire, stamped now, with
+// header words seq and aux and the transport's tag for a payload, and
 // re-arms the RTO.
-func (c *Sender) Emit(seq uint64, n int, payload any) {
-	p := netem.NewPacket()
+func (c *Sender) Emit(seq, aux uint64, n int, tag any) {
+	p := c.pkts.NewPacket()
 	p.Flow = c.flow
 	p.Kind = netem.KindData
 	p.Size = n + c.overhead
 	p.Seq = seq
+	p.Aux = aux
 	p.SentAt = c.Sim.Now()
-	p.Payload = payload
+	p.Payload = tag
 	c.out.Receive(p)
 	c.ArmRTO()
 }

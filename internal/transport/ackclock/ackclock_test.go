@@ -72,10 +72,10 @@ func newBlackhole() *blackhole {
 		Send: func() int {
 			off, n := b.Take()
 			b.inFlight += n
-			b.Emit(off, n, nil)
+			b.Emit(off, 0, n, nil)
 			return n
 		},
-		Timeout: func() { b.Emit(0, 1, nil) },
+		Timeout: func() { b.Emit(0, 0, 1, nil) },
 	})
 	return b
 }

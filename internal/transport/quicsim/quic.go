@@ -30,7 +30,9 @@ const (
 	timeThresholdN  = 9.0 / 8.0
 )
 
-// dataPacket is the payload of one QUIC data packet (opaque to the network).
+// dataPacket is the header of one QUIC data packet (opaque to the network),
+// riding in the packet's Seq, Aux, SentAt and Size (less the header bytes)
+// under a zero-size tag, which boxing does not allocate.
 type dataPacket struct {
 	PktNum uint64
 	Offset uint64 // stream offset
@@ -38,8 +40,17 @@ type dataPacket struct {
 	SentAt sim.Time
 }
 
+type dataTag struct{}
+
+// dataOf returns the data packet p carries, if it is a QUIC data packet.
+func dataOf(p *netem.Packet) (dataPacket, bool) {
+	_, ok := p.Payload.(dataTag)
+	return dataPacket{PktNum: p.Seq, Offset: p.Aux, Len: p.Size - dataOverhead, SentAt: p.SentAt}, ok
+}
+
 // ackFrame is the payload of an ACK packet: the largest received packet
-// number and ranges of received packet numbers below it.
+// number and ranges of received packet numbers below it. The receiver
+// reuses the frame, ranges and all, when its packet comes back.
 type ackFrame struct {
 	Largest uint64
 	Ranges  []ackRange // descending, including the range holding Largest
@@ -124,7 +135,7 @@ func (t *Sender) sendData(chunk streamChunk) {
 	t.nextPktNum++
 	t.window.PushBack(sentPacket{dataPacket: dp, live: true})
 	t.inflightBytes += dp.Len
-	t.Emit(dp.PktNum, dp.Len, dp)
+	t.Emit(dp.PktNum, dp.Offset, dp.Len, dataTag{})
 }
 
 // onPTO is the probe timeout: declare the oldest packet lost and probe with
@@ -160,7 +171,7 @@ func (t *Sender) trimWindow() {
 
 // Receive implements netem.Receiver: ACK packets from the network.
 func (t *Sender) Receive(p *netem.Packet) {
-	ack, ok := p.Payload.(ackFrame)
+	ack, ok := p.Payload.(*ackFrame)
 	if !ok {
 		return
 	}
@@ -244,6 +255,7 @@ type Receiver struct {
 	stream   *rangeSet // stream bytes
 
 	largest uint64
+	pkts    netem.Maker // the ACKs and their frames
 
 	// OnDeliver fires as the contiguous in-order stream prefix advances.
 	OnDeliver func(now sim.Time, upTo uint64)
@@ -268,7 +280,7 @@ func (r *Receiver) Delivered() uint64 { return r.stream.contiguous() }
 
 // Receive implements netem.Receiver.
 func (r *Receiver) Receive(p *netem.Packet) {
-	dp, ok := p.Payload.(dataPacket)
+	dp, ok := dataOf(p)
 	if !ok {
 		return
 	}
@@ -286,13 +298,18 @@ func (r *Receiver) Receive(p *netem.Packet) {
 	if r.OnAck != nil {
 		r.OnAck(now)
 	}
-	ack := netem.NewPacket()
+	ack := r.pkts.NewPacket()
+	af, _ := ack.Payload.(*ackFrame)
+	if af == nil {
+		af = new(ackFrame)
+	}
+	af.Largest, af.Ranges = r.largest, r.received.descendingRanges(af.Ranges[:0], 32)
 	ack.Flow = r.flow
 	ack.Kind = netem.KindAck
 	ack.Size = ackSize
 	ack.Seq = r.largest
 	ack.SentAt = now
-	ack.Payload = ackFrame{Largest: r.largest, Ranges: r.received.descendingRanges(32)}
+	ack.Payload = af
 	r.out.Receive(ack)
 }
 
@@ -336,12 +353,11 @@ func (rs *rangeSet) contiguous() uint64 {
 	return rs.ranges[0].Hi + 1
 }
 
-// descendingRanges returns up to n ranges, highest first (ACK frame form).
-func (rs *rangeSet) descendingRanges(n int) []ackRange {
-	n = min(n, len(rs.ranges))
-	out := make([]ackRange, n)
-	for k := range out {
-		out[k] = rs.ranges[len(rs.ranges)-1-k]
+// descendingRanges appends up to n ranges to dst, highest first (ACK frame
+// form).
+func (rs *rangeSet) descendingRanges(dst []ackRange, n int) []ackRange {
+	for k := range min(n, len(rs.ranges)) {
+		dst = append(dst, rs.ranges[len(rs.ranges)-1-k])
 	}
-	return out
+	return dst
 }

@@ -270,7 +270,7 @@ func TestDescendingRangesBounded(t *testing.T) {
 	for i := uint64(0); i < 100; i += 2 {
 		rs.add(i, i+1)
 	}
-	out := rs.descendingRanges(5)
+	out := rs.descendingRanges(nil, 5)
 	if len(out) != 5 {
 		t.Fatalf("got %d ranges, want 5", len(out))
 	}
@@ -521,7 +521,7 @@ func TestWindowMatchesMapBookkeeping(t *testing.T) {
 			nSent, nAcks, nLosses := len(sent), len(cc.acks), cc.losses
 			lastRTT = 0
 			want, processed := ref.receive(ack, s.Now())
-			snd.Receive(&netem.Packet{Kind: netem.KindAck, Payload: ack})
+			snd.Receive(&netem.Packet{Kind: netem.KindAck, Payload: &ack})
 			after := liveSet(t, snd)
 			if !processed {
 				if len(sent) != nSent || len(cc.acks) != nAcks || inFlightDiff(after, before) != "" {
@@ -581,7 +581,7 @@ func TestWindowMatchesMapBookkeeping(t *testing.T) {
 		// first probes are lost too.
 		blackout := func() bool { return s.Now() > 1950*time.Millisecond && s.Now() < 3*time.Second }
 		wire := netem.ReceiverFunc(func(p *netem.Packet) {
-			dp := p.Payload.(dataPacket)
+			dp, _ := dataOf(p)
 			sent = append(sent, dp)
 			ref.inflight[dp.PktNum] = dp
 			ref.inflightBytes += dp.Len
@@ -594,7 +594,7 @@ func TestWindowMatchesMapBookkeeping(t *testing.T) {
 				if len(rcvd.ranges) > 32 {
 					truncated++
 				}
-				ack := ackFrame{Largest: largest, Ranges: rcvd.descendingRanges(32)}
+				ack := ackFrame{Largest: largest, Ranges: rcvd.descendingRanges(nil, 32)}
 				history = append(history, ack)
 				copies := 1
 				if rng.Float64() < 0.1 {

@@ -8,7 +8,6 @@ package rtp
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/zhuge-project/zhuge/internal/cca"
@@ -39,18 +38,13 @@ type Payload struct {
 	Captured   sim.Time
 	Retransmit bool
 
-	// released is set by Release and cleared when enqueue takes the struct
-	// from the pool, so that a second Release panics instead of pooling one
+	// released is set by Release and cleared when enqueue reuses the
+	// struct, so that a second Release panics instead of recycling one
 	// struct twice.
 	released bool
 }
 
-// payloadPool recycles Payloads across flows and shards. Media payloads are
-// the last per-packet allocation on the video datapath: one per RTP packet
-// sent, several per frame, multiplied per shard at campus scale.
-var payloadPool = sync.Pool{New: func() any { return new(Payload) }}
-
-// Release recycles the payload (implements netem's structural
+// Release ends the payload's life (implements netem's structural
 // payloadReleaser hook, so it dies with the packet that carried it). A
 // payload has one owner, so a second Release means two packets alias it,
 // and panics.
@@ -59,7 +53,6 @@ func (p *Payload) Release() {
 		panic("rtp: Payload released twice")
 	}
 	*p = Payload{released: true}
-	payloadPool.Put(p)
 }
 
 // TWCCInfo exposes the transport-wide sequence number the way a real AP
@@ -79,6 +72,8 @@ type Sender struct {
 	// sent.next and store.next are the next TWCC and RTP seqs.
 	sent  seqWindow[sentRecord]
 	store seqWindow[storedPayload]
+
+	pkts netem.Maker // the media packets and their payloads
 
 	// pacer queue
 	queue    sim.Deque[netem.Held]
@@ -222,12 +217,15 @@ func (snd *Sender) SendFrame(f video.Frame) {
 	snd.pace()
 }
 
-// enqueue queues a pooled copy of pl on the pacer, in a packet of wireSize
-// bytes. The packet is the copy's only owner; the store keeps its own.
+// enqueue queues a copy of pl on the pacer, in a packet of wireSize bytes.
+// The packet is the copy's only owner; the store keeps its own.
 func (snd *Sender) enqueue(pl Payload, wireSize int) {
-	wire := payloadPool.Get().(*Payload)
+	p := snd.pkts.NewPacket()
+	wire, _ := p.Payload.(*Payload)
+	if wire == nil {
+		wire = new(Payload)
+	}
 	*wire = pl
-	p := netem.NewPacket()
 	p.Flow = snd.flow
 	p.Kind = netem.KindData
 	p.Size = wireSize
@@ -413,13 +411,14 @@ type Receiver struct {
 	// periodic TWCC/NACK construction does not allocate in steady state.
 	fbScratch   packet.TWCCFeedback
 	lostScratch []uint16
+	pkts        netem.Maker // the feedback packets and their buffers
 
 	highest     uint16
 	haveHighest bool
 	missing     map[uint16]missState // rtp seq -> loss-tracking state
 
 	frames  map[uint64]*frameState
-	fsFree  []*frameState // recycled reassembly states (with their got maps)
+	fsFree  []*frameState // recycled reassembly states (with their bitsets)
 	decoder *video.Decoder
 
 	// onObserve/onFeedback are the control-loop recorder taps (see
@@ -436,7 +435,8 @@ type Receiver struct {
 
 type frameState struct {
 	frame    video.Frame
-	got      map[int]bool
+	got      []uint64 // bit i set: fragment i arrived
+	n        int      // fragments arrived, each counted once
 	total    int
 	complete bool
 	firstAt  sim.Time
@@ -530,8 +530,15 @@ func (r *Receiver) Receive(p *netem.Packet) {
 		fs.firstAt = now
 		r.frames[pl.FrameID] = fs
 	}
-	fs.got[pl.FrameIdx] = true
-	if !fs.complete && len(fs.got) == fs.total {
+	w, bit := pl.FrameIdx/64, uint64(1)<<(pl.FrameIdx%64)
+	for len(fs.got) <= w {
+		fs.got = append(fs.got, 0)
+	}
+	if fs.got[w]&bit == 0 {
+		fs.got[w] |= bit
+		fs.n++
+	}
+	if !fs.complete && fs.n == fs.total {
 		fs.complete = true
 		r.decoder.OnFrameComplete(now, fs.frame)
 		delete(r.frames, pl.FrameID)
@@ -540,21 +547,20 @@ func (r *Receiver) Receive(p *netem.Packet) {
 }
 
 // getFrameState returns a zeroed reassembly state, reusing a recycled one
-// (and its got map) when available.
+// (and its bitset's storage) when available.
 func (r *Receiver) getFrameState() *frameState {
 	if n := len(r.fsFree); n > 0 {
 		fs := r.fsFree[n-1]
 		r.fsFree = r.fsFree[:n-1]
 		return fs
 	}
-	return &frameState{got: make(map[int]bool)}
+	return new(frameState)
 }
 
 // putFrameState recycles a reassembly state after the frame completed or was
 // abandoned. The caller must already have removed it from r.frames.
 func (r *Receiver) putFrameState(fs *frameState) {
-	clear(fs.got)
-	*fs = frameState{got: fs.got}
+	*fs = frameState{got: fs.got[:0]}
 	r.fsFree = append(r.fsFree, fs)
 }
 
@@ -565,23 +571,21 @@ func (r *Receiver) sendFeedback() {
 	}
 	packet.BuildTWCCInto(&r.fbScratch, r.ssrc, r.ssrc, r.fbCount, r.arrivals)
 	r.fbCount++
-	buf := packet.NewFeedbackBuf()
+	p, buf := packet.NewFeedback(&r.pkts)
 	buf.B = r.fbScratch.Marshal(buf.B)
 	r.arrivals = r.arrivals[:0]
 	if r.onFeedback != nil {
 		r.onFeedback(r.s.Now())
 	}
-	r.sendRTCP(buf)
+	r.sendRTCP(p, buf)
 }
 
-// sendRTCP sends buf's RTCP bytes toward the sender as one feedback packet.
-func (r *Receiver) sendRTCP(buf *packet.FeedbackBuf) {
-	p := netem.NewPacket()
+// sendRTCP sends p, carrying buf's RTCP bytes, toward the sender.
+func (r *Receiver) sendRTCP(p *netem.Packet, buf *packet.FeedbackBuf) {
 	p.Flow = r.flow
 	p.Kind = netem.KindFeedback
 	p.Size = len(buf.B) + packet.UDPOverhead
 	p.SentAt = r.s.Now()
-	p.Payload = buf
 	r.out.Receive(p)
 }
 
@@ -596,10 +600,10 @@ func (r *Receiver) sendReceiverReport() {
 			HighestSeq: uint32(r.highest),
 		}},
 	}
-	buf := packet.NewFeedbackBuf()
+	p, buf := packet.NewFeedback(&r.pkts)
 	buf.B = rr.Marshal(buf.B)
 	r.rrSent++
-	r.sendRTCP(buf)
+	r.sendRTCP(p, buf)
 }
 
 // sendNACKs requests retransmission of sequence gaps older than 10ms. A
@@ -638,7 +642,7 @@ func (r *Receiver) sendNACKs() {
 	// Map iteration order is random; sort to keep runs reproducible.
 	sort.Slice(lost, func(i, j int) bool { return lost[i] < lost[j] })
 	nack := packet.NACK{SenderSSRC: r.ssrc, MediaSSRC: r.ssrc, Lost: lost}
-	buf := packet.NewFeedbackBuf()
+	p, buf := packet.NewFeedback(&r.pkts)
 	buf.B = nack.Marshal(buf.B)
-	r.sendRTCP(buf)
+	r.sendRTCP(p, buf)
 }

@@ -388,3 +388,48 @@ func TestPayloadDoubleReleasePanics(t *testing.T) {
 	}()
 	pl.Release()
 }
+
+// TestReassemblyCountsEachFragmentOnce: a frame completes when every one of
+// its fragments has arrived, whatever the order, however many arrive twice,
+// and whatever their index (the bitset grows past one word); a recycled
+// reassembly state starts empty.
+func TestReassemblyCountsEachFragmentOnce(t *testing.T) {
+	s := sim.New(1)
+	dec := video.NewDecoder()
+	r := NewReceiver(s, mediaFlow.Reverse(), 7, dec, netem.Sink)
+	seq := uint16(0)
+	deliver := func(frame uint64, idx, total int) {
+		p := netem.NewPacket()
+		p.Payload = &Payload{RTPSeq: seq, TWCCSeq: seq, FrameID: frame, FrameIdx: idx, FrameTot: total, Key: true}
+		seq++
+		r.Receive(p)
+	}
+	const total = 150
+	for i := total - 1; i >= 0; i-- {
+		if i == 100 {
+			continue
+		}
+		deliver(0, i, total)
+		if i%7 == 0 {
+			deliver(0, i, total) // a duplicate
+		}
+	}
+	deliver(0, 70, total)
+	if dec.Decoded != 0 {
+		t.Fatalf("frame 0 decoded with fragment 100 of %d missing", total)
+	}
+	deliver(0, 100, total)
+	if dec.Decoded != 1 {
+		t.Fatalf("frame 0 not decoded once its last fragment arrived: decoded %d", dec.Decoded)
+	}
+	for _, idx := range []int{0, 0, 1, 1} {
+		deliver(1, idx, 3)
+	}
+	if dec.Decoded != 1 {
+		t.Fatal("frame 1 decoded with fragment 2 of 3 missing")
+	}
+	deliver(1, 2, 3)
+	if dec.Decoded != 2 {
+		t.Fatalf("frame 1 not decoded once complete: decoded %d", dec.Decoded)
+	}
+}

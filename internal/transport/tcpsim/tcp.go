@@ -23,18 +23,46 @@ const (
 	ackSize      = 64
 )
 
-// Segment is the payload of a simulated TCP data packet.
+// Segment is the header of a simulated TCP data packet. It rides in the
+// packet's own fields (Seq, SentAt, and Size less the header bytes); the
+// payload is a zero-size tag, which boxing does not allocate.
 type Segment struct {
 	Seq    uint64 // first byte offset
 	Len    int
 	SentAt sim.Time // send (or retransmit) timestamp, echoed by the receiver
 }
 
-// AckInfo is the payload of a simulated TCP ACK packet.
+// AckInfo is the header of a simulated TCP ACK packet, riding in its Seq,
+// Aux and ABCMark fields under a zero-size tag.
 type AckInfo struct {
 	Ack     uint64   // cumulative: next expected byte
 	Echo    sim.Time // SentAt of the segment that triggered this ack
 	ABCMark uint8
+}
+
+type segmentTag struct{}
+type ackTag struct{}
+
+// Put makes p a data packet carrying s.
+func (s Segment) Put(p *netem.Packet) {
+	p.Kind, p.Size, p.Seq, p.SentAt, p.Payload = netem.KindData, s.Len+dataOverhead, s.Seq, s.SentAt, segmentTag{}
+}
+
+// SegmentOf returns the segment p carries, if it is a TCP data packet.
+func SegmentOf(p *netem.Packet) (Segment, bool) {
+	_, ok := p.Payload.(segmentTag)
+	return Segment{Seq: p.Seq, Len: p.Size - dataOverhead, SentAt: p.SentAt}, ok
+}
+
+// Put makes p an ACK carrying a.
+func (a AckInfo) Put(p *netem.Packet) {
+	p.Kind, p.Size, p.Seq, p.Aux, p.ABCMark, p.Payload = netem.KindAck, ackSize, a.Ack, uint64(a.Echo), a.ABCMark, ackTag{}
+}
+
+// AckOf returns the ACK p carries, if it is a TCP ACK.
+func AckOf(p *netem.Packet) (AckInfo, bool) {
+	_, ok := p.Payload.(ackTag)
+	return AckInfo{Ack: p.Seq, Echo: sim.Time(p.Aux), ABCMark: p.ABCMark}, ok
 }
 
 // Sender is the TCP sending endpoint. The embedded ACK clock holds the
@@ -84,7 +112,7 @@ func (t *Sender) Acked() uint64 { return t.sndUna }
 func (t *Sender) push(seq uint64, n int) int {
 	seg := Segment{Seq: seq, Len: n, SentAt: t.Sim.Now()}
 	t.segs.PushBack(seg)
-	t.Emit(seq, n, seg)
+	t.Emit(seq, 0, n, segmentTag{})
 	return n
 }
 
@@ -101,7 +129,7 @@ func (t *Sender) retransmitFirst() {
 	if i < len(segs) {
 		t.retransmits++
 		segs[i].SentAt = t.Sim.Now()
-		t.Emit(segs[i].Seq, segs[i].Len, segs[i])
+		t.Emit(segs[i].Seq, 0, segs[i].Len, segmentTag{})
 		return
 	}
 	// No segment starts at or past sndUna (an ACK ended mid-segment):
@@ -114,7 +142,7 @@ func (t *Sender) retransmitFirst() {
 
 // Receive implements netem.Receiver: ACK packets from the network.
 func (t *Sender) Receive(p *netem.Packet) {
-	ack, ok := p.Payload.(AckInfo)
+	ack, ok := AckOf(p)
 	if !ok {
 		return
 	}
@@ -157,6 +185,7 @@ type Receiver struct {
 
 	rcvNxt uint64
 	ooo    map[uint64]Segment
+	pkts   netem.Maker
 
 	// OnDeliver, if set, fires as in-order bytes become available.
 	OnDeliver func(now sim.Time, upTo uint64)
@@ -179,7 +208,7 @@ func (r *Receiver) Delivered() uint64 { return r.rcvNxt }
 
 // Receive implements netem.Receiver: data packets from the network.
 func (r *Receiver) Receive(p *netem.Packet) {
-	seg, ok := p.Payload.(Segment)
+	seg, ok := SegmentOf(p)
 	if !ok {
 		return
 	}
@@ -204,12 +233,9 @@ func (r *Receiver) Receive(p *netem.Packet) {
 	if r.OnAck != nil {
 		r.OnAck(r.s.Now())
 	}
-	ack := netem.NewPacket()
+	ack := r.pkts.NewPacket()
 	ack.Flow = r.flow
-	ack.Kind = netem.KindAck
-	ack.Size = ackSize
-	ack.Seq = r.rcvNxt
 	ack.SentAt = r.s.Now()
-	ack.Payload = AckInfo{Ack: r.rcvNxt, Echo: seg.SentAt, ABCMark: p.ABCMark}
+	AckInfo{Ack: r.rcvNxt, Echo: seg.SentAt, ABCMark: p.ABCMark}.Put(ack)
 	r.out.Receive(ack)
 }
